@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -153,6 +154,9 @@ class RunConfig:
             setattr(config, key, value)
         if config.replay and not config.fixtures_dir:
             raise click.UsageError("replay mode requires a fixtures directory")
+        for key in ("sparql_requests", "fetch_requests", "llm_requests"):
+            if getattr(config, key) < 1:
+                raise click.UsageError(f"{key} must be at least 1")
         return config
 
     @property
@@ -168,10 +172,21 @@ class RunConfig:
 
 
 class _Runtime:
-    """Everything a command needs, built once from the resolved config."""
+    """Everything a command needs, built once from the resolved config.
+
+    Its worker pool fans out each verification session's documents; a
+    command that verifies closes the runtime once its sessions are done.
+    """
 
     def __init__(self, config: RunConfig):
         self.config = config
+        if config.fixed_clock:
+            instant = datetime.fromisoformat(config.fixed_clock.replace("Z", "+00:00"))
+            if instant.tzinfo is None:
+                instant = instant.replace(tzinfo=timezone.utc)
+            self.clock = lambda: instant
+        else:
+            self.clock = lambda: datetime.now(timezone.utc)
         fixtures = Path(config.fixtures_dir) if config.fixtures_dir else None
         if config.replay:
             assert fixtures is not None
@@ -193,24 +208,19 @@ class _Runtime:
                     self.fetch_transport, cache / "pages", config.cache_ttl_seconds
                 )
             self.search_provider = None  # built lazily; needs credentials
-            provider = None
-            response_log = ResponseLog(Path(config.out_dir) / "responses.jsonl")
-        params = LlmParams(model=config.model)
-        if provider is None:
-            provider = ReplicateHttpProvider(self.fetch_transport)
+            # completions have their own gate and never enter the page cache
+            provider = ReplicateHttpProvider(
+                LiveTransport(gate=RequestGate(config.llm_requests))
+            )
+            response_log = ResponseLog(
+                Path(config.out_dir) / "responses.jsonl", clock=self.clock
+            )
         self.gateway = LlmGateway(
             provider,
-            params=params,
+            params=LlmParams(model=config.model),
             context_tokens=config.llm_context_tokens,
             response_log=response_log,
         )
-        if config.fixed_clock:
-            instant = datetime.fromisoformat(config.fixed_clock.replace("Z", "+00:00"))
-            if instant.tzinfo is None:
-                instant = instant.replace(tzinfo=timezone.utc)
-            self.clock = lambda: instant
-        else:
-            self.clock = lambda: datetime.now(timezone.utc)
         self.fetcher = DocumentFetcher(self.fetch_transport, clock=self.clock)
         self.wikidata = WikidataClient(
             self.wikidata_transport,
@@ -218,6 +228,14 @@ class _Runtime:
             api_url=config.wikidata_api,
             wikipedia_api=config.wikipedia_api,
         )
+        # one LLM call in flight per worker, so the LLM knob sizes the fan-out
+        self.pool = ThreadPoolExecutor(
+            max_workers=config.llm_requests, thread_name_prefix="kgverify"
+        )
+
+    def close(self) -> None:
+        """Stop the worker pool; queued tasks are dropped, running ones finish."""
+        self.pool.shutdown(wait=True, cancel_futures=True)
 
     def search(self):
         if self.search_provider is None:
@@ -234,6 +252,7 @@ class _Runtime:
             wikidata=self.wikidata,
             chunk_chars=self.config.chunk_chars,
             clock=self.clock,
+            pool=self.pool,
         )
 
 
@@ -405,6 +424,8 @@ def cmd_verify_wikidata(entity: str, **kwargs) -> None:
             sessions.append(verifier.verify_via_web_search(statement, config.hit_limit))
     except KeyboardInterrupt:
         interrupted = True
+    finally:
+        runtime.close()
 
     info = runtime.wikidata.entity_info(entity_id)
     ended = runtime.clock()
@@ -471,6 +492,8 @@ def cmd_verify_wikipedia(entity: str, statements_file: str, **kwargs) -> None:
             sessions.append(verifier.verify_via_wikipedia(statement, entity=entity_id))
     except KeyboardInterrupt:
         interrupted = True
+    finally:
+        runtime.close()
 
     info = runtime.wikidata.entity_info(entity_id)
     wikipedia_url = info.wikipedia_url

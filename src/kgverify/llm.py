@@ -16,8 +16,9 @@ import re
 import threading
 import time
 from dataclasses import dataclass
+from datetime import datetime, timezone
 from pathlib import Path
-from typing import Protocol
+from typing import Callable, Protocol
 
 from .errors import ContextOverflow, FixtureMissing, ProviderUnavailable
 from .model import DIRECT_PROOF, INDICATION, NO_SUPPORT, NliLabel, Verdict
@@ -189,21 +190,30 @@ class ReplicateHttpProvider:
 
 
 class ResponseLog:
-    """Append-only JSON-lines log of completions, keyed by fingerprint."""
+    """Append-only JSON-lines log of completions, keyed by fingerprint.
 
-    def __init__(self, path: Path | str):
+    Safe to share between workers. Each completion is appended when it
+    arrives, so under a concurrent session lines are in completion order, not
+    call order; replay keys lines by fingerprint, so their order does not
+    matter. Timestamps come from ``clock`` (the run's clock, which
+    ``--fixed-clock`` pins).
+    """
+
+    def __init__(self, path: Path | str, clock: Callable[[], datetime] | None = None):
         self.path = Path(path)
+        self._clock = clock or (lambda: datetime.now(timezone.utc))
         self._lock = threading.Lock()
 
     def append(self, fingerprint: str, params: LlmParams, prompt: str, raw_text: str,
                latency_ms: int) -> None:
+        stamp = self._clock().astimezone(timezone.utc)
         record = {
             "fingerprint": fingerprint,
             "model": params.model,
             "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
             "raw_text": raw_text,
             "latency_ms": latency_ms,
-            "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+            "timestamp": stamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
         }
         line = json.dumps(record, ensure_ascii=False) + "\n"
         with self._lock:

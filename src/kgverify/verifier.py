@@ -5,16 +5,25 @@ scanned paragraph by paragraph) and Wikipedia (two-phase drill-down through
 the subject's article, then verification against the primary sources its
 references point to). A confirmation always carries an evidence trace; what
 was skipped (PDFs, dead links, dangling references) is recorded too.
+
+Within a session, independent documents (search hits, cited sources) and
+independent judgments (article chunks, drill-down paragraphs) can run
+concurrently on an optional executor. Each task builds its own result and
+never touches the session; the calling thread assembles the results in rank
+order, so a session is the same whatever the executor's width. Paragraphs of
+one document are still judged one after another, stopping at the first proof.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+import threading
+from concurrent.futures import CancelledError, Executor, wait
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 from . import html_text
 from .errors import (
@@ -51,6 +60,46 @@ logger = logging.getLogger(__name__)
 # Chunk verdicts that trigger the per-paragraph drill-down. Final confirmation
 # still requires direct proof at the paragraph and primary-source levels.
 DEFAULT_DRILLDOWN_POSITIVE = frozenset({VerdictKind.DIRECT_PROOF, VerdictKind.INDICATION})
+
+_Item = TypeVar("_Item")
+_Result = TypeVar("_Result")
+
+
+def map_in_order(
+    pool: Executor | None, fn: Callable[[_Item], _Result], items: Sequence[_Item]
+) -> list[_Result]:
+    """Apply ``fn`` to every item and return the results in item order.
+
+    Without a pool (or with fewer than two items) the items are mapped inline,
+    one after another. With a pool each item is one task; a task must be a
+    leaf that never submits to the same pool. The first failure in item order
+    propagates: once any task fails, tasks that have not started are skipped,
+    and the call returns only after every started task has ended.
+    """
+    if pool is None or len(items) < 2:
+        return [fn(item) for item in items]
+    failed = threading.Event()
+
+    def run(item: _Item) -> _Result:
+        # Tasks start in submission order, so a skipped task always follows
+        # the failed one that caused the skip.
+        if failed.is_set():
+            raise CancelledError("an earlier task failed")
+        try:
+            return fn(item)
+        except BaseException:
+            failed.set()
+            raise
+
+    futures = [pool.submit(run, item) for item in items]
+    try:
+        return [future.result() for future in futures]
+    except BaseException:
+        failed.set()
+        for future in futures:
+            future.cancel()
+        wait(futures)
+        raise
 
 
 class VerificationMode(Enum):
@@ -97,6 +146,23 @@ class VerificationSession:
         return sum(1 for d in self.documents if d.skip is None)
 
 
+@dataclass
+class _DocumentScan:
+    """What one document contributes to a session, built apart from it."""
+
+    record: DocumentRecord
+    trace: EvidenceTrace | None = None
+    skips: list[SkipRecord] = field(default_factory=list)
+    paragraphs_queried: int = 0
+
+    def add_to(self, session: VerificationSession) -> None:
+        session.documents.append(self.record)
+        session.skips.extend(self.skips)
+        session.paragraphs_queried += self.paragraphs_queried
+        if self.trace is not None:
+            session.traces.append(self.trace)
+
+
 @dataclass(frozen=True)
 class WikipediaCitation:
     ref_number: int
@@ -141,21 +207,21 @@ def extract_reference_numbers(paragraph_html: str) -> list[int]:
 
 
 def resolve_citations(
-    ref_numbers: Sequence[int], references_section_html: str
+    ref_numbers: Sequence[int], references: Sequence[html_text.CapturedElement]
 ) -> tuple[list[WikipediaCitation], list[int]]:
     """Map citation indices to entries of the references list.
 
-    Returns the resolvable citations (each with every external URL found in
-    its entry) and the dangling indices that have no entry.
+    ``references`` are the list's ``<li>`` entries in order (entry n is
+    citation n). Returns the resolvable citations (each with every external
+    URL found in its entry) and the dangling indices that have no entry.
     """
-    items = html_text.capture_elements(references_section_html, "li")
     citations: list[WikipediaCitation] = []
     dangling: list[int] = []
     for number in ref_numbers:
-        if number < 1 or number > len(items):
+        if number < 1 or number > len(references):
             dangling.append(number)
             continue
-        entry = items[number - 1]
+        entry = references[number - 1]
         urls = tuple(
             href for href in html_text.extract_links(entry.html) if href.startswith("http")
         )
@@ -168,18 +234,28 @@ def resolve_citations(
 @dataclass(frozen=True)
 class _WikipediaArticle:
     paragraphs: tuple[html_text.CapturedElement, ...]
-    references_html: str
+    references: tuple[html_text.CapturedElement, ...]
 
 
 def parse_wikipedia_article(html: str) -> _WikipediaArticle:
+    """Paragraphs of an article plus the entries of its (first) references list."""
     paragraphs = tuple(html_text.extract_paragraph_elements(html))
     reference_lists = html_text.capture_elements(html, "ol", class_filter="references")
-    references_html = reference_lists[0].html if reference_lists else ""
-    return _WikipediaArticle(paragraphs=paragraphs, references_html=references_html)
+    references = (
+        tuple(html_text.capture_elements(reference_lists[0].html, "li"))
+        if reference_lists else ()
+    )
+    return _WikipediaArticle(paragraphs=paragraphs, references=references)
 
 
 class Verifier:
-    """Drives verification sessions over a gateway, fetcher, and providers."""
+    """Drives verification sessions over a gateway, fetcher, and providers.
+
+    ``pool`` (optional) runs a session's independent documents and judgments
+    concurrently; sessions come out the same with or without it. A verifier
+    fetches and parses each Wikipedia article once and reuses it for every
+    statement about that subject.
+    """
 
     def __init__(
         self,
@@ -190,6 +266,7 @@ class Verifier:
         chunk_chars: int = DEFAULT_CHUNK_CHARS,
         drilldown_positive: frozenset[VerdictKind] = DEFAULT_DRILLDOWN_POSITIVE,
         clock: Callable[[], datetime] | None = None,
+        pool: Executor | None = None,
     ):
         self.gateway = gateway
         self.fetcher = fetcher
@@ -198,40 +275,36 @@ class Verifier:
         self.chunk_chars = chunk_chars
         self.drilldown_positive = drilldown_positive
         self._clock = clock or (lambda: datetime.now(timezone.utc))
+        self.pool = pool
+        self._articles: dict[str, _WikipediaArticle] = {}
 
     # -- building blocks --------------------------------------------------------
 
-    def _judge_snippet(
-        self, statement: Statement, snippet: str, session: VerificationSession | None
-    ):
+    def _judge(self, statement: Statement, snippet: str):
         response = self.gateway.complete(render_rdf_prompt(RdfPrompt(statement, snippet)))
-        if session is not None:
-            session.paragraphs_queried += 1
         return parse_option(response.raw_text), response
 
-    def verify_against_document(
-        self,
-        statement: Statement,
-        doc: GroundingDocument,
-        session: VerificationSession | None = None,
-    ) -> EvidenceTrace | None:
+    def _scan(
+        self, statement: Statement, doc: GroundingDocument, record: DocumentRecord
+    ) -> _DocumentScan:
         """Scan a document's valid paragraphs in order; stop at the first proof.
 
         The remaining content of a confirmed document is not processed, to
-        conserve model calls. Returns the trace, or None without a proof.
+        conserve model calls.
         """
+        scan = _DocumentScan(record)
         for paragraph in valid_paragraphs(doc):
             try:
-                verdict, response = self._judge_snippet(statement, paragraph, session)
+                verdict, response = self._judge(statement, paragraph)
             except ContextOverflow as exc:
                 logger.warning("skipping paragraph of %s: %s", doc.url, exc)
-                if session is not None:
-                    session.skips.append(
-                        SkipRecord(kind="context-overflow", target=doc.url, detail=str(exc))
-                    )
+                scan.skips.append(
+                    SkipRecord(kind="context-overflow", target=doc.url, detail=str(exc))
+                )
                 continue
+            scan.paragraphs_queried += 1
             if verdict.kind is VerdictKind.DIRECT_PROOF:
-                return EvidenceTrace(
+                scan.trace = EvidenceTrace(
                     statement=statement,
                     document_url=doc.url,
                     retrieval_source=doc.retrieval_source,
@@ -242,7 +315,30 @@ class Verifier:
                     timestamp=self._clock(),
                     duration_ms=response.latency_ms,
                 )
-        return None
+                break
+        return scan
+
+    def _examine(
+        self, statement: Statement, url: str, fetch: Callable[[str], GroundingDocument]
+    ) -> _DocumentScan:
+        """Fetch one document and scan it: the unit of a session's fan-out."""
+        record = DocumentRecord(url=url)
+        try:
+            doc = fetch(url)
+        except UnsupportedMediaType as exc:
+            record.skip = SkipRecord("unsupported-media", url, str(exc))
+            return _DocumentScan(record)
+        except (UnavailableEverywhere, Unavailable) as exc:
+            record.skip = SkipRecord("unavailable", url, str(exc))
+            return _DocumentScan(record)
+        record.retrieval_source = doc.retrieval_source.value
+        return self._scan(statement, doc, record)
+
+    def verify_against_document(
+        self, statement: Statement, doc: GroundingDocument
+    ) -> EvidenceTrace | None:
+        """The trace of the first paragraph that proves the statement, or None."""
+        return self._scan(statement, doc, DocumentRecord(url=doc.url)).trace
 
     # -- use case: web search ---------------------------------------------------
 
@@ -257,25 +353,11 @@ class Verifier:
         )
         query = statement_to_search_query(statement)
         hits = web_search(self.search_provider, query, limit=hit_limit)
-        fetched_any = False
-        for hit in hits:
-            record = DocumentRecord(url=hit.url)
-            session.documents.append(record)
-            try:
-                doc = self.fetcher.fetch_document(hit.url)
-            except UnsupportedMediaType as exc:
-                record.skip = SkipRecord("unsupported-media", hit.url, str(exc))
-                continue
-            except Unavailable as exc:
-                record.skip = SkipRecord("unavailable", hit.url, str(exc))
-                continue
-            fetched_any = True
-            record.retrieval_source = doc.retrieval_source.value
-            trace = self.verify_against_document(statement, doc, session)
-            if trace is not None:
-                session.traces.append(trace)
-            # proceed to the next document either way
-        if hits and not fetched_any:
+        fetch = self.fetcher.fetch_document
+        urls = [hit.url for hit in hits]
+        for scan in map_in_order(self.pool, lambda u: self._examine(statement, u, fetch), urls):
+            scan.add_to(session)
+        if hits and session.documents_examined == 0:
             raise NoDocumentsRetrievable(
                 f"none of the {len(hits)} search hits could be retrieved"
             )
@@ -283,6 +365,16 @@ class Verifier:
         return session
 
     # -- use case: Wikipedia ----------------------------------------------------
+
+    def _article(self, url: str) -> _WikipediaArticle:
+        article = self._articles.get(url)
+        if article is None:
+            try:
+                html, _ = self.fetcher.fetch_raw(url)
+            except (Unavailable, UnsupportedMediaType) as exc:
+                raise NoDocumentsRetrievable(f"cannot fetch article {url}: {exc}") from exc
+            article = self._articles[url] = parse_wikipedia_article(html)
+        return article
 
     def verify_via_wikipedia(
         self, statement: Statement, entity: EntityId | str | int | None = None
@@ -306,67 +398,53 @@ class Verifier:
         session = VerificationSession(
             statement=statement, mode=VerificationMode.WIKIPEDIA, started_at=self._clock()
         )
-        try:
-            html, _ = self.fetcher.fetch_raw(article_url)
-        except (Unavailable, UnsupportedMediaType) as exc:
-            raise NoDocumentsRetrievable(f"cannot fetch article {article_url}: {exc}") from exc
+        article = self._article(article_url)
         session.documents.append(
             DocumentRecord(url=article_url, retrieval_source="direct")
         )
-        article = parse_wikipedia_article(html)
-        texts = [p.text for p in article.paragraphs]
 
+        texts = [p.text for p in article.paragraphs]
+        chunks = chunk_fill_limit(texts, max_chars=self.chunk_chars)
+        judged = map_in_order(self.pool, lambda c: self._judge(statement, c.text), chunks)
+        candidates: list[html_text.CapturedElement] = []
         offset = 0
-        examined_urls: set[str] = set()
-        for chunk in chunk_fill_limit(texts, max_chars=self.chunk_chars):
+        for chunk, (verdict, _) in zip(chunks, judged):
             members = article.paragraphs[offset : offset + len(chunk.paragraphs)]
             offset += len(chunk.paragraphs)
-            verdict, _ = self._judge_snippet(statement, chunk.text, session)
-            if verdict.kind not in self.drilldown_positive:
+            if verdict.kind in self.drilldown_positive:
+                candidates.extend(p for p in members if len(p.text) >= MIN_PARAGRAPH_CHARS)
+        judged = map_in_order(self.pool, lambda p: self._judge(statement, p.text), candidates)
+        session.paragraphs_queried += len(chunks) + len(candidates)
+
+        # Plan the cited sources in article order: dangling references become
+        # skips, and a URL cited again is examined only once.
+        plan: list[SkipRecord | str] = []
+        examined_urls: set[str] = set()
+        for paragraph, (verdict, _) in zip(candidates, judged):
+            if verdict.kind is not VerdictKind.DIRECT_PROOF:
                 continue
-            for paragraph in members:
-                if len(paragraph.text) < MIN_PARAGRAPH_CHARS:
-                    continue
-                verdict, _ = self._judge_snippet(statement, paragraph.text, session)
-                if verdict.kind is not VerdictKind.DIRECT_PROOF:
-                    continue
-                numbers = extract_reference_numbers(paragraph.html)
-                session.wikipedia_anchors.append(
-                    WikipediaAnchor(paragraph_text=paragraph.text, ref_numbers=tuple(numbers))
-                )
-                self._verify_citations(statement, numbers, article, session, examined_urls)
+            numbers = extract_reference_numbers(paragraph.html)
+            session.wikipedia_anchors.append(
+                WikipediaAnchor(paragraph_text=paragraph.text, ref_numbers=tuple(numbers))
+            )
+            citations, dangling = resolve_citations(numbers, article.references)
+            plan.extend(
+                SkipRecord("dangling-reference", str(number), "no entry in references list")
+                for number in dangling
+            )
+            for citation in citations:
+                for url in citation.urls:
+                    if url not in examined_urls:
+                        examined_urls.add(url)
+                        plan.append(url)
+
+        fetch = self.fetcher.fetch_with_archive_fallback
+        urls = [entry for entry in plan if isinstance(entry, str)]
+        scans = iter(map_in_order(self.pool, lambda u: self._examine(statement, u, fetch), urls))
+        for entry in plan:
+            if isinstance(entry, SkipRecord):
+                session.skips.append(entry)
+            else:
+                next(scans).add_to(session)
         session.ended_at = self._clock()
         return session
-
-    def _verify_citations(
-        self,
-        statement: Statement,
-        ref_numbers: Sequence[int],
-        article: _WikipediaArticle,
-        session: VerificationSession,
-        examined_urls: set[str],
-    ) -> None:
-        citations, dangling = resolve_citations(ref_numbers, article.references_html)
-        for number in dangling:
-            session.skips.append(
-                SkipRecord("dangling-reference", str(number), "no entry in references list")
-            )
-        for citation in citations:
-            for url in citation.urls:
-                if url in examined_urls:
-                    continue
-                examined_urls.add(url)
-                record = DocumentRecord(url=url)
-                session.documents.append(record)
-                try:
-                    doc = self.fetcher.fetch_with_archive_fallback(url)
-                except UnsupportedMediaType as exc:
-                    record.skip = SkipRecord("unsupported-media", url, str(exc))
-                    continue
-                except (UnavailableEverywhere, Unavailable) as exc:
-                    record.skip = SkipRecord("unavailable", url, str(exc))
-                    continue
-                record.retrieval_source = doc.retrieval_source.value
-                trace = self.verify_against_document(statement, doc, session)
-                if trace is not None:
-                    session.traces.append(trace)

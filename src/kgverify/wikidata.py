@@ -121,6 +121,7 @@ class WikidataClient:
         self.endpoint = endpoint
         self._api_url = api_url
         self._wikipedia_api = wikipedia_api
+        self._entity_info: dict[EntityId, EntityInfo] = {}
 
     # -- SPARQL ---------------------------------------------------------------
 
@@ -189,7 +190,12 @@ class WikidataClient:
         if not property_ids:
             return []
         rows = self._sparql(mandatory_reference_query(property_ids))
-        constrained = {_trailing_id(row["prop"]["value"]) for row in rows}
+        constrained: set[str] = set()
+        for row in rows:
+            try:
+                constrained.add(_trailing_id(row["prop"]["value"]))
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise MalformedResponse(f"incomplete SPARQL binding: {row!r}") from exc
         return [
             UnsourcedStatement(statement=unsourced.statement, mandatory_reference=True)
             for unsourced in statements
@@ -199,8 +205,14 @@ class WikidataClient:
     # -- wiki APIs --------------------------------------------------------------
 
     def entity_info(self, entity: EntityId | str | int) -> EntityInfo:
-        """Label, latest revision, and English sitelink of an entity."""
+        """Label, latest revision, and English sitelink of an entity.
+
+        Answers are memoised per client, so a run asks once per entity.
+        """
         entity = EntityId.parse(entity)
+        cached = self._entity_info.get(entity)
+        if cached is not None:
+            return cached
         req = HttpRequest.get(
             self._api_url,
             params={
@@ -228,13 +240,14 @@ class WikidataClient:
         url = sitelink.get("url")
         if title and not url:
             url = "https://en.wikipedia.org/wiki/" + quote(title.replace(" ", "_"))
-        return EntityInfo(
+        info = self._entity_info[entity] = EntityInfo(
             entity_id=entity,
             label=record.get("labels", {}).get("en", {}).get("value", str(entity)),
             revision_id=int(record.get("lastrevid", 0)),
             wikipedia_title=title,
             wikipedia_url=url,
         )
+        return info
 
     def resolve_wikipedia_url(self, entity: EntityId | str | int) -> str:
         """URL of the English Wikipedia article linked from the entity."""

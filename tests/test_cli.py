@@ -291,3 +291,77 @@ class TestReport:
         result = runner.invoke(main, ["report", str(broken), "--out", str(tmp_path)])
         assert result.exit_code == 7
         assert "well-formed" in result.output
+
+
+class TestPoolWidth:
+    """Reports do not depend on how wide a session fans out."""
+
+    @pytest.mark.parametrize("command,run_id", [
+        (["verify-wikidata", "Q36233", "--max-statements", "1"], "verify-wikidata-Q36233"),
+        (["verify-wikipedia", "Q179924", "--statements", str(FIXTURES / "biolum_statements.tsv"),
+          "--model", "gpt-4-1106-preview"], "verify-wikipedia-Q179924"),
+    ])
+    def test_replay_bytes_match_at_width_one(self, runner, tmp_path, monkeypatch,
+                                              command, run_id):
+        outputs = []
+        for width in ("1", None):
+            if width is None:
+                monkeypatch.delenv("KGVERIFY_LLM_REQUESTS", raising=False)
+            else:
+                monkeypatch.setenv("KGVERIFY_LLM_REQUESTS", width)
+            out = tmp_path / f"width-{width}"
+            result = runner.invoke(main, [*command, *replay_args(out)])
+            assert result.exit_code == 0, result.output
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["llm_requests"] == int(width or 4)
+            outputs.append([(out / f"{run_id}.{ext}").read_bytes() for ext in ("xml", "html")])
+        assert outputs[0] == outputs[1]
+
+    def test_request_knobs_must_be_positive(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setenv("KGVERIFY_LLM_REQUESTS", "0")
+        result = runner.invoke(main, [
+            "verify-wikidata", "Q36233", *replay_args(tmp_path),
+        ])
+        assert result.exit_code == 2
+        assert "llm_requests" in result.output
+
+
+class TestLiveWithCache:
+    def test_completions_stay_out_of_the_page_cache(self, runner, tmp_path, monkeypatch):
+        """A live run (its remote side served from the replay fixtures) caches
+        pages and API answers, but never an LLM completion."""
+        from kgverify.llm import LlmParams, ReplayProvider
+        from kgverify.net import FixtureTransport, HttpResponse, LiveTransport
+
+        recorded = FixtureTransport(REPLAY_DIR / "http")
+        completions = ReplayProvider(REPLAY_DIR / "llm" / "responses.jsonl")
+        llm_posts = []
+
+        def remote(self, req):
+            if req.method == "POST":
+                llm_posts.append(req.url)
+                model = req.url.split("/models/", 1)[1].rsplit("/predictions", 1)[0]
+                prompt = json.loads(req.body)["input"]["prompt"]
+                text = completions.complete(LlmParams(model=model), prompt)
+                return HttpResponse(status=201, headers={"content-type": "application/json"},
+                                    body=json.dumps({"output": text}).encode("utf-8"))
+            return recorded.send(req)
+
+        monkeypatch.setattr(LiveTransport, "send", remote)
+        monkeypatch.setenv("KGVERIFY_LLM_TOKEN", "test-token")
+        cache, out = tmp_path / "cache", tmp_path / "out"
+        result = runner.invoke(main, [
+            "verify-wikipedia", "Q179924",
+            "--statements", str(FIXTURES / "biolum_statements.tsv"),
+            "--model", "gpt-4-1106-preview", "--live", "--cache-dir", str(cache),
+            "--out", str(out), "--fixed-clock", "2024-03-02T13:27:25Z",
+        ])
+        assert result.exit_code == 0, result.output
+        assert llm_posts
+        cached = [json.loads(p.read_text()) for p in cache.rglob("*.json")]
+        assert {p.parent.name for p in cache.rglob("*.json")} == {"pages", "wikidata"}
+        assert all(r["request"]["method"] == "GET" for r in cached)
+        assert not any("replicate" in r["request"]["url"] for r in cached)
+        log = [json.loads(line) for line in (out / "responses.jsonl").read_text().splitlines()]
+        assert len(log) == len(llm_posts)
+        assert {r["timestamp"] for r in log} == {"2024-03-02T13:27:25Z"}

@@ -1,0 +1,389 @@
+"""Session fan-out: a verifier with a worker pool produces the same sessions
+as one without, however the concurrent calls interleave."""
+
+from __future__ import annotations
+
+import dataclasses
+import json
+import random
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from datetime import datetime, timezone
+
+import pytest
+
+from kgverify.errors import FixtureMissing, NetworkForbidden
+from kgverify.llm import LlmGateway, ResponseLog
+from kgverify.model import Statement
+from kgverify.net import HttpRequest
+from kgverify.prompting import OPTION_TEXTS, SYSTEM_PROMPT, RdfPrompt, render_rdf_prompt
+from kgverify.retrieval import ARCHIVE_AVAILABILITY_API, DocumentFetcher, SearchHit
+from kgverify.verifier import Verifier, map_in_order
+from kgverify.wikidata import WIKIDATA_API, WikidataClient
+
+from conftest import DictTransport
+
+STATEMENT = Statement("Subject", "related to", "Thing", subject_id="Q1")
+NOW = datetime(2024, 3, 2, 13, 27, 25, tzinfo=timezone.utc)
+PROOF, HINT = "zzproofzz", "zzhintzz"
+
+ANSWER = {
+    "a": "The correct answer is: a) " + OPTION_TEXTS["a"] + " The snippet says so.",
+    "b": "The correct answer is: b) " + OPTION_TEXTS["b"],
+    "c": "The correct answer is: c) " + OPTION_TEXTS["c"],
+}
+
+
+def jitter(seed: int, key: str) -> None:
+    """Sleep a seeded random 0.2-4 ms, so concurrent calls finish out of order."""
+    time.sleep(random.Random(f"{seed}:{key}").uniform(0.0002, 0.004))
+
+
+class ContentProvider:
+    """Thread-safe provider that answers by the snippet's marker words."""
+
+    name = "content"
+
+    def __init__(self, seed: int = 1):
+        self.seed = seed
+        self.calls = 0
+        self.in_flight = 0
+        self.peak = 0
+        self._lock = threading.Lock()
+
+    def complete(self, params, prompt: str) -> str:
+        with self._lock:
+            self.calls += 1
+            self.in_flight += 1
+            self.peak = max(self.peak, self.in_flight)
+        try:
+            jitter(self.seed, prompt)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+        snippet = prompt.split("Snippet to verify from:", 1)[-1]
+        if PROOF in snippet:
+            return ANSWER["a"]
+        if HINT in snippet:
+            return ANSWER["b"]
+        return ANSWER["c"]
+
+
+class SlowTransport(DictTransport):
+    """The in-memory transport, with a seeded delay and scripted failures."""
+
+    def __init__(self, seed: int = 1):
+        super().__init__()
+        self.seed = seed
+        self.failures: dict[str, tuple[float, Exception]] = {}
+
+    def fail(self, url: str, exc: Exception, after_s: float = 0.0) -> None:
+        self.failures[url] = (after_s, exc)
+
+    def send(self, req: HttpRequest):
+        if req.url in self.failures:
+            self.requests.append(req)
+            after_s, exc = self.failures[req.url]
+            time.sleep(after_s)
+            raise exc
+        jitter(self.seed, req.url + repr(req.params))
+        return super().send(req)
+
+
+def para(*words: str, n: int = 3) -> str:
+    return "<p>" + " ".join(words) + " " + "plain filler words " * (6 * n) + "</p>"
+
+
+class StubSearch:
+    def __init__(self, urls):
+        self.urls = urls
+
+    def search(self, query, limit):
+        return [SearchHit(url=u, rank=i + 1) for i, u in enumerate(self.urls[:limit])]
+
+
+def gateway(provider: ContentProvider, response_log=None) -> LlmGateway:
+    # room for article chunks and ordinary paragraphs; 3000 characters overflow
+    fits = len(render_rdf_prompt(RdfPrompt(STATEMENT, "x" * 1200))) + len(SYSTEM_PROMPT)
+    return LlmGateway(provider, context_tokens=fits // 4, response_log=response_log)
+
+
+def normalised(session) -> dict:
+    """A session's content; trace durations are live timings, so they are zeroed."""
+    return {
+        "documents": session.documents,
+        "skips": session.skips,
+        "anchors": session.wikipedia_anchors,
+        "traces": [dataclasses.replace(t, duration_ms=0) for t in session.traces],
+        "paragraphs_queried": session.paragraphs_queried,
+    }
+
+
+OVERSIZE = "<p>" + "o" * 3000 + "</p>"
+WEB_PAGES = {
+    "https://a.example/late-proof": para() + para() + para(PROOF) + para(PROOF),
+    "https://b.example/report.pdf": None,
+    "https://c.example/gone": 404,
+    "https://d.example/overflow-hint": OVERSIZE + para(HINT) + para(),
+    "https://e.example/first-proof": para(PROOF) + para(),
+    "https://f.example/too-short": "<p>short</p><p>tiny</p>",
+    "https://g.example/nothing": para() + para() + para() + para(),
+    "https://h.example/overflow-proof": para() + OVERSIZE + para(PROOF),
+}
+
+
+def web_verifier(pool, seed=1, urls=None, response_log=None):
+    transport = SlowTransport(seed)
+    for url, page in WEB_PAGES.items():
+        if page is None:
+            transport.add(HttpRequest.get(url), body=b"%PDF-1.4", content_type="application/pdf")
+        elif page == 404:
+            transport.add(HttpRequest.get(url), status=404, body="gone")
+        else:
+            transport.add(HttpRequest.get(url), body=page)
+    provider = ContentProvider(seed)
+    verifier = Verifier(
+        gateway=gateway(provider, response_log),
+        fetcher=DocumentFetcher(transport, clock=lambda: NOW),
+        search_provider=StubSearch(urls or list(WEB_PAGES)),
+        clock=lambda: NOW,
+        pool=pool,
+    )
+    return verifier, provider, transport
+
+
+ARTICLE_URL = "https://en.wikipedia.org/wiki/Subject"
+SNAPSHOT = "https://web.archive.org/web/2020/https://dead.example/archived"
+REFERENCES = [
+    "https://p1.example/proof",          # 1
+    "https://p2.example/nothing",        # 2
+    "https://dead.example/archived",     # 3: dead, archived copy proves
+    "https://dead.example/lost",         # 4: dead, no snapshot
+    "https://p5.example/paper.pdf",      # 5
+    "https://p6.example/overflow-proof",  # 6
+]
+SOURCES = {
+    REFERENCES[0]: para() + para(PROOF),
+    REFERENCES[1]: para() + para(),
+    REFERENCES[5]: OVERSIZE + para(PROOF),
+    SNAPSHOT: para(PROOF) + para(),
+}
+
+
+def cite(*numbers: int) -> str:
+    return "".join(
+        f'<sup class="reference"><a href="#cite_note-{n}">[{n}]</a></sup>' for n in numbers
+    )
+
+
+def article_html() -> str:
+    paragraphs = [
+        para(),
+        para(PROOF, cite(1, 2)),
+        para(HINT),
+        para(),
+        para(PROOF, cite(3, 9)),        # 9 dangles
+        para(),
+        para(),
+        para(PROOF, cite(2, 4, 5)),     # 2 again: examined once
+        para(PROOF, cite(6)),
+        "<p>short one</p>",
+        para(),
+        para(PROOF, cite(12, 1)),       # dangling, then a repeat
+    ]
+    entries = "".join(
+        f'<li id="cite_note-{i}"><cite>Source {i}.</cite><a href="{url}">link</a></li>'
+        for i, url in enumerate(REFERENCES, start=1)
+    )
+    return ("<html><body>" + "".join(paragraphs)
+            + f'<ol class="references">{entries}</ol></body></html>')
+
+
+def wiki_verifier(pool, seed=1, chunk_chars=700):
+    transport = SlowTransport(seed)
+    transport.add_json(
+        HttpRequest.get(WIKIDATA_API, params={
+            "action": "wbgetentities", "ids": "Q1", "props": "info|labels|sitelinks/urls",
+            "languages": "en", "sitefilter": "enwiki", "format": "json",
+        }),
+        {"entities": {"Q1": {"id": "Q1", "lastrevid": 7,
+                             "labels": {"en": {"value": "Subject"}},
+                             "sitelinks": {"enwiki": {"title": "Subject",
+                                                      "url": ARTICLE_URL}}}}},
+    )
+    transport.add(HttpRequest.get(ARTICLE_URL), body=article_html())
+    for url, page in SOURCES.items():
+        transport.add(HttpRequest.get(url), body=page)
+    transport.add(HttpRequest.get(REFERENCES[4]), body=b"%PDF-1.4",
+                  content_type="application/pdf")
+    for url, snapshot in ((REFERENCES[2], SNAPSHOT), (REFERENCES[3], None)):
+        transport.add(HttpRequest.get(url), status=404, body="gone")
+        closest = {"closest": {"available": True, "url": snapshot}} if snapshot else {}
+        transport.add_json(HttpRequest.get(ARCHIVE_AVAILABILITY_API, params={"url": url}),
+                           {"archived_snapshots": closest})
+    provider = ContentProvider(seed)
+    verifier = Verifier(
+        gateway=gateway(provider),
+        fetcher=DocumentFetcher(transport, clock=lambda: NOW),
+        wikidata=WikidataClient(transport),
+        chunk_chars=chunk_chars,
+        clock=lambda: NOW,
+        pool=pool,
+    )
+    return verifier, provider, transport
+
+
+@pytest.fixture(params=[1, 4], ids=["width1", "width4"])
+def pool(request):
+    with ThreadPoolExecutor(max_workers=request.param) as executor:
+        yield executor
+
+
+class TestDeterminism:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_web_search_session_matches_inline(self, pool, seed):
+        expected_verifier, expected_provider, _ = web_verifier(None, seed)
+        expected = expected_verifier.verify_via_web_search(STATEMENT, hit_limit=8)
+        verifier, provider, _ = web_verifier(pool, seed)
+        session = verifier.verify_via_web_search(STATEMENT, hit_limit=8)
+        assert normalised(session) == normalised(expected)
+        assert provider.calls == expected_provider.calls == session.paragraphs_queried
+        # the fixture exercises every kind of outcome
+        assert [t.document_url for t in session.traces] == [
+            "https://a.example/late-proof", "https://e.example/first-proof",
+            "https://h.example/overflow-proof"]
+        assert [s.kind for s in session.skips] == ["context-overflow"] * 2
+        assert sorted(d.skip.kind for d in session.documents if d.skip) == [
+            "unavailable", "unsupported-media"]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_wikipedia_session_matches_inline(self, pool, seed):
+        expected_verifier, expected_provider, _ = wiki_verifier(None, seed)
+        expected = expected_verifier.verify_via_wikipedia(STATEMENT)
+        verifier, provider, _ = wiki_verifier(pool, seed)
+        session = verifier.verify_via_wikipedia(STATEMENT)
+        assert normalised(session) == normalised(expected)
+        assert provider.calls == expected_provider.calls == session.paragraphs_queried
+        assert [a.ref_numbers for a in session.wikipedia_anchors] == [
+            (1, 2), (3, 9), (2, 4, 5), (6,), (12, 1)]
+        assert [(s.kind, s.target) for s in session.skips] == [
+            ("dangling-reference", "9"),
+            ("context-overflow", REFERENCES[5]),
+            ("dangling-reference", "12"),
+        ]
+        assert [d.url for d in session.documents] == [ARTICLE_URL, *REFERENCES]
+        assert [t.document_url for t in session.traces] == [
+            REFERENCES[0], SNAPSHOT, REFERENCES[5]]
+        assert all("wikipedia.org" not in t.document_url for t in session.traces)
+
+    def test_width4_runs_calls_concurrently(self):
+        with ThreadPoolExecutor(max_workers=4) as executor:
+            verifier, provider, _ = web_verifier(executor)
+            verifier.verify_via_web_search(STATEMENT, hit_limit=8)
+        assert provider.peak > 1
+
+
+class TestArticleOncePerRun:
+    def test_one_article_fetch_and_one_entity_lookup(self, pool):
+        verifier, _, transport = wiki_verifier(pool)
+        statements = [dataclasses.replace(STATEMENT, object_label=f"Thing {i}")
+                      for i in range(3)]
+        sessions = [verifier.verify_via_wikipedia(s) for s in statements]
+        verifier.wikidata.entity_info("Q1")  # as the report summary asks once more
+        assert [s.documents[0].url for s in sessions] == [ARTICLE_URL] * 3
+        urls = [r.url for r in transport.requests]
+        assert urls.count(ARTICLE_URL) == 1
+        assert sum(1 for r in transport.requests
+                   if dict(r.params).get("action") == "wbgetentities") == 1
+
+
+class TestFailurePropagation:
+    def test_queued_tasks_do_not_run_after_a_failure(self):
+        started = []
+
+        def task(item):
+            started.append(item)
+            if item == 2:
+                raise ValueError("task 2")
+            return item
+
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            with pytest.raises(ValueError, match="task 2"):
+                map_in_order(executor, task, list(range(6)))
+        assert started == [0, 1, 2]
+
+    def test_first_failure_in_order_wins_and_started_tasks_end(self):
+        started, ended = set(), set()
+        slow_failure = threading.Event()
+
+        def task(item):
+            started.add(item)
+            try:
+                if item == 0:
+                    slow_failure.wait(1.0)
+                    raise KeyError("task 0")
+                if item == 1:
+                    time.sleep(0.03)  # long enough for task 2 to start
+                    raise ValueError("task 1")
+                time.sleep(0.1)
+                return item
+            finally:
+                ended.add(item)
+                if item == 1:
+                    slow_failure.set()
+
+        with ThreadPoolExecutor(max_workers=3) as executor:
+            with pytest.raises(KeyError, match="task 0"):
+                map_in_order(executor, task, list(range(8)))
+            assert ended == started == {0, 1, 2}
+
+    def test_inline_mapping_stops_at_the_failure(self):
+        started = []
+
+        def task(item):
+            started.append(item)
+            if item == 1:
+                raise ValueError("task 1")
+
+        with pytest.raises(ValueError):
+            map_in_order(None, task, [0, 1, 2])
+        assert started == [0, 1]
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_session_raises_the_first_failing_hit(self, width):
+        urls = list(WEB_PAGES)
+        with ThreadPoolExecutor(max_workers=width) as executor:
+            verifier, _, transport = web_verifier(executor, urls=urls)
+            # the later hit fails first; the earlier one still decides
+            transport.fail(urls[2], FixtureMissing("hit 3"), after_s=0.03)
+            transport.fail(urls[4], NetworkForbidden("hit 5"))
+            with pytest.raises(FixtureMissing, match="hit 3"):
+                verifier.verify_via_web_search(STATEMENT, hit_limit=8)
+        fetched = {r.url for r in transport.requests}
+        if width == 1:
+            assert fetched == set(urls[:3])
+        else:
+            assert urls[2] in fetched
+
+
+def test_stress_shared_response_log(tmp_path):
+    """More workers than cores, with frequent thread switches: the shared
+    response log keeps every completion as one whole line."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        started = time.monotonic()
+        with ThreadPoolExecutor(max_workers=8) as executor:
+            log = ResponseLog(tmp_path / "responses.jsonl", clock=lambda: NOW)
+            verifier, provider, _ = web_verifier(executor, response_log=log)
+            sessions = [verifier.verify_via_web_search(STATEMENT, hit_limit=8)
+                        for _ in range(5)]
+        assert time.monotonic() - started < 30
+    finally:
+        sys.setswitchinterval(interval)
+    lines = (tmp_path / "responses.jsonl").read_text().splitlines()
+    assert len(lines) == provider.calls == sum(s.paragraphs_queried for s in sessions)
+    assert all(json.loads(line)["timestamp"] == "2024-03-02T13:27:25Z" for line in lines)
+    assert all(normalised(s) == normalised(sessions[0]) for s in sessions)

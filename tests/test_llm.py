@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
@@ -205,6 +206,13 @@ class TestGateway:
         # a log written this way is replayable
         provider = ReplayProvider(tmp_path / "log.jsonl")
         assert provider.complete(gateway.params, "prompt") == "answer"
+
+    def test_response_log_stamps_the_run_clock(self, tmp_path):
+        instant = datetime(2024, 3, 2, 14, 27, 25, tzinfo=timezone(timedelta(hours=1)))
+        log = ResponseLog(tmp_path / "log.jsonl", clock=lambda: instant)
+        LlmGateway(ScriptedProvider(["answer"]), response_log=log).complete("prompt")
+        record = json.loads((tmp_path / "log.jsonl").read_text())
+        assert record["timestamp"] == "2024-03-02T13:27:25Z"
 
 
 class TestParseOption:

@@ -4,6 +4,7 @@ from datetime import datetime, timezone
 
 import pytest
 
+from kgverify import html_text
 from kgverify.errors import NoDocumentsRetrievable, NoSitelink
 from kgverify.llm import LlmGateway, ScriptedProvider
 from kgverify.model import RetrievalSource, Statement, VerdictKind
@@ -184,11 +185,12 @@ REFERENCES_HTML = (
     '<a href="https://third.example/article">article</a></li>'
     "</ol>"
 )
+REFERENCES = html_text.capture_elements(REFERENCES_HTML, "li")
 
 
 class TestResolveCitations:
     def test_resolves_with_external_urls(self):
-        citations, dangling = resolve_citations([2, 3], REFERENCES_HTML)
+        citations, dangling = resolve_citations([2, 3], REFERENCES)
         assert dangling == []
         assert citations[0].ref_number == 2
         assert citations[0].urls == (
@@ -198,12 +200,12 @@ class TestResolveCitations:
         assert "Third source." in citations[1].citation_text
 
     def test_dangling_number(self):
-        citations, dangling = resolve_citations([1, 9], REFERENCES_HTML)
+        citations, dangling = resolve_citations([1, 9], REFERENCES)
         assert [c.ref_number for c in citations] == [1]
         assert dangling == [9]
 
     def test_empty_numbers(self):
-        assert resolve_citations([], REFERENCES_HTML) == ([], [])
+        assert resolve_citations([], REFERENCES) == ([], [])
 
 
 WIKI_HTML = (
@@ -314,8 +316,8 @@ class TestWikipediaFlow:
         responses = [
             ANSWER["b"],  # chunk
             ANSWER["a"],  # first paragraph -> citation 2
-            ANSWER["a"],  # primary source confirms
             ANSWER["a"],  # second paragraph -> citation 2 again (no refetch)
+            ANSWER["a"],  # primary source confirms
         ]
         verifier, provider = make_verifier(
             responses,
@@ -337,4 +339,5 @@ def test_parse_wikipedia_article_structure():
     article = parse_wikipedia_article(WIKI_HTML)
     assert len(article.paragraphs) == 2
     assert "cite_note-2" in article.paragraphs[1].html
-    assert "Primary." in article.references_html
+    assert len(article.references) == 2
+    assert "Primary." in article.references[1].text

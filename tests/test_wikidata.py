@@ -148,6 +148,17 @@ class TestFilterMandatory:
         inputs = [u.statement for u in statements]
         assert all(u.statement in inputs for u in kept)
 
+    @pytest.mark.parametrize("row", [{"prop": {"type": "uri"}}, {}, {"prop": "P166"},
+                                     {"prop": {"value": 166}}])
+    def test_malformed_binding_is_malformed_response(self, dict_transport, row):
+        dict_transport.add_json(
+            sparql_request(mandatory_reference_query(["P166", "P1449"])),
+            sparql_response([{"prop": {"type": "uri", "value": ENTITY_URI + "P166"}}, row]),
+        )
+        client = WikidataClient(dict_transport)
+        with pytest.raises(MalformedResponse, match="incomplete SPARQL binding"):
+            client.filter_mandatory_reference(self.make_statements())
+
     def test_empty_input_no_query(self, dict_transport):
         client = WikidataClient(dict_transport)
         assert client.filter_mandatory_reference([]) == []
