@@ -18,43 +18,28 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import Callable, Sequence
 
 import click
 
 from . import __version__, datasets, evaluation, reporting
-from .errors import (
-    EmptyInput,
-    EndpointUnavailable,
-    FixtureMissing,
-    InsufficientRecords,
-    InvalidExamples,
-    KgVerifyError,
-    MalformedInput,
-    MalformedResponse,
-    NetworkForbidden,
-    NoDocumentsRetrievable,
-    NoSitelink,
-    ProviderUnavailable,
-    QuotaExceeded,
-    SchemaViolation,
-    TransformFailure,
-    Unavailable,
-    UnavailableEverywhere,
-)
+from .errors import KgVerifyError, MalformedInput
 from .llm import (
     LlmGateway,
     LlmParams,
     ReplayProvider,
     ReplicateHttpProvider,
     ResponseLog,
+    parse_nli_label,
+    parse_option,
 )
 from .model import (
     DecisionMode,
     NliLabel,
+    Statement,
     statements_from_text,
     verdict_to_binary,
 )
-from .llm import parse_nli_label, parse_option
 from .net import CachingTransport, FixtureTransport, LiveTransport, RequestGate, Transport
 from .prompting import (
     NLI_TEMPLATE,
@@ -66,25 +51,16 @@ from .prompting import (
     template_digest,
 )
 from .retrieval import DocumentFetcher, FixtureSearchProvider, GoogleSearchProvider
-from .verifier import Verifier
+from .verifier import VerificationSession, Verifier
 from .wikidata import (
     WIKIDATA_API,
     WIKIDATA_SPARQL_ENDPOINT,
     WIKIPEDIA_API,
     EntityId,
+    EntityInfo,
     WikidataClient,
     wikipedia_permalink,
 )
-
-# Exit codes, also documented in the README:
-# 0 success; 2 usage or configuration; 3 malformed input data;
-# 4 network, endpoint, or provider failure; 5 missing fixture in replay mode;
-# 6 entity or sitelink resolution; 7 internal report generation; 130 interrupted.
-EXIT_INPUT = 3
-EXIT_NETWORK = 4
-EXIT_FIXTURE = 5
-EXIT_ENTITY = 6
-EXIT_INTERNAL = 7
 
 
 @dataclass
@@ -237,18 +213,13 @@ class _Runtime:
         """Stop the worker pool; queued tasks are dropped, running ones finish."""
         self.pool.shutdown(wait=True, cancel_futures=True)
 
-    def search(self):
-        if self.search_provider is None:
-            if self.config.replay:
-                raise NetworkForbidden("replay mode cannot construct a live search provider")
-            self.search_provider = GoogleSearchProvider(self.fetch_transport)
-        return self.search_provider
-
     def verifier(self, need_search: bool = False) -> Verifier:
+        if need_search and self.search_provider is None:
+            self.search_provider = GoogleSearchProvider(self.fetch_transport)
         return Verifier(
             gateway=self.gateway,
             fetcher=self.fetcher,
-            search_provider=self.search() if need_search else self.search_provider,
+            search_provider=self.search_provider,
             wikidata=self.wikidata,
             chunk_chars=self.config.chunk_chars,
             clock=self.clock,
@@ -256,38 +227,19 @@ class _Runtime:
         )
 
 
-def _fail(message: str, code: int) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
-
-
 def guarded(fn):
+    """Turn a pipeline error into its documented exit code (see ``kgverify.errors``)."""
+
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except (FixtureMissing, NetworkForbidden) as exc:
-            _fail(str(exc), EXIT_FIXTURE)
-        except (MalformedInput, InsufficientRecords, InvalidExamples, EmptyInput) as exc:
-            _fail(str(exc), EXIT_INPUT)
-        except NoSitelink as exc:
-            _fail(str(exc), EXIT_ENTITY)
-        except (
-            EndpointUnavailable,
-            ProviderUnavailable,
-            QuotaExceeded,
-            NoDocumentsRetrievable,
-            Unavailable,
-            UnavailableEverywhere,
-            MalformedResponse,
-        ) as exc:
-            _fail(str(exc), EXIT_NETWORK)
-        except (SchemaViolation, TransformFailure) as exc:
-            _fail(str(exc), EXIT_INTERNAL)
         except KgVerifyError as exc:
-            _fail(str(exc), 1)
+            message, code = str(exc), exc.exit_code
         except KeyboardInterrupt:
-            _fail("interrupted", 130)
+            message, code = "interrupted", 130
+        click.echo(f"error: {message}", err=True)
+        sys.exit(code)
 
     return wrapper
 
@@ -304,7 +256,7 @@ def _fixtures_digest(fixtures_dir: str) -> str | None:
     return digest.hexdigest()
 
 
-def _write_manifest(config: RunConfig, out_dir: Path, command: str, extra: dict | None = None) -> None:
+def _write_manifest(config: RunConfig, out_dir: Path, command: str, extra: dict) -> None:
     manifest = {
         "command": command,
         "package_version": __version__,
@@ -323,34 +275,74 @@ def _write_manifest(config: RunConfig, out_dir: Path, command: str, extra: dict 
         "fixtures_dir": config.fixtures_dir,
         "fixtures_sha256": _fixtures_digest(config.fixtures_dir)
         if config.fixtures_dir else None,
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
 
 
-def _write_report(
-    run_id: str,
-    sessions,
-    summary: reporting.ReportSummary,
-    out_dir: Path,
-) -> tuple[Path, Path]:
-    tree = reporting.build_run_xml(sessions, summary)
-    xml_path = out_dir / f"{run_id}.xml"
-    html_path = out_dir / f"{run_id}.html"
+def _verify_run(
+    runtime: _Runtime,
+    command: str,
+    entity_id: EntityId,
+    started: datetime,
+    statements: Sequence[Statement],
+    verify: Callable[[Statement], VerificationSession],
+    summary_extra: Callable[[EntityInfo], dict],
+    manifest_extra: dict,
+) -> None:
+    """The run lifecycle both verify commands share.
+
+    Verifies the statements in order, then writes the report and manifest for
+    the sessions done so far; Ctrl-C stops the loop early and the run exits
+    130 after writing them. Any other error propagates and writes nothing.
+    """
+    config = runtime.config
+    sessions = []
+    interrupted = False
+    try:
+        for statement in statements:
+            click.echo(f"verifying: {' / '.join(statement.labels())}", err=True)
+            sessions.append(verify(statement))
+    except KeyboardInterrupt:
+        interrupted = True
+    finally:
+        runtime.close()
+
+    info = runtime.wikidata.entity_info(entity_id)
+    extra_fields = summary_extra(info)
+    elapsed = max(0, int((runtime.clock() - started).total_seconds()))
+    summary = reporting.ReportSummary(
+        llm_model=config.model,
+        date=started.date(),
+        time=started.time().replace(microsecond=0),
+        duration_minutes=elapsed // 60,
+        duration_seconds=elapsed % 60,
+        subject_id=str(info.entity_id.numeric_id),
+        subject_name=info.label,
+        subject_url=info.entity_url,
+        subject_permalink=info.permalink,
+        endpoint=config.sparql_endpoint,
+        **extra_fields,
+    )
+    xml_bytes = reporting.serialize_xml(reporting.build_run_xml(sessions, summary))
+    out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    xml_bytes = reporting.serialize_xml(tree)
+    xml_path = out_dir / f"{command}-{entity_id}.xml"
+    html_path = xml_path.with_suffix(".html")
     xml_path.write_bytes(xml_bytes)
     html_path.write_text(reporting.render_html(xml_bytes), encoding="utf-8")
-    return xml_path, html_path
-
-
-def _split_duration(started: datetime, ended: datetime) -> tuple[int, int]:
-    elapsed = max(0, int((ended - started).total_seconds()))
-    return elapsed // 60, elapsed % 60
+    _write_manifest(config, out_dir, command, {
+        "entity": str(entity_id),
+        "sessions": len(sessions),
+        "traces": sum(len(s.traces) for s in sessions),
+        "interrupted": interrupted,
+        **manifest_extra,
+    })
+    click.echo(f"wrote {xml_path} and {html_path}")
+    if interrupted:
+        sys.exit(130)
 
 
 _CONFIG_OPTIONS = [
@@ -378,6 +370,13 @@ def config_options(fn):
     return fn
 
 
+def _parse_entity(entity: str) -> EntityId:
+    try:
+        return EntityId.parse(entity)
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
+
+
 def _resolve(kwargs: dict) -> RunConfig:
     config_file = kwargs.pop("config_file", None)
     overrides = {k: v for k, v in kwargs.items() if v is not None}
@@ -401,60 +400,23 @@ def cmd_verify_wikidata(entity: str, **kwargs) -> None:
     """Select a subject's unsourced statements and verify them via web search."""
     config = _resolve(kwargs)
     runtime = _Runtime(config)
-    try:
-        entity_id = EntityId.parse(entity)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    entity_id = _parse_entity(entity)
     started = runtime.clock()
 
     unsourced = runtime.wikidata.fetch_unsourced_statements(entity_id)
     click.echo(f"{entity_id}: {len(unsourced)} unsourced statements", err=True)
     selected = runtime.wikidata.filter_mandatory_reference(unsourced)
     click.echo(f"{entity_id}: {len(selected)} with a mandatory-reference predicate", err=True)
-    if config.max_statements is not None:
-        selected = selected[: config.max_statements]
+    selected = selected[: config.max_statements]  # a None limit keeps them all
 
     verifier = runtime.verifier(need_search=True)
-    sessions = []
-    interrupted = False
-    try:
-        for unsourced_statement in selected:
-            statement = unsourced_statement.statement
-            click.echo(f"verifying: {' / '.join(statement.labels())}", err=True)
-            sessions.append(verifier.verify_via_web_search(statement, config.hit_limit))
-    except KeyboardInterrupt:
-        interrupted = True
-    finally:
-        runtime.close()
-
-    info = runtime.wikidata.entity_info(entity_id)
-    ended = runtime.clock()
-    minutes, seconds = _split_duration(started, ended)
-    summary = reporting.ReportSummary(
-        llm_model=config.model,
-        date=started.date(),
-        time=started.time().replace(microsecond=0),
-        duration_minutes=minutes,
-        duration_seconds=seconds,
-        subject_id=str(info.entity_id.numeric_id),
-        subject_name=info.label,
-        subject_url=info.entity_url,
-        subject_permalink=info.permalink,
-        endpoint=config.sparql_endpoint,
+    _verify_run(
+        runtime, "verify-wikidata", entity_id, started,
+        [unsourced_statement.statement for unsourced_statement in selected],
+        lambda statement: verifier.verify_via_web_search(statement, config.hit_limit),
+        summary_extra=lambda info: {},
+        manifest_extra={"statements_selected": len(selected)},
     )
-    out_dir = Path(config.out_dir)
-    run_id = f"verify-wikidata-{entity_id}"
-    xml_path, html_path = _write_report(run_id, sessions, summary, out_dir)
-    _write_manifest(config, out_dir, "verify-wikidata", {
-        "entity": str(entity_id),
-        "statements_selected": len(selected),
-        "sessions": len(sessions),
-        "traces": sum(len(s.traces) for s in sessions),
-        "interrupted": interrupted,
-    })
-    click.echo(f"wrote {xml_path} and {html_path}")
-    if interrupted:
-        sys.exit(130)
 
 
 @main.command("verify-wikipedia")
@@ -468,68 +430,31 @@ def cmd_verify_wikipedia(entity: str, statements_file: str, **kwargs) -> None:
     """Verify designated statements through the subject's Wikipedia article."""
     config = _resolve(kwargs)
     runtime = _Runtime(config)
-    try:
-        entity_id = EntityId.parse(entity)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
+    entity_id = _parse_entity(entity)
     try:
         text = Path(statements_file).read_text(encoding="utf-8")
     except OSError as exc:
         raise MalformedInput(f"cannot read statements file: {exc}") from exc
     statements = statements_from_text(text)
-    if config.max_statements is not None:
-        statements = statements[: config.max_statements]
+    statements = statements[: config.max_statements]  # a None limit keeps them all
     if not statements:
         raise MalformedInput(f"{statements_file}: no statements to verify")
 
+    def article_fields(info: EntityInfo) -> dict:
+        permalink = None
+        if info.wikipedia_title:
+            revision = runtime.wikidata.wikipedia_revision(info.wikipedia_title)
+            permalink = wikipedia_permalink(info.wikipedia_title, revision)
+        return {"wikipedia_url": info.wikipedia_url, "wikipedia_permalink": permalink}
+
     started = runtime.clock()
     verifier = runtime.verifier()
-    sessions = []
-    interrupted = False
-    try:
-        for statement in statements:
-            click.echo(f"verifying: {' / '.join(statement.labels())}", err=True)
-            sessions.append(verifier.verify_via_wikipedia(statement, entity=entity_id))
-    except KeyboardInterrupt:
-        interrupted = True
-    finally:
-        runtime.close()
-
-    info = runtime.wikidata.entity_info(entity_id)
-    wikipedia_url = info.wikipedia_url
-    permalink = None
-    if info.wikipedia_title:
-        revision = runtime.wikidata.wikipedia_revision(info.wikipedia_title)
-        permalink = wikipedia_permalink(info.wikipedia_title, revision)
-    ended = runtime.clock()
-    minutes, seconds = _split_duration(started, ended)
-    summary = reporting.ReportSummary(
-        llm_model=config.model,
-        date=started.date(),
-        time=started.time().replace(microsecond=0),
-        duration_minutes=minutes,
-        duration_seconds=seconds,
-        subject_id=str(info.entity_id.numeric_id),
-        subject_name=info.label,
-        subject_url=info.entity_url,
-        subject_permalink=info.permalink,
-        endpoint=config.sparql_endpoint,
-        wikipedia_url=wikipedia_url,
-        wikipedia_permalink=permalink,
+    _verify_run(
+        runtime, "verify-wikipedia", entity_id, started, statements,
+        lambda statement: verifier.verify_via_wikipedia(statement, entity=entity_id),
+        summary_extra=article_fields,
+        manifest_extra={"statements": len(statements)},
     )
-    out_dir = Path(config.out_dir)
-    run_id = f"verify-wikipedia-{entity_id}"
-    xml_path, html_path = _write_report(run_id, sessions, summary, out_dir)
-    _write_manifest(config, out_dir, "verify-wikipedia", {
-        "entity": str(entity_id),
-        "statements": len(statements),
-        "sessions": len(sessions),
-        "traces": sum(len(s.traces) for s in sessions),
-        "interrupted": interrupted,
-    })
-    click.echo(f"wrote {xml_path} and {html_path}")
-    if interrupted:
-        sys.exit(130)
 
 
 @main.command("build-dataset")
@@ -592,7 +517,7 @@ def cmd_evaluate(dataset_path: str, task: str, sample: int | None, snli_train: s
         json.dumps(results["json"], indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     (out_dir / "results.txt").write_text(results["text"] + "\n", encoding="utf-8")
-    _write_manifest(config, out_dir, f"evaluate-{task}", results.get("manifest_extra", {}))
+    _write_manifest(config, out_dir, f"evaluate-{task}", results["manifest_extra"])
     click.echo(results["text"])
 
 

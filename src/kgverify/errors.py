@@ -3,15 +3,23 @@
 Retryable conditions (endpoint hiccups, provider quota) are distinct from
 permanent ones (malformed payloads, unsupported media) so callers can decide
 whether to back off or give up.
+
+Each class carries the CLI exit code the README documents for it as
+``exit_code``. A class without one inherits its parent's; the base class's 1
+stands for any other pipeline error.
 """
 
 
 class KgVerifyError(Exception):
     """Base class for all errors raised by this package."""
 
+    exit_code = 1
+
 
 class EndpointUnavailable(KgVerifyError):
     """A SPARQL or API endpoint could not be reached; retryable."""
+
+    exit_code = 4
 
 
 class MalformedResponse(KgVerifyError):
@@ -20,17 +28,25 @@ class MalformedResponse(KgVerifyError):
     The message includes an excerpt of the offending response.
     """
 
+    exit_code = 4
+
 
 class NoSitelink(KgVerifyError):
     """The entity has no English Wikipedia article linked to it."""
+
+    exit_code = 6
 
 
 class ProviderUnavailable(KgVerifyError):
     """A search or LLM provider failed transiently; retryable."""
 
+    exit_code = 4
+
 
 class QuotaExceeded(KgVerifyError):
     """The search provider rejected the request for quota reasons; retryable."""
+
+    exit_code = 4
 
 
 class UnsupportedMediaType(KgVerifyError):
@@ -40,13 +56,19 @@ class UnsupportedMediaType(KgVerifyError):
 class Unavailable(KgVerifyError):
     """The resource could not be fetched directly (HTTP error or timeout)."""
 
+    exit_code = 4
+
 
 class UnavailableEverywhere(KgVerifyError):
     """Neither the live resource nor an archived snapshot exists."""
 
+    exit_code = 4
+
 
 class NoDocumentsRetrievable(KgVerifyError):
     """Every candidate grounding document failed to fetch."""
+
+    exit_code = 4
 
 
 class ContextOverflow(KgVerifyError):
@@ -56,30 +78,46 @@ class ContextOverflow(KgVerifyError):
 class FixtureMissing(KgVerifyError):
     """A recorded fixture or replay entry is absent for this request."""
 
+    exit_code = 5
+
 
 class NetworkForbidden(KgVerifyError):
     """An outbound network call was attempted while replay mode is active."""
+
+    exit_code = 5
 
 
 class MalformedInput(KgVerifyError):
     """An input file (dataset, statements list) violates its format."""
 
+    exit_code = 3
+
 
 class InsufficientRecords(KgVerifyError):
     """A dataset split is too small for the requested sample."""
+
+    exit_code = 3
 
 
 class InvalidExamples(KgVerifyError):
     """A few-shot example set does not contain exactly one record per class."""
 
+    exit_code = 3
+
 
 class EmptyInput(KgVerifyError):
     """An operation that needs at least one element received none."""
+
+    exit_code = 3
 
 
 class SchemaViolation(KgVerifyError):
     """Generated XML failed validation against the bundled schema."""
 
+    exit_code = 7
+
 
 class TransformFailure(KgVerifyError):
     """The report stylesheet could not be applied to the document."""
+
+    exit_code = 7

@@ -51,10 +51,6 @@ class LlmParams:
             raise ValueError("max_new_tokens must be positive")
 
 
-def default_params() -> LlmParams:
-    return LlmParams()
-
-
 @dataclass(frozen=True)
 class LlmResponse:
     raw_text: str
@@ -207,38 +203,36 @@ class ResponseLog:
     def append(self, fingerprint: str, params: LlmParams, prompt: str, raw_text: str,
                latency_ms: int) -> None:
         stamp = self._clock().astimezone(timezone.utc)
-        record = {
-            "fingerprint": fingerprint,
-            "model": params.model,
-            "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
-            "raw_text": raw_text,
-            "latency_ms": latency_ms,
-            "timestamp": stamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
-        }
-        line = json.dumps(record, ensure_ascii=False) + "\n"
+        line = _log_line(fingerprint, params, prompt, raw_text, latency_ms, stamp) + "\n"
         with self._lock:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             with open(self.path, "a", encoding="utf-8") as handle:
                 handle.write(line)
 
 
+def _log_line(fingerprint: str, params: LlmParams, prompt: str, raw_text: str,
+              latency_ms: int, stamp: datetime) -> str:
+    """One response-log record; the single definition of the log format."""
+    return json.dumps(
+        {
+            "fingerprint": fingerprint,
+            "model": params.model,
+            "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
+            "raw_text": raw_text,
+            "latency_ms": latency_ms,
+            "timestamp": stamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+        },
+        ensure_ascii=False,
+    )
+
+
 def write_response_log(path: Path | str, entries: list[tuple[LlmParams, str, str]]) -> None:
     """Write a replayable response log from (params, prompt, raw_text) triples."""
-    lines = []
-    for params, prompt, raw_text in entries:
-        lines.append(
-            json.dumps(
-                {
-                    "fingerprint": completion_fingerprint(params, prompt),
-                    "model": params.model,
-                    "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
-                    "raw_text": raw_text,
-                    "latency_ms": 0,
-                    "timestamp": "1970-01-01T00:00:00Z",
-                },
-                ensure_ascii=False,
-            )
-        )
+    epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
+    lines = [
+        _log_line(completion_fingerprint(params, prompt), params, prompt, raw_text, 0, epoch)
+        for params, prompt, raw_text in entries
+    ]
     atomic_write(Path(path), ("\n".join(lines) + "\n").encode("utf-8"))
 
 
@@ -255,7 +249,7 @@ class LlmGateway:
         sleeper=time.sleep,
     ):
         self.provider = provider
-        self.params = params or default_params()
+        self.params = params or LlmParams()
         self._budget_chars = context_tokens * CHARS_PER_TOKEN if context_tokens else None
         self._log = response_log
         self._max_attempts = max_attempts

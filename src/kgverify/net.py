@@ -168,17 +168,28 @@ class LiveTransport:
 # -- fixture serialization -----------------------------------------------------
 
 
+# Query parameters that carry credentials (the search API's key and engine id);
+# records keep their names but never their values. Replay finds a record by
+# the request's fingerprint, so it does not need them.
+CREDENTIAL_PARAMS = frozenset({"key", "cx"})
+
+
 def response_to_record(req: HttpRequest, resp: HttpResponse) -> dict:
+    secret = any(name in CREDENTIAL_PARAMS for name, _ in req.params)
     record = {
         "request": {
             "method": req.method,
             "url": req.url,
-            "params": [list(p) for p in req.params],
+            "params": [
+                [name, "<redacted>" if name in CREDENTIAL_PARAMS else value]
+                for name, value in req.params
+            ],
         },
         "response": {
             "status": resp.status,
             "headers": resp.headers,
-            "url": resp.url or req.url,
+            # a live response's URL repeats the encoded query, credentials too
+            "url": req.url if secret else resp.url or req.url,
         },
     }
     try:
@@ -239,19 +250,6 @@ class FixtureTransport:
         return response_from_record(record)
 
 
-class RecordingTransport:
-    """Delegates to a live transport and saves every response as a fixture."""
-
-    def __init__(self, inner: Transport, directory: Path | str):
-        self._inner = inner
-        self._dir = Path(directory)
-
-    def send(self, req: HttpRequest) -> HttpResponse:
-        resp = self._inner.send(req)
-        write_fixture(self._dir, req, resp)
-        return resp
-
-
 class CachingTransport:
     """Disk cache in front of another transport, keyed by request fingerprint.
 
@@ -276,9 +274,6 @@ class CachingTransport:
                 return response_from_record(record)
         resp = self._inner.send(req)
         if resp.status < 400:
-            record = response_to_record(req, resp)
             with self._lock:
-                atomic_write(
-                    path, (json.dumps(record, ensure_ascii=False) + "\n").encode("utf-8")
-                )
+                write_fixture(self._dir, req, resp)
         return resp

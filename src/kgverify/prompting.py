@@ -105,7 +105,3 @@ def render_nli_prompt(premise: str, hypothesis: str, examples: list[NliExample])
         premise=premise,
         hypothesis=hypothesis,
     )
-
-
-def system_prompt() -> str:
-    return SYSTEM_PROMPT

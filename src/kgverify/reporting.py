@@ -159,11 +159,6 @@ def build_run_xml(
     return ET.ElementTree(root)
 
 
-def build_trace_xml(session: VerificationSession, summary: ReportSummary) -> ET.ElementTree:
-    """Serialize a single verification session."""
-    return build_run_xml([session], summary)
-
-
 def validate_report(root: ET.Element | ET.ElementTree) -> None:
     """Check a report document against the bundled schema."""
     if isinstance(root, ET.ElementTree):

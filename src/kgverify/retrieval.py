@@ -234,12 +234,8 @@ def _sniff_media_type(url: str, resp: HttpResponse) -> str:
     return ""
 
 
-def valid_paragraphs(doc: GroundingDocument) -> list[str]:
+def valid_paragraphs(paragraphs: Iterable[str]) -> list[str]:
     """Paragraphs long enough to be worth querying (at least 100 characters)."""
-    return filter_valid_paragraphs(doc.paragraphs)
-
-
-def filter_valid_paragraphs(paragraphs: Iterable[str]) -> list[str]:
     return [p for p in paragraphs if len(p) >= MIN_PARAGRAPH_CHARS]
 
 

@@ -293,7 +293,7 @@ class Verifier:
         conserve model calls.
         """
         scan = _DocumentScan(record)
-        for paragraph in valid_paragraphs(doc):
+        for paragraph in valid_paragraphs(doc.paragraphs):
             try:
                 verdict, response = self._judge(statement, paragraph)
             except ContextOverflow as exc:

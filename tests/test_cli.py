@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -324,6 +325,40 @@ class TestPoolWidth:
         ])
         assert result.exit_code == 2
         assert "llm_requests" in result.output
+
+
+class TestInterrupt:
+    """Ctrl-C during the sessions still writes a (partial) report, then exits 130."""
+
+    @pytest.mark.parametrize("command,method,run_id", [
+        (["verify-wikidata", "Q36233", "--max-statements", "1"],
+         "verify_via_web_search", "verify-wikidata-Q36233"),
+        (["verify-wikipedia", "Q179924", "--statements", str(FIXTURES / "biolum_statements.tsv"),
+          "--model", "gpt-4-1106-preview"], "verify_via_wikipedia", "verify-wikipedia-Q179924"),
+    ])
+    def test_first_session_interrupted(self, runner, tmp_path, monkeypatch,
+                                       command, method, run_id):
+        from kgverify.reporting import validate_report
+        from kgverify.verifier import Verifier
+
+        calls = []
+
+        def interrupt(self, *args, **kwargs):
+            calls.append(args)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Verifier, method, interrupt)
+        result = runner.invoke(main, [*command, *replay_args(tmp_path)])
+        assert result.exit_code == 130, result.output
+        assert len(calls) == 1
+        root = ET.fromstring((tmp_path / f"{run_id}.xml").read_bytes())
+        validate_report(root)
+        assert root.findall("session") == []
+        assert (tmp_path / f"{run_id}.html").exists()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["interrupted"] is True
+        assert manifest["sessions"] == 0
+        assert manifest["traces"] == 0
 
 
 class TestLiveWithCache:

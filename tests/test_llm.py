@@ -14,7 +14,6 @@ from kgverify.llm import (
     ScriptedProvider,
     ResponseLog,
     completion_fingerprint,
-    default_params,
     extract_justification,
     parse_nli_label,
     parse_option,
@@ -64,7 +63,7 @@ FIG9 = (
 
 class TestDefaultParams:
     def test_pinned_values(self):
-        params = default_params()
+        params = LlmParams()
         assert params.model == "meta/meta-llama-3-70b-instruct"
         assert params.seed == 42
         assert params.top_p == 0.9
@@ -76,7 +75,7 @@ class TestDefaultParams:
         )
 
     def test_constant_across_calls(self):
-        assert default_params() == default_params()
+        assert LlmParams() == LlmParams()
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -89,11 +88,11 @@ class TestDefaultParams:
 
 class TestFingerprint:
     def test_deterministic(self):
-        params = default_params()
+        params = LlmParams()
         assert completion_fingerprint(params, "hello") == completion_fingerprint(params, "hello")
 
     def test_sensitive_to_params_and_prompt(self):
-        params = default_params()
+        params = LlmParams()
         assert completion_fingerprint(params, "a") != completion_fingerprint(params, "b")
         other = LlmParams(model="gpt-4-1106-preview")
         assert completion_fingerprint(params, "a") != completion_fingerprint(other, "a")
@@ -102,7 +101,7 @@ class TestFingerprint:
 class TestProviders:
     def test_scripted_in_order(self):
         provider = ScriptedProvider(["one", "two"])
-        params = default_params()
+        params = LlmParams()
         assert provider.complete(params, "p1") == "one"
         assert provider.complete(params, "p2") == "two"
         assert provider.calls == 2
@@ -110,7 +109,7 @@ class TestProviders:
     def test_scripted_exhaustion(self):
         provider = ScriptedProvider([])
         with pytest.raises(FixtureMissing):
-            provider.complete(default_params(), "p")
+            provider.complete(LlmParams(), "p")
 
     def test_scripted_from_jsonl(self, tmp_path):
         script = tmp_path / "script.jsonl"
@@ -118,12 +117,12 @@ class TestProviders:
             '{"raw_text": "first"}\n\n{"raw_text": "second"}\n', encoding="utf-8"
         )
         provider = ScriptedProvider.from_jsonl(script)
-        params = default_params()
+        params = LlmParams()
         assert provider.complete(params, "x") == "first"
         assert provider.complete(params, "y") == "second"
 
     def test_replay_round_trip(self, tmp_path):
-        params = default_params()
+        params = LlmParams()
         log_path = tmp_path / "responses.jsonl"
         write_response_log(log_path, [(params, "prompt one", "answer one")])
         provider = ReplayProvider(log_path)
@@ -134,7 +133,7 @@ class TestProviders:
         log_path = tmp_path / "responses.jsonl"
         write_response_log(log_path, [])
         provider = ReplayProvider(log_path)
-        params = default_params()
+        params = LlmParams()
         fingerprint = completion_fingerprint(params, "absent")
         with pytest.raises(FixtureMissing, match=fingerprint):
             provider.complete(params, "absent")

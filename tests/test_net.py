@@ -4,14 +4,16 @@ import threading
 import time
 
 import pytest
+import requests
 
 from kgverify.errors import FixtureMissing
+from kgverify.retrieval import GoogleSearchProvider
 from kgverify.net import (
     CachingTransport,
     FixtureTransport,
     HttpRequest,
     HttpResponse,
-    RecordingTransport,
+    LiveTransport,
     RequestGate,
     request_fingerprint,
     response_from_record,
@@ -99,16 +101,53 @@ class TestFixtureTransport:
         with pytest.raises(FixtureMissing, match="missing.example"):
             FixtureTransport(tmp_path).send(req)
 
-    def test_recording_wrapper_creates_replayable_fixture(self, tmp_path):
-        inner = CountingTransport(body=b"<p>hi</p>")
-        recording = RecordingTransport(inner, tmp_path)
-        req = HttpRequest.get("https://record.example")
-        live = recording.send(req)
-        assert inner.calls == 1
-        assert FixtureTransport(tmp_path).send(req) == live
+    def test_cache_miss_writes_replayable_fixture(self, tmp_path):
+        for url, body in [("https://record.example/text", b"<p>hi</p>"),
+                          ("https://record.example/binary", b"\x89PNG\r\n\x1a\n\xff\x00")]:
+            inner = CountingTransport(body=body)
+            req = HttpRequest.get(url)
+            live = CachingTransport(inner, tmp_path).send(req)
+            assert inner.calls == 1
+            replayed = FixtureTransport(tmp_path).send(req)
+            assert replayed == live
+            assert replayed.body == body
 
 
 class TestCachingTransport:
+    def test_search_credentials_never_reach_the_cache(self, tmp_path):
+        class SearchAdapter(requests.adapters.BaseAdapter):
+            """Answers every request like the search API, echoing the final URL."""
+
+            calls = 0
+
+            def send(self, request, **kwargs):
+                SearchAdapter.calls += 1
+                resp = requests.Response()
+                resp.status_code = 200
+                resp.headers["Content-Type"] = "application/json"
+                resp._content = b'{"items": [{"link": "https://hit.example", "title": "Hit"}]}'
+                resp.url = request.url
+                resp.request = request
+                return resp
+
+            def close(self):
+                pass
+
+        session = requests.Session()
+        session.mount("https://", SearchAdapter())
+        live = LiveTransport(session=session, retries=0)
+        provider = GoogleSearchProvider(
+            CachingTransport(live, tmp_path), api_key="secret-key-123", cx="engine-456"
+        )
+        first = provider.search("havel playwright", 5)
+        assert provider.search("havel playwright", 5) == first
+        assert SearchAdapter.calls == 1
+        files = [p for p in tmp_path.rglob("*") if p.is_file()]
+        assert files
+        for path in files:
+            data = path.read_bytes()
+            assert b"secret-key-123" not in data and b"engine-456" not in data
+
     def test_caches_successful_responses(self, tmp_path):
         inner = CountingTransport()
         caching = CachingTransport(inner, tmp_path)

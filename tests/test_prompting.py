@@ -8,11 +8,11 @@ from kgverify.prompting import (
     NLI_TEMPLATE,
     OPTION_TEXTS,
     RDF_TEMPLATE,
+    SYSTEM_PROMPT,
     NliExample,
     RdfPrompt,
     render_nli_prompt,
     render_rdf_prompt,
-    system_prompt,
     template_digest,
     template_text,
 )
@@ -69,13 +69,12 @@ class TestRdfPrompt:
 
 class TestSystemPrompt:
     def test_exact_text(self):
-        assert system_prompt() == (
+        assert SYSTEM_PROMPT == (
             "You are a helpful assistant. Work only with the text given to you."
         )
 
     def test_constant(self):
-        assert system_prompt() == system_prompt()
-        assert len(system_prompt().encode("utf-8")) == 66
+        assert len(SYSTEM_PROMPT.encode("utf-8")) == 66
 
 
 class TestNliPrompt:

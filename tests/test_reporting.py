@@ -10,7 +10,6 @@ from kgverify.model import DIRECT_PROOF, EvidenceTrace, RetrievalSource, Stateme
 from kgverify.reporting import (
     ReportSummary,
     build_run_xml,
-    build_trace_xml,
     render_html,
     serialize_xml,
     validate_report,
@@ -100,7 +99,7 @@ class TestSummaryValidation:
 
 class TestBuildXml:
     def test_summary_fields_present(self):
-        tree = build_trace_xml(make_session(), SUMMARY)
+        tree = build_run_xml([make_session()], SUMMARY)
         root = tree.getroot()
         assert root.findtext("summary/subject-id") == "179924"
         assert root.findtext("summary/wikipedia-permalink").endswith("oldid=1206514418")
@@ -110,7 +109,7 @@ class TestBuildXml:
 
     def test_round_trip_verbatim(self):
         session = make_session()
-        data = serialize_xml(build_trace_xml(session, SUMMARY))
+        data = serialize_xml(build_run_xml([session], SUMMARY))
         parsed = ET.fromstring(data)
         trace = session.traces[0]
         node = parsed.find("session/traces/trace")
@@ -132,7 +131,7 @@ class TestBuildXml:
             statement=STATEMENT, mode=VerificationMode.WEB_SEARCH,
             started_at=NOW, ended_at=NOW,
         )
-        tree = build_trace_xml(session, SUMMARY)
+        tree = build_run_xml([session], SUMMARY)
         assert tree.getroot().find("session/traces") is not None
         assert len(tree.getroot().findall("session/traces/trace")) == 0
 
@@ -142,7 +141,7 @@ class TestBuildXml:
 
     def test_validation_happens_on_build(self):
         # documents validated structurally: corrupting after build must fail re-validation
-        tree = build_trace_xml(make_session(), SUMMARY)
+        tree = build_run_xml([make_session()], SUMMARY)
         root = tree.getroot()
         summary = root.find("summary")
         summary.remove(summary.find("subject-id"))
@@ -150,14 +149,14 @@ class TestBuildXml:
             validate_report(root)
 
     def test_foreign_element_rejected(self):
-        tree = build_trace_xml(make_session(), SUMMARY)
+        tree = build_run_xml([make_session()], SUMMARY)
         root = tree.getroot()
         ET.SubElement(root.find("session"), "rogue-element")
         with pytest.raises(SchemaViolation, match="rogue-element"):
             validate_report(root)
 
     def test_bad_attribute_type_rejected(self):
-        tree = build_trace_xml(make_session(), SUMMARY)
+        tree = build_run_xml([make_session()], SUMMARY)
         node = tree.getroot().find("session/paragraphs-queried")
         node.text = "minus three"
         with pytest.raises(SchemaViolation, match="paragraphs-queried"):
@@ -167,7 +166,7 @@ class TestBuildXml:
 class TestRenderHtml:
     def test_contains_all_key_content(self):
         session = make_session()
-        html = render_html(build_trace_xml(session, SUMMARY))
+        html = render_html(build_run_xml([session], SUMMARY))
         assert html.startswith("<!DOCTYPE html>")
         assert "gpt-4-1106-preview" in html
         assert "Phosphorus was thought to be the source of light" in html
@@ -178,7 +177,7 @@ class TestRenderHtml:
         assert "dangling-reference" in html
 
     def test_byte_stable(self):
-        data = serialize_xml(build_trace_xml(make_session(), SUMMARY))
+        data = serialize_xml(build_run_xml([make_session()], SUMMARY))
         assert render_html(data) == render_html(data)
 
     def test_summary_only_document(self):

@@ -21,7 +21,6 @@ from kgverify.retrieval import (
     GroundingDocument,
     SearchHit,
     chunk_fill_limit,
-    filter_valid_paragraphs,
     valid_paragraphs,
     web_search,
     write_search_fixture,
@@ -146,20 +145,20 @@ def make_doc(paragraphs) -> GroundingDocument:
 class TestValidParagraphs:
     def test_length_filter(self):
         doc = make_doc(["x" * 50, "y" * 150, "z" * 200])
-        result = valid_paragraphs(doc)
+        result = valid_paragraphs(doc.paragraphs)
         assert result == ["y" * 150, "z" * 200]
 
     def test_boundary_inclusive(self):
-        assert valid_paragraphs(make_doc(["b" * 100])) == ["b" * 100]
-        assert valid_paragraphs(make_doc(["b" * 99])) == []
+        assert valid_paragraphs(make_doc(["b" * 100]).paragraphs) == ["b" * 100]
+        assert valid_paragraphs(make_doc(["b" * 99]).paragraphs) == []
 
     def test_all_short(self):
-        assert valid_paragraphs(make_doc(["short", "tiny"])) == []
+        assert valid_paragraphs(make_doc(["short", "tiny"]).paragraphs) == []
 
     def test_idempotent_filter(self):
         paragraphs = ["a" * 99, "b" * 100, "c" * 500]
-        once = filter_valid_paragraphs(paragraphs)
-        assert filter_valid_paragraphs(once) == once
+        once = valid_paragraphs(paragraphs)
+        assert valid_paragraphs(once) == once
         assert all(p in paragraphs for p in once)
 
 
