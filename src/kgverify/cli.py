@@ -27,7 +27,6 @@ from .errors import KgVerifyError, MalformedInput
 from .llm import (
     LlmGateway,
     LlmParams,
-    ReplayProvider,
     ReplicateHttpProvider,
     ResponseLog,
     parse_nli_label,
@@ -40,7 +39,7 @@ from .model import (
     statements_from_text,
     verdict_to_binary,
 )
-from .net import CachingTransport, FixtureTransport, LiveTransport, RequestGate, Transport
+from .net import LiveTransport, RequestGate, Transport
 from .prompting import (
     NLI_TEMPLATE,
     RDF_TEMPLATE,
@@ -50,7 +49,8 @@ from .prompting import (
     render_rdf_prompt,
     template_digest,
 )
-from .retrieval import DocumentFetcher, FixtureSearchProvider, GoogleSearchProvider
+from .retrieval import DocumentFetcher, GoogleSearchProvider, SearchProvider
+from .store import FixtureStore
 from .verifier import VerificationSession, Verifier
 from .wikidata import (
     WIKIDATA_API,
@@ -143,9 +143,6 @@ class RunConfig:
             return DecisionMode.FAVOR_RECALL
         raise click.UsageError(f"unknown decision mode {self.decision_mode!r}")
 
-    def snapshot(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 class _Runtime:
     """Everything a command needs, built once from the resolved config.
@@ -163,39 +160,26 @@ class _Runtime:
             self.clock = lambda: instant
         else:
             self.clock = lambda: datetime.now(timezone.utc)
-        fixtures = Path(config.fixtures_dir) if config.fixtures_dir else None
-        if config.replay:
-            assert fixtures is not None
-            http_dir = fixtures / "http"
-            self.wikidata_transport: Transport = FixtureTransport(http_dir)
-            self.fetch_transport: Transport = FixtureTransport(http_dir)
-            self.search_provider = FixtureSearchProvider(fixtures / "search")
-            provider = ReplayProvider(fixtures / "llm" / "responses.jsonl")
-            response_log = None
-        else:
-            self.wikidata_transport = LiveTransport(gate=RequestGate(config.sparql_requests))
-            self.fetch_transport = LiveTransport(gate=RequestGate(config.fetch_requests))
-            if config.cache_dir:
-                cache = Path(config.cache_dir)
-                self.wikidata_transport = CachingTransport(
-                    self.wikidata_transport, cache / "wikidata", config.cache_ttl_seconds
-                )
-                self.fetch_transport = CachingTransport(
-                    self.fetch_transport, cache / "pages", config.cache_ttl_seconds
-                )
-            self.search_provider = None  # built lazily; needs credentials
-            # completions have their own gate and never enter the page cache
-            provider = ReplicateHttpProvider(
-                LiveTransport(gate=RequestGate(config.llm_requests))
-            )
-            response_log = ResponseLog(
-                Path(config.out_dir) / "responses.jsonl", clock=self.clock
-            )
+        # Replay answers from the fixtures alone and builds no live transport; a
+        # live run reads through the --cache-dir store when one is given.
+        root = config.fixtures_dir if config.replay else config.cache_dir
+        ttl = None if config.replay else config.cache_ttl_seconds
+        self.store = FixtureStore(root, ttl_seconds=ttl) if root else None
+        self.wikidata_transport = self._remote(
+            lambda: LiveTransport(gate=RequestGate(config.sparql_requests)))
+        self.fetch_transport = self._remote(
+            lambda: LiveTransport(gate=RequestGate(config.fetch_requests)))
+        self.search_provider = None  # built by verifier(); a live one needs credentials
+        # completions have their own gate; a store records them but only replay serves them
+        logs = [] if config.replay else [Path(config.out_dir) / "responses.jsonl"]
+        if logs and self.store is not None:
+            logs.append(self.store.response_log_path)
         self.gateway = LlmGateway(
-            provider,
+            self.store if config.replay else ReplicateHttpProvider(
+                LiveTransport(gate=RequestGate(config.llm_requests))),
             params=LlmParams(model=config.model),
             context_tokens=config.llm_context_tokens,
-            response_log=response_log,
+            response_log=ResponseLog(*logs, clock=self.clock) if logs else None,
         )
         self.fetcher = DocumentFetcher(self.fetch_transport, clock=self.clock)
         self.wikidata = WikidataClient(
@@ -209,13 +193,20 @@ class _Runtime:
             max_workers=config.llm_requests, thread_name_prefix="kgverify"
         )
 
+    def _remote(self, make_live: Callable[[], Transport | SearchProvider]):
+        """What ``make_live`` builds, behind the store if any; replay builds nothing."""
+        if self.config.replay:
+            return self.store
+        live = make_live()
+        return live if self.store is None else self.store.over(live)
+
     def close(self) -> None:
         """Stop the worker pool; queued tasks are dropped, running ones finish."""
         self.pool.shutdown(wait=True, cancel_futures=True)
 
     def verifier(self, need_search: bool = False) -> Verifier:
         if need_search and self.search_provider is None:
-            self.search_provider = GoogleSearchProvider(self.fetch_transport)
+            self.search_provider = self._remote(lambda: GoogleSearchProvider(self.fetch_transport))
         return Verifier(
             gateway=self.gateway,
             fetcher=self.fetcher,
@@ -260,7 +251,7 @@ def _write_manifest(config: RunConfig, out_dir: Path, command: str, extra: dict)
     manifest = {
         "command": command,
         "package_version": __version__,
-        "config": config.snapshot(),
+        "config": dataclasses.asdict(config),
         "templates": {
             RDF_TEMPLATE: template_digest(RDF_TEMPLATE),
             NLI_TEMPLATE: template_digest(NLI_TEMPLATE),
@@ -360,7 +351,9 @@ _CONFIG_OPTIONS = [
                  help="How the middle option counts in binary decisions."),
     click.option("--fixed-clock", "fixed_clock", default=None,
                  help="Pin all timestamps to this ISO instant (for replay)."),
-    click.option("--cache-dir", "cache_dir", type=click.Path(), default=None),
+    click.option("--cache-dir", "cache_dir", type=click.Path(), default=None,
+                 help="Live runs read through and record into this directory, in the "
+                      "layout --replay --fixtures reads."),
 ]
 
 
@@ -378,9 +371,7 @@ def _parse_entity(entity: str) -> EntityId:
 
 
 def _resolve(kwargs: dict) -> RunConfig:
-    config_file = kwargs.pop("config_file", None)
-    overrides = {k: v for k, v in kwargs.items() if v is not None}
-    return RunConfig.resolve(config_file, overrides)
+    return RunConfig.resolve(kwargs.pop("config_file", None), kwargs)
 
 
 @click.group()
@@ -399,8 +390,8 @@ def main() -> None:
 def cmd_verify_wikidata(entity: str, **kwargs) -> None:
     """Select a subject's unsourced statements and verify them via web search."""
     config = _resolve(kwargs)
-    runtime = _Runtime(config)
     entity_id = _parse_entity(entity)
+    runtime = _Runtime(config)
     started = runtime.clock()
 
     unsourced = runtime.wikidata.fetch_unsourced_statements(entity_id)
@@ -429,7 +420,6 @@ def cmd_verify_wikidata(entity: str, **kwargs) -> None:
 def cmd_verify_wikipedia(entity: str, statements_file: str, **kwargs) -> None:
     """Verify designated statements through the subject's Wikipedia article."""
     config = _resolve(kwargs)
-    runtime = _Runtime(config)
     entity_id = _parse_entity(entity)
     try:
         text = Path(statements_file).read_text(encoding="utf-8")
@@ -439,6 +429,7 @@ def cmd_verify_wikipedia(entity: str, statements_file: str, **kwargs) -> None:
     statements = statements[: config.max_statements]  # a None limit keeps them all
     if not statements:
         raise MalformedInput(f"{statements_file}: no statements to verify")
+    runtime = _Runtime(config)
 
     def article_fields(info: EntityInfo) -> dict:
         permalink = None

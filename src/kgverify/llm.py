@@ -110,34 +110,6 @@ class ScriptedProvider:
         return text
 
 
-class ReplayProvider:
-    """Replays recorded completions keyed by request fingerprint."""
-
-    name = "replay"
-
-    def __init__(self, log_path: Path | str):
-        self._path = Path(log_path)
-        self._by_fingerprint: dict[str, str] = {}
-        if self._path.exists():
-            for line in self._path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                self._by_fingerprint[record["fingerprint"]] = record["raw_text"]
-
-    def __len__(self) -> int:
-        return len(self._by_fingerprint)
-
-    def complete(self, params: LlmParams, prompt: str) -> str:
-        fingerprint = completion_fingerprint(params, prompt)
-        try:
-            return self._by_fingerprint[fingerprint]
-        except KeyError:
-            raise FixtureMissing(
-                f"no recorded completion for fingerprint {fingerprint} (model {params.model})"
-            ) from None
-
-
 class ReplicateHttpProvider:
     """Minimal client for a Replicate-style prediction HTTP API."""
 
@@ -188,15 +160,15 @@ class ReplicateHttpProvider:
 class ResponseLog:
     """Append-only JSON-lines log of completions, keyed by fingerprint.
 
-    Safe to share between workers. Each completion is appended when it
-    arrives, so under a concurrent session lines are in completion order, not
-    call order; replay keys lines by fingerprint, so their order does not
-    matter. Timestamps come from ``clock`` (the run's clock, which
-    ``--fixed-clock`` pins).
+    Safe to share between workers. Each completion is appended, to each of
+    ``paths``, when it arrives, so under a concurrent session lines are in
+    completion order, not call order; replay keys lines by fingerprint, so
+    their order does not matter. Timestamps come from ``clock`` (the run's
+    clock, which ``--fixed-clock`` pins).
     """
 
-    def __init__(self, path: Path | str, clock: Callable[[], datetime] | None = None):
-        self.path = Path(path)
+    def __init__(self, *paths: Path | str, clock: Callable[[], datetime] | None = None):
+        self.paths = [Path(path) for path in paths]
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self._lock = threading.Lock()
 
@@ -205,9 +177,10 @@ class ResponseLog:
         stamp = self._clock().astimezone(timezone.utc)
         line = _log_line(fingerprint, params, prompt, raw_text, latency_ms, stamp) + "\n"
         with self._lock:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as handle:
-                handle.write(line)
+            for path in self.paths:
+                path.parent.mkdir(parents=True, exist_ok=True)
+                with open(path, "a", encoding="utf-8") as handle:
+                    handle.write(line)
 
 
 def _log_line(fingerprint: str, params: LlmParams, prompt: str, raw_text: str,
@@ -272,6 +245,8 @@ class LlmGateway:
                 start = time.monotonic()
                 raw = self.provider.complete(params, prompt)
                 latency_ms = int((time.monotonic() - start) * 1000)
+                if hasattr(self.provider, "recorded_latency_ms"):  # a replay: not the lookup's
+                    latency_ms = self.provider.recorded_latency_ms(fingerprint)
                 if self._log is not None:
                     self._log.append(fingerprint, params, prompt, raw, latency_ms)
                 return LlmResponse(

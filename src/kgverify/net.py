@@ -1,9 +1,9 @@
-"""HTTP transport with recorded-fixture playback and on-disk caching.
+"""HTTP transport and the record format of recorded responses.
 
 Every outbound request is described by a canonical fingerprint so a live
-response can be recorded once and replayed forever. Replay mode swaps the
-live transport for a fixture-only one, which makes "no network access" a
-structural property rather than a convention.
+response can be recorded once and replayed forever (``kgverify.store`` keeps
+the records). Replay mode builds no live transport at all, which makes "no
+network access" a structural property rather than a convention.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Protocol
 
 import requests
 
-from .errors import FixtureMissing, Unavailable
+from .errors import Unavailable
 
 DEFAULT_CONNECT_TIMEOUT = 15.0
 DEFAULT_TOTAL_TIMEOUT = 30.0
@@ -231,49 +231,3 @@ def write_fixture(directory: Path, req: HttpRequest, resp: HttpResponse) -> Path
     record = response_to_record(req, resp)
     atomic_write(path, (json.dumps(record, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
     return path
-
-
-class FixtureTransport:
-    """Serves recorded responses from a directory; never touches the network."""
-
-    def __init__(self, directory: Path | str):
-        self._dir = Path(directory)
-
-    def send(self, req: HttpRequest) -> HttpResponse:
-        fingerprint = request_fingerprint(req)
-        path = self._dir / f"{fingerprint}.json"
-        if not path.exists():
-            raise FixtureMissing(
-                f"no recorded fixture for {req.method} {req.url} (fingerprint {fingerprint})"
-            )
-        record = json.loads(path.read_text(encoding="utf-8"))
-        return response_from_record(record)
-
-
-class CachingTransport:
-    """Disk cache in front of another transport, keyed by request fingerprint.
-
-    Entries older than ``ttl_seconds`` are refetched; errors are never cached.
-    """
-
-    def __init__(self, inner: Transport, directory: Path | str, ttl_seconds: float | None = None):
-        self._inner = inner
-        self._dir = Path(directory)
-        self._ttl = ttl_seconds
-        self._lock = threading.Lock()
-
-    def _path(self, fingerprint: str) -> Path:
-        return self._dir / f"{fingerprint}.json"
-
-    def send(self, req: HttpRequest) -> HttpResponse:
-        path = self._path(request_fingerprint(req))
-        if path.exists():
-            fresh = self._ttl is None or (time.time() - path.stat().st_mtime) <= self._ttl
-            if fresh:
-                record = json.loads(path.read_text(encoding="utf-8"))
-                return response_from_record(record)
-        resp = self._inner.send(req)
-        if resp.status < 400:
-            with self._lock:
-                write_fixture(self._dir, req, resp)
-        return resp

@@ -1,6 +1,6 @@
 """Grounding-document retrieval: web search, fetching, and chunking.
 
-Search providers are pluggable (a recorded-fixture provider backs all tests);
+Search providers are pluggable (``kgverify.store`` replays recorded ones);
 document fetching extracts paragraph text from HTML only, falls back to the
 web archive for dead links, and packs paragraphs into size-bounded chunks for
 models with tight input budgets.
@@ -8,17 +8,13 @@ models with tight input budgets.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import os
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from pathlib import Path
 from typing import Iterable, Protocol, Sequence
 
 from . import html_text
 from .errors import (
-    FixtureMissing,
     ProviderUnavailable,
     QuotaExceeded,
     Unavailable,
@@ -71,40 +67,6 @@ class Chunk:
 
 class SearchProvider(Protocol):
     def search(self, query: str, limit: int) -> list[SearchHit]: ...
-
-
-class FixtureSearchProvider:
-    """Replays recorded search results, one JSON file per query."""
-
-    def __init__(self, directory: Path | str):
-        self._dir = Path(directory)
-
-    @staticmethod
-    def query_key(query: str) -> str:
-        return hashlib.sha256(query.encode("utf-8")).hexdigest()[:24]
-
-    def search(self, query: str, limit: int) -> list[SearchHit]:
-        path = self._dir / f"{self.query_key(query)}.json"
-        if not path.exists():
-            raise FixtureMissing(
-                f"no recorded search results for query {query!r} (key {self.query_key(query)})"
-            )
-        record = json.loads(path.read_text(encoding="utf-8"))
-        hits = [
-            SearchHit(url=h["url"], rank=i + 1, title=h.get("title"))
-            for i, h in enumerate(record["hits"][:limit])
-        ]
-        return hits
-
-
-def write_search_fixture(directory: Path | str, query: str, hits: list[dict]) -> Path:
-    path = Path(directory) / f"{FixtureSearchProvider.query_key(query)}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps({"query": query, "hits": hits}, indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
-    return path
 
 
 class GoogleSearchProvider:
@@ -166,10 +128,7 @@ class DocumentFetcher:
 
     def fetch_raw(self, url: str) -> tuple[str, str]:
         """Fetch a URL and return (html_text, media_type); non-HTML is rejected."""
-        try:
-            resp = self._transport.send(HttpRequest.get(url))
-        except Unavailable:
-            raise
+        resp = self._transport.send(HttpRequest.get(url))
         if resp.status >= 400:
             raise Unavailable(f"GET {url} returned HTTP {resp.status}")
         media_type = resp.content_type or _sniff_media_type(url, resp)
@@ -179,13 +138,7 @@ class DocumentFetcher:
 
     def fetch_document(self, url: str) -> GroundingDocument:
         html, media_type = self.fetch_raw(url)
-        return GroundingDocument(
-            url=url,
-            retrieval_source=RetrievalSource.DIRECT,
-            media_type=media_type,
-            paragraphs=tuple(html_text.extract_paragraphs(html)),
-            fetched_at=self._clock(),
-        )
+        return self._document(url, RetrievalSource.DIRECT, html, media_type)
 
     def fetch_with_archive_fallback(self, url: str) -> GroundingDocument:
         """Fetch directly; if the resource is gone, use its archived snapshot."""
@@ -198,13 +151,12 @@ class DocumentFetcher:
             raise UnavailableEverywhere(f"{url}: no live copy and no archived snapshot")
         html, media_type = self.fetch_raw(snapshot_url)
         html = html_text.strip_archive_chrome(html)
-        return GroundingDocument(
-            url=snapshot_url,
-            retrieval_source=RetrievalSource.WEB_ARCHIVE,
-            media_type=media_type,
-            paragraphs=tuple(html_text.extract_paragraphs(html)),
-            fetched_at=self._clock(),
-        )
+        return self._document(snapshot_url, RetrievalSource.WEB_ARCHIVE, html, media_type)
+
+    def _document(self, url: str, source: RetrievalSource, html: str,
+                  media_type: str) -> GroundingDocument:
+        paragraphs = tuple(html_text.extract_paragraphs(html))
+        return GroundingDocument(url, source, media_type, paragraphs, self._clock())
 
     def _nearest_snapshot(self, url: str) -> str | None:
         try:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -21,6 +22,47 @@ def runner():
 def replay_args(out_dir, fixtures=REPLAY_DIR):
     return ["--replay", "--fixtures", str(fixtures), "--out", str(out_dir),
             "--fixed-clock", "2024-03-02T13:27:25Z"]
+
+
+UC1 = (["verify-wikidata", "Q36233", "--max-statements", "1"], "verify-wikidata-Q36233")
+UC2 = (["verify-wikipedia", "Q179924", "--statements", str(FIXTURES / "biolum_statements.tsv"),
+        "--model", "gpt-4-1106-preview"], "verify-wikipedia-Q179924")
+
+
+@pytest.fixture
+def live_remote(monkeypatch):
+    """Answers every live request in-process from the bundled replay fixtures:
+    LLM completions, search API results, pages and API responses. Returns the
+    (method, url) of each request it answered."""
+    from kgverify.llm import LlmParams
+    from kgverify.net import HttpResponse, LiveTransport
+    from kgverify.retrieval import GoogleSearchProvider
+    from kgverify.store import FixtureStore
+
+    recorded = FixtureStore(REPLAY_DIR)
+    asked = []
+
+    def answer(status, payload):
+        return HttpResponse(status=status, headers={"content-type": "application/json"},
+                            body=json.dumps(payload).encode("utf-8"))
+
+    def remote(self, req):
+        asked.append((req.method, req.url))
+        if req.method == "POST":
+            model = req.url.split("/models/", 1)[1].rsplit("/predictions", 1)[0]
+            prompt = json.loads(req.body)["input"]["prompt"]
+            return answer(201, {"output": recorded.complete(LlmParams(model=model), prompt)})
+        if req.url == GoogleSearchProvider.API_URL:
+            params = dict(req.params)
+            hits = recorded.search(params["q"], int(params["num"]))
+            return answer(200, {"items": [{"link": h.url, "title": h.title} for h in hits]})
+        return recorded.send(req)
+
+    monkeypatch.setattr(LiveTransport, "send", remote)
+    monkeypatch.setenv("KGVERIFY_LLM_TOKEN", "test-token")
+    monkeypatch.setenv("KGVERIFY_SEARCH_KEY", "test-key")
+    monkeypatch.setenv("KGVERIFY_SEARCH_CX", "test-cx")
+    return asked
 
 
 class TestVerifyWikidata:
@@ -108,6 +150,27 @@ class TestVerifyWikidata:
                                       *replay_args(tmp_path)])
         assert result.exit_code == 2
 
+    def test_invalid_entity_reported_before_live_setup(self, runner, tmp_path, monkeypatch):
+        # without an LLM token a live runtime cannot be built: the usage error comes first
+        monkeypatch.delenv("KGVERIFY_LLM_TOKEN", raising=False)
+        result = runner.invoke(main, ["verify-wikidata", "not-an-id", "--live",
+                                      "--out", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+
+    def test_replay_reports_recorded_latency(self, runner, tmp_path):
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(REPLAY_DIR, fixtures)
+        log_path = fixtures / "llm" / "responses.jsonl"
+        records = [json.loads(line) for line in log_path.read_text().splitlines()]
+        log_path.write_text("".join(
+            json.dumps({**record, "latency_ms": 1234}) + "\n" for record in records))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*UC1[0], *replay_args(out, fixtures=fixtures)])
+        assert result.exit_code == 0, result.output
+        xml_text = (out / f"{UC1[1]}.xml").read_text(encoding="utf-8")
+        assert xml_text.count("<duration-ms>1234</duration-ms>") == 2
+        assert "<duration-ms>0</duration-ms>" not in xml_text
+
     def test_replay_requires_fixtures(self, runner, tmp_path):
         result = runner.invoke(main, [
             "verify-wikidata", "Q36233", "--replay", "--out", str(tmp_path),
@@ -180,6 +243,17 @@ class TestVerifyWikipedia:
             *replay_args(tmp_path),
         ])
         assert result.exit_code == 3
+
+    def test_unreadable_statements_reported_before_live_setup(self, runner, tmp_path,
+                                                              monkeypatch):
+        # without an LLM token a live runtime cannot be built: the input error comes first
+        monkeypatch.delenv("KGVERIFY_LLM_TOKEN", raising=False)
+        result = runner.invoke(main, [
+            "verify-wikipedia", "Q1", "--statements", str(tmp_path / "nonexistent.tsv"),
+            "--live", "--out", str(tmp_path),
+        ])
+        assert result.exit_code == 3, result.output
+        assert "cannot read statements file" in result.output
 
 
 class TestBuildDataset:
@@ -362,41 +436,49 @@ class TestInterrupt:
 
 
 class TestLiveWithCache:
-    def test_completions_stay_out_of_the_page_cache(self, runner, tmp_path, monkeypatch):
+    def test_completions_stay_out_of_the_page_cache(self, runner, tmp_path, live_remote):
         """A live run (its remote side served from the replay fixtures) caches
-        pages and API answers, but never an LLM completion."""
-        from kgverify.llm import LlmParams, ReplayProvider
-        from kgverify.net import FixtureTransport, HttpResponse, LiveTransport
-
-        recorded = FixtureTransport(REPLAY_DIR / "http")
-        completions = ReplayProvider(REPLAY_DIR / "llm" / "responses.jsonl")
-        llm_posts = []
-
-        def remote(self, req):
-            if req.method == "POST":
-                llm_posts.append(req.url)
-                model = req.url.split("/models/", 1)[1].rsplit("/predictions", 1)[0]
-                prompt = json.loads(req.body)["input"]["prompt"]
-                text = completions.complete(LlmParams(model=model), prompt)
-                return HttpResponse(status=201, headers={"content-type": "application/json"},
-                                    body=json.dumps({"output": text}).encode("utf-8"))
-            return recorded.send(req)
-
-        monkeypatch.setattr(LiveTransport, "send", remote)
-        monkeypatch.setenv("KGVERIFY_LLM_TOKEN", "test-token")
-        cache, out = tmp_path / "cache", tmp_path / "out"
-        result = runner.invoke(main, [
-            "verify-wikipedia", "Q179924",
-            "--statements", str(FIXTURES / "biolum_statements.tsv"),
-            "--model", "gpt-4-1106-preview", "--live", "--cache-dir", str(cache),
-            "--out", str(out), "--fixed-clock", "2024-03-02T13:27:25Z",
-        ])
-        assert result.exit_code == 0, result.output
+        pages and API answers under http/ and records every completion in
+        llm/responses.jsonl, but never answers a completion from the cache."""
+        cache = tmp_path / "cache"
+        posts_per_run = []
+        for out in (tmp_path / "out", tmp_path / "again"):
+            result = runner.invoke(main, [
+                *UC2[0], "--live", "--cache-dir", str(cache),
+                "--out", str(out), "--fixed-clock", "2024-03-02T13:27:25Z",
+            ])
+            assert result.exit_code == 0, result.output
+            posts_per_run.append(sum(method == "POST" for method, _ in live_remote))
+        llm_posts = posts_per_run[0]
         assert llm_posts
+        # a second run over the same cache asks the model again, every time
+        assert posts_per_run[1] == 2 * llm_posts
         cached = [json.loads(p.read_text()) for p in cache.rglob("*.json")]
-        assert {p.parent.name for p in cache.rglob("*.json")} == {"pages", "wikidata"}
+        assert {p.parent.name for p in cache.rglob("*.json")} == {"http"}
         assert all(r["request"]["method"] == "GET" for r in cached)
         assert not any("replicate" in r["request"]["url"] for r in cached)
-        log = [json.loads(line) for line in (out / "responses.jsonl").read_text().splitlines()]
-        assert len(log) == len(llm_posts)
+        log_text = (tmp_path / "out" / "responses.jsonl").read_text()
+        log = [json.loads(line) for line in log_text.splitlines()]
+        assert len(log) == llm_posts
         assert {r["timestamp"] for r in log} == {"2024-03-02T13:27:25Z"}
+        assert (cache / "llm" / "responses.jsonl").read_text() == (
+            log_text + (tmp_path / "again" / "responses.jsonl").read_text())
+
+    def test_replay_of_the_cache_matches_the_live_run(self, runner, tmp_path, live_remote):
+        """--replay --fixtures C reproduces, byte for byte, the reports of the
+        live runs that --cache-dir C recorded."""
+        cache = tmp_path / "cache"
+        clock = ["--fixed-clock", "2024-03-02T13:27:25Z"]
+        for command, run_id in (UC1, UC2):
+            result = runner.invoke(main, [*command, "--live", "--cache-dir", str(cache),
+                                          "--out", str(tmp_path / "live"), *clock])
+            assert result.exit_code == 0, result.output
+        assert {p.name for p in cache.iterdir()} == {"http", "search", "llm"}
+        asked = len(live_remote)
+        for command, run_id in (UC1, UC2):
+            result = runner.invoke(main, [*command, *replay_args(tmp_path / "replay", cache)])
+            assert result.exit_code == 0, result.output
+            for ext in ("xml", "html"):
+                live = (tmp_path / "live" / f"{run_id}.{ext}").read_bytes()
+                assert (tmp_path / "replay" / f"{run_id}.{ext}").read_bytes() == live
+        assert len(live_remote) == asked

@@ -10,7 +10,6 @@ from kgverify.errors import ContextOverflow, FixtureMissing, ProviderUnavailable
 from kgverify.llm import (
     LlmGateway,
     LlmParams,
-    ReplayProvider,
     ScriptedProvider,
     ResponseLog,
     completion_fingerprint,
@@ -21,6 +20,7 @@ from kgverify.llm import (
 )
 from kgverify.model import NliLabel, VerdictKind
 from kgverify.prompting import OPTION_TEXTS
+from kgverify.store import FixtureStore
 
 CORPUS = Path(__file__).parent / "fixtures" / "parser_corpus.jsonl"
 
@@ -123,16 +123,16 @@ class TestProviders:
 
     def test_replay_round_trip(self, tmp_path):
         params = LlmParams()
-        log_path = tmp_path / "responses.jsonl"
+        log_path = tmp_path / "llm" / "responses.jsonl"
         write_response_log(log_path, [(params, "prompt one", "answer one")])
-        provider = ReplayProvider(log_path)
-        assert len(provider) == 1
+        provider = FixtureStore(tmp_path)
+        assert len(provider.completions) == 1
         assert provider.complete(params, "prompt one") == "answer one"
 
     def test_replay_missing_names_fingerprint(self, tmp_path):
-        log_path = tmp_path / "responses.jsonl"
+        log_path = tmp_path / "llm" / "responses.jsonl"
         write_response_log(log_path, [])
-        provider = ReplayProvider(log_path)
+        provider = FixtureStore(tmp_path)
         params = LlmParams()
         fingerprint = completion_fingerprint(params, "absent")
         with pytest.raises(FixtureMissing, match=fingerprint):
@@ -196,15 +196,34 @@ class TestGateway:
         assert gateway.complete("p").raw_text == "recovered"
 
     def test_appends_to_response_log(self, tmp_path):
-        log = ResponseLog(tmp_path / "log.jsonl")
+        log = ResponseLog(tmp_path / "llm" / "responses.jsonl")
         gateway = LlmGateway(ScriptedProvider(["answer"]), response_log=log)
         response = gateway.complete("prompt")
-        record = json.loads((tmp_path / "log.jsonl").read_text().splitlines()[0])
+        record = json.loads((tmp_path / "llm" / "responses.jsonl").read_text().splitlines()[0])
         assert record["fingerprint"] == response.request_fingerprint
         assert record["raw_text"] == "answer"
         # a log written this way is replayable
-        provider = ReplayProvider(tmp_path / "log.jsonl")
+        provider = FixtureStore(tmp_path)
         assert provider.complete(gateway.params, "prompt") == "answer"
+
+    def test_response_log_writes_every_path(self, tmp_path):
+        paths = [tmp_path / "out" / "responses.jsonl", tmp_path / "cache" / "llm" / "log.jsonl"]
+        gateway = LlmGateway(ScriptedProvider(["one", "two"]), response_log=ResponseLog(*paths))
+        gateway.complete("first")
+        gateway.complete("second")
+        first, second = (path.read_bytes() for path in paths)
+        assert first == second and len(first.splitlines()) == 2
+
+    def test_replay_reports_the_recorded_latency(self, tmp_path):
+        params = LlmParams()
+        log_path = tmp_path / "llm" / "responses.jsonl"
+        write_response_log(log_path, [(params, "prompt", "answer")])
+        record = json.loads(log_path.read_text())
+        log_path.write_text(json.dumps({**record, "latency_ms": 1234}) + "\n")
+        response = LlmGateway(FixtureStore(tmp_path)).complete("prompt")
+        assert response.raw_text == "answer"
+        assert response.latency_ms == 1234
+        assert response.provider == "replay"
 
     def test_response_log_stamps_the_run_clock(self, tmp_path):
         instant = datetime(2024, 3, 2, 14, 27, 25, tzinfo=timezone(timedelta(hours=1)))

@@ -8,9 +8,8 @@ import requests
 
 from kgverify.errors import FixtureMissing
 from kgverify.retrieval import GoogleSearchProvider
+from kgverify.store import FixtureStore
 from kgverify.net import (
-    CachingTransport,
-    FixtureTransport,
     HttpRequest,
     HttpResponse,
     LiveTransport,
@@ -88,32 +87,36 @@ class TestRecordSerialization:
 
 
 class TestFixtureTransport:
+    """The fixture store replaying ``http/``."""
+
     def test_round_trip_via_files(self, tmp_path):
         req = HttpRequest.get("https://x.example", params={"q": "1"})
         resp = HttpResponse(status=201, headers={"content-type": "application/json"},
                             body=b'{"ok": true}', url=req.url)
-        write_fixture(tmp_path, req, resp)
-        replayed = FixtureTransport(tmp_path).send(req)
+        write_fixture(tmp_path / "http", req, resp)
+        replayed = FixtureStore(tmp_path).send(req)
         assert replayed == resp
 
     def test_missing_fixture_names_request(self, tmp_path):
         req = HttpRequest.get("https://missing.example")
         with pytest.raises(FixtureMissing, match="missing.example"):
-            FixtureTransport(tmp_path).send(req)
+            FixtureStore(tmp_path).send(req)
 
     def test_cache_miss_writes_replayable_fixture(self, tmp_path):
         for url, body in [("https://record.example/text", b"<p>hi</p>"),
                           ("https://record.example/binary", b"\x89PNG\r\n\x1a\n\xff\x00")]:
             inner = CountingTransport(body=body)
             req = HttpRequest.get(url)
-            live = CachingTransport(inner, tmp_path).send(req)
+            live = FixtureStore(tmp_path, inner).send(req)
             assert inner.calls == 1
-            replayed = FixtureTransport(tmp_path).send(req)
+            replayed = FixtureStore(tmp_path).send(req)
             assert replayed == live
             assert replayed.body == body
 
 
 class TestCachingTransport:
+    """The fixture store caching ``http/`` (and ``search/``) through a live side."""
+
     def test_search_credentials_never_reach_the_cache(self, tmp_path):
         class SearchAdapter(requests.adapters.BaseAdapter):
             """Answers every request like the search API, echoing the final URL."""
@@ -136,21 +139,24 @@ class TestCachingTransport:
         session = requests.Session()
         session.mount("https://", SearchAdapter())
         live = LiveTransport(session=session, retries=0)
-        provider = GoogleSearchProvider(
-            CachingTransport(live, tmp_path), api_key="secret-key-123", cx="engine-456"
+        google = GoogleSearchProvider(
+            FixtureStore(tmp_path, live), api_key="secret-key-123", cx="engine-456"
         )
+        # as a --cache-dir run wires it: search results and the API's GET both cached
+        provider = FixtureStore(tmp_path, google)
         first = provider.search("havel playwright", 5)
         assert provider.search("havel playwright", 5) == first
+        assert google.search("havel playwright", 5) == first
         assert SearchAdapter.calls == 1
         files = [p for p in tmp_path.rglob("*") if p.is_file()]
-        assert files
+        assert {p.parent.name for p in files} == {"http", "search"}
         for path in files:
             data = path.read_bytes()
             assert b"secret-key-123" not in data and b"engine-456" not in data
 
     def test_caches_successful_responses(self, tmp_path):
         inner = CountingTransport()
-        caching = CachingTransport(inner, tmp_path)
+        caching = FixtureStore(tmp_path, inner)
         req = HttpRequest.get("https://cache.example")
         first = caching.send(req)
         second = caching.send(req)
@@ -159,7 +165,7 @@ class TestCachingTransport:
 
     def test_ttl_expiry_refetches(self, tmp_path):
         inner = CountingTransport()
-        caching = CachingTransport(inner, tmp_path, ttl_seconds=0.01)
+        caching = FixtureStore(tmp_path, inner, ttl_seconds=0.01)
         req = HttpRequest.get("https://cache.example")
         caching.send(req)
         time.sleep(0.05)
@@ -168,11 +174,13 @@ class TestCachingTransport:
 
     def test_errors_not_cached(self, tmp_path):
         inner = CountingTransport(status=503)
-        caching = CachingTransport(inner, tmp_path)
+        caching = FixtureStore(tmp_path, inner)
         req = HttpRequest.get("https://cache.example")
         caching.send(req)
         caching.send(req)
         assert inner.calls == 2
+        # recorded all the same, so the run that saw the error replays
+        assert FixtureStore(tmp_path).send(req).status == 503
 
 
 class TestLiveTransportRetry:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -17,20 +18,21 @@ from kgverify.net import HttpRequest
 from kgverify.retrieval import (
     ARCHIVE_AVAILABILITY_API,
     DocumentFetcher,
-    FixtureSearchProvider,
     GroundingDocument,
     SearchHit,
     chunk_fill_limit,
     valid_paragraphs,
     web_search,
-    write_search_fixture,
 )
+from kgverify.store import FixtureStore, write_search_fixture
 
 class StubProvider:
     def __init__(self, urls):
         self.urls = urls
+        self.calls = 0
 
     def search(self, query, limit):
+        self.calls += 1
         return [SearchHit(url=u, rank=i + 1) for i, u in enumerate(self.urls[:limit])]
 
 
@@ -56,12 +58,23 @@ class TestWebSearch:
             web_search(StubProvider([]), "   ")
 
     def test_fixture_provider_round_trip(self, tmp_path):
-        write_search_fixture(tmp_path, "some query", [{"url": "https://a.example"}])
-        provider = FixtureSearchProvider(tmp_path)
+        write_search_fixture(tmp_path / "search", "some query", [{"url": "https://a.example"}])
+        provider = FixtureStore(tmp_path)
         hits = provider.search("some query", limit=5)
         assert hits == [SearchHit(url="https://a.example", rank=1, title=None)]
         with pytest.raises(FixtureMissing):
             provider.search("unknown query", limit=5)
+
+    def test_fixture_store_caches_search_until_ttl_expiry(self, tmp_path):
+        live = StubProvider(["https://a.example", "https://b.example"])
+        caching = FixtureStore(tmp_path, live, ttl_seconds=0.05)
+        first = caching.search("some query", limit=5)
+        assert caching.search("some query", limit=5) == first
+        assert live.calls == 1
+        assert FixtureStore(tmp_path).search("some query", limit=5) == first
+        time.sleep(0.1)
+        assert caching.search("some query", limit=5) == first
+        assert live.calls == 2
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):

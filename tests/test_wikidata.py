@@ -4,7 +4,8 @@ import pytest
 
 from kgverify.errors import EndpointUnavailable, MalformedResponse, NoSitelink
 from kgverify.model import Statement
-from kgverify.net import FixtureTransport, HttpRequest
+from kgverify.net import HttpRequest
+from kgverify.store import FixtureStore
 from kgverify.wikidata import (
     CITATION_NEEDED_CONSTRAINT,
     PROPERTY_CONSTRAINT,
@@ -232,7 +233,7 @@ class TestAgainstBundledFixtures:
     """The recorded end-to-end fixtures double as client-level fixtures."""
 
     def test_havel_counts(self, replay_dir):
-        client = WikidataClient(FixtureTransport(replay_dir / "http"))
+        client = WikidataClient(FixtureStore(replay_dir))
         unsourced = client.fetch_unsourced_statements("Q36233")
         assert len(unsourced) == 53
         labels = {(u.statement.predicate_label, u.statement.object_label) for u in unsourced}

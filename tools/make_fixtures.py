@@ -21,7 +21,8 @@ from kgverify.llm import LlmParams, write_response_log  # noqa: E402
 from kgverify.model import Statement, statement_to_search_query  # noqa: E402
 from kgverify.net import HttpRequest, HttpResponse, write_fixture  # noqa: E402
 from kgverify.prompting import RdfPrompt, render_nli_prompt, render_rdf_prompt  # noqa: E402
-from kgverify.retrieval import ARCHIVE_AVAILABILITY_API, chunk_fill_limit, write_search_fixture  # noqa: E402
+from kgverify.retrieval import ARCHIVE_AVAILABILITY_API, chunk_fill_limit  # noqa: E402
+from kgverify.store import write_search_fixture  # noqa: E402
 from kgverify.verifier import parse_wikipedia_article  # noqa: E402
 from kgverify.wikidata import (  # noqa: E402
     WIKIDATA_API,
