@@ -14,7 +14,7 @@ import hashlib
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -33,6 +33,7 @@ from .llm import (
     parse_option,
 )
 from .model import (
+    BinaryDecision,
     DecisionMode,
     NliLabel,
     Statement,
@@ -51,7 +52,7 @@ from .prompting import (
 )
 from .retrieval import DocumentFetcher, GoogleSearchProvider, SearchProvider
 from .store import FixtureStore
-from .verifier import VerificationSession, Verifier
+from .verifier import VerificationSession, Verifier, map_in_order
 from .wikidata import (
     WIKIDATA_API,
     WIKIDATA_SPARQL_ENDPOINT,
@@ -147,8 +148,9 @@ class RunConfig:
 class _Runtime:
     """Everything a command needs, built once from the resolved config.
 
-    Its worker pool fans out each verification session's documents; a
-    command that verifies closes the runtime once its sessions are done.
+    Its worker pool fans out each verification session's documents, and
+    evaluate's instances; a command closes the runtime once its remote work
+    is done (``with _Runtime(config) as runtime:`` does so).
     """
 
     def __init__(self, config: RunConfig):
@@ -203,6 +205,12 @@ class _Runtime:
     def close(self) -> None:
         """Stop the worker pool; queued tasks are dropped, running ones finish."""
         self.pool.shutdown(wait=True, cancel_futures=True)
+
+    def __enter__(self) -> "_Runtime":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def verifier(self, need_search: bool = False) -> Verifier:
         if need_search and self.search_provider is None:
@@ -495,15 +503,12 @@ def cmd_evaluate(dataset_path: str, task: str, sample: int | None, snli_train: s
                  **kwargs) -> None:
     """Run the benchmark protocol over a dataset and emit metric tables."""
     config = _resolve(kwargs)
-    runtime = _Runtime(config)
+    if task == "triples":
+        results = _evaluate_triples(config, dataset_path)
+    else:
+        results = _evaluate_nli(config, dataset_path, snli_train, sample)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if task == "triples":
-        results = _evaluate_triples(runtime, config, dataset_path)
-    else:
-        if not snli_train:
-            raise click.UsageError("--task nli requires --snli-train for the example picks")
-        results = _evaluate_nli(runtime, config, dataset_path, snli_train, sample)
     (out_dir / "results.json").write_text(
         json.dumps(results["json"], indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
@@ -512,16 +517,40 @@ def cmd_evaluate(dataset_path: str, task: str, sample: int | None, snli_train: s
     click.echo(results["text"])
 
 
-def _evaluate_triples(runtime: _Runtime, config: RunConfig, dataset_path: str) -> dict:
+def _judge_triples(pool: Executor | None, gateway: LlmGateway,
+                   instances: Sequence[datasets.LabeledInstance],
+                   mode: DecisionMode) -> list[BinaryDecision]:
+    """The model's binary decision on each instance, in instance order.
+
+    One task per instance on ``pool``; each renders its own prompt, so only
+    the prompts in flight are alive at once.
+    """
+    def judge(instance: datasets.LabeledInstance) -> BinaryDecision:
+        prompt = render_rdf_prompt(RdfPrompt(instance.statement, instance.grounding_text))
+        return verdict_to_binary(parse_option(gateway.complete(prompt).raw_text), mode)
+
+    return map_in_order(pool, judge, instances)
+
+
+def _judge_nli(pool: Executor | None, gateway: LlmGateway,
+               records: Sequence[datasets.SnliRecord],
+               examples: list[NliExample]) -> list[NliLabel]:
+    """The model's label for each record, in record order."""
+    def judge(record: datasets.SnliRecord) -> NliLabel:
+        prompt = render_nli_prompt(record.premise, record.hypothesis, examples)
+        return parse_nli_label(gateway.complete(prompt).raw_text)
+
+    return map_in_order(pool, judge, records)
+
+
+def _evaluate_triples(config: RunConfig, dataset_path: str) -> dict:
     instances = datasets.read_instances(dataset_path)
     if not instances:
         raise MalformedInput(f"{dataset_path}: empty dataset")
+    with _Runtime(config) as runtime:  # built once the inputs are known to be good
+        predictions = _judge_triples(runtime.pool, runtime.gateway, instances, config.mode)
     grouped: dict[tuple[str, tuple[str, str]], list] = {}
-    for instance in instances:
-        prompt = render_rdf_prompt(RdfPrompt(instance.statement, instance.grounding_text))
-        response = runtime.gateway.complete(prompt)
-        verdict = parse_option(response.raw_text)
-        predicted = verdict_to_binary(verdict, config.mode)
+    for instance, predicted in zip(instances, predictions):
         grouped.setdefault((instance.relation_type, instance.concept_pair), []).append(
             (instance.gold, predicted)
         )
@@ -561,8 +590,10 @@ def _evaluate_triples(runtime: _Runtime, config: RunConfig, dataset_path: str) -
     }
 
 
-def _evaluate_nli(runtime: _Runtime, config: RunConfig, dataset_path: str,
-                  snli_train: str, sample: int | None) -> dict:
+def _evaluate_nli(config: RunConfig, dataset_path: str, snli_train: str | None,
+                  sample: int | None) -> dict:
+    if not snli_train:
+        raise click.UsageError("--task nli requires --snli-train for the example picks")
     if sample is not None:
         records = datasets.sample_snli_test(dataset_path, n=sample, seed=config.sample_seed)
     else:
@@ -574,12 +605,9 @@ def _evaluate_nli(runtime: _Runtime, config: RunConfig, dataset_path: str,
         NliExample(premise=r.premise, hypothesis=r.hypothesis, label=r.gold)
         for r in example_records
     ]
-    outcomes: list[tuple[NliLabel, NliLabel]] = []
-    for record in records:
-        prompt = render_nli_prompt(record.premise, record.hypothesis, examples)
-        response = runtime.gateway.complete(prompt)
-        outcomes.append((record.gold, parse_nli_label(response.raw_text)))
-    confusion = evaluation.tally_nli(outcomes)
+    with _Runtime(config) as runtime:  # built once the inputs are known to be good
+        labels = _judge_nli(runtime.pool, runtime.gateway, records, examples)
+    confusion = evaluation.tally_nli([(r.gold, label) for r, label in zip(records, labels)])
     text = evaluation.format_nli_table(confusion, model_name=config.model)
     return {
         "json": {

@@ -417,8 +417,12 @@ def write_instances(path: Path | str, instances: Iterable[LabeledInstance]) -> N
 
 
 def read_instances(path: Path | str) -> list[LabeledInstance]:
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise MalformedInput(f"cannot read dataset {path}: {exc}") from exc
     out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         try:

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import json
 import shutil
+import threading
+import time
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -10,6 +12,9 @@ from click.testing import CliRunner
 
 from kgverify.cli import main
 from kgverify.datasets import read_instances
+from kgverify.errors import ContextOverflow, ProviderUnavailable
+from kgverify.llm import LlmGateway
+from kgverify.prompting import RdfPrompt, render_rdf_prompt
 
 from conftest import FIXTURES, REPLAY_DIR
 
@@ -330,6 +335,140 @@ class TestEvaluate:
         assert results["accuracy"] == 83.3
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["example_pair_ids"]) == 3
+
+    def evaluate_args(self, runner, tmp_path, task: str) -> list[str]:
+        if task == "triples":
+            inputs = ["--dataset", str(self.build_dataset(runner, tmp_path))]
+        else:
+            inputs = ["--dataset", str(FIXTURES / "snli" / "test_mini.jsonl"),
+                      "--snli-train", str(FIXTURES / "snli" / "train_mini.jsonl")]
+        return ["evaluate", *inputs, "--task", task,
+                "--replay", "--fixtures", str(FIXTURES / "eval_replay")]
+
+    @pytest.mark.parametrize("task", ["triples", "nli"])
+    def test_replay_bytes_match_at_width_one(self, runner, tmp_path, monkeypatch, task):
+        """Results do not depend on how many instances are judged at once."""
+        args = self.evaluate_args(runner, tmp_path, task)
+        out = tmp_path / "eval"
+        outputs = []
+        for width in ("1", None):
+            if width is None:
+                monkeypatch.delenv("KGVERIFY_LLM_REQUESTS", raising=False)
+            else:
+                monkeypatch.setenv("KGVERIFY_LLM_REQUESTS", width)
+            result = runner.invoke(main, [*args, "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["llm_requests"] == int(width or 4)
+            outputs.append([(out / name).read_bytes()
+                            for name in ("results.json", "results.txt", "manifest.json")])
+        # the manifest records the width itself; nothing else may differ
+        outputs[0][2] = outputs[0][2].replace(b'"llm_requests": 1', b'"llm_requests": 4')
+        assert outputs[0] == outputs[1]
+
+    @staticmethod
+    def patch_complete(monkeypatch, fail):
+        """Each model call waits, 10 ms for the first three and 100 ms for
+        later ones, then raises what ``fail(call_number, prompt)`` returns, if
+        anything. So a failure among the first three surfaces while a later
+        call still runs. Returns the counts of calls started and still running."""
+        original = LlmGateway.complete
+        lock = threading.Lock()
+        counts = {"started": 0, "running": 0}
+
+        def complete(self, prompt, params=None):
+            with lock:
+                counts["started"] += 1
+                counts["running"] += 1
+                number = counts["started"]
+            try:
+                time.sleep(0.01 if number <= 3 else 0.1)
+                exc = fail(number, prompt)
+                if exc is not None:
+                    raise exc
+                return original(self, prompt, params)
+            finally:
+                with lock:
+                    counts["running"] -= 1
+
+        monkeypatch.setattr(LlmGateway, "complete", complete)
+        monkeypatch.setenv("KGVERIFY_LLM_REQUESTS", "4")
+        return counts
+
+    def assert_nothing_written(self, out: Path) -> None:
+        for name in ("results.json", "results.txt", "manifest.json"):
+            assert not (out / name).exists()
+
+    @pytest.mark.parametrize("task,instances", [("triples", 10), ("nli", 12)])
+    def test_interrupt_exits_130_after_every_task_ends(self, runner, tmp_path, monkeypatch,
+                                                       task, instances):
+        args = self.evaluate_args(runner, tmp_path, task)
+        counts = self.patch_complete(
+            monkeypatch, lambda number, prompt: KeyboardInterrupt() if number == 3 else None)
+        out = tmp_path / "eval"
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 130, result.output
+        assert "error: interrupted" in result.output
+        assert "Traceback" not in result.output
+        assert counts["running"] == 0
+        # tasks still queued when the interrupt came never ran
+        assert counts["started"] < instances
+        self.assert_nothing_written(out)
+
+    def test_context_overflow_exits_1(self, runner, tmp_path, monkeypatch):
+        args = self.evaluate_args(runner, tmp_path, "triples")
+        counts = self.patch_complete(
+            monkeypatch,
+            lambda number, prompt: ContextOverflow("too long") if number == 3 else None)
+        out = tmp_path / "eval"
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "error: too long" in result.output
+        assert counts["running"] == 0
+        self.assert_nothing_written(out)
+
+    def test_first_failure_in_instance_order_wins(self, runner, tmp_path, monkeypatch):
+        args = self.evaluate_args(runner, tmp_path, "triples")
+        prompts = [render_rdf_prompt(RdfPrompt(i.statement, i.grounding_text))
+                   for i in read_instances(args[args.index("--dataset") + 1])]
+
+        def fail(number, prompt):
+            # the second instance fails last, after the third
+            if prompt == prompts[1]:
+                time.sleep(0.15)
+                return ContextOverflow("instance 2 overflows")
+            if prompt == prompts[2]:
+                return ProviderUnavailable("instance 3 unavailable")
+            return None
+
+        counts = self.patch_complete(monkeypatch, fail)
+        out = tmp_path / "eval"
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "instance 2 overflows" in result.output
+        assert "instance 3" not in result.output
+        assert counts["running"] == 0
+        self.assert_nothing_written(out)
+
+    def test_unreadable_dataset_reported_before_live_setup(self, runner, tmp_path, monkeypatch):
+        """Input errors keep their exit code even without LLM credentials."""
+        monkeypatch.delenv("KGVERIFY_LLM_TOKEN", raising=False)
+        result = runner.invoke(main, [
+            "evaluate", "--dataset", str(tmp_path / "nonexistent.jsonl"), "--task", "triples",
+            "--live", "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 3, result.output
+        assert "cannot read dataset" in result.output
+
+    def test_missing_snli_train_reported_before_live_setup(self, runner, tmp_path,
+                                                           monkeypatch):
+        monkeypatch.delenv("KGVERIFY_LLM_TOKEN", raising=False)
+        result = runner.invoke(main, [
+            "evaluate", "--dataset", str(FIXTURES / "snli" / "test_mini.jsonl"),
+            "--task", "nli", "--live", "--out", str(tmp_path / "out"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--snli-train" in result.output
 
     def test_empty_dataset(self, runner, tmp_path):
         empty = tmp_path / "empty.jsonl"

@@ -1,5 +1,6 @@
 """Session fan-out: a verifier with a worker pool produces the same sessions
-as one without, however the concurrent calls interleave."""
+as one without, however the concurrent calls interleave. The same holds for
+evaluate's instances."""
 
 from __future__ import annotations
 
@@ -14,11 +15,19 @@ from datetime import datetime, timezone
 
 import pytest
 
+from kgverify.cli import _judge_nli, _judge_triples
+from kgverify.datasets import LabeledInstance, Origin, SnliRecord
 from kgverify.errors import FixtureMissing, NetworkForbidden
 from kgverify.llm import LlmGateway, ResponseLog
-from kgverify.model import Statement
+from kgverify.model import BinaryDecision, DecisionMode, NliLabel, Statement
 from kgverify.net import HttpRequest
-from kgverify.prompting import OPTION_TEXTS, SYSTEM_PROMPT, RdfPrompt, render_rdf_prompt
+from kgverify.prompting import (
+    OPTION_TEXTS,
+    SYSTEM_PROMPT,
+    NliExample,
+    RdfPrompt,
+    render_rdf_prompt,
+)
 from kgverify.retrieval import ARCHIVE_AVAILABILITY_API, DocumentFetcher, SearchHit
 from kgverify.verifier import Verifier, map_in_order
 from kgverify.wikidata import WIKIDATA_API, WikidataClient
@@ -366,6 +375,57 @@ class TestFailurePropagation:
             assert fetched == set(urls[:3])
         else:
             assert urls[2] in fetched
+
+
+def marked_texts(seed: int, n: int = 24) -> list[str]:
+    """Texts carrying a proof, a hint or neither marker, in a seeded order."""
+    rng = random.Random(seed)
+    return [f"Text {i} reads {rng.choice([PROOF, HINT, 'nothing'])} here." for i in range(n)]
+
+
+def judge_triples(pool, provider, texts):
+    instances = [
+        LabeledInstance(
+            statement=dataclasses.replace(STATEMENT, object_label=f"Thing {i}"),
+            grounding_text=text, gold=BinaryDecision.SUPPORTED,
+            concept_pair=("GeneOrGeneProduct", "Disease"), relation_type="Association",
+            origin=Origin.GROUND_TRUTH, doc_id=f"doc{i}", tail_type="Disease",
+        )
+        for i, text in enumerate(texts)
+    ]
+    predictions = _judge_triples(pool, gateway(provider), instances, DecisionMode.FAVOR_PRECISION)
+    expected = [BinaryDecision.SUPPORTED if PROOF in text else BinaryDecision.NOT_SUPPORTED
+                for text in texts]
+    return predictions, expected
+
+
+def judge_nli(pool, provider, texts):
+    records = [SnliRecord(premise=text, hypothesis="A claim.", gold=NliLabel.NEUTRAL)
+               for text in texts]
+    examples = [NliExample(premise="An example.", hypothesis="A claim.", label=label)
+                for label in (NliLabel.ENTAILMENT, NliLabel.NEUTRAL, NliLabel.CONTRADICTION)]
+    predictions = _judge_nli(pool, gateway(provider), records, examples)
+    # ContentProvider answers a) for a proof and b) for a hint anywhere in the prompt
+    expected = [NliLabel.ENTAILMENT if PROOF in text else
+                NliLabel.NEUTRAL if HINT in text else NliLabel.CONTRADICTION for text in texts]
+    return predictions, expected
+
+
+class TestEvaluateFanOut:
+    @pytest.mark.parametrize("judge", [judge_triples, judge_nli], ids=["triples", "nli"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_width4_predictions_match_width1_in_instance_order(self, judge, seed):
+        texts = marked_texts(seed)
+        results = {}
+        for width in (1, 4):
+            provider = ContentProvider(seed)
+            with ThreadPoolExecutor(max_workers=width) as executor:
+                results[width] = judge(executor, provider, texts)
+            assert provider.calls == len(texts)
+            assert (provider.peak > 1) == (width > 1)
+        (width1, expected), (width4, _) = results[1], results[4]
+        assert width4 == width1 == expected
+        assert len(set(expected)) > 1  # the order is visible in the predictions
 
 
 def test_stress_shared_response_log(tmp_path):
