@@ -169,8 +169,10 @@ class _Runtime:
         self.store = FixtureStore(root, ttl_seconds=ttl) if root else None
         self.wikidata_transport = self._remote(
             lambda: LiveTransport(gate=RequestGate(config.sparql_requests)))
-        self.fetch_transport = self._remote(
-            lambda: LiveTransport(gate=RequestGate(config.fetch_requests)))
+        # pages and the search API share a gate; only pages are cached as HTTP
+        self._live_fetch = None if config.replay else LiveTransport(
+            gate=RequestGate(config.fetch_requests))
+        self.fetch_transport = self._remote(lambda: self._live_fetch)
         self.search_provider = None  # built by verifier(); a live one needs credentials
         # completions have their own gate; a store records them but only replay serves them
         logs = [] if config.replay else [Path(config.out_dir) / "responses.jsonl"]
@@ -214,7 +216,7 @@ class _Runtime:
 
     def verifier(self, need_search: bool = False) -> Verifier:
         if need_search and self.search_provider is None:
-            self.search_provider = self._remote(lambda: GoogleSearchProvider(self.fetch_transport))
+            self.search_provider = self._remote(lambda: GoogleSearchProvider(self._live_fetch))
         return Verifier(
             gateway=self.gateway,
             fetcher=self.fetcher,
@@ -325,13 +327,14 @@ def _verify_run(
         endpoint=config.sparql_endpoint,
         **extra_fields,
     )
-    xml_bytes = reporting.serialize_xml(reporting.build_run_xml(sessions, summary))
+    tree = reporting.build_run_xml(sessions, summary)  # validated once, here
+    xml_bytes = reporting.serialize_xml(tree)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     xml_path = out_dir / f"{command}-{entity_id}.xml"
     html_path = xml_path.with_suffix(".html")
     xml_path.write_bytes(xml_bytes)
-    html_path.write_text(reporting.render_html(xml_bytes), encoding="utf-8")
+    html_path.write_text(reporting.render_html(tree), encoding="utf-8")
     _write_manifest(config, out_dir, command, {
         "entity": str(entity_id),
         "sessions": len(sessions),

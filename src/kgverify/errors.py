@@ -1,8 +1,9 @@
 """Exception hierarchy shared across the pipeline.
 
 Retryable conditions (endpoint hiccups, provider quota) are distinct from
-permanent ones (malformed payloads, unsupported media) so callers can decide
-whether to back off or give up.
+permanent ones (malformed payloads, unsupported media). The transport
+(``net.LiveTransport``) has already retried a retryable one by the time it is
+raised, so no caller retries it again.
 
 Each class carries the CLI exit code the README documents for it as
 ``exit_code``. A class without one inherits its parent's; the base class's 1
@@ -77,12 +78,6 @@ class ContextOverflow(KgVerifyError):
 
 class FixtureMissing(KgVerifyError):
     """A recorded fixture or replay entry is absent for this request."""
-
-    exit_code = 5
-
-
-class NetworkForbidden(KgVerifyError):
-    """An outbound network call was attempted while replay mode is active."""
 
     exit_code = 5
 

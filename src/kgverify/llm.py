@@ -93,15 +93,6 @@ class ScriptedProvider:
         self._responses = list(responses)
         self.calls = 0
 
-    @classmethod
-    def from_jsonl(cls, path: Path | str) -> "ScriptedProvider":
-        """Load an ordered script from a JSON-lines file of {"raw_text": ...} rows."""
-        responses = []
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                responses.append(json.loads(line)["raw_text"])
-        return cls(responses)
-
     def complete(self, params: LlmParams, prompt: str) -> str:
         if self.calls >= len(self._responses):
             raise FixtureMissing(f"scripted provider exhausted after {self.calls} responses")
@@ -146,8 +137,6 @@ class ReplicateHttpProvider:
             },
         )
         resp = self._transport.send(req)
-        if resp.status >= 500 or resp.status == 429:
-            raise ProviderUnavailable(f"LLM API returned HTTP {resp.status}")
         if resp.status not in (200, 201):
             raise ProviderUnavailable(f"LLM API request failed with HTTP {resp.status}")
         payload = resp.json()
@@ -210,7 +199,11 @@ def write_response_log(path: Path | str, entries: list[tuple[LlmParams, str, str
 
 
 class LlmGateway:
-    """Shareable front door to a provider: budget checks, retries, logging."""
+    """Shareable front door to a provider: budget checks, fingerprints, logging.
+
+    It does not retry: a live provider's transport (``net.LiveTransport``)
+    holds the one retry policy, so a failure that reaches here is final.
+    """
 
     def __init__(
         self,
@@ -218,15 +211,11 @@ class LlmGateway:
         params: LlmParams | None = None,
         context_tokens: int | None = None,
         response_log: ResponseLog | None = None,
-        max_attempts: int = 3,
-        sleeper=time.sleep,
     ):
         self.provider = provider
         self.params = params or LlmParams()
         self._budget_chars = context_tokens * CHARS_PER_TOKEN if context_tokens else None
         self._log = response_log
-        self._max_attempts = max_attempts
-        self._sleep = sleeper
 
     def complete(self, prompt: str, params: LlmParams | None = None) -> LlmResponse:
         if not prompt:
@@ -239,29 +228,19 @@ class LlmGateway:
                     f"prompt of {used} chars exceeds budget of {self._budget_chars} chars"
                 )
         fingerprint = completion_fingerprint(params, prompt)
-        last_error: Exception | None = None
-        for attempt in range(self._max_attempts):
-            try:
-                start = time.monotonic()
-                raw = self.provider.complete(params, prompt)
-                latency_ms = int((time.monotonic() - start) * 1000)
-                if hasattr(self.provider, "recorded_latency_ms"):  # a replay: not the lookup's
-                    latency_ms = self.provider.recorded_latency_ms(fingerprint)
-                if self._log is not None:
-                    self._log.append(fingerprint, params, prompt, raw, latency_ms)
-                return LlmResponse(
-                    raw_text=raw,
-                    latency_ms=latency_ms,
-                    provider=getattr(self.provider, "name", type(self.provider).__name__),
-                    request_fingerprint=fingerprint,
-                )
-            except ProviderUnavailable as exc:
-                last_error = exc
-                if attempt < self._max_attempts - 1:
-                    self._sleep(2.0**attempt)
-        raise ProviderUnavailable(
-            f"provider failed after {self._max_attempts} attempts: {last_error}"
-        ) from last_error
+        start = time.monotonic()
+        raw = self.provider.complete(params, prompt)
+        latency_ms = int((time.monotonic() - start) * 1000)
+        if hasattr(self.provider, "recorded_latency_ms"):  # a replay: not the lookup's
+            latency_ms = self.provider.recorded_latency_ms(fingerprint)
+        if self._log is not None:
+            self._log.append(fingerprint, params, prompt, raw, latency_ms)
+        return LlmResponse(
+            raw_text=raw,
+            latency_ms=latency_ms,
+            provider=getattr(self.provider, "name", type(self.provider).__name__),
+            request_fingerprint=fingerprint,
+        )
 
 
 # -- response parsing ----------------------------------------------------------

@@ -183,18 +183,6 @@ def statement_from_json(obj: dict) -> Statement:
         raise MalformedInput(f"bad statement record {json.dumps(obj)[:200]}: {exc}") from exc
 
 
-def statement_to_line(statement: Statement) -> str:
-    cols = [
-        statement.subject_label,
-        statement.predicate_label,
-        statement.object_label,
-        statement.subject_id or "",
-        statement.predicate_id or "",
-        statement.object_id or "",
-    ]
-    return "\t".join(cols)
-
-
 def statement_from_line(line: str, lineno: int = 0) -> Statement:
     """Parse one tab-separated statement line: three labels plus optional ids."""
     cols = line.rstrip("\n").split("\t")

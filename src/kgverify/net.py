@@ -26,6 +26,7 @@ from .errors import Unavailable
 DEFAULT_CONNECT_TIMEOUT = 15.0
 DEFAULT_TOTAL_TIMEOUT = 30.0
 DEFAULT_RETRIES = 2
+MAX_BACKOFF_SECONDS = 8.0
 USER_AGENT = "kgverify/0.1 (statement verification pipeline)"
 
 
@@ -121,7 +122,14 @@ class RequestGate:
 
 
 class LiveTransport:
-    """requests-backed transport with bounded concurrency and simple retries."""
+    """requests-backed transport with bounded concurrency: the one retry policy.
+
+    A connection error, an HTTP 429 or an HTTP 5xx is retried, ``retries``
+    times at most, after ``min(2**attempt, 8)`` seconds or an integer
+    ``Retry-After`` (also capped at 8 s); the sleep holds no gate slot. After
+    the last attempt a failing status is returned for the caller to map, and a
+    connection error raises ``Unavailable``.
+    """
 
     def __init__(
         self,
@@ -139,30 +147,39 @@ class LiveTransport:
         self._sleep = sleeper
 
     def send(self, req: HttpRequest) -> HttpResponse:
-        headers = {"User-Agent": USER_AGENT, **dict(req.headers)}
-        last_error: Exception | None = None
-        for attempt in range(self._retries + 1):
+        for attempt in range(self._retries):
             try:
-                with self._gate:
-                    resp = self._session.request(
-                        req.method,
-                        req.url,
-                        params=dict(req.params) or None,
-                        data=req.body,
-                        headers=headers,
-                        timeout=self._timeout,
-                    )
-                return HttpResponse(
-                    status=resp.status_code,
-                    headers={k.lower(): v for k, v in resp.headers.items()},
-                    body=resp.content,
-                    url=str(resp.url),
+                resp = self._attempt(req)
+            except Unavailable:
+                retry_after = ""
+            else:
+                if resp.status != 429 and resp.status < 500:
+                    return resp
+                retry_after = resp.headers.get("retry-after", "").strip()
+            delay = int(retry_after) if retry_after.isdecimal() else 2.0**attempt
+            self._sleep(min(float(delay), MAX_BACKOFF_SECONDS))
+        return self._attempt(req)
+
+    def _attempt(self, req: HttpRequest) -> HttpResponse:
+        """One request, holding a gate slot; a connection error raises ``Unavailable``."""
+        try:
+            with self._gate:
+                resp = self._session.request(
+                    req.method,
+                    req.url,
+                    params=dict(req.params) or None,
+                    data=req.body,
+                    headers={"User-Agent": USER_AGENT, **dict(req.headers)},
+                    timeout=self._timeout,
                 )
-            except requests.RequestException as exc:
-                last_error = exc
-                if attempt < self._retries:
-                    self._sleep(min(2.0**attempt, 8.0))
-        raise Unavailable(f"{req.method} {req.url}: {last_error}") from last_error
+        except requests.RequestException as exc:
+            raise Unavailable(f"{req.method} {req.url}: {exc}") from exc
+        return HttpResponse(
+            status=resp.status_code,
+            headers={k.lower(): v for k, v in resp.headers.items()},
+            body=resp.content,
+            url=str(resp.url),
+        )
 
 
 # -- fixture serialization -----------------------------------------------------

@@ -179,17 +179,18 @@ def serialize_xml(tree: ET.ElementTree) -> bytes:
 
 
 def render_html(xml: ET.ElementTree | ET.Element | bytes | str) -> str:
-    """Apply the bundled stylesheet; input must be schema-valid report XML."""
+    """Apply the bundled stylesheet to schema-valid report XML.
+
+    Bytes or text are parsed and validated first; a tree or element is taken
+    as valid already (``build_run_xml`` validates what it returns).
+    """
     if isinstance(xml, (bytes, str)):
         try:
-            root = ET.fromstring(xml)
+            xml = ET.fromstring(xml)
         except ET.ParseError as exc:
             raise SchemaViolation(f"not well-formed XML: {exc}") from exc
-    elif isinstance(xml, ET.ElementTree):
-        root = xml.getroot()
-    else:
-        root = xml
-    validate_report(root)
+        validate_report(xml)
+    root = xml.getroot() if isinstance(xml, ET.ElementTree) else xml
     return _renderer().render(root)
 
 

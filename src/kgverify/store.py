@@ -48,8 +48,9 @@ class FixtureStore:
     search provider it caches through: a record younger than ``ttl_seconds``
     (if given) answers, anything else is asked live and written back. Error
     responses are written too, so the run replays, but never answer in place
-    of a live request. Completions are only replayed; a live run records them
-    with a ``ResponseLog`` on ``response_log_path``.
+    of a live request, and neither does a search record with fewer hits than
+    asked for. Completions are only replayed; a live run records them with a
+    ``ResponseLog`` on ``response_log_path``.
     """
 
     name = "replay"
@@ -92,7 +93,7 @@ class FixtureStore:
     def search(self, query: str, limit: int) -> list[SearchHit]:
         key = query_key(query)
         record = self._recorded(self.directory / "search" / f"{key}.json")
-        if record is not None:
+        if record is not None and (self._live is None or len(record["hits"]) >= limit):
             return [
                 SearchHit(url=h["url"], rank=i + 1, title=h.get("title"))
                 for i, h in enumerate(record["hits"][:limit])

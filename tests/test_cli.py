@@ -603,6 +603,21 @@ class TestLiveWithCache:
         assert (cache / "llm" / "responses.jsonl").read_text() == (
             log_text + (tmp_path / "again" / "responses.jsonl").read_text())
 
+    def test_search_api_get_stays_out_of_the_http_cache(self, runner, tmp_path, live_remote):
+        """The store keeps a cached run's search hits under search/; the search
+        API's own GET, which replay never reads, is not recorded in http/."""
+        from kgverify.retrieval import GoogleSearchProvider
+
+        cache = tmp_path / "cache"
+        result = runner.invoke(main, [*UC1[0], "--live", "--cache-dir", str(cache),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert (GoogleSearchProvider.API_URL, "GET") in {
+            (url, method) for method, url in live_remote}
+        assert list((cache / "search").iterdir())
+        urls = {json.loads(p.read_text())["request"]["url"] for p in (cache / "http").iterdir()}
+        assert GoogleSearchProvider.API_URL not in urls
+
     def test_replay_of_the_cache_matches_the_live_run(self, runner, tmp_path, live_remote):
         """--replay --fixtures C reproduces, byte for byte, the reports of the
         live runs that --cache-dir C recorded."""

@@ -24,7 +24,6 @@ EXPECTED_EXIT_CODES = {
     "UnavailableEverywhere": 4,
     "MalformedResponse": 4,
     "FixtureMissing": 5,
-    "NetworkForbidden": 5,
     "NoSitelink": 6,
     "SchemaViolation": 7,
     "TransformFailure": 7,

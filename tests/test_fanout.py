@@ -17,7 +17,7 @@ import pytest
 
 from kgverify.cli import _judge_nli, _judge_triples
 from kgverify.datasets import LabeledInstance, Origin, SnliRecord
-from kgverify.errors import FixtureMissing, NetworkForbidden
+from kgverify.errors import FixtureMissing, MalformedResponse
 from kgverify.llm import LlmGateway, ResponseLog
 from kgverify.model import BinaryDecision, DecisionMode, NliLabel, Statement
 from kgverify.net import HttpRequest
@@ -367,7 +367,7 @@ class TestFailurePropagation:
             verifier, _, transport = web_verifier(executor, urls=urls)
             # the later hit fails first; the earlier one still decides
             transport.fail(urls[2], FixtureMissing("hit 3"), after_s=0.03)
-            transport.fail(urls[4], NetworkForbidden("hit 5"))
+            transport.fail(urls[4], MalformedResponse("hit 5"))
             with pytest.raises(FixtureMissing, match="hit 3"):
                 verifier.verify_via_web_search(STATEMENT, hit_limit=8)
         fetched = {r.url for r in transport.requests}

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from kgverify.errors import ContextOverflow, FixtureMissing, ProviderUnavailable
+from kgverify.errors import ContextOverflow, FixtureMissing
 from kgverify.llm import (
     LlmGateway,
     LlmParams,
@@ -111,16 +111,6 @@ class TestProviders:
         with pytest.raises(FixtureMissing):
             provider.complete(LlmParams(), "p")
 
-    def test_scripted_from_jsonl(self, tmp_path):
-        script = tmp_path / "script.jsonl"
-        script.write_text(
-            '{"raw_text": "first"}\n\n{"raw_text": "second"}\n', encoding="utf-8"
-        )
-        provider = ScriptedProvider.from_jsonl(script)
-        params = LlmParams()
-        assert provider.complete(params, "x") == "first"
-        assert provider.complete(params, "y") == "second"
-
     def test_replay_round_trip(self, tmp_path):
         params = LlmParams()
         log_path = tmp_path / "llm" / "responses.jsonl"
@@ -159,41 +149,6 @@ class TestGateway:
         # budget is 40 chars; the system prompt alone exceeds it
         with pytest.raises(ContextOverflow):
             gateway.complete("p" * 50)
-
-    def test_retries_with_backoff_then_raises(self):
-        class Flaky:
-            name = "flaky"
-
-            def __init__(self):
-                self.calls = 0
-
-            def complete(self, params, prompt):
-                self.calls += 1
-                raise ProviderUnavailable("boom")
-
-        sleeps = []
-        flaky = Flaky()
-        gateway = LlmGateway(flaky, max_attempts=3, sleeper=sleeps.append)
-        with pytest.raises(ProviderUnavailable):
-            gateway.complete("p")
-        assert flaky.calls == 3
-        assert sleeps == [1.0, 2.0]
-
-    def test_recovers_after_transient_failure(self):
-        class FlakyOnce:
-            name = "flaky-once"
-
-            def __init__(self):
-                self.calls = 0
-
-            def complete(self, params, prompt):
-                self.calls += 1
-                if self.calls == 1:
-                    raise ProviderUnavailable("first try fails")
-                return "recovered"
-
-        gateway = LlmGateway(FlakyOnce(), sleeper=lambda _: None)
-        assert gateway.complete("p").raw_text == "recovered"
 
     def test_appends_to_response_log(self, tmp_path):
         log = ResponseLog(tmp_path / "llm" / "responses.jsonl")

@@ -17,7 +17,6 @@ from kgverify.model import (
     statement_from_line,
     statement_from_json,
     statement_to_json,
-    statement_to_line,
     statement_to_search_query,
     statements_from_text,
     verdict_to_binary,
@@ -124,8 +123,7 @@ class TestVerdict:
 class TestSerialization:
     def test_line_round_trip(self):
         statement = Statement("s", "p", "o", subject_id="Q1", predicate_id="P2", object_id="Q3")
-        line = statement_to_line(statement)
-        assert statement_from_line(line) == statement
+        assert statement_from_line("s\tp\to\tQ1\tP2\tQ3") == statement
 
     def test_three_column_line(self):
         assert statement_from_line("a\tb\tc") == Statement("a", "b", "c")

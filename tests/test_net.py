@@ -1,14 +1,17 @@
 from __future__ import annotations
 
+import json
 import threading
 import time
 
 import pytest
 import requests
 
-from kgverify.errors import FixtureMissing
+from kgverify.errors import FixtureMissing, ProviderUnavailable, Unavailable
+from kgverify.llm import LlmGateway, ReplicateHttpProvider
 from kgverify.retrieval import GoogleSearchProvider
 from kgverify.store import FixtureStore
+from kgverify.wikidata import WikidataClient
 from kgverify.net import (
     HttpRequest,
     HttpResponse,
@@ -139,15 +142,19 @@ class TestCachingTransport:
         session = requests.Session()
         session.mount("https://", SearchAdapter())
         live = LiveTransport(session=session, retries=0)
-        google = GoogleSearchProvider(
-            FixtureStore(tmp_path, live), api_key="secret-key-123", cx="engine-456"
+        # as a --cache-dir run wires it: the store keeps the hits, the API's GET goes out
+        provider = FixtureStore(
+            tmp_path, GoogleSearchProvider(live, api_key="secret-key-123", cx="engine-456")
         )
-        # as a --cache-dir run wires it: search results and the API's GET both cached
-        provider = FixtureStore(tmp_path, google)
-        first = provider.search("havel playwright", 5)
-        assert provider.search("havel playwright", 5) == first
-        assert google.search("havel playwright", 5) == first
+        first = provider.search("havel playwright", 1)
+        assert provider.search("havel playwright", 1) == first
         assert SearchAdapter.calls == 1
+        assert {p.parent.name for p in tmp_path.rglob("*") if p.is_file()} == {"search"}
+        # an HTTP record of a request that carries them keeps their names only
+        FixtureStore(tmp_path, live).send(HttpRequest.get(
+            GoogleSearchProvider.API_URL,
+            params={"key": "secret-key-123", "cx": "engine-456", "q": "havel playwright"},
+        ))
         files = [p for p in tmp_path.rglob("*") if p.is_file()]
         assert {p.parent.name for p in files} == {"http", "search"}
         for path in files:
@@ -183,12 +190,44 @@ class TestCachingTransport:
         assert FixtureStore(tmp_path).send(req).status == 503
 
 
+def reply(status: int, body: bytes = b"{}", **headers: str) -> tuple:
+    return status, headers, body
+
+
+class ScriptedAdapter(requests.adapters.BaseAdapter):
+    """Answers the n-th request with the n-th scripted reply; the last repeats."""
+
+    def __init__(self, *replies):
+        super().__init__()
+        self.replies = replies
+        self.requests = []
+
+    def send(self, request, **kwargs):
+        self.requests.append((request.method, request.url))
+        status, headers, body = self.replies[min(len(self.requests), len(self.replies)) - 1]
+        resp = requests.Response()
+        resp.status_code = status
+        resp.headers.update({"Content-Type": "application/json", **headers})
+        resp._content = body
+        resp.url = request.url
+        resp.request = request
+        return resp
+
+    def close(self):
+        pass
+
+
+def scripted_transport(*replies):
+    """A LiveTransport over a session that answers from ``replies``; sleeps are recorded."""
+    adapter = ScriptedAdapter(*replies)
+    session = requests.Session()
+    session.mount("https://", adapter)
+    sleeps = []
+    return LiveTransport(session=session, sleeper=sleeps.append), adapter, sleeps
+
+
 class TestLiveTransportRetry:
     def test_retries_connection_errors_then_succeeds(self):
-        import requests
-
-        from kgverify.net import LiveTransport
-
         class FlakySession:
             def __init__(self):
                 self.calls = 0
@@ -212,11 +251,6 @@ class TestLiveTransportRetry:
         assert sleeps == [1.0, 2.0]
 
     def test_exhausted_retries_raise_unavailable(self):
-        import requests
-
-        from kgverify.errors import Unavailable
-        from kgverify.net import LiveTransport
-
         class DeadSession:
             def request(self, method, url, **kwargs):
                 raise requests.ConnectionError("refused")
@@ -224,6 +258,102 @@ class TestLiveTransportRetry:
         transport = LiveTransport(retries=1, session=DeadSession(), sleeper=lambda _: None)
         with pytest.raises(Unavailable, match="refused"):
             transport.send(HttpRequest.get("https://dead.example"))
+
+    def test_5xx_retried_with_backoff(self):
+        transport, adapter, sleeps = scripted_transport(reply(503), reply(503), reply(200, b"ok"))
+        resp = transport.send(HttpRequest.get("https://busy.example/page"))
+        assert (resp.status, resp.body) == (200, b"ok")
+        assert len(adapter.requests) == 3
+        assert sleeps == [1.0, 2.0]
+
+    @pytest.mark.parametrize("retry_after, slept", [("3", 3.0), ("120", 8.0)])
+    def test_429_honours_retry_after_up_to_the_cap(self, retry_after, slept):
+        transport, adapter, sleeps = scripted_transport(
+            reply(429, **{"Retry-After": retry_after}), reply(200))
+        assert transport.send(HttpRequest.get("https://busy.example/page")).status == 200
+        assert len(adapter.requests) == 2
+        assert sleeps == [slept]
+
+    @pytest.mark.parametrize("status", [404, 401])
+    def test_client_errors_are_not_retried(self, status):
+        transport, adapter, sleeps = scripted_transport(reply(status), reply(200))
+        assert transport.send(HttpRequest.get("https://gone.example/page")).status == status
+        assert len(adapter.requests) == 1
+        assert sleeps == []
+
+    def test_last_failing_response_is_returned(self):
+        transport, adapter, sleeps = scripted_transport(reply(503, b"down"))
+        resp = transport.send(HttpRequest.get("https://down.example/page"))
+        assert (resp.status, resp.body) == (503, b"down")
+        assert len(adapter.requests) == 3
+        assert sleeps == [1.0, 2.0]
+
+    def test_backoff_sleep_holds_no_gate_slot(self):
+        """At gate width 1, another request completes while the first backs off."""
+        adapter = ScriptedAdapter(reply(503), reply(200), reply(200))
+        session = requests.Session()
+        session.mount("https://", adapter)
+        others = []
+
+        def sleeper(seconds):
+            other = threading.Thread(
+                target=transport.send, args=(HttpRequest.get("https://other.example/b"),))
+            other.start()
+            other.join(timeout=2)
+            others.append(other)
+
+        transport = LiveTransport(session=session, gate=RequestGate(1), sleeper=sleeper)
+        assert transport.send(HttpRequest.get("https://first.example/a")).status == 200
+        others[0].join(timeout=5)
+        assert not others[0].is_alive()
+        assert adapter.requests == [("GET", "https://first.example/a"),
+                                    ("GET", "https://other.example/b"),
+                                    ("GET", "https://first.example/a")]
+
+    # -- the clients' status mappings over the retrying transport -------------------
+
+    def test_llm_5xx_retried_with_backoff_then_raises(self):
+        transport, adapter, sleeps = scripted_transport(reply(503))
+        gateway = LlmGateway(ReplicateHttpProvider(transport, api_token="token"))
+        with pytest.raises(ProviderUnavailable, match="503"):
+            gateway.complete("p")
+        assert [method for method, _ in adapter.requests] == ["POST"] * 3
+        assert sleeps == [1.0, 2.0]
+
+    def test_llm_recovers_after_transient_failure(self):
+        transport, adapter, sleeps = scripted_transport(
+            reply(503), reply(201, b'{"output": ["recov", "ered"]}'))
+        gateway = LlmGateway(ReplicateHttpProvider(transport, api_token="token"))
+        assert gateway.complete("p").raw_text == "recovered"
+        assert len(adapter.requests) == 2
+        assert sleeps == [1.0]
+
+    def test_llm_401_is_not_retried(self):
+        transport, adapter, sleeps = scripted_transport(reply(401))
+        gateway = LlmGateway(ReplicateHttpProvider(transport, api_token="token"))
+        with pytest.raises(ProviderUnavailable, match="401"):
+            gateway.complete("p")
+        assert len(adapter.requests) == 1
+        assert sleeps == []
+
+    def test_search_429_then_200_returns_hits(self):
+        transport, adapter, sleeps = scripted_transport(
+            reply(429), reply(200, b'{"items": [{"link": "https://hit.example", "title": "Hit"}]}'))
+        provider = GoogleSearchProvider(transport, api_key="key", cx="cx")
+        assert [hit.url for hit in provider.search("havel", 5)] == ["https://hit.example"]
+        assert len(adapter.requests) == 2
+        assert sleeps == [1.0]
+
+    def test_sparql_503_then_200_returns_rows(self):
+        binding = {"prop": {"value": "http://www.wikidata.org/entity/P166"},
+                   "object": {"type": "literal", "value": "Prize"},
+                   "subjectLabel": {"value": "Havel"}}
+        payload = json.dumps({"results": {"bindings": [binding]}}).encode("utf-8")
+        transport, adapter, sleeps = scripted_transport(reply(503), reply(200, payload))
+        rows = WikidataClient(transport).fetch_unsourced_statements("Q36233")
+        assert [row.statement.predicate_id for row in rows] == ["P166"]
+        assert len(adapter.requests) == 2
+        assert sleeps == [1.0]
 
 
 class TestRequestGate:

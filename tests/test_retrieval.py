@@ -68,13 +68,29 @@ class TestWebSearch:
     def test_fixture_store_caches_search_until_ttl_expiry(self, tmp_path):
         live = StubProvider(["https://a.example", "https://b.example"])
         caching = FixtureStore(tmp_path, live, ttl_seconds=0.05)
-        first = caching.search("some query", limit=5)
-        assert caching.search("some query", limit=5) == first
+        first = caching.search("some query", limit=2)
+        assert caching.search("some query", limit=2) == first
         assert live.calls == 1
-        assert FixtureStore(tmp_path).search("some query", limit=5) == first
+        assert FixtureStore(tmp_path).search("some query", limit=2) == first
         time.sleep(0.1)
-        assert caching.search("some query", limit=5) == first
+        assert caching.search("some query", limit=2) == first
         assert live.calls == 2
+
+    def test_fixture_store_short_search_record_is_a_live_miss(self, tmp_path):
+        """A record cached at a smaller --hit-limit does not answer a larger one."""
+        urls = [f"https://x.example/{i}" for i in range(5)]
+        live = StubProvider(urls)
+        caching = FixtureStore(tmp_path, live)
+        assert len(caching.search("some query", limit=2)) == 2
+        assert [h.url for h in caching.search("some query", limit=5)] == urls
+        assert live.calls == 2
+        # the larger record was written back and answers both limits
+        assert len(caching.search("some query", limit=2)) == 2
+        assert len(caching.search("some query", limit=5)) == 5
+        assert live.calls == 2
+        # replay serves whatever was recorded
+        write_search_fixture(tmp_path / "search", "short", [{"url": urls[0]}])
+        assert len(FixtureStore(tmp_path).search("short", limit=5)) == 1
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):
