@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 import sys
+import typing
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -64,6 +65,12 @@ from .wikidata import (
 )
 
 
+_DECISION_MODES = {
+    "precision": DecisionMode.FAVOR_PRECISION,
+    "recall": DecisionMode.FAVOR_RECALL,
+}
+
+
 @dataclass
 class RunConfig:
     sparql_endpoint: str = WIKIDATA_SPARQL_ENDPOINT
@@ -84,65 +91,49 @@ class RunConfig:
     corruption_seed: int = 42
     sample_seed: int = 42
     example_seed: int = 42
-    sparql_requests: int = 2
-    fetch_requests: int = 4
     llm_requests: int = 4
 
     _ENV_PREFIX = "KGVERIFY_"
-    _INT_FIELDS = frozenset({
-        "max_statements", "hit_limit", "chunk_chars", "llm_context_tokens",
-        "corruption_seed", "sample_seed", "example_seed",
-        "sparql_requests", "fetch_requests", "llm_requests",
-    })
-    _FLOAT_FIELDS = frozenset({"cache_ttl_seconds"})
-    _BOOL_FIELDS = frozenset({"replay"})
 
     @classmethod
-    def resolve(cls, config_file: str | None, overrides: dict) -> "RunConfig":
+    def resolve(cls, options: dict) -> "RunConfig":
+        """The config for a command's options; a ``config_file`` option names the file."""
+        config_file = options.pop("config_file", None)
+        # each field's type is its annotation's, less None: int | None -> int
+        kinds = {name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
+                 for name, hint in typing.get_type_hints(cls).items()}
         values: dict = {}
         if config_file:
             try:
                 values.update(json.loads(Path(config_file).read_text(encoding="utf-8")))
             except (OSError, ValueError) as exc:
                 raise click.UsageError(f"cannot read config file {config_file}: {exc}")
-        for field in dataclasses.fields(cls):
-            env_key = cls._ENV_PREFIX + field.name.upper()
+        for name in kinds:
+            env_key = cls._ENV_PREFIX + name.upper()
             if env_key in os.environ:
-                values[field.name] = os.environ[env_key]
-        for key, value in overrides.items():
-            if value is not None:
-                values[key] = value
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(values) - known
+                values[name] = os.environ[env_key]
+        values.update((key, value) for key, value in options.items() if value is not None)
+        unknown = set(values) - set(kinds)
         if unknown:
             raise click.UsageError(f"unknown configuration keys: {', '.join(sorted(unknown))}")
         config = cls()
         for key, value in values.items():
-            if value is not None:
-                try:
-                    if key in cls._BOOL_FIELDS and isinstance(value, str):
-                        value = value.lower() in ("1", "true", "yes", "on")
-                    elif key in cls._INT_FIELDS:
-                        value = int(value)
-                    elif key in cls._FLOAT_FIELDS:
-                        value = float(value)
-                except ValueError as exc:
-                    raise click.UsageError(f"bad value for {key}: {value!r} ({exc})")
+            kind = kinds[key]
+            try:
+                if kind is bool and isinstance(value, str):
+                    value = value.lower() in ("1", "true", "yes", "on")
+                elif kind in (int, float) and value is not None:
+                    value = kind(value)
+            except (TypeError, ValueError) as exc:  # TypeError: a JSON list or object
+                raise click.UsageError(f"bad value for {key}: {value!r} ({exc})")
             setattr(config, key, value)
         if config.replay and not config.fixtures_dir:
             raise click.UsageError("replay mode requires a fixtures directory")
-        for key in ("sparql_requests", "fetch_requests", "llm_requests"):
-            if getattr(config, key) < 1:
-                raise click.UsageError(f"{key} must be at least 1")
+        if config.decision_mode not in _DECISION_MODES:
+            raise click.UsageError(f"unknown decision mode {config.decision_mode!r}")
+        if config.llm_requests < 1:
+            raise click.UsageError("llm_requests must be at least 1")
         return config
-
-    @property
-    def mode(self) -> DecisionMode:
-        if self.decision_mode in ("precision", "favor_precision"):
-            return DecisionMode.FAVOR_PRECISION
-        if self.decision_mode in ("recall", "favor_recall"):
-            return DecisionMode.FAVOR_RECALL
-        raise click.UsageError(f"unknown decision mode {self.decision_mode!r}")
 
 
 class _Runtime:
@@ -167,41 +158,37 @@ class _Runtime:
         root = config.fixtures_dir if config.replay else config.cache_dir
         ttl = None if config.replay else config.cache_ttl_seconds
         self.store = FixtureStore(root, ttl_seconds=ttl) if root else None
-        self.wikidata_transport = self._remote(
-            lambda: LiveTransport(gate=RequestGate(config.sparql_requests)))
-        # pages and the search API share a gate; only pages are cached as HTTP
-        self._live_fetch = None if config.replay else LiveTransport(
-            gate=RequestGate(config.fetch_requests))
-        self.fetch_transport = self._remote(lambda: self._live_fetch)
+        # One gate holds every request in flight to the pool width. The LLM has
+        # its own session, so page hosts never evict its pooled connections; the
+        # other transport serves SPARQL, the wiki APIs, search, pages and the archive.
+        gate = RequestGate(config.llm_requests)
+        self._live = None if config.replay else LiveTransport(gate=gate)
+        self.transport = self.store if config.replay else self._cached(self._live)
         self.search_provider = None  # built by verifier(); a live one needs credentials
-        # completions have their own gate; a store records them but only replay serves them
+        # a store records completions but only replay serves them
         logs = [] if config.replay else [Path(config.out_dir) / "responses.jsonl"]
         if logs and self.store is not None:
             logs.append(self.store.response_log_path)
         self.gateway = LlmGateway(
-            self.store if config.replay else ReplicateHttpProvider(
-                LiveTransport(gate=RequestGate(config.llm_requests))),
+            self.store if config.replay else ReplicateHttpProvider(LiveTransport(gate=gate)),
             params=LlmParams(model=config.model),
             context_tokens=config.llm_context_tokens,
             response_log=ResponseLog(*logs, clock=self.clock) if logs else None,
         )
-        self.fetcher = DocumentFetcher(self.fetch_transport, clock=self.clock)
+        self.fetcher = DocumentFetcher(self.transport, clock=self.clock)
         self.wikidata = WikidataClient(
-            self.wikidata_transport,
+            self.transport,
             endpoint=config.sparql_endpoint,
             api_url=config.wikidata_api,
             wikipedia_api=config.wikipedia_api,
         )
-        # one LLM call in flight per worker, so the LLM knob sizes the fan-out
+        # one request in flight per worker: the same knob sizes the fan-out
         self.pool = ThreadPoolExecutor(
             max_workers=config.llm_requests, thread_name_prefix="kgverify"
         )
 
-    def _remote(self, make_live: Callable[[], Transport | SearchProvider]):
-        """What ``make_live`` builds, behind the store if any; replay builds nothing."""
-        if self.config.replay:
-            return self.store
-        live = make_live()
+    def _cached(self, live: Transport | SearchProvider) -> Transport | SearchProvider:
+        """``live``, read through the store if there is one."""
         return live if self.store is None else self.store.over(live)
 
     def close(self) -> None:
@@ -216,7 +203,8 @@ class _Runtime:
 
     def verifier(self, need_search: bool = False) -> Verifier:
         if need_search and self.search_provider is None:
-            self.search_provider = self._remote(lambda: GoogleSearchProvider(self._live_fetch))
+            self.search_provider = self.store if self.config.replay else self._cached(
+                GoogleSearchProvider(self._live))
         return Verifier(
             gateway=self.gateway,
             fetcher=self.fetcher,
@@ -347,31 +335,40 @@ def _verify_run(
         sys.exit(130)
 
 
-_CONFIG_OPTIONS = [
-    click.option("--config", "config_file", type=click.Path(), default=None,
-                 help="JSON config file; flags and environment override it."),
-    click.option("--out", "out_dir", type=click.Path(), default=None, help="Output directory."),
-    click.option("--replay/--live", "replay", default=None,
-                 help="Replay recorded fixtures instead of touching the network."),
-    click.option("--fixtures", "fixtures_dir", type=click.Path(), default=None,
-                 help="Directory holding recorded fixtures (http/, search/, llm/)."),
-    click.option("--model", default=None, help="LLM model identifier."),
-    click.option("--endpoint", "sparql_endpoint", default=None, help="SPARQL endpoint URL."),
-    click.option("--decision-mode", "decision_mode",
-                 type=click.Choice(["precision", "recall"]), default=None,
-                 help="How the middle option counts in binary decisions."),
-    click.option("--fixed-clock", "fixed_clock", default=None,
-                 help="Pin all timestamps to this ISO instant (for replay)."),
-    click.option("--cache-dir", "cache_dir", type=click.Path(), default=None,
-                 help="Live runs read through and record into this directory, in the "
-                      "layout --replay --fixtures reads."),
-]
+_OPTIONS = {
+    "config": click.option("--config", "config_file", type=click.Path(), default=None,
+                           help="JSON config file; flags and environment override it."),
+    "out": click.option("--out", "out_dir", type=click.Path(), default=None,
+                        help="Output directory."),
+    "replay": click.option("--replay/--live", "replay", default=None,
+                           help="Replay recorded fixtures instead of touching the network."),
+    "fixtures": click.option("--fixtures", "fixtures_dir", type=click.Path(), default=None,
+                             help="Directory holding recorded fixtures (http/, search/, llm/)."),
+    "model": click.option("--model", default=None, help="LLM model identifier."),
+    "fixed-clock": click.option("--fixed-clock", "fixed_clock", default=None,
+                                help="Pin all timestamps to this ISO instant (for replay)."),
+    "cache-dir": click.option("--cache-dir", "cache_dir", type=click.Path(), default=None,
+                              help="Live runs read through and record into this directory, "
+                                   "in the layout --replay --fixtures reads."),
+    "endpoint": click.option("--endpoint", "sparql_endpoint", default=None,
+                             help="SPARQL endpoint URL."),
+    "decision-mode": click.option("--decision-mode", "decision_mode",
+                                  type=click.Choice(list(_DECISION_MODES)), default=None,
+                                  help="How the middle option counts in binary decisions."),
+}
+# every command takes _LOCAL; the commands that ask remote services take _REMOTE
+_LOCAL = ("config", "out")
+_REMOTE = (*_LOCAL, "replay", "fixtures", "model", "fixed-clock", "cache-dir")
 
 
-def config_options(fn):
-    for option in reversed(_CONFIG_OPTIONS):
-        fn = option(fn)
-    return fn
+def config_options(*names: str):
+    """Apply the named shared options, listed in this order in --help."""
+    def decorate(fn):
+        for name in reversed(names):
+            fn = _OPTIONS[name](fn)
+        return fn
+
+    return decorate
 
 
 def _parse_entity(entity: str) -> EntityId:
@@ -379,10 +376,6 @@ def _parse_entity(entity: str) -> EntityId:
         return EntityId.parse(entity)
     except ValueError as exc:
         raise click.UsageError(str(exc))
-
-
-def _resolve(kwargs: dict) -> RunConfig:
-    return RunConfig.resolve(kwargs.pop("config_file", None), kwargs)
 
 
 @click.group()
@@ -393,14 +386,14 @@ def main() -> None:
 
 @main.command("verify-wikidata")
 @click.argument("entity")
-@config_options
+@config_options(*_REMOTE, "endpoint")
 @click.option("--max-statements", type=int, default=None,
               help="Verify at most this many selected statements.")
 @click.option("--hit-limit", type=int, default=None, help="Web-search hits per statement.")
 @guarded
 def cmd_verify_wikidata(entity: str, **kwargs) -> None:
     """Select a subject's unsourced statements and verify them via web search."""
-    config = _resolve(kwargs)
+    config = RunConfig.resolve(kwargs)
     entity_id = _parse_entity(entity)
     runtime = _Runtime(config)
     started = runtime.clock()
@@ -425,12 +418,12 @@ def cmd_verify_wikidata(entity: str, **kwargs) -> None:
 @click.argument("entity")
 @click.option("--statements", "statements_file", type=click.Path(), required=True,
               help="Tab-separated statements file (subject, predicate, object, optional ids).")
-@config_options
+@config_options(*_REMOTE, "endpoint")
 @click.option("--max-statements", type=int, default=None)
 @guarded
 def cmd_verify_wikipedia(entity: str, statements_file: str, **kwargs) -> None:
     """Verify designated statements through the subject's Wikipedia article."""
-    config = _resolve(kwargs)
+    config = RunConfig.resolve(kwargs)
     entity_id = _parse_entity(entity)
     try:
         text = Path(statements_file).read_text(encoding="utf-8")
@@ -462,14 +455,12 @@ def cmd_verify_wikipedia(entity: str, statements_file: str, **kwargs) -> None:
 @main.command("build-dataset")
 @click.option("--biored", "biored_path", type=click.Path(), required=True,
               help="Directory (or single file) of the source BioC JSON distribution.")
-@click.option("--seed", type=int, default=None, help="Corruption seed.")
-@config_options
+@click.option("--seed", "corruption_seed", type=int, default=None, help="Corruption seed.")
+@config_options(*_LOCAL)
 @guarded
-def cmd_build_dataset(biored_path: str, seed: int | None, **kwargs) -> None:
+def cmd_build_dataset(biored_path: str, **kwargs) -> None:
     """Build the verification benchmark: positives plus corrupted negatives."""
-    config = _resolve(kwargs)
-    if seed is not None:
-        config.corruption_seed = seed
+    config = RunConfig.resolve(kwargs)
     docs = datasets.load_biored(biored_path)
     click.echo(f"loaded {len(docs)} documents", err=True)
     positives = datasets.extract_positives(docs)
@@ -500,12 +491,12 @@ def cmd_build_dataset(biored_path: str, seed: int | None, **kwargs) -> None:
               help="For --task nli: evaluate this many records sampled from the split.")
 @click.option("--snli-train", "snli_train", type=click.Path(), default=None,
               help="For --task nli: training split for the few-shot examples.")
-@config_options
+@config_options(*_REMOTE, "decision-mode")
 @guarded
 def cmd_evaluate(dataset_path: str, task: str, sample: int | None, snli_train: str | None,
                  **kwargs) -> None:
     """Run the benchmark protocol over a dataset and emit metric tables."""
-    config = _resolve(kwargs)
+    config = RunConfig.resolve(kwargs)
     if task == "triples":
         results = _evaluate_triples(config, dataset_path)
     else:
@@ -551,7 +542,8 @@ def _evaluate_triples(config: RunConfig, dataset_path: str) -> dict:
     if not instances:
         raise MalformedInput(f"{dataset_path}: empty dataset")
     with _Runtime(config) as runtime:  # built once the inputs are known to be good
-        predictions = _judge_triples(runtime.pool, runtime.gateway, instances, config.mode)
+        predictions = _judge_triples(runtime.pool, runtime.gateway, instances,
+                                     _DECISION_MODES[config.decision_mode])
     grouped: dict[tuple[str, tuple[str, str]], list] = {}
     for instance, predicted in zip(instances, predictions):
         grouped.setdefault((instance.relation_type, instance.concept_pair), []).append(
@@ -629,11 +621,11 @@ def _evaluate_nli(config: RunConfig, dataset_path: str, snli_train: str | None,
 
 @main.command("report")
 @click.argument("xml_file", type=click.Path(exists=True))
-@config_options
+@config_options(*_LOCAL)
 @guarded
 def cmd_report(xml_file: str, **kwargs) -> None:
     """Re-render the HTML report from an existing XML process trace."""
-    config = _resolve(kwargs)
+    config = RunConfig.resolve(kwargs)
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     xml_bytes = Path(xml_file).read_bytes()

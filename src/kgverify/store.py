@@ -33,9 +33,13 @@ def query_key(query: str) -> str:
     return hashlib.sha256(query.encode("utf-8")).hexdigest()[:24]
 
 
-def write_search_fixture(directory: Path | str, query: str, hits: list[dict]) -> Path:
+def write_search_fixture(directory: Path | str, query: str, hits: list[dict],
+                         limit: int | None = None) -> Path:
+    """Write one query's hits; ``limit``, if given, is the hit limit they answered."""
     path = Path(directory) / f"{query_key(query)}.json"
     record = {"query": query, "hits": hits}
+    if limit is not None:
+        record["limit"] = limit
     atomic_write(path, (json.dumps(record, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
     return path
 
@@ -48,8 +52,9 @@ class FixtureStore:
     search provider it caches through: a record younger than ``ttl_seconds``
     (if given) answers, anything else is asked live and written back. Error
     responses are written too, so the run replays, but never answer in place
-    of a live request, and neither does a search record with fewer hits than
-    asked for. Completions are only replayed; a live run records them with a
+    of a live request. A search record answers any limit up to the one it was
+    asked with, or up to its hit count if it names none (the bundled fixtures
+    do not). Completions are only replayed; a live run records them with a
     ``ResponseLog`` on ``response_log_path``.
     """
 
@@ -93,7 +98,8 @@ class FixtureStore:
     def search(self, query: str, limit: int) -> list[SearchHit]:
         key = query_key(query)
         record = self._recorded(self.directory / "search" / f"{key}.json")
-        if record is not None and (self._live is None or len(record["hits"]) >= limit):
+        if record is not None and (self._live is None
+                                   or limit <= max(len(record["hits"]), record.get("limit", 0))):
             return [
                 SearchHit(url=h["url"], rank=i + 1, title=h.get("title"))
                 for i, h in enumerate(record["hits"][:limit])
@@ -102,7 +108,7 @@ class FixtureStore:
             raise FixtureMissing(f"no recorded search results for query {query!r} (key {key})")
         hits = self._live.search(query, limit)
         write_search_fixture(self.directory / "search", query,
-                             [{"url": hit.url, "title": hit.title} for hit in hits])
+                             [{"url": hit.url, "title": hit.title} for hit in hits], limit)
         return hits
 
     @functools.cached_property

@@ -34,34 +34,42 @@ UC2 = (["verify-wikipedia", "Q179924", "--statements", str(FIXTURES / "biolum_st
         "--model", "gpt-4-1106-preview"], "verify-wikipedia-Q179924")
 
 
-@pytest.fixture
-def live_remote(monkeypatch):
-    """Answers every live request in-process from the bundled replay fixtures:
-    LLM completions, search API results, pages and API responses. Returns the
-    (method, url) of each request it answered."""
+def answer_from_fixtures(req):
+    """What the live remote side answers, from the bundled replay fixtures: LLM
+    completions, search API results, pages and API responses."""
     from kgverify.llm import LlmParams
-    from kgverify.net import HttpResponse, LiveTransport
+    from kgverify.net import HttpResponse
     from kgverify.retrieval import GoogleSearchProvider
     from kgverify.store import FixtureStore
 
     recorded = FixtureStore(REPLAY_DIR)
-    asked = []
 
     def answer(status, payload):
         return HttpResponse(status=status, headers={"content-type": "application/json"},
                             body=json.dumps(payload).encode("utf-8"))
 
+    if req.method == "POST":
+        model = req.url.split("/models/", 1)[1].rsplit("/predictions", 1)[0]
+        prompt = json.loads(req.body)["input"]["prompt"]
+        return answer(201, {"output": recorded.complete(LlmParams(model=model), prompt)})
+    if req.url == GoogleSearchProvider.API_URL:
+        params = dict(req.params)
+        hits = recorded.search(params["q"], int(params["num"]))
+        return answer(200, {"items": [{"link": h.url, "title": h.title} for h in hits]})
+    return recorded.send(req)
+
+
+@pytest.fixture
+def live_remote(monkeypatch):
+    """Answers every live request in-process with ``answer_from_fixtures``.
+    Returns the (method, url) of each request it answered."""
+    from kgverify.net import LiveTransport
+
+    asked = []
+
     def remote(self, req):
         asked.append((req.method, req.url))
-        if req.method == "POST":
-            model = req.url.split("/models/", 1)[1].rsplit("/predictions", 1)[0]
-            prompt = json.loads(req.body)["input"]["prompt"]
-            return answer(201, {"output": recorded.complete(LlmParams(model=model), prompt)})
-        if req.url == GoogleSearchProvider.API_URL:
-            params = dict(req.params)
-            hits = recorded.search(params["q"], int(params["num"]))
-            return answer(200, {"items": [{"link": h.url, "title": h.title} for h in hits]})
-        return recorded.send(req)
+        return answer_from_fixtures(req)
 
     monkeypatch.setattr(LiveTransport, "send", remote)
     monkeypatch.setenv("KGVERIFY_LLM_TOKEN", "test-token")
@@ -261,8 +269,54 @@ class TestVerifyWikipedia:
         assert "cannot read statements file" in result.output
 
 
+class TestConfig:
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--task", "triples", "--live", "--dataset", "dataset/biored_verify.jsonl"],
+        [*UC1[0], "--replay", "--fixtures", str(REPLAY_DIR)],
+    ])
+    def test_unknown_decision_mode_is_a_usage_error(self, runner, tmp_path, monkeypatch,
+                                                    command):
+        monkeypatch.chdir(tmp_path)
+        result = runner.invoke(main, ["build-dataset", "--biored", str(FIXTURES / "biored_mini"),
+                                      "--out", "dataset"])
+        assert result.exit_code == 0, result.output
+        # no LLM token: building a live runtime would fail with exit 4 instead
+        monkeypatch.delenv("KGVERIFY_LLM_TOKEN", raising=False)
+        monkeypatch.setenv("KGVERIFY_DECISION_MODE", "bogus")
+        result = runner.invoke(main, [*command, "--out", "out"])
+        assert result.exit_code == 2, result.output
+        assert "unknown decision mode 'bogus'" in result.output
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("payload,message", [
+        ({"hit_limit": [5]}, "bad value for hit_limit"),
+        ({"sparql_requests": 2, "fetch_requests": 4},
+         "unknown configuration keys: fetch_requests, sparql_requests"),
+    ])
+    def test_bad_config_file_is_a_usage_error(self, runner, tmp_path, payload, message):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(payload))
+        result = runner.invoke(main, [*UC1[0], *replay_args(tmp_path), "--config", str(config)])
+        assert result.exit_code == 2
+        assert message in result.output
+
+    @pytest.mark.parametrize("command,option", [
+        (["report", "x.xml"], "--replay"),
+        (["report", "x.xml"], "--model"),
+        (["build-dataset", "--biored", "x"], "--fixed-clock"),
+        (["build-dataset", "--biored", "x"], "--endpoint"),
+        (UC1[0], "--decision-mode"),
+        (["evaluate", "--dataset", "x"], "--endpoint"),
+    ])
+    def test_commands_take_only_the_options_they_read(self, runner, command, option):
+        result = runner.invoke(main, [*command, option, "x"])
+        assert result.exit_code == 2
+        assert "No such option" in result.output and option in result.output
+
+
 class TestBuildDataset:
-    def test_mini_corpus(self, runner, tmp_path):
+    def test_mini_corpus(self, runner, tmp_path, monkeypatch):
+        monkeypatch.setenv("KGVERIFY_CORRUPTION_SEED", "7")  # --seed wins
         out = tmp_path / "out"
         result = runner.invoke(main, [
             "build-dataset", "--biored", str(FIXTURES / "biored_mini"),
@@ -274,6 +328,7 @@ class TestBuildDataset:
         assert len(instances) == 10
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["dataset"]["relations"]["Negative_Correlation"]["positives"] == 2
+        assert manifest["seeds"]["corruption"] == manifest["config"]["corruption_seed"] == 42
 
     def test_rerun_same_seed_byte_identical(self, runner, tmp_path):
         outputs = []
@@ -538,6 +593,45 @@ class TestPoolWidth:
         ])
         assert result.exit_code == 2
         assert "llm_requests" in result.output
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_requests_in_flight_never_exceed_the_width(self, runner, tmp_path, monkeypatch,
+                                                       width):
+        """Across every remote (wiki APIs, pages, the archive, the LLM) at once,
+        a live run has at most llm_requests requests in flight."""
+        import requests
+
+        from kgverify.net import HttpRequest
+
+        lock = threading.Lock()
+        seen = {"in_flight": 0, "peak": 0, "requests": 0}
+
+        def slow_remote(session, method, url, params=None, data=None, **kwargs):
+            with lock:
+                seen["in_flight"] += 1
+                seen["requests"] += 1
+                seen["peak"] = max(seen["peak"], seen["in_flight"])
+            try:
+                time.sleep(0.01)
+                answer = answer_from_fixtures(
+                    HttpRequest(method, url, tuple(sorted((params or {}).items())), body=data))
+            finally:
+                with lock:
+                    seen["in_flight"] -= 1
+            resp = requests.Response()
+            resp.status_code, resp._content, resp.url = answer.status, answer.body, answer.url
+            resp.headers.update(answer.headers)
+            return resp
+
+        monkeypatch.setattr(requests.Session, "request", slow_remote)
+        monkeypatch.setenv("KGVERIFY_LLM_TOKEN", "test-token")
+        monkeypatch.setenv("KGVERIFY_LLM_REQUESTS", str(width))
+        result = runner.invoke(main, [*UC2[0], "--live", "--out", str(tmp_path),
+                                      "--fixed-clock", "2024-03-02T13:27:25Z"])
+        assert result.exit_code == 0, result.output
+        assert seen["requests"] > 10
+        assert seen["peak"] <= width
+        assert seen["peak"] > 1 or width == 1  # the run did fan out
 
 
 class TestInterrupt:

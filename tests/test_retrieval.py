@@ -92,6 +92,19 @@ class TestWebSearch:
         write_search_fixture(tmp_path / "search", "short", [{"url": urls[0]}])
         assert len(FixtureStore(tmp_path).search("short", limit=5)) == 1
 
+    def test_fixture_store_short_complete_answer_is_a_hit(self, tmp_path):
+        """A 2-hit answer to limit 5 is complete: it answers any limit up to 5."""
+        live = StubProvider(["https://a.example", "https://b.example"])
+        caching = FixtureStore(tmp_path, live)
+        first = caching.search("some query", limit=5)
+        assert len(first) == 2
+        assert caching.search("some query", limit=5) == first
+        assert caching.search("some query", limit=3) == first
+        assert live.calls == 1
+        # a limit above the recorded one is asked live
+        assert caching.search("some query", limit=6) == first
+        assert live.calls == 2
+
     def test_rank_validation(self):
         with pytest.raises(ValueError):
             SearchHit(url="https://x.example", rank=0)
