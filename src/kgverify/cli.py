@@ -41,7 +41,7 @@ from .model import (
     statements_from_text,
     verdict_to_binary,
 )
-from .net import LiveTransport, RequestGate, Transport
+from .net import LiveTransport, RequestGate
 from .prompting import (
     NLI_TEMPLATE,
     RDF_TEMPLATE,
@@ -51,7 +51,7 @@ from .prompting import (
     render_rdf_prompt,
     template_digest,
 )
-from .retrieval import DocumentFetcher, GoogleSearchProvider, SearchProvider
+from .retrieval import DocumentFetcher, GoogleSearchProvider
 from .store import FixtureStore
 from .verifier import VerificationSession, Verifier, map_in_order
 from .wikidata import (
@@ -69,6 +69,14 @@ _DECISION_MODES = {
     "precision": DecisionMode.FAVOR_PRECISION,
     "recall": DecisionMode.FAVOR_RECALL,
 }
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_instant(text: str) -> datetime:
+    """An ISO 8601 instant, UTC if it names no zone; ``ValueError`` if it is none."""
+    instant = datetime.fromisoformat(str(text).replace("Z", "+00:00"))
+    return instant if instant.tzinfo else instant.replace(tzinfo=timezone.utc)
 
 
 @dataclass
@@ -121,9 +129,13 @@ class RunConfig:
             kind = kinds[key]
             try:
                 if kind is bool and isinstance(value, str):
-                    value = value.lower() in ("1", "true", "yes", "on")
+                    if value.lower() not in _BOOLEANS:
+                        raise ValueError("not one of 1/true/yes/on or 0/false/no/off")
+                    value = _BOOLEANS[value.lower()]
                 elif kind in (int, float) and value is not None:
                     value = kind(value)
+                elif key == "fixed_clock" and value:
+                    _parse_instant(value)  # the runtime parses it again
             except (TypeError, ValueError) as exc:  # TypeError: a JSON list or object
                 raise click.UsageError(f"bad value for {key}: {value!r} ({exc})")
             setattr(config, key, value)
@@ -147,9 +159,7 @@ class _Runtime:
     def __init__(self, config: RunConfig):
         self.config = config
         if config.fixed_clock:
-            instant = datetime.fromisoformat(config.fixed_clock.replace("Z", "+00:00"))
-            if instant.tzinfo is None:
-                instant = instant.replace(tzinfo=timezone.utc)
+            instant = _parse_instant(config.fixed_clock)
             self.clock = lambda: instant
         else:
             self.clock = lambda: datetime.now(timezone.utc)
@@ -162,9 +172,11 @@ class _Runtime:
         # its own session, so page hosts never evict its pooled connections; the
         # other transport serves SPARQL, the wiki APIs, search, pages and the archive.
         gate = RequestGate(config.llm_requests)
-        self._live = None if config.replay else LiveTransport(gate=gate)
-        self.transport = self.store if config.replay else self._cached(self._live)
-        self.search_provider = None  # built by verifier(); a live one needs credentials
+        if config.replay:
+            self.transport = self.store
+        else:
+            live = LiveTransport(gate=gate)
+            self.transport = live if self.store is None else self.store.over(live)
         # a store records completions but only replay serves them
         logs = [] if config.replay else [Path(config.out_dir) / "responses.jsonl"]
         if logs and self.store is not None:
@@ -187,10 +199,6 @@ class _Runtime:
             max_workers=config.llm_requests, thread_name_prefix="kgverify"
         )
 
-    def _cached(self, live: Transport | SearchProvider) -> Transport | SearchProvider:
-        """``live``, read through the store if there is one."""
-        return live if self.store is None else self.store.over(live)
-
     def close(self) -> None:
         """Stop the worker pool; queued tasks are dropped, running ones finish."""
         self.pool.shutdown(wait=True, cancel_futures=True)
@@ -202,13 +210,14 @@ class _Runtime:
         self.close()
 
     def verifier(self, need_search: bool = False) -> Verifier:
-        if need_search and self.search_provider is None:
-            self.search_provider = self.store if self.config.replay else self._cached(
-                GoogleSearchProvider(self._live))
+        search_provider = None
+        if need_search:  # a live one needs credentials; replay gets placeholders
+            credentials = ("replay", "replay") if self.config.replay else ()
+            search_provider = GoogleSearchProvider(self.transport, *credentials)
         return Verifier(
             gateway=self.gateway,
             fetcher=self.fetcher,
-            search_provider=self.search_provider,
+            search_provider=search_provider,
             wikidata=self.wikidata,
             chunk_chars=self.config.chunk_chars,
             clock=self.clock,
@@ -343,7 +352,7 @@ _OPTIONS = {
     "replay": click.option("--replay/--live", "replay", default=None,
                            help="Replay recorded fixtures instead of touching the network."),
     "fixtures": click.option("--fixtures", "fixtures_dir", type=click.Path(), default=None,
-                             help="Directory holding recorded fixtures (http/, search/, llm/)."),
+                             help="Directory holding recorded fixtures (http/, llm/)."),
     "model": click.option("--model", default=None, help="LLM model identifier."),
     "fixed-clock": click.option("--fixed-clock", "fixed_clock", default=None,
                                 help="Pin all timestamps to this ISO instant (for replay)."),

@@ -9,6 +9,7 @@ unreadable response is a value (unparseable), never an exception.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -61,16 +62,7 @@ class LlmResponse:
 
 def completion_fingerprint(params: LlmParams, prompt: str) -> str:
     """Deterministic identity of a completion request (params + prompts)."""
-    descriptor = {
-        "model": params.model,
-        "seed": params.seed,
-        "top_p": params.top_p,
-        "temperature": params.temperature,
-        "max_new_tokens": params.max_new_tokens,
-        "min_new_tokens": params.min_new_tokens,
-        "system_prompt": params.system_prompt,
-        "prompt": prompt,
-    }
+    descriptor = {**dataclasses.asdict(params), "prompt": prompt}
     return hashlib.sha256(canonical_json(descriptor).encode("utf-8")).hexdigest()[:24]
 
 

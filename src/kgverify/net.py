@@ -91,12 +91,18 @@ class HttpResponse:
         return json.loads(self.body.decode("utf-8"))
 
 
+# Query parameters that carry credentials (the search API's key and engine id).
+# A request's fingerprint leaves them out, so replay needs no credentials and a
+# record answers whatever credentials a run has; records keep their names only.
+CREDENTIAL_PARAMS = frozenset({"key", "cx"})
+
+
 def request_fingerprint(req: HttpRequest) -> str:
-    """Stable identity for a request: method, url, params, and body."""
+    """Stable identity for a request: method, url, params less credentials, and body."""
     descriptor = {
         "method": req.method.upper(),
         "url": req.url,
-        "params": list(req.params),
+        "params": [param for param in req.params if param[0] not in CREDENTIAL_PARAMS],
         "body": base64.b64encode(req.body).decode("ascii") if req.body else None,
     }
     return hashlib.sha256(canonical_json(descriptor).encode("utf-8")).hexdigest()[:24]
@@ -183,12 +189,6 @@ class LiveTransport:
 
 
 # -- fixture serialization -----------------------------------------------------
-
-
-# Query parameters that carry credentials (the search API's key and engine id);
-# records keep their names but never their values. Replay finds a record by
-# the request's fingerprint, so it does not need them.
-CREDENTIAL_PARAMS = frozenset({"key", "cx"})
 
 
 def response_to_record(req: HttpRequest, resp: HttpResponse) -> dict:

@@ -30,12 +30,6 @@ OPTION_TEXTS = {
     "c": "The RDF statement definitely cannot be inferred from the snippet.",
 }
 
-NLI_OPTION_LETTERS = {
-    NliLabel.ENTAILMENT: "a",
-    NliLabel.NEUTRAL: "b",
-    NliLabel.CONTRADICTION: "c",
-}
-
 
 @lru_cache(maxsize=None)
 def template_text(name: str) -> str:

@@ -1,9 +1,9 @@
 """Grounding-document retrieval: web search, fetching, and chunking.
 
-Search providers are pluggable (``kgverify.store`` replays recorded ones);
-document fetching extracts paragraph text from HTML only, falls back to the
-web archive for dead links, and packs paragraphs into size-bounded chunks for
-models with tight input budgets.
+Search providers are pluggable (``kgverify.store`` records and replays the
+live one's GET like any other request); document fetching extracts paragraph
+text from HTML only, falls back to the web archive for dead links, and packs
+paragraphs into size-bounded chunks for models with tight input budgets.
 """
 
 from __future__ import annotations

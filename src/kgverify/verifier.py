@@ -59,7 +59,7 @@ logger = logging.getLogger(__name__)
 
 # Chunk verdicts that trigger the per-paragraph drill-down. Final confirmation
 # still requires direct proof at the paragraph and primary-source levels.
-DEFAULT_DRILLDOWN_POSITIVE = frozenset({VerdictKind.DIRECT_PROOF, VerdictKind.INDICATION})
+DRILLDOWN_POSITIVE = frozenset({VerdictKind.DIRECT_PROOF, VerdictKind.INDICATION})
 
 _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
@@ -264,7 +264,6 @@ class Verifier:
         search_provider: SearchProvider | None = None,
         wikidata: WikidataClient | None = None,
         chunk_chars: int = DEFAULT_CHUNK_CHARS,
-        drilldown_positive: frozenset[VerdictKind] = DEFAULT_DRILLDOWN_POSITIVE,
         clock: Callable[[], datetime] | None = None,
         pool: Executor | None = None,
     ):
@@ -273,7 +272,6 @@ class Verifier:
         self.search_provider = search_provider
         self.wikidata = wikidata
         self.chunk_chars = chunk_chars
-        self.drilldown_positive = drilldown_positive
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self.pool = pool
         self._articles: dict[str, _WikipediaArticle] = {}
@@ -411,7 +409,7 @@ class Verifier:
         for chunk, (verdict, _) in zip(chunks, judged):
             members = article.paragraphs[offset : offset + len(chunk.paragraphs)]
             offset += len(chunk.paragraphs)
-            if verdict.kind in self.drilldown_positive:
+            if verdict.kind in DRILLDOWN_POSITIVE:
                 candidates.extend(p for p in members if len(p.text) >= MIN_PARAGRAPH_CHARS)
         judged = map_in_order(self.pool, lambda p: self._judge(statement, p.text), candidates)
         session.paragraphs_queried += len(chunks) + len(candidates)

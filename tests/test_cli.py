@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
-from kgverify.cli import main
+from kgverify.cli import RunConfig, main
 from kgverify.datasets import read_instances
 from kgverify.errors import ContextOverflow, ProviderUnavailable
 from kgverify.llm import LlmGateway
@@ -34,12 +34,16 @@ UC2 = (["verify-wikipedia", "Q179924", "--statements", str(FIXTURES / "biolum_st
         "--model", "gpt-4-1106-preview"], "verify-wikipedia-Q179924")
 
 
+# what a live run's environment holds; no recorded file may hold any of it
+CREDENTIALS = {"KGVERIFY_LLM_TOKEN": "test-token-1f3a", "KGVERIFY_SEARCH_KEY": "test-key-7c2e",
+               "KGVERIFY_SEARCH_CX": "test-cx-94b0"}
+
+
 def answer_from_fixtures(req):
     """What the live remote side answers, from the bundled replay fixtures: LLM
     completions, search API results, pages and API responses."""
     from kgverify.llm import LlmParams
     from kgverify.net import HttpResponse
-    from kgverify.retrieval import GoogleSearchProvider
     from kgverify.store import FixtureStore
 
     recorded = FixtureStore(REPLAY_DIR)
@@ -52,10 +56,6 @@ def answer_from_fixtures(req):
         model = req.url.split("/models/", 1)[1].rsplit("/predictions", 1)[0]
         prompt = json.loads(req.body)["input"]["prompt"]
         return answer(201, {"output": recorded.complete(LlmParams(model=model), prompt)})
-    if req.url == GoogleSearchProvider.API_URL:
-        params = dict(req.params)
-        hits = recorded.search(params["q"], int(params["num"]))
-        return answer(200, {"items": [{"link": h.url, "title": h.title} for h in hits]})
     return recorded.send(req)
 
 
@@ -72,9 +72,8 @@ def live_remote(monkeypatch):
         return answer_from_fixtures(req)
 
     monkeypatch.setattr(LiveTransport, "send", remote)
-    monkeypatch.setenv("KGVERIFY_LLM_TOKEN", "test-token")
-    monkeypatch.setenv("KGVERIFY_SEARCH_KEY", "test-key")
-    monkeypatch.setenv("KGVERIFY_SEARCH_CX", "test-cx")
+    for name, value in CREDENTIALS.items():
+        monkeypatch.setenv(name, value)
     return asked
 
 
@@ -107,6 +106,26 @@ class TestVerifyWikidata:
         html_a = (out_a / "verify-wikidata-Q36233.html").read_bytes()
         assert html_a == (out_b / "verify-wikidata-Q36233.html").read_bytes()
 
+    def test_havel_replays_without_credentials(self, runner, tmp_path, monkeypatch):
+        """Replay needs no credentials, and the ones a run has change nothing."""
+        outputs = []
+        for credentials in ({}, CREDENTIALS):
+            for name in CREDENTIALS:
+                monkeypatch.delenv(name, raising=False)
+            for name, value in credentials.items():
+                monkeypatch.setenv(name, value)
+            out = tmp_path / str(len(credentials))
+            result = runner.invoke(main, [*UC1[0], *replay_args(out)])
+            assert result.exit_code == 0, result.output
+            outputs.append([(out / f"{UC1[1]}.{ext}").read_bytes() for ext in ("xml", "html")])
+        assert outputs[0] == outputs[1]
+
+    def test_replay_at_another_hit_limit_is_a_missing_fixture(self, runner, tmp_path):
+        """The search record answers the hit limit it was recorded at, and no other."""
+        result = runner.invoke(main, [*UC1[0], "--hit-limit", "4", *replay_args(tmp_path)])
+        assert result.exit_code == 5, result.output
+        assert "customsearch" in result.output and "fingerprint" in result.output
+
     def test_missing_fixture_exit_code(self, runner, tmp_path):
         result = runner.invoke(main, [
             "verify-wikidata", "Q99999999", *replay_args(tmp_path),
@@ -127,7 +146,6 @@ class TestVerifyWikidata:
         )
 
         fixtures = tmp_path / "fixtures"
-        (fixtures / "search").mkdir(parents=True)
         (fixtures / "llm").mkdir(parents=True)
         (fixtures / "llm" / "responses.jsonl").write_text("", encoding="utf-8")
         sparql_req = HttpRequest.get(
@@ -299,6 +317,39 @@ class TestConfig:
         result = runner.invoke(main, [*UC1[0], *replay_args(tmp_path), "--config", str(config)])
         assert result.exit_code == 2
         assert message in result.output
+
+    @pytest.mark.parametrize("text,value", [
+        ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+        ("0", False), ("False", False), ("NO", False), ("off", False),
+    ])
+    def test_boolean_spellings(self, monkeypatch, text, value):
+        monkeypatch.setenv("KGVERIFY_REPLAY", text)
+        monkeypatch.setenv("KGVERIFY_FIXTURES_DIR", str(REPLAY_DIR))
+        assert RunConfig.resolve({}).replay is value
+
+    @pytest.mark.parametrize("key,value,source", [
+        ("replay", "ture", "environment"),
+        ("replay", "ture", "config file"),
+        ("fixed_clock", "bogus", "environment"),
+        ("fixed_clock", "bogus", "flag"),
+    ])
+    def test_bad_value_is_a_usage_error_before_any_runtime(self, runner, tmp_path, monkeypatch,
+                                                           key, value, source):
+        # with no LLM token, building a live runtime (a misread replay) would exit 4
+        monkeypatch.delenv("KGVERIFY_LLM_TOKEN", raising=False)
+        args = [*UC1[0], "--fixtures", str(REPLAY_DIR), "--out", str(tmp_path / "out")]
+        if source == "environment":
+            monkeypatch.setenv(f"KGVERIFY_{key.upper()}", value)
+        elif source == "config file":
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({key: value}))
+            args += ["--config", str(config)]
+        else:
+            args += ["--fixed-clock", value]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert f"bad value for {key}: {value!r}" in result.output
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command,option", [
         (["report", "x.xml"], "--replay"),
@@ -697,20 +748,26 @@ class TestLiveWithCache:
         assert (cache / "llm" / "responses.jsonl").read_text() == (
             log_text + (tmp_path / "again" / "responses.jsonl").read_text())
 
-    def test_search_api_get_stays_out_of_the_http_cache(self, runner, tmp_path, live_remote):
-        """The store keeps a cached run's search hits under search/; the search
-        API's own GET, which replay never reads, is not recorded in http/."""
+    def test_search_api_get_is_cached_in_http(self, runner, tmp_path, live_remote,
+                                              monkeypatch):
+        """A cached run records the search API's GET in http/ like any other
+        request, without its credentials; a run with another key hits it."""
         from kgverify.retrieval import GoogleSearchProvider
 
         cache = tmp_path / "cache"
-        result = runner.invoke(main, [*UC1[0], "--live", "--cache-dir", str(cache),
-                                      "--out", str(tmp_path / "out")])
-        assert result.exit_code == 0, result.output
-        assert (GoogleSearchProvider.API_URL, "GET") in {
-            (url, method) for method, url in live_remote}
-        assert list((cache / "search").iterdir())
-        urls = {json.loads(p.read_text())["request"]["url"] for p in (cache / "http").iterdir()}
-        assert GoogleSearchProvider.API_URL not in urls
+        searches = []
+        for key in ("first-key", "second-key"):
+            monkeypatch.setenv("KGVERIFY_SEARCH_KEY", key)
+            result = runner.invoke(main, [*UC1[0], "--live", "--cache-dir", str(cache),
+                                          "--out", str(tmp_path / key)])
+            assert result.exit_code == 0, result.output
+            searches.append(live_remote.count(("GET", GoogleSearchProvider.API_URL)))
+        assert searches == [1, 1]
+        records = [json.loads(p.read_text()) for p in (cache / "http").iterdir()]
+        (search,) = [r for r in records if r["request"]["url"] == GoogleSearchProvider.API_URL]
+        params = dict(search["request"]["params"])
+        assert params["key"] == params["cx"] == "<redacted>"
+        assert params["num"] == "5"
 
     def test_replay_of_the_cache_matches_the_live_run(self, runner, tmp_path, live_remote):
         """--replay --fixtures C reproduces, byte for byte, the reports of the
@@ -721,7 +778,11 @@ class TestLiveWithCache:
             result = runner.invoke(main, [*command, "--live", "--cache-dir", str(cache),
                                           "--out", str(tmp_path / "live"), *clock])
             assert result.exit_code == 0, result.output
-        assert {p.name for p in cache.iterdir()} == {"http", "search", "llm"}
+        assert {p.name for p in cache.iterdir()} == {"http", "llm"}
+        for path in cache.rglob("*"):
+            if path.is_file():
+                data = path.read_bytes()
+                assert not any(secret.encode() in data for secret in CREDENTIALS.values())
         asked = len(live_remote)
         for command, run_id in (UC1, UC2):
             result = runner.invoke(main, [*command, *replay_args(tmp_path / "replay", cache)])

@@ -9,7 +9,7 @@ import requests
 
 from kgverify.errors import FixtureMissing, ProviderUnavailable, Unavailable
 from kgverify.llm import LlmGateway, ReplicateHttpProvider
-from kgverify.retrieval import GoogleSearchProvider
+from kgverify.retrieval import GoogleSearchProvider, SearchHit
 from kgverify.store import FixtureStore
 from kgverify.wikidata import WikidataClient
 from kgverify.net import (
@@ -47,6 +47,13 @@ class TestFingerprint:
         a = HttpRequest.get("https://x.example", headers={"Accept": "text/html"})
         b = HttpRequest.get("https://x.example")
         assert request_fingerprint(a) == request_fingerprint(b)
+
+    def test_credentials_excluded(self):
+        a = HttpRequest.get("https://x.example", params={"q": "1", "key": "k1", "cx": "c1"})
+        b = HttpRequest.get("https://x.example", params={"q": "1", "key": "k2", "cx": "c2"})
+        assert request_fingerprint(a) == request_fingerprint(b)
+        assert request_fingerprint(a) == request_fingerprint(
+            HttpRequest.get("https://x.example", params={"q": "1"}))
 
     def test_sensitive_to_url_params_and_body(self):
         base = HttpRequest.get("https://x.example")
@@ -118,7 +125,7 @@ class TestFixtureTransport:
 
 
 class TestCachingTransport:
-    """The fixture store caching ``http/`` (and ``search/``) through a live side."""
+    """The fixture store caching ``http/`` through a live side."""
 
     def test_search_credentials_never_reach_the_cache(self, tmp_path):
         class SearchAdapter(requests.adapters.BaseAdapter):
@@ -142,24 +149,24 @@ class TestCachingTransport:
         session = requests.Session()
         session.mount("https://", SearchAdapter())
         live = LiveTransport(session=session, retries=0)
-        # as a --cache-dir run wires it: the store keeps the hits, the API's GET goes out
-        provider = FixtureStore(
-            tmp_path, GoogleSearchProvider(live, api_key="secret-key-123", cx="engine-456")
-        )
-        first = provider.search("havel playwright", 1)
-        assert provider.search("havel playwright", 1) == first
+        # as a --cache-dir run wires it: the search API's GET is read through http/
+        first = GoogleSearchProvider(
+            FixtureStore(tmp_path, live), api_key="secret-key-123", cx="engine-456"
+        ).search("havel playwright", 1)
+        assert first == [SearchHit(url="https://hit.example", rank=1, title="Hit")]
+        # a run with other credentials hits the same record
+        assert GoogleSearchProvider(
+            FixtureStore(tmp_path, live), api_key="another-key", cx="another-cx"
+        ).search("havel playwright", 1) == first
         assert SearchAdapter.calls == 1
-        assert {p.parent.name for p in tmp_path.rglob("*") if p.is_file()} == {"search"}
-        # an HTTP record of a request that carries them keeps their names only
-        FixtureStore(tmp_path, live).send(HttpRequest.get(
-            GoogleSearchProvider.API_URL,
-            params={"key": "secret-key-123", "cx": "engine-456", "q": "havel playwright"},
-        ))
         files = [p for p in tmp_path.rglob("*") if p.is_file()]
-        assert {p.parent.name for p in files} == {"http", "search"}
-        for path in files:
-            data = path.read_bytes()
-            assert b"secret-key-123" not in data and b"engine-456" not in data
+        assert [p.parent.name for p in files] == ["http"]
+        record = json.loads(files[0].read_text())
+        assert dict(record["request"]["params"]) == {
+            "key": "<redacted>", "cx": "<redacted>", "q": "havel playwright", "num": "1"}
+        assert record["response"]["url"] == GoogleSearchProvider.API_URL
+        data = files[0].read_bytes()
+        assert b"secret-key-123" not in data and b"engine-456" not in data
 
     def test_caches_successful_responses(self, tmp_path):
         inner = CountingTransport()

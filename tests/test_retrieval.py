@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 import time
 
@@ -14,17 +15,37 @@ from kgverify.errors import (
     UnsupportedMediaType,
 )
 from kgverify.model import RetrievalSource
-from kgverify.net import HttpRequest
+from kgverify.net import HttpRequest, HttpResponse
 from kgverify.retrieval import (
     ARCHIVE_AVAILABILITY_API,
     DocumentFetcher,
+    GoogleSearchProvider,
     GroundingDocument,
     SearchHit,
     chunk_fill_limit,
     valid_paragraphs,
     web_search,
 )
-from kgverify.store import FixtureStore, write_search_fixture
+from kgverify.store import FixtureStore
+
+
+class SearchApi:
+    """A transport answering the search API's GET with the first ``num`` URLs."""
+
+    def __init__(self, urls):
+        self.urls = urls
+        self.calls = 0
+
+    def send(self, req):
+        self.calls += 1
+        items = [{"link": url} for url in self.urls[: int(dict(req.params)["num"])]]
+        return HttpResponse(200, {"content-type": "application/json"},
+                            json.dumps({"items": items}).encode("utf-8"))
+
+
+def search_through(store: FixtureStore) -> GoogleSearchProvider:
+    return GoogleSearchProvider(store, api_key="key", cx="cx")
+
 
 class StubProvider:
     def __init__(self, urls):
@@ -58,20 +79,22 @@ class TestWebSearch:
             web_search(StubProvider([]), "   ")
 
     def test_fixture_provider_round_trip(self, tmp_path):
-        write_search_fixture(tmp_path / "search", "some query", [{"url": "https://a.example"}])
-        provider = FixtureStore(tmp_path)
-        hits = provider.search("some query", limit=5)
-        assert hits == [SearchHit(url="https://a.example", rank=1, title=None)]
+        """A search cached in http/ replays with no credentials of its own."""
+        hits = GoogleSearchProvider(FixtureStore(tmp_path, SearchApi(["https://a.example"])),
+                                    api_key="k", cx="c").search("some query", limit=5)
+        replay = GoogleSearchProvider(FixtureStore(tmp_path), api_key="other", cx="other")
+        assert replay.search("some query", limit=5) == hits == [
+            SearchHit(url="https://a.example", rank=1, title=None)]
         with pytest.raises(FixtureMissing):
-            provider.search("unknown query", limit=5)
+            replay.search("unknown query", limit=5)
 
     def test_fixture_store_caches_search_until_ttl_expiry(self, tmp_path):
-        live = StubProvider(["https://a.example", "https://b.example"])
-        caching = FixtureStore(tmp_path, live, ttl_seconds=0.05)
+        live = SearchApi(["https://a.example", "https://b.example"])
+        caching = search_through(FixtureStore(tmp_path, live, ttl_seconds=0.05))
         first = caching.search("some query", limit=2)
         assert caching.search("some query", limit=2) == first
         assert live.calls == 1
-        assert FixtureStore(tmp_path).search("some query", limit=2) == first
+        assert search_through(FixtureStore(tmp_path)).search("some query", limit=2) == first
         time.sleep(0.1)
         assert caching.search("some query", limit=2) == first
         assert live.calls == 2
@@ -79,31 +102,31 @@ class TestWebSearch:
     def test_fixture_store_short_search_record_is_a_live_miss(self, tmp_path):
         """A record cached at a smaller --hit-limit does not answer a larger one."""
         urls = [f"https://x.example/{i}" for i in range(5)]
-        live = StubProvider(urls)
-        caching = FixtureStore(tmp_path, live)
+        live = SearchApi(urls)
+        caching = search_through(FixtureStore(tmp_path, live))
         assert len(caching.search("some query", limit=2)) == 2
         assert [h.url for h in caching.search("some query", limit=5)] == urls
         assert live.calls == 2
-        # the larger record was written back and answers both limits
+        # each limit has its own record
         assert len(caching.search("some query", limit=2)) == 2
         assert len(caching.search("some query", limit=5)) == 5
         assert live.calls == 2
-        # replay serves whatever was recorded
-        write_search_fixture(tmp_path / "search", "short", [{"url": urls[0]}])
-        assert len(FixtureStore(tmp_path).search("short", limit=5)) == 1
 
-    def test_fixture_store_short_complete_answer_is_a_hit(self, tmp_path):
-        """A 2-hit answer to limit 5 is complete: it answers any limit up to 5."""
-        live = StubProvider(["https://a.example", "https://b.example"])
-        caching = FixtureStore(tmp_path, live)
+    def test_fixture_store_search_record_answers_only_its_limit(self, tmp_path):
+        """A record answers the request it recorded, ``num`` included: a smaller
+        limit is asked live, and replay at another limit is a missing fixture."""
+        live = SearchApi(["https://a.example", "https://b.example"])
+        caching = search_through(FixtureStore(tmp_path, live))
         first = caching.search("some query", limit=5)
         assert len(first) == 2
         assert caching.search("some query", limit=5) == first
-        assert caching.search("some query", limit=3) == first
         assert live.calls == 1
-        # a limit above the recorded one is asked live
-        assert caching.search("some query", limit=6) == first
+        assert caching.search("some query", limit=3) == first
         assert live.calls == 2
+        replay = search_through(FixtureStore(tmp_path))
+        assert replay.search("some query", limit=3) == first
+        with pytest.raises(FixtureMissing, match="fingerprint"):
+            replay.search("some query", limit=4)
 
     def test_rank_validation(self):
         with pytest.raises(ValueError):

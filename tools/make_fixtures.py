@@ -21,8 +21,12 @@ from kgverify.llm import LlmParams, write_response_log  # noqa: E402
 from kgverify.model import Statement, statement_to_search_query  # noqa: E402
 from kgverify.net import HttpRequest, HttpResponse, write_fixture  # noqa: E402
 from kgverify.prompting import RdfPrompt, render_nli_prompt, render_rdf_prompt  # noqa: E402
-from kgverify.retrieval import ARCHIVE_AVAILABILITY_API, chunk_fill_limit  # noqa: E402
-from kgverify.store import write_search_fixture  # noqa: E402
+from kgverify.retrieval import (  # noqa: E402
+    ARCHIVE_AVAILABILITY_API,
+    DEFAULT_HIT_LIMIT,
+    GoogleSearchProvider,
+    chunk_fill_limit,
+)
 from kgverify.verifier import parse_wikipedia_article  # noqa: E402
 from kgverify.wikidata import (  # noqa: E402
     WIKIDATA_API,
@@ -284,18 +288,18 @@ def build_havel() -> list[tuple[LlmParams, str, str]]:
         predicate_id="P166",
         object_id="Q1479799",
     )
-    query = statement_to_search_query(statement)
-    write_search_fixture(
-        REPLAY / "search",
-        query,
-        [
-            {"url": DOC1_URL, "title": "Gottlieb Duttweiler Prize 2019 goes to Watson"},
-            {"url": DOC2_URL, "title": "The Gottlieb Duttweiler Prize"},
-            {"url": DOC3_URL, "title": "Institute announces new prize laureate"},
-            {"url": PDF1_URL, "title": "Annual report 2018"},
-            {"url": PDF2_URL, "title": "Annual report 2019"},
-        ],
-    )
+    # the search API's GET at the default hit limit; its key and cx are not recorded
+    search_req = HttpRequest.get(GoogleSearchProvider.API_URL, params={
+        "key": "<redacted>", "cx": "<redacted>",
+        "q": statement_to_search_query(statement), "num": str(DEFAULT_HIT_LIMIT),
+    })
+    http_fixture(search_req, 200, json.dumps({"items": [
+        {"link": DOC1_URL, "title": "Gottlieb Duttweiler Prize 2019 goes to Watson"},
+        {"link": DOC2_URL, "title": "The Gottlieb Duttweiler Prize"},
+        {"link": DOC3_URL, "title": "Institute announces new prize laureate"},
+        {"link": PDF1_URL, "title": "Annual report 2018"},
+        {"link": PDF2_URL, "title": "Annual report 2019"},
+    ]}, ensure_ascii=False))
 
     http_fixture(HttpRequest.get(DOC1_URL), 200, DOC1_HTML, "text/html; charset=utf-8")
     http_fixture(HttpRequest.get(DOC2_URL), 200, DOC2_HTML, "text/html; charset=utf-8")
@@ -1048,7 +1052,6 @@ def build_eval_replay() -> None:
 
 def main() -> None:
     (REPLAY / "http").mkdir(parents=True, exist_ok=True)
-    (REPLAY / "search").mkdir(parents=True, exist_ok=True)
     (REPLAY / "llm").mkdir(parents=True, exist_ok=True)
     entries = build_havel()
     entries += build_biolum()
