@@ -41,7 +41,7 @@ from .model import (
     statements_from_text,
     verdict_to_binary,
 )
-from .net import LiveTransport, RequestGate
+from .net import LiveTransport, RequestGate, RequestMemo
 from .prompting import (
     NLI_TEMPLATE,
     RDF_TEMPLATE,
@@ -108,8 +108,9 @@ class RunConfig:
         """The config for a command's options; a ``config_file`` option names the file."""
         config_file = options.pop("config_file", None)
         # each field's type is its annotation's, less None: int | None -> int
+        hints = typing.get_type_hints(cls)
         kinds = {name: next(t for t in typing.get_args(hint) or (hint,) if t is not type(None))
-                 for name, hint in typing.get_type_hints(cls).items()}
+                 for name, hint in hints.items()}
         values: dict = {}
         if config_file:
             try:
@@ -128,11 +129,17 @@ class RunConfig:
         for key, value in values.items():
             kind = kinds[key]
             try:
-                if kind is bool and isinstance(value, str):
+                if value is None:
+                    if type(None) not in typing.get_args(hints[key]):
+                        raise TypeError("not optional")
+                elif kind is bool and isinstance(value, str):
                     if value.lower() not in _BOOLEANS:
                         raise ValueError("not one of 1/true/yes/on or 0/false/no/off")
                     value = _BOOLEANS[value.lower()]
-                elif kind in (int, float) and value is not None:
+                elif kind in (bool, str) and not isinstance(value, kind):
+                    # a JSON value of another type
+                    raise TypeError("not a string" if kind is str else "not a boolean")
+                elif kind in (int, float):
                     value = kind(value)
                 elif key == "fixed_clock" and value:
                     _parse_instant(value)  # the runtime parses it again
@@ -171,18 +178,21 @@ class _Runtime:
         # One gate holds every request in flight to the pool width. The LLM has
         # its own session, so page hosts never evict its pooled connections; the
         # other transport serves SPARQL, the wiki APIs, search, pages and the archive.
+        # In every mode each distinct request is asked once per run.
         gate = RequestGate(config.llm_requests)
         if config.replay:
-            self.transport = self.store
+            transport = self.store
         else:
             live = LiveTransport(gate=gate)
-            self.transport = live if self.store is None else self.store.over(live)
+            transport = live if self.store is None else self.store.over(live)
+        self.transport = RequestMemo(transport)
         # a store records completions but only replay serves them
         logs = [] if config.replay else [Path(config.out_dir) / "responses.jsonl"]
         if logs and self.store is not None:
             logs.append(self.store.response_log_path)
         self.gateway = LlmGateway(
-            self.store if config.replay else ReplicateHttpProvider(LiveTransport(gate=gate)),
+            self.store if config.replay
+            else ReplicateHttpProvider(RequestMemo(LiveTransport(gate=gate))),
             params=LlmParams(model=config.model),
             context_tokens=config.llm_context_tokens,
             response_log=ResponseLog(*logs, clock=self.clock) if logs else None,
@@ -222,6 +232,7 @@ class _Runtime:
             chunk_chars=self.config.chunk_chars,
             clock=self.clock,
             pool=self.pool,
+            pool_width=self.config.llm_requests,
         )
 
 
@@ -522,28 +533,28 @@ def cmd_evaluate(dataset_path: str, task: str, sample: int | None, snli_train: s
 
 def _judge_triples(pool: Executor | None, gateway: LlmGateway,
                    instances: Sequence[datasets.LabeledInstance],
-                   mode: DecisionMode) -> list[BinaryDecision]:
+                   mode: DecisionMode, width: int | None = None) -> list[BinaryDecision]:
     """The model's binary decision on each instance, in instance order.
 
-    One task per instance on ``pool``; each renders its own prompt, so only
-    the prompts in flight are alive at once.
+    One task per instance on ``pool`` (of ``width`` workers); each renders its
+    own prompt, so only the prompts in flight are alive at once.
     """
     def judge(instance: datasets.LabeledInstance) -> BinaryDecision:
         prompt = render_rdf_prompt(RdfPrompt(instance.statement, instance.grounding_text))
         return verdict_to_binary(parse_option(gateway.complete(prompt).raw_text), mode)
 
-    return map_in_order(pool, judge, instances)
+    return map_in_order(pool, judge, instances, width)
 
 
 def _judge_nli(pool: Executor | None, gateway: LlmGateway,
                records: Sequence[datasets.SnliRecord],
-               examples: list[NliExample]) -> list[NliLabel]:
+               examples: list[NliExample], width: int | None = None) -> list[NliLabel]:
     """The model's label for each record, in record order."""
     def judge(record: datasets.SnliRecord) -> NliLabel:
         prompt = render_nli_prompt(record.premise, record.hypothesis, examples)
         return parse_nli_label(gateway.complete(prompt).raw_text)
 
-    return map_in_order(pool, judge, records)
+    return map_in_order(pool, judge, records, width)
 
 
 def _evaluate_triples(config: RunConfig, dataset_path: str) -> dict:
@@ -552,7 +563,7 @@ def _evaluate_triples(config: RunConfig, dataset_path: str) -> dict:
         raise MalformedInput(f"{dataset_path}: empty dataset")
     with _Runtime(config) as runtime:  # built once the inputs are known to be good
         predictions = _judge_triples(runtime.pool, runtime.gateway, instances,
-                                     _DECISION_MODES[config.decision_mode])
+                                     _DECISION_MODES[config.decision_mode], config.llm_requests)
     grouped: dict[tuple[str, tuple[str, str]], list] = {}
     for instance, predicted in zip(instances, predictions):
         grouped.setdefault((instance.relation_type, instance.concept_pair), []).append(
@@ -610,7 +621,8 @@ def _evaluate_nli(config: RunConfig, dataset_path: str, snli_train: str | None,
         for r in example_records
     ]
     with _Runtime(config) as runtime:  # built once the inputs are known to be good
-        labels = _judge_nli(runtime.pool, runtime.gateway, records, examples)
+        labels = _judge_nli(runtime.pool, runtime.gateway, records, examples,
+                            config.llm_requests)
     confusion = evaluation.tally_nli([(r.gold, label) for r, label in zip(records, labels)])
     text = evaluation.format_nli_table(confusion, model_name=config.model)
     return {

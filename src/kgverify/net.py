@@ -15,6 +15,7 @@ import os
 import tempfile
 import threading
 import time
+from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol
@@ -125,6 +126,49 @@ class RequestGate:
     def __exit__(self, *exc):
         self._sem.release()
         return False
+
+
+class RequestMemo:
+    """Sends each distinct request once per run: a single-flight memo.
+
+    A request is keyed by method, URL, params and the SHA-256 of its body. A
+    caller that asks for a request already in flight waits for that answer,
+    holding no gate slot. An answer is kept for the rest of the run, a 404
+    too, unless it is a 429 or a 5xx; that answer, or a raised error, reaches
+    the callers already waiting and is then dropped, so a later caller asks
+    again.
+    """
+
+    def __init__(self, inner: Transport):
+        self._inner = inner
+        self._answers: dict[tuple, HttpResponse | Future] = {}
+        self._lock = threading.Lock()
+
+    def send(self, req: HttpRequest) -> HttpResponse:
+        digest = hashlib.sha256(req.body).digest() if req.body else None
+        key = (req.method, req.url, req.params, digest)
+        with self._lock:
+            answer = self._answers.get(key)
+            if answer is None:
+                pending = self._answers[key] = Future()
+        if isinstance(answer, HttpResponse):
+            return answer
+        if answer is not None:
+            return answer.result()  # in flight: wait for the caller that asks
+        try:
+            resp = self._inner.send(req)
+        except BaseException as exc:
+            with self._lock:
+                del self._answers[key]
+            pending.set_exception(exc)
+            raise
+        with self._lock:
+            if resp.status == 429 or resp.status >= 500:
+                del self._answers[key]
+            else:
+                self._answers[key] = resp  # the plain answer: a Future costs memory
+        pending.set_result(resp)
+        return resp
 
 
 class LiveTransport:

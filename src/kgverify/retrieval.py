@@ -186,9 +186,14 @@ def _sniff_media_type(url: str, resp: HttpResponse) -> str:
     return ""
 
 
+def is_valid_paragraph(text: str) -> bool:
+    """Whether a paragraph is long enough to be worth querying (at least 100 characters)."""
+    return len(text) >= MIN_PARAGRAPH_CHARS
+
+
 def valid_paragraphs(paragraphs: Iterable[str]) -> list[str]:
-    """Paragraphs long enough to be worth querying (at least 100 characters)."""
-    return [p for p in paragraphs if len(p) >= MIN_PARAGRAPH_CHARS]
+    """The paragraphs worth querying, in order."""
+    return [p for p in paragraphs if is_valid_paragraph(p)]
 
 
 def chunk_fill_limit(

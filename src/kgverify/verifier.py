@@ -19,6 +19,7 @@ from __future__ import annotations
 import logging
 import re
 import threading
+from collections import deque
 from concurrent.futures import CancelledError, Executor, wait
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -45,11 +46,11 @@ from .prompting import RdfPrompt, render_rdf_prompt
 from .retrieval import (
     DEFAULT_CHUNK_CHARS,
     DEFAULT_HIT_LIMIT,
-    MIN_PARAGRAPH_CHARS,
     DocumentFetcher,
     GroundingDocument,
     SearchProvider,
     chunk_fill_limit,
+    is_valid_paragraph,
     valid_paragraphs,
     web_search,
 )
@@ -61,20 +62,29 @@ logger = logging.getLogger(__name__)
 # still requires direct proof at the paragraph and primary-source levels.
 DRILLDOWN_POSITIVE = frozenset({VerdictKind.DIRECT_PROOF, VerdictKind.INDICATION})
 
+# Tasks map_in_order keeps submitted ahead of the one awaited, per worker.
+LOOKAHEAD_PER_WORKER = 2
+
 _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
 
 
 def map_in_order(
-    pool: Executor | None, fn: Callable[[_Item], _Result], items: Sequence[_Item]
+    pool: Executor | None,
+    fn: Callable[[_Item], _Result],
+    items: Sequence[_Item],
+    width: int | None = None,
 ) -> list[_Result]:
     """Apply ``fn`` to every item and return the results in item order.
 
     Without a pool (or with fewer than two items) the items are mapped inline,
     one after another. With a pool each item is one task; a task must be a
-    leaf that never submits to the same pool. The first failure in item order
-    propagates: once any task fails, tasks that have not started are skipped,
-    and the call returns only after every started task has ended.
+    leaf that never submits to the same pool. ``width`` is the pool's worker
+    count: at most ``LOOKAHEAD_PER_WORKER * width`` tasks are submitted ahead
+    of the one awaited (every task at once if it is None), and one more is
+    submitted as each result is taken, with no barrier. The first failure in
+    item order propagates: once any task fails, tasks that have not started
+    are skipped, and the call returns only after every started task has ended.
     """
     if pool is None or len(items) < 2:
         return [fn(item) for item in items]
@@ -91,9 +101,18 @@ def map_in_order(
             failed.set()
             raise
 
-    futures = [pool.submit(run, item) for item in items]
+    ahead = len(items) if width is None else LOOKAHEAD_PER_WORKER * width
+    futures = deque(pool.submit(run, item) for item in items[: ahead + 1])
+    submitted = len(futures)
+    results: list[_Result] = []
     try:
-        return [future.result() for future in futures]
+        while futures:
+            results.append(futures[0].result())  # an interrupt here still waits for it
+            futures.popleft()
+            if submitted < len(items):
+                futures.append(pool.submit(run, items[submitted]))
+                submitted += 1
+        return results
     except BaseException:
         failed.set()
         for future in futures:
@@ -252,7 +271,8 @@ class Verifier:
     """Drives verification sessions over a gateway, fetcher, and providers.
 
     ``pool`` (optional) runs a session's independent documents and judgments
-    concurrently; sessions come out the same with or without it. A verifier
+    concurrently, ``pool_width`` (its worker count) bounding what is queued;
+    sessions come out the same with or without it. A verifier
     fetches and parses each Wikipedia article once and reuses it for every
     statement about that subject.
     """
@@ -266,6 +286,7 @@ class Verifier:
         chunk_chars: int = DEFAULT_CHUNK_CHARS,
         clock: Callable[[], datetime] | None = None,
         pool: Executor | None = None,
+        pool_width: int | None = None,
     ):
         self.gateway = gateway
         self.fetcher = fetcher
@@ -274,9 +295,13 @@ class Verifier:
         self.chunk_chars = chunk_chars
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self.pool = pool
+        self.pool_width = pool_width
         self._articles: dict[str, _WikipediaArticle] = {}
 
     # -- building blocks --------------------------------------------------------
+
+    def _map(self, fn: Callable[[_Item], _Result], items: Sequence[_Item]) -> list[_Result]:
+        return map_in_order(self.pool, fn, items, self.pool_width)
 
     def _judge(self, statement: Statement, snippet: str):
         response = self.gateway.complete(render_rdf_prompt(RdfPrompt(statement, snippet)))
@@ -353,7 +378,7 @@ class Verifier:
         hits = web_search(self.search_provider, query, limit=hit_limit)
         fetch = self.fetcher.fetch_document
         urls = [hit.url for hit in hits]
-        for scan in map_in_order(self.pool, lambda u: self._examine(statement, u, fetch), urls):
+        for scan in self._map(lambda u: self._examine(statement, u, fetch), urls):
             scan.add_to(session)
         if hits and session.documents_examined == 0:
             raise NoDocumentsRetrievable(
@@ -403,15 +428,15 @@ class Verifier:
 
         texts = [p.text for p in article.paragraphs]
         chunks = chunk_fill_limit(texts, max_chars=self.chunk_chars)
-        judged = map_in_order(self.pool, lambda c: self._judge(statement, c.text), chunks)
+        judged = self._map(lambda c: self._judge(statement, c.text), chunks)
         candidates: list[html_text.CapturedElement] = []
         offset = 0
         for chunk, (verdict, _) in zip(chunks, judged):
             members = article.paragraphs[offset : offset + len(chunk.paragraphs)]
             offset += len(chunk.paragraphs)
             if verdict.kind in DRILLDOWN_POSITIVE:
-                candidates.extend(p for p in members if len(p.text) >= MIN_PARAGRAPH_CHARS)
-        judged = map_in_order(self.pool, lambda p: self._judge(statement, p.text), candidates)
+                candidates.extend(p for p in members if is_valid_paragraph(p.text))
+        judged = self._map(lambda p: self._judge(statement, p.text), candidates)
         session.paragraphs_queried += len(chunks) + len(candidates)
 
         # Plan the cited sources in article order: dangling references become
@@ -438,7 +463,7 @@ class Verifier:
 
         fetch = self.fetcher.fetch_with_archive_fallback
         urls = [entry for entry in plan if isinstance(entry, str)]
-        scans = iter(map_in_order(self.pool, lambda u: self._examine(statement, u, fetch), urls))
+        scans = iter(self._map(lambda u: self._examine(statement, u, fetch), urls))
         for entry in plan:
             if isinstance(entry, SkipRecord):
                 session.skips.append(entry)

@@ -351,6 +351,29 @@ class TestConfig:
         assert f"bad value for {key}: {value!r}" in result.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("payload", [
+        {"out_dir": 5}, {"out_dir": None}, {"model": ["m"]}, {"fixed_clock": 20240302},
+        {"replay": 1},
+    ], ids=["int", "null", "list", "int-clock", "int-bool"])
+    def test_wrong_typed_config_value_is_a_usage_error_before_any_runtime(
+            self, runner, tmp_path, monkeypatch, payload):
+        from kgverify.verifier import Verifier
+
+        sessions = []
+        monkeypatch.setattr(Verifier, "verify_via_web_search",
+                            lambda self, *args: sessions.append(args))
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"replay": True, **payload}))
+        result = runner.invoke(main, [*UC1[0], "--fixtures", str(REPLAY_DIR),
+                                      "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        key, value = next(iter(payload.items()))
+        assert f"bad value for {key}: {value!r}" in result.output
+        assert sessions == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command,option", [
         (["report", "x.xml"], "--replay"),
         (["report", "x.xml"], "--model"),
@@ -791,3 +814,67 @@ class TestLiveWithCache:
                 live = (tmp_path / "live" / f"{run_id}.{ext}").read_bytes()
                 assert (tmp_path / "replay" / f"{run_id}.{ext}").read_bytes() == live
         assert len(live_remote) == asked
+
+    @pytest.mark.parametrize("command,run_id", [UC1, UC2], ids=["uc1", "uc2"])
+    def test_live_run_asks_each_distinct_request_once(self, runner, tmp_path, live_remote,
+                                                      monkeypatch, command, run_id):
+        """Each distinct request, completions included, reaches the remote once
+        per run, however often the run asks for it; the reports are the
+        replay's bytes."""
+        from kgverify.net import LiveTransport, RequestMemo, request_fingerprint
+
+        remote, memo = LiveTransport.send, RequestMemo.send
+        sent, asked = [], []
+
+        def send(self, req):
+            sent.append(request_fingerprint(req))
+            return remote(self, req)
+
+        def ask(self, req):
+            asked.append(request_fingerprint(req))
+            return memo(self, req)
+
+        monkeypatch.setattr(LiveTransport, "send", send)
+        monkeypatch.setattr(RequestMemo, "send", ask)
+        cache = tmp_path / "cache"
+        clock = ["--fixed-clock", "2024-03-02T13:27:25Z"]
+        result = runner.invoke(main, [*command, "--live", "--cache-dir", str(cache),
+                                      "--out", str(tmp_path / "live"), *clock])
+        assert result.exit_code == 0, result.output
+        assert sorted(sent) == sorted(set(asked))
+        result = runner.invoke(main, [*command, *replay_args(tmp_path / "replay", cache)])
+        assert result.exit_code == 0, result.output
+        for ext in ("xml", "html"):
+            live = (tmp_path / "live" / f"{run_id}.{ext}").read_bytes()
+            assert (tmp_path / "replay" / f"{run_id}.{ext}").read_bytes() == live
+
+    def test_repeated_statements_reuse_every_request(self, runner, tmp_path, live_remote,
+                                                     monkeypatch):
+        """A statement verified twice in one run asks the remote nothing new;
+        the response log still holds one line per judgment."""
+        from kgverify.net import LiveTransport
+
+        remote = LiveTransport.send
+        sent = []
+
+        def send(self, req):
+            sent.append((req.method, req.url, req.params, req.body))
+            return remote(self, req)
+
+        monkeypatch.setattr(LiveTransport, "send", send)
+        statements = (FIXTURES / "biolum_statements.tsv").read_text(encoding="utf-8")
+        twice = tmp_path / "twice.tsv"
+        twice.write_text(statements + statements, encoding="utf-8")
+        counts = []
+        for name, path in (("once", FIXTURES / "biolum_statements.tsv"), ("twice", twice)):
+            sent.clear()
+            command = [*UC2[0][:2], "--statements", str(path), *UC2[0][4:]]
+            result = runner.invoke(main, [*command, "--live", "--out", str(tmp_path / name),
+                                          "--fixed-clock", "2024-03-02T13:27:25Z"])
+            assert result.exit_code == 0, result.output
+            assert len(set(sent)) == len(sent)
+            log = (tmp_path / name / "responses.jsonl").read_text().splitlines()
+            counts.append((len(sent), len(log)))
+        (once_sent, once_logged), (twice_sent, twice_logged) = counts
+        assert twice_sent == once_sent
+        assert twice_logged == 2 * once_logged

@@ -10,7 +10,7 @@ import random
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import pytest
@@ -383,7 +383,7 @@ def marked_texts(seed: int, n: int = 24) -> list[str]:
     return [f"Text {i} reads {rng.choice([PROOF, HINT, 'nothing'])} here." for i in range(n)]
 
 
-def judge_triples(pool, provider, texts):
+def judge_triples(pool, provider, texts, width=None):
     instances = [
         LabeledInstance(
             statement=dataclasses.replace(STATEMENT, object_label=f"Thing {i}"),
@@ -393,18 +393,19 @@ def judge_triples(pool, provider, texts):
         )
         for i, text in enumerate(texts)
     ]
-    predictions = _judge_triples(pool, gateway(provider), instances, DecisionMode.FAVOR_PRECISION)
+    predictions = _judge_triples(pool, gateway(provider), instances, DecisionMode.FAVOR_PRECISION,
+                                 width)
     expected = [BinaryDecision.SUPPORTED if PROOF in text else BinaryDecision.NOT_SUPPORTED
                 for text in texts]
     return predictions, expected
 
 
-def judge_nli(pool, provider, texts):
+def judge_nli(pool, provider, texts, width=None):
     records = [SnliRecord(premise=text, hypothesis="A claim.", gold=NliLabel.NEUTRAL)
                for text in texts]
     examples = [NliExample(premise="An example.", hypothesis="A claim.", label=label)
                 for label in (NliLabel.ENTAILMENT, NliLabel.NEUTRAL, NliLabel.CONTRADICTION)]
-    predictions = _judge_nli(pool, gateway(provider), records, examples)
+    predictions = _judge_nli(pool, gateway(provider), records, examples, width)
     # ContentProvider answers a) for a proof and b) for a hint anywhere in the prompt
     expected = [NliLabel.ENTAILMENT if PROOF in text else
                 NliLabel.NEUTRAL if HINT in text else NliLabel.CONTRADICTION for text in texts]
@@ -426,6 +427,96 @@ class TestEvaluateFanOut:
         (width1, expected), (width4, _) = results[1], results[4]
         assert width4 == width1 == expected
         assert len(set(expected)) > 1  # the order is visible in the predictions
+
+
+class AwaitedFuture(Future):
+    """A future that tells its executor when its result is awaited."""
+
+    def __init__(self, executor: "CountingExecutor"):
+        super().__init__()
+        self.executor = executor
+
+    def result(self, timeout=None):
+        self.executor.ahead.append(self.executor.submitted - len(self.executor.ahead) - 1)
+        return super().result(timeout)
+
+
+class CountingExecutor(Executor):
+    """Runs each task as it is submitted, and logs, for each result awaited,
+    how many tasks were submitted ahead of it."""
+
+    def __init__(self):
+        self.submitted = 0
+        self.ahead: list[int] = []
+
+    def submit(self, fn, *args, **kwargs):
+        self.submitted += 1
+        future = AwaitedFuture(self)
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+class TestLookAhead:
+    """map_in_order keeps at most two tasks per worker submitted ahead of the
+    one it awaits, and submits one more as it takes each result."""
+
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_submits_two_per_worker_ahead(self, width):
+        executor = CountingExecutor()
+        assert map_in_order(executor, lambda i: i * i, list(range(20)), width) == [
+            i * i for i in range(20)]
+        assert executor.submitted == len(executor.ahead) == 20
+        window = 2 * width
+        assert executor.ahead == [min(window, 19 - i) for i in range(20)]
+
+    def test_without_a_width_every_task_is_submitted_at_once(self):
+        executor = CountingExecutor()
+        map_in_order(executor, lambda i: i, list(range(20)))
+        assert executor.ahead == [19 - i for i in range(20)]
+
+    def test_queued_tasks_do_not_run_after_a_failure(self):
+        started = []
+
+        def task(item):
+            started.append(item)
+            if item == 2:
+                raise ValueError("task 2")
+            return item
+
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            with pytest.raises(ValueError, match="task 2"):
+                map_in_order(executor, task, list(range(12)), width=1)
+        assert started == [0, 1, 2]
+
+    def test_first_failure_in_order_wins(self):
+        slow_failure = threading.Event()
+
+        def task(item):
+            if item == 0:
+                slow_failure.wait(1.0)
+                raise KeyError("task 0")
+            if item == 1:
+                time.sleep(0.03)  # long enough for task 0 to start
+                slow_failure.set()
+                raise ValueError("task 1")
+            return item
+
+        with ThreadPoolExecutor(max_workers=2) as executor:
+            with pytest.raises(KeyError, match="task 0"):
+                map_in_order(executor, task, list(range(12)), width=2)
+
+    @pytest.mark.parametrize("judge", [judge_triples, judge_nli], ids=["triples", "nli"])
+    def test_evaluate_keeps_its_width_inside_the_window(self, judge):
+        texts = marked_texts(5)
+        provider = ContentProvider(5)
+        with ThreadPoolExecutor(max_workers=4) as executor:
+            predictions, expected = judge(executor, provider, texts, width=4)
+        assert predictions == expected
+        assert provider.calls == len(texts)
+        assert provider.peak > 1
 
 
 def test_stress_shared_response_log(tmp_path):
