@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import typing
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -53,7 +53,7 @@ from .prompting import (
 )
 from .retrieval import DocumentFetcher, GoogleSearchProvider
 from .store import FixtureStore
-from .verifier import VerificationSession, Verifier, map_in_order
+from .verifier import VerificationSession, Verifier, WorkerPool, map_in_order
 from .wikidata import (
     WIKIDATA_API,
     WIKIDATA_SPARQL_ENDPOINT,
@@ -178,7 +178,8 @@ class _Runtime:
         # One gate holds every request in flight to the pool width. The LLM has
         # its own session, so page hosts never evict its pooled connections; the
         # other transport serves SPARQL, the wiki APIs, search, pages and the archive.
-        # In every mode each distinct request is asked once per run.
+        # In every mode each distinct request is asked once per run (the gateway
+        # does the same for completions).
         gate = RequestGate(config.llm_requests)
         if config.replay:
             transport = self.store
@@ -191,8 +192,7 @@ class _Runtime:
         if logs and self.store is not None:
             logs.append(self.store.response_log_path)
         self.gateway = LlmGateway(
-            self.store if config.replay
-            else ReplicateHttpProvider(RequestMemo(LiveTransport(gate=gate))),
+            self.store if config.replay else ReplicateHttpProvider(LiveTransport(gate=gate)),
             params=LlmParams(model=config.model),
             context_tokens=config.llm_context_tokens,
             response_log=ResponseLog(*logs, clock=self.clock) if logs else None,
@@ -205,13 +205,13 @@ class _Runtime:
             wikipedia_api=config.wikipedia_api,
         )
         # one request in flight per worker: the same knob sizes the fan-out
-        self.pool = ThreadPoolExecutor(
-            max_workers=config.llm_requests, thread_name_prefix="kgverify"
-        )
+        width = config.llm_requests
+        self.pool = WorkerPool(
+            ThreadPoolExecutor(max_workers=width, thread_name_prefix="kgverify"), width)
 
     def close(self) -> None:
         """Stop the worker pool; queued tasks are dropped, running ones finish."""
-        self.pool.shutdown(wait=True, cancel_futures=True)
+        self.pool.executor.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "_Runtime":
         return self
@@ -232,7 +232,6 @@ class _Runtime:
             chunk_chars=self.config.chunk_chars,
             clock=self.clock,
             pool=self.pool,
-            pool_width=self.config.llm_requests,
         )
 
 
@@ -531,30 +530,30 @@ def cmd_evaluate(dataset_path: str, task: str, sample: int | None, snli_train: s
     click.echo(results["text"])
 
 
-def _judge_triples(pool: Executor | None, gateway: LlmGateway,
+def _judge_triples(pool: WorkerPool | None, gateway: LlmGateway,
                    instances: Sequence[datasets.LabeledInstance],
-                   mode: DecisionMode, width: int | None = None) -> list[BinaryDecision]:
+                   mode: DecisionMode) -> list[BinaryDecision]:
     """The model's binary decision on each instance, in instance order.
 
-    One task per instance on ``pool`` (of ``width`` workers); each renders its
-    own prompt, so only the prompts in flight are alive at once.
+    One task per instance on ``pool``; each renders its own prompt, so only
+    the prompts in flight are alive at once.
     """
     def judge(instance: datasets.LabeledInstance) -> BinaryDecision:
         prompt = render_rdf_prompt(RdfPrompt(instance.statement, instance.grounding_text))
         return verdict_to_binary(parse_option(gateway.complete(prompt).raw_text), mode)
 
-    return map_in_order(pool, judge, instances, width)
+    return map_in_order(pool, judge, instances)
 
 
-def _judge_nli(pool: Executor | None, gateway: LlmGateway,
+def _judge_nli(pool: WorkerPool | None, gateway: LlmGateway,
                records: Sequence[datasets.SnliRecord],
-               examples: list[NliExample], width: int | None = None) -> list[NliLabel]:
+               examples: list[NliExample]) -> list[NliLabel]:
     """The model's label for each record, in record order."""
     def judge(record: datasets.SnliRecord) -> NliLabel:
         prompt = render_nli_prompt(record.premise, record.hypothesis, examples)
         return parse_nli_label(gateway.complete(prompt).raw_text)
 
-    return map_in_order(pool, judge, records, width)
+    return map_in_order(pool, judge, records)
 
 
 def _evaluate_triples(config: RunConfig, dataset_path: str) -> dict:
@@ -563,7 +562,7 @@ def _evaluate_triples(config: RunConfig, dataset_path: str) -> dict:
         raise MalformedInput(f"{dataset_path}: empty dataset")
     with _Runtime(config) as runtime:  # built once the inputs are known to be good
         predictions = _judge_triples(runtime.pool, runtime.gateway, instances,
-                                     _DECISION_MODES[config.decision_mode], config.llm_requests)
+                                     _DECISION_MODES[config.decision_mode])
     grouped: dict[tuple[str, tuple[str, str]], list] = {}
     for instance, predicted in zip(instances, predictions):
         grouped.setdefault((instance.relation_type, instance.concept_pair), []).append(
@@ -621,8 +620,7 @@ def _evaluate_nli(config: RunConfig, dataset_path: str, snli_train: str | None,
         for r in example_records
     ]
     with _Runtime(config) as runtime:  # built once the inputs are known to be good
-        labels = _judge_nli(runtime.pool, runtime.gateway, records, examples,
-                            config.llm_requests)
+        labels = _judge_nli(runtime.pool, runtime.gateway, records, examples)
     confusion = evaluation.tally_nli([(r.gold, label) for r, label in zip(records, labels)])
     text = evaluation.format_nli_table(confusion, model_name=config.model)
     return {

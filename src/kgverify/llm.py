@@ -23,7 +23,7 @@ from typing import Callable, Protocol
 
 from .errors import ContextOverflow, FixtureMissing, ProviderUnavailable
 from .model import DIRECT_PROOF, INDICATION, NO_SUPPORT, NliLabel, Verdict
-from .net import HttpRequest, Transport, atomic_write, canonical_json
+from .net import HttpRequest, SingleFlight, Transport, atomic_write, canonical_json
 from .prompting import OPTION_TEXTS, SYSTEM_PROMPT
 
 DEFAULT_MODEL = "meta/meta-llama-3-70b-instruct"
@@ -133,9 +133,12 @@ class ReplicateHttpProvider:
             raise ProviderUnavailable(f"LLM API request failed with HTTP {resp.status}")
         payload = resp.json()
         output = payload.get("output")
+        status = payload.get("status", "succeeded")
+        if status != "succeeded" or output is None:  # `Prefer: wait` gave up, or it failed
+            raise ProviderUnavailable(f"LLM prediction has no output (status {status})")
         if isinstance(output, list):
             return "".join(str(part) for part in output)
-        return str(output or "")
+        return str(output)
 
 
 class ResponseLog:
@@ -193,8 +196,12 @@ def write_response_log(path: Path | str, entries: list[tuple[LlmParams, str, str
 class LlmGateway:
     """Shareable front door to a provider: budget checks, fingerprints, logging.
 
-    It does not retry: a live provider's transport (``net.LiveTransport``)
-    holds the one retry policy, so a failure that reaches here is final.
+    Decoding is pinned, so the provider is asked each distinct completion
+    (by fingerprint) once per gateway; a judgment that asks it again, or
+    waits on it in flight, gets the first answer with its latency, and is
+    logged like any other. A raised error is not kept. The gateway does not
+    retry: a live provider's transport (``net.LiveTransport``) holds the one
+    retry policy, so a failure that reaches here is final.
     """
 
     def __init__(
@@ -208,6 +215,7 @@ class LlmGateway:
         self.params = params or LlmParams()
         self._budget_chars = context_tokens * CHARS_PER_TOKEN if context_tokens else None
         self._log = response_log
+        self._answers: SingleFlight[LlmResponse] = SingleFlight()
 
     def complete(self, prompt: str, params: LlmParams | None = None) -> LlmResponse:
         if not prompt:
@@ -220,13 +228,17 @@ class LlmGateway:
                     f"prompt of {used} chars exceeds budget of {self._budget_chars} chars"
                 )
         fingerprint = completion_fingerprint(params, prompt)
+        response = self._answers.get(fingerprint, lambda: self._ask(params, prompt, fingerprint))
+        if self._log is not None:
+            self._log.append(fingerprint, params, prompt, response.raw_text, response.latency_ms)
+        return response
+
+    def _ask(self, params: LlmParams, prompt: str, fingerprint: str) -> LlmResponse:
         start = time.monotonic()
         raw = self.provider.complete(params, prompt)
         latency_ms = int((time.monotonic() - start) * 1000)
         if hasattr(self.provider, "recorded_latency_ms"):  # a replay: not the lookup's
             latency_ms = self.provider.recorded_latency_ms(fingerprint)
-        if self._log is not None:
-            self._log.append(fingerprint, params, prompt, raw, latency_ms)
         return LlmResponse(
             raw_text=raw,
             latency_ms=latency_ms,

@@ -18,7 +18,7 @@ import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol
+from typing import Callable, Generic, Hashable, Protocol, TypeVar
 
 import requests
 
@@ -29,6 +29,8 @@ DEFAULT_TOTAL_TIMEOUT = 30.0
 DEFAULT_RETRIES = 2
 MAX_BACKOFF_SECONDS = 8.0
 USER_AGENT = "kgverify/0.1 (statement verification pipeline)"
+
+_Value = TypeVar("_Value")
 
 
 def canonical_json(obj) -> str:
@@ -128,47 +130,60 @@ class RequestGate:
         return False
 
 
-class RequestMemo:
-    """Sends each distinct request once per run: a single-flight memo.
+class SingleFlight(Generic[_Value]):
+    """Computes each key's value once: a single-flight memo.
 
-    A request is keyed by method, URL, params and the SHA-256 of its body. A
-    caller that asks for a request already in flight waits for that answer,
-    holding no gate slot. An answer is kept for the rest of the run, a 404
-    too, unless it is a 429 or a 5xx; that answer, or a raised error, reaches
-    the callers already waiting and is then dropped, so a later caller asks
-    again.
+    A caller that asks for a key already in flight waits for that value,
+    holding nothing else. A value is kept for the memo's life if ``keep``
+    accepts it; otherwise it, or a raised error, reaches the callers already
+    waiting and is then dropped, so a later caller computes it again.
+    """
+
+    def __init__(self, keep: Callable[[_Value], bool] = lambda value: True):
+        self._keep = keep
+        self._values: dict[Hashable, _Value | Future] = {}
+        self._lock = threading.Lock()
+
+    def get(self, key: Hashable, compute: Callable[[], _Value]) -> _Value:
+        with self._lock:
+            value = self._values.get(key)
+            if value is None:
+                pending = self._values[key] = Future()
+        if isinstance(value, Future):
+            return value.result()  # in flight: wait for the caller that computes it
+        if value is not None:
+            return value
+        try:
+            value = compute()
+        except BaseException as exc:
+            with self._lock:
+                del self._values[key]
+            pending.set_exception(exc)
+            raise
+        with self._lock:
+            if self._keep(value):
+                self._values[key] = value  # the plain value: a Future costs memory
+            else:
+                del self._values[key]
+        pending.set_result(value)
+        return value
+
+
+class RequestMemo:
+    """Sends each distinct request (by ``request_fingerprint``) once per run.
+
+    Every answer is kept, a 404 too, except a 429 or a 5xx, which reaches the
+    callers already waiting and is then asked again by a later caller, as is
+    a raised error. A caller of a request in flight holds no gate slot.
     """
 
     def __init__(self, inner: Transport):
         self._inner = inner
-        self._answers: dict[tuple, HttpResponse | Future] = {}
-        self._lock = threading.Lock()
+        self._answers: SingleFlight[HttpResponse] = SingleFlight(
+            keep=lambda resp: resp.status != 429 and resp.status < 500)
 
     def send(self, req: HttpRequest) -> HttpResponse:
-        digest = hashlib.sha256(req.body).digest() if req.body else None
-        key = (req.method, req.url, req.params, digest)
-        with self._lock:
-            answer = self._answers.get(key)
-            if answer is None:
-                pending = self._answers[key] = Future()
-        if isinstance(answer, HttpResponse):
-            return answer
-        if answer is not None:
-            return answer.result()  # in flight: wait for the caller that asks
-        try:
-            resp = self._inner.send(req)
-        except BaseException as exc:
-            with self._lock:
-                del self._answers[key]
-            pending.set_exception(exc)
-            raise
-        with self._lock:
-            if resp.status == 429 or resp.status >= 500:
-                del self._answers[key]
-            else:
-                self._answers[key] = resp  # the plain answer: a Future costs memory
-        pending.set_result(resp)
-        return resp
+        return self._answers.get(request_fingerprint(req), lambda: self._inner.send(req))
 
 
 class LiveTransport:

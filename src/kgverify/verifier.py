@@ -69,19 +69,23 @@ _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
 
 
+@dataclass(frozen=True)
+class WorkerPool:
+    """An executor and its worker count, which bounds what ``map_in_order`` queues."""
+
+    executor: Executor
+    width: int
+
+
 def map_in_order(
-    pool: Executor | None,
-    fn: Callable[[_Item], _Result],
-    items: Sequence[_Item],
-    width: int | None = None,
+    pool: WorkerPool | None, fn: Callable[[_Item], _Result], items: Sequence[_Item]
 ) -> list[_Result]:
     """Apply ``fn`` to every item and return the results in item order.
 
     Without a pool (or with fewer than two items) the items are mapped inline,
     one after another. With a pool each item is one task; a task must be a
-    leaf that never submits to the same pool. ``width`` is the pool's worker
-    count: at most ``LOOKAHEAD_PER_WORKER * width`` tasks are submitted ahead
-    of the one awaited (every task at once if it is None), and one more is
+    leaf that never submits to the same pool. At most ``LOOKAHEAD_PER_WORKER``
+    tasks per worker are submitted ahead of the one awaited, and one more is
     submitted as each result is taken, with no barrier. The first failure in
     item order propagates: once any task fails, tasks that have not started
     are skipped, and the call returns only after every started task has ended.
@@ -101,8 +105,8 @@ def map_in_order(
             failed.set()
             raise
 
-    ahead = len(items) if width is None else LOOKAHEAD_PER_WORKER * width
-    futures = deque(pool.submit(run, item) for item in items[: ahead + 1])
+    submit = pool.executor.submit
+    futures = deque(submit(run, item) for item in items[: LOOKAHEAD_PER_WORKER * pool.width + 1])
     submitted = len(futures)
     results: list[_Result] = []
     try:
@@ -110,7 +114,7 @@ def map_in_order(
             results.append(futures[0].result())  # an interrupt here still waits for it
             futures.popleft()
             if submitted < len(items):
-                futures.append(pool.submit(run, items[submitted]))
+                futures.append(submit(run, items[submitted]))
                 submitted += 1
         return results
     except BaseException:
@@ -271,8 +275,7 @@ class Verifier:
     """Drives verification sessions over a gateway, fetcher, and providers.
 
     ``pool`` (optional) runs a session's independent documents and judgments
-    concurrently, ``pool_width`` (its worker count) bounding what is queued;
-    sessions come out the same with or without it. A verifier
+    concurrently; sessions come out the same with or without it. A verifier
     fetches and parses each Wikipedia article once and reuses it for every
     statement about that subject.
     """
@@ -285,8 +288,7 @@ class Verifier:
         wikidata: WikidataClient | None = None,
         chunk_chars: int = DEFAULT_CHUNK_CHARS,
         clock: Callable[[], datetime] | None = None,
-        pool: Executor | None = None,
-        pool_width: int | None = None,
+        pool: WorkerPool | None = None,
     ):
         self.gateway = gateway
         self.fetcher = fetcher
@@ -295,13 +297,9 @@ class Verifier:
         self.chunk_chars = chunk_chars
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self.pool = pool
-        self.pool_width = pool_width
         self._articles: dict[str, _WikipediaArticle] = {}
 
     # -- building blocks --------------------------------------------------------
-
-    def _map(self, fn: Callable[[_Item], _Result], items: Sequence[_Item]) -> list[_Result]:
-        return map_in_order(self.pool, fn, items, self.pool_width)
 
     def _judge(self, statement: Statement, snippet: str):
         response = self.gateway.complete(render_rdf_prompt(RdfPrompt(statement, snippet)))
@@ -378,7 +376,7 @@ class Verifier:
         hits = web_search(self.search_provider, query, limit=hit_limit)
         fetch = self.fetcher.fetch_document
         urls = [hit.url for hit in hits]
-        for scan in self._map(lambda u: self._examine(statement, u, fetch), urls):
+        for scan in map_in_order(self.pool, lambda u: self._examine(statement, u, fetch), urls):
             scan.add_to(session)
         if hits and session.documents_examined == 0:
             raise NoDocumentsRetrievable(
@@ -428,7 +426,7 @@ class Verifier:
 
         texts = [p.text for p in article.paragraphs]
         chunks = chunk_fill_limit(texts, max_chars=self.chunk_chars)
-        judged = self._map(lambda c: self._judge(statement, c.text), chunks)
+        judged = map_in_order(self.pool, lambda c: self._judge(statement, c.text), chunks)
         candidates: list[html_text.CapturedElement] = []
         offset = 0
         for chunk, (verdict, _) in zip(chunks, judged):
@@ -436,7 +434,7 @@ class Verifier:
             offset += len(chunk.paragraphs)
             if verdict.kind in DRILLDOWN_POSITIVE:
                 candidates.extend(p for p in members if is_valid_paragraph(p.text))
-        judged = self._map(lambda p: self._judge(statement, p.text), candidates)
+        judged = map_in_order(self.pool, lambda p: self._judge(statement, p.text), candidates)
         session.paragraphs_queried += len(chunks) + len(candidates)
 
         # Plan the cited sources in article order: dangling references become
@@ -463,7 +461,7 @@ class Verifier:
 
         fetch = self.fetcher.fetch_with_archive_fallback
         urls = [entry for entry in plan if isinstance(entry, str)]
-        scans = iter(self._map(lambda u: self._examine(statement, u, fetch), urls))
+        scans = iter(map_in_order(self.pool, lambda u: self._examine(statement, u, fetch), urls))
         for entry in plan:
             if isinstance(entry, SkipRecord):
                 session.skips.append(entry)

@@ -121,7 +121,6 @@ class WikidataClient:
         self.endpoint = endpoint
         self._api_url = api_url
         self._wikipedia_api = wikipedia_api
-        self._entity_info: dict[EntityId, EntityInfo] = {}
 
     # -- SPARQL ---------------------------------------------------------------
 
@@ -205,14 +204,8 @@ class WikidataClient:
     # -- wiki APIs --------------------------------------------------------------
 
     def entity_info(self, entity: EntityId | str | int) -> EntityInfo:
-        """Label, latest revision, and English sitelink of an entity.
-
-        Answers are memoised per client, so a run asks once per entity.
-        """
+        """Label, latest revision, and English sitelink of an entity."""
         entity = EntityId.parse(entity)
-        cached = self._entity_info.get(entity)
-        if cached is not None:
-            return cached
         req = HttpRequest.get(
             self._api_url,
             params={
@@ -240,14 +233,13 @@ class WikidataClient:
         url = sitelink.get("url")
         if title and not url:
             url = "https://en.wikipedia.org/wiki/" + quote(title.replace(" ", "_"))
-        info = self._entity_info[entity] = EntityInfo(
+        return EntityInfo(
             entity_id=entity,
             label=record.get("labels", {}).get("en", {}).get("value", str(entity)),
             revision_id=int(record.get("lastrevid", 0)),
             wikipedia_title=title,
             wikipedia_url=url,
         )
-        return info
 
     def resolve_wikipedia_url(self, entity: EntityId | str | int) -> str:
         """URL of the English Wikipedia article linked from the entity."""

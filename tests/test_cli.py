@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import threading
 import time
@@ -821,32 +822,60 @@ class TestLiveWithCache:
         """Each distinct request, completions included, reaches the remote once
         per run, however often the run asks for it; the reports are the
         replay's bytes."""
-        from kgverify.net import LiveTransport, RequestMemo, request_fingerprint
+        from kgverify.net import LiveTransport, request_fingerprint
 
-        remote, memo = LiveTransport.send, RequestMemo.send
-        sent, asked = [], []
+        remote = LiveTransport.send
+        sent = []
 
         def send(self, req):
             sent.append(request_fingerprint(req))
             return remote(self, req)
 
-        def ask(self, req):
-            asked.append(request_fingerprint(req))
-            return memo(self, req)
-
         monkeypatch.setattr(LiveTransport, "send", send)
-        monkeypatch.setattr(RequestMemo, "send", ask)
         cache = tmp_path / "cache"
         clock = ["--fixed-clock", "2024-03-02T13:27:25Z"]
         result = runner.invoke(main, [*command, "--live", "--cache-dir", str(cache),
                                       "--out", str(tmp_path / "live"), *clock])
         assert result.exit_code == 0, result.output
-        assert sorted(sent) == sorted(set(asked))
+        assert len(sent) == len(set(sent))
         result = runner.invoke(main, [*command, *replay_args(tmp_path / "replay", cache)])
         assert result.exit_code == 0, result.output
         for ext in ("xml", "html"):
             live = (tmp_path / "live" / f"{run_id}.{ext}").read_bytes()
             assert (tmp_path / "replay" / f"{run_id}.{ext}").read_bytes() == live
+
+    def test_a_reused_completion_replays_with_its_first_latency(self, runner, tmp_path,
+                                                               live_remote, monkeypatch):
+        """Against a slow LLM, a completion that answers several judgments
+        reports the first ask's latency for each, so the replay of the cached
+        run is the live run's bytes."""
+        from kgverify.net import LiveTransport
+
+        remote = LiveTransport.send
+
+        def slow(self, req):
+            if req.method == "POST":
+                time.sleep(0.02)
+            return remote(self, req)
+
+        monkeypatch.setattr(LiveTransport, "send", slow)
+        statements = (FIXTURES / "biolum_statements.tsv").read_text(encoding="utf-8")
+        twice = tmp_path / "twice.tsv"
+        twice.write_text(statements + statements, encoding="utf-8")
+        command = [*UC2[0][:2], "--statements", str(twice), *UC2[0][4:]]
+        cache = tmp_path / "cache"
+        result = runner.invoke(main, [*command, "--live", "--cache-dir", str(cache),
+                                      "--out", str(tmp_path / "live"),
+                                      "--fixed-clock", "2024-03-02T13:27:25Z"])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, [*command, *replay_args(tmp_path / "replay", cache)])
+        assert result.exit_code == 0, result.output
+        live = (tmp_path / "live" / f"{UC2[1]}.xml").read_text(encoding="utf-8")
+        durations = [int(ms) for ms in re.findall(r"<duration-ms>(\d+)</duration-ms>", live)]
+        assert len(durations) >= 2 and min(durations) >= 20
+        for ext in ("xml", "html"):
+            assert (tmp_path / "replay" / f"{UC2[1]}.{ext}").read_bytes() == (
+                tmp_path / "live" / f"{UC2[1]}.{ext}").read_bytes()
 
     def test_repeated_statements_reuse_every_request(self, runner, tmp_path, live_remote,
                                                      monkeypatch):

@@ -4,6 +4,7 @@ evaluate's instances."""
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import random
@@ -20,7 +21,7 @@ from kgverify.datasets import LabeledInstance, Origin, SnliRecord
 from kgverify.errors import FixtureMissing, MalformedResponse
 from kgverify.llm import LlmGateway, ResponseLog
 from kgverify.model import BinaryDecision, DecisionMode, NliLabel, Statement
-from kgverify.net import HttpRequest
+from kgverify.net import HttpRequest, RequestMemo
 from kgverify.prompting import (
     OPTION_TEXTS,
     SYSTEM_PROMPT,
@@ -29,7 +30,7 @@ from kgverify.prompting import (
     render_rdf_prompt,
 )
 from kgverify.retrieval import ARCHIVE_AVAILABILITY_API, DocumentFetcher, SearchHit
-from kgverify.verifier import Verifier, map_in_order
+from kgverify.verifier import Verifier, WorkerPool, map_in_order
 from kgverify.wikidata import WIKIDATA_API, WikidataClient
 
 from conftest import DictTransport
@@ -51,13 +52,15 @@ def jitter(seed: int, key: str) -> None:
 
 
 class ContentProvider:
-    """Thread-safe provider that answers by the snippet's marker words."""
+    """Thread-safe provider that answers by the snippet's marker words, and
+    keeps the prompts it is asked."""
 
     name = "content"
 
     def __init__(self, seed: int = 1):
         self.seed = seed
         self.calls = 0
+        self.prompts: list[str] = []
         self.in_flight = 0
         self.peak = 0
         self._lock = threading.Lock()
@@ -65,6 +68,7 @@ class ContentProvider:
     def complete(self, params, prompt: str) -> str:
         with self._lock:
             self.calls += 1
+            self.prompts.append(prompt)
             self.in_flight += 1
             self.peak = max(self.peak, self.in_flight)
         try:
@@ -211,6 +215,7 @@ def article_html() -> str:
 
 
 def wiki_verifier(pool, seed=1, chunk_chars=700):
+    """A verifier over one run's request memo; ``transport`` sees what reaches the remote."""
     transport = SlowTransport(seed)
     transport.add_json(
         HttpRequest.get(WIKIDATA_API, params={
@@ -233,10 +238,11 @@ def wiki_verifier(pool, seed=1, chunk_chars=700):
         transport.add_json(HttpRequest.get(ARCHIVE_AVAILABILITY_API, params={"url": url}),
                            {"archived_snapshots": closest})
     provider = ContentProvider(seed)
+    remote = RequestMemo(transport)
     verifier = Verifier(
         gateway=gateway(provider),
-        fetcher=DocumentFetcher(transport, clock=lambda: NOW),
-        wikidata=WikidataClient(transport),
+        fetcher=DocumentFetcher(remote, clock=lambda: NOW),
+        wikidata=WikidataClient(remote),
         chunk_chars=chunk_chars,
         clock=lambda: NOW,
         pool=pool,
@@ -244,10 +250,16 @@ def wiki_verifier(pool, seed=1, chunk_chars=700):
     return verifier, provider, transport
 
 
+@contextlib.contextmanager
+def worker_pool(width: int):
+    with ThreadPoolExecutor(max_workers=width) as executor:
+        yield WorkerPool(executor, width)
+
+
 @pytest.fixture(params=[1, 4], ids=["width1", "width4"])
 def pool(request):
-    with ThreadPoolExecutor(max_workers=request.param) as executor:
-        yield executor
+    with worker_pool(request.param) as pool:
+        yield pool
 
 
 class TestDeterminism:
@@ -258,7 +270,8 @@ class TestDeterminism:
         verifier, provider, _ = web_verifier(pool, seed)
         session = verifier.verify_via_web_search(STATEMENT, hit_limit=8)
         assert normalised(session) == normalised(expected)
-        assert provider.calls == expected_provider.calls == session.paragraphs_queried
+        # the same prompts either way, each asked once however often it is judged
+        assert provider.calls == expected_provider.calls == len(set(provider.prompts))
         # the fixture exercises every kind of outcome
         assert [t.document_url for t in session.traces] == [
             "https://a.example/late-proof", "https://e.example/first-proof",
@@ -274,7 +287,8 @@ class TestDeterminism:
         verifier, provider, _ = wiki_verifier(pool, seed)
         session = verifier.verify_via_wikipedia(STATEMENT)
         assert normalised(session) == normalised(expected)
-        assert provider.calls == expected_provider.calls == session.paragraphs_queried
+        # the same prompts either way, each asked once however often it is judged
+        assert provider.calls == expected_provider.calls == len(set(provider.prompts))
         assert [a.ref_numbers for a in session.wikipedia_anchors] == [
             (1, 2), (3, 9), (2, 4, 5), (6,), (12, 1)]
         assert [(s.kind, s.target) for s in session.skips] == [
@@ -288,8 +302,8 @@ class TestDeterminism:
         assert all("wikipedia.org" not in t.document_url for t in session.traces)
 
     def test_width4_runs_calls_concurrently(self):
-        with ThreadPoolExecutor(max_workers=4) as executor:
-            verifier, provider, _ = web_verifier(executor)
+        with worker_pool(4) as pool:
+            verifier, provider, _ = web_verifier(pool)
             verifier.verify_via_web_search(STATEMENT, hit_limit=8)
         assert provider.peak > 1
 
@@ -318,9 +332,9 @@ class TestFailurePropagation:
                 raise ValueError("task 2")
             return item
 
-        with ThreadPoolExecutor(max_workers=1) as executor:
+        with worker_pool(1) as pool:
             with pytest.raises(ValueError, match="task 2"):
-                map_in_order(executor, task, list(range(6)))
+                map_in_order(pool, task, list(range(6)))
         assert started == [0, 1, 2]
 
     def test_first_failure_in_order_wins_and_started_tasks_end(self):
@@ -343,9 +357,9 @@ class TestFailurePropagation:
                 if item == 1:
                     slow_failure.set()
 
-        with ThreadPoolExecutor(max_workers=3) as executor:
+        with worker_pool(3) as pool:
             with pytest.raises(KeyError, match="task 0"):
-                map_in_order(executor, task, list(range(8)))
+                map_in_order(pool, task, list(range(8)))
             assert ended == started == {0, 1, 2}
 
     def test_inline_mapping_stops_at_the_failure(self):
@@ -363,8 +377,8 @@ class TestFailurePropagation:
     @pytest.mark.parametrize("width", [1, 4])
     def test_session_raises_the_first_failing_hit(self, width):
         urls = list(WEB_PAGES)
-        with ThreadPoolExecutor(max_workers=width) as executor:
-            verifier, _, transport = web_verifier(executor, urls=urls)
+        with worker_pool(width) as pool:
+            verifier, _, transport = web_verifier(pool, urls=urls)
             # the later hit fails first; the earlier one still decides
             transport.fail(urls[2], FixtureMissing("hit 3"), after_s=0.03)
             transport.fail(urls[4], MalformedResponse("hit 5"))
@@ -383,7 +397,7 @@ def marked_texts(seed: int, n: int = 24) -> list[str]:
     return [f"Text {i} reads {rng.choice([PROOF, HINT, 'nothing'])} here." for i in range(n)]
 
 
-def judge_triples(pool, provider, texts, width=None):
+def judge_triples(pool, provider, texts):
     instances = [
         LabeledInstance(
             statement=dataclasses.replace(STATEMENT, object_label=f"Thing {i}"),
@@ -393,19 +407,18 @@ def judge_triples(pool, provider, texts, width=None):
         )
         for i, text in enumerate(texts)
     ]
-    predictions = _judge_triples(pool, gateway(provider), instances, DecisionMode.FAVOR_PRECISION,
-                                 width)
+    predictions = _judge_triples(pool, gateway(provider), instances, DecisionMode.FAVOR_PRECISION)
     expected = [BinaryDecision.SUPPORTED if PROOF in text else BinaryDecision.NOT_SUPPORTED
                 for text in texts]
     return predictions, expected
 
 
-def judge_nli(pool, provider, texts, width=None):
+def judge_nli(pool, provider, texts):
     records = [SnliRecord(premise=text, hypothesis="A claim.", gold=NliLabel.NEUTRAL)
                for text in texts]
     examples = [NliExample(premise="An example.", hypothesis="A claim.", label=label)
                 for label in (NliLabel.ENTAILMENT, NliLabel.NEUTRAL, NliLabel.CONTRADICTION)]
-    predictions = _judge_nli(pool, gateway(provider), records, examples, width)
+    predictions = _judge_nli(pool, gateway(provider), records, examples)
     # ContentProvider answers a) for a proof and b) for a hint anywhere in the prompt
     expected = [NliLabel.ENTAILMENT if PROOF in text else
                 NliLabel.NEUTRAL if HINT in text else NliLabel.CONTRADICTION for text in texts]
@@ -420,8 +433,8 @@ class TestEvaluateFanOut:
         results = {}
         for width in (1, 4):
             provider = ContentProvider(seed)
-            with ThreadPoolExecutor(max_workers=width) as executor:
-                results[width] = judge(executor, provider, texts)
+            with worker_pool(width) as pool:
+                results[width] = judge(pool, provider, texts)
             assert provider.calls == len(texts)
             assert (provider.peak > 1) == (width > 1)
         (width1, expected), (width4, _) = results[1], results[4]
@@ -466,16 +479,11 @@ class TestLookAhead:
     @pytest.mark.parametrize("width", [1, 3])
     def test_submits_two_per_worker_ahead(self, width):
         executor = CountingExecutor()
-        assert map_in_order(executor, lambda i: i * i, list(range(20)), width) == [
+        assert map_in_order(WorkerPool(executor, width), lambda i: i * i, list(range(20))) == [
             i * i for i in range(20)]
         assert executor.submitted == len(executor.ahead) == 20
         window = 2 * width
         assert executor.ahead == [min(window, 19 - i) for i in range(20)]
-
-    def test_without_a_width_every_task_is_submitted_at_once(self):
-        executor = CountingExecutor()
-        map_in_order(executor, lambda i: i, list(range(20)))
-        assert executor.ahead == [19 - i for i in range(20)]
 
     def test_queued_tasks_do_not_run_after_a_failure(self):
         started = []
@@ -486,9 +494,9 @@ class TestLookAhead:
                 raise ValueError("task 2")
             return item
 
-        with ThreadPoolExecutor(max_workers=1) as executor:
+        with worker_pool(1) as pool:
             with pytest.raises(ValueError, match="task 2"):
-                map_in_order(executor, task, list(range(12)), width=1)
+                map_in_order(pool, task, list(range(12)))
         assert started == [0, 1, 2]
 
     def test_first_failure_in_order_wins(self):
@@ -504,16 +512,16 @@ class TestLookAhead:
                 raise ValueError("task 1")
             return item
 
-        with ThreadPoolExecutor(max_workers=2) as executor:
+        with worker_pool(2) as pool:
             with pytest.raises(KeyError, match="task 0"):
-                map_in_order(executor, task, list(range(12)), width=2)
+                map_in_order(pool, task, list(range(12)))
 
     @pytest.mark.parametrize("judge", [judge_triples, judge_nli], ids=["triples", "nli"])
     def test_evaluate_keeps_its_width_inside_the_window(self, judge):
         texts = marked_texts(5)
         provider = ContentProvider(5)
-        with ThreadPoolExecutor(max_workers=4) as executor:
-            predictions, expected = judge(executor, provider, texts, width=4)
+        with worker_pool(4) as pool:
+            predictions, expected = judge(pool, provider, texts)
         assert predictions == expected
         assert provider.calls == len(texts)
         assert provider.peak > 1
@@ -521,20 +529,21 @@ class TestLookAhead:
 
 def test_stress_shared_response_log(tmp_path):
     """More workers than cores, with frequent thread switches: the shared
-    response log keeps every completion as one whole line."""
+    response log keeps every judgment as one whole line."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
         started = time.monotonic()
-        with ThreadPoolExecutor(max_workers=8) as executor:
+        with worker_pool(8) as pool:
             log = ResponseLog(tmp_path / "responses.jsonl", clock=lambda: NOW)
-            verifier, provider, _ = web_verifier(executor, response_log=log)
+            verifier, provider, _ = web_verifier(pool, response_log=log)
             sessions = [verifier.verify_via_web_search(STATEMENT, hit_limit=8)
                         for _ in range(5)]
         assert time.monotonic() - started < 30
     finally:
         sys.setswitchinterval(interval)
     lines = (tmp_path / "responses.jsonl").read_text().splitlines()
-    assert len(lines) == provider.calls == sum(s.paragraphs_queried for s in sessions)
+    assert len(lines) == sum(s.paragraphs_queried for s in sessions)
+    assert provider.calls == len(set(provider.prompts))  # later sessions reuse every answer
     assert all(json.loads(line)["timestamp"] == "2024-03-02T13:27:25Z" for line in lines)
     assert all(normalised(s) == normalised(sessions[0]) for s in sessions)

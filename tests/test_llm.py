@@ -1,12 +1,15 @@
 from __future__ import annotations
 
 import json
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
 
-from kgverify.errors import ContextOverflow, FixtureMissing
+from kgverify.errors import ContextOverflow, FixtureMissing, ProviderUnavailable
 from kgverify.llm import (
     LlmGateway,
     LlmParams,
@@ -186,6 +189,60 @@ class TestGateway:
         LlmGateway(ScriptedProvider(["answer"]), response_log=log).complete("prompt")
         record = json.loads((tmp_path / "log.jsonl").read_text())
         assert record["timestamp"] == "2024-03-02T13:27:25Z"
+
+
+class FlakyProvider:
+    """Answers each prompt with a numbered text after ``delay`` s; raises once per prompt
+    in ``fail_once``."""
+
+    name = "flaky"
+
+    def __init__(self, delay=0.0, fail_once=()):
+        self.delay = delay
+        self.fail_once = set(fail_once)
+        self.calls = []
+        self._lock = threading.Lock()
+
+    def complete(self, params, prompt):
+        with self._lock:
+            self.calls.append(prompt)
+            number = len(self.calls)
+        time.sleep(self.delay)
+        if prompt in self.fail_once:
+            self.fail_once.discard(prompt)
+            raise ProviderUnavailable("LLM API request failed with HTTP 503")
+        return f"answer {number}"
+
+
+class TestGatewayMemo:
+    def test_a_repeated_prompt_gets_the_first_answer_and_latency(self, tmp_path):
+        log_path = tmp_path / "responses.jsonl"
+        provider = FlakyProvider(delay=0.02)
+        gateway = LlmGateway(provider, response_log=ResponseLog(log_path))
+        first, other, again = (gateway.complete(p) for p in ("same", "other", "same"))
+        assert provider.calls == ["same", "other"]
+        assert again == first and first.raw_text == "answer 1" and first.latency_ms >= 20
+        records = [json.loads(line) for line in log_path.read_text().splitlines()]
+        assert [(r["raw_text"], r["latency_ms"]) for r in records] == [
+            (first.raw_text, first.latency_ms), (other.raw_text, other.latency_ms),
+            (first.raw_text, first.latency_ms)]
+
+    def test_callers_of_a_prompt_in_flight_share_one_ask(self):
+        provider = FlakyProvider(delay=0.1)
+        gateway = LlmGateway(provider)
+        with ThreadPoolExecutor(max_workers=8) as executor:
+            responses = list(executor.map(lambda _: gateway.complete("same"), range(8), timeout=5))
+        assert provider.calls == ["same"]
+        assert all(response is responses[0] for response in responses)
+
+    def test_a_failure_is_asked_again(self):
+        provider = FlakyProvider(fail_once=["same"])
+        gateway = LlmGateway(provider)
+        with pytest.raises(ProviderUnavailable):
+            gateway.complete("same")
+        assert gateway.complete("same").raw_text == "answer 2"
+        assert gateway.complete("same").raw_text == "answer 2"
+        assert provider.calls == ["same", "same"]
 
 
 class TestParseOption:

@@ -344,6 +344,19 @@ class TestLiveTransportRetry:
         assert len(adapter.requests) == 1
         assert sleeps == []
 
+    @pytest.mark.parametrize("payload", [
+        b'{"status": "starting", "output": null}', b'{"status": "processing"}',
+        b'{"status": "failed", "output": ["partial"]}', b'{}',
+    ], ids=["starting", "processing", "failed", "empty"])
+    def test_llm_prediction_without_output_is_unavailable(self, payload):
+        """A prediction that `Prefer: wait` gave up on, or that failed, is no
+        answer: it raises, so a memo never keeps it."""
+        transport, adapter, sleeps = scripted_transport(reply(201, payload))
+        gateway = LlmGateway(ReplicateHttpProvider(transport, api_token="token"))
+        with pytest.raises(ProviderUnavailable, match="no output"):
+            gateway.complete("p")
+        assert len(adapter.requests) == 1
+
     def test_search_429_then_200_returns_hits(self):
         transport, adapter, sleeps = scripted_transport(
             reply(429), reply(200, b'{"items": [{"link": "https://hit.example", "title": "Hit"}]}'))

@@ -63,7 +63,7 @@ class TestEarlyExit:
         assert trace.verdict.kind is VerdictKind.DIRECT_PROOF
 
     def test_no_proof_processes_all(self):
-        paragraphs = ["p" * 150 for _ in range(10)]
+        paragraphs = [f"paragraph number {i} " + "p" * 150 for i in range(10)]
         verifier, provider = make_verifier([ANSWER["c"]] * 10)
         trace = verifier.verify_against_document(STATEMENT, make_doc(paragraphs))
         assert trace is None
