@@ -14,8 +14,9 @@ import hashlib
 import json
 import os
 import sys
+import threading
 import typing
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -180,22 +181,23 @@ class _Runtime:
         # other transport serves SPARQL, the wiki APIs, search, pages and the archive.
         # In every mode each distinct request is asked once per run (the gateway
         # does the same for completions).
-        gate = RequestGate(config.llm_requests)
+        self.gate = RequestGate(config.llm_requests)
         if config.replay:
             transport = self.store
         else:
-            live = LiveTransport(gate=gate)
+            live = LiveTransport(gate=self.gate)
             transport = live if self.store is None else self.store.over(live)
         self.transport = RequestMemo(transport)
         # a store records completions but only replay serves them
         logs = [] if config.replay else [Path(config.out_dir) / "responses.jsonl"]
         if logs and self.store is not None:
             logs.append(self.store.response_log_path)
+        self.response_log = ResponseLog(*logs, clock=self.clock) if logs else None
         self.gateway = LlmGateway(
-            self.store if config.replay else ReplicateHttpProvider(LiveTransport(gate=gate)),
+            self.store if config.replay else ReplicateHttpProvider(LiveTransport(gate=self.gate)),
             params=LlmParams(model=config.model),
             context_tokens=config.llm_context_tokens,
-            response_log=ResponseLog(*logs, clock=self.clock) if logs else None,
+            response_log=self.response_log,
         )
         self.fetcher = DocumentFetcher(self.transport, clock=self.clock)
         self.wikidata = WikidataClient(
@@ -210,8 +212,11 @@ class _Runtime:
             ThreadPoolExecutor(max_workers=width, thread_name_prefix="kgverify"), width)
 
     def close(self) -> None:
-        """Stop the worker pool; queued tasks are dropped, running ones finish."""
+        """Stop the worker pool (queued tasks are dropped, running ones finish),
+        then close the response log."""
         self.pool.executor.shutdown(wait=True, cancel_futures=True)
+        if self.response_log is not None:
+            self.response_log.close()
 
     def __enter__(self) -> "_Runtime":
         return self
@@ -290,6 +295,74 @@ def _write_manifest(config: RunConfig, out_dir: Path, command: str, extra: dict)
     )
 
 
+def _verify_statements(
+    runtime: _Runtime,
+    statements: Sequence[Statement],
+    verify: Callable[[Statement], VerificationSession],
+) -> tuple[list[VerificationSession], bool]:
+    """Verify the statements, overlapping them while the request gate runs idle.
+
+    Each statement is one task on a statement-level executor, and its
+    session's documents fan out on the run's worker pool. Statements are
+    admitted in order, at most ``max(1, llm_requests // 2)`` in flight: the
+    next one when none is in flight, or when fewer than ``llm_requests / 2``
+    requests hold or wait for a gate slot. Once a statement has failed, none
+    is admitted.
+
+    Returns the sessions in statement order and whether the run was
+    interrupted. Ctrl-C admits no further statement and waits for those in
+    flight; the sessions are then the longest prefix of statements that
+    finished. Otherwise the first failure in statement order propagates, once
+    every admitted statement has ended. The runtime is closed on return.
+    """
+    width = max(1, runtime.config.llm_requests // 2)
+    idle = runtime.config.llm_requests / 2
+    failed = threading.Event()
+
+    def run(statement: Statement) -> VerificationSession:
+        try:
+            return verify(statement)
+        except BaseException:
+            failed.set()
+            raise
+
+    admitted: list[Future] = []
+    running: set[Future] = set()
+    interrupted = False
+    executor = ThreadPoolExecutor(max_workers=width, thread_name_prefix="kgverify-statement")
+    try:
+        for statement in statements:
+            running = {future for future in running if not future.done()}
+            while len(running) >= width:
+                running = wait(running, return_when=FIRST_COMPLETED).not_done
+            if running:
+                # Every request of the run is a statement's, so with none in
+                # flight the gate is idle: this wait ends when the last one does.
+                runtime.gate.wait_below(idle)
+            if failed.is_set():
+                break
+            click.echo(f"verifying: {' / '.join(statement.labels())}", err=True)
+            future = executor.submit(run, statement)
+            admitted.append(future)
+            running.add(future)
+        wait(running)
+    except KeyboardInterrupt:
+        interrupted = True
+    finally:
+        executor.shutdown(wait=True)  # before the worker pool its statements use
+        runtime.close()
+    sessions = []
+    for future in admitted:
+        error = future.exception()
+        if error is None:
+            sessions.append(future.result())
+        elif interrupted or isinstance(error, KeyboardInterrupt):
+            return sessions, True
+        else:
+            raise error
+    return sessions, interrupted
+
+
 def _verify_run(
     runtime: _Runtime,
     command: str,
@@ -302,21 +375,12 @@ def _verify_run(
 ) -> None:
     """The run lifecycle both verify commands share.
 
-    Verifies the statements in order, then writes the report and manifest for
-    the sessions done so far; Ctrl-C stops the loop early and the run exits
-    130 after writing them. Any other error propagates and writes nothing.
+    Verifies the statements (``_verify_statements``), then writes the report
+    and manifest for the sessions done; an interrupted run exits 130 after
+    writing them. Any other error propagates and writes nothing.
     """
     config = runtime.config
-    sessions = []
-    interrupted = False
-    try:
-        for statement in statements:
-            click.echo(f"verifying: {' / '.join(statement.labels())}", err=True)
-            sessions.append(verify(statement))
-    except KeyboardInterrupt:
-        interrupted = True
-    finally:
-        runtime.close()
+    sessions, interrupted = _verify_statements(runtime, statements, verify)
 
     info = runtime.wikidata.entity_info(entity_id)
     extra_fields = summary_extra(info)

@@ -10,6 +10,7 @@ unreadable response is a value (unparseable), never an exception.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -19,7 +20,8 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Protocol
+from types import MappingProxyType
+from typing import Callable, Mapping, Protocol, TextIO
 
 from .errors import ContextOverflow, FixtureMissing, ProviderUnavailable
 from .model import DIRECT_PROOF, INDICATION, NO_SUPPORT, NliLabel, Verdict
@@ -51,6 +53,11 @@ class LlmParams:
         if self.max_new_tokens <= 0:
             raise ValueError("max_new_tokens must be positive")
 
+    @functools.cached_property
+    def as_dict(self) -> Mapping[str, object]:
+        """The parameters by field name, computed once: every fingerprint reads them."""
+        return MappingProxyType(dataclasses.asdict(self))
+
 
 @dataclass(frozen=True)
 class LlmResponse:
@@ -62,7 +69,7 @@ class LlmResponse:
 
 def completion_fingerprint(params: LlmParams, prompt: str) -> str:
     """Deterministic identity of a completion request (params + prompts)."""
-    descriptor = {**dataclasses.asdict(params), "prompt": prompt}
+    descriptor = {**params.as_dict, "prompt": prompt}
     return hashlib.sha256(canonical_json(descriptor).encode("utf-8")).hexdigest()[:24]
 
 
@@ -148,23 +155,38 @@ class ResponseLog:
     ``paths``, when it arrives, so under a concurrent session lines are in
     completion order, not call order; replay keys lines by fingerprint, so
     their order does not matter. Timestamps come from ``clock`` (the run's
-    clock, which ``--fixed-clock`` pins).
+    clock, which ``--fixed-clock`` pins). Each path is opened at its first
+    line and kept open, every line flushed, until ``close``.
     """
 
     def __init__(self, *paths: Path | str, clock: Callable[[], datetime] | None = None):
         self.paths = [Path(path) for path in paths]
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self._lock = threading.Lock()
+        self._handles: list[TextIO] = []
 
     def append(self, fingerprint: str, params: LlmParams, prompt: str, raw_text: str,
                latency_ms: int) -> None:
         stamp = self._clock().astimezone(timezone.utc)
         line = _log_line(fingerprint, params, prompt, raw_text, latency_ms, stamp) + "\n"
         with self._lock:
-            for path in self.paths:
-                path.parent.mkdir(parents=True, exist_ok=True)
-                with open(path, "a", encoding="utf-8") as handle:
-                    handle.write(line)
+            if not self._handles:
+                self._handles = [_open_for_append(path) for path in self.paths]
+            for handle in self._handles:
+                handle.write(line)
+                handle.flush()
+
+    def close(self) -> None:
+        """Close the open paths; a later line opens them again."""
+        with self._lock:
+            for handle in self._handles:
+                handle.close()
+            self._handles = []
+
+
+def _open_for_append(path: Path) -> TextIO:
+    path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "a", encoding="utf-8")
 
 
 def _log_line(fingerprint: str, params: LlmParams, prompt: str, raw_text: str,

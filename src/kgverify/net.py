@@ -19,6 +19,7 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Generic, Hashable, Protocol, TypeVar
+from urllib.parse import urlsplit
 
 import requests
 
@@ -116,18 +117,43 @@ class Transport(Protocol):
 
 
 class RequestGate:
-    """Bounds the number of in-flight requests sharing this gate."""
+    """Bounds the number of in-flight requests sharing this gate.
+
+    It also counts the requests that hold a slot or wait for one, so that a
+    caller can wait until the gate has spare capacity (``wait_below``). A
+    freed slot goes to whichever waiter takes it first, with no priorities.
+    """
 
     def __init__(self, max_in_flight: int = 2):
-        self._sem = threading.Semaphore(max_in_flight)
+        self._max = max_in_flight
+        self._holding = 0
+        self._asking = 0  # requests that hold a slot or wait for one
+        self._changed = threading.Condition()
 
     def __enter__(self):
-        self._sem.acquire()
+        with self._changed:
+            self._asking += 1
+            try:
+                while self._holding >= self._max:
+                    self._changed.wait()
+            except BaseException:  # an interrupt while waiting: it holds nothing
+                self._asking -= 1
+                raise
+            self._holding += 1
         return self
 
     def __exit__(self, *exc):
-        self._sem.release()
+        with self._changed:
+            self._holding -= 1
+            self._asking -= 1
+            self._changed.notify_all()
         return False
+
+    def wait_below(self, level: float) -> None:
+        """Return once fewer than ``level`` requests hold or wait for a slot."""
+        with self._changed:
+            while self._asking >= level:
+                self._changed.wait()
 
 
 class SingleFlight(Generic[_Value]):
@@ -194,6 +220,12 @@ class LiveTransport:
     ``Retry-After`` (also capped at 8 s); the sleep holds no gate slot. After
     the last attempt a failing status is returned for the caller to map, and a
     connection error raises ``Unavailable``.
+
+    The environment is read once, not on every request as a ``requests``
+    session trusting it would: proxies (``HTTPS_PROXY``, ``NO_PROXY``, ...)
+    once per scheme and host, the CA bundle (``REQUESTS_CA_BUNDLE``, then
+    ``CURL_CA_BUNDLE``) at construction. ``~/.netrc`` is not read, and a
+    redirect keeps the proxies of the URL first asked.
     """
 
     def __init__(
@@ -209,6 +241,11 @@ class LiveTransport:
         self._retries = retries
         self._gate = gate or RequestGate(4)
         self._session = session or requests.Session()
+        self._session.trust_env = False
+        # None leaves the session's own setting (verify, by default) in force
+        self._verify = (os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+                        or None)
+        self._proxies: dict[tuple[str, str], dict[str, str]] = {}
         self._sleep = sleeper
 
     def send(self, req: HttpRequest) -> HttpResponse:
@@ -225,6 +262,14 @@ class LiveTransport:
             self._sleep(min(float(delay), MAX_BACKOFF_SECONDS))
         return self._attempt(req)
 
+    def _proxies_for(self, url: str) -> dict[str, str]:
+        """The environment's proxies for ``url``, resolved once per scheme and host."""
+        origin = urlsplit(url)[:2]  # the host with its port, which NO_PROXY may name
+        proxies = self._proxies.get(origin)
+        if proxies is None:
+            proxies = self._proxies[origin] = requests.utils.get_environ_proxies(url)
+        return proxies
+
     def _attempt(self, req: HttpRequest) -> HttpResponse:
         """One request, holding a gate slot; a connection error raises ``Unavailable``."""
         try:
@@ -236,6 +281,8 @@ class LiveTransport:
                     data=req.body,
                     headers={"User-Agent": USER_AGENT, **dict(req.headers)},
                     timeout=self._timeout,
+                    proxies=self._proxies_for(req.url),
+                    verify=self._verify,
                 )
         except requests.RequestException as exc:
             raise Unavailable(f"{req.method} {req.url}: {exc}") from exc

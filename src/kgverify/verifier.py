@@ -42,6 +42,7 @@ from .model import (
     VerdictKind,
     statement_to_search_query,
 )
+from .net import SingleFlight
 from .prompting import RdfPrompt, render_rdf_prompt
 from .retrieval import (
     DEFAULT_CHUNK_CHARS,
@@ -277,7 +278,7 @@ class Verifier:
     ``pool`` (optional) runs a session's independent documents and judgments
     concurrently; sessions come out the same with or without it. A verifier
     fetches and parses each Wikipedia article once and reuses it for every
-    statement about that subject.
+    statement about that subject, also for statements verified at once.
     """
 
     def __init__(
@@ -297,7 +298,7 @@ class Verifier:
         self.chunk_chars = chunk_chars
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self.pool = pool
-        self._articles: dict[str, _WikipediaArticle] = {}
+        self._articles: SingleFlight[_WikipediaArticle] = SingleFlight()
 
     # -- building blocks --------------------------------------------------------
 
@@ -388,14 +389,11 @@ class Verifier:
     # -- use case: Wikipedia ----------------------------------------------------
 
     def _article(self, url: str) -> _WikipediaArticle:
-        article = self._articles.get(url)
-        if article is None:
-            try:
-                html, _ = self.fetcher.fetch_raw(url)
-            except (Unavailable, UnsupportedMediaType) as exc:
-                raise NoDocumentsRetrievable(f"cannot fetch article {url}: {exc}") from exc
-            article = self._articles[url] = parse_wikipedia_article(html)
-        return article
+        try:
+            html, _ = self.fetcher.fetch_raw(url)
+        except (Unavailable, UnsupportedMediaType) as exc:
+            raise NoDocumentsRetrievable(f"cannot fetch article {url}: {exc}") from exc
+        return parse_wikipedia_article(html)
 
     def verify_via_wikipedia(
         self, statement: Statement, entity: EntityId | str | int | None = None
@@ -419,7 +417,7 @@ class Verifier:
         session = VerificationSession(
             statement=statement, mode=VerificationMode.WIKIPEDIA, started_at=self._clock()
         )
-        article = self._article(article_url)
+        article = self._articles.get(article_url, lambda: self._article(article_url))
         session.documents.append(
             DocumentRecord(url=article_url, retrieval_source="direct")
         )

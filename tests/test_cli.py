@@ -35,6 +35,16 @@ UC2 = (["verify-wikipedia", "Q179924", "--statements", str(FIXTURES / "biolum_st
         "--model", "gpt-4-1106-preview"], "verify-wikipedia-Q179924")
 
 
+def uc2_three_times(tmp_path, second_object=None) -> list[str]:
+    """The uc2 command over its statements file written 3 times; a
+    ``second_object`` replaces the object of the second statement."""
+    line = (FIXTURES / "biolum_statements.tsv").read_text(encoding="utf-8")
+    second = line.replace("\tphosphorescence\t", f"\t{second_object}\t") if second_object else line
+    path = tmp_path / "three.tsv"
+    path.write_text(line + second + line, encoding="utf-8")
+    return [*UC2[0][:2], "--statements", str(path), *UC2[0][4:]]
+
+
 # what a live run's environment holds; no recorded file may hold any of it
 CREDENTIALS = {"KGVERIFY_LLM_TOKEN": "test-token-1f3a", "KGVERIFY_SEARCH_KEY": "test-key-7c2e",
                "KGVERIFY_SEARCH_CX": "test-cx-94b0"}
@@ -256,6 +266,35 @@ class TestVerifyWikipedia:
         assert "<subject-id>179924</subject-id>" in xml_text
         assert "oldid=1206514418" in xml_text
         assert "Phosphorus was thought to be the source of light" in xml_text
+
+    def test_failing_second_statement_exits_4_and_writes_no_report(self, runner, tmp_path,
+                                                                    monkeypatch):
+        """Overlapping statements keep the serial run's failure rule: the first
+        failure in statement order gives the exit code, and nothing is written."""
+        from kgverify.errors import Unavailable
+        from kgverify.verifier import Verifier
+
+        verify = Verifier.verify_via_wikipedia
+        started = []
+        second_failed = threading.Event()
+
+        def second_fails(self, statement, **kwargs):
+            started.append(statement.object_label)
+            if statement.object_label == "luminescence":
+                second_failed.set()
+                raise Unavailable("second statement down")
+            assert second_failed.wait(5.0)  # the first is still in flight when it fails
+            return verify(self, statement, **kwargs)
+
+        monkeypatch.setattr(Verifier, "verify_via_wikipedia", second_fails)
+        monkeypatch.setenv("KGVERIFY_LLM_REQUESTS", "4")  # two statements at once
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*uc2_three_times(tmp_path, "luminescence"),
+                                      *replay_args(out)])
+        assert result.exit_code == 4, result.output
+        assert "second statement down" in result.output
+        assert not out.exists()
+        assert sorted(started) == ["luminescence", "phosphorescence"]  # the third never starts
 
     def test_malformed_statements_file(self, runner, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -673,13 +712,26 @@ class TestPoolWidth:
     def test_requests_in_flight_never_exceed_the_width(self, runner, tmp_path, monkeypatch,
                                                        width):
         """Across every remote (wiki APIs, pages, the archive, the LLM) at once,
-        a live run has at most llm_requests requests in flight."""
+        a live run has at most llm_requests requests in flight, and at most
+        max(1, llm_requests // 2) statements."""
         import requests
 
         from kgverify.net import HttpRequest
+        from kgverify.verifier import Verifier
 
         lock = threading.Lock()
-        seen = {"in_flight": 0, "peak": 0, "requests": 0}
+        seen = {"in_flight": 0, "peak": 0, "requests": 0, "statements": 0, "statement_peak": 0}
+        verify = Verifier.verify_via_wikipedia
+
+        def counted_verify(self, statement, **kwargs):
+            with lock:
+                seen["statements"] += 1
+                seen["statement_peak"] = max(seen["statement_peak"], seen["statements"])
+            try:
+                return verify(self, statement, **kwargs)
+            finally:
+                with lock:
+                    seen["statements"] -= 1
 
         def slow_remote(session, method, url, params=None, data=None, **kwargs):
             with lock:
@@ -699,14 +751,54 @@ class TestPoolWidth:
             return resp
 
         monkeypatch.setattr(requests.Session, "request", slow_remote)
+        monkeypatch.setattr(Verifier, "verify_via_wikipedia", counted_verify)
         monkeypatch.setenv("KGVERIFY_LLM_TOKEN", "test-token")
         monkeypatch.setenv("KGVERIFY_LLM_REQUESTS", str(width))
-        result = runner.invoke(main, [*UC2[0], "--live", "--out", str(tmp_path),
+        result = runner.invoke(main, [*uc2_three_times(tmp_path), "--live",
+                                      "--out", str(tmp_path / "out"),
                                       "--fixed-clock", "2024-03-02T13:27:25Z"])
         assert result.exit_code == 0, result.output
         assert seen["requests"] > 10
         assert seen["peak"] <= width
         assert seen["peak"] > 1 or width == 1  # the run did fan out
+        assert seen["statement_peak"] <= max(1, width // 2)
+        assert seen["statement_peak"] > 1 or width == 1  # statements did overlap
+
+    def test_live_statements_bytes_match_at_width_one(self, runner, tmp_path, live_remote,
+                                                      monkeypatch):
+        """Overlapping statements in a live run write the serial run's reports,
+        with the sessions in statement order."""
+        import types
+
+        from kgverify.errors import FixtureMissing
+        from kgverify.net import HttpResponse, LiveTransport
+
+        remote = LiveTransport.send
+
+        def send(self, req):
+            try:
+                return remote(self, req)
+            except FixtureMissing:  # the second statement's prompts: no support
+                return HttpResponse(201, {"content-type": "application/json"},
+                                    b'{"output": "The correct answer is: c)"}')
+
+        monkeypatch.setattr(LiveTransport, "send", send)
+        # a completion's latency is reported; pin it so the runs can be compared
+        monkeypatch.setattr("kgverify.llm.time", types.SimpleNamespace(monotonic=lambda: 0.0))
+        command = uc2_three_times(tmp_path, "luminescence")
+        outputs = []
+        for width in ("1", "4"):
+            monkeypatch.setenv("KGVERIFY_LLM_REQUESTS", width)
+            out = tmp_path / f"width-{width}"
+            result = runner.invoke(main, [*command, "--live", "--out", str(out),
+                                          "--fixed-clock", "2024-03-02T13:27:25Z"])
+            assert result.exit_code == 0, result.output
+            assert result.output.count("verifying: ") == 3
+            outputs.append([(out / f"{UC2[1]}.{ext}").read_bytes() for ext in ("xml", "html")])
+        assert outputs[0] == outputs[1]
+        sessions = ET.fromstring(outputs[0][0]).findall("session")
+        objects = [session.find("statement/object").text for session in sessions]
+        assert objects == ["phosphorescence", "luminescence", "phosphorescence"]
 
 
 class TestInterrupt:
@@ -741,6 +833,32 @@ class TestInterrupt:
         assert manifest["interrupted"] is True
         assert manifest["sessions"] == 0
         assert manifest["traces"] == 0
+
+
+    def test_second_statement_interrupted_writes_the_first_session(self, runner, tmp_path,
+                                                                    monkeypatch):
+        from kgverify.reporting import validate_report
+        from kgverify.verifier import Verifier
+
+        verify = Verifier.verify_via_wikipedia
+
+        def interrupt_second(self, statement, **kwargs):
+            if statement.object_label == "luminescence":
+                raise KeyboardInterrupt
+            return verify(self, statement, **kwargs)
+
+        monkeypatch.setattr(Verifier, "verify_via_wikipedia", interrupt_second)
+        monkeypatch.setenv("KGVERIFY_LLM_REQUESTS", "4")  # two statements at once
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*uc2_three_times(tmp_path, "luminescence"),
+                                      *replay_args(out)])
+        assert result.exit_code == 130, result.output
+        root = ET.fromstring((out / f"{UC2[1]}.xml").read_bytes())
+        validate_report(root)
+        assert len(root.findall("session")) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["interrupted"] is True
+        assert manifest["sessions"] == 1
 
 
 class TestLiveWithCache:

@@ -11,17 +11,18 @@ import random
 import sys
 import threading
 import time
+import types
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import pytest
 
-from kgverify.cli import _judge_nli, _judge_triples
+from kgverify.cli import _judge_nli, _judge_triples, _verify_statements
 from kgverify.datasets import LabeledInstance, Origin, SnliRecord
 from kgverify.errors import FixtureMissing, MalformedResponse
 from kgverify.llm import LlmGateway, ResponseLog
 from kgverify.model import BinaryDecision, DecisionMode, NliLabel, Statement
-from kgverify.net import HttpRequest, RequestMemo
+from kgverify.net import HttpRequest, RequestGate, RequestMemo
 from kgverify.prompting import (
     OPTION_TEXTS,
     SYSTEM_PROMPT,
@@ -321,6 +322,85 @@ class TestArticleOncePerRun:
         assert sum(1 for r in transport.requests
                    if dict(r.params).get("action") == "wbgetentities") == 1
 
+    def test_overlapping_statements_parse_the_article_once(self, pool, monkeypatch):
+        """Two statements about one subject, verified at once, fetch and parse
+        its article once: the second waits for the first's."""
+        import kgverify.verifier as verifier_module
+
+        verifier, _, _ = wiki_verifier(pool)
+        parse = verifier_module.parse_wikipedia_article
+        parsed = []
+
+        def counting_parse(html):
+            parsed.append(html)
+            return parse(html)
+
+        fetch_raw = verifier.fetcher.fetch_raw
+
+        def slow_fetch_raw(url):
+            time.sleep(0.1)  # the other statement asks while this fetch is in flight
+            return fetch_raw(url)
+
+        monkeypatch.setattr(verifier_module, "parse_wikipedia_article", counting_parse)
+        monkeypatch.setattr(verifier.fetcher, "fetch_raw", slow_fetch_raw)
+        statements = [dataclasses.replace(STATEMENT, object_label=f"Thing {i}")
+                      for i in range(2)]
+        together = threading.Barrier(2)
+
+        def verify(statement):
+            together.wait(timeout=5.0)
+            return verifier.verify_via_wikipedia(statement)
+
+        with ThreadPoolExecutor(max_workers=2) as statements_pool:
+            sessions = list(statements_pool.map(verify, statements))
+        assert len(parsed) == 1
+        assert [s.documents[0].url for s in sessions] == [ARTICLE_URL] * 2
+
+
+class TestStatementAdmission:
+    def test_next_statement_waits_for_the_gate_to_run_idle(self):
+        """With one statement in flight, the next starts only once fewer than
+        llm_requests / 2 requests hold or wait for a gate slot."""
+        gate = RequestGate(4)
+        runtime = types.SimpleNamespace(config=types.SimpleNamespace(llm_requests=4),
+                                        gate=gate, close=lambda: None)
+        busy, idle, first_may_end = threading.Event(), threading.Event(), threading.Event()
+        started = []
+
+        def hold_two_slots():
+            with gate, gate:
+                busy.set()
+                assert idle.wait(5.0)
+
+        def verify(statement):
+            started.append(statement.object_label)
+            if statement.object_label == "first":
+                assert first_may_end.wait(5.0)
+            return statement.object_label
+
+        holder = threading.Thread(target=hold_two_slots, daemon=True)
+        holder.start()
+        assert busy.wait(5.0)
+        statements = [dataclasses.replace(STATEMENT, object_label=label)
+                      for label in ("first", "second")]
+        result = []
+        run = threading.Thread(
+            target=lambda: result.append(_verify_statements(runtime, statements, verify)),
+            daemon=True)
+        run.start()
+        time.sleep(0.1)
+        assert started == ["first"]  # two requests in flight: the gate is not idle
+        idle.set()
+        deadline = time.monotonic() + 5.0
+        while len(started) < 2 and time.monotonic() < deadline:
+            time.sleep(0.001)
+        assert started == ["first", "second"]  # admitted while the first is in flight
+        first_may_end.set()
+        for thread in (holder, run):
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert result == [(["first", "second"], False)]
+
 
 class TestFailurePropagation:
     def test_queued_tasks_do_not_run_after_a_failure(self):
@@ -539,6 +619,7 @@ def test_stress_shared_response_log(tmp_path):
             verifier, provider, _ = web_verifier(pool, response_log=log)
             sessions = [verifier.verify_via_web_search(STATEMENT, hit_limit=8)
                         for _ in range(5)]
+            log.close()
         assert time.monotonic() - started < 30
     finally:
         sys.setswitchinterval(interval)

@@ -21,11 +21,12 @@ from kgverify.llm import (
     parse_option,
     write_response_log,
 )
-from kgverify.model import NliLabel, VerdictKind
-from kgverify.prompting import OPTION_TEXTS
+from kgverify.model import NliLabel, Statement, VerdictKind
+from kgverify.prompting import OPTION_TEXTS, RdfPrompt, render_rdf_prompt
 from kgverify.store import FixtureStore
 
 CORPUS = Path(__file__).parent / "fixtures" / "parser_corpus.jsonl"
+EVAL_REPLAY = Path(__file__).parent / "fixtures" / "eval_replay"
 
 FIG2 = (
     "The correct answer is: a) The RDF statement can be directly verified from the snippet. "
@@ -100,6 +101,19 @@ class TestFingerprint:
         other = LlmParams(model="gpt-4-1106-preview")
         assert completion_fingerprint(params, "a") != completion_fingerprint(other, "a")
 
+    def test_pinned_to_a_bundled_completion(self):
+        """The bytes hashed stay exact: a prompt of the bundled evaluate replay
+        still has its recorded fingerprint, and the params are read once."""
+        statement = Statement("Ibuprofen", "Positive_Correlation", "inflammation")
+        grounding = ("Ibuprofen and markers of inflammation. Ibuprofen intake correlated with "
+                     "inflammation markers in the treatment arm; an association with headache "
+                     "was also recorded.")
+        params = LlmParams()
+        prompt = render_rdf_prompt(RdfPrompt(statement, grounding))
+        assert completion_fingerprint(params, prompt) == "14cacf689e69d0f3aee5cf72"
+        assert "14cacf689e69d0f3aee5cf72" in FixtureStore(EVAL_REPLAY).completions
+        assert params.as_dict is params.as_dict
+
 
 class TestProviders:
     def test_scripted_in_order(self):
@@ -157,6 +171,7 @@ class TestGateway:
         log = ResponseLog(tmp_path / "llm" / "responses.jsonl")
         gateway = LlmGateway(ScriptedProvider(["answer"]), response_log=log)
         response = gateway.complete("prompt")
+        log.close()
         record = json.loads((tmp_path / "llm" / "responses.jsonl").read_text().splitlines()[0])
         assert record["fingerprint"] == response.request_fingerprint
         assert record["raw_text"] == "answer"
@@ -166,9 +181,11 @@ class TestGateway:
 
     def test_response_log_writes_every_path(self, tmp_path):
         paths = [tmp_path / "out" / "responses.jsonl", tmp_path / "cache" / "llm" / "log.jsonl"]
-        gateway = LlmGateway(ScriptedProvider(["one", "two"]), response_log=ResponseLog(*paths))
+        log = ResponseLog(*paths)
+        gateway = LlmGateway(ScriptedProvider(["one", "two"]), response_log=log)
         gateway.complete("first")
         gateway.complete("second")
+        log.close()
         first, second = (path.read_bytes() for path in paths)
         assert first == second and len(first.splitlines()) == 2
 
@@ -183,10 +200,24 @@ class TestGateway:
         assert response.latency_ms == 1234
         assert response.provider == "replay"
 
+    def test_response_log_flushes_every_line_and_reopens_after_close(self, tmp_path):
+        path = tmp_path / "llm" / "responses.jsonl"
+        log = ResponseLog(path)
+        gateway = LlmGateway(ScriptedProvider(["one", "two", "three"]), response_log=log)
+        gateway.complete("first")
+        gateway.complete("second")
+        assert len(path.read_text().splitlines()) == 2  # readable while the log is open
+        log.close()
+        gateway.complete("third")
+        log.close()
+        assert [json.loads(line)["raw_text"] for line in path.read_text().splitlines()] == [
+            "one", "two", "three"]
+
     def test_response_log_stamps_the_run_clock(self, tmp_path):
         instant = datetime(2024, 3, 2, 14, 27, 25, tzinfo=timezone(timedelta(hours=1)))
         log = ResponseLog(tmp_path / "log.jsonl", clock=lambda: instant)
         LlmGateway(ScriptedProvider(["answer"]), response_log=log).complete("prompt")
+        log.close()
         record = json.loads((tmp_path / "log.jsonl").read_text())
         assert record["timestamp"] == "2024-03-02T13:27:25Z"
 
@@ -218,8 +249,10 @@ class TestGatewayMemo:
     def test_a_repeated_prompt_gets_the_first_answer_and_latency(self, tmp_path):
         log_path = tmp_path / "responses.jsonl"
         provider = FlakyProvider(delay=0.02)
-        gateway = LlmGateway(provider, response_log=ResponseLog(log_path))
+        log = ResponseLog(log_path)
+        gateway = LlmGateway(provider, response_log=log)
         first, other, again = (gateway.complete(p) for p in ("same", "other", "same"))
+        log.close()
         assert provider.calls == ["same", "other"]
         assert again == first and first.raw_text == "answer 1" and first.latency_ms >= 20
         records = [json.loads(line) for line in log_path.read_text().splitlines()]

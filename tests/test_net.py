@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -377,6 +378,54 @@ class TestLiveTransportRetry:
         assert sleeps == [1.0]
 
 
+class KwargsAdapter(requests.adapters.BaseAdapter):
+    """Records the proxies and CA bundle each request reaches it with."""
+
+    def __init__(self):
+        super().__init__()
+        self.seen = []
+
+    def send(self, request, stream=False, timeout=None, verify=True, cert=None, proxies=None):
+        self.seen.append((request.url, proxies, verify))
+        resp = requests.Response()
+        resp.status_code, resp._content, resp.url, resp.request = 200, b"ok", request.url, request
+        return resp
+
+    def close(self):
+        pass
+
+
+class TestLiveTransportEnvironment:
+    @pytest.mark.parametrize("with_bundle", [True, False], ids=["ca-bundle", "no-ca-bundle"])
+    def test_adapter_gets_what_a_session_trusting_the_environment_gives(self, monkeypatch,
+                                                                       tmp_path, with_bundle):
+        """Proxies and the CA bundle are those a plain requests session reads from
+        the environment on every request, for a proxied and a bypassed host."""
+        bundle = tmp_path / "bundle.pem"
+        monkeypatch.setenv("HTTPS_PROXY", "http://proxy.example:3128")
+        monkeypatch.setenv("NO_PROXY", "bypassed.example")
+        for name in ("REQUESTS_CA_BUNDLE", "CURL_CA_BUNDLE"):
+            monkeypatch.delenv(name, raising=False)
+        if with_bundle:
+            monkeypatch.setenv("REQUESTS_CA_BUNDLE", str(bundle))
+        urls = ["https://proxied.example/a", "https://bypassed.example/b",
+                "https://proxied.example/c"]
+        reference, adapter = KwargsAdapter(), KwargsAdapter()
+        plain = requests.Session()
+        plain.mount("https://", reference)
+        session = requests.Session()
+        session.mount("https://", adapter)
+        transport = LiveTransport(session=session)
+        for url in urls:
+            plain.request("GET", url, timeout=1)
+            assert transport.send(HttpRequest.get(url)).status == 200
+        assert adapter.seen == reference.seen
+        proxied, bypassed, _ = adapter.seen
+        assert proxied[1]["https"] == "http://proxy.example:3128"
+        assert "https" not in bypassed[1]
+        assert proxied[2] == bypassed[2] == (str(bundle) if with_bundle else True)
+
+
 class TestRequestGate:
     def test_bounds_in_flight_requests(self):
         gate = RequestGate(2)
@@ -400,6 +449,72 @@ class TestRequestGate:
         for t in threads:
             t.join()
         assert peak <= 2
+
+    def test_wait_below_counts_waiting_requests_too(self):
+        """Two requests on a gate of one, one holding and one waiting, keep a
+        wait for fewer than two asking until the first ends."""
+        gate = RequestGate(1)
+        release = threading.Event()
+        entered = []
+
+        def request():
+            with gate:
+                entered.append(threading.current_thread().name)
+                assert release.wait(5.0)
+
+        holder = threading.Thread(target=request, name="holder")
+        holder.start()
+        while not entered:
+            time.sleep(0.001)
+        waiter = threading.Thread(target=request, name="waiter")
+        waiter.start()
+        below = threading.Thread(target=gate.wait_below, args=(2,), daemon=True)
+        time.sleep(0.05)  # the waiter is queued at the gate
+        below.start()
+        below.join(timeout=0.1)
+        assert below.is_alive() and entered == ["holder"]
+        release.set()
+        for thread in (holder, waiter, below):
+            thread.join(timeout=5.0)
+            assert not thread.is_alive()
+        assert entered == ["holder", "waiter"]
+        idle = threading.Thread(target=gate.wait_below, args=(1,), daemon=True)  # returns at once
+        idle.start()
+        idle.join(timeout=5.0)
+        assert not idle.is_alive()
+
+    def test_stress_counts_stay_exact(self):
+        """More threads than cores, with frequent thread switches: the bound
+        holds, and once every request has left, the gate counts none."""
+        gate = RequestGate(3)
+        lock = threading.Lock()
+        seen = {"active": 0, "peak": 0}
+
+        def worker():
+            for _ in range(200):
+                with gate:
+                    with lock:
+                        seen["active"] += 1
+                        seen["peak"] = max(seen["peak"], seen["active"])
+                    with lock:
+                        seen["active"] -= 1
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, daemon=True) for _ in range(12)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen["peak"] <= 3
+        idle = threading.Thread(target=gate.wait_below, args=(1,), daemon=True)
+        idle.start()
+        idle.join(timeout=5)
+        assert not idle.is_alive()
 
 
 class GatedTransport:
