@@ -11,12 +11,12 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
-import threading
 import typing
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -181,11 +181,11 @@ class _Runtime:
         # other transport serves SPARQL, the wiki APIs, search, pages and the archive.
         # In every mode each distinct request is asked once per run (the gateway
         # does the same for completions).
-        self.gate = RequestGate(config.llm_requests)
+        gate = RequestGate(config.llm_requests)
         if config.replay:
             transport = self.store
         else:
-            live = LiveTransport(gate=self.gate)
+            live = LiveTransport(gate=gate)
             transport = live if self.store is None else self.store.over(live)
         self.transport = RequestMemo(transport)
         # a store records completions but only replay serves them
@@ -194,7 +194,7 @@ class _Runtime:
             logs.append(self.store.response_log_path)
         self.response_log = ResponseLog(*logs, clock=self.clock) if logs else None
         self.gateway = LlmGateway(
-            self.store if config.replay else ReplicateHttpProvider(LiveTransport(gate=self.gate)),
+            self.store if config.replay else ReplicateHttpProvider(LiveTransport(gate=gate)),
             params=LlmParams(model=config.model),
             context_tokens=config.llm_context_tokens,
             response_log=self.response_log,
@@ -300,67 +300,38 @@ def _verify_statements(
     statements: Sequence[Statement],
     verify: Callable[[Statement], VerificationSession],
 ) -> tuple[list[VerificationSession], bool]:
-    """Verify the statements, overlapping them while the request gate runs idle.
+    """Verify the statements, at most ``max(1, llm_requests // 2)`` at once.
 
-    Each statement is one task on a statement-level executor, and its
-    session's documents fan out on the run's worker pool. Statements are
-    admitted in order, at most ``max(1, llm_requests // 2)`` in flight: the
-    next one when none is in flight, or when fewer than ``llm_requests / 2``
-    requests hold or wait for a gate slot. Once a statement has failed, none
-    is admitted.
+    Each statement is one ``map_in_order`` task on a statement-level
+    executor, and its session's documents fan out on the run's worker pool.
+    Statements start in order, and once one has failed no further one starts.
 
     Returns the sessions in statement order and whether the run was
-    interrupted. Ctrl-C admits no further statement and waits for those in
+    interrupted. Ctrl-C starts no further statement and waits for those in
     flight; the sessions are then the longest prefix of statements that
     finished. Otherwise the first failure in statement order propagates, once
-    every admitted statement has ended. The runtime is closed on return.
+    every started statement has ended. The runtime is closed on return.
     """
+    sessions: list[VerificationSession | None] = [None] * len(statements)
+
+    def run(index: int) -> None:
+        statement = statements[index]
+        click.echo(f"verifying: {' / '.join(statement.labels())}", err=True)
+        sessions[index] = verify(statement)
+
     width = max(1, runtime.config.llm_requests // 2)
-    idle = runtime.config.llm_requests / 2
-    failed = threading.Event()
-
-    def run(statement: Statement) -> VerificationSession:
-        try:
-            return verify(statement)
-        except BaseException:
-            failed.set()
-            raise
-
-    admitted: list[Future] = []
-    running: set[Future] = set()
     interrupted = False
-    executor = ThreadPoolExecutor(max_workers=width, thread_name_prefix="kgverify-statement")
     try:
-        for statement in statements:
-            running = {future for future in running if not future.done()}
-            while len(running) >= width:
-                running = wait(running, return_when=FIRST_COMPLETED).not_done
-            if running:
-                # Every request of the run is a statement's, so with none in
-                # flight the gate is idle: this wait ends when the last one does.
-                runtime.gate.wait_below(idle)
-            if failed.is_set():
-                break
-            click.echo(f"verifying: {' / '.join(statement.labels())}", err=True)
-            future = executor.submit(run, statement)
-            admitted.append(future)
-            running.add(future)
-        wait(running)
+        # shut down before the worker pool its statements use
+        with ThreadPoolExecutor(max_workers=width,
+                                thread_name_prefix="kgverify-statement") as executor:
+            map_in_order(WorkerPool(executor, width), run, range(len(statements)))
     except KeyboardInterrupt:
         interrupted = True
     finally:
-        executor.shutdown(wait=True)  # before the worker pool its statements use
         runtime.close()
-    sessions = []
-    for future in admitted:
-        error = future.exception()
-        if error is None:
-            sessions.append(future.result())
-        elif interrupted or isinstance(error, KeyboardInterrupt):
-            return sessions, True
-        else:
-            raise error
-    return sessions, interrupted
+    done = list(itertools.takewhile(lambda session: session is not None, sessions))
+    return done, interrupted
 
 
 def _verify_run(

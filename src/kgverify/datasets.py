@@ -25,7 +25,6 @@ from .model import (
     statement_from_json,
     statement_to_json,
 )
-from .prompting import NliExample
 
 RELATION_TYPES = ("Positive_Correlation", "Negative_Correlation")
 EXCLUDED_PAIR = frozenset({"SequenceVariant", "ChemicalEntity"})
@@ -515,10 +514,3 @@ def pick_nli_example_records(train_path: Path | str, seed: int) -> list[SnliReco
             raise InsufficientRecords(f"training split has no {label.value} records")
         picked.append(rng.choice(of_class))
     return picked
-
-
-def pick_nli_examples(train_path: Path | str, seed: int) -> list[NliExample]:
-    return [
-        NliExample(premise=r.premise, hypothesis=r.hypothesis, label=r.gold)
-        for r in pick_nli_example_records(train_path, seed)
-    ]

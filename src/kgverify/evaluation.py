@@ -2,8 +2,8 @@
 
 Covers binary confusion counts with micro-averaged precision/recall/F1,
 sentence-level label reconciliation (strict and loose), and the 3x3 confusion
-matrix used for the NLI evaluation. All operations are pure; tallies merge
-associatively so parallel reductions are safe.
+matrix used for the NLI evaluation. All operations are pure; binary counts
+merge associatively, which is what micro-averaging sums.
 """
 
 from __future__ import annotations
@@ -157,16 +157,6 @@ class NliConfusion:
 
     def accuracy(self) -> float | None:
         return self.correct / self.total if self.total else None
-
-    def row_total(self, expected: NliLabel) -> int:
-        return sum(self.matrix[NLI_CLASSES.index(expected)])
-
-    def __add__(self, other: "NliConfusion") -> "NliConfusion":
-        merged = tuple(
-            tuple(a + b for a, b in zip(row_a, row_b))
-            for row_a, row_b in zip(self.matrix, other.matrix)
-        )
-        return NliConfusion(matrix=merged, unparsed=self.unparsed + other.unparsed)
 
 
 def tally_nli(records: Iterable[tuple[NliLabel, NliLabel]]) -> NliConfusion:

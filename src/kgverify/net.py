@@ -117,43 +117,18 @@ class Transport(Protocol):
 
 
 class RequestGate:
-    """Bounds the number of in-flight requests sharing this gate.
-
-    It also counts the requests that hold a slot or wait for one, so that a
-    caller can wait until the gate has spare capacity (``wait_below``). A
-    freed slot goes to whichever waiter takes it first, with no priorities.
-    """
+    """Bounds the number of in-flight requests sharing this gate."""
 
     def __init__(self, max_in_flight: int = 2):
-        self._max = max_in_flight
-        self._holding = 0
-        self._asking = 0  # requests that hold a slot or wait for one
-        self._changed = threading.Condition()
+        self._slots = threading.BoundedSemaphore(max_in_flight)
 
     def __enter__(self):
-        with self._changed:
-            self._asking += 1
-            try:
-                while self._holding >= self._max:
-                    self._changed.wait()
-            except BaseException:  # an interrupt while waiting: it holds nothing
-                self._asking -= 1
-                raise
-            self._holding += 1
+        self._slots.acquire()
         return self
 
     def __exit__(self, *exc):
-        with self._changed:
-            self._holding -= 1
-            self._asking -= 1
-            self._changed.notify_all()
+        self._slots.release()
         return False
-
-    def wait_below(self, level: float) -> None:
-        """Return once fewer than ``level`` requests hold or wait for a slot."""
-        with self._changed:
-            while self._asking >= level:
-                self._changed.wait()
 
 
 class SingleFlight(Generic[_Value]):

@@ -4,7 +4,8 @@ Two modes: web search (query built from the triple, each retrieved document
 scanned paragraph by paragraph) and Wikipedia (two-phase drill-down through
 the subject's article, then verification against the primary sources its
 references point to). A confirmation always carries an evidence trace; what
-was skipped (PDFs, dead links, dangling references) is recorded too.
+was skipped (PDFs, dead links, dangling references, prompts over the context
+budget) is recorded too.
 
 Within a session, independent documents (search hits, cited sources) and
 independent judgments (article chunks, drill-down paragraphs) can run
@@ -83,15 +84,17 @@ def map_in_order(
 ) -> list[_Result]:
     """Apply ``fn`` to every item and return the results in item order.
 
-    Without a pool (or with fewer than two items) the items are mapped inline,
-    one after another. With a pool each item is one task; a task must be a
-    leaf that never submits to the same pool. At most ``LOOKAHEAD_PER_WORKER``
-    tasks per worker are submitted ahead of the one awaited, and one more is
-    submitted as each result is taken, with no barrier. The first failure in
-    item order propagates: once any task fails, tasks that have not started
-    are skipped, and the call returns only after every started task has ended.
+    Without a pool the items are mapped inline, one after another. With a
+    pool each item is one task, a lone item too, so the calling thread only
+    waits; a task must be a leaf that never submits to the same pool. At most
+    ``LOOKAHEAD_PER_WORKER`` tasks per worker are submitted ahead of the one
+    awaited, and one more is submitted as each result is taken, with no
+    barrier. The first failure in item order propagates: once any task fails,
+    tasks that have not started are skipped, and the call returns only after
+    every started task has ended. An interrupt of the calling thread does the
+    same.
     """
-    if pool is None or len(items) < 2:
+    if pool is None:
         return [fn(item) for item in items]
     failed = threading.Event()
 
@@ -302,8 +305,14 @@ class Verifier:
 
     # -- building blocks --------------------------------------------------------
 
-    def _judge(self, statement: Statement, snippet: str):
-        response = self.gateway.complete(render_rdf_prompt(RdfPrompt(statement, snippet)))
+    def _judge(self, statement: Statement, snippet: str, source: str):
+        """The verdict on a snippet of ``source`` and its response, or the
+        ``context-overflow`` skip of a prompt over the context budget."""
+        try:
+            response = self.gateway.complete(render_rdf_prompt(RdfPrompt(statement, snippet)))
+        except ContextOverflow as exc:
+            logger.warning("skipping a snippet of %s: %s", source, exc)
+            return SkipRecord(kind="context-overflow", target=source, detail=str(exc))
         return parse_option(response.raw_text), response
 
     def _scan(
@@ -316,14 +325,11 @@ class Verifier:
         """
         scan = _DocumentScan(record)
         for paragraph in valid_paragraphs(doc.paragraphs):
-            try:
-                verdict, response = self._judge(statement, paragraph)
-            except ContextOverflow as exc:
-                logger.warning("skipping paragraph of %s: %s", doc.url, exc)
-                scan.skips.append(
-                    SkipRecord(kind="context-overflow", target=doc.url, detail=str(exc))
-                )
+            judged = self._judge(statement, paragraph, doc.url)
+            if isinstance(judged, SkipRecord):
+                scan.skips.append(judged)
                 continue
+            verdict, response = judged
             scan.paragraphs_queried += 1
             if verdict.kind is VerdictKind.DIRECT_PROOF:
                 scan.trace = EvidenceTrace(
@@ -355,12 +361,6 @@ class Verifier:
             return _DocumentScan(record)
         record.retrieval_source = doc.retrieval_source.value
         return self._scan(statement, doc, record)
-
-    def verify_against_document(
-        self, statement: Statement, doc: GroundingDocument
-    ) -> EvidenceTrace | None:
-        """The trace of the first paragraph that proves the statement, or None."""
-        return self._scan(statement, doc, DocumentRecord(url=doc.url)).trace
 
     # -- use case: web search ---------------------------------------------------
 
@@ -405,7 +405,8 @@ class Verifier:
         proof contributes its citations, and only the cited primary sources
         can produce evidence traces; the article itself is never treated as
         an authority, so its confirming paragraphs are recorded only as
-        intermediate anchors.
+        intermediate anchors. A chunk or paragraph whose prompt exceeds the
+        context budget becomes a ``context-overflow`` skip and is not queried.
         """
         if self.wikidata is None:
             raise ValueError("no Wikidata client configured")
@@ -424,23 +425,32 @@ class Verifier:
 
         texts = [p.text for p in article.paragraphs]
         chunks = chunk_fill_limit(texts, max_chars=self.chunk_chars)
-        judged = map_in_order(self.pool, lambda c: self._judge(statement, c.text), chunks)
+        chunk_verdicts = map_in_order(
+            self.pool, lambda c: self._judge(statement, c.text, article_url), chunks)
         candidates: list[html_text.CapturedElement] = []
         offset = 0
-        for chunk, (verdict, _) in zip(chunks, judged):
+        for chunk, judged in zip(chunks, chunk_verdicts):
             members = article.paragraphs[offset : offset + len(chunk.paragraphs)]
             offset += len(chunk.paragraphs)
-            if verdict.kind in DRILLDOWN_POSITIVE:
+            if isinstance(judged, SkipRecord):
+                session.skips.append(judged)
+            elif judged[0].kind in DRILLDOWN_POSITIVE:
                 candidates.extend(p for p in members if is_valid_paragraph(p.text))
-        judged = map_in_order(self.pool, lambda p: self._judge(statement, p.text), candidates)
-        session.paragraphs_queried += len(chunks) + len(candidates)
+        paragraph_verdicts = map_in_order(
+            self.pool, lambda p: self._judge(statement, p.text, article_url), candidates)
+        session.paragraphs_queried += sum(
+            not isinstance(judged, SkipRecord) for judged in chunk_verdicts + paragraph_verdicts)
 
-        # Plan the cited sources in article order: dangling references become
-        # skips, and a URL cited again is examined only once.
+        # Plan the cited sources in article order: dangling references and
+        # paragraphs over the context budget become skips, and a URL cited
+        # again is examined only once.
         plan: list[SkipRecord | str] = []
         examined_urls: set[str] = set()
-        for paragraph, (verdict, _) in zip(candidates, judged):
-            if verdict.kind is not VerdictKind.DIRECT_PROOF:
+        for paragraph, judged in zip(candidates, paragraph_verdicts):
+            if isinstance(judged, SkipRecord):
+                plan.append(judged)
+                continue
+            if judged[0].kind is not VerdictKind.DIRECT_PROOF:
                 continue
             numbers = extract_reference_numbers(paragraph.html)
             session.wikipedia_anchors.append(

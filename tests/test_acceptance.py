@@ -26,7 +26,7 @@ from click.testing import CliRunner
 from kgverify import datasets as ds
 from kgverify import evaluation as ev
 from kgverify.cli import main as cli_main
-from kgverify.llm import LlmGateway, ScriptedProvider, parse_nli_label, parse_option
+from kgverify.llm import parse_nli_label, parse_option
 from kgverify.model import (
     NLI_CLASSES,
     BinaryDecision,
@@ -38,7 +38,6 @@ from kgverify.model import (
 )
 from kgverify.reporting import validate_report
 from kgverify.retrieval import chunk_fill_limit
-from kgverify.verifier import Verifier
 
 from conftest import FIXTURES, REPLAY_DIR
 from test_evaluation import (
@@ -222,21 +221,17 @@ def test_criterion_04_parser_fixture_suite():
 
 
 def test_criterion_05_early_exit_orchestration():
-    from test_verifier import ANSWER, STATEMENT, make_doc
+    from test_verifier import ANSWER, first_proof, make_doc
 
     with Budget(1.0):
         paragraphs = [f"paragraph {i} " + "x" * 110 for i in range(1, 11)]
         for position in range(1, 11):
-            provider = ScriptedProvider(
-                [ANSWER["c"]] * (position - 1) + [ANSWER["a"]]
+            trace, provider = first_proof(
+                [ANSWER["c"]] * (position - 1) + [ANSWER["a"]], make_doc(paragraphs)
             )
-            verifier = Verifier(gateway=LlmGateway(provider), fetcher=None)
-            trace = verifier.verify_against_document(STATEMENT, make_doc(paragraphs))
             assert provider.calls == position
             assert trace is not None and trace.paragraph_text == paragraphs[position - 1]
-        provider = ScriptedProvider([ANSWER["c"]] * 10)
-        verifier = Verifier(gateway=LlmGateway(provider), fetcher=None)
-        trace = verifier.verify_against_document(STATEMENT, make_doc(paragraphs))
+        trace, provider = first_proof([ANSWER["c"]] * 10, make_doc(paragraphs))
         assert provider.calls == 10 and trace is None
     report(5, "early exit exact for first-positive positions 1..10 and the all-negative case")
 

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import concurrent.futures
+import itertools
 import json
 import re
 import shutil
+import sys
 import threading
 import time
 import xml.etree.ElementTree as ET
@@ -295,6 +298,25 @@ class TestVerifyWikipedia:
         assert "second statement down" in result.output
         assert not out.exists()
         assert sorted(started) == ["luminescence", "phosphorescence"]  # the third never starts
+
+    def test_chunk_over_the_context_budget_is_a_skip(self, runner, tmp_path, monkeypatch):
+        """An article chunk over the context budget is recorded as a skip in a
+        complete report, not a failed run."""
+        from kgverify.reporting import validate_report
+
+        monkeypatch.setenv("KGVERIFY_LLM_CONTEXT_TOKENS", "200")
+        result = runner.invoke(main, [*UC2[0], *replay_args(tmp_path)])
+        assert result.exit_code == 0, result.output
+        root = ET.fromstring((tmp_path / f"{UC2[1]}.xml").read_bytes())
+        validate_report(root)
+        (session,) = root.findall("session")
+        skips = session.findall("skips/skip")
+        assert [(skip.get("kind"), skip.get("target")) for skip in skips] == [
+            ("context-overflow", "https://en.wikipedia.org/wiki/Bioluminescence")]
+        assert skips[0].text == "prompt of 1462 chars exceeds budget of 800 chars"
+        assert session.findtext("paragraphs-queried") == "0"
+        assert len(session.find("traces")) == 0
+        assert (tmp_path / f"{UC2[1]}.html").exists()
 
     def test_malformed_statements_file(self, runner, tmp_path):
         bad = tmp_path / "bad.tsv"
@@ -801,6 +823,17 @@ class TestPoolWidth:
         assert objects == ["phosphorescence", "luminescence", "phosphorescence"]
 
 
+def main_thread_awaits_a_result() -> bool:
+    """Whether the main thread is inside a ``Future.result`` call."""
+    frame = sys._current_frames().get(threading.main_thread().ident)
+    while frame is not None:
+        code = frame.f_code
+        if code.co_name == "result" and code.co_filename == concurrent.futures._base.__file__:
+            return True
+        frame = frame.f_back
+    return False
+
+
 class TestInterrupt:
     """Ctrl-C during the sessions still writes a (partial) report, then exits 130."""
 
@@ -859,6 +892,59 @@ class TestInterrupt:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["interrupted"] is True
         assert manifest["sessions"] == 1
+
+    @pytest.mark.parametrize("in_flight", [1, 2])
+    def test_sigint_lets_the_statements_in_flight_finish(self, runner, tmp_path, monkeypatch,
+                                                         in_flight):
+        """A real Ctrl-C reaches the main thread while statements are in flight,
+        a lone statement too: they finish, and the report holds every one that did."""
+        import signal
+
+        from kgverify.reporting import validate_report
+        from kgverify.verifier import Verifier
+
+        verify = Verifier.verify_via_wikipedia
+        arrivals = itertools.count()
+        together = threading.Barrier(in_flight)
+        interrupted = threading.Event()
+        finished = []
+
+        def on_sigint(signum, frame):
+            interrupted.set()
+            raise KeyboardInterrupt
+
+        def interrupt_while_verifying(self, statement, **kwargs):
+            if next(arrivals) < in_flight:
+                if together.wait(5.0) == 0:  # one of them, once all are in flight
+                    # a Ctrl-C while the main thread still starts a worker would
+                    # lose that worker: send it once the main thread awaits results
+                    deadline = time.monotonic() + 5.0
+                    while not main_thread_awaits_a_result():
+                        assert time.monotonic() < deadline, "the main thread never waited"
+                        time.sleep(0.001)
+                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                assert interrupted.wait(5.0)
+            session = verify(self, statement, **kwargs)
+            finished.append(statement)
+            return session
+
+        monkeypatch.setattr(Verifier, "verify_via_wikipedia", interrupt_while_verifying)
+        monkeypatch.setenv("KGVERIFY_LLM_REQUESTS", "4")  # two statements at once
+        command = UC2[0] if in_flight == 1 else uc2_three_times(tmp_path)
+        out = tmp_path / "out"
+        previous = signal.signal(signal.SIGINT, on_sigint)
+        try:
+            result = runner.invoke(main, [*command, *replay_args(out)])
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert result.exit_code == 130, result.output
+        assert len(finished) >= in_flight
+        root = ET.fromstring((out / f"{UC2[1]}.xml").read_bytes())
+        validate_report(root)
+        assert len(root.findall("session")) == len(finished)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["interrupted"] is True
+        assert manifest["sessions"] == len(finished)
 
 
 class TestLiveWithCache:

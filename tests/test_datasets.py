@@ -17,7 +17,6 @@ from kgverify.datasets import (
     load_snli,
     normalize_pair,
     pick_nli_example_records,
-    pick_nli_examples,
     read_instances,
     sample_snli_test,
     write_instances,
@@ -291,11 +290,11 @@ class TestSnli:
 
     def test_pick_examples_one_per_class(self, snli_paths):
         train_path, _ = snli_paths
-        examples = pick_nli_examples(train_path, seed=42)
-        assert [e.label for e in examples] == [
+        examples = pick_nli_example_records(train_path, seed=42)
+        assert [e.gold for e in examples] == [
             NliLabel.ENTAILMENT, NliLabel.NEUTRAL, NliLabel.CONTRADICTION
         ]
-        assert pick_nli_examples(train_path, seed=42) == examples
+        assert pick_nli_example_records(train_path, seed=42) == examples
 
     def test_pick_examples_records_have_ids(self, snli_paths):
         train_path, _ = snli_paths
@@ -310,4 +309,4 @@ class TestSnli:
             encoding="utf-8",
         )
         with pytest.raises(InsufficientRecords, match="neutral"):
-            pick_nli_examples(path, seed=1)
+            pick_nli_example_records(path, seed=1)

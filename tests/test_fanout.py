@@ -11,18 +11,17 @@ import random
 import sys
 import threading
 import time
-import types
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from datetime import datetime, timezone
 
 import pytest
 
-from kgverify.cli import _judge_nli, _judge_triples, _verify_statements
+from kgverify.cli import _judge_nli, _judge_triples
 from kgverify.datasets import LabeledInstance, Origin, SnliRecord
 from kgverify.errors import FixtureMissing, MalformedResponse
 from kgverify.llm import LlmGateway, ResponseLog
 from kgverify.model import BinaryDecision, DecisionMode, NliLabel, Statement
-from kgverify.net import HttpRequest, RequestGate, RequestMemo
+from kgverify.net import HttpRequest, RequestMemo
 from kgverify.prompting import (
     OPTION_TEXTS,
     SYSTEM_PROMPT,
@@ -52,9 +51,32 @@ def jitter(seed: int, key: str) -> None:
     time.sleep(random.Random(f"{seed}:{key}").uniform(0.0002, 0.004))
 
 
+class Rendezvous:
+    """Holds each of the first ``n`` calls of ``meet`` until all n are in
+    flight; later calls pass. Fails with a clear message if they never meet."""
+
+    def __init__(self, n: int, timeout_s: float = 10.0):
+        self._barrier = threading.Barrier(n)
+        self._timeout_s = timeout_s
+        self._arrived = 0
+        self._lock = threading.Lock()
+
+    def meet(self) -> None:
+        with self._lock:
+            self._arrived += 1
+            if self._arrived > self._barrier.parties:
+                return
+        try:
+            self._barrier.wait(self._timeout_s)
+        except threading.BrokenBarrierError:
+            raise AssertionError(f"{self._barrier.parties} calls were never in flight at once "
+                                 f"within {self._timeout_s} s") from None
+
+
 class ContentProvider:
     """Thread-safe provider that answers by the snippet's marker words, and
-    keeps the prompts it is asked."""
+    keeps the prompts it is asked. With a ``rendezvous``, each call meets it
+    once it counts as in flight."""
 
     name = "content"
 
@@ -64,6 +86,7 @@ class ContentProvider:
         self.prompts: list[str] = []
         self.in_flight = 0
         self.peak = 0
+        self.rendezvous: Rendezvous | None = None
         self._lock = threading.Lock()
 
     def complete(self, params, prompt: str) -> str:
@@ -73,6 +96,8 @@ class ContentProvider:
             self.in_flight += 1
             self.peak = max(self.peak, self.in_flight)
         try:
+            if self.rendezvous is not None:
+                self.rendezvous.meet()
             jitter(self.seed, prompt)
         finally:
             with self._lock:
@@ -303,8 +328,11 @@ class TestDeterminism:
         assert all("wikipedia.org" not in t.document_url for t in session.traces)
 
     def test_width4_runs_calls_concurrently(self):
+        """The first two completions answer only once both are in flight, which
+        fails the session unless two documents are judged at once."""
         with worker_pool(4) as pool:
             verifier, provider, _ = web_verifier(pool)
+            provider.rendezvous = Rendezvous(2)
             verifier.verify_via_web_search(STATEMENT, hit_limit=8)
         assert provider.peak > 1
 
@@ -355,51 +383,6 @@ class TestArticleOncePerRun:
             sessions = list(statements_pool.map(verify, statements))
         assert len(parsed) == 1
         assert [s.documents[0].url for s in sessions] == [ARTICLE_URL] * 2
-
-
-class TestStatementAdmission:
-    def test_next_statement_waits_for_the_gate_to_run_idle(self):
-        """With one statement in flight, the next starts only once fewer than
-        llm_requests / 2 requests hold or wait for a gate slot."""
-        gate = RequestGate(4)
-        runtime = types.SimpleNamespace(config=types.SimpleNamespace(llm_requests=4),
-                                        gate=gate, close=lambda: None)
-        busy, idle, first_may_end = threading.Event(), threading.Event(), threading.Event()
-        started = []
-
-        def hold_two_slots():
-            with gate, gate:
-                busy.set()
-                assert idle.wait(5.0)
-
-        def verify(statement):
-            started.append(statement.object_label)
-            if statement.object_label == "first":
-                assert first_may_end.wait(5.0)
-            return statement.object_label
-
-        holder = threading.Thread(target=hold_two_slots, daemon=True)
-        holder.start()
-        assert busy.wait(5.0)
-        statements = [dataclasses.replace(STATEMENT, object_label=label)
-                      for label in ("first", "second")]
-        result = []
-        run = threading.Thread(
-            target=lambda: result.append(_verify_statements(runtime, statements, verify)),
-            daemon=True)
-        run.start()
-        time.sleep(0.1)
-        assert started == ["first"]  # two requests in flight: the gate is not idle
-        idle.set()
-        deadline = time.monotonic() + 5.0
-        while len(started) < 2 and time.monotonic() < deadline:
-            time.sleep(0.001)
-        assert started == ["first", "second"]  # admitted while the first is in flight
-        first_may_end.set()
-        for thread in (holder, run):
-            thread.join(timeout=5.0)
-            assert not thread.is_alive()
-        assert result == [(["first", "second"], False)]
 
 
 class TestFailurePropagation:

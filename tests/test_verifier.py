@@ -9,7 +9,7 @@ from kgverify.errors import NoDocumentsRetrievable, NoSitelink
 from kgverify.llm import LlmGateway, ScriptedProvider
 from kgverify.model import RetrievalSource, Statement, VerdictKind
 from kgverify.net import HttpRequest
-from kgverify.prompting import OPTION_TEXTS
+from kgverify.prompting import OPTION_TEXTS, SYSTEM_PROMPT, RdfPrompt, render_rdf_prompt
 from kgverify.retrieval import (
     ARCHIVE_AVAILABILITY_API,
     DocumentFetcher,
@@ -50,13 +50,35 @@ def make_verifier(responses, **kwargs):
     return verifier, provider
 
 
+class OneHit:
+    """A search that finds one document, and a fetcher that serves it."""
+
+    def __init__(self, doc: GroundingDocument):
+        self.doc = doc
+
+    def search(self, query, limit):
+        return [SearchHit(url=self.doc.url, rank=1)]
+
+    def fetch_document(self, url):
+        return self.doc
+
+
+def first_proof(responses, doc: GroundingDocument):
+    """Verify STATEMENT against ``doc`` as the one search hit: the trace of its
+    first paragraph that proves the statement (or None), and the provider."""
+    hit = OneHit(doc)
+    verifier, provider = make_verifier(responses, fetcher=hit, search_provider=hit)
+    session = verifier.verify_via_web_search(STATEMENT, hit_limit=1)
+    assert len(session.traces) <= 1
+    return (session.traces[0] if session.traces else None), provider
+
+
 class TestEarlyExit:
     @pytest.mark.parametrize("position", range(1, 11))
     def test_stops_at_first_proof(self, position):
         paragraphs = [f"paragraph number {i} " + "x" * 100 for i in range(1, 11)]
         responses = [ANSWER["c"]] * (position - 1) + [ANSWER["a"]]
-        verifier, provider = make_verifier(responses)
-        trace = verifier.verify_against_document(STATEMENT, make_doc(paragraphs))
+        trace, provider = first_proof(responses, make_doc(paragraphs))
         assert provider.calls == position
         assert trace is not None
         assert trace.paragraph_text == paragraphs[position - 1]
@@ -64,29 +86,25 @@ class TestEarlyExit:
 
     def test_no_proof_processes_all(self):
         paragraphs = [f"paragraph number {i} " + "p" * 150 for i in range(10)]
-        verifier, provider = make_verifier([ANSWER["c"]] * 10)
-        trace = verifier.verify_against_document(STATEMENT, make_doc(paragraphs))
+        trace, provider = first_proof([ANSWER["c"]] * 10, make_doc(paragraphs))
         assert trace is None
         assert provider.calls == 10
 
     def test_zero_valid_paragraphs(self):
-        verifier, provider = make_verifier([])
-        trace = verifier.verify_against_document(STATEMENT, make_doc(["too short"]))
+        trace, provider = first_proof([], make_doc(["too short"]))
         assert trace is None
         assert provider.calls == 0
 
     def test_short_paragraphs_skipped_entirely(self):
         paragraphs = ["tiny", "y" * 120, "small"]
-        verifier, provider = make_verifier([ANSWER["a"]])
-        trace = verifier.verify_against_document(STATEMENT, make_doc(paragraphs))
+        trace, provider = first_proof([ANSWER["a"]], make_doc(paragraphs))
         assert provider.calls == 1
         assert trace.paragraph_text == "y" * 120
 
     def test_trace_paragraph_is_verbatim_member(self):
         paragraphs = ["z" * 140, "q" * 200]
-        verifier, _ = make_verifier([ANSWER["c"], ANSWER["a"]])
         doc = make_doc(paragraphs)
-        trace = verifier.verify_against_document(STATEMENT, doc)
+        trace, _ = first_proof([ANSWER["c"], ANSWER["a"]], doc)
         assert trace.paragraph_text in doc.paragraphs
         assert trace.document_url == doc.url
 
@@ -273,6 +291,29 @@ class TestWikipediaFlow:
         assert all(
             "wikipedia.org" not in t.document_url for t in session.traces
         )
+
+    def test_chunk_over_the_context_budget_is_a_skip(self, dict_transport):
+        """A chunk whose prompt exceeds the context budget becomes a skip and is
+        not counted as queried; the other chunks are still judged."""
+        oversize = "<p>" + "o" * 3000 + "</p>"
+        dict_transport.add(HttpRequest.get("https://en.wikipedia.org/wiki/Subject"),
+                           body=WIKI_HTML.replace("<body>", "<body>" + oversize))
+        statement = Statement("Subject", "related to", "Thing", subject_id="Q1")
+        fits = len(render_rdf_prompt(RdfPrompt(statement, "x" * 1200))) + len(SYSTEM_PROMPT)
+        provider = ScriptedProvider([ANSWER["c"]])
+        verifier = Verifier(
+            gateway=LlmGateway(provider, context_tokens=fits // 4),
+            fetcher=DocumentFetcher(dict_transport),
+            wikidata=FakeWikidata(),
+            chunk_chars=1000,  # the oversize paragraph is a chunk of its own
+        )
+        session = verifier.verify_via_wikipedia(statement)
+        assert provider.calls == 1
+        assert session.paragraphs_queried == 1
+        assert [(skip.kind, skip.target) for skip in session.skips] == [
+            ("context-overflow", "https://en.wikipedia.org/wiki/Subject")]
+        assert "exceeds budget" in session.skips[0].detail
+        assert session.traces == [] and session.wikipedia_anchors == []
 
     def test_negative_chunk_skips_drilldown(self, dict_transport):
         dict_transport.add(HttpRequest.get("https://en.wikipedia.org/wiki/Subject"),

@@ -996,11 +996,11 @@ def build_eval_replay() -> None:
         extract_positives,
         generate_negatives,
         load_biored,
-        pick_nli_examples,
         load_snli,
+        pick_nli_example_records,
     )
     from kgverify.model import BinaryDecision
-    from kgverify.prompting import OPTION_TEXTS
+    from kgverify.prompting import OPTION_TEXTS, NliExample
 
     docs = load_biored(FIXTURES / "biored_mini")
     positives = extract_positives(docs)
@@ -1028,7 +1028,10 @@ def build_eval_replay() -> None:
              f"The correct answer is: {answer}) {OPTION_TEXTS[answer]}")
         )
 
-    examples = pick_nli_examples(FIXTURES / "snli" / "train_mini.jsonl", seed=42)
+    examples = [
+        NliExample(premise=r.premise, hypothesis=r.hypothesis, label=r.gold)
+        for r in pick_nli_example_records(FIXTURES / "snli" / "train_mini.jsonl", seed=42)
+    ]
     records = load_snli(FIXTURES / "snli" / "test_mini.jsonl")
     word_to_letter = {"entailment": "a", "neutral": "b", "contradiction": "c"}
     for index, record in enumerate(records):
