@@ -19,16 +19,24 @@ from concurrent.futures import Future
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Generic, Hashable, Protocol, TypeVar
-from urllib.parse import urlsplit
+from urllib.parse import urlencode, urljoin, urlsplit
 
 import requests
+import urllib3
 
 from .errors import Unavailable
 
 DEFAULT_CONNECT_TIMEOUT = 15.0
+# One attempt's deadline, from sending the request to the body's last byte. It
+# is checked between reads, and no single read waits longer than this either.
 DEFAULT_TOTAL_TIMEOUT = 30.0
 DEFAULT_RETRIES = 2
 MAX_BACKOFF_SECONDS = 8.0
+# A longer (decoded) body is not read to its end: the request raises Unavailable.
+MAX_BODY_BYTES = 16 * 2**20
+# Redirects a GET follows; one more raises Unavailable. Other methods follow none.
+MAX_REDIRECTS = 5
+_READ_BYTES = 64 * 1024
 USER_AGENT = "kgverify/0.1 (statement verification pipeline)"
 
 _Value = TypeVar("_Value")
@@ -187,14 +195,27 @@ class RequestMemo:
         return self._answers.get(request_fingerprint(req), lambda: self._inner.send(req))
 
 
-class LiveTransport:
-    """requests-backed transport with bounded concurrency: the one retry policy.
+# What an attempt raises when the remote could not be reached or did not answer
+# in time: requests' errors from the adapter, and urllib3's from reading a body.
+_TRANSIENT = (requests.RequestException, urllib3.exceptions.HTTPError)
 
-    A connection error, an HTTP 429 or an HTTP 5xx is retried, ``retries``
-    times at most, after ``min(2**attempt, 8)`` seconds or an integer
-    ``Retry-After`` (also capped at 8 s); the sleep holds no gate slot. After
-    the last attempt a failing status is returned for the caller to map, and a
-    connection error raises ``Unavailable``.
+
+class LiveTransport:
+    """Sends requests through a ``requests`` session's mounted adapters, with
+    bounded concurrency: the one retry policy.
+
+    A connection error, a read timeout, an HTTP 429 or an HTTP 5xx is
+    retried, ``retries`` times at most, after ``min(2**attempt, 8)`` seconds or
+    an integer ``Retry-After`` (also capped at 8 s); the sleep holds no gate
+    slot. After the last attempt a failing status is returned for the caller to
+    map, and a connection error or timeout raises ``Unavailable``. A body over
+    ``MAX_BODY_BYTES``, or a GET redirected more than ``MAX_REDIRECTS`` times,
+    raises ``Unavailable`` at once: asking again would get the same answer.
+
+    Each request is prepared here and handed to the adapter the session has
+    mounted for its URL, so none of the session's per-request machinery runs:
+    no cookie jar is kept or sent, and no hooks or auth apply. The body is read
+    against a total deadline of ``total_timeout`` per attempt.
 
     The environment is read once, not on every request as a ``requests``
     session trusting it would: proxies (``HTTPS_PROXY``, ``NO_PROXY``, ...)
@@ -213,13 +234,12 @@ class LiveTransport:
         sleeper=time.sleep,
     ):
         self._timeout = (connect_timeout, total_timeout)
+        self._total_timeout = total_timeout
         self._retries = retries
         self._gate = gate or RequestGate(4)
         self._session = session or requests.Session()
-        self._session.trust_env = False
-        # None leaves the session's own setting (verify, by default) in force
         self._verify = (os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
-                        or None)
+                        or self._session.verify)
         self._proxies: dict[tuple[str, str], dict[str, str]] = {}
         self._sleep = sleeper
 
@@ -227,7 +247,7 @@ class LiveTransport:
         for attempt in range(self._retries):
             try:
                 resp = self._attempt(req)
-            except Unavailable:
+            except _TRANSIENT:
                 retry_after = ""
             else:
                 if resp.status != 429 and resp.status < 500:
@@ -235,7 +255,10 @@ class LiveTransport:
                 retry_after = resp.headers.get("retry-after", "").strip()
             delay = int(retry_after) if retry_after.isdecimal() else 2.0**attempt
             self._sleep(min(float(delay), MAX_BACKOFF_SECONDS))
-        return self._attempt(req)
+        try:
+            return self._attempt(req)
+        except _TRANSIENT as exc:
+            raise Unavailable(f"{req.method} {req.url}: {exc}") from exc
 
     def _proxies_for(self, url: str) -> dict[str, str]:
         """The environment's proxies for ``url``, resolved once per scheme and host."""
@@ -246,27 +269,72 @@ class LiveTransport:
         return proxies
 
     def _attempt(self, req: HttpRequest) -> HttpResponse:
-        """One request, holding a gate slot; a connection error raises ``Unavailable``."""
-        try:
-            with self._gate:
-                resp = self._session.request(
-                    req.method,
-                    req.url,
-                    params=dict(req.params) or None,
-                    data=req.body,
-                    headers={"User-Agent": USER_AGENT, **dict(req.headers)},
-                    timeout=self._timeout,
-                    proxies=self._proxies_for(req.url),
-                    verify=self._verify,
-                )
-        except requests.RequestException as exc:
-            raise Unavailable(f"{req.method} {req.url}: {exc}") from exc
-        return HttpResponse(
-            status=resp.status_code,
-            headers={k.lower(): v for k, v in resp.headers.items()},
-            body=resp.content,
-            url=str(resp.url),
-        )
+        """One attempt, holding a gate slot; a GET follows its redirects.
+
+        A connection error or a timeout raises one of ``_TRANSIENT``, an
+        oversize body or a redirect past the cap ``Unavailable``.
+        """
+        prepared = requests.PreparedRequest()
+        prepared.prepare_method(req.method)
+        # encoded here, as requests would encode them: its own encoder costs
+        # more than the rest of the request's preparation
+        prepared.prepare_url(req.url, urlencode(req.params))
+        prepared.prepare_headers(
+            {**self._session.headers, "User-Agent": USER_AGENT, **dict(req.headers)})
+        prepared.prepare_body(req.body, None)
+        proxies = self._proxies_for(req.url)
+        with self._gate:
+            deadline = time.monotonic() + self._total_timeout
+            for _ in range(MAX_REDIRECTS + 1):
+                resp = self._session.get_adapter(prepared.url).send(
+                    prepared, stream=True, timeout=self._timeout, proxies=proxies,
+                    verify=self._verify, cert=None)
+                body = _read_body(resp, deadline, f"{req.method} {req.url}")
+                if req.method != "GET" or not resp.is_redirect:
+                    return HttpResponse(
+                        status=resp.status_code,
+                        headers={k.lower(): v for k, v in resp.headers.items()},
+                        body=body,
+                        url=str(resp.url),
+                    )
+                prepared = prepared.copy()
+                prepared.prepare_url(urljoin(prepared.url, resp.headers["location"]), None)
+        raise Unavailable(f"{req.method} {req.url}: more than {MAX_REDIRECTS} redirects")
+
+
+def _read_body(resp: requests.Response, deadline: float, asked: str) -> bytes:
+    """The response's body, at most ``MAX_BODY_BYTES`` of it, read by ``deadline``.
+
+    An adapter that answered with no ``raw`` stream has set the body itself.
+    Otherwise the stream is decoded as ``Response.content`` would decode it, and
+    its connection goes back to the pool, or is closed if the body was left
+    unread.
+    """
+    raw = resp.raw
+    if raw is None:
+        body = resp.content or b""
+        if len(body) > MAX_BODY_BYTES:
+            raise Unavailable(f"{asked}: body over {MAX_BODY_BYTES} bytes")
+        return body
+    chunks: list[bytes] = []
+    size = 0
+    complete = False
+    try:
+        # read1 (urllib3 >= 2.2) returns what one read of the socket gives, so a
+        # body that trickles in still meets the deadline check between reads
+        while chunk := raw.read1(_READ_BYTES, decode_content=True):
+            size += len(chunk)
+            if size > MAX_BODY_BYTES:
+                raise Unavailable(f"{asked}: body over {MAX_BODY_BYTES} bytes")
+            if time.monotonic() > deadline:
+                raise requests.ReadTimeout("body not read by the attempt's deadline")
+            chunks.append(chunk)
+        complete = True
+    finally:
+        if not complete:
+            raw.close()  # unread bytes would reach the connection's next request
+        raw.release_conn()
+    return b"".join(chunks)
 
 
 # -- fixture serialization -----------------------------------------------------

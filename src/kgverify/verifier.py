@@ -21,7 +21,7 @@ import logging
 import re
 import threading
 from collections import deque
-from concurrent.futures import CancelledError, Executor, wait
+from concurrent.futures import CancelledError, Executor, Future, wait
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -110,10 +110,12 @@ def map_in_order(
             raise
 
     submit = pool.executor.submit
-    futures = deque(submit(run, item) for item in items[: LOOKAHEAD_PER_WORKER * pool.width + 1])
-    submitted = len(futures)
+    futures: deque[Future] = deque()
     results: list[_Result] = []
     try:
+        for item in items[: LOOKAHEAD_PER_WORKER * pool.width + 1]:
+            futures.append(submit(run, item))
+        submitted = len(futures)
         while futures:
             results.append(futures[0].result())  # an interrupt here still waits for it
             futures.popleft()

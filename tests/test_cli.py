@@ -736,6 +736,8 @@ class TestPoolWidth:
         """Across every remote (wiki APIs, pages, the archive, the LLM) at once,
         a live run has at most llm_requests requests in flight, and at most
         max(1, llm_requests // 2) statements."""
+        from urllib.parse import parse_qsl
+
         import requests
 
         from kgverify.net import HttpRequest
@@ -755,15 +757,17 @@ class TestPoolWidth:
                 with lock:
                     seen["statements"] -= 1
 
-        def slow_remote(session, method, url, params=None, data=None, **kwargs):
+        def slow_remote(adapter, prepared, **kwargs):
             with lock:
                 seen["in_flight"] += 1
                 seen["requests"] += 1
                 seen["peak"] = max(seen["peak"], seen["in_flight"])
             try:
                 time.sleep(0.01)
+                url, _, query = prepared.url.partition("?")
+                params = tuple(sorted(parse_qsl(query, keep_blank_values=True)))
                 answer = answer_from_fixtures(
-                    HttpRequest(method, url, tuple(sorted((params or {}).items())), body=data))
+                    HttpRequest(prepared.method, url, params, body=prepared.body))
             finally:
                 with lock:
                     seen["in_flight"] -= 1
@@ -772,7 +776,7 @@ class TestPoolWidth:
             resp.headers.update(answer.headers)
             return resp
 
-        monkeypatch.setattr(requests.Session, "request", slow_remote)
+        monkeypatch.setattr(requests.adapters.HTTPAdapter, "send", slow_remote)
         monkeypatch.setattr(Verifier, "verify_via_wikipedia", counted_verify)
         monkeypatch.setenv("KGVERIFY_LLM_TOKEN", "test-token")
         monkeypatch.setenv("KGVERIFY_LLM_REQUESTS", str(width))

@@ -425,6 +425,33 @@ class TestFailurePropagation:
                 map_in_order(pool, task, list(range(8)))
             assert ended == started == {0, 1, 2}
 
+    def test_an_interrupt_while_submitting_waits_for_the_tasks_submitted(self):
+        """A Ctrl-C between two submits of the first window still waits for the
+        task already submitted."""
+        started, finished = threading.Event(), threading.Event()
+
+        def task(item):
+            started.set()
+            time.sleep(0.05)
+            finished.set()
+
+        class InterruptedExecutor(ThreadPoolExecutor):
+            """Raises KeyboardInterrupt on its second submit."""
+
+            submits = 0
+
+            def submit(self, fn, *args, **kwargs):
+                self.submits += 1
+                if self.submits == 2:
+                    started.wait(5)  # the first task runs, so it cannot be cancelled
+                    raise KeyboardInterrupt
+                return super().submit(fn, *args, **kwargs)
+
+        with InterruptedExecutor(max_workers=2) as executor:
+            with pytest.raises(KeyboardInterrupt):
+                map_in_order(WorkerPool(executor, 2), task, list(range(4)))
+            assert finished.is_set()
+
     def test_inline_mapping_stops_at_the_failure(self):
         started = []
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import gzip
+import io
 import json
 import sys
 import threading
@@ -7,11 +9,15 @@ import time
 
 import pytest
 import requests
+import urllib3
 
+from kgverify import net
 from kgverify.errors import FixtureMissing, ProviderUnavailable, Unavailable
-from kgverify.llm import LlmGateway, ReplicateHttpProvider
-from kgverify.retrieval import GoogleSearchProvider, SearchHit
+from kgverify.llm import LlmGateway, ReplicateHttpProvider, ScriptedProvider
+from kgverify.model import Statement
+from kgverify.retrieval import DocumentFetcher, GoogleSearchProvider, SearchHit
 from kgverify.store import FixtureStore
+from kgverify.verifier import Verifier
 from kgverify.wikidata import WikidataClient
 from kgverify.net import (
     HttpRequest,
@@ -19,6 +25,7 @@ from kgverify.net import (
     LiveTransport,
     RequestGate,
     RequestMemo,
+    USER_AGENT,
     request_fingerprint,
     response_from_record,
     response_to_record,
@@ -204,7 +211,8 @@ def reply(status: int, body: bytes = b"{}", **headers: str) -> tuple:
 
 
 class ScriptedAdapter(requests.adapters.BaseAdapter):
-    """Answers the n-th request with the n-th scripted reply; the last repeats."""
+    """Answers the n-th request with the n-th scripted reply, or raises it if
+    it is an exception; the last repeats."""
 
     def __init__(self, *replies):
         super().__init__()
@@ -213,7 +221,10 @@ class ScriptedAdapter(requests.adapters.BaseAdapter):
 
     def send(self, request, **kwargs):
         self.requests.append((request.method, request.url))
-        status, headers, body = self.replies[min(len(self.requests), len(self.replies)) - 1]
+        scripted = self.replies[min(len(self.requests), len(self.replies)) - 1]
+        if isinstance(scripted, Exception):
+            raise scripted
+        status, headers, body = scripted
         resp = requests.Response()
         resp.status_code = status
         resp.headers.update({"Content-Type": "application/json", **headers})
@@ -226,45 +237,34 @@ class ScriptedAdapter(requests.adapters.BaseAdapter):
         pass
 
 
-def scripted_transport(*replies):
-    """A LiveTransport over a session that answers from ``replies``; sleeps are recorded."""
-    adapter = ScriptedAdapter(*replies)
+def transport_over(adapter, **kwargs):
+    """A LiveTransport over a session with ``adapter`` mounted; sleeps are recorded."""
     session = requests.Session()
     session.mount("https://", adapter)
     sleeps = []
-    return LiveTransport(session=session, sleeper=sleeps.append), adapter, sleeps
+    return LiveTransport(session=session, sleeper=sleeps.append, **kwargs), sleeps
+
+
+def scripted_transport(*replies):
+    """A LiveTransport over a session that answers from ``replies``."""
+    adapter = ScriptedAdapter(*replies)
+    transport, sleeps = transport_over(adapter)
+    return transport, adapter, sleeps
 
 
 class TestLiveTransportRetry:
     def test_retries_connection_errors_then_succeeds(self):
-        class FlakySession:
-            def __init__(self):
-                self.calls = 0
-
-            def request(self, method, url, **kwargs):
-                self.calls += 1
-                if self.calls < 3:
-                    raise requests.ConnectionError("refused")
-                response = requests.Response()
-                response.status_code = 200
-                response._content = b"ok"
-                response.url = url
-                return response
-
-        sleeps = []
-        session = FlakySession()
-        transport = LiveTransport(retries=2, session=session, sleeper=sleeps.append)
+        transport, adapter, sleeps = scripted_transport(
+            requests.ConnectionError("refused"), requests.ConnectionError("refused"),
+            reply(200, b"ok"))
         resp = transport.send(HttpRequest.get("https://flaky.example"))
         assert resp.status == 200 and resp.body == b"ok"
-        assert session.calls == 3
+        assert len(adapter.requests) == 3
         assert sleeps == [1.0, 2.0]
 
     def test_exhausted_retries_raise_unavailable(self):
-        class DeadSession:
-            def request(self, method, url, **kwargs):
-                raise requests.ConnectionError("refused")
-
-        transport = LiveTransport(retries=1, session=DeadSession(), sleeper=lambda _: None)
+        transport, _ = transport_over(ScriptedAdapter(requests.ConnectionError("refused")),
+                                      retries=1)
         with pytest.raises(Unavailable, match="refused"):
             transport.send(HttpRequest.get("https://dead.example"))
 
@@ -424,6 +424,226 @@ class TestLiveTransportEnvironment:
         assert proxied[1]["https"] == "http://proxy.example:3128"
         assert "https" not in bypassed[1]
         assert proxied[2] == bypassed[2] == (str(bundle) if with_bundle else True)
+
+
+class RecordingAdapter(requests.adapters.BaseAdapter):
+    """Records the wire form of each request."""
+
+    def __init__(self):
+        super().__init__()
+        self.wire = []
+
+    def send(self, request, **kwargs):
+        self.wire.append((request.method, request.url, dict(request.headers), request.body))
+        resp = requests.Response()
+        resp.status_code, resp._content = 201, b'{"output": ["a"]}'
+        resp.url, resp.request = request.url, request
+        resp.headers["Content-Type"] = "application/json"
+        return resp
+
+    def close(self):
+        pass
+
+
+def asked_by_clients():
+    """The search GET and the LLM POST, as their clients build them."""
+    asked = []
+
+    class Capture:
+        def send(self, req):
+            asked.append(req)
+            return HttpResponse(200 if req.method == "GET" else 201,
+                                {"content-type": "application/json"},
+                                b'{"items": [], "output": ["a"]}', req.url)
+
+    GoogleSearchProvider(Capture(), api_key="key", cx="cx").search("havel prize", 5)
+    LlmGateway(ReplicateHttpProvider(Capture(), api_token="token")).complete("a prompt")
+    return asked
+
+
+class StreamingAdapter(requests.adapters.BaseAdapter):
+    """Answers through a real urllib3 response that streams ``make_body()``,
+    as ``HTTPAdapter`` does for a socket."""
+
+    def __init__(self, make_body, **headers):
+        super().__init__()
+        self.make_body = make_body
+        self.headers = headers
+        self.requests = []
+        self.bodies = []
+        self._builder = requests.adapters.HTTPAdapter()
+
+    def send(self, request, stream=False, **kwargs):
+        assert stream
+        self.requests.append((request.method, request.url))
+        self.bodies.append(self.make_body())
+        raw = urllib3.HTTPResponse(body=self.bodies[-1], headers=self.headers, status=200,
+                                   preload_content=False, decode_content=False)
+        return self._builder.build_response(request, raw)
+
+    def close(self):
+        self._builder.close()
+
+
+class RedirectAdapter(requests.adapters.BaseAdapter):
+    """Redirects each URL in ``hops`` to its Location (303 for a GET, 307
+    otherwise) and answers any other URL with its page in ``pages``, or a
+    short default page."""
+
+    def __init__(self, hops, pages=None):
+        super().__init__()
+        self.hops = hops
+        self.pages = pages or {}
+        self.requests = []
+
+    def send(self, request, **kwargs):
+        self.requests.append((request.method, request.url))
+        resp = requests.Response()
+        resp.url, resp.request = request.url, request
+        resp.headers["Content-Type"] = "text/html"
+        if request.url in self.hops:
+            resp.status_code = 303 if request.method == "GET" else 307
+            resp.headers["Location"] = self.hops[request.url]
+            resp._content = b""
+        else:
+            resp.status_code = 200
+            resp._content = self.pages.get(request.url, b"<p>arrived</p>")
+        return resp
+
+    def close(self):
+        pass
+
+
+class TrickleBody(io.BytesIO):
+    """A body whose every read waits 10 ms and returns one byte."""
+
+    reads = 0
+
+    def read1(self, size=-1):
+        self.reads += 1
+        time.sleep(0.01)
+        return super().read1(1)
+
+
+class TestThinTransport:
+    def test_the_adapter_gets_what_a_session_sends_less_cookies(self):
+        """Method, URL, headers and body match a plain session's request, for the
+        search GET and the LLM POST; the session's cookies are not sent."""
+        reference, adapter = RecordingAdapter(), RecordingAdapter()
+        plain = requests.Session()
+        plain.mount("https://", reference)
+        transport, _ = transport_over(adapter)
+        for session in (plain, transport._session):
+            session.cookies.set("visit", "1")
+        for req in asked_by_clients():
+            plain.request(req.method, req.url, params=dict(req.params) or None, data=req.body,
+                          headers={"User-Agent": USER_AGENT, **dict(req.headers)}, timeout=1)
+            transport.send(req)
+        assert [method for method, *_ in adapter.wire] == ["GET", "POST"]
+        assert "key=key" in adapter.wire[0][1] and adapter.wire[1][3].startswith(b"{")
+        for (method, url, headers, body), sent in zip(reference.wire, adapter.wire):
+            assert headers.pop("Cookie") == "visit=1"
+            assert sent == (method, url, headers, body)
+            assert list(sent[2]) == list(headers)  # in the same order, too
+
+    def test_a_streamed_gzip_body_is_decoded(self):
+        page = b"<p>" + b"bioluminescence " * 5000 + b"</p>"
+        adapter = StreamingAdapter(lambda: io.BytesIO(gzip.compress(page)),
+                                   **{"Content-Encoding": "gzip", "Content-Type": "text/html"})
+        transport, sleeps = transport_over(adapter)
+        resp = transport.send(HttpRequest.get("https://zipped.example/page"))
+        assert (resp.status, resp.body, resp.url) == (200, page, "https://zipped.example/page")
+        assert resp.content_type == "text/html"
+        assert len(adapter.requests) == 1 and sleeps == []
+
+    @pytest.mark.parametrize("start, hops, final", [
+        ("https://en.wikipedia.org/wiki/Havel",
+         {"https://en.wikipedia.org/wiki/Havel": "/wiki/V%C3%A1clav_Havel"},
+         "https://en.wikipedia.org/wiki/V%C3%A1clav_Havel"),
+        ("https://web.archive.org/web/2019/https://dead.example/a",
+         {"https://web.archive.org/web/2019/https://dead.example/a":
+          "https://web.archive.org/web/20190501200443/https://dead.example/a"},
+         "https://web.archive.org/web/20190501200443/https://dead.example/a"),
+    ], ids=["article", "archive-snapshot"])
+    def test_a_get_follows_redirects_to_the_final_url(self, start, hops, final):
+        adapter = RedirectAdapter(hops)
+        transport, sleeps = transport_over(adapter)
+        resp = transport.send(HttpRequest.get(start))
+        assert (resp.status, resp.url, resp.body) == (200, final, b"<p>arrived</p>")
+        assert adapter.requests == [("GET", start), ("GET", final)]
+        assert sleeps == []
+
+    def test_a_post_redirect_is_not_followed(self):
+        adapter = RedirectAdapter({"https://llm.example/predictions": "/elsewhere"})
+        transport, _ = transport_over(adapter)
+        resp = transport.send(HttpRequest.post("https://llm.example/predictions", b"{}"))
+        assert (resp.status, resp.headers["location"]) == (307, "/elsewhere")
+        assert adapter.requests == [("POST", "https://llm.example/predictions")]
+
+    @pytest.mark.parametrize("extra", [0, 1], ids=["at-the-cap", "one-past"])
+    def test_redirects_past_the_cap_are_unavailable(self, extra):
+        chain = [f"https://loop.example/{i}" for i in range(net.MAX_REDIRECTS + extra + 1)]
+        adapter = RedirectAdapter(dict(zip(chain, chain[1:])))
+        transport, sleeps = transport_over(adapter)
+        if extra:
+            with pytest.raises(Unavailable, match="redirects"):
+                transport.send(HttpRequest.get(chain[0]))
+            assert len(adapter.requests) == net.MAX_REDIRECTS + 1
+        else:
+            assert transport.send(HttpRequest.get(chain[0])).url == chain[-1]
+        assert sleeps == []
+
+    @pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "set-by-adapter"])
+    def test_an_oversize_body_is_unavailable_without_a_retry(self, monkeypatch, streamed):
+        monkeypatch.setattr(net, "MAX_BODY_BYTES", 1000)
+        body = b"x" * 1001
+        if streamed:
+            adapter = StreamingAdapter(lambda: io.BytesIO(body))
+        else:
+            adapter = ScriptedAdapter(reply(200, body))
+        transport, sleeps = transport_over(adapter)
+        with pytest.raises(Unavailable, match="over 1000 bytes"):
+            transport.send(HttpRequest.get("https://huge.example/page"))
+        assert len(adapter.requests) == 1
+        assert sleeps == []
+        monkeypatch.setattr(net, "MAX_BODY_BYTES", 1001)
+        assert transport.send(HttpRequest.get("https://huge.example/page")).body == body
+
+    def test_an_oversize_page_is_a_skip_of_the_verify_run(self, monkeypatch):
+        monkeypatch.setattr(net, "MAX_BODY_BYTES", 1000)
+        huge, small = "https://huge.example/page", "https://small.example/page"
+        adapter = RedirectAdapter({}, pages={huge: b"<p>" + b"x" * 1000})
+        transport, sleeps = transport_over(adapter)
+
+        class TwoHits:
+            def search(self, query, limit):
+                return [SearchHit(url=huge, rank=1), SearchHit(url=small, rank=2)]
+
+        verifier = Verifier(gateway=LlmGateway(ScriptedProvider([])),
+                            fetcher=DocumentFetcher(transport), search_provider=TwoHits())
+        session = verifier.verify_via_web_search(
+            Statement("Václav Havel", "award received", "Prize"), hit_limit=2)
+        oversize, fetched = session.documents
+        assert (oversize.url, oversize.skip.kind) == (huge, "unavailable")
+        assert "over 1000 bytes" in oversize.skip.detail
+        assert (fetched.url, fetched.skip) == (small, None)
+        assert adapter.requests == [("GET", huge), ("GET", small)]
+        assert session.traces == [] and sleeps == []
+
+    def test_a_trickling_body_meets_the_deadline_and_is_retried(self):
+        adapter = StreamingAdapter(lambda: TrickleBody(b"x" * 20))
+        transport, sleeps = transport_over(adapter, total_timeout=0.05, retries=1)
+        with pytest.raises(Unavailable, match="deadline"):
+            transport.send(HttpRequest.get("https://slow.example/page"))
+        assert len(adapter.requests) == 2 and sleeps == [1.0]
+        assert all(body.reads < 20 for body in adapter.bodies)  # neither was read to its end
+
+    def test_a_body_cut_short_is_retried(self):
+        adapter = StreamingAdapter(lambda: io.BytesIO(b"cut"), **{"Content-Length": "10"})
+        transport, sleeps = transport_over(adapter, retries=1)
+        with pytest.raises(Unavailable, match="IncompleteRead"):
+            transport.send(HttpRequest.get("https://short.example/page"))
+        assert len(adapter.requests) == 2 and sleeps == [1.0]
 
 
 class TestRequestGate:
