@@ -27,15 +27,13 @@ import urllib3
 from .errors import Unavailable
 
 DEFAULT_CONNECT_TIMEOUT = 15.0
-# One attempt's deadline, from sending the request to the body's last byte. It
-# is checked between reads, and no single read waits longer than this either.
+# One attempt's deadline, from sending the request to the body's last byte, its
+# redirects included. No connection or read waits longer than the time left.
 DEFAULT_TOTAL_TIMEOUT = 30.0
 DEFAULT_RETRIES = 2
 MAX_BACKOFF_SECONDS = 8.0
 # A longer (decoded) body is not read to its end: the request raises Unavailable.
 MAX_BODY_BYTES = 16 * 2**20
-# Redirects a GET follows; one more raises Unavailable. Other methods follow none.
-MAX_REDIRECTS = 5
 _READ_BYTES = 64 * 1024
 USER_AGENT = "kgverify/0.1 (statement verification pipeline)"
 
@@ -209,13 +207,15 @@ class LiveTransport:
     an integer ``Retry-After`` (also capped at 8 s); the sleep holds no gate
     slot. After the last attempt a failing status is returned for the caller to
     map, and a connection error or timeout raises ``Unavailable``. A body over
-    ``MAX_BODY_BYTES``, or a GET redirected more than ``MAX_REDIRECTS`` times,
-    raises ``Unavailable`` at once: asking again would get the same answer.
+    ``MAX_BODY_BYTES``, or a GET redirected more than the session's
+    ``max_redirects`` times, raises ``Unavailable`` at once: asking again would
+    get the same answer.
 
     Each request is prepared here and handed to the adapter the session has
     mounted for its URL, so none of the session's per-request machinery runs:
-    no cookie jar is kept or sent, and no hooks or auth apply. The body is read
-    against a total deadline of ``total_timeout`` per attempt.
+    the session's cookie jar is neither read nor filled, and no hooks or auth
+    apply. An attempt, its redirects included, has a total deadline of
+    ``total_timeout``.
 
     The environment is read once, not on every request as a ``requests``
     session trusting it would: proxies (``HTTPS_PROXY``, ``NO_PROXY``, ...)
@@ -233,7 +233,7 @@ class LiveTransport:
         session: requests.Session | None = None,
         sleeper=time.sleep,
     ):
-        self._timeout = (connect_timeout, total_timeout)
+        self._connect_timeout = connect_timeout
         self._total_timeout = total_timeout
         self._retries = retries
         self._gate = gate or RequestGate(4)
@@ -272,7 +272,9 @@ class LiveTransport:
         """One attempt, holding a gate slot; a GET follows its redirects.
 
         A connection error or a timeout raises one of ``_TRANSIENT``, an
-        oversize body or a redirect past the cap ``Unavailable``.
+        oversize body or a redirect past the cap ``Unavailable``. A cookie set
+        by a redirect is sent on the rest of its chain, as a session would send
+        it, and then forgotten.
         """
         prepared = requests.PreparedRequest()
         prepared.prepare_method(req.method)
@@ -283,23 +285,39 @@ class LiveTransport:
             {**self._session.headers, "User-Agent": USER_AGENT, **dict(req.headers)})
         prepared.prepare_body(req.body, None)
         proxies = self._proxies_for(req.url)
+        redirects = self._session.max_redirects
+        jar = None
         with self._gate:
             deadline = time.monotonic() + self._total_timeout
-            for _ in range(MAX_REDIRECTS + 1):
+            for _ in range(redirects + 1):
+                remaining = deadline - time.monotonic()
+                if remaining <= 0:
+                    raise _overdue()
+                timeout = (min(self._connect_timeout, remaining), remaining)
                 resp = self._session.get_adapter(prepared.url).send(
-                    prepared, stream=True, timeout=self._timeout, proxies=proxies,
-                    verify=self._verify, cert=None)
+                    prepared, stream=True, timeout=timeout, proxies=proxies, verify=self._verify,
+                    cert=None)
                 body = _read_body(resp, deadline, f"{req.method} {req.url}")
-                if req.method != "GET" or not resp.is_redirect:
+                location = self._session.get_redirect_target(resp) if req.method == "GET" else None
+                if location is None:
                     return HttpResponse(
                         status=resp.status_code,
                         headers={k.lower(): v for k, v in resp.headers.items()},
                         body=body,
                         url=str(resp.url),
                     )
+                if jar is None:
+                    jar = requests.cookies.RequestsCookieJar()
+                requests.cookies.extract_cookies_to_jar(jar, prepared, resp.raw)
                 prepared = prepared.copy()
-                prepared.prepare_url(urljoin(prepared.url, resp.headers["location"]), None)
-        raise Unavailable(f"{req.method} {req.url}: more than {MAX_REDIRECTS} redirects")
+                prepared.prepare_url(urljoin(prepared.url, location), None)
+                prepared.headers.pop("Cookie", None)
+                prepared.prepare_cookies(jar)
+        raise Unavailable(f"{req.method} {req.url}: more than {redirects} redirects")
+
+
+def _overdue() -> requests.ReadTimeout:
+    return requests.ReadTimeout("not answered by the attempt's deadline")
 
 
 def _read_body(resp: requests.Response, deadline: float, asked: str) -> bytes:
@@ -308,10 +326,13 @@ def _read_body(resp: requests.Response, deadline: float, asked: str) -> bytes:
     An adapter that answered with no ``raw`` stream has set the body itself.
     Otherwise the stream is decoded as ``Response.content`` would decode it, and
     its connection goes back to the pool, or is closed if the body was left
-    unread.
+    unread. The deadline is checked once the response has arrived, and again
+    after every read.
     """
     raw = resp.raw
     if raw is None:
+        if time.monotonic() > deadline:
+            raise _overdue()
         body = resp.content or b""
         if len(body) > MAX_BODY_BYTES:
             raise Unavailable(f"{asked}: body over {MAX_BODY_BYTES} bytes")
@@ -320,21 +341,22 @@ def _read_body(resp: requests.Response, deadline: float, asked: str) -> bytes:
     size = 0
     complete = False
     try:
-        # read1 (urllib3 >= 2.2) returns what one read of the socket gives, so a
-        # body that trickles in still meets the deadline check between reads
-        while chunk := raw.read1(_READ_BYTES, decode_content=True):
+        while time.monotonic() <= deadline:
+            # read1 (urllib3 >= 2.2) returns what one read of the socket gives, so a
+            # body that trickles in still meets the deadline check between reads
+            chunk = raw.read1(_READ_BYTES, decode_content=True)
+            if not chunk:
+                complete = True
+                return b"".join(chunks)
             size += len(chunk)
             if size > MAX_BODY_BYTES:
                 raise Unavailable(f"{asked}: body over {MAX_BODY_BYTES} bytes")
-            if time.monotonic() > deadline:
-                raise requests.ReadTimeout("body not read by the attempt's deadline")
             chunks.append(chunk)
-        complete = True
+        raise _overdue()
     finally:
         if not complete:
             raw.close()  # unread bytes would reach the connection's next request
         raw.release_conn()
-    return b"".join(chunks)
 
 
 # -- fixture serialization -----------------------------------------------------

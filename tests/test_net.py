@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gzip
+import http.client
 import io
 import json
 import sys
@@ -488,16 +489,20 @@ class StreamingAdapter(requests.adapters.BaseAdapter):
 class RedirectAdapter(requests.adapters.BaseAdapter):
     """Redirects each URL in ``hops`` to its Location (303 for a GET, 307
     otherwise) and answers any other URL with its page in ``pages``, or a
-    short default page."""
+    short default page; each answer takes ``delay`` seconds."""
 
-    def __init__(self, hops, pages=None):
+    def __init__(self, hops, pages=None, delay=0.0):
         super().__init__()
         self.hops = hops
         self.pages = pages or {}
+        self.delay = delay
         self.requests = []
+        self.timeouts = []
 
-    def send(self, request, **kwargs):
+    def send(self, request, timeout=None, **kwargs):
         self.requests.append((request.method, request.url))
+        self.timeouts.append(timeout)
+        time.sleep(self.delay)
         resp = requests.Response()
         resp.url, resp.request = request.url, request
         resp.headers["Content-Type"] = "text/html"
@@ -512,6 +517,47 @@ class RedirectAdapter(requests.adapters.BaseAdapter):
 
     def close(self):
         pass
+
+
+class WireSocket:
+    """A socket that has received ``data``, for ``http.client`` to parse."""
+
+    def __init__(self, data: bytes):
+        self._file = io.BytesIO(data)
+
+    def makefile(self, mode):
+        return self._file
+
+
+class CookieCheckAdapter(requests.adapters.BaseAdapter):
+    """A consent hop, parsed from the wire as ``HTTPAdapter`` parses a socket:
+    ``/start`` sets a cookie and redirects to ``/check``, which answers a
+    request carrying the cookie and sends any other back to ``/start``."""
+
+    def __init__(self):
+        super().__init__()
+        self.cookies_sent = []
+        self._builder = requests.adapters.HTTPAdapter()
+
+    def send(self, request, **kwargs):
+        self.cookies_sent.append((request.path_url, request.headers.get("Cookie")))
+        if request.path_url == "/start":
+            head = b"302 Found\r\nLocation: /check\r\nSet-Cookie: consent=yes; Path=/"
+        elif request.headers.get("Cookie") != "consent=yes":
+            head = b"302 Found\r\nLocation: /start"
+        else:
+            head = b"200 OK"
+        body = b"" if head.startswith(b"302") else b"<p>consented</p>"
+        original = http.client.HTTPResponse(WireSocket(
+            b"HTTP/1.1 %s\r\nContent-Length: %d\r\n\r\n%s" % (head, len(body), body)))
+        original.begin()
+        raw = urllib3.HTTPResponse(body=original, headers=original.msg.items(),
+                                   status=original.status, preload_content=False,
+                                   original_response=original)
+        return self._builder.build_response(request, raw)
+
+    def close(self):
+        self._builder.close()
 
 
 class TrickleBody(io.BytesIO):
@@ -564,7 +610,12 @@ class TestThinTransport:
          {"https://web.archive.org/web/2019/https://dead.example/a":
           "https://web.archive.org/web/20190501200443/https://dead.example/a"},
          "https://web.archive.org/web/20190501200443/https://dead.example/a"),
-    ], ids=["article", "archive-snapshot"])
+        # a Location header in raw UTF-8, which http.client decodes as Latin-1
+        ("https://en.wikipedia.org/wiki/Havel",
+         {"https://en.wikipedia.org/wiki/Havel":
+          "/wiki/Václav_Havel".encode("utf-8").decode("latin-1")},
+         "https://en.wikipedia.org/wiki/V%C3%A1clav_Havel"),
+    ], ids=["article", "archive-snapshot", "unquoted-utf8-location"])
     def test_a_get_follows_redirects_to_the_final_url(self, start, hops, final):
         adapter = RedirectAdapter(hops)
         transport, sleeps = transport_over(adapter)
@@ -582,16 +633,30 @@ class TestThinTransport:
 
     @pytest.mark.parametrize("extra", [0, 1], ids=["at-the-cap", "one-past"])
     def test_redirects_past_the_cap_are_unavailable(self, extra):
-        chain = [f"https://loop.example/{i}" for i in range(net.MAX_REDIRECTS + extra + 1)]
+        """The cap is the session's, as many redirects as ``Session.request`` follows."""
+        limit = requests.models.DEFAULT_REDIRECT_LIMIT
+        chain = [f"https://loop.example/{i}" for i in range(limit + extra + 1)]
         adapter = RedirectAdapter(dict(zip(chain, chain[1:])))
         transport, sleeps = transport_over(adapter)
+        assert transport._session.max_redirects == limit
         if extra:
-            with pytest.raises(Unavailable, match="redirects"):
+            with pytest.raises(Unavailable, match=f"more than {limit} redirects"):
                 transport.send(HttpRequest.get(chain[0]))
-            assert len(adapter.requests) == net.MAX_REDIRECTS + 1
+            assert len(adapter.requests) == limit + 1
         else:
             assert transport.send(HttpRequest.get(chain[0])).url == chain[-1]
         assert sleeps == []
+
+    def test_a_cookie_set_by_a_redirect_is_sent_on_its_chain_only(self):
+        adapter = CookieCheckAdapter()
+        transport, sleeps = transport_over(adapter)
+        for _ in range(2):
+            resp = transport.send(HttpRequest.get("https://consent.example/start"))
+            assert (resp.status, resp.body) == (200, b"<p>consented</p>")
+            assert resp.url == "https://consent.example/check"
+        # the second chain starts without the first one's cookie
+        assert adapter.cookies_sent == [("/start", None), ("/check", "consent=yes")] * 2
+        assert len(transport._session.cookies) == 0 and sleeps == []
 
     @pytest.mark.parametrize("streamed", [True, False], ids=["streamed", "set-by-adapter"])
     def test_an_oversize_body_is_unavailable_without_a_retry(self, monkeypatch, streamed):
@@ -637,6 +702,24 @@ class TestThinTransport:
             transport.send(HttpRequest.get("https://slow.example/page"))
         assert len(adapter.requests) == 2 and sleeps == [1.0]
         assert all(body.reads < 20 for body in adapter.bodies)  # neither was read to its end
+
+    def test_a_slow_redirect_chain_meets_the_deadline_and_is_retried(self):
+        """Each hop gets the time left as its timeouts, and no hop is sent once
+        the deadline has passed, whatever its body."""
+        chain = [f"https://slow.example/{i}" for i in range(20)]
+        adapter = RedirectAdapter(dict(zip(chain, chain[1:])), delay=0.02)
+        transport, sleeps = transport_over(adapter, total_timeout=0.1, retries=1)
+        with pytest.raises(Unavailable, match="deadline"):
+            transport.send(HttpRequest.get(chain[0]))
+        assert sleeps == [1.0]
+        second = adapter.requests.index(("GET", chain[0]), 1)
+        for hops, timeouts in ((adapter.requests[:second], adapter.timeouts[:second]),
+                               (adapter.requests[second:], adapter.timeouts[second:])):
+            assert hops == [("GET", url) for url in chain[:len(hops)]]
+            assert 2 <= len(hops) <= 6  # 5 hops of 20 ms fit in 100 ms
+            assert all(connect == read <= 0.1 for connect, read in timeouts)
+            reads = [read for _, read in timeouts]
+            assert reads == sorted(reads, reverse=True)
 
     def test_a_body_cut_short_is_retried(self):
         adapter = StreamingAdapter(lambda: io.BytesIO(b"cut"), **{"Content-Length": "10"})
