@@ -94,7 +94,6 @@ class RunConfig:
     out_dir: str = "out"
     max_statements: int | None = None
     hit_limit: int = 5
-    chunk_chars: int = 10_000
     llm_context_tokens: int | None = None
     fixed_clock: str | None = None
     corruption_seed: int = 42
@@ -151,8 +150,10 @@ class RunConfig:
             raise click.UsageError("replay mode requires a fixtures directory")
         if config.decision_mode not in _DECISION_MODES:
             raise click.UsageError(f"unknown decision mode {config.decision_mode!r}")
-        if config.llm_requests < 1:
-            raise click.UsageError("llm_requests must be at least 1")
+        for name in ("llm_requests", "max_statements", "hit_limit"):
+            value = getattr(config, name)
+            if value is not None and value < 1:  # a None max_statements is no limit
+                raise click.UsageError(f"{name} must be at least 1")
         return config
 
 
@@ -199,7 +200,7 @@ class _Runtime:
             context_tokens=config.llm_context_tokens,
             response_log=self.response_log,
         )
-        self.fetcher = DocumentFetcher(self.transport, clock=self.clock)
+        self.fetcher = DocumentFetcher(self.transport)
         self.wikidata = WikidataClient(
             self.transport,
             endpoint=config.sparql_endpoint,
@@ -234,7 +235,6 @@ class _Runtime:
             fetcher=self.fetcher,
             search_provider=search_provider,
             wikidata=self.wikidata,
-            chunk_chars=self.config.chunk_chars,
             clock=self.clock,
             pool=self.pool,
         )
@@ -460,8 +460,7 @@ def cmd_verify_wikidata(entity: str, **kwargs) -> None:
 
     verifier = runtime.verifier(need_search=True)
     _verify_run(
-        runtime, "verify-wikidata", entity_id, started,
-        [unsourced_statement.statement for unsourced_statement in selected],
+        runtime, "verify-wikidata", entity_id, started, selected,
         lambda statement: verifier.verify_via_web_search(statement, config.hit_limit),
         summary_extra=lambda info: {},
         manifest_extra={"statements_selected": len(selected)},

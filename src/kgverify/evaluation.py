@@ -35,10 +35,6 @@ class ConfusionCounts:
             self.fn + other.fn,
         )
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
 
 @dataclass(frozen=True)
 class Metrics:
@@ -47,7 +43,6 @@ class Metrics:
     precision: float | None
     recall: float | None
     f1: float | None
-    accuracy: float | None
 
 
 def compute_metrics(c: ConfusionCounts) -> Metrics:
@@ -56,8 +51,7 @@ def compute_metrics(c: ConfusionCounts) -> Metrics:
     f1 = None
     if precision is not None and recall is not None and (precision + recall) > 0:
         f1 = 2 * precision * recall / (precision + recall)
-    accuracy = (c.tp + c.tn) / c.total if c.total > 0 else None
-    return Metrics(precision=precision, recall=recall, f1=f1, accuracy=accuracy)
+    return Metrics(precision=precision, recall=recall, f1=f1)
 
 
 def micro_average(rows: Iterable[ConfusionCounts]) -> ConfusionCounts:

@@ -23,7 +23,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Protocol, TextIO
 
-from .errors import ContextOverflow, FixtureMissing, ProviderUnavailable
+from .errors import ContextOverflow, FixtureMissing, MalformedResponse, ProviderUnavailable
 from .model import DIRECT_PROOF, INDICATION, NO_SUPPORT, NliLabel, Verdict
 from .net import HttpRequest, SingleFlight, Transport, atomic_write, canonical_json
 from .prompting import OPTION_TEXTS, SYSTEM_PROMPT
@@ -63,8 +63,6 @@ class LlmParams:
 class LlmResponse:
     raw_text: str
     latency_ms: int
-    provider: str
-    request_fingerprint: str
 
 
 def completion_fingerprint(params: LlmParams, prompt: str) -> str:
@@ -74,8 +72,6 @@ def completion_fingerprint(params: LlmParams, prompt: str) -> str:
 
 
 class LlmProvider(Protocol):
-    name: str
-
     def complete(self, params: LlmParams, prompt: str) -> str: ...
 
 
@@ -85,8 +81,6 @@ class ScriptedProvider:
     Useful for orchestration tests where the n-th verification call must see
     the n-th response. Raises when the script runs dry.
     """
-
-    name = "scripted"
 
     def __init__(self, responses: list[str]):
         self._responses = list(responses)
@@ -103,7 +97,6 @@ class ScriptedProvider:
 class ReplicateHttpProvider:
     """Minimal client for a Replicate-style prediction HTTP API."""
 
-    name = "replicate"
     API_URL = "https://api.replicate.com/v1/models/{model}/predictions"
 
     def __init__(self, transport: Transport, api_token: str | None = None):
@@ -138,9 +131,14 @@ class ReplicateHttpProvider:
         resp = self._transport.send(req)
         if resp.status not in (200, 201):
             raise ProviderUnavailable(f"LLM API request failed with HTTP {resp.status}")
-        payload = resp.json()
-        output = payload.get("output")
-        status = payload.get("status", "succeeded")
+        try:
+            payload = resp.json()
+            output = payload.get("output")
+            status = payload.get("status", "succeeded")
+        except (ValueError, AttributeError) as exc:
+            raise MalformedResponse(
+                f"unexpected prediction payload: {resp.body[:200]!r} ({exc})"
+            ) from exc
         if status != "succeeded" or output is None:  # `Prefer: wait` gave up, or it failed
             raise ProviderUnavailable(f"LLM prediction has no output (status {status})")
         if isinstance(output, list):
@@ -239,34 +237,29 @@ class LlmGateway:
         self._log = response_log
         self._answers: SingleFlight[LlmResponse] = SingleFlight()
 
-    def complete(self, prompt: str, params: LlmParams | None = None) -> LlmResponse:
+    def complete(self, prompt: str) -> LlmResponse:
         if not prompt:
             raise ValueError("prompt must be non-empty")
-        params = params or self.params
         if self._budget_chars is not None:
-            used = len(prompt) + len(params.system_prompt)
+            used = len(prompt) + len(self.params.system_prompt)
             if used > self._budget_chars:
                 raise ContextOverflow(
                     f"prompt of {used} chars exceeds budget of {self._budget_chars} chars"
                 )
-        fingerprint = completion_fingerprint(params, prompt)
-        response = self._answers.get(fingerprint, lambda: self._ask(params, prompt, fingerprint))
+        fingerprint = completion_fingerprint(self.params, prompt)
+        response = self._answers.get(fingerprint, lambda: self._ask(prompt, fingerprint))
         if self._log is not None:
-            self._log.append(fingerprint, params, prompt, response.raw_text, response.latency_ms)
+            self._log.append(fingerprint, self.params, prompt, response.raw_text,
+                             response.latency_ms)
         return response
 
-    def _ask(self, params: LlmParams, prompt: str, fingerprint: str) -> LlmResponse:
+    def _ask(self, prompt: str, fingerprint: str) -> LlmResponse:
         start = time.monotonic()
-        raw = self.provider.complete(params, prompt)
+        raw = self.provider.complete(self.params, prompt)
         latency_ms = int((time.monotonic() - start) * 1000)
         if hasattr(self.provider, "recorded_latency_ms"):  # a replay: not the lookup's
             latency_ms = self.provider.recorded_latency_ms(fingerprint)
-        return LlmResponse(
-            raw_text=raw,
-            latency_ms=latency_ms,
-            provider=getattr(self.provider, "name", type(self.provider).__name__),
-            request_fingerprint=fingerprint,
-        )
+        return LlmResponse(raw_text=raw, latency_ms=latency_ms)
 
 
 # -- response parsing ----------------------------------------------------------

@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from typing import Iterable, Protocol, Sequence
 
 from . import html_text
 from .errors import (
+    MalformedResponse,
     ProviderUnavailable,
     QuotaExceeded,
     Unavailable,
@@ -33,23 +33,10 @@ _HTML_TYPES = {"text/html", "application/xhtml+xml"}
 
 
 @dataclass(frozen=True)
-class SearchHit:
-    url: str
-    rank: int
-    title: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise ValueError("rank is 1-based")
-
-
-@dataclass(frozen=True)
 class GroundingDocument:
     url: str
     retrieval_source: RetrievalSource
-    media_type: str
     paragraphs: tuple[str, ...]
-    fetched_at: datetime
 
 
 @dataclass(frozen=True)
@@ -66,7 +53,9 @@ class Chunk:
 
 
 class SearchProvider(Protocol):
-    def search(self, query: str, limit: int) -> list[SearchHit]: ...
+    def search(self, query: str, limit: int) -> list[str]:
+        """The URLs of at most ``limit`` hits, best rank first."""
+        ...
 
 
 class GoogleSearchProvider:
@@ -85,7 +74,7 @@ class GoogleSearchProvider:
         if not self._key or not self._cx:
             raise ProviderUnavailable("search credentials are not configured")
 
-    def search(self, query: str, limit: int) -> list[SearchHit]:
+    def search(self, query: str, limit: int) -> list[str]:
         req = HttpRequest.get(
             self.API_URL,
             params={"key": self._key, "cx": self._cx, "q": query, "num": str(limit)},
@@ -97,48 +86,43 @@ class GoogleSearchProvider:
             raise ProviderUnavailable(f"search provider returned HTTP {resp.status}")
         if resp.status != 200:
             raise ProviderUnavailable(f"search request failed with HTTP {resp.status}")
-        items = resp.json().get("items", []) or []
-        return [
-            SearchHit(url=item["link"], rank=i + 1, title=item.get("title"))
-            for i, item in enumerate(items[:limit])
-        ]
+        try:
+            items = resp.json().get("items", []) or []
+            urls = [item["link"] for item in items[:limit]]
+            if not all(isinstance(url, str) for url in urls):
+                raise TypeError("a hit's link is not a string")
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise MalformedResponse(
+                f"unexpected search payload: {resp.body[:200]!r} ({exc})"
+            ) from exc
+        return urls
 
 
-def web_search(provider: SearchProvider, query: str, limit: int = DEFAULT_HIT_LIMIT) -> list[SearchHit]:
-    """Top hits for a query, deduplicated by URL keeping the best rank."""
+def web_search(provider: SearchProvider, query: str, limit: int = DEFAULT_HIT_LIMIT) -> list[str]:
+    """The URLs of the top hits for a query in rank order, each URL once."""
     if not query.strip():
         raise ValueError("query must be non-empty")
-    hits = provider.search(query, limit)[:limit]
-    seen: set[str] = set()
-    unique: list[SearchHit] = []
-    for hit in hits:
-        if hit.url in seen:
-            continue
-        seen.add(hit.url)
-        unique.append(SearchHit(url=hit.url, rank=len(unique) + 1, title=hit.title))
-    return unique
+    return list(dict.fromkeys(provider.search(query, limit)[:limit]))
 
 
 class DocumentFetcher:
     """Fetches pages and extracts their paragraph text."""
 
-    def __init__(self, transport: Transport, clock=None):
+    def __init__(self, transport: Transport):
         self._transport = transport
-        self._clock = clock or (lambda: datetime.now(timezone.utc))
 
-    def fetch_raw(self, url: str) -> tuple[str, str]:
-        """Fetch a URL and return (html_text, media_type); non-HTML is rejected."""
+    def fetch_raw(self, url: str) -> str:
+        """Fetch a URL and return its HTML text; non-HTML is rejected."""
         resp = self._transport.send(HttpRequest.get(url))
         if resp.status >= 400:
             raise Unavailable(f"GET {url} returned HTTP {resp.status}")
         media_type = resp.content_type or _sniff_media_type(url, resp)
         if media_type not in _HTML_TYPES:
             raise UnsupportedMediaType(f"{url}: unsupported media type {media_type or 'unknown'}")
-        return resp.text, media_type
+        return resp.text
 
     def fetch_document(self, url: str) -> GroundingDocument:
-        html, media_type = self.fetch_raw(url)
-        return self._document(url, RetrievalSource.DIRECT, html, media_type)
+        return self._document(url, RetrievalSource.DIRECT, self.fetch_raw(url))
 
     def fetch_with_archive_fallback(self, url: str) -> GroundingDocument:
         """Fetch directly; if the resource is gone, use its archived snapshot."""
@@ -149,14 +133,11 @@ class DocumentFetcher:
         snapshot_url = self._nearest_snapshot(url)
         if snapshot_url is None:
             raise UnavailableEverywhere(f"{url}: no live copy and no archived snapshot")
-        html, media_type = self.fetch_raw(snapshot_url)
-        html = html_text.strip_archive_chrome(html)
-        return self._document(snapshot_url, RetrievalSource.WEB_ARCHIVE, html, media_type)
+        html = html_text.strip_archive_chrome(self.fetch_raw(snapshot_url))
+        return self._document(snapshot_url, RetrievalSource.WEB_ARCHIVE, html)
 
-    def _document(self, url: str, source: RetrievalSource, html: str,
-                  media_type: str) -> GroundingDocument:
-        paragraphs = tuple(html_text.extract_paragraphs(html))
-        return GroundingDocument(url, source, media_type, paragraphs, self._clock())
+    def _document(self, url: str, source: RetrievalSource, html: str) -> GroundingDocument:
+        return GroundingDocument(url, source, tuple(html_text.extract_paragraphs(html)))
 
     def _nearest_snapshot(self, url: str) -> str | None:
         try:
@@ -169,11 +150,10 @@ class DocumentFetcher:
             return None
         try:
             closest = resp.json().get("archived_snapshots", {}).get("closest", {})
-        except (ValueError, AttributeError):
+            url = closest.get("url") if closest.get("available") else None
+        except (ValueError, AttributeError):  # an answer of another shape: no snapshot
             return None
-        if closest.get("available") and closest.get("url"):
-            return closest["url"]
-        return None
+        return url if isinstance(url, str) and url else None
 
 
 def _sniff_media_type(url: str, resp: HttpResponse) -> str:

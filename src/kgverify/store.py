@@ -39,8 +39,6 @@ class FixtureStore:
     run records them with a ``ResponseLog`` on ``response_log_path``.
     """
 
-    name = "replay"
-
     def __init__(self, directory: Path | str, live: Transport | None = None,
                  ttl_seconds: float | None = None):
         self.directory = Path(directory)

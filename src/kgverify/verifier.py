@@ -376,14 +376,13 @@ class Verifier:
             statement=statement, mode=VerificationMode.WEB_SEARCH, started_at=self._clock()
         )
         query = statement_to_search_query(statement)
-        hits = web_search(self.search_provider, query, limit=hit_limit)
+        urls = web_search(self.search_provider, query, limit=hit_limit)
         fetch = self.fetcher.fetch_document
-        urls = [hit.url for hit in hits]
         for scan in map_in_order(self.pool, lambda u: self._examine(statement, u, fetch), urls):
             scan.add_to(session)
-        if hits and session.documents_examined == 0:
+        if urls and session.documents_examined == 0:
             raise NoDocumentsRetrievable(
-                f"none of the {len(hits)} search hits could be retrieved"
+                f"none of the {len(urls)} search hits could be retrieved"
             )
         session.ended_at = self._clock()
         return session
@@ -392,7 +391,7 @@ class Verifier:
 
     def _article(self, url: str) -> _WikipediaArticle:
         try:
-            html, _ = self.fetcher.fetch_raw(url)
+            html = self.fetcher.fetch_raw(url)
         except (Unavailable, UnsupportedMediaType) as exc:
             raise NoDocumentsRetrievable(f"cannot fetch article {url}: {exc}") from exc
         return parse_wikipedia_article(html)

@@ -55,12 +55,6 @@ class EntityId:
 
 
 @dataclass(frozen=True)
-class UnsourcedStatement:
-    statement: Statement
-    mandatory_reference: bool = False
-
-
-@dataclass(frozen=True)
 class EntityInfo:
     entity_id: EntityId
     label: str
@@ -142,11 +136,11 @@ class WikidataClient:
                 f"{resp.body[:200]!r} ({exc})"
             ) from exc
 
-    def fetch_unsourced_statements(self, entity: EntityId | str | int) -> list[UnsourcedStatement]:
+    def fetch_unsourced_statements(self, entity: EntityId | str | int) -> list[Statement]:
         """All statements of the subject that carry no reference in the graph."""
         entity = EntityId.parse(entity)
         rows = self._sparql(unsourced_statements_query(entity))
-        out: list[UnsourcedStatement] = []
+        out: list[Statement] = []
         for row in rows:
             try:
                 prop_uri = row["prop"]["value"]
@@ -154,16 +148,13 @@ class WikidataClient:
                 subject_label = row["subjectLabel"]["value"]
                 predicate_label = row.get("propLabel", {}).get("value") or _trailing_id(prop_uri)
                 object_label = row.get("objectLabel", {}).get("value") or object_binding["value"]
-            except (KeyError, TypeError) as exc:
-                raise MalformedResponse(f"incomplete SPARQL binding: {row!r}") from exc
-            object_id = None
-            if object_binding.get("type") == "uri" and object_binding["value"].startswith(
-                _ENTITY_PREFIX
-            ):
-                object_id = _trailing_id(object_binding["value"])
-            out.append(
-                UnsourcedStatement(
-                    statement=Statement(
+                object_id = None
+                if object_binding.get("type") == "uri" and object_binding["value"].startswith(
+                    _ENTITY_PREFIX
+                ):
+                    object_id = _trailing_id(object_binding["value"])
+                out.append(
+                    Statement(
                         subject_label=normalize_label(subject_label),
                         predicate_label=normalize_label(predicate_label),
                         object_label=normalize_label(object_label),
@@ -172,18 +163,17 @@ class WikidataClient:
                         object_id=object_id,
                     )
                 )
-            )
+            except (KeyError, TypeError, AttributeError) as exc:
+                raise MalformedResponse(f"incomplete SPARQL binding: {row!r}") from exc
         return out
 
-    def filter_mandatory_reference(
-        self, statements: Sequence[UnsourcedStatement]
-    ) -> list[UnsourcedStatement]:
+    def filter_mandatory_reference(self, statements: Sequence[Statement]) -> list[Statement]:
         """Keep statements whose predicate declares a citation-needed constraint."""
         if not statements:
             return []
         property_ids: list[str] = []
-        for unsourced in statements:
-            pid = unsourced.statement.predicate_id
+        for statement in statements:
+            pid = statement.predicate_id
             if pid and pid not in property_ids:
                 property_ids.append(pid)
         if not property_ids:
@@ -195,11 +185,7 @@ class WikidataClient:
                 constrained.add(_trailing_id(row["prop"]["value"]))
             except (KeyError, TypeError, AttributeError) as exc:
                 raise MalformedResponse(f"incomplete SPARQL binding: {row!r}") from exc
-        return [
-            UnsourcedStatement(statement=unsourced.statement, mandatory_reference=True)
-            for unsourced in statements
-            if unsourced.statement.predicate_id in constrained
-        ]
+        return [statement for statement in statements if statement.predicate_id in constrained]
 
     # -- wiki APIs --------------------------------------------------------------
 
@@ -222,21 +208,23 @@ class WikidataClient:
             raise EndpointUnavailable(f"{self._api_url} returned HTTP {resp.status}")
         try:
             record = resp.json()["entities"][str(entity)]
-        except (ValueError, KeyError, TypeError) as exc:
+            if "missing" in record:
+                raise NoSitelink(f"entity {entity} does not exist")
+            sitelink = record.get("sitelinks", {}).get("enwiki", {})
+            title = sitelink.get("title")
+            url = sitelink.get("url")
+            if title and not url:
+                url = "https://en.wikipedia.org/wiki/" + quote(title.replace(" ", "_"))
+            label = record.get("labels", {}).get("en", {}).get("value", str(entity))
+            revision_id = int(record.get("lastrevid", 0))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise MalformedResponse(
-                f"unexpected entity payload: {resp.body[:200]!r}"
+                f"unexpected entity payload: {resp.body[:200]!r} ({exc})"
             ) from exc
-        if "missing" in record:
-            raise NoSitelink(f"entity {entity} does not exist")
-        sitelink = record.get("sitelinks", {}).get("enwiki", {})
-        title = sitelink.get("title")
-        url = sitelink.get("url")
-        if title and not url:
-            url = "https://en.wikipedia.org/wiki/" + quote(title.replace(" ", "_"))
         return EntityInfo(
             entity_id=entity,
-            label=record.get("labels", {}).get("en", {}).get("value", str(entity)),
-            revision_id=int(record.get("lastrevid", 0)),
+            label=label,
+            revision_id=revision_id,
             wikipedia_title=title,
             wikipedia_url=url,
         )
@@ -261,7 +249,7 @@ class WikidataClient:
             pages = resp.json()["query"]["pages"]
             page = next(iter(pages.values()))
             return int(page["lastrevid"])
-        except (ValueError, KeyError, TypeError, StopIteration) as exc:
+        except (ValueError, KeyError, TypeError, AttributeError, StopIteration) as exc:
             raise MalformedResponse(
                 f"unexpected page-info payload: {resp.body[:200]!r}"
             ) from exc

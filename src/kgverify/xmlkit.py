@@ -44,7 +44,6 @@ class ElementDecl:
     simple_type: str | None = None  # set for pure simple elements and simpleContent
     attributes: dict[str, AttrDecl] = field(default_factory=dict)
     children: list[ChildSlot] = field(default_factory=list)
-    has_complex_content: bool = False
 
 
 def _check_simple_value(type_name: str, value: str) -> bool:
@@ -107,7 +106,6 @@ def _parse_element_decl(node: ET.Element) -> ElementDecl:
                 required=attr.get("use") == "required",
             )
         return decl
-    decl.has_complex_content = True
     sequence = complex_type.find(f"{XSD_NS}sequence")
     if sequence is not None:
         for child in sequence.findall(f"{XSD_NS}element"):

@@ -372,13 +372,20 @@ class TestConfig:
         ({"hit_limit": [5]}, "bad value for hit_limit"),
         ({"sparql_requests": 2, "fetch_requests": 4},
          "unknown configuration keys: fetch_requests, sparql_requests"),
+        ({"max_statements": -1}, "max_statements must be at least 1"),
+        ({"max_statements": 0}, "max_statements must be at least 1"),
+        ({"hit_limit": 0}, "hit_limit must be at least 1"),
+        ({"chunk_chars": 10000}, "unknown configuration keys: chunk_chars"),
     ])
     def test_bad_config_file_is_a_usage_error(self, runner, tmp_path, payload, message):
         config = tmp_path / "config.json"
         config.write_text(json.dumps(payload))
-        result = runner.invoke(main, [*UC1[0], *replay_args(tmp_path), "--config", str(config)])
+        # without UC1's --max-statements flag, which would override the file's
+        result = runner.invoke(main, [*UC1[0][:2], *replay_args(tmp_path),
+                                      "--config", str(config)])
         assert result.exit_code == 2
         assert message in result.output
+        assert not (tmp_path / "manifest.json").exists()
 
     @pytest.mark.parametrize("text,value", [
         ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
@@ -567,7 +574,7 @@ class TestEvaluate:
         lock = threading.Lock()
         counts = {"started": 0, "running": 0}
 
-        def complete(self, prompt, params=None):
+        def complete(self, prompt):
             with lock:
                 counts["started"] += 1
                 counts["running"] += 1
@@ -577,7 +584,7 @@ class TestEvaluate:
                 exc = fail(number, prompt)
                 if exc is not None:
                     raise exc
-                return original(self, prompt, params)
+                return original(self, prompt)
             finally:
                 with lock:
                     counts["running"] -= 1

@@ -29,7 +29,7 @@ from kgverify.prompting import (
     RdfPrompt,
     render_rdf_prompt,
 )
-from kgverify.retrieval import ARCHIVE_AVAILABILITY_API, DocumentFetcher, SearchHit
+from kgverify.retrieval import ARCHIVE_AVAILABILITY_API, DocumentFetcher
 from kgverify.verifier import Verifier, WorkerPool, map_in_order
 from kgverify.wikidata import WIKIDATA_API, WikidataClient
 
@@ -77,8 +77,6 @@ class ContentProvider:
     """Thread-safe provider that answers by the snippet's marker words, and
     keeps the prompts it is asked. With a ``rendezvous``, each call meets it
     once it counts as in flight."""
-
-    name = "content"
 
     def __init__(self, seed: int = 1):
         self.seed = seed
@@ -140,7 +138,7 @@ class StubSearch:
         self.urls = urls
 
     def search(self, query, limit):
-        return [SearchHit(url=u, rank=i + 1) for i, u in enumerate(self.urls[:limit])]
+        return self.urls[:limit]
 
 
 def gateway(provider: ContentProvider, response_log=None) -> LlmGateway:
@@ -185,7 +183,7 @@ def web_verifier(pool, seed=1, urls=None, response_log=None):
     provider = ContentProvider(seed)
     verifier = Verifier(
         gateway=gateway(provider, response_log),
-        fetcher=DocumentFetcher(transport, clock=lambda: NOW),
+        fetcher=DocumentFetcher(transport),
         search_provider=StubSearch(urls or list(WEB_PAGES)),
         clock=lambda: NOW,
         pool=pool,
@@ -267,7 +265,7 @@ def wiki_verifier(pool, seed=1, chunk_chars=700):
     remote = RequestMemo(transport)
     verifier = Verifier(
         gateway=gateway(provider),
-        fetcher=DocumentFetcher(remote, clock=lambda: NOW),
+        fetcher=DocumentFetcher(remote),
         wikidata=WikidataClient(remote),
         chunk_chars=chunk_chars,
         clock=lambda: NOW,

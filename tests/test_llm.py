@@ -9,10 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from kgverify.errors import ContextOverflow, FixtureMissing, ProviderUnavailable
+from kgverify.errors import (
+    ContextOverflow,
+    FixtureMissing,
+    MalformedResponse,
+    ProviderUnavailable,
+)
 from kgverify.llm import (
     LlmGateway,
     LlmParams,
+    ReplicateHttpProvider,
     ScriptedProvider,
     ResponseLog,
     completion_fingerprint,
@@ -22,6 +28,7 @@ from kgverify.llm import (
     write_response_log,
 )
 from kgverify.model import NliLabel, Statement, VerdictKind
+from kgverify.net import HttpResponse
 from kgverify.prompting import OPTION_TEXTS, RdfPrompt, render_rdf_prompt
 from kgverify.store import FixtureStore
 
@@ -136,6 +143,24 @@ class TestProviders:
         assert len(provider.completions) == 1
         assert provider.complete(params, "prompt one") == "answer one"
 
+    @pytest.mark.parametrize("body", [
+        b"<html><body>Bad gateway</body></html>",
+        b'["a", "list"]',
+    ], ids=["html", "json-list"])
+    def test_malformed_prediction_is_a_malformed_response(self, body):
+        """A 201 whose body is not a prediction object raises the package's
+        error (exit code 4), with an excerpt of the body, never a raw one."""
+
+        class Answer:
+            def send(self, req):
+                return HttpResponse(201, {"content-type": "application/json"}, body)
+
+        provider = ReplicateHttpProvider(Answer(), api_token="token")
+        with pytest.raises(MalformedResponse, match="unexpected prediction payload") as caught:
+            provider.complete(LlmParams(), "p")
+        assert repr(body[:10])[2:-1] in str(caught.value)
+        assert caught.value.exit_code == 4
+
     def test_replay_missing_names_fingerprint(self, tmp_path):
         log_path = tmp_path / "llm" / "responses.jsonl"
         write_response_log(log_path, [])
@@ -151,10 +176,6 @@ class TestGateway:
         gateway = LlmGateway(ScriptedProvider(["The correct answer is: a)"]))
         response = gateway.complete("a prompt")
         assert response.raw_text == "The correct answer is: a)"
-        assert response.provider == "scripted"
-        assert response.request_fingerprint == completion_fingerprint(
-            gateway.params, "a prompt"
-        )
 
     def test_empty_prompt_rejected(self):
         gateway = LlmGateway(ScriptedProvider(["x"]))
@@ -170,10 +191,10 @@ class TestGateway:
     def test_appends_to_response_log(self, tmp_path):
         log = ResponseLog(tmp_path / "llm" / "responses.jsonl")
         gateway = LlmGateway(ScriptedProvider(["answer"]), response_log=log)
-        response = gateway.complete("prompt")
+        gateway.complete("prompt")
         log.close()
         record = json.loads((tmp_path / "llm" / "responses.jsonl").read_text().splitlines()[0])
-        assert record["fingerprint"] == response.request_fingerprint
+        assert record["fingerprint"] == completion_fingerprint(gateway.params, "prompt")
         assert record["raw_text"] == "answer"
         # a log written this way is replayable
         provider = FixtureStore(tmp_path)
@@ -198,7 +219,6 @@ class TestGateway:
         response = LlmGateway(FixtureStore(tmp_path)).complete("prompt")
         assert response.raw_text == "answer"
         assert response.latency_ms == 1234
-        assert response.provider == "replay"
 
     def test_response_log_flushes_every_line_and_reopens_after_close(self, tmp_path):
         path = tmp_path / "llm" / "responses.jsonl"
@@ -225,8 +245,6 @@ class TestGateway:
 class FlakyProvider:
     """Answers each prompt with a numbered text after ``delay`` s; raises once per prompt
     in ``fail_once``."""
-
-    name = "flaky"
 
     def __init__(self, delay=0.0, fail_once=()):
         self.delay = delay

@@ -16,7 +16,7 @@ from kgverify import net
 from kgverify.errors import FixtureMissing, ProviderUnavailable, Unavailable
 from kgverify.llm import LlmGateway, ReplicateHttpProvider, ScriptedProvider
 from kgverify.model import Statement
-from kgverify.retrieval import DocumentFetcher, GoogleSearchProvider, SearchHit
+from kgverify.retrieval import DocumentFetcher, GoogleSearchProvider
 from kgverify.store import FixtureStore
 from kgverify.verifier import Verifier
 from kgverify.wikidata import WikidataClient
@@ -163,7 +163,7 @@ class TestCachingTransport:
         first = GoogleSearchProvider(
             FixtureStore(tmp_path, live), api_key="secret-key-123", cx="engine-456"
         ).search("havel playwright", 1)
-        assert first == [SearchHit(url="https://hit.example", rank=1, title="Hit")]
+        assert first == ["https://hit.example"]
         # a run with other credentials hits the same record
         assert GoogleSearchProvider(
             FixtureStore(tmp_path, live), api_key="another-key", cx="another-cx"
@@ -363,7 +363,7 @@ class TestLiveTransportRetry:
         transport, adapter, sleeps = scripted_transport(
             reply(429), reply(200, b'{"items": [{"link": "https://hit.example", "title": "Hit"}]}'))
         provider = GoogleSearchProvider(transport, api_key="key", cx="cx")
-        assert [hit.url for hit in provider.search("havel", 5)] == ["https://hit.example"]
+        assert provider.search("havel", 5) == ["https://hit.example"]
         assert len(adapter.requests) == 2
         assert sleeps == [1.0]
 
@@ -374,7 +374,7 @@ class TestLiveTransportRetry:
         payload = json.dumps({"results": {"bindings": [binding]}}).encode("utf-8")
         transport, adapter, sleeps = scripted_transport(reply(503), reply(200, payload))
         rows = WikidataClient(transport).fetch_unsourced_statements("Q36233")
-        assert [row.statement.predicate_id for row in rows] == ["P166"]
+        assert [row.predicate_id for row in rows] == ["P166"]
         assert len(adapter.requests) == 2
         assert sleeps == [1.0]
 
@@ -682,7 +682,7 @@ class TestThinTransport:
 
         class TwoHits:
             def search(self, query, limit):
-                return [SearchHit(url=huge, rank=1), SearchHit(url=small, rank=2)]
+                return [huge, small]
 
         verifier = Verifier(gateway=LlmGateway(ScriptedProvider([])),
                             fetcher=DocumentFetcher(transport), search_provider=TwoHits())

@@ -1,14 +1,16 @@
-"""The README's CLI examples run as written, so it never advertises an option
-that a command no longer takes."""
+"""The README's CLI examples run as written, and its config example resolves,
+so it never advertises an option or a config key that is gone."""
 
 from __future__ import annotations
 
+import json
+import os
 import shlex
 from pathlib import Path
 
 from click.testing import CliRunner
 
-from kgverify.cli import main
+from kgverify.cli import RunConfig, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,3 +33,20 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         argv = [str(tmp_path / arg) if arg.startswith("out/") else arg for arg in command[1:]]
         result = runner.invoke(main, argv)
         assert result.exit_code == 0, f"{shlex.join(command)}\n{result.output}"
+
+
+def readme_config_example() -> dict:
+    """The JSON block under ``### Configuration``."""
+    section = (ROOT / "README.md").read_text(encoding="utf-8").split("\n### Configuration\n", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
+def test_readme_config_example_resolves(tmp_path, monkeypatch):
+    for name in list(os.environ):
+        if name.startswith("KGVERIFY_"):  # the file alone decides
+            monkeypatch.delenv(name)
+    example = readme_config_example()
+    config_file = tmp_path / "config.json"
+    config_file.write_text(json.dumps(example), encoding="utf-8")
+    config = RunConfig.resolve({"config_file": str(config_file)})
+    assert {key: getattr(config, key) for key in example} == example

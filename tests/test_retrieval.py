@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from kgverify.errors import (
     FixtureMissing,
+    MalformedResponse,
     Unavailable,
     UnavailableEverywhere,
     UnsupportedMediaType,
@@ -21,7 +22,6 @@ from kgverify.retrieval import (
     DocumentFetcher,
     GoogleSearchProvider,
     GroundingDocument,
-    SearchHit,
     chunk_fill_limit,
     valid_paragraphs,
     web_search,
@@ -54,15 +54,13 @@ class StubProvider:
 
     def search(self, query, limit):
         self.calls += 1
-        return [SearchHit(url=u, rank=i + 1) for i, u in enumerate(self.urls[:limit])]
+        return self.urls[:limit]
 
 
 class TestWebSearch:
     def test_caps_at_limit(self):
-        provider = StubProvider([f"https://x.example/{i}" for i in range(10)])
-        hits = web_search(provider, "anything", limit=5)
-        assert len(hits) == 5
-        assert [h.rank for h in hits] == [1, 2, 3, 4, 5]
+        urls = [f"https://x.example/{i}" for i in range(10)]
+        assert web_search(StubProvider(urls), "anything", limit=5) == urls[:5]
 
     def test_fewer_than_limit(self):
         provider = StubProvider(["https://a.example", "https://b.example"])
@@ -70,9 +68,7 @@ class TestWebSearch:
 
     def test_duplicates_removed_keeping_best_rank(self):
         provider = StubProvider(["https://a.example", "https://a.example", "https://b.example"])
-        hits = web_search(provider, "q", limit=5)
-        assert [h.url for h in hits] == ["https://a.example", "https://b.example"]
-        assert [h.rank for h in hits] == [1, 2]
+        assert web_search(provider, "q", limit=5) == ["https://a.example", "https://b.example"]
 
     def test_empty_query_rejected(self):
         with pytest.raises(ValueError):
@@ -83,8 +79,7 @@ class TestWebSearch:
         hits = GoogleSearchProvider(FixtureStore(tmp_path, SearchApi(["https://a.example"])),
                                     api_key="k", cx="c").search("some query", limit=5)
         replay = GoogleSearchProvider(FixtureStore(tmp_path), api_key="other", cx="other")
-        assert replay.search("some query", limit=5) == hits == [
-            SearchHit(url="https://a.example", rank=1, title=None)]
+        assert replay.search("some query", limit=5) == hits == ["https://a.example"]
         with pytest.raises(FixtureMissing):
             replay.search("unknown query", limit=5)
 
@@ -105,7 +100,7 @@ class TestWebSearch:
         live = SearchApi(urls)
         caching = search_through(FixtureStore(tmp_path, live))
         assert len(caching.search("some query", limit=2)) == 2
-        assert [h.url for h in caching.search("some query", limit=5)] == urls
+        assert caching.search("some query", limit=5) == urls
         assert live.calls == 2
         # each limit has its own record
         assert len(caching.search("some query", limit=2)) == 2
@@ -128,9 +123,26 @@ class TestWebSearch:
         with pytest.raises(FixtureMissing, match="fingerprint"):
             replay.search("some query", limit=4)
 
-    def test_rank_validation(self):
-        with pytest.raises(ValueError):
-            SearchHit(url="https://x.example", rank=0)
+    @pytest.mark.parametrize("body", [
+        b"<html><body>Service temporarily unavailable</body></html>",
+        b'{"items": [{"title": "a hit without its link"}]}',
+        b'[{"link": "https://a.example"}]',
+        b'{"items": [{"link": null}]}',
+        b'{"items": {"link": "https://a.example"}}',
+    ], ids=["html", "no-link", "json-list", "null-link", "items-object"])
+    def test_malformed_answer_is_a_malformed_response(self, body):
+        """A 200 whose body is not the search API's JSON raises the package's
+        error (exit code 4), with an excerpt of the body, never a raw one."""
+
+        class Answer:
+            def send(self, req):
+                return HttpResponse(200, {"content-type": "application/json"}, body)
+
+        provider = GoogleSearchProvider(Answer(), api_key="key", cx="cx")
+        with pytest.raises(MalformedResponse, match="unexpected search payload") as caught:
+            provider.search("some query", limit=5)
+        assert repr(body[:20])[2:-1] in str(caught.value)
+        assert caught.value.exit_code == 4
 
 
 HTML_PAGE = "<html><body><p>one paragraph</p><p>two paragraph</p><p>three</p></body></html>"
@@ -144,7 +156,6 @@ class TestFetchDocument:
         doc = fetcher.fetch_document(url)
         assert doc.paragraphs == ("one paragraph", "two paragraph", "three")
         assert doc.retrieval_source is RetrievalSource.DIRECT
-        assert doc.media_type == "text/html"
 
     def test_pdf_rejected(self, dict_transport):
         url = "https://site.example/report.pdf"
@@ -194,16 +205,25 @@ class TestArchiveFallback:
         with pytest.raises(UnavailableEverywhere):
             DocumentFetcher(dict_transport).fetch_with_archive_fallback(self.URL)
 
+    @pytest.mark.parametrize("payload", [
+        ["not", "an", "object"],
+        {"archived_snapshots": ["closest"]},
+        {"archived_snapshots": {"closest": ["x"]}},
+        {"archived_snapshots": {"closest": {"available": True, "url": 5}}},
+    ], ids=["list", "snapshots-list", "closest-list", "url-number"])
+    def test_malformed_availability_answer_means_no_snapshot(self, dict_transport, payload):
+        dict_transport.add(HttpRequest.get(self.URL), status=404, body="gone")
+        dict_transport.add_json(
+            HttpRequest.get(ARCHIVE_AVAILABILITY_API, params={"url": self.URL}), payload)
+        with pytest.raises(UnavailableEverywhere):
+            DocumentFetcher(dict_transport).fetch_with_archive_fallback(self.URL)
+
 
 def make_doc(paragraphs) -> GroundingDocument:
-    from datetime import datetime, timezone
-
     return GroundingDocument(
         url="https://doc.example",
         retrieval_source=RetrievalSource.DIRECT,
-        media_type="text/html",
         paragraphs=tuple(paragraphs),
-        fetched_at=datetime.now(timezone.utc),
     )
 
 

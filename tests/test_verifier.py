@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-from datetime import datetime, timezone
-
 import pytest
 
 from kgverify import html_text
@@ -14,7 +12,6 @@ from kgverify.retrieval import (
     ARCHIVE_AVAILABILITY_API,
     DocumentFetcher,
     GroundingDocument,
-    SearchHit,
 )
 from kgverify.verifier import (
     VerificationMode,
@@ -37,9 +34,7 @@ def make_doc(paragraphs, url="https://doc.example/page"):
     return GroundingDocument(
         url=url,
         retrieval_source=RetrievalSource.DIRECT,
-        media_type="text/html",
         paragraphs=tuple(paragraphs),
-        fetched_at=datetime.now(timezone.utc),
     )
 
 
@@ -57,7 +52,7 @@ class OneHit:
         self.doc = doc
 
     def search(self, query, limit):
-        return [SearchHit(url=self.doc.url, rank=1)]
+        return [self.doc.url]
 
     def fetch_document(self, url):
         return self.doc
@@ -118,7 +113,7 @@ class StubSearch:
         self.urls = urls
 
     def search(self, query, limit):
-        return [SearchHit(url=u, rank=i + 1) for i, u in enumerate(self.urls[:limit])]
+        return self.urls[:limit]
 
 
 class TestWebSearchFlow:

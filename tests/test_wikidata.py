@@ -11,8 +11,8 @@ from kgverify.wikidata import (
     PROPERTY_CONSTRAINT,
     WIKIDATA_API,
     WIKIDATA_SPARQL_ENDPOINT,
+    WIKIPEDIA_API,
     EntityId,
-    UnsourcedStatement,
     WikidataClient,
     mandatory_reference_query,
     unsourced_statements_query,
@@ -92,12 +92,12 @@ class TestFetchUnsourced:
         client = WikidataClient(dict_transport)
         result = client.fetch_unsourced_statements(entity)
         assert len(result) == 2
-        first = result[0].statement
+        first = result[0]
         assert first == Statement(
             "Václav Havel", "award received", "Concordia Prize",
             subject_id="Q36233", predicate_id="P166", object_id="Q587469",
         )
-        assert result[1].statement.object_id is None  # literal object
+        assert result[1].object_id is None  # literal object
 
     def test_replayable_byte_identical(self, dict_transport):
         entity = EntityId(36233)
@@ -124,14 +124,23 @@ class TestFetchUnsourced:
         with pytest.raises(MalformedResponse, match="not sparql"):
             WikidataClient(dict_transport).fetch_unsourced_statements(entity)
 
+    @pytest.mark.parametrize("field,value", [
+        ("propLabel", "award received"), ("object", "Q587469"), ("subjectLabel", {"value": 5}),
+    ], ids=["label-string", "object-string", "subject-number"])
+    def test_malformed_binding_is_malformed_response(self, dict_transport, field, value):
+        entity = EntityId(36233)
+        row = {**binding("P166", "award received", "Q587469", "Concordia Prize"), field: value}
+        dict_transport.add_json(sparql_request(unsourced_statements_query(entity)),
+                                sparql_response([row]))
+        with pytest.raises(MalformedResponse, match="incomplete SPARQL binding"):
+            WikidataClient(dict_transport).fetch_unsourced_statements(entity)
+
 
 class TestFilterMandatory:
     def make_statements(self):
         def stmt(pid, obj):
-            return UnsourcedStatement(
-                statement=Statement("Václav Havel", "pred", obj,
-                                    subject_id="Q36233", predicate_id=pid)
-            )
+            return Statement("Václav Havel", "pred", obj,
+                             subject_id="Q36233", predicate_id=pid)
 
         return [stmt("P166", "Prize A"), stmt("P1449", "Nickname"), stmt("P166", "Prize B")]
 
@@ -143,11 +152,9 @@ class TestFilterMandatory:
         )
         client = WikidataClient(dict_transport)
         kept = client.filter_mandatory_reference(statements)
-        assert [u.statement.object_label for u in kept] == ["Prize A", "Prize B"]
-        assert all(u.mandatory_reference for u in kept)
+        assert [s.object_label for s in kept] == ["Prize A", "Prize B"]
         # result is a subset of the input statements
-        inputs = [u.statement for u in statements]
-        assert all(u.statement in inputs for u in kept)
+        assert all(s in statements for s in kept)
 
     @pytest.mark.parametrize("row", [{"prop": {"type": "uri"}}, {}, {"prop": "P166"},
                                      {"prop": {"value": 166}}])
@@ -228,6 +235,37 @@ class TestEntityInfo:
         with pytest.raises(NoSitelink, match="Q77777777"):
             WikidataClient(dict_transport).entity_info("Q77777777")
 
+    @pytest.mark.parametrize("record", [
+        ["not", "an", "entity"],
+        {"id": "Q5", "sitelinks": ["enwiki"]},
+        {"id": "Q5", "labels": {"en": "Subject"}},
+        {"id": "Q5", "lastrevid": "latest"},
+        {"id": "Q5", "sitelinks": {"enwiki": {"title": 5}}},
+    ], ids=["list", "sitelinks-list", "label-string", "revision-word", "title-number"])
+    def test_malformed_record_is_malformed_response(self, dict_transport, record):
+        dict_transport.add_json(entity_request("Q5"), {"entities": {"Q5": record}})
+        with pytest.raises(MalformedResponse, match="unexpected entity payload"):
+            WikidataClient(dict_transport).entity_info("Q5")
+
+
+def revision_request(title):
+    return HttpRequest.get(WIKIPEDIA_API, params={
+        "action": "query", "prop": "info", "titles": title, "format": "json"})
+
+
+class TestWikipediaRevision:
+    def test_latest_revision(self, dict_transport):
+        dict_transport.add_json(revision_request("Bioluminescence"),
+                                {"query": {"pages": {"3942": {"lastrevid": 1206514418}}}})
+        assert WikidataClient(dict_transport).wikipedia_revision("Bioluminescence") == 1206514418
+
+    @pytest.mark.parametrize("pages", [[], {}, {"-1": {"missing": ""}}],
+                             ids=["list", "empty", "missing"])
+    def test_malformed_answer_is_malformed_response(self, dict_transport, pages):
+        dict_transport.add_json(revision_request("Bioluminescence"), {"query": {"pages": pages}})
+        with pytest.raises(MalformedResponse, match="unexpected page-info payload"):
+            WikidataClient(dict_transport).wikipedia_revision("Bioluminescence")
+
 
 class TestAgainstBundledFixtures:
     """The recorded end-to-end fixtures double as client-level fixtures."""
@@ -236,12 +274,12 @@ class TestAgainstBundledFixtures:
         client = WikidataClient(FixtureStore(replay_dir))
         unsourced = client.fetch_unsourced_statements("Q36233")
         assert len(unsourced) == 53
-        labels = {(u.statement.predicate_label, u.statement.object_label) for u in unsourced}
+        labels = {(s.predicate_label, s.object_label) for s in unsourced}
         assert ("award received", "Concordia Prize") in labels
         assert ("award received", "Gottlieb Duttweiler Prize") in labels
         kept = client.filter_mandatory_reference(unsourced)
         assert len(kept) == 6
-        assert all(u.statement.predicate_id == "P166" for u in kept)
+        assert all(s.predicate_id == "P166" for s in kept)
 
 
 def test_wikipedia_permalink_format():
