@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import click
 
 from . import __version__, datasets, evaluation, reporting
-from .errors import KgVerifyError, MalformedInput
+from .errors import SHAPE_ERRORS, KgVerifyError, MalformedInput, malformed
 from .llm import (
     LlmGateway,
     LlmParams,
@@ -42,7 +42,7 @@ from .model import (
     statements_from_text,
     verdict_to_binary,
 )
-from .net import LiveTransport, RequestGate, RequestMemo
+from .net import DEFAULT_REQUESTS_IN_FLIGHT, LiveTransport, RequestGate, RequestMemo
 from .prompting import (
     NLI_TEMPLATE,
     RDF_TEMPLATE,
@@ -52,7 +52,7 @@ from .prompting import (
     render_rdf_prompt,
     template_digest,
 )
-from .retrieval import DocumentFetcher, GoogleSearchProvider
+from .retrieval import DEFAULT_HIT_LIMIT, DocumentFetcher, GoogleSearchProvider
 from .store import FixtureStore
 from .verifier import VerificationSession, Verifier, WorkerPool, map_in_order
 from .wikidata import (
@@ -93,13 +93,13 @@ class RunConfig:
     cache_ttl_seconds: float = 7 * 24 * 3600.0
     out_dir: str = "out"
     max_statements: int | None = None
-    hit_limit: int = 5
+    hit_limit: int = DEFAULT_HIT_LIMIT
     llm_context_tokens: int | None = None
     fixed_clock: str | None = None
     corruption_seed: int = 42
     sample_seed: int = 42
     example_seed: int = 42
-    llm_requests: int = 4
+    llm_requests: int = DEFAULT_REQUESTS_IN_FLIGHT
 
     _ENV_PREFIX = "KGVERIFY_"
 
@@ -113,9 +113,9 @@ class RunConfig:
                  for name, hint in hints.items()}
         values: dict = {}
         if config_file:
-            try:
-                values.update(json.loads(Path(config_file).read_text(encoding="utf-8")))
-            except (OSError, ValueError) as exc:
+            try:  # {**...}: a JSON object, not a list or a number
+                values.update({**json.loads(Path(config_file).read_text(encoding="utf-8"))})
+            except (OSError, *SHAPE_ERRORS) as exc:
                 raise click.UsageError(f"cannot read config file {config_file}: {exc}")
         for name in kinds:
             env_key = cls._ENV_PREFIX + name.upper()
@@ -128,7 +128,7 @@ class RunConfig:
         config = cls()
         for key, value in values.items():
             kind = kinds[key]
-            try:
+            with malformed(click.UsageError, f"bad value for {key}", value):
                 if value is None:
                     if type(None) not in typing.get_args(hints[key]):
                         raise TypeError("not optional")
@@ -143,8 +143,6 @@ class RunConfig:
                     value = kind(value)
                 elif key == "fixed_clock" and value:
                     _parse_instant(value)  # the runtime parses it again
-            except (TypeError, ValueError) as exc:  # TypeError: a JSON list or object
-                raise click.UsageError(f"bad value for {key}: {value!r} ({exc})")
             setattr(config, key, value)
         if config.replay and not config.fixtures_dir:
             raise click.UsageError("replay mode requires a fixtures directory")
@@ -172,23 +170,19 @@ class _Runtime:
             self.clock = lambda: instant
         else:
             self.clock = lambda: datetime.now(timezone.utc)
-        # Replay answers from the fixtures alone and builds no live transport; a
-        # live run reads through the --cache-dir store when one is given.
-        root = config.fixtures_dir if config.replay else config.cache_dir
-        ttl = None if config.replay else config.cache_ttl_seconds
-        self.store = FixtureStore(root, ttl_seconds=ttl) if root else None
         # One gate holds every request in flight to the pool width. The LLM has
         # its own session, so page hosts never evict its pooled connections; the
         # other transport serves SPARQL, the wiki APIs, search, pages and the archive.
+        gate = RequestGate(config.llm_requests)
+        # Replay answers from the fixtures alone and builds no live transport; a
+        # live run reads through the --cache-dir store when one is given.
+        live = None if config.replay else LiveTransport(gate=gate)
+        root = config.fixtures_dir if config.replay else config.cache_dir
+        ttl = None if config.replay else config.cache_ttl_seconds
+        self.store = FixtureStore(root, live, ttl) if root else None
         # In every mode each distinct request is asked once per run (the gateway
         # does the same for completions).
-        gate = RequestGate(config.llm_requests)
-        if config.replay:
-            transport = self.store
-        else:
-            live = LiveTransport(gate=gate)
-            transport = live if self.store is None else self.store.over(live)
-        self.transport = RequestMemo(transport)
+        self.transport = RequestMemo(self.store or live)
         # a store records completions but only replay serves them
         logs = [] if config.replay else [Path(config.out_dir) / "responses.jsonl"]
         if logs and self.store is not None:
@@ -480,7 +474,7 @@ def cmd_verify_wikipedia(entity: str, statements_file: str, **kwargs) -> None:
     entity_id = _parse_entity(entity)
     try:
         text = Path(statements_file).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise MalformedInput(f"cannot read statements file: {exc}") from exc
     statements = statements_from_text(text)
     statements = statements[: config.max_statements]  # a None limit keeps them all

@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import InsufficientRecords, MalformedInput
+from .errors import InsufficientRecords, MalformedInput, malformed
 from .model import (
     NLI_CLASSES,
     BinaryDecision,
@@ -91,6 +91,8 @@ class LabeledInstance:
     tail_type: str
 
     def __post_init__(self) -> None:
+        if not self.grounding_text:
+            raise ValueError("grounding_text must be non-empty")
         expected = (
             BinaryDecision.SUPPORTED
             if self.origin is Origin.GROUND_TRUTH
@@ -115,10 +117,10 @@ class SnliRecord:
 # -- loading the source corpus ---------------------------------------------------
 
 
-def _parse_document(raw: dict, source: str) -> BioRedDocument:
+def _parse_document(raw: dict) -> BioRedDocument:
     doc_id = str(raw.get("id", ""))
     if not doc_id:
-        raise MalformedInput(f"{source}: document without id")
+        raise MalformedInput("document without id")
     texts: list[str] = []
     order: list[str] = []
     entities: dict[str, BioRedEntity] = {}
@@ -158,16 +160,16 @@ def _parse_document(raw: dict, source: str) -> BioRedDocument:
         tail = infons.get("entity2", "")
         rel_type = infons.get("type", "")
         if not head or not tail or not rel_type:
-            raise MalformedInput(
-                f"{source}: document {doc_id} relation {relation.get('id')} is incomplete"
-            )
+            raise MalformedInput(f"document {doc_id} relation {relation.get('id')} is incomplete")
         for endpoint in (head, tail):
             if endpoint not in entities:
                 raise MalformedInput(
-                    f"{source}: document {doc_id} relation {relation.get('id')} "
+                    f"document {doc_id} relation {relation.get('id')} "
                     f"references unknown entity {endpoint!r}"
                 )
         relations.append(BioRedRelation(head_id=head, tail_id=tail, relation_type=rel_type))
+    if not texts:  # nothing to ground its relations in
+        raise MalformedInput(f"document {doc_id} has no text")
     return BioRedDocument(
         doc_id=doc_id,
         text=" ".join(texts),
@@ -195,11 +197,14 @@ def load_biored(path: Path | str) -> list[BioRedDocument]:
     seen: set[str] = set()
     for file in files:
         try:
-            payload = json.loads(file.read_text(encoding="utf-8"))
-        except (OSError, ValueError) as exc:
-            raise MalformedInput(f"{file}: cannot parse BioC JSON ({exc})") from exc
-        for raw in payload.get("documents", []):
-            doc = _parse_document(raw, source=file.name)
+            data = file.read_bytes()
+        except OSError as exc:
+            raise MalformedInput(f"cannot read BioC file {file}: {exc}") from exc
+        with malformed(MalformedInput, str(file), data):
+            raws = list(json.loads(data).get("documents", []))  # iterated in the guard
+        for raw in raws:
+            with malformed(MalformedInput, str(file), raw):
+                doc = _parse_document(raw)
             if doc.doc_id in seen:
                 continue
             seen.add(doc.doc_id)
@@ -394,7 +399,7 @@ def instance_to_json(instance: LabeledInstance) -> dict:
 
 
 def instance_from_json(obj: dict) -> LabeledInstance:
-    try:
+    with malformed(MalformedInput, "bad instance record", obj):
         pair = tuple(obj["concept_pair"])
         return LabeledInstance(
             statement=statement_from_json(obj["statement"]),
@@ -406,8 +411,6 @@ def instance_from_json(obj: dict) -> LabeledInstance:
             doc_id=obj.get("doc_id", ""),
             tail_type=obj.get("tail_type", ""),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad instance record: {exc}") from exc
 
 
 def write_instances(path: Path | str, instances: Iterable[LabeledInstance]) -> None:
@@ -416,19 +419,24 @@ def write_instances(path: Path | str, instances: Iterable[LabeledInstance]) -> N
 
 
 def read_instances(path: Path | str) -> list[LabeledInstance]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MalformedInput(f"cannot read dataset {path}: {exc}") from exc
     out = []
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
+    for lineno, line in _json_lines(path, "dataset"):
+        with malformed(MalformedInput, f"{path}:{lineno}", line):
             out.append(instance_from_json(json.loads(line)))
-        except ValueError as exc:
-            raise MalformedInput(f"{path}:{lineno}: {exc}") from exc
     return out
+
+
+def _json_lines(path: Path | str, what: str) -> Iterator[tuple[int, bytes]]:
+    """The numbered non-blank lines of a JSON-lines file.
+
+    Lines end at a line feed or carriage return only: a JSON string may hold
+    a line separator that ``str.splitlines`` would split at.
+    """
+    try:
+        lines = Path(path).read_bytes().splitlines()
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {what} {path}: {exc}") from exc
+    return ((lineno, line) for lineno, line in enumerate(lines, 1) if line.strip())
 
 
 def dataset_manifest(
@@ -465,31 +473,17 @@ def dataset_manifest(
 
 
 def load_snli(path: Path | str) -> list[SnliRecord]:
-    """Read an SNLI-format JSON-lines split; records without a gold consensus
-    (gold label "-") are excluded."""
+    """Read an SNLI-format JSON-lines split. Records without a gold consensus
+    (gold label "-") are excluded, and so are records with an empty premise or
+    hypothesis, which leave the model nothing to judge."""
     records: list[SnliRecord] = []
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise MalformedInput(f"cannot read SNLI split {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        try:
+    for lineno, line in _json_lines(path, "SNLI split"):
+        with malformed(MalformedInput, f"{path}:{lineno}", line):
             obj = json.loads(line)
-        except ValueError as exc:
-            raise MalformedInput(f"{path}:{lineno}: invalid JSON ({exc})") from exc
-        gold = obj.get("gold_label", "-")
-        if gold not in ("entailment", "neutral", "contradiction"):
-            continue
-        records.append(
-            SnliRecord(
-                premise=obj.get("sentence1", ""),
-                hypothesis=obj.get("sentence2", ""),
-                gold=NliLabel(gold),
-                pair_id=obj.get("pairID"),
-            )
-        )
+            gold = obj.get("gold_label", "-")
+            premise, hypothesis = obj.get("sentence1", ""), obj.get("sentence2", "")
+            if gold in ("entailment", "neutral", "contradiction") and premise and hypothesis:
+                records.append(SnliRecord(premise, hypothesis, NliLabel(gold), obj.get("pairID")))
     return records
 
 

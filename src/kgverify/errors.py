@@ -8,7 +8,17 @@ raised, so no caller retries it again.
 Each class carries the CLI exit code the README documents for it as
 ``exit_code``. A class without one inherits its parent's; the base class's 1
 stands for any other pipeline error.
+
+``malformed`` is the one rule for input of the wrong shape: an answer from a
+remote becomes ``MalformedResponse``, a file or recorded fixture
+``MalformedInput``, each quoting the input.
 """
+
+from __future__ import annotations
+
+# What reading a value of the wrong shape raises: unparseable JSON or number, a
+# missing key or index, a value of another type, an empty iterator.
+SHAPE_ERRORS = (ValueError, LookupError, TypeError, AttributeError, StopIteration)
 
 
 class KgVerifyError(Exception):
@@ -116,3 +126,34 @@ class TransformFailure(KgVerifyError):
     """The report stylesheet could not be applied to the document."""
 
     exit_code = 7
+
+
+class malformed:
+    """Turn a value of the wrong shape, read in the block, into ``error``.
+
+    A ``SHAPE_ERRORS`` exception becomes ``error``, naming ``what`` and quoting
+    the start of ``quoted``, the input read; the quote is built only then. An
+    ``error`` raised in the block, by a check or by a guard nested in this one,
+    gets ``what`` as a prefix, so that the message names the file or line too.
+    A context manager class rather than a generator: a reader enters one per
+    line or record, and this costs a third as much.
+    """
+
+    __slots__ = ("_error", "_what", "_quoted")
+
+    def __init__(self, error: type[Exception], what: str, quoted: object):
+        self._error, self._what, self._quoted = error, what, quoted
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, exc_type, exc, traceback) -> None:
+        if exc_type is None:
+            return
+        if issubclass(exc_type, self._error):
+            raise self._error(f"{self._what}: {exc}") from exc
+        if issubclass(exc_type, SHAPE_ERRORS):
+            quoted = self._quoted
+            excerpt = quoted[:200] if isinstance(quoted, (str, bytes)) else quoted
+            reason = str(exc) or type(exc).__name__
+            raise self._error(f"{self._what}: {excerpt!r:.300} ({reason})") from exc

@@ -23,7 +23,8 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Protocol, TextIO
 
-from .errors import ContextOverflow, FixtureMissing, MalformedResponse, ProviderUnavailable
+from .errors import (ContextOverflow, FixtureMissing, MalformedResponse, ProviderUnavailable,
+                     malformed)
 from .model import DIRECT_PROOF, INDICATION, NO_SUPPORT, NliLabel, Verdict
 from .net import HttpRequest, SingleFlight, Transport, atomic_write, canonical_json
 from .prompting import OPTION_TEXTS, SYSTEM_PROMPT
@@ -131,14 +132,10 @@ class ReplicateHttpProvider:
         resp = self._transport.send(req)
         if resp.status not in (200, 201):
             raise ProviderUnavailable(f"LLM API request failed with HTTP {resp.status}")
-        try:
+        with malformed(MalformedResponse, "unexpected prediction payload", resp.body):
             payload = resp.json()
             output = payload.get("output")
             status = payload.get("status", "succeeded")
-        except (ValueError, AttributeError) as exc:
-            raise MalformedResponse(
-                f"unexpected prediction payload: {resp.body[:200]!r} ({exc})"
-            ) from exc
         if status != "succeeded" or output is None:  # `Prefer: wait` gave up, or it failed
             raise ProviderUnavailable(f"LLM prediction has no output (status {status})")
         if isinstance(output, list):

@@ -6,12 +6,11 @@ Everything here is an immutable value object, safe to share between workers.
 from __future__ import annotations
 
 import enum
-import json
 import re
 from dataclasses import dataclass
 from datetime import datetime
 
-from .errors import MalformedInput
+from .errors import MalformedInput, malformed
 
 _WS_RUN = re.compile(r"\s+")
 
@@ -169,7 +168,7 @@ def statement_to_json(statement: Statement) -> dict:
 
 
 def statement_from_json(obj: dict) -> Statement:
-    try:
+    with malformed(MalformedInput, "bad statement record", obj):
         return Statement(
             subject_label=obj["subject"],
             predicate_label=obj["predicate"],
@@ -179,8 +178,6 @@ def statement_from_json(obj: dict) -> Statement:
             object_id=obj.get("object_id"),
             domain_tag=obj.get("domain_tag"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedInput(f"bad statement record {json.dumps(obj)[:200]}: {exc}") from exc
 
 
 def statement_from_line(line: str, lineno: int = 0) -> Statement:

@@ -31,6 +31,8 @@ DEFAULT_CONNECT_TIMEOUT = 15.0
 # redirects included. No connection or read waits longer than the time left.
 DEFAULT_TOTAL_TIMEOUT = 30.0
 DEFAULT_RETRIES = 2
+# How many requests a run has in flight at once, unless configured otherwise.
+DEFAULT_REQUESTS_IN_FLIGHT = 4
 MAX_BACKOFF_SECONDS = 8.0
 # A longer (decoded) body is not read to its end: the request raises Unavailable.
 MAX_BODY_BYTES = 16 * 2**20
@@ -125,7 +127,7 @@ class Transport(Protocol):
 class RequestGate:
     """Bounds the number of in-flight requests sharing this gate."""
 
-    def __init__(self, max_in_flight: int = 2):
+    def __init__(self, max_in_flight: int):
         self._slots = threading.BoundedSemaphore(max_in_flight)
 
     def __enter__(self):
@@ -236,7 +238,7 @@ class LiveTransport:
         self._connect_timeout = connect_timeout
         self._total_timeout = total_timeout
         self._retries = retries
-        self._gate = gate or RequestGate(4)
+        self._gate = gate or RequestGate(DEFAULT_REQUESTS_IN_FLIGHT)
         self._session = session or requests.Session()
         self._verify = (os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
                         or self._session.verify)
@@ -394,7 +396,7 @@ def response_from_record(record: dict) -> HttpResponse:
     else:
         body = base64.b64decode(payload.get("body_b64", ""))
     return HttpResponse(
-        status=payload["status"],
+        status=int(payload["status"]),
         headers={k.lower(): v for k, v in payload.get("headers", {}).items()},
         body=body,
         url=payload.get("url", ""),

@@ -14,12 +14,14 @@ from typing import Iterable, Protocol, Sequence
 
 from . import html_text
 from .errors import (
+    SHAPE_ERRORS,
     MalformedResponse,
     ProviderUnavailable,
     QuotaExceeded,
     Unavailable,
     UnavailableEverywhere,
     UnsupportedMediaType,
+    malformed,
 )
 from .model import RetrievalSource
 from .net import HttpRequest, HttpResponse, Transport
@@ -45,7 +47,6 @@ class Chunk:
 
     paragraphs: tuple[str, ...]
     char_length: int
-    index: int
 
     @property
     def text(self) -> str:
@@ -86,15 +87,11 @@ class GoogleSearchProvider:
             raise ProviderUnavailable(f"search provider returned HTTP {resp.status}")
         if resp.status != 200:
             raise ProviderUnavailable(f"search request failed with HTTP {resp.status}")
-        try:
+        with malformed(MalformedResponse, "unexpected search payload", resp.body):
             items = resp.json().get("items", []) or []
             urls = [item["link"] for item in items[:limit]]
             if not all(isinstance(url, str) for url in urls):
                 raise TypeError("a hit's link is not a string")
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise MalformedResponse(
-                f"unexpected search payload: {resp.body[:200]!r} ({exc})"
-            ) from exc
         return urls
 
 
@@ -151,7 +148,7 @@ class DocumentFetcher:
         try:
             closest = resp.json().get("archived_snapshots", {}).get("closest", {})
             url = closest.get("url") if closest.get("available") else None
-        except (ValueError, AttributeError):  # an answer of another shape: no snapshot
+        except SHAPE_ERRORS:  # an answer of another shape: no snapshot
             return None
         return url if isinstance(url, str) and url else None
 
@@ -194,9 +191,7 @@ def chunk_fill_limit(
     def flush() -> None:
         nonlocal current, current_len
         if current:
-            chunks.append(
-                Chunk(paragraphs=tuple(current), char_length=current_len, index=len(chunks))
-            )
+            chunks.append(Chunk(paragraphs=tuple(current), char_length=current_len))
             current = []
             current_len = 0
 

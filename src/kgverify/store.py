@@ -14,7 +14,7 @@ import json
 import time
 from pathlib import Path
 
-from .errors import FixtureMissing
+from .errors import FixtureMissing, MalformedInput, malformed
 from .llm import LlmParams, completion_fingerprint
 from .net import (
     HttpRequest,
@@ -45,10 +45,6 @@ class FixtureStore:
         self._live = live
         self._ttl = ttl_seconds
 
-    def over(self, live: Transport) -> "FixtureStore":
-        """A store on the same directory that caches through ``live``."""
-        return FixtureStore(self.directory, live, self._ttl)
-
     @property
     def response_log_path(self) -> Path:
         return self.directory / "llm" / "responses.jsonl"
@@ -56,11 +52,12 @@ class FixtureStore:
     def send(self, req: HttpRequest) -> HttpResponse:
         fingerprint = request_fingerprint(req)
         path = self.directory / "http" / f"{fingerprint}.json"
-        record = None
         if path.exists() and (self._ttl is None or time.time() - path.stat().st_mtime <= self._ttl):
-            record = json.loads(path.read_text(encoding="utf-8"))
-        if record is not None and (self._live is None or record["response"]["status"] < 400):
-            return response_from_record(record)
+            data = path.read_bytes()
+            with malformed(MalformedInput, str(path), data):
+                recorded = response_from_record(json.loads(data))
+                if self._live is None or recorded.status < 400:
+                    return recorded
         if self._live is None:
             raise FixtureMissing(
                 f"no recorded fixture for {req.method} {req.url} (fingerprint {fingerprint})"
@@ -70,13 +67,20 @@ class FixtureStore:
         return resp
 
     @functools.cached_property
-    def completions(self) -> dict[str, dict]:
-        """Recorded completion records by fingerprint; a later line wins."""
-        if not self.response_log_path.exists():
+    def completions(self) -> dict[str, tuple[str, int]]:
+        """Each recorded completion's text and latency (ms) by fingerprint; a
+        later line wins."""
+        path = self.response_log_path
+        if not path.exists():
             return {}
-        lines = self.response_log_path.read_text(encoding="utf-8").splitlines()
-        records = (json.loads(line) for line in lines if line.strip())
-        return {record["fingerprint"]: record for record in records}
+        completions = {}
+        # a JSON string may hold a line separator that str.splitlines would split at
+        for lineno, line in enumerate(path.read_bytes().splitlines(), 1):
+            if line.strip():
+                with malformed(MalformedInput, f"{path}:{lineno}", line):
+                    record = json.loads(line)
+                    completions[record["fingerprint"]] = (record["raw_text"], record["latency_ms"])
+        return completions
 
     def complete(self, params: LlmParams, prompt: str) -> str:
         fingerprint = completion_fingerprint(params, prompt)
@@ -84,7 +88,7 @@ class FixtureStore:
             raise FixtureMissing(
                 f"no recorded completion for fingerprint {fingerprint} (model {params.model})"
             )
-        return self.completions[fingerprint]["raw_text"]
+        return self.completions[fingerprint][0]
 
     def recorded_latency_ms(self, fingerprint: str) -> int:
-        return self.completions[fingerprint]["latency_ms"]
+        return self.completions[fingerprint][1]

@@ -192,13 +192,6 @@ class _DocumentScan:
             session.traces.append(self.trace)
 
 
-@dataclass(frozen=True)
-class WikipediaCitation:
-    ref_number: int
-    citation_text: str
-    urls: tuple[str, ...]
-
-
 _BRACKET_MARKER = re.compile(r"\[(\d+)\]")
 _NOTE_HREF = re.compile(r"#cite_note[^\"']*?-(\d+)\s*$")
 
@@ -237,26 +230,22 @@ def extract_reference_numbers(paragraph_html: str) -> list[int]:
 
 def resolve_citations(
     ref_numbers: Sequence[int], references: Sequence[html_text.CapturedElement]
-) -> tuple[list[WikipediaCitation], list[int]]:
+) -> tuple[list[tuple[str, ...]], list[int]]:
     """Map citation indices to entries of the references list.
 
     ``references`` are the list's ``<li>`` entries in order (entry n is
-    citation n). Returns the resolvable citations (each with every external
-    URL found in its entry) and the dangling indices that have no entry.
+    citation n). Returns, in the order of ``ref_numbers``, the external URLs
+    of each resolvable citation's entry, and the dangling indices that have
+    no entry.
     """
-    citations: list[WikipediaCitation] = []
+    citations: list[tuple[str, ...]] = []
     dangling: list[int] = []
     for number in ref_numbers:
         if number < 1 or number > len(references):
             dangling.append(number)
             continue
-        entry = references[number - 1]
-        urls = tuple(
-            href for href in html_text.extract_links(entry.html) if href.startswith("http")
-        )
-        citations.append(
-            WikipediaCitation(ref_number=number, citation_text=entry.text, urls=urls)
-        )
+        links = html_text.extract_links(references[number - 1].html)
+        citations.append(tuple(href for href in links if href.startswith("http")))
     return citations, dangling
 
 
@@ -462,8 +451,8 @@ class Verifier:
                 SkipRecord("dangling-reference", str(number), "no entry in references list")
                 for number in dangling
             )
-            for citation in citations:
-                for url in citation.urls:
+            for urls in citations:
+                for url in urls:
                     if url not in examined_urls:
                         examined_urls.add(url)
                         plan.append(url)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 from urllib.parse import quote
 
-from .errors import EndpointUnavailable, MalformedResponse, NoSitelink
+from .errors import EndpointUnavailable, MalformedResponse, NoSitelink, malformed
 from .model import Statement, normalize_label
 from .net import HttpRequest, Transport
 
@@ -127,14 +127,12 @@ class WikidataClient:
         resp = self._transport.send(req)
         if resp.status != 200:
             raise EndpointUnavailable(f"{self.endpoint} returned HTTP {resp.status}")
-        try:
-            payload = resp.json()
-            return payload["results"]["bindings"]
-        except (ValueError, KeyError, TypeError) as exc:
-            raise MalformedResponse(
-                f"unexpected SPARQL payload from {self.endpoint}: "
-                f"{resp.body[:200]!r} ({exc})"
-            ) from exc
+        with malformed(MalformedResponse, f"unexpected SPARQL payload from {self.endpoint}",
+                       resp.body):
+            bindings = resp.json()["results"]["bindings"]
+            if not isinstance(bindings, list):
+                raise TypeError("bindings is not a list")
+        return bindings
 
     def fetch_unsourced_statements(self, entity: EntityId | str | int) -> list[Statement]:
         """All statements of the subject that carry no reference in the graph."""
@@ -142,7 +140,7 @@ class WikidataClient:
         rows = self._sparql(unsourced_statements_query(entity))
         out: list[Statement] = []
         for row in rows:
-            try:
+            with malformed(MalformedResponse, "incomplete SPARQL binding", row):
                 prop_uri = row["prop"]["value"]
                 object_binding = row["object"]
                 subject_label = row["subjectLabel"]["value"]
@@ -163,8 +161,6 @@ class WikidataClient:
                         object_id=object_id,
                     )
                 )
-            except (KeyError, TypeError, AttributeError) as exc:
-                raise MalformedResponse(f"incomplete SPARQL binding: {row!r}") from exc
         return out
 
     def filter_mandatory_reference(self, statements: Sequence[Statement]) -> list[Statement]:
@@ -181,10 +177,8 @@ class WikidataClient:
         rows = self._sparql(mandatory_reference_query(property_ids))
         constrained: set[str] = set()
         for row in rows:
-            try:
+            with malformed(MalformedResponse, "incomplete SPARQL binding", row):
                 constrained.add(_trailing_id(row["prop"]["value"]))
-            except (KeyError, TypeError, AttributeError) as exc:
-                raise MalformedResponse(f"incomplete SPARQL binding: {row!r}") from exc
         return [statement for statement in statements if statement.predicate_id in constrained]
 
     # -- wiki APIs --------------------------------------------------------------
@@ -206,7 +200,7 @@ class WikidataClient:
         resp = self._transport.send(req)
         if resp.status != 200:
             raise EndpointUnavailable(f"{self._api_url} returned HTTP {resp.status}")
-        try:
+        with malformed(MalformedResponse, "unexpected entity payload", resp.body):
             record = resp.json()["entities"][str(entity)]
             if "missing" in record:
                 raise NoSitelink(f"entity {entity} does not exist")
@@ -217,10 +211,6 @@ class WikidataClient:
                 url = "https://en.wikipedia.org/wiki/" + quote(title.replace(" ", "_"))
             label = record.get("labels", {}).get("en", {}).get("value", str(entity))
             revision_id = int(record.get("lastrevid", 0))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise MalformedResponse(
-                f"unexpected entity payload: {resp.body[:200]!r} ({exc})"
-            ) from exc
         return EntityInfo(
             entity_id=entity,
             label=label,
@@ -245,14 +235,9 @@ class WikidataClient:
         resp = self._transport.send(req)
         if resp.status != 200:
             raise EndpointUnavailable(f"{self._wikipedia_api} returned HTTP {resp.status}")
-        try:
+        with malformed(MalformedResponse, "unexpected page-info payload", resp.body):
             pages = resp.json()["query"]["pages"]
-            page = next(iter(pages.values()))
-            return int(page["lastrevid"])
-        except (ValueError, KeyError, TypeError, AttributeError, StopIteration) as exc:
-            raise MalformedResponse(
-                f"unexpected page-info payload: {resp.body[:200]!r}"
-            ) from exc
+            return int(next(iter(pages.values()))["lastrevid"])
 
 
 def wikipedia_permalink(title: str, revision_id: int) -> str:

@@ -376,6 +376,7 @@ class TestConfig:
         ({"max_statements": 0}, "max_statements must be at least 1"),
         ({"hit_limit": 0}, "hit_limit must be at least 1"),
         ({"chunk_chars": 10000}, "unknown configuration keys: chunk_chars"),
+        ([1, 2], "cannot read config file"),
     ])
     def test_bad_config_file_is_a_usage_error(self, runner, tmp_path, payload, message):
         config = tmp_path / "config.json"
@@ -1122,3 +1123,67 @@ class TestLiveWithCache:
         (once_sent, once_logged), (twice_sent, twice_logged) = counts
         assert twice_sent == once_sent
         assert twice_logged == 2 * once_logged
+
+
+class TestMalformedInput:
+    """An input file or recorded fixture of the wrong shape exits 3, and a
+    remote answer of the wrong shape 4, each with an ``error:`` line naming
+    it, never a traceback."""
+
+    @staticmethod
+    def unsourced_record(fixtures: Path) -> Path:
+        """The recorded answer to uc1's first SPARQL query."""
+        from kgverify.net import HttpRequest, request_fingerprint
+        from kgverify.wikidata import WIKIDATA_SPARQL_ENDPOINT, EntityId, unsourced_statements_query
+
+        query = unsourced_statements_query(EntityId(36233))
+        req = HttpRequest.get(WIKIDATA_SPARQL_ENDPOINT, params={"query": query, "format": "json"})
+        return fixtures / "http" / f"{request_fingerprint(req)}.json"
+
+    @pytest.mark.parametrize("fault,code,named", [
+        ("grounding-text-empty", 3, "bad.jsonl:1"),
+        ("snli-sentences-empty", 3, "empty dataset"),
+        ("response-log-torn", 3, "responses.jsonl:"),
+        ("record-without-response", 3, "http"),
+        ("statements-not-utf-8", 3, "cannot read statements file"),
+        ("sparql-bindings-null", 4, "unexpected SPARQL payload"),
+    ])
+    def test_exits_with_its_code(self, runner, tmp_path, fault, code, named):
+        bad = tmp_path / "bad.jsonl"
+        if fault in ("grounding-text-empty", "snli-sentences-empty", "response-log-torn"):
+            fixtures = tmp_path / "eval_replay"
+            shutil.copytree(FIXTURES / "eval_replay", fixtures)
+            dataset = TestEvaluate().build_dataset(runner, tmp_path)
+            args = ["evaluate", "--dataset", str(dataset), "--replay", "--fixtures", str(fixtures)]
+        else:
+            fixtures = tmp_path / "replay"
+            shutil.copytree(REPLAY_DIR, fixtures)
+            args = [*UC1[0], *replay_args(tmp_path / "out", fixtures)]
+        if fault == "grounding-text-empty":
+            line = json.loads(dataset.read_text(encoding="utf-8").splitlines()[0])
+            bad.write_text(json.dumps({**line, "grounding_text": ""}) + "\n", encoding="utf-8")
+            args[2] = str(bad)
+        elif fault == "snli-sentences-empty":
+            bad.write_text(json.dumps({"gold_label": "neutral", "sentence1": "",
+                                       "sentence2": "A hypothesis."}) + "\n", encoding="utf-8")
+            args[2] = str(bad)
+            args += ["--task", "nli", "--snli-train", str(FIXTURES / "snli" / "train_mini.jsonl")]
+        elif fault == "response-log-torn":
+            with (fixtures / "llm" / "responses.jsonl").open("a", encoding="utf-8") as log:
+                log.write('{"fingerprint": "abc", "raw_te')
+        elif fault == "statements-not-utf-8":
+            bad.write_bytes(b"\xffnot\tutf\t8\n")
+            args = ["verify-wikipedia", "Q179924", "--statements", str(bad),
+                    *replay_args(tmp_path / "out", fixtures)]
+        else:
+            record_path = self.unsourced_record(fixtures)
+            record = json.loads(record_path.read_text(encoding="utf-8"))
+            if fault == "record-without-response":
+                del record["response"]
+            else:
+                record["response"]["body_text"] = '{"results": {"bindings": null}}'
+            record_path.write_text(json.dumps(record), encoding="utf-8")
+        result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "error: " in result.output and named in result.output

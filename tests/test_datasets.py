@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from kgverify.datasets import (
     GroundTruth,
     LabeledInstance,
     Origin,
+    SnliRecord,
     dataset_manifest,
     extract_positives,
     generate_negatives,
@@ -80,6 +82,23 @@ class TestLoadBiored:
         path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(MalformedInput, match="GHOST"):
             load_biored(tmp_path)
+
+    @pytest.mark.parametrize("fault", ["top-level-list", "infons-number", "no-text"])
+    def test_malformed_bioc_names_the_file(self, request, tmp_path, fault):
+        source = request.path.parent / "fixtures" / "biored_mini"
+        collection = json.loads(sorted(source.iterdir())[0].read_text(encoding="utf-8"))
+        document = collection["documents"][0]
+        if fault == "top-level-list":
+            collection = [collection]
+        elif fault == "infons-number":
+            document["passages"][0]["annotations"][0]["infons"] = 7
+        else:
+            for passage in document["passages"]:
+                passage["text"] = ""
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(collection), encoding="utf-8")
+        with pytest.raises(MalformedInput, match="bad.json"):
+            load_biored(path)
 
 
 class TestNormalizePair:
@@ -248,11 +267,27 @@ class TestInstanceSerialization:
         assert obj["origin"] == "ground_truth"
         assert instance_from_json(obj) == instance
 
-    def test_malformed_line(self, tmp_path):
+    @pytest.mark.parametrize("read,line", [
+        (read_instances, {"not": "an instance"}),
+        (read_instances, "grounding-text-empty"),
+        (load_snli, ["a", "list"]),
+        (load_snli, '{"gold_label": "neutral", "sentence1'),
+    ], ids=["not-an-instance", "empty-grounding-text", "snli-list", "snli-torn"])
+    def test_malformed_line(self, mini_docs, tmp_path, read, line):
+        if line == "grounding-text-empty":
+            line = {**instance_to_json(extract_positives(mini_docs)[0]), "grounding_text": ""}
         path = tmp_path / "broken.jsonl"
-        path.write_text('{"not": "an instance"}\n', encoding="utf-8")
-        with pytest.raises(MalformedInput):
-            read_instances(path)
+        text = line if isinstance(line, str) else json.dumps(line)
+        path.write_text("\n" + text + "\n", encoding="utf-8")
+        with pytest.raises(MalformedInput, match="broken.jsonl:2"):
+            read(path)
+
+    def test_a_line_separator_inside_a_string_is_not_a_line_end(self, mini_docs, tmp_path):
+        instance = extract_positives(mini_docs)[0]
+        instance = dataclasses.replace(instance, grounding_text="one\u2028two\x85three")
+        path = tmp_path / "dataset.jsonl"
+        write_instances(path, [instance])
+        assert read_instances(path) == [instance]
 
 
 @pytest.fixture(scope="module")
@@ -262,6 +297,13 @@ def snli_paths(request):
 
 
 class TestSnli:
+    def test_records_with_an_empty_sentence_excluded(self, tmp_path):
+        path = tmp_path / "split.jsonl"
+        records = [{"gold_label": "neutral", "sentence1": premise, "sentence2": hypothesis}
+                   for premise, hypothesis in [("", "h"), ("p", ""), ("p", "h")]]
+        path.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        assert load_snli(path) == [SnliRecord("p", "h", NliLabel.NEUTRAL)]
+
     def test_gold_less_records_excluded(self, snli_paths):
         _, test_path = snli_paths
         records = load_snli(test_path)

@@ -11,7 +11,7 @@ import random
 import sys
 import threading
 import time
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
 from datetime import datetime, timezone
 
 import pytest
@@ -361,14 +361,23 @@ class TestArticleOncePerRun:
             parsed.append(html)
             return parse(html)
 
+        articles_get = verifier._articles.get
+        asked = threading.Semaphore(0)
+
+        def get_article(url, compute):
+            asked.release()
+            return articles_get(url, compute)
+
         fetch_raw = verifier.fetcher.fetch_raw
 
-        def slow_fetch_raw(url):
-            time.sleep(0.1)  # the other statement asks while this fetch is in flight
+        def held_fetch_raw(url):
+            for _ in range(2 if url == ARTICLE_URL else 0):  # both statements have asked
+                assert asked.acquire(timeout=5.0), "the other statement never asked"
             return fetch_raw(url)
 
         monkeypatch.setattr(verifier_module, "parse_wikipedia_article", counting_parse)
-        monkeypatch.setattr(verifier.fetcher, "fetch_raw", slow_fetch_raw)
+        monkeypatch.setattr(verifier._articles, "get", get_article)
+        monkeypatch.setattr(verifier.fetcher, "fetch_raw", held_fetch_raw)
         statements = [dataclasses.replace(STATEMENT, object_label=f"Thing {i}")
                       for i in range(2)]
         together = threading.Barrier(2)
@@ -401,17 +410,21 @@ class TestFailurePropagation:
     def test_first_failure_in_order_wins_and_started_tasks_end(self):
         started, ended = set(), set()
         slow_failure = threading.Event()
+        first_three = Rendezvous(3)
+        futures: list[Future] = []
 
         def task(item):
             started.add(item)
             try:
+                first_three.meet()  # tasks 0, 1 and 2 are all in flight
                 if item == 0:
                     slow_failure.wait(1.0)
                     raise KeyError("task 0")
                 if item == 1:
-                    time.sleep(0.03)  # long enough for task 2 to start
                     raise ValueError("task 1")
-                time.sleep(0.1)
+                # task 2 frees its worker only once task 1 has failed, so that
+                # the next task on it is skipped
+                wait(futures[1:2], timeout=5.0)
                 return item
             finally:
                 ended.add(item)
@@ -419,19 +432,34 @@ class TestFailurePropagation:
                     slow_failure.set()
 
         with worker_pool(3) as pool:
+            submit = pool.executor.submit
+
+            def recorded_submit(*args):
+                futures.append(submit(*args))
+                return futures[-1]
+
+            pool.executor.submit = recorded_submit
             with pytest.raises(KeyError, match="task 0"):
                 map_in_order(pool, task, list(range(8)))
             assert ended == started == {0, 1, 2}
 
-    def test_an_interrupt_while_submitting_waits_for_the_tasks_submitted(self):
+    def test_an_interrupt_while_submitting_waits_for_the_tasks_submitted(self, monkeypatch):
         """A Ctrl-C between two submits of the first window still waits for the
         task already submitted."""
-        started, finished = threading.Event(), threading.Event()
+        import kgverify.verifier as verifier_module
+
+        started, waited, finished = threading.Event(), threading.Event(), threading.Event()
+
+        def wait_for(futures):
+            waited.set()
+            return wait(futures)
 
         def task(item):
             started.set()
-            time.sleep(0.05)
+            assert waited.wait(5.0), "the interrupted call did not wait for its task"
             finished.set()
+
+        monkeypatch.setattr(verifier_module, "wait", wait_for)
 
         class InterruptedExecutor(ThreadPoolExecutor):
             """Raises KeyboardInterrupt on its second submit."""
@@ -521,6 +549,8 @@ class TestEvaluateFanOut:
         results = {}
         for width in (1, 4):
             provider = ContentProvider(seed)
+            if width > 1:
+                provider.rendezvous = Rendezvous(2)
             with worker_pool(width) as pool:
                 results[width] = judge(pool, provider, texts)
             assert provider.calls == len(texts)
@@ -589,13 +619,15 @@ class TestLookAhead:
 
     def test_first_failure_in_order_wins(self):
         slow_failure = threading.Event()
+        first_two = Rendezvous(2)
 
         def task(item):
+            if item in (0, 1):
+                first_two.meet()  # task 0 has started before task 1 fails
             if item == 0:
                 slow_failure.wait(1.0)
                 raise KeyError("task 0")
             if item == 1:
-                time.sleep(0.03)  # long enough for task 0 to start
                 slow_failure.set()
                 raise ValueError("task 1")
             return item
@@ -608,6 +640,7 @@ class TestLookAhead:
     def test_evaluate_keeps_its_width_inside_the_window(self, judge):
         texts = marked_texts(5)
         provider = ContentProvider(5)
+        provider.rendezvous = Rendezvous(2)
         with worker_pool(4) as pool:
             predictions, expected = judge(pool, provider, texts)
         assert predictions == expected

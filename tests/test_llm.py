@@ -12,6 +12,7 @@ import pytest
 from kgverify.errors import (
     ContextOverflow,
     FixtureMissing,
+    MalformedInput,
     MalformedResponse,
     ProviderUnavailable,
 )
@@ -160,6 +161,22 @@ class TestProviders:
             provider.complete(LlmParams(), "p")
         assert repr(body[:10])[2:-1] in str(caught.value)
         assert caught.value.exit_code == 4
+
+    @pytest.mark.parametrize("last_line", [
+        '{"fingerprint": "abc", "raw_te',
+        '{"fingerprint": "abc", "latency_ms": 5}',
+        '["abc", "text"]',
+    ], ids=["torn", "no-raw-text", "list"])
+    def test_malformed_response_log_is_malformed_input(self, tmp_path, last_line):
+        """A log a killed run left torn, or with a record of another shape,
+        raises the package's error (exit code 3) naming its line."""
+        log_path = tmp_path / "llm" / "responses.jsonl"
+        write_response_log(log_path, [(LlmParams(), "prompt one", "answer one")])
+        with log_path.open("a", encoding="utf-8") as log:
+            log.write(last_line)
+        with pytest.raises(MalformedInput, match="responses.jsonl:2") as caught:
+            FixtureStore(tmp_path).complete(LlmParams(), "prompt one")
+        assert caught.value.exit_code == 3
 
     def test_replay_missing_names_fingerprint(self, tmp_path):
         log_path = tmp_path / "llm" / "responses.jsonl"

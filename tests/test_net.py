@@ -13,7 +13,7 @@ import requests
 import urllib3
 
 from kgverify import net
-from kgverify.errors import FixtureMissing, ProviderUnavailable, Unavailable
+from kgverify.errors import FixtureMissing, MalformedInput, ProviderUnavailable, Unavailable
 from kgverify.llm import LlmGateway, ReplicateHttpProvider, ScriptedProvider
 from kgverify.model import Statement
 from kgverify.retrieval import DocumentFetcher, GoogleSearchProvider
@@ -121,6 +121,21 @@ class TestFixtureTransport:
         req = HttpRequest.get("https://missing.example")
         with pytest.raises(FixtureMissing, match="missing.example"):
             FixtureStore(tmp_path).send(req)
+
+    @pytest.mark.parametrize("change", [
+        lambda record: record.pop("response"),
+        lambda record: record["response"].update(headers=["content-type"]),
+        lambda record: record["response"].update(status="ok"),
+    ], ids=["no-response", "headers-list", "status-word"])
+    def test_malformed_record_is_malformed_input(self, tmp_path, change):
+        req = HttpRequest.get("https://x.example")
+        path = write_fixture(tmp_path / "http", req, HttpResponse(200, body=b"ok"))
+        record = json.loads(path.read_text(encoding="utf-8"))
+        change(record)
+        path.write_text(json.dumps(record), encoding="utf-8")
+        with pytest.raises(MalformedInput, match=path.name) as caught:
+            FixtureStore(tmp_path).send(req)
+        assert caught.value.exit_code == 3
 
     def test_cache_miss_writes_replayable_fixture(self, tmp_path):
         for url, body in [("https://record.example/text", b"<p>hi</p>"),

@@ -273,8 +273,6 @@ class TestChunker:
         chunks = chunk_fill_limit(["a" * 4000, "b" * 4000, "c" * 4000], max_chars=10_000)
         assert [len(c.paragraphs) for c in chunks] == [2, 1]
         assert chunks[0].char_length == 8001
-        assert chunks[0].index == 0
-        assert chunks[1].index == 1
 
     def test_single_oversize_paragraph(self):
         chunks = chunk_fill_limit(["x" * 12_000], max_chars=10_000)
@@ -307,7 +305,6 @@ class TestChunker:
         assert [list(c.paragraphs) for c in chunks] == oracle_greedy(paragraphs, max_chars)
         flattened = [p for c in chunks for p in c.paragraphs]
         assert flattened == list(paragraphs)
-        assert [c.index for c in chunks] == list(range(len(chunks)))
         for i, chunk in enumerate(chunks):
             oversize = len(chunk.paragraphs) == 1 and len(chunk.paragraphs[0]) > max_chars
             if not oversize:

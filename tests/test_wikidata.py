@@ -117,19 +117,28 @@ class TestFetchUnsourced:
         with pytest.raises(EndpointUnavailable):
             WikidataClient(dict_transport).fetch_unsourced_statements(entity)
 
-    def test_malformed_payload_includes_excerpt(self, dict_transport):
+    @pytest.mark.parametrize("body", [
+        "<html>not sparql</html>",
+        '{"results": {"bindings": 5}}',
+        '{"results": {"bindings": null}}',
+    ], ids=["html", "bindings-number", "bindings-null"])
+    def test_malformed_payload_includes_excerpt(self, dict_transport, body):
         entity = EntityId(1)
         dict_transport.add(sparql_request(unsourced_statements_query(entity)),
-                           body="<html>not sparql</html>", content_type="text/html")
-        with pytest.raises(MalformedResponse, match="not sparql"):
+                           body=body, content_type="text/html")
+        with pytest.raises(MalformedResponse, match="unexpected SPARQL payload") as caught:
             WikidataClient(dict_transport).fetch_unsourced_statements(entity)
+        assert body in str(caught.value)
 
-    @pytest.mark.parametrize("field,value", [
-        ("propLabel", "award received"), ("object", "Q587469"), ("subjectLabel", {"value": 5}),
-    ], ids=["label-string", "object-string", "subject-number"])
-    def test_malformed_binding_is_malformed_response(self, dict_transport, field, value):
+    @pytest.mark.parametrize("changes", [
+        {"propLabel": "award received"},
+        {"object": "Q587469"},
+        {"subjectLabel": {"value": 5}},
+        {"object": {"type": "literal", "value": ""}, "objectLabel": {"value": ""}},
+    ], ids=["label-string", "object-string", "subject-number", "object-empty"])
+    def test_malformed_binding_is_malformed_response(self, dict_transport, changes):
         entity = EntityId(36233)
-        row = {**binding("P166", "award received", "Q587469", "Concordia Prize"), field: value}
+        row = {**binding("P166", "award received", "Q587469", "Concordia Prize"), **changes}
         dict_transport.add_json(sparql_request(unsourced_statements_query(entity)),
                                 sparql_response([row]))
         with pytest.raises(MalformedResponse, match="incomplete SPARQL binding"):
