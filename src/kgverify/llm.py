@@ -151,7 +151,8 @@ class ResponseLog:
     completion order, not call order; replay keys lines by fingerprint, so
     their order does not matter. Timestamps come from ``clock`` (the run's
     clock, which ``--fixed-clock`` pins). Each path is opened at its first
-    line and kept open, every line flushed, until ``close``.
+    line, its torn last line cut if a killed run left one, and kept open,
+    every line flushed, until ``close``.
     """
 
     def __init__(self, *paths: Path | str, clock: Callable[[], datetime] | None = None):
@@ -180,7 +181,23 @@ class ResponseLog:
 
 
 def _open_for_append(path: Path) -> TextIO:
+    """Opens ``path`` for appending lines, first cutting a torn last line.
+
+    A run killed while writing a line leaves it unterminated: it is not a
+    readable record, and the next line would be glued onto it and lost.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a+b") as handle:
+        end = line_end = handle.seek(0, os.SEEK_END)
+        while line_end > 0:  # back to the last line's newline, a page at a time
+            start = handle.seek(max(0, line_end - 4096))
+            newline = handle.read(line_end - start).rfind(b"\n")
+            if newline >= 0:
+                line_end = start + newline + 1
+                break
+            line_end = start
+        if line_end < end:
+            handle.truncate(line_end)
     return open(path, "a", encoding="utf-8")
 
 

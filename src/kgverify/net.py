@@ -9,6 +9,7 @@ network access" a structural property rather than a convention.
 from __future__ import annotations
 
 import base64
+import functools
 import hashlib
 import json
 import os
@@ -37,6 +38,9 @@ MAX_BACKOFF_SECONDS = 8.0
 # A longer (decoded) body is not read to its end: the request raises Unavailable.
 MAX_BODY_BYTES = 16 * 2**20
 _READ_BYTES = 64 * 1024
+# Request shapes whose prepared template a LiveTransport keeps, the most recently
+# sent: every completion has the same shape, a page GET mostly its own.
+_TEMPLATES = 64
 USER_AGENT = "kgverify/0.1 (statement verification pipeline)"
 
 _Value = TypeVar("_Value")
@@ -217,7 +221,10 @@ class LiveTransport:
     mounted for its URL, so none of the session's per-request machinery runs:
     the session's cookie jar is neither read nor filled, and no hooks or auth
     apply. An attempt, its redirects included, has a total deadline of
-    ``total_timeout``.
+    ``total_timeout``. A request's method, URL and headers are prepared once
+    per shape (method, URL, params and headers) and kept for the
+    ``_TEMPLATES`` shapes sent last; each attempt prepares its body on a copy,
+    so the session's headers are those it had when the shape was first sent.
 
     The environment is read once, not on every request as a ``requests``
     session trusting it would: proxies (``HTTPS_PROXY``, ``NO_PROXY``, ...)
@@ -243,6 +250,7 @@ class LiveTransport:
         self._verify = (os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
                         or self._session.verify)
         self._proxies: dict[tuple[str, str], dict[str, str]] = {}
+        self._template = functools.lru_cache(maxsize=_TEMPLATES)(self._prepare_template)
         self._sleep = sleeper
 
     def send(self, req: HttpRequest) -> HttpResponse:
@@ -270,6 +278,19 @@ class LiveTransport:
             proxies = self._proxies[origin] = requests.utils.get_environ_proxies(url)
         return proxies
 
+    def _prepare_template(self, method: str, url: str, params: tuple[tuple[str, str], ...],
+                          headers: tuple[tuple[str, str], ...],
+                          ) -> tuple[requests.PreparedRequest, dict[str, str]]:
+        """A request shape's prepared method, URL and headers, and its URL's proxies."""
+        template = requests.PreparedRequest()
+        template.prepare_method(method)
+        # encoded here, as requests would encode them: its own encoder costs
+        # more than the rest of the request's preparation
+        template.prepare_url(url, urlencode(params))
+        template.prepare_headers(
+            {**self._session.headers, "User-Agent": USER_AGENT, **dict(headers)})
+        return template, self._proxies_for(url)
+
     def _attempt(self, req: HttpRequest) -> HttpResponse:
         """One attempt, holding a gate slot; a GET follows its redirects.
 
@@ -278,15 +299,9 @@ class LiveTransport:
         by a redirect is sent on the rest of its chain, as a session would send
         it, and then forgotten.
         """
-        prepared = requests.PreparedRequest()
-        prepared.prepare_method(req.method)
-        # encoded here, as requests would encode them: its own encoder costs
-        # more than the rest of the request's preparation
-        prepared.prepare_url(req.url, urlencode(req.params))
-        prepared.prepare_headers(
-            {**self._session.headers, "User-Agent": USER_AGENT, **dict(req.headers)})
+        template, proxies = self._template(req.method, req.url, req.params, req.headers)
+        prepared = template.copy()  # a redirect's URL and cookies change the copy alone
         prepared.prepare_body(req.body, None)
-        proxies = self._proxies_for(req.url)
         redirects = self._session.max_redirects
         jar = None
         with self._gate:

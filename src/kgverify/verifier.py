@@ -20,8 +20,7 @@ from __future__ import annotations
 import logging
 import re
 import threading
-from collections import deque
-from concurrent.futures import CancelledError, Executor, Future, wait
+from concurrent.futures import Executor, Future, wait
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -64,16 +63,14 @@ logger = logging.getLogger(__name__)
 # still requires direct proof at the paragraph and primary-source levels.
 DRILLDOWN_POSITIVE = frozenset({VerdictKind.DIRECT_PROOF, VerdictKind.INDICATION})
 
-# Tasks map_in_order keeps submitted ahead of the one awaited, per worker.
-LOOKAHEAD_PER_WORKER = 2
-
 _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
 
 
 @dataclass(frozen=True)
 class WorkerPool:
-    """An executor and its worker count, which bounds what ``map_in_order`` queues."""
+    """An executor and its worker count, which bounds how many items of one
+    ``map_in_order`` call run at once."""
 
     executor: Executor
     width: int
@@ -85,46 +82,50 @@ def map_in_order(
     """Apply ``fn`` to every item and return the results in item order.
 
     Without a pool the items are mapped inline, one after another. With a
-    pool each item is one task, a lone item too, so the calling thread only
-    waits; a task must be a leaf that never submits to the same pool. At most
-    ``LOOKAHEAD_PER_WORKER`` tasks per worker are submitted ahead of the one
-    awaited, and one more is submitted as each result is taken, with no
-    barrier. The first failure in item order propagates: once any task fails,
-    tasks that have not started are skipped, and the call returns only after
-    every started task has ended. An interrupt of the calling thread does the
-    same.
+    pool, ``min(width, len(items))`` workers are submitted, for a lone item
+    too, so the calling thread only waits, once per worker. Each worker takes
+    the next item in item order until none is left, so at most ``width`` items
+    of one call are in flight; a worker must be a leaf that never submits to
+    the same pool. Once an item fails no further item starts, and the first
+    failure in item order propagates once every started item has ended. An
+    interrupt of the calling thread does the same.
     """
     if pool is None:
         return [fn(item) for item in items]
-    failed = threading.Event()
+    results: list = [None] * len(items)
+    failures: dict[int, BaseException] = {}
+    untaken = iter(range(len(items)))
+    stopped = False  # an item failed, or the caller was interrupted
+    lock = threading.Lock()
 
-    def run(item: _Item) -> _Result:
-        # Tasks start in submission order, so a skipped task always follows
-        # the failed one that caused the skip.
-        if failed.is_set():
-            raise CancelledError("an earlier task failed")
-        try:
-            return fn(item)
-        except BaseException:
-            failed.set()
-            raise
+    def work() -> None:
+        nonlocal stopped
+        while True:
+            with lock:
+                # items are taken in order, so every item before a failed one has started
+                index = None if stopped else next(untaken, None)
+            if index is None:
+                return
+            try:
+                results[index] = fn(items[index])
+            except BaseException as exc:
+                with lock:
+                    stopped = True
+                    failures[index] = exc
+                return
 
-    submit = pool.executor.submit
-    futures: deque[Future] = deque()
-    results: list[_Result] = []
+    futures: list[Future] = []
     try:
-        for item in items[: LOOKAHEAD_PER_WORKER * pool.width + 1]:
-            futures.append(submit(run, item))
-        submitted = len(futures)
-        while futures:
-            results.append(futures[0].result())  # an interrupt here still waits for it
-            futures.popleft()
-            if submitted < len(items):
-                futures.append(submit(run, items[submitted]))
-                submitted += 1
+        for _ in range(min(pool.width, len(items))):
+            futures.append(pool.executor.submit(work))
+        for future in futures:
+            future.result()  # an interrupt here still waits for every worker
+        if failures:
+            raise failures[min(failures)]
         return results
     except BaseException:
-        failed.set()
+        with lock:
+            stopped = True
         for future in futures:
             future.cancel()
         wait(futures)

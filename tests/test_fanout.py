@@ -11,7 +11,7 @@ import random
 import sys
 import threading
 import time
-from concurrent.futures import Executor, Future, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from datetime import datetime, timezone
 
 import pytest
@@ -33,6 +33,7 @@ from kgverify.retrieval import ARCHIVE_AVAILABILITY_API, DocumentFetcher
 from kgverify.verifier import Verifier, WorkerPool, map_in_order
 from kgverify.wikidata import WIKIDATA_API, WikidataClient
 
+from concurrency import CountingExecutor, InFlight, Rendezvous
 from conftest import DictTransport
 
 STATEMENT = Statement("Subject", "related to", "Thing", subject_id="Q1")
@@ -51,28 +52,6 @@ def jitter(seed: int, key: str) -> None:
     time.sleep(random.Random(f"{seed}:{key}").uniform(0.0002, 0.004))
 
 
-class Rendezvous:
-    """Holds each of the first ``n`` calls of ``meet`` until all n are in
-    flight; later calls pass. Fails with a clear message if they never meet."""
-
-    def __init__(self, n: int, timeout_s: float = 10.0):
-        self._barrier = threading.Barrier(n)
-        self._timeout_s = timeout_s
-        self._arrived = 0
-        self._lock = threading.Lock()
-
-    def meet(self) -> None:
-        with self._lock:
-            self._arrived += 1
-            if self._arrived > self._barrier.parties:
-                return
-        try:
-            self._barrier.wait(self._timeout_s)
-        except threading.BrokenBarrierError:
-            raise AssertionError(f"{self._barrier.parties} calls were never in flight at once "
-                                 f"within {self._timeout_s} s") from None
-
-
 class ContentProvider:
     """Thread-safe provider that answers by the snippet's marker words, and
     keeps the prompts it is asked. With a ``rendezvous``, each call meets it
@@ -82,24 +61,22 @@ class ContentProvider:
         self.seed = seed
         self.calls = 0
         self.prompts: list[str] = []
-        self.in_flight = 0
-        self.peak = 0
+        self.in_flight = InFlight()
         self.rendezvous: Rendezvous | None = None
         self._lock = threading.Lock()
+
+    @property
+    def peak(self) -> int:
+        return self.in_flight.peak
 
     def complete(self, params, prompt: str) -> str:
         with self._lock:
             self.calls += 1
             self.prompts.append(prompt)
-            self.in_flight += 1
-            self.peak = max(self.peak, self.in_flight)
-        try:
+        with self.in_flight:
             if self.rendezvous is not None:
                 self.rendezvous.meet()
             jitter(self.seed, prompt)
-        finally:
-            with self._lock:
-                self.in_flight -= 1
         snippet = prompt.split("Snippet to verify from:", 1)[-1]
         if PROOF in snippet:
             return ANSWER["a"]
@@ -422,9 +399,10 @@ class TestFailurePropagation:
                     raise KeyError("task 0")
                 if item == 1:
                     raise ValueError("task 1")
-                # task 2 frees its worker only once task 1 has failed, so that
-                # the next task on it is skipped
-                wait(futures[1:2], timeout=5.0)
+                # task 2 frees its worker only once another worker has ended,
+                # which one does only after a failure, so that the worker takes
+                # no further task
+                wait(futures, timeout=5.0, return_when=FIRST_COMPLETED)
                 return item
             finally:
                 ended.add(item)
@@ -560,48 +538,42 @@ class TestEvaluateFanOut:
         assert len(set(expected)) > 1  # the order is visible in the predictions
 
 
-class AwaitedFuture(Future):
-    """A future that tells its executor when its result is awaited."""
-
-    def __init__(self, executor: "CountingExecutor"):
-        super().__init__()
-        self.executor = executor
-
-    def result(self, timeout=None):
-        self.executor.ahead.append(self.executor.submitted - len(self.executor.ahead) - 1)
-        return super().result(timeout)
-
-
-class CountingExecutor(Executor):
-    """Runs each task as it is submitted, and logs, for each result awaited,
-    how many tasks were submitted ahead of it."""
-
-    def __init__(self):
-        self.submitted = 0
-        self.ahead: list[int] = []
-
-    def submit(self, fn, *args, **kwargs):
-        self.submitted += 1
-        future = AwaitedFuture(self)
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except BaseException as exc:
-            future.set_exception(exc)
-        return future
-
-
 class TestLookAhead:
-    """map_in_order keeps at most two tasks per worker submitted ahead of the
-    one it awaits, and submits one more as it takes each result."""
+    """map_in_order submits one worker per item it can run at once, and each
+    worker takes the next item in order, so at most ``width`` items of one call
+    are in flight however many threads its executor has."""
+
+    @pytest.mark.parametrize("width, n", [(1, 20), (3, 20), (3, 2)])
+    def test_submits_one_worker_per_item_in_flight(self, width, n):
+        with CountingExecutor(max_workers=8) as executor:
+            assert map_in_order(WorkerPool(executor, width), lambda i: i * i, list(range(n))) == [
+                i * i for i in range(n)]
+        assert executor.submitted == min(width, n)
 
     @pytest.mark.parametrize("width", [1, 3])
-    def test_submits_two_per_worker_ahead(self, width):
-        executor = CountingExecutor()
-        assert map_in_order(WorkerPool(executor, width), lambda i: i * i, list(range(20))) == [
-            i * i for i in range(20)]
-        assert executor.submitted == len(executor.ahead) == 20
-        window = 2 * width
-        assert executor.ahead == [min(window, 19 - i) for i in range(20)]
+    def test_at_most_width_items_in_flight_and_results_in_order(self, width):
+        """The first ``width`` items meet before any ends, and the first item
+        ends last of them, on an executor with more threads than ``width``."""
+        in_flight = InFlight()
+        first_batch = Rendezvous(width)
+        others_ended = threading.Semaphore(0)
+
+        def task(item):
+            with in_flight:
+                if item < width:
+                    first_batch.meet()
+                if item == 0:
+                    for _ in range(width - 1):
+                        assert others_ended.acquire(timeout=5.0), "item 0 waited in vain"
+                elif item < width:
+                    others_ended.release()
+                return item * item
+
+        with CountingExecutor(max_workers=8) as executor:
+            results = map_in_order(WorkerPool(executor, width), task, list(range(20)))
+        assert results == [i * i for i in range(20)]
+        assert in_flight.peak == width
+        assert executor.submitted == width
 
     def test_queued_tasks_do_not_run_after_a_failure(self):
         started = []

@@ -250,6 +250,31 @@ class TestGateway:
         assert [json.loads(line)["raw_text"] for line in path.read_text().splitlines()] == [
             "one", "two", "three"]
 
+    @pytest.mark.parametrize("earlier, torn", [
+        (["kept"], '{"fingerprint": "abc", "raw_te'),
+        (["kept"], '{"raw_text": "' + "x" * 5000),
+        ([], '{"fingerprint": "abc", "raw_te'),
+    ], ids=["after-a-record", "over-a-page", "alone"])
+    def test_a_torn_last_line_is_cut_before_the_next_completion(self, tmp_path, earlier, torn):
+        """A killed run left the log's last line unterminated: the next
+        completion gets a line of its own, and replay reads it."""
+        path = tmp_path / "llm" / "responses.jsonl"
+        params = LlmParams()
+        path.parent.mkdir()
+        if earlier:
+            write_response_log(path, [(params, "earlier", text) for text in earlier])
+        with open(path, "ab") as handle:
+            handle.write(torn.encode("utf-8"))
+        log = ResponseLog(path)
+        LlmGateway(ScriptedProvider(["answer"]), params=params, response_log=log).complete("now")
+        log.close()
+        assert [json.loads(line)["raw_text"] for line in path.read_text().splitlines()] == [
+            *earlier, "answer"]
+        store = FixtureStore(tmp_path)
+        assert store.complete(params, "now") == "answer"
+        if earlier:
+            assert store.complete(params, "earlier") == "kept"
+
     def test_response_log_stamps_the_run_clock(self, tmp_path):
         instant = datetime(2024, 3, 2, 14, 27, 25, tzinfo=timezone(timedelta(hours=1)))
         log = ResponseLog(tmp_path / "log.jsonl", clock=lambda: instant)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import gzip
 import http.client
 import io
@@ -742,6 +743,85 @@ class TestThinTransport:
         with pytest.raises(Unavailable, match="IncompleteRead"):
             transport.send(HttpRequest.get("https://short.example/page"))
         assert len(adapter.requests) == 2 and sleeps == [1.0]
+
+
+
+class WireCookieCheckAdapter(CookieCheckAdapter):
+    """The consent hop, recording the wire form of each request."""
+
+    def __init__(self):
+        super().__init__()
+        self.wire = []
+
+    def send(self, request, **kwargs):
+        self.wire.append((request.method, request.url, list(request.headers.items()),
+                          request.body))
+        return super().send(request, **kwargs)
+
+
+class TestRequestTemplates:
+    """A request shape is prepared once and copied for each attempt."""
+
+    def test_a_redirect_cookie_stays_off_the_next_request_of_its_shape(self):
+        adapter = WireCookieCheckAdapter()
+        transport, _ = transport_over(adapter)
+        start = "https://consent.example/start"
+        for _ in range(2):
+            assert transport.send(HttpRequest.get(start)).body == b"<p>consented</p>"
+        first_chain, second_chain = adapter.wire[:2], adapter.wire[2:]
+        assert second_chain == first_chain
+        method, url, headers, _ = second_chain[0]
+        assert (method, url) == ("GET", start) and "Cookie" not in dict(headers)
+        template, _ = transport._template("GET", start, (), ())
+        assert template.url == start and "Cookie" not in template.headers
+
+    def test_more_shapes_than_the_memo_keeps_leave_it_at_its_bound(self):
+        transport, adapter, _ = scripted_transport(reply(200, b"ok"))
+        post = asked_by_clients()[1]
+        for i in range(net._TEMPLATES + 10):
+            transport.send(HttpRequest.get(f"https://pages.example/{i}"))
+            transport.send(post)
+        memo = transport._template.cache_info()
+        assert memo.currsize == memo.maxsize == net._TEMPLATES
+        # every completion after the first is prepared from the memo
+        assert memo.misses == net._TEMPLATES + 10 + 1
+        assert len(adapter.requests) == 2 * (net._TEMPLATES + 10)
+
+    def test_stress_one_shape_from_many_threads_prepares_identical_requests(self):
+        """More threads than cores, with frequent thread switches: each request
+        of one shape reaches the adapter as a transport of its own sends it."""
+        post = asked_by_clients()[1]
+        posts = [dataclasses.replace(post, body=post.body.replace(
+            b"a prompt", f"prompt {thread}-{i}".encode())) for thread in range(8)
+            for i in range(50)]
+        expected = RecordingAdapter()
+        for req in posts:
+            transport_over(expected)[0].send(req)
+        adapter = RecordingAdapter()
+        transport, _ = transport_over(adapter)
+
+        def send(reqs):
+            for req in reqs:
+                transport.send(req)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=send, args=(posts[i::8],), daemon=True)
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        def in_order(wire):  # headers in their order, requests by body
+            return sorted(((method, url, list(headers.items()), body)
+                           for method, url, headers, body in wire), key=lambda sent: sent[3])
+
+        assert in_order(adapter.wire) == in_order(expected.wire)
+        assert len({body for *_, body in adapter.wire}) == len(posts)
 
 
 class TestRequestGate:
