@@ -17,6 +17,7 @@ import os
 import sys
 import typing
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -42,7 +43,8 @@ from .model import (
     statements_from_text,
     verdict_to_binary,
 )
-from .net import DEFAULT_REQUESTS_IN_FLIGHT, LiveTransport, RequestGate, RequestMemo
+from .net import (DEFAULT_REQUESTS_IN_FLIGHT, LiveTransport, RequestGate, RequestMemo,
+                  atomic_write)
 from .prompting import (
     NLI_TEMPLATE,
     RDF_TEMPLATE,
@@ -152,6 +154,12 @@ class RunConfig:
             value = getattr(config, name)
             if value is not None and value < 1:  # a None max_statements is no limit
                 raise click.UsageError(f"{name} must be at least 1")
+        # checked before any input is read: a run must not end where it cannot write
+        out_dir = Path(config.out_dir)
+        taken = next(path for path in (out_dir, *out_dir.parents)
+                     if path.exists() or path.is_symlink())
+        if not taken.is_dir():
+            raise click.UsageError(f"output directory {out_dir}: {taken} is not a directory")
         return config
 
 
@@ -160,7 +168,7 @@ class _Runtime:
 
     Its worker pool fans out each verification session's documents, and
     evaluate's instances; a command closes the runtime once its remote work
-    is done (``with _Runtime(config) as runtime:`` does so).
+    is done (``with closing(_Runtime(config)) as runtime:`` does so).
     """
 
     def __init__(self, config: RunConfig):
@@ -213,12 +221,6 @@ class _Runtime:
         if self.response_log is not None:
             self.response_log.close()
 
-    def __enter__(self) -> "_Runtime":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
     def verifier(self, need_search: bool = False) -> Verifier:
         search_provider = None
         if need_search:  # a live one needs credentials; replay gets placeholders
@@ -251,11 +253,11 @@ def guarded(fn):
     return wrapper
 
 
-def _fixtures_digest(fixtures_dir: str) -> str | None:
+def _fixtures_digest(fixtures_dir: str | None) -> str | None:
     """Content digest of the fixture set, so a manifest pins the exact inputs."""
-    root = Path(fixtures_dir)
-    if not root.is_dir():
+    if not fixtures_dir or not Path(fixtures_dir).is_dir():
         return None
+    root = Path(fixtures_dir)
     digest = hashlib.sha256()
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         digest.update(str(path.relative_to(root)).encode("utf-8"))
@@ -263,30 +265,49 @@ def _fixtures_digest(fixtures_dir: str) -> str | None:
     return digest.hexdigest()
 
 
-def _write_manifest(config: RunConfig, out_dir: Path, command: str, extra: dict) -> None:
-    manifest = {
-        "command": command,
-        "package_version": __version__,
-        "config": dataclasses.asdict(config),
-        "templates": {
-            RDF_TEMPLATE: template_digest(RDF_TEMPLATE),
-            NLI_TEMPLATE: template_digest(NLI_TEMPLATE),
-        },
-        "report_schema_sha256": reporting.schema_digest(),
-        "seeds": {
-            "corruption": config.corruption_seed,
-            "sample": config.sample_seed,
-            "examples": config.example_seed,
-        },
-        "replay": config.replay,
-        "fixtures_dir": config.fixtures_dir,
-        "fixtures_sha256": _fixtures_digest(config.fixtures_dir)
-        if config.fixtures_dir else None,
-        **extra,
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def _write_outputs(config: RunConfig, command: str, files: dict[str, str | bytes],
+                   manifest_extra: dict | None) -> list[Path]:
+    """Write ``files`` (name: text or bytes) into ``out_dir``, each atomically,
+    in order, and return their paths.
+
+    Unless ``manifest_extra`` is None (``report``), the run's ``manifest.json``
+    is written last and an earlier one is removed first: a manifest on disk
+    means that its run's files are complete. A write that fails removes the
+    files this call wrote and raises ``KgVerifyError`` (exit 1).
+    """
+    out_dir = Path(config.out_dir)
+    paths = [out_dir / name for name in files]
+    if manifest_extra is not None:
+        manifest = {
+            "command": command,
+            "package_version": __version__,
+            "config": dataclasses.asdict(config),
+            "templates": {name: template_digest(name) for name in (RDF_TEMPLATE, NLI_TEMPLATE)},
+            "report_schema_sha256": reporting.schema_digest(),
+            "seeds": {"corruption": config.corruption_seed, "sample": config.sample_seed,
+                      "examples": config.example_seed},
+            "replay": config.replay,
+            "fixtures_dir": config.fixtures_dir,
+            "fixtures_sha256": _fixtures_digest(config.fixtures_dir),
+            **manifest_extra,
+        }
+        files = {**files, "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n"}
+    written: list[Path] = []
+    path = out_dir / "manifest.json"
+    try:
+        if manifest_extra is not None:
+            path.unlink(missing_ok=True)
+        for name, content in files.items():
+            path = out_dir / name
+            atomic_write(path, content.encode("utf-8") if isinstance(content, str) else content)
+            written.append(path)
+    except BaseException as exc:
+        for done in written:
+            done.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise KgVerifyError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        raise
+    return paths
 
 
 def _verify_statements(
@@ -348,7 +369,7 @@ def _verify_run(
     sessions, interrupted = _verify_statements(runtime, statements, verify)
 
     info = runtime.wikidata.entity_info(entity_id)
-    extra_fields = summary_extra(info)
+    extra_fields = summary_extra(info)  # may ask a remote: inside the run's duration
     elapsed = max(0, int((runtime.clock() - started).total_seconds()))
     summary = reporting.ReportSummary(
         llm_model=config.model,
@@ -364,14 +385,11 @@ def _verify_run(
         **extra_fields,
     )
     tree = reporting.build_run_xml(sessions, summary)  # validated once, here
-    xml_bytes = reporting.serialize_xml(tree)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    xml_path = out_dir / f"{command}-{entity_id}.xml"
-    html_path = xml_path.with_suffix(".html")
-    xml_path.write_bytes(xml_bytes)
-    html_path.write_text(reporting.render_html(tree), encoding="utf-8")
-    _write_manifest(config, out_dir, command, {
+    xml_bytes = reporting.serialize_xml(tree)  # indents the tree the HTML renders
+    xml_path, html_path = _write_outputs(config, command, {
+        f"{command}-{entity_id}.xml": xml_bytes,
+        f"{command}-{entity_id}.html": reporting.render_html(tree),
+    }, {
         "entity": str(entity_id),
         "sessions": len(sessions),
         "traces": sum(len(s.traces) for s in sessions),
@@ -512,15 +530,12 @@ def cmd_build_dataset(biored_path: str, **kwargs) -> None:
     click.echo(f"loaded {len(docs)} documents", err=True)
     positives = datasets.extract_positives(docs)
     ground_truth = datasets.GroundTruth.from_documents(docs)
-    negatives, skips = datasets.generate_negatives(
-        positives, ground_truth, seed=config.corruption_seed
-    )
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset_path = out_dir / "biored_verify.jsonl"
-    datasets.write_instances(dataset_path, list(positives) + list(negatives))
+    negatives, skips = datasets.generate_negatives(positives, ground_truth,
+                                                   seed=config.corruption_seed)
     manifest = datasets.dataset_manifest(positives, negatives, skips, config.corruption_seed)
-    _write_manifest(config, out_dir, "build-dataset", {"dataset": manifest})
+    [dataset_path] = _write_outputs(config, "build-dataset", {
+        "biored_verify.jsonl": datasets.instances_to_jsonl([*positives, *negatives]),
+    }, {"dataset": manifest})
     for relation_type, stats in manifest["relations"].items():
         click.echo(
             f"{relation_type}: {stats['positives']} positives, {stats['negatives']} negatives"
@@ -545,17 +560,14 @@ def cmd_evaluate(dataset_path: str, task: str, sample: int | None, snli_train: s
     """Run the benchmark protocol over a dataset and emit metric tables."""
     config = RunConfig.resolve(kwargs)
     if task == "triples":
-        results = _evaluate_triples(config, dataset_path)
+        tables, text, manifest_extra = _evaluate_triples(config, dataset_path)
     else:
-        results = _evaluate_nli(config, dataset_path, snli_train, sample)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "results.json").write_text(
-        json.dumps(results["json"], indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    (out_dir / "results.txt").write_text(results["text"] + "\n", encoding="utf-8")
-    _write_manifest(config, out_dir, f"evaluate-{task}", results["manifest_extra"])
-    click.echo(results["text"])
+        tables, text, manifest_extra = _evaluate_nli(config, dataset_path, snli_train, sample)
+    _write_outputs(config, f"evaluate-{task}", {
+        "results.json": json.dumps(tables, indent=2, sort_keys=True) + "\n",
+        "results.txt": text + "\n",
+    }, manifest_extra)
+    click.echo(text)
 
 
 def _judge_triples(pool: WorkerPool | None, gateway: LlmGateway,
@@ -584,29 +596,25 @@ def _judge_nli(pool: WorkerPool | None, gateway: LlmGateway,
     return map_in_order(pool, judge, records)
 
 
-def _evaluate_triples(config: RunConfig, dataset_path: str) -> dict:
+def _evaluate_triples(config: RunConfig, dataset_path: str) -> tuple[dict, str, dict]:
+    """The results tables, their text and the manifest's fields."""
     instances = datasets.read_instances(dataset_path)
     if not instances:
         raise MalformedInput(f"{dataset_path}: empty dataset")
-    with _Runtime(config) as runtime:  # built once the inputs are known to be good
+    with closing(_Runtime(config)) as runtime:  # built once the inputs are known to be good
         predictions = _judge_triples(runtime.pool, runtime.gateway, instances,
                                      _DECISION_MODES[config.decision_mode])
     grouped: dict[tuple[str, tuple[str, str]], list] = {}
     for instance, predicted in zip(instances, predictions):
-        grouped.setdefault((instance.relation_type, instance.concept_pair), []).append(
-            (instance.gold, predicted)
-        )
+        key = (instance.relation_type, instance.concept_pair)
+        grouped.setdefault(key, []).append((instance.gold, predicted))
     tables_json: dict = {}
     text_blocks: list[str] = []
     all_counts = []
     for relation_type in datasets.RELATION_TYPES:
-        rows = []
-        for (rel, pair), pairs in sorted(grouped.items()):
-            if rel != relation_type:
-                continue
-            counts = evaluation.binary_confusion(pairs)
-            rows.append((pair, counts))
-            all_counts.append(counts)
+        rows = [(pair, evaluation.binary_confusion(pairs))
+                for (rel, pair), pairs in sorted(grouped.items()) if rel == relation_type]
+        all_counts.extend(counts for _, counts in rows)
         if rows:
             tables_json[relation_type] = evaluation.binary_table_rows(rows)
             text_blocks.append(
@@ -625,15 +633,13 @@ def _evaluate_triples(config: RunConfig, dataset_path: str) -> dict:
         f"{evaluation.percent(metrics.precision, 1)}, recall "
         f"{evaluation.percent(metrics.recall, 1)}, F1 {evaluation.percent(metrics.f1, 1)}"
     )
-    return {
-        "json": tables_json,
-        "text": "\n\n".join(text_blocks),
-        "manifest_extra": {"instances": len(instances), "decision_mode": config.decision_mode},
-    }
+    return (tables_json, "\n\n".join(text_blocks),
+            {"instances": len(instances), "decision_mode": config.decision_mode})
 
 
 def _evaluate_nli(config: RunConfig, dataset_path: str, snli_train: str | None,
-                  sample: int | None) -> dict:
+                  sample: int | None) -> tuple[dict, str, dict]:
+    """As ``_evaluate_triples``, for the NLI task."""
     if not snli_train:
         raise click.UsageError("--task nli requires --snli-train for the example picks")
     if sample is not None:
@@ -643,42 +649,35 @@ def _evaluate_nli(config: RunConfig, dataset_path: str, snli_train: str | None,
     if not records:
         raise MalformedInput(f"{dataset_path}: empty dataset")
     example_records = datasets.pick_nli_example_records(snli_train, config.example_seed)
-    examples = [
-        NliExample(premise=r.premise, hypothesis=r.hypothesis, label=r.gold)
-        for r in example_records
-    ]
-    with _Runtime(config) as runtime:  # built once the inputs are known to be good
+    examples = [NliExample(premise=r.premise, hypothesis=r.hypothesis, label=r.gold)
+                for r in example_records]
+    with closing(_Runtime(config)) as runtime:  # built once the inputs are known to be good
         labels = _judge_nli(runtime.pool, runtime.gateway, records, examples)
     confusion = evaluation.tally_nli([(r.gold, label) for r, label in zip(records, labels)])
-    text = evaluation.format_nli_table(confusion, model_name=config.model)
-    return {
-        "json": {
-            "matrix": [list(row) for row in confusion.matrix],
-            "unparsed": confusion.unparsed,
-            "accuracy": evaluation.rounded_percent(confusion.accuracy(), 1),
-            "total": confusion.total,
-        },
-        "text": text,
-        "manifest_extra": {
-            "records": len(records),
-            "example_pair_ids": [r.pair_id for r in example_records],
-        },
+    tables = {
+        "matrix": [list(row) for row in confusion.matrix],
+        "unparsed": confusion.unparsed,
+        "accuracy": evaluation.rounded_percent(confusion.accuracy(), 1),
+        "total": confusion.total,
     }
+    return (tables, evaluation.format_nli_table(confusion, model_name=config.model),
+            {"records": len(records), "example_pair_ids": [r.pair_id for r in example_records]})
 
 
 @main.command("report")
-@click.argument("xml_file", type=click.Path(exists=True))
+@click.argument("xml_file", type=click.Path())
 @config_options(*_LOCAL)
 @guarded
 def cmd_report(xml_file: str, **kwargs) -> None:
     """Re-render the HTML report from an existing XML process trace."""
     config = RunConfig.resolve(kwargs)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    xml_bytes = Path(xml_file).read_bytes()
-    html = reporting.render_html(xml_bytes)
-    out_path = out_dir / (Path(xml_file).stem + ".html")
-    out_path.write_text(html, encoding="utf-8")
+    try:
+        xml_bytes = Path(xml_file).read_bytes()
+    except OSError as exc:
+        raise MalformedInput(f"cannot read report {xml_file}: {exc.strerror or exc}") from exc
+    [out_path] = _write_outputs(config, "report", {
+        Path(xml_file).stem + ".html": reporting.render_html(xml_bytes),
+    }, None)
     click.echo(f"wrote {out_path}")
 
 

@@ -413,9 +413,9 @@ def instance_from_json(obj: dict) -> LabeledInstance:
         )
 
 
-def write_instances(path: Path | str, instances: Iterable[LabeledInstance]) -> None:
-    lines = [json.dumps(instance_to_json(i), ensure_ascii=False) for i in instances]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+def instances_to_jsonl(instances: Iterable[LabeledInstance]) -> str:
+    """The JSON-lines text of a dataset, one instance per line."""
+    return "".join(json.dumps(instance_to_json(i), ensure_ascii=False) + "\n" for i in instances)
 
 
 def read_instances(path: Path | str) -> list[LabeledInstance]:

@@ -13,7 +13,7 @@ import functools
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 import threading
 import time
 from concurrent.futures import Future
@@ -419,8 +419,13 @@ def response_from_record(record: dict) -> HttpResponse:
 
 
 def atomic_write(path: Path, data: bytes) -> None:
+    """Replace ``path`` by ``data`` at once, through ``.<name>.<random>`` beside
+    it: a reader sees the old file or the whole new one."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}")
+    # exclusive, as tempfile.mkstemp creates, but with the mode open() gives a
+    # new file (0o666 less the umask), not mkstemp's 0o600
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0), 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)

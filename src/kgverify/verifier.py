@@ -20,7 +20,7 @@ from __future__ import annotations
 import logging
 import re
 import threading
-from concurrent.futures import Executor, Future, wait
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -88,7 +88,8 @@ def map_in_order(
     of one call are in flight; a worker must be a leaf that never submits to
     the same pool. Once an item fails no further item starts, and the first
     failure in item order propagates once every started item has ended. An
-    interrupt of the calling thread does the same.
+    interrupt of the calling thread does the same: it waits until no item is
+    in flight, a worker whose ``submit`` the interrupt cut short included.
     """
     if pool is None:
         return [fn(item) for item in items]
@@ -96,39 +97,44 @@ def map_in_order(
     failures: dict[int, BaseException] = {}
     untaken = iter(range(len(items)))
     stopped = False  # an item failed, or the caller was interrupted
-    lock = threading.Lock()
+    in_flight = 0
+    idle = threading.Condition()  # notified when the last item in flight ends
 
     def work() -> None:
-        nonlocal stopped
+        nonlocal stopped, in_flight
         while True:
-            with lock:
+            with idle:
                 # items are taken in order, so every item before a failed one has started
                 index = None if stopped else next(untaken, None)
-            if index is None:
-                return
+                if index is None:
+                    return
+                in_flight += 1
+            failure = None
             try:
                 results[index] = fn(items[index])
             except BaseException as exc:
-                with lock:
+                failure = exc
+            with idle:
+                in_flight -= 1
+                if failure is not None:
                     stopped = True
-                    failures[index] = exc
-                return
+                    failures[index] = failure
+                if not in_flight:
+                    idle.notify_all()
 
     futures: list[Future] = []
     try:
         for _ in range(min(pool.width, len(items))):
             futures.append(pool.executor.submit(work))
         for future in futures:
-            future.result()  # an interrupt here still waits for every worker
+            future.result()  # an interrupt here still waits for every item in flight
         if failures:
             raise failures[min(failures)]
         return results
     except BaseException:
-        with lock:
+        with idle:
             stopped = True
-        for future in futures:
-            future.cancel()
-        wait(futures)
+            idle.wait_for(lambda: not in_flight)
         raise
 
 

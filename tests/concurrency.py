@@ -3,7 +3,9 @@ and counters show how many calls overlapped."""
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 
@@ -61,3 +63,34 @@ class CountingExecutor(ThreadPoolExecutor):
         with self._count_lock:
             self.submitted += 1
         return super().submit(fn, *args, **kwargs)
+
+
+class InterruptingExecutor(ThreadPoolExecutor):
+    """A thread pool whose ``submit`` queues the work and then raises
+    KeyboardInterrupt, as a Ctrl-C that lands inside ``submit`` does: the
+    caller never gets the future. It raises once ``began`` is set, so the work
+    has taken its item by then."""
+
+    def __init__(self, max_workers: int, began: threading.Event):
+        super().__init__(max_workers=max_workers)
+        self._began = began
+
+    def submit(self, fn, /, *args, **kwargs):
+        super().submit(fn, *args, **kwargs)
+        assert self._began.wait(10.0), "the submitted work never began"
+        raise KeyboardInterrupt
+
+
+def await_main_thread_blocked_in(function_name: str, timeout_s: float = 5.0) -> None:
+    """Return once the main thread waits in a ``threading`` call (on a lock or
+    a condition) that ``function_name`` made itself, not one made deeper down
+    (starting a thread, say); fail if it does not within ``timeout_s``."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        innermost = frame = sys._current_frames().get(threading.main_thread().ident)
+        while frame is not None and frame.f_code.co_filename == threading.__file__:
+            frame = frame.f_back
+        if frame is not innermost and frame is not None and frame.f_code.co_name == function_name:
+            return
+        assert time.monotonic() < deadline, f"the main thread never waited in {function_name}"
+        time.sleep(0.001)

@@ -705,6 +705,30 @@ class TestReport:
         assert result.exit_code == 7
         assert "well-formed" in result.output
 
+    @pytest.mark.parametrize("fault,code,named", [
+        ("directory", 3, "cannot read report"),
+        ("missing", 3, "cannot read report"),
+        ("not-well-formed", 7, "not well-formed XML"),
+        ("wrong-root", 7, "unexpected root element"),
+    ])
+    def test_a_failed_report_exits_with_its_code_and_creates_no_output(self, runner, tmp_path,
+                                                                       fault, code, named):
+        xml_file = tmp_path / "in.xml"
+        if fault == "directory":
+            xml_file.mkdir()
+        elif fault == "not-well-formed":
+            xml_file.write_text("<verification-report <<<", encoding="utf-8")
+        elif fault == "wrong-root":
+            xml_file.write_text("<html/>", encoding="utf-8")
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["report", str(xml_file), "--out", str(out)])
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert f"error: {named}" in result.output
+        if code == 3:
+            assert str(xml_file) in result.output
+        assert not out.exists()
+
 
 class TestPoolWidth:
     """Reports do not depend on how wide a session fans out."""
@@ -922,19 +946,25 @@ class TestInterrupt:
         finished = []
 
         def on_sigint(signum, frame):
-            interrupted.set()
-            raise KeyboardInterrupt
+            if not interrupted.is_set():  # a signal sent again is not a second Ctrl-C
+                interrupted.set()
+                raise KeyboardInterrupt
 
         def interrupt_while_verifying(self, statement, **kwargs):
             if next(arrivals) < in_flight:
                 if together.wait(5.0) == 0:  # one of them, once all are in flight
-                    # a Ctrl-C while the main thread still starts a worker would
-                    # lose that worker: send it once the main thread awaits results
+                    # the Ctrl-C comes once the main thread awaits results (one
+                    # inside a submit is tests/test_fanout.py's)
                     deadline = time.monotonic() + 5.0
                     while not main_thread_awaits_a_result():
                         assert time.monotonic() < deadline, "the main thread never waited"
                         time.sleep(0.001)
-                    signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                    # one that lands as the main thread enters its lock wait is
+                    # handled only when that wait ends: send it until it is handled
+                    while not interrupted.is_set():
+                        assert time.monotonic() < deadline, "the Ctrl-C was never handled"
+                        signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                        interrupted.wait(0.05)
                 assert interrupted.wait(5.0)
             session = verify(self, statement, **kwargs)
             finished.append(statement)
@@ -1187,3 +1217,108 @@ class TestMalformedInput:
         assert result.exit_code == code, result.output
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert "error: " in result.output and named in result.output
+
+
+class TestOutputs:
+    """Every command writes through one writer: ``--out`` is checked before any
+    input is read, files are written atomically, and the manifest comes last."""
+
+    @staticmethod
+    def command(name: str, missing: Path) -> list[str]:
+        """The command, with every input and fixture directory it names missing."""
+        replay = ["--replay", "--fixtures", str(missing)]
+        return {
+            "uc1": [*UC1[0], *replay],
+            "uc2": ["verify-wikipedia", "Q179924", "--statements", str(missing / "s.tsv"),
+                    *replay],
+            "evaluate-triples": ["evaluate", "--dataset", str(missing / "d.jsonl"),
+                                 "--task", "triples", *replay],
+            "evaluate-nli": ["evaluate", "--dataset", str(missing / "d.jsonl"), "--task", "nli",
+                             "--snli-train", str(missing / "t.jsonl"), *replay],
+            "build-dataset": ["build-dataset", "--biored", str(missing)],
+            "report": ["report", str(missing / "r.xml")],
+        }[name]
+
+    COMMANDS = ["uc1", "uc2", "evaluate-triples", "evaluate-nli", "build-dataset", "report"]
+
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-file"])
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_out_naming_a_file_is_a_usage_error_before_any_input(self, runner, tmp_path,
+                                                                 name, under):
+        taken = tmp_path / "taken"
+        taken.write_text("", encoding="utf-8")
+        out = taken / "sub" if under else taken
+        args = self.command(name, tmp_path / "missing")
+        result = runner.invoke(main, [*args, "--out", str(out)])
+        # an input read first would exit 3, and a fixture asked first 5
+        assert result.exit_code == 2, result.output
+        assert "Traceback" not in result.output
+        [error] = [line for line in result.output.splitlines() if line.lower().startswith("error:")]
+        assert str(taken) in error and "not a directory" in error
+        assert list(tmp_path.iterdir()) == [taken]  # nothing created
+
+    @staticmethod
+    def replace_recorder(monkeypatch, fail_at: int | None = None) -> list[str]:
+        """Records the name each ``os.replace`` gives a file; the call numbered
+        ``fail_at`` (from 1) fails as a full disk does instead."""
+        import errno
+        import os
+
+        replace = os.replace
+        names: list[str] = []
+
+        def recording(src, dst, **kwargs):
+            names.append(Path(dst).name)
+            if len(names) == fail_at:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return replace(src, dst, **kwargs)
+
+        monkeypatch.setattr(os, "replace", recording)
+        return names
+
+    def run_args(self, runner, tmp_path, name: str) -> list[str]:
+        if name == "uc1":
+            return [*UC1[0], *replay_args(tmp_path / "out")]
+        if name == "build-dataset":
+            return ["build-dataset", "--biored", str(FIXTURES / "biored_mini"), "--seed", "42",
+                    "--out", str(tmp_path / "out")]
+        return [*TestEvaluate().evaluate_args(runner, tmp_path, "nli"), "--out", str(tmp_path / "out")]
+
+    @pytest.mark.parametrize("name,written", [
+        ("uc1", ["verify-wikidata-Q36233.xml", "verify-wikidata-Q36233.html", "manifest.json"]),
+        ("build-dataset", ["biored_verify.jsonl", "manifest.json"]),
+        ("evaluate-nli", ["results.json", "results.txt", "manifest.json"]),
+    ])
+    def test_each_file_is_replaced_whole_and_the_manifest_last(self, runner, tmp_path,
+                                                               monkeypatch, name, written):
+        names = self.replace_recorder(monkeypatch)
+        result = runner.invoke(main, self.run_args(runner, tmp_path, name))
+        assert result.exit_code == 0, result.output
+        assert names == written
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(written)
+
+    @pytest.mark.parametrize("name,second", [
+        ("uc1", "verify-wikidata-Q36233.html"),
+        ("build-dataset", "manifest.json"),
+        ("evaluate-nli", "results.txt"),
+    ])
+    def test_a_failed_write_leaves_no_output_and_exits_1(self, runner, tmp_path, monkeypatch,
+                                                        name, second):
+        args = self.run_args(runner, tmp_path, name)
+        self.replace_recorder(monkeypatch, fail_at=2)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        assert "Traceback" not in result.output
+        assert f"error: cannot write {tmp_path / 'out' / second}: No space left" in result.output
+        # no file under its final name, no manifest, no .<name>.* temporary file
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_a_rerun_removes_the_earlier_manifest_before_it_writes(self, runner, tmp_path,
+                                                                  monkeypatch):
+        args = self.run_args(runner, tmp_path, "evaluate-nli")
+        assert runner.invoke(main, args).exit_code == 0
+        self.replace_recorder(monkeypatch, fail_at=1)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1, result.output
+        # the first run's results are left, but no manifest vouches for them
+        assert not (tmp_path / "out" / "manifest.json").exists()

@@ -15,13 +15,13 @@ from kgverify.datasets import (
     generate_negatives,
     instance_from_json,
     instance_to_json,
+    instances_to_jsonl,
     load_biored,
     load_snli,
     normalize_pair,
     pick_nli_example_records,
     read_instances,
     sample_snli_test,
-    write_instances,
 )
 from kgverify.errors import InsufficientRecords, MalformedInput
 from kgverify.model import BinaryDecision, NliLabel
@@ -257,7 +257,7 @@ class TestInstanceSerialization:
         negatives, _ = generate_negatives(positives, truth, seed=42)
         instances = positives + negatives
         path = tmp_path / "dataset.jsonl"
-        write_instances(path, instances)
+        path.write_text(instances_to_jsonl(instances), encoding="utf-8")
         assert read_instances(path) == instances
 
     def test_json_shape(self, mini_docs):
@@ -286,7 +286,7 @@ class TestInstanceSerialization:
         instance = extract_positives(mini_docs)[0]
         instance = dataclasses.replace(instance, grounding_text="one\u2028two\x85three")
         path = tmp_path / "dataset.jsonl"
-        write_instances(path, [instance])
+        path.write_text(instances_to_jsonl([instance]), encoding="utf-8")
         assert read_instances(path) == [instance]
 
 

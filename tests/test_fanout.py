@@ -33,7 +33,13 @@ from kgverify.retrieval import ARCHIVE_AVAILABILITY_API, DocumentFetcher
 from kgverify.verifier import Verifier, WorkerPool, map_in_order
 from kgverify.wikidata import WIKIDATA_API, WikidataClient
 
-from concurrency import CountingExecutor, InFlight, Rendezvous
+from concurrency import (
+    CountingExecutor,
+    InFlight,
+    InterruptingExecutor,
+    Rendezvous,
+    await_main_thread_blocked_in,
+)
 from conftest import DictTransport
 
 STATEMENT = Statement("Subject", "related to", "Thing", subject_id="Q1")
@@ -421,23 +427,15 @@ class TestFailurePropagation:
                 map_in_order(pool, task, list(range(8)))
             assert ended == started == {0, 1, 2}
 
-    def test_an_interrupt_while_submitting_waits_for_the_tasks_submitted(self, monkeypatch):
+    def test_an_interrupt_while_submitting_waits_for_the_tasks_submitted(self):
         """A Ctrl-C between two submits of the first window still waits for the
         task already submitted."""
-        import kgverify.verifier as verifier_module
-
-        started, waited, finished = threading.Event(), threading.Event(), threading.Event()
-
-        def wait_for(futures):
-            waited.set()
-            return wait(futures)
+        started, finished = threading.Event(), threading.Event()
 
         def task(item):
             started.set()
-            assert waited.wait(5.0), "the interrupted call did not wait for its task"
+            await_main_thread_blocked_in("map_in_order")
             finished.set()
-
-        monkeypatch.setattr(verifier_module, "wait", wait_for)
 
         class InterruptedExecutor(ThreadPoolExecutor):
             """Raises KeyboardInterrupt on its second submit."""
@@ -455,6 +453,21 @@ class TestFailurePropagation:
             with pytest.raises(KeyboardInterrupt):
                 map_in_order(WorkerPool(executor, 2), task, list(range(4)))
             assert finished.is_set()
+
+    def test_an_interrupt_inside_submit_waits_for_the_item_it_queued(self):
+        """A Ctrl-C inside ``submit``, once the work is queued, leaves a worker
+        whose future the caller never got; its item still ends first."""
+        started, ended = threading.Event(), threading.Event()
+
+        def task(item):
+            started.set()
+            await_main_thread_blocked_in("map_in_order")
+            ended.set()
+
+        with InterruptingExecutor(max_workers=2, began=started) as executor:
+            with pytest.raises(KeyboardInterrupt):
+                map_in_order(WorkerPool(executor, 2), task, [0, 1])
+            assert ended.is_set()
 
     def test_inline_mapping_stops_at_the_failure(self):
         started = []
