@@ -9,22 +9,29 @@ budget) is recorded too.
 
 Within a session, independent documents (search hits, cited sources) and
 independent judgments (article chunks, drill-down paragraphs) can run
-concurrently on an optional executor. Each task builds its own result and
-never touches the session; the calling thread assembles the results in rank
-order, so a session is the same whatever the executor's width. Paragraphs of
-one document are still judged one after another, stopping at the first proof.
+concurrently on an optional worker pool. A Wikipedia session streams: a chunk
+that comes back positive submits its paragraphs' judgments, and a paragraph
+that finds a direct proof submits its cited sources, each as soon as that
+verdict arrives. Each task builds its own result and never touches the
+session; the calling thread waits once for all of them and assembles the
+results in rank or article order, so a session is the same whatever the
+pool's width. Paragraphs of one document are still judged one after another,
+stopping at the first proof.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import re
 import threading
+from collections import deque
 from concurrent.futures import Executor, Future
+from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from typing import Callable, Sequence, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from . import html_text
 from .errors import (
@@ -76,66 +83,134 @@ class WorkerPool:
     width: int
 
 
+class _Tasks:
+    """The items of one fan-out on a worker pool, and the rules they share.
+
+    Items run in the order they were added, each with an order key, on at
+    most ``width`` workers at once; a worker takes the next item until none
+    is left. An item may add follow-up items, but never waits on one, so
+    the pool cannot deadlock. Once an item fails no further item starts, and
+    the failure with the lowest key propagates once every item in flight has
+    ended. An interrupt of the caller, while it adds or waits, does the
+    same. Without a pool the items run in the calling thread.
+    """
+
+    def __init__(self, pool: WorkerPool | None):
+        self._executor = pool.executor if pool is not None else None
+        self._width = pool.width if pool is not None else 1
+        self._lock = threading.Lock()
+        self._ready: deque = deque()  # (key, fn, arg) of the items not yet taken
+        self._ended: Future = Future()  # resolved once no item runs or can start
+        self._workers = 0  # workers submitted that have not ended
+        self._in_flight = 0  # items taken that have not ended
+        self._adding_first = True  # the caller has not added its first items yet
+        self._stopped = False  # an item failed, or the caller was interrupted
+        self._failures: dict = {}
+
+    def add(self, fn: Callable, items: Iterable[tuple]) -> None:
+        """Queue ``fn(arg)`` for each ``(key, arg)`` of ``items``, and submit
+        a worker for each queued item while fewer than ``width`` run."""
+        with self._lock:
+            self._ready.extend((key, fn, arg) for key, arg in items)
+            spawn = 0
+            if self._executor is not None and not self._stopped:
+                spawn = max(0, min(self._width - self._workers, len(self._ready)))
+            self._workers += spawn
+        for _ in range(spawn):
+            try:
+                self._executor.submit(self._work)
+            except BaseException:
+                self._stop()  # the worker may be queued or not: wait only for items in flight
+                raise
+
+    def _settle(self) -> None:
+        """Resolve ``_ended`` if no item runs or can start; call under the lock."""
+        idle = self._stopped or not (self._ready or self._adding_first)
+        if idle and not self._in_flight and not self._ended.done():
+            self._ended.set_result(None)
+
+    def _stop(self) -> None:
+        with self._lock:
+            self._stopped = True
+            self._settle()
+
+    def _work(self) -> None:
+        item = failure = None
+        while True:
+            with self._lock:
+                if item is not None:
+                    self._in_flight -= 1
+                    if failure is not None:
+                        self._stopped = True
+                        self._failures[item[0]] = failure
+                if self._stopped or not self._ready:
+                    self._workers -= 1
+                    self._settle()
+                    return
+                item = self._ready.popleft()
+                self._in_flight += 1
+            failure = None
+            try:
+                item[1](item[2])
+            except BaseException as exc:
+                failure = exc
+
+    def join(self, add_first: Callable[[], object]) -> None:
+        """Call ``add_first``, then wait until no item is left and raise the
+        failure with the lowest key."""
+        interrupt = None
+        try:
+            add_first()
+            with self._lock:
+                self._adding_first = False
+                self._settle()
+            if self._executor is None:
+                self._work()
+        except BaseException as exc:  # a Ctrl-C, or a submit that failed
+            interrupt = exc
+            self._stop()
+        while self._executor is not None:
+            try:
+                # in slices: a Ctrl-C that lands as a slice begins waits one slice
+                self._ended.result(0.1)
+                break
+            except FutureTimeout:
+                pass
+            except BaseException as exc:
+                if interrupt is not None:
+                    raise  # a second Ctrl-C ends the wait
+                interrupt = exc
+                self._stop()
+        if interrupt is not None:
+            raise interrupt
+        if self._failures:
+            raise self._failures[min(self._failures)]
+
+
 def map_in_order(
     pool: WorkerPool | None, fn: Callable[[_Item], _Result], items: Sequence[_Item]
 ) -> list[_Result]:
     """Apply ``fn`` to every item and return the results in item order.
 
     Without a pool the items are mapped inline, one after another. With a
-    pool, ``min(width, len(items))`` workers are submitted, for a lone item
-    too, so the calling thread only waits, once per worker. Each worker takes
-    the next item in item order until none is left, so at most ``width`` items
-    of one call are in flight; a worker must be a leaf that never submits to
-    the same pool. Once an item fails no further item starts, and the first
-    failure in item order propagates once every started item has ended. An
-    interrupt of the calling thread does the same: it waits until no item is
-    in flight, a worker whose ``submit`` the interrupt cut short included.
+    pool, ``min(width, len(items))`` tasks are submitted, for a lone item
+    too, so the calling thread only waits. Each task takes the next item in
+    item order until none is left, so at most ``width`` items of one call are
+    in flight. A pool task may submit follow-up tasks, but never waits on
+    one: ``fn`` may submit to the same pool, but not wait for what it
+    submitted. Failures and interrupts follow ``_Tasks``: the first failure
+    in item order propagates once every started item has ended.
     """
     if pool is None:
         return [fn(item) for item in items]
     results: list = [None] * len(items)
-    failures: dict[int, BaseException] = {}
-    untaken = iter(range(len(items)))
-    stopped = False  # an item failed, or the caller was interrupted
-    in_flight = 0
-    idle = threading.Condition()  # notified when the last item in flight ends
+    tasks = _Tasks(pool)
 
-    def work() -> None:
-        nonlocal stopped, in_flight
-        while True:
-            with idle:
-                # items are taken in order, so every item before a failed one has started
-                index = None if stopped else next(untaken, None)
-                if index is None:
-                    return
-                in_flight += 1
-            failure = None
-            try:
-                results[index] = fn(items[index])
-            except BaseException as exc:
-                failure = exc
-            with idle:
-                in_flight -= 1
-                if failure is not None:
-                    stopped = True
-                    failures[index] = failure
-                if not in_flight:
-                    idle.notify_all()
+    def store(index: int) -> None:
+        results[index] = fn(items[index])
 
-    futures: list[Future] = []
-    try:
-        for _ in range(min(pool.width, len(items))):
-            futures.append(pool.executor.submit(work))
-        for future in futures:
-            future.result()  # an interrupt here still waits for every item in flight
-        if failures:
-            raise failures[min(failures)]
-        return results
-    except BaseException:
-        with idle:
-            stopped = True
-            idle.wait_for(lambda: not in_flight)
-        raise
+    tasks.join(lambda: tasks.add(store, ((index, index) for index in range(len(items)))))
+    return results
 
 
 class VerificationMode(Enum):
@@ -420,57 +495,78 @@ class Verifier:
             DocumentRecord(url=article_url, retrieval_source="direct")
         )
 
+        # Each judgment starts as soon as the verdict it depends on arrives:
+        # a positive chunk adds its paragraphs, a proved paragraph its cited
+        # sources. Failures rank by stage, then by place in the article.
+        tasks = _Tasks(self.pool)
         texts = [p.text for p in article.paragraphs]
         chunks = chunk_fill_limit(texts, max_chars=self.chunk_chars)
-        chunk_verdicts = map_in_order(
-            self.pool, lambda c: self._judge(statement, c.text, article_url), chunks)
-        candidates: list[html_text.CapturedElement] = []
-        offset = 0
-        for chunk, judged in zip(chunks, chunk_verdicts):
-            members = article.paragraphs[offset : offset + len(chunk.paragraphs)]
-            offset += len(chunk.paragraphs)
+        firsts = list(itertools.accumulate((len(c.paragraphs) for c in chunks), initial=0))
+        chunk_verdicts: list = [None] * len(chunks)
+        paragraph_verdicts: dict[int, object] = {}  # by position in the article
+        citations: dict[int, tuple[list[int], list[tuple[str, ...]], list[int]]] = {}
+        scans: dict[str, _DocumentScan] = {}
+        started_urls: set[str] = set()
+        started_lock = threading.Lock()
+        fetch = self.fetcher.fetch_with_archive_fallback
+
+        def judge_chunk(index: int) -> None:
+            judged = self._judge(statement, chunks[index].text, article_url)
+            chunk_verdicts[index] = judged
+            if not isinstance(judged, SkipRecord) and judged[0].kind in DRILLDOWN_POSITIVE:
+                members = range(firsts[index], firsts[index + 1])
+                tasks.add(judge_paragraph, (
+                    ((1, position), position) for position in members
+                    if is_valid_paragraph(article.paragraphs[position].text)))
+
+        def judge_paragraph(position: int) -> None:
+            paragraph = article.paragraphs[position]
+            judged = self._judge(statement, paragraph.text, article_url)
+            paragraph_verdicts[position] = judged
+            if isinstance(judged, SkipRecord) or judged[0].kind is not VerdictKind.DIRECT_PROOF:
+                return
+            numbers = extract_reference_numbers(paragraph.html)
+            cited, dangling = resolve_citations(numbers, article.references)
+            citations[position] = numbers, cited, dangling
+            sources = []
+            with started_lock:  # a URL cited again is examined only once
+                for url in (url for urls in cited for url in urls):
+                    if url not in started_urls:
+                        started_urls.add(url)
+                        sources.append(((2, position, len(sources)), url))
+            tasks.add(examine, sources)
+
+        def examine(url: str) -> None:
+            scans[url] = self._examine(statement, url, fetch)
+
+        tasks.join(lambda: tasks.add(judge_chunk, (((0, i), i) for i in range(len(chunks)))))
+
+        # Assemble in article order: chunk skips, then per drill-down paragraph
+        # its skip or its anchor, dangling references and cited sources, each
+        # source at its first citation.
+        session.skips.extend(j for j in chunk_verdicts if isinstance(j, SkipRecord))
+        session.paragraphs_queried += sum(
+            not isinstance(judged, SkipRecord)
+            for judged in chunk_verdicts + list(paragraph_verdicts.values()))
+        added: set[str] = set()
+        for position in sorted(paragraph_verdicts):
+            judged = paragraph_verdicts[position]
             if isinstance(judged, SkipRecord):
                 session.skips.append(judged)
-            elif judged[0].kind in DRILLDOWN_POSITIVE:
-                candidates.extend(p for p in members if is_valid_paragraph(p.text))
-        paragraph_verdicts = map_in_order(
-            self.pool, lambda p: self._judge(statement, p.text, article_url), candidates)
-        session.paragraphs_queried += sum(
-            not isinstance(judged, SkipRecord) for judged in chunk_verdicts + paragraph_verdicts)
-
-        # Plan the cited sources in article order: dangling references and
-        # paragraphs over the context budget become skips, and a URL cited
-        # again is examined only once.
-        plan: list[SkipRecord | str] = []
-        examined_urls: set[str] = set()
-        for paragraph, judged in zip(candidates, paragraph_verdicts):
-            if isinstance(judged, SkipRecord):
-                plan.append(judged)
                 continue
-            if judged[0].kind is not VerdictKind.DIRECT_PROOF:
+            if position not in citations:
                 continue
-            numbers = extract_reference_numbers(paragraph.html)
-            session.wikipedia_anchors.append(
-                WikipediaAnchor(paragraph_text=paragraph.text, ref_numbers=tuple(numbers))
-            )
-            citations, dangling = resolve_citations(numbers, article.references)
-            plan.extend(
+            numbers, cited, dangling = citations[position]
+            session.wikipedia_anchors.append(WikipediaAnchor(
+                paragraph_text=article.paragraphs[position].text, ref_numbers=tuple(numbers)))
+            session.skips.extend(
                 SkipRecord("dangling-reference", str(number), "no entry in references list")
                 for number in dangling
             )
-            for urls in citations:
+            for urls in cited:
                 for url in urls:
-                    if url not in examined_urls:
-                        examined_urls.add(url)
-                        plan.append(url)
-
-        fetch = self.fetcher.fetch_with_archive_fallback
-        urls = [entry for entry in plan if isinstance(entry, str)]
-        scans = iter(map_in_order(self.pool, lambda u: self._examine(statement, u, fetch), urls))
-        for entry in plan:
-            if isinstance(entry, SkipRecord):
-                session.skips.append(entry)
-            else:
-                next(scans).add_to(session)
+                    if url not in added:
+                        added.add(url)
+                        scans[url].add_to(session)
         session.ended_at = self._clock()
         return session

@@ -3,6 +3,7 @@ and counters show how many calls overlapped."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import sys
 import threading
 import time
@@ -83,12 +84,14 @@ class InterruptingExecutor(ThreadPoolExecutor):
 
 def await_main_thread_blocked_in(function_name: str, timeout_s: float = 5.0) -> None:
     """Return once the main thread waits in a ``threading`` call (on a lock or
-    a condition) that ``function_name`` made itself, not one made deeper down
-    (starting a thread, say); fail if it does not within ``timeout_s``."""
+    a condition), directly or through a ``Future``, that ``function_name``
+    made itself, not one made deeper down (starting a thread, say); fail if
+    it does not within ``timeout_s``."""
+    library = {threading.__file__, concurrent.futures._base.__file__}
     deadline = time.monotonic() + timeout_s
     while True:
         innermost = frame = sys._current_frames().get(threading.main_thread().ident)
-        while frame is not None and frame.f_code.co_filename == threading.__file__:
+        while frame is not None and frame.f_code.co_filename in library:
             frame = frame.f_back
         if frame is not innermost and frame is not None and frame.f_code.co_name == function_name:
             return

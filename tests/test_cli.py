@@ -20,6 +20,7 @@ from kgverify.errors import ContextOverflow, ProviderUnavailable
 from kgverify.llm import LlmGateway
 from kgverify.prompting import RdfPrompt, render_rdf_prompt
 
+from concurrency import await_main_thread_blocked_in
 from conftest import FIXTURES, REPLAY_DIR
 
 
@@ -987,6 +988,39 @@ class TestInterrupt:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["interrupted"] is True
         assert manifest["sessions"] == len(finished)
+
+
+    def test_one_sigint_is_handled_within_a_second(self, runner, tmp_path, monkeypatch):
+        """One Ctrl-C, sent once the main thread waits for the statements, is
+        handled within a second, not only when the statement in flight ends."""
+        import signal
+
+        from kgverify.verifier import Verifier
+
+        verify = Verifier.verify_via_wikipedia
+        handled = threading.Event()
+        delays = []
+
+        def on_sigint(signum, frame):
+            handled.set()
+            raise KeyboardInterrupt
+
+        def interrupt_once_waited_for(self, statement, **kwargs):
+            await_main_thread_blocked_in("join")
+            sent = time.monotonic()
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            handled.wait(5.0)  # the statement stays in flight until then
+            delays.append(time.monotonic() - sent)
+            return verify(self, statement, **kwargs)
+
+        monkeypatch.setattr(Verifier, "verify_via_wikipedia", interrupt_once_waited_for)
+        previous = signal.signal(signal.SIGINT, on_sigint)
+        try:
+            result = runner.invoke(main, [*UC2[0], *replay_args(tmp_path / "out")])
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert result.exit_code == 130, result.output
+        assert len(delays) == 1 and delays[0] < 1.0, delays
 
 
 class TestLiveWithCache:

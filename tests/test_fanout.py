@@ -8,11 +8,13 @@ import contextlib
 import dataclasses
 import json
 import random
+import signal
 import sys
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
 from datetime import datetime, timezone
+from typing import Callable
 
 import pytest
 
@@ -29,8 +31,8 @@ from kgverify.prompting import (
     RdfPrompt,
     render_rdf_prompt,
 )
-from kgverify.retrieval import ARCHIVE_AVAILABILITY_API, DocumentFetcher
-from kgverify.verifier import Verifier, WorkerPool, map_in_order
+from kgverify.retrieval import ARCHIVE_AVAILABILITY_API, DocumentFetcher, chunk_fill_limit
+from kgverify.verifier import Verifier, WorkerPool, map_in_order, parse_wikipedia_article
 from kgverify.wikidata import WIKIDATA_API, WikidataClient
 
 from concurrency import (
@@ -61,7 +63,8 @@ def jitter(seed: int, key: str) -> None:
 class ContentProvider:
     """Thread-safe provider that answers by the snippet's marker words, and
     keeps the prompts it is asked. With a ``rendezvous``, each call meets it
-    once it counts as in flight."""
+    once it counts as in flight; then ``on_call``, if set, gets the prompt
+    and may hold the call or fail it."""
 
     def __init__(self, seed: int = 1):
         self.seed = seed
@@ -69,6 +72,7 @@ class ContentProvider:
         self.prompts: list[str] = []
         self.in_flight = InFlight()
         self.rendezvous: Rendezvous | None = None
+        self.on_call: Callable[[str], None] | None = None
         self._lock = threading.Lock()
 
     @property
@@ -82,6 +86,8 @@ class ContentProvider:
         with self.in_flight:
             if self.rendezvous is not None:
                 self.rendezvous.meet()
+            if self.on_call is not None:
+                self.on_call(prompt)
             jitter(self.seed, prompt)
         snippet = prompt.split("Snippet to verify from:", 1)[-1]
         if PROOF in snippet:
@@ -92,24 +98,30 @@ class ContentProvider:
 
 
 class SlowTransport(DictTransport):
-    """The in-memory transport, with a seeded delay and scripted failures."""
+    """The in-memory transport, with a seeded delay and scripted failures; it
+    counts the requests in flight, and ``on_send``, if set, gets each one."""
 
     def __init__(self, seed: int = 1):
         super().__init__()
         self.seed = seed
         self.failures: dict[str, tuple[float, Exception]] = {}
+        self.in_flight = InFlight()
+        self.on_send: Callable[[HttpRequest], None] | None = None
 
     def fail(self, url: str, exc: Exception, after_s: float = 0.0) -> None:
         self.failures[url] = (after_s, exc)
 
     def send(self, req: HttpRequest):
-        if req.url in self.failures:
-            self.requests.append(req)
-            after_s, exc = self.failures[req.url]
-            time.sleep(after_s)
-            raise exc
-        jitter(self.seed, req.url + repr(req.params))
-        return super().send(req)
+        with self.in_flight:
+            if self.on_send is not None:
+                self.on_send(req)
+            if req.url in self.failures:
+                self.requests.append(req)
+                after_s, exc = self.failures[req.url]
+                time.sleep(after_s)
+                raise exc
+            jitter(self.seed, req.url + repr(req.params))
+            return super().send(req)
 
 
 def para(*words: str, n: int = 3) -> str:
@@ -375,6 +387,107 @@ class TestArticleOncePerRun:
         assert [s.documents[0].url for s in sessions] == [ARTICLE_URL] * 2
 
 
+def article_chunks(chunk_chars: int = 700) -> tuple[list[str], list[list[str]]]:
+    """The texts of the test article's chunks, and of each chunk's paragraphs."""
+    article = parse_wikipedia_article(article_html())
+    chunks = chunk_fill_limit([p.text for p in article.paragraphs], max_chars=chunk_chars)
+    return [c.text for c in chunks], [list(c.paragraphs) for c in chunks]
+
+
+def asks(prompt: str, snippet: str) -> bool:
+    """Whether ``prompt`` asks about exactly ``snippet``."""
+    return f'Snippet to verify from: "{snippet}" Please' in prompt
+
+
+class TestStreamedWikipediaSession:
+    """A session's stages start per item: a positive chunk's drill-down and a
+    proved paragraph's cited sources start while other judgments still run."""
+
+    # chunks of three or four paragraphs: no chunk asks what a paragraph asks
+    CHUNK_CHARS = 1200
+
+    def test_drill_down_starts_while_another_chunk_is_held(self):
+        chunks, members = article_chunks(self.CHUNK_CHARS)
+        first_positive = next(i for i, c in enumerate(chunks) if PROOF in c or HINT in c)
+        held = first_positive + 2
+        drilled = threading.Event()
+
+        def on_call(prompt):
+            if any(asks(prompt, text) for text in members[first_positive]):
+                drilled.set()
+            elif asks(prompt, chunks[held]):
+                assert drilled.wait(5.0), "no drill-down began while a chunk was held"
+
+        with worker_pool(4) as pool:
+            verifier, provider, _ = wiki_verifier(pool, chunk_chars=self.CHUNK_CHARS)
+            provider.on_call = on_call
+            session = verifier.verify_via_wikipedia(STATEMENT)
+        assert drilled.is_set()
+        expected, _, _ = wiki_verifier(None, chunk_chars=self.CHUNK_CHARS)
+        assert normalised(session) == normalised(expected.verify_via_wikipedia(STATEMENT))
+
+    def test_cited_source_starts_while_a_sibling_paragraph_is_held(self):
+        _, members = article_chunks(self.CHUNK_CHARS)
+        proved, sibling = next((m[p], m[h]) for m in members for p in range(len(m))
+                               for h in range(len(m)) if PROOF in m[p] and HINT in m[h])
+        fetched = threading.Event()
+
+        def on_send(req):
+            if req.url in REFERENCES:
+                fetched.set()
+
+        def on_call(prompt):
+            if asks(prompt, sibling):
+                assert fetched.wait(5.0), "no cited source was fetched while a paragraph was held"
+
+        with worker_pool(4) as pool:
+            verifier, provider, transport = wiki_verifier(pool, chunk_chars=self.CHUNK_CHARS)
+            provider.on_call, transport.on_send = on_call, on_send
+            session = verifier.verify_via_wikipedia(STATEMENT)
+        assert fetched.is_set()
+        assert proved in [a.paragraph_text for a in session.wikipedia_anchors]
+        expected, _, _ = wiki_verifier(None, chunk_chars=self.CHUNK_CHARS)
+        assert normalised(session) == normalised(expected.verify_via_wikipedia(STATEMENT))
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_a_failing_chunk_stops_the_session(self, width):
+        chunks, _ = article_chunks()
+        failing = 2
+
+        def on_call(prompt):
+            if asks(prompt, chunks[failing]):
+                raise MalformedResponse("chunk 3")
+
+        with worker_pool(width) as pool:
+            verifier, provider, transport = wiki_verifier(pool)
+            provider.on_call = on_call
+            with pytest.raises(MalformedResponse, match="chunk 3"):
+                verifier.verify_via_wikipedia(STATEMENT)
+            assert provider.in_flight.now == transport.in_flight.now == 0
+            asked, sent = list(provider.prompts), len(transport.requests)
+        # leaving the pool ran every worker it had queued: no call began after the error
+        assert provider.prompts == asked and len(transport.requests) == sent
+        if width == 1:
+            # the drill-down of the first chunk was queued behind the chunks, and never began
+            assert [next(i for i, c in enumerate(chunks) if asks(p, c)) for p in asked] == [
+                0, 1, 2]
+
+    @pytest.mark.parametrize("width", [1, 4])
+    def test_a_failing_cited_source_stops_the_session(self, width):
+        with worker_pool(width) as pool:
+            verifier, provider, transport = wiki_verifier(pool)
+            transport.fail(REFERENCES[0], FixtureMissing("source 1"))
+            with pytest.raises(FixtureMissing, match="source 1"):
+                verifier.verify_via_wikipedia(STATEMENT)
+            assert provider.in_flight.now == transport.in_flight.now == 0
+            asked, sent = list(provider.prompts), list(transport.requests)
+        assert provider.prompts == asked and transport.requests == sent
+        if width == 1:
+            # the first source, of the first proved paragraph: nothing after it began
+            assert sent[-1].url == REFERENCES[0]
+            assert not any(r.url in REFERENCES[1:] for r in sent)
+
+
 class TestFailurePropagation:
     def test_queued_tasks_do_not_run_after_a_failure(self):
         started = []
@@ -434,7 +547,7 @@ class TestFailurePropagation:
 
         def task(item):
             started.set()
-            await_main_thread_blocked_in("map_in_order")
+            await_main_thread_blocked_in("join")  # the wait of _Tasks.join
             finished.set()
 
         class InterruptedExecutor(ThreadPoolExecutor):
@@ -461,13 +574,46 @@ class TestFailurePropagation:
 
         def task(item):
             started.set()
-            await_main_thread_blocked_in("map_in_order")
+            await_main_thread_blocked_in("join")  # the wait of _Tasks.join
             ended.set()
 
         with InterruptingExecutor(max_workers=2, began=started) as executor:
             with pytest.raises(KeyboardInterrupt):
                 map_in_order(WorkerPool(executor, 2), task, [0, 1])
             assert ended.is_set()
+
+    @pytest.mark.parametrize("waiter", ["map_in_order", "session"])
+    def test_one_sigint_is_handled_within_a_second(self, waiter):
+        """One Ctrl-C, sent once the main thread waits for a fan-out, is handled
+        within a second, while the item that sent it is still in flight."""
+        handled, first = threading.Event(), threading.Lock()
+        delays = []
+
+        def on_sigint(signum, frame):
+            handled.set()
+            raise KeyboardInterrupt
+
+        def interrupt(*_):
+            if not first.acquire(blocking=False):
+                return
+            await_main_thread_blocked_in("join")
+            sent = time.monotonic()
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            handled.wait(5.0)
+            delays.append(time.monotonic() - sent)
+
+        previous = signal.signal(signal.SIGINT, on_sigint)
+        try:
+            with worker_pool(2) as pool, pytest.raises(KeyboardInterrupt):
+                if waiter == "map_in_order":
+                    map_in_order(pool, interrupt, [0])
+                else:
+                    verifier, provider, _ = wiki_verifier(pool)
+                    provider.on_call = interrupt
+                    verifier.verify_via_wikipedia(STATEMENT)
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert len(delays) == 1 and delays[0] < 1.0, delays
 
     def test_inline_mapping_stops_at_the_failure(self):
         started = []
