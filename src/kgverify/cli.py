@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import typing
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -166,8 +165,10 @@ class RunConfig:
 class _Runtime:
     """Everything a command needs, built once from the resolved config.
 
-    Its worker pool fans out each verification session's documents, and
-    evaluate's instances; a command closes the runtime once its remote work
+    Its worker pool, ``llm_requests`` threads wide, runs evaluate's instances
+    and the documents and judgments of every verification session, the
+    oldest statement's first; a verify run's next statement starts only when
+    a worker would idle. A command closes the runtime once its remote work
     is done (``with closing(_Runtime(config)) as runtime:`` does so).
     """
 
@@ -210,14 +211,12 @@ class _Runtime:
             wikipedia_api=config.wikipedia_api,
         )
         # one request in flight per worker: the same knob sizes the fan-out
-        width = config.llm_requests
-        self.pool = WorkerPool(
-            ThreadPoolExecutor(max_workers=width, thread_name_prefix="kgverify"), width)
+        self.pool = WorkerPool(config.llm_requests)
 
     def close(self) -> None:
-        """Stop the worker pool (queued tasks are dropped, running ones finish),
+        """Stop the worker pool (queued items are dropped, running ones finish),
         then close the response log."""
-        self.pool.executor.shutdown(wait=True, cancel_futures=True)
+        self.pool.close()
         if self.response_log is not None:
             self.response_log.close()
 
@@ -315,11 +314,7 @@ def _verify_statements(
     statements: Sequence[Statement],
     verify: Callable[[Statement], VerificationSession],
 ) -> tuple[list[VerificationSession], bool]:
-    """Verify the statements, at most ``max(1, llm_requests // 2)`` at once.
-
-    Each statement is one ``map_in_order`` task on a statement-level
-    executor, and its session's documents fan out on the run's worker pool.
-    Statements start in order, and once one has failed no further one starts.
+    """Verify the statements on the run's pool (see ``WorkerPool.run_statements``).
 
     Returns the sessions in statement order and whether the run was
     interrupted. Ctrl-C starts no further statement and waits for those in
@@ -334,13 +329,9 @@ def _verify_statements(
         click.echo(f"verifying: {' / '.join(statement.labels())}", err=True)
         sessions[index] = verify(statement)
 
-    width = max(1, runtime.config.llm_requests // 2)
     interrupted = False
     try:
-        # shut down before the worker pool its statements use
-        with ThreadPoolExecutor(max_workers=width,
-                                thread_name_prefix="kgverify-statement") as executor:
-            map_in_order(WorkerPool(executor, width), run, range(len(statements)))
+        runtime.pool.run_statements(run, len(statements))
     except KeyboardInterrupt:
         interrupted = True
     finally:

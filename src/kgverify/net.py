@@ -344,7 +344,7 @@ def _read_body(resp: requests.Response, deadline: float, asked: str) -> bytes:
     Otherwise the stream is decoded as ``Response.content`` would decode it, and
     its connection goes back to the pool, or is closed if the body was left
     unread. The deadline is checked once the response has arrived, and again
-    after every read.
+    after every read, and no read waits on the socket past it.
     """
     raw = resp.raw
     if raw is None:
@@ -354,11 +354,15 @@ def _read_body(resp: requests.Response, deadline: float, asked: str) -> bytes:
         if len(body) > MAX_BODY_BYTES:
             raise Unavailable(f"{asked}: body over {MAX_BODY_BYTES} bytes")
         return body
+    fp = getattr(getattr(raw, "_fp", None), "fp", None)  # http.client's buffered socket file
+    sock = getattr(getattr(fp, "raw", None), "_sock", None)  # None for a stream with no socket
     chunks: list[bytes] = []
     size = 0
     complete = False
     try:
-        while time.monotonic() <= deadline:
+        while (left := deadline - time.monotonic()) >= 0:
+            if sock is not None:
+                sock.settimeout(max(left, 0.001))  # the next request sets its own again
             # read1 (urllib3 >= 2.2) returns what one read of the socket gives, so a
             # body that trickles in still meets the deadline check between reads
             chunk = raw.read1(_READ_BYTES, decode_content=True)

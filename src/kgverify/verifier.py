@@ -9,25 +9,24 @@ budget) is recorded too.
 
 Within a session, independent documents (search hits, cited sources) and
 independent judgments (article chunks, drill-down paragraphs) can run
-concurrently on an optional worker pool. A Wikipedia session streams: a chunk
-that comes back positive submits its paragraphs' judgments, and a paragraph
-that finds a direct proof submits its cited sources, each as soon as that
-verdict arrives. Each task builds its own result and never touches the
-session; the calling thread waits once for all of them and assembles the
-results in rank or article order, so a session is the same whatever the
-pool's width. Paragraphs of one document are still judged one after another,
-stopping at the first proof.
+concurrently on an optional worker pool that a run's statements share, the
+older statement's work first. A Wikipedia session streams: a chunk that
+comes back positive adds its paragraphs' judgments, and a paragraph that
+finds a direct proof adds its cited sources, as soon as that verdict
+arrives. Each task builds its own result and never touches the session; the
+calling thread waits once for all of them and assembles the results in rank
+or article order, so a session is the same whatever the pool's width.
+Paragraphs of one document are still judged one after another, stopping at
+the first proof.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import logging
 import re
 import threading
-from collections import deque
-from concurrent.futures import Executor, Future
-from concurrent.futures import TimeoutError as FutureTimeout
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -74,113 +73,196 @@ _Item = TypeVar("_Item")
 _Result = TypeVar("_Result")
 
 
-@dataclass(frozen=True)
 class WorkerPool:
-    """An executor and its worker count, which bounds how many items of one
-    ``map_in_order`` call run at once."""
+    """A run's worker threads: up to ``width``, each started when an item is
+    queued and none idles. A free worker takes the ready item with the lowest
+    (rank, key): the rank of the statement that queued it (``run_statements``;
+    0 outside one), then its key in its fan-out. At width 0 the caller of
+    ``_Tasks.join`` runs the items itself."""
 
-    executor: Executor
-    width: int
-
-
-class _Tasks:
-    """The items of one fan-out on a worker pool, and the rules they share.
-
-    Items run in the order they were added, each with an order key, on at
-    most ``width`` workers at once; a worker takes the next item until none
-    is left. An item may add follow-up items, but never waits on one, so
-    the pool cannot deadlock. Once an item fails no further item starts, and
-    the failure with the lowest key propagates once every item in flight has
-    ended. An interrupt of the caller, while it adds or waits, does the
-    same. Without a pool the items run in the calling thread.
-    """
-
-    def __init__(self, pool: WorkerPool | None):
-        self._executor = pool.executor if pool is not None else None
-        self._width = pool.width if pool is not None else 1
-        self._lock = threading.Lock()
-        self._ready: deque = deque()  # (key, fn, arg) of the items not yet taken
-        self._ended: Future = Future()  # resolved once no item runs or can start
-        self._workers = 0  # workers submitted that have not ended
-        self._in_flight = 0  # items taken that have not ended
-        self._adding_first = True  # the caller has not added its first items yet
-        self._stopped = False  # an item failed, or the caller was interrupted
-        self._failures: dict = {}
-
-    def add(self, fn: Callable, items: Iterable[tuple]) -> None:
-        """Queue ``fn(arg)`` for each ``(key, arg)`` of ``items``, and submit
-        a worker for each queued item while fewer than ``width`` run."""
-        with self._lock:
-            self._ready.extend((key, fn, arg) for key, arg in items)
-            spawn = 0
-            if self._executor is not None and not self._stopped:
-                spawn = max(0, min(self._width - self._workers, len(self._ready)))
-            self._workers += spawn
-        for _ in range(spawn):
-            try:
-                self._executor.submit(self._work)
-            except BaseException:
-                self._stop()  # the worker may be queued or not: wait only for items in flight
-                raise
-
-    def _settle(self) -> None:
-        """Resolve ``_ended`` if no item runs or can start; call under the lock."""
-        idle = self._stopped or not (self._ready or self._adding_first)
-        if idle and not self._in_flight and not self._ended.done():
-            self._ended.set_result(None)
-
-    def _stop(self) -> None:
-        with self._lock:
-            self._stopped = True
-            self._settle()
+    def __init__(self, width: int):
+        self.width = width
+        self._lock = threading.RLock()  # guards the pool and every _Tasks on it
+        self._queued = threading.Condition(self._lock)  # idle workers wait here
+        self._changed = threading.Condition(self._lock)  # run_statements waits here
+        self._ready: list = []  # heap of (rank, group, key, tasks, fn, arg)
+        self._threads: list[threading.Thread] = []
+        self._workers = self._idle = 0  # started or starting; waiting and not yet woken
+        self._closed = False
+        self._groups = itertools.count()  # orders the fan-outs of one rank
+        self._local = threading.local()  # .rank: the statement its thread runs
+        self._statements: dict[int, bool] = {}  # running, by rank: queued items yet?
 
     def _work(self) -> None:
+        """Run ready items, lowest first; a worker then waits for more until
+        the pool closes, an inline caller returns."""
         item = failure = None
         while True:
             with self._lock:
                 if item is not None:
-                    self._in_flight -= 1
-                    if failure is not None:
-                        self._stopped = True
-                        self._failures[item[0]] = failure
-                if self._stopped or not self._ready:
-                    self._workers -= 1
-                    self._settle()
+                    item[3].end(item[2], failure)
+                while self.width and not (self._ready or self._closed):
+                    self._idle += 1
+                    self._queued.wait()
+                if self._closed or not self._ready:
                     return
-                item = self._ready.popleft()
-                self._in_flight += 1
+                item = heapq.heappop(self._ready)
+                if not self._ready:
+                    self._changed.notify_all()  # the next free worker would idle
+                item[3].queued -= 1
+                item[3].in_flight += 1
             failure = None
             try:
-                item[1](item[2])
+                item[4](item[5])
             except BaseException as exc:
                 failure = exc
+
+    def run_statements(self, fn: Callable[[int], object], count: int) -> None:
+        """Call ``fn(rank)`` for each rank of ``range(count)``, each on a thread
+        of its own, in rank order: the next when none runs, or when a worker
+        would idle (no ready item is left), every running statement has queued
+        items and fewer than ``max(1, width - 1)`` run. Each statement is one
+        item of a ``_Tasks``."""
+        statements, running = _Tasks(self), self._statements
+
+        def admits() -> bool:
+            return statements.stopped or not running or (
+                len(running) < max(1, self.width - 1) and all(running.values())
+                and not self._ready)
+
+        def run(rank: int) -> None:
+            with self._lock:
+                if statements.stopped:  # stopped while this thread started
+                    del running[rank]
+                    return
+                statements.queued -= 1
+                statements.in_flight += 1
+            self._local.rank = rank
+            failure = None
+            try:
+                fn(rank)
+            except BaseException as exc:
+                failure = exc
+            with self._lock:
+                del running[rank]
+                self._changed.notify_all()  # the next statement may start
+                statements.end(rank, failure)
+
+        def start_in_order() -> None:
+            for rank in range(count):
+                with self._lock:
+                    while not self._changed.wait_for(admits, 0.1):  # in slices, for a Ctrl-C
+                        pass
+                    if statements.stopped:
+                        return
+                    running[rank] = False
+                    statements.queued += 1  # until its thread takes it
+                threading.Thread(target=run, args=(rank,), name="kgverify-statement",
+                                 daemon=True).start()
+
+        statements.join(start_in_order)
+
+    def close(self) -> None:
+        """Start no further item, and wait for the items in flight to end."""
+        with self._lock:
+            self._closed = True
+            self._queued.notify_all()
+        for thread in self._threads:
+            thread.join()
+
+
+class _Tasks:
+    """The items of one fan-out, each with an order key, on a worker pool or
+    run by the caller (``pool`` None), lowest key first.
+
+    An item may add follow-up items, but never waits on one, so the pool
+    cannot deadlock. Once an item fails no further item starts, and the
+    failure with the lowest key propagates once every item in flight has
+    ended. An interrupt of the caller, while it adds or waits, does the same.
+    """
+
+    def __init__(self, pool: WorkerPool | None):
+        self._pool = pool or WorkerPool(0)
+        self.rank = getattr(self._pool._local, "rank", 0)
+        self.group = next(self._pool._groups)
+        self.queued = self.in_flight = 0  # items not taken yet; taken and not ended
+        self.stopped = False  # an item failed, or the caller was interrupted
+        self._adding_first = True  # the caller has not added its first items yet
+        self._ended = False  # no item runs or can start
+        self._done = threading.Condition(self._pool._lock)  # its caller waits here
+        self._failures: dict = {}
+
+    def add(self, fn: Callable, items: Iterable[tuple]) -> None:
+        """Queue ``fn(arg)`` for each ``(key, arg)`` of ``items``, for an idle
+        worker, or for one started while fewer than ``width`` are."""
+        pool, start = self._pool, 0
+        with pool._lock:
+            for key, arg in () if self.stopped else items:
+                heapq.heappush(pool._ready, (self.rank, self.group, key, self, fn, arg))
+                self.queued += 1
+                if pool._idle:
+                    pool._idle -= 1
+                    pool._queued.notify()
+                elif pool._workers < pool.width:
+                    pool._workers += 1
+                    start += 1
+            if pool._statements.get(self.rank) is False:  # its statement's first items
+                pool._statements[self.rank] = True
+                pool._changed.notify_all()
+        for _ in range(start):  # outside the lock, which a new worker takes at once
+            thread = threading.Thread(target=pool._work, name="kgverify", daemon=True)
+            thread.start()
+            pool._threads.append(thread)
+
+    def _settle(self) -> None:
+        """Mark the fan-out ended if no item runs or can start; call under the lock."""
+        idle = self.stopped or not (self.queued or self._adding_first)
+        if idle and not self.in_flight and not self._ended:
+            self._ended = True
+            self._done.notify_all()
+
+    def stop(self) -> None:
+        """Drop the items not taken yet, and start no further one."""
+        pool = self._pool
+        with pool._lock:
+            if self.queued and not self.stopped:
+                pool._ready = [entry for entry in pool._ready if entry[3] is not self]
+                heapq.heapify(pool._ready)
+            self.stopped, self.queued = True, 0
+            self._settle()
+
+    def end(self, key, failure: BaseException | None) -> None:
+        """End an item taken, which raised ``failure`` or None; call under the lock."""
+        self.in_flight -= 1
+        if failure is not None:
+            self._failures[key] = failure
+            self.stop()
+        self._settle()
 
     def join(self, add_first: Callable[[], object]) -> None:
         """Call ``add_first``, then wait until no item is left and raise the
         failure with the lowest key."""
-        interrupt = None
+        pool, interrupt = self._pool, None
         try:
             add_first()
-            with self._lock:
+            with pool._lock:
                 self._adding_first = False
                 self._settle()
-            if self._executor is None:
-                self._work()
-        except BaseException as exc:  # a Ctrl-C, or a submit that failed
+            if not pool.width:
+                pool._work()
+        except BaseException as exc:  # a Ctrl-C, or a thread that did not start
             interrupt = exc
-            self._stop()
-        while self._executor is not None:
+            self.stop()
+        while not self._ended:
             try:
-                # in slices: a Ctrl-C that lands as a slice begins waits one slice
-                self._ended.result(0.1)
-                break
-            except FutureTimeout:
-                pass
+                with pool._lock:
+                    # in slices: a Ctrl-C that lands as a slice begins waits one slice
+                    self._done.wait_for(lambda: self._ended, 0.1)
             except BaseException as exc:
                 if interrupt is not None:
                     raise  # a second Ctrl-C ends the wait
                 interrupt = exc
-                self._stop()
+                self.stop()
         if interrupt is not None:
             raise interrupt
         if self._failures:
@@ -192,14 +274,10 @@ def map_in_order(
 ) -> list[_Result]:
     """Apply ``fn`` to every item and return the results in item order.
 
-    Without a pool the items are mapped inline, one after another. With a
-    pool, ``min(width, len(items))`` tasks are submitted, for a lone item
-    too, so the calling thread only waits. Each task takes the next item in
-    item order until none is left, so at most ``width`` items of one call are
-    in flight. A pool task may submit follow-up tasks, but never waits on
-    one: ``fn`` may submit to the same pool, but not wait for what it
-    submitted. Failures and interrupts follow ``_Tasks``: the first failure
-    in item order propagates once every started item has ended.
+    Without a pool the items are mapped inline, one after another. With one
+    they queue on its workers, keyed by index, and the caller only waits.
+    Failures and interrupts follow ``_Tasks``: the first failure in item
+    order propagates once every started item has ended.
     """
     if pool is None:
         return [fn(item) for item in items]

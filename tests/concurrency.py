@@ -4,10 +4,10 @@ and counters show how many calls overlapped."""
 from __future__ import annotations
 
 import concurrent.futures
+import itertools
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 
 class Rendezvous:
@@ -52,48 +52,41 @@ class InFlight:
         return False
 
 
-class CountingExecutor(ThreadPoolExecutor):
-    """A thread pool that counts the tasks submitted to it."""
+def interrupt_thread_start(monkeypatch, name: str, nth: int, began: threading.Event,
+                           start: bool) -> None:
+    """Make ``threading.Thread.start`` raise KeyboardInterrupt at the ``nth``
+    thread named ``name``, once ``began`` is set, as a Ctrl-C
+    that lands inside that call does. With ``start`` the thread has started
+    by then; without it, it never starts."""
+    original = threading.Thread.start
+    calls = itertools.count(1)
 
-    def __init__(self, max_workers: int):
-        super().__init__(max_workers=max_workers)
-        self.submitted = 0
-        self._count_lock = threading.Lock()
-
-    def submit(self, fn, /, *args, **kwargs):
-        with self._count_lock:
-            self.submitted += 1
-        return super().submit(fn, *args, **kwargs)
-
-
-class InterruptingExecutor(ThreadPoolExecutor):
-    """A thread pool whose ``submit`` queues the work and then raises
-    KeyboardInterrupt, as a Ctrl-C that lands inside ``submit`` does: the
-    caller never gets the future. It raises once ``began`` is set, so the work
-    has taken its item by then."""
-
-    def __init__(self, max_workers: int, began: threading.Event):
-        super().__init__(max_workers=max_workers)
-        self._began = began
-
-    def submit(self, fn, /, *args, **kwargs):
-        super().submit(fn, *args, **kwargs)
-        assert self._began.wait(10.0), "the submitted work never began"
+    def start_thread(thread):
+        if thread.name != name or next(calls) != nth:
+            return original(thread)
+        if start:
+            original(thread)
+        assert began.wait(10.0), "the work never began"
         raise KeyboardInterrupt
 
+    monkeypatch.setattr(threading.Thread, "start", start_thread)
 
-def await_main_thread_blocked_in(function_name: str, timeout_s: float = 5.0) -> None:
+
+def await_main_thread_blocked_in(function_name: str, timeout_s: float = 5.0,
+                                 via: str | None = None) -> None:
     """Return once the main thread waits in a ``threading`` call (on a lock or
     a condition), directly or through a ``Future``, that ``function_name``
-    made itself, not one made deeper down (starting a thread, say); fail if
-    it does not within ``timeout_s``."""
+    made itself, not one made deeper down; with ``via``, only a call of the
+    library function of that name counts (``wait_for``, not ``Thread.start``).
+    Fail if it does not within ``timeout_s``."""
     library = {threading.__file__, concurrent.futures._base.__file__}
     deadline = time.monotonic() + timeout_s
     while True:
-        innermost = frame = sys._current_frames().get(threading.main_thread().ident)
+        innermost = frame = called = sys._current_frames().get(threading.main_thread().ident)
         while frame is not None and frame.f_code.co_filename in library:
-            frame = frame.f_back
-        if frame is not innermost and frame is not None and frame.f_code.co_name == function_name:
+            called, frame = frame, frame.f_back
+        if (frame is not innermost and frame is not None and frame.f_code.co_name == function_name
+                and via in (None, called.f_code.co_name)):
             return
         assert time.monotonic() < deadline, f"the main thread never waited in {function_name}"
         time.sleep(0.001)

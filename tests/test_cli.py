@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import concurrent.futures
 import itertools
 import json
 import re
@@ -287,8 +286,10 @@ class TestVerifyWikipedia:
             if statement.object_label == "luminescence":
                 second_failed.set()
                 raise Unavailable("second statement down")
+            # the second starts once the first has queued its items and left a worker idle
+            session = verify(self, statement, **kwargs)
             assert second_failed.wait(5.0)  # the first is still in flight when it fails
-            return verify(self, statement, **kwargs)
+            return session
 
         monkeypatch.setattr(Verifier, "verify_via_wikipedia", second_fails)
         monkeypatch.setenv("KGVERIFY_LLM_REQUESTS", "4")  # two statements at once
@@ -768,7 +769,7 @@ class TestPoolWidth:
                                                        width):
         """Across every remote (wiki APIs, pages, the archive, the LLM) at once,
         a live run has at most llm_requests requests in flight, and at most
-        max(1, llm_requests // 2) statements."""
+        max(1, llm_requests - 1) statements."""
         from urllib.parse import parse_qsl
 
         import requests
@@ -820,7 +821,7 @@ class TestPoolWidth:
         assert seen["requests"] > 10
         assert seen["peak"] <= width
         assert seen["peak"] > 1 or width == 1  # the run did fan out
-        assert seen["statement_peak"] <= max(1, width // 2)
+        assert seen["statement_peak"] <= max(1, width - 1)
         assert seen["statement_peak"] > 1 or width == 1  # statements did overlap
 
     def test_live_statements_bytes_match_at_width_one(self, runner, tmp_path, live_remote,
@@ -860,12 +861,13 @@ class TestPoolWidth:
         assert objects == ["phosphorescence", "luminescence", "phosphorescence"]
 
 
-def main_thread_awaits_a_result() -> bool:
-    """Whether the main thread is inside a ``Future.result`` call."""
+def main_thread_waits() -> bool:
+    """Whether the main thread is inside a ``threading`` wait, as it is while
+    it waits for statements to start or end."""
     frame = sys._current_frames().get(threading.main_thread().ident)
     while frame is not None:
         code = frame.f_code
-        if code.co_name == "result" and code.co_filename == concurrent.futures._base.__file__:
+        if code.co_name == "wait" and code.co_filename == threading.__file__:
             return True
         frame = frame.f_back
     return False
@@ -952,12 +954,15 @@ class TestInterrupt:
                 raise KeyboardInterrupt
 
         def interrupt_while_verifying(self, statement, **kwargs):
+            # held once its session is done: the next statement starts only
+            # after this one has queued its items and left a worker idle
+            session = verify(self, statement, **kwargs)
             if next(arrivals) < in_flight:
                 if together.wait(5.0) == 0:  # one of them, once all are in flight
-                    # the Ctrl-C comes once the main thread awaits results (one
-                    # inside a submit is tests/test_fanout.py's)
+                    # the Ctrl-C comes once the main thread waits (one while it
+                    # starts a thread is tests/test_fanout.py's)
                     deadline = time.monotonic() + 5.0
-                    while not main_thread_awaits_a_result():
+                    while not main_thread_waits():
                         assert time.monotonic() < deadline, "the main thread never waited"
                         time.sleep(0.001)
                     # one that lands as the main thread enters its lock wait is
@@ -967,7 +972,6 @@ class TestInterrupt:
                         signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
                         interrupted.wait(0.05)
                 assert interrupted.wait(5.0)
-            session = verify(self, statement, **kwargs)
             finished.append(statement)
             return session
 

@@ -12,13 +12,14 @@ import signal
 import sys
 import threading
 import time
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+import types
+from concurrent.futures import ThreadPoolExecutor
 from datetime import datetime, timezone
 from typing import Callable
 
 import pytest
 
-from kgverify.cli import _judge_nli, _judge_triples
+from kgverify.cli import _judge_nli, _judge_triples, _verify_statements
 from kgverify.datasets import LabeledInstance, Origin, SnliRecord
 from kgverify.errors import FixtureMissing, MalformedResponse
 from kgverify.llm import LlmGateway, ResponseLog
@@ -32,16 +33,16 @@ from kgverify.prompting import (
     render_rdf_prompt,
 )
 from kgverify.retrieval import ARCHIVE_AVAILABILITY_API, DocumentFetcher, chunk_fill_limit
-from kgverify.verifier import Verifier, WorkerPool, map_in_order, parse_wikipedia_article
+from kgverify.verifier import (
+    Verifier,
+    WorkerPool,
+    _Tasks,
+    map_in_order,
+    parse_wikipedia_article,
+)
 from kgverify.wikidata import WIKIDATA_API, WikidataClient
 
-from concurrency import (
-    CountingExecutor,
-    InFlight,
-    InterruptingExecutor,
-    Rendezvous,
-    await_main_thread_blocked_in,
-)
+from concurrency import InFlight, Rendezvous, await_main_thread_blocked_in, interrupt_thread_start
 from conftest import DictTransport
 
 STATEMENT = Statement("Subject", "related to", "Thing", subject_id="Q1")
@@ -271,8 +272,11 @@ def wiki_verifier(pool, seed=1, chunk_chars=700):
 
 @contextlib.contextmanager
 def worker_pool(width: int):
-    with ThreadPoolExecutor(max_workers=width) as executor:
-        yield WorkerPool(executor, width)
+    pool = WorkerPool(width)
+    try:
+        yield pool
+    finally:
+        pool.close()
 
 
 @pytest.fixture(params=[1, 4], ids=["width1", "width4"])
@@ -505,9 +509,8 @@ class TestFailurePropagation:
 
     def test_first_failure_in_order_wins_and_started_tasks_end(self):
         started, ended = set(), set()
-        slow_failure = threading.Event()
+        slow_failure, idled = threading.Event(), threading.Event()
         first_three = Rendezvous(3)
-        futures: list[Future] = []
 
         def task(item):
             started.add(item)
@@ -518,10 +521,10 @@ class TestFailurePropagation:
                     raise KeyError("task 0")
                 if item == 1:
                     raise ValueError("task 1")
-                # task 2 frees its worker only once another worker has ended,
-                # which one does only after a failure, so that the worker takes
-                # no further task
-                wait(futures, timeout=5.0, return_when=FIRST_COMPLETED)
+                # task 2 frees its worker only once another worker idles, which
+                # one does only after a failure dropped the queued tasks, so
+                # that the worker takes no further task
+                assert idled.wait(5.0), "no worker idled"
                 return item
             finally:
                 ended.add(item)
@@ -529,20 +532,20 @@ class TestFailurePropagation:
                     slow_failure.set()
 
         with worker_pool(3) as pool:
-            submit = pool.executor.submit
+            wait_for_item = pool._queued.wait
 
-            def recorded_submit(*args):
-                futures.append(submit(*args))
-                return futures[-1]
+            def idle(*args):
+                idled.set()
+                return wait_for_item(*args)
 
-            pool.executor.submit = recorded_submit
+            pool._queued.wait = idle
             with pytest.raises(KeyError, match="task 0"):
                 map_in_order(pool, task, list(range(8)))
             assert ended == started == {0, 1, 2}
 
-    def test_an_interrupt_while_submitting_waits_for_the_tasks_submitted(self):
-        """A Ctrl-C between two submits of the first window still waits for the
-        task already submitted."""
+    def test_an_interrupt_while_starting_a_worker_waits_for_the_items_taken(self, monkeypatch):
+        """A Ctrl-C while the pool starts its second worker, which then never
+        starts, still waits for the item the first worker took."""
         started, finished = threading.Event(), threading.Event()
 
         def task(item):
@@ -550,26 +553,15 @@ class TestFailurePropagation:
             await_main_thread_blocked_in("join")  # the wait of _Tasks.join
             finished.set()
 
-        class InterruptedExecutor(ThreadPoolExecutor):
-            """Raises KeyboardInterrupt on its second submit."""
-
-            submits = 0
-
-            def submit(self, fn, *args, **kwargs):
-                self.submits += 1
-                if self.submits == 2:
-                    started.wait(5)  # the first task runs, so it cannot be cancelled
-                    raise KeyboardInterrupt
-                return super().submit(fn, *args, **kwargs)
-
-        with InterruptedExecutor(max_workers=2) as executor:
+        with worker_pool(2) as pool:
+            interrupt_thread_start(monkeypatch, "kgverify", 2, began=started, start=False)
             with pytest.raises(KeyboardInterrupt):
-                map_in_order(WorkerPool(executor, 2), task, list(range(4)))
+                map_in_order(pool, task, list(range(4)))
             assert finished.is_set()
 
-    def test_an_interrupt_inside_submit_waits_for_the_item_it_queued(self):
-        """A Ctrl-C inside ``submit``, once the work is queued, leaves a worker
-        whose future the caller never got; its item still ends first."""
+    def test_an_interrupt_inside_thread_start_waits_for_the_item_it_took(self, monkeypatch):
+        """A Ctrl-C inside ``Thread.start``, once the worker has started, leaves
+        a worker the pool never recorded; its item still ends first."""
         started, ended = threading.Event(), threading.Event()
 
         def task(item):
@@ -577,9 +569,10 @@ class TestFailurePropagation:
             await_main_thread_blocked_in("join")  # the wait of _Tasks.join
             ended.set()
 
-        with InterruptingExecutor(max_workers=2, began=started) as executor:
+        with worker_pool(2) as pool:
+            interrupt_thread_start(monkeypatch, "kgverify", 1, began=started, start=True)
             with pytest.raises(KeyboardInterrupt):
-                map_in_order(WorkerPool(executor, 2), task, [0, 1])
+                map_in_order(pool, task, [0, 1])
             assert ended.is_set()
 
     @pytest.mark.parametrize("waiter", ["map_in_order", "session"])
@@ -644,6 +637,142 @@ class TestFailurePropagation:
             assert urls[2] in fetched
 
 
+class TestRunWideScheduler:
+    """One pool serves every statement of a run: a free worker takes the ready
+    item of the oldest statement first, and the next statement starts only
+    when no ready item is left, so that a worker would idle."""
+
+    def test_an_older_statements_follow_up_runs_before_a_newer_statements_item(self):
+        order = []
+        three_in_flight = Rendezvous(3)
+        follow_up_began = threading.Event()
+
+        def follow_up(_):
+            order.append("0.follow-up")
+            follow_up_began.set()
+
+        def newer(index):
+            order.append(f"1.{index}")
+            if index < 2:
+                three_in_flight.meet()
+                assert follow_up_began.wait(5.0), "the follow-up never began"
+
+        def statement(rank):
+            if rank == 1:
+                map_in_order(pool, newer, range(4))
+                return
+            tasks = _Tasks(pool)
+
+            def first(_):
+                # statement 1's first two items run, so its other two are queued
+                three_in_flight.meet()
+                tasks.add(follow_up, [(1, None)])
+
+            tasks.join(lambda: tasks.add(first, [(0, None)]))
+
+        with worker_pool(3) as pool:
+            pool.run_statements(statement, 2)
+        # the worker that statement 0's first item frees takes its follow-up
+        assert order.index("0.follow-up") < min(order.index("1.2"), order.index("1.3"))
+
+    def test_the_next_statement_starts_once_queued_and_no_item_waits(self):
+        """Statement 1 starts only once statement 0 has queued its items and
+        no ready item is left: the next worker that frees would idle."""
+        queued, worker_freed, release = threading.Event(), threading.Event(), threading.Event()
+        four_in_flight = Rendezvous(4)
+        seen = {}
+
+        def held(index):
+            if index == 4:  # taken by the first worker that frees
+                return
+            four_in_flight.meet()  # every worker is busy, and item 4 waits
+            if index == 0:
+                await_main_thread_blocked_in("start_in_order", via="wait_for")
+                worker_freed.set()
+            else:
+                assert release.wait(5.0), "the second statement never started"
+
+        def statement(rank):
+            if rank == 1:
+                seen.update(queued=queued.is_set(), worker_freed=worker_freed.is_set())
+                release.set()
+                return
+            # nothing is queued yet
+            await_main_thread_blocked_in("start_in_order", via="wait_for")
+            queued.set()
+            map_in_order(pool, held, range(5))
+
+        with worker_pool(4) as pool:
+            pool.run_statements(statement, 2)
+        assert seen == {"queued": True, "worker_freed": True}
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 4])
+    def test_at_most_width_less_one_statements_run_at_once(self, width):
+        """At most ``max(1, width - 1)`` statements run, so one at a time at
+        widths 1 and 2; the first that many meet, each with a worker idle."""
+        cap = max(1, width - 1)
+        running, together = InFlight(), Rendezvous(cap)
+        started = []
+
+        def statement(rank):
+            with running:
+                started.append(rank)
+                map_in_order(pool, lambda item: item, [rank])  # leaves its worker idle
+                together.meet()
+
+        with worker_pool(width) as pool:
+            pool.run_statements(statement, 8)
+        assert running.peak == cap
+        assert started == list(range(8))
+
+    @pytest.mark.parametrize("start", [False, True], ids=["before-start", "after-start"])
+    def test_an_interrupt_while_a_statement_starts(self, monkeypatch, start):
+        """A Ctrl-C inside the second statement's ``Thread.start``: a statement
+        that runs ends before the interrupt propagates, and no further one starts."""
+        ran, ended = [], []
+        first_done = threading.Event()
+
+        def statement(rank):
+            ran.append(rank)
+            map_in_order(pool, lambda item: item, [rank])
+            first_done.set()
+            ended.append(rank)
+
+        with worker_pool(4) as pool:
+            interrupt_thread_start(monkeypatch, "kgverify-statement", 2, began=first_done,
+                                   start=start)
+            with pytest.raises(KeyboardInterrupt):
+                pool.run_statements(statement, 4)
+            assert sorted(ended) == sorted(ran) and ran[0] == 0 and 2 not in ran
+            if not start:
+                assert ran == [0]
+
+
+def test_stress_statements_say_verifying_in_order(capsys):
+    """More workers than cores, with frequent thread switches: statements whose
+    items take seeded times say ``verifying: …`` in statement order, and their
+    sessions come back in that order, each with all of its items."""
+    statements = [dataclasses.replace(STATEMENT, object_label=f"Thing {i}") for i in range(30)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        started = time.monotonic()
+        with worker_pool(8) as pool:
+            def verify(statement):
+                label = statement.object_label
+                return label, map_in_order(pool, lambda i: jitter(i, label) or i, range(5))
+
+            runtime = types.SimpleNamespace(pool=pool, close=pool.close)
+            sessions, interrupted = _verify_statements(runtime, statements, verify)
+        assert time.monotonic() - started < 30
+    finally:
+        sys.setswitchinterval(interval)
+    assert not interrupted
+    assert sessions == [(s.object_label, list(range(5))) for s in statements]
+    assert capsys.readouterr().err.splitlines() == [
+        f"verifying: {' / '.join(s.labels())}" for s in statements]
+
+
 def marked_texts(seed: int, n: int = 24) -> list[str]:
     """Texts carrying a proof, a hint or neither marker, in a seeded order."""
     rng = random.Random(seed)
@@ -698,21 +827,22 @@ class TestEvaluateFanOut:
 
 
 class TestLookAhead:
-    """map_in_order submits one worker per item it can run at once, and each
-    worker takes the next item in order, so at most ``width`` items of one call
-    are in flight however many threads its executor has."""
+    """The pool starts a worker per item it can run at once, up to its width,
+    and each worker takes the next item in order, so at most ``width`` items
+    are in flight."""
 
     @pytest.mark.parametrize("width, n", [(1, 20), (3, 20), (3, 2)])
     def test_submits_one_worker_per_item_in_flight(self, width, n):
-        with CountingExecutor(max_workers=8) as executor:
-            assert map_in_order(WorkerPool(executor, width), lambda i: i * i, list(range(n))) == [
-                i * i for i in range(n)]
-        assert executor.submitted == min(width, n)
+        with worker_pool(width) as pool:
+            for _ in range(2):  # the second call reuses the workers the first started
+                assert map_in_order(pool, lambda i: i * i, list(range(n))) == [
+                    i * i for i in range(n)]
+                assert len(pool._threads) == min(width, n)
 
     @pytest.mark.parametrize("width", [1, 3])
     def test_at_most_width_items_in_flight_and_results_in_order(self, width):
         """The first ``width`` items meet before any ends, and the first item
-        ends last of them, on an executor with more threads than ``width``."""
+        ends last of them."""
         in_flight = InFlight()
         first_batch = Rendezvous(width)
         others_ended = threading.Semaphore(0)
@@ -728,11 +858,11 @@ class TestLookAhead:
                     others_ended.release()
                 return item * item
 
-        with CountingExecutor(max_workers=8) as executor:
-            results = map_in_order(WorkerPool(executor, width), task, list(range(20)))
+        with worker_pool(width) as pool:
+            results = map_in_order(pool, task, list(range(20)))
+            assert len(pool._threads) == width
         assert results == [i * i for i in range(20)]
         assert in_flight.peak == width
-        assert executor.submitted == width
 
     def test_queued_tasks_do_not_run_after_a_failure(self):
         started = []

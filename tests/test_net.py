@@ -5,6 +5,7 @@ import gzip
 import http.client
 import io
 import json
+import socket
 import sys
 import threading
 import time
@@ -822,6 +823,45 @@ class TestRequestTemplates:
 
         assert in_order(adapter.wire) == in_order(expected.wire)
         assert len({body for *_, body in adapter.wire}) == len(posts)
+
+
+class TestOnTheWire:
+    """The live transport against a stdlib server on the loopback interface."""
+
+    def test_a_trickle_then_a_stall_ends_at_the_attempt_deadline(self, monkeypatch):
+        """Headers at once, one body byte at 1.9 s, then nothing: the attempt
+        ends at its 2 s deadline, not a read timeout after that byte."""
+        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+        given_up = threading.Event()
+
+        def serve(server):
+            conn, _ = server.accept()
+            with conn:
+                conn.recv(65536)  # the request
+                try:
+                    conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
+                                 b"Content-Length: 10\r\n\r\n")
+                    if not given_up.wait(1.9):
+                        conn.sendall(b"<")
+                except OSError:  # the client has gone
+                    return
+                given_up.wait(10.0)  # stall until the client gives up
+
+        with socket.create_server(("127.0.0.1", 0)) as server, requests.Session() as session:
+            server_thread = threading.Thread(target=serve, args=(server,))
+            server_thread.start()
+            transport = LiveTransport(total_timeout=2.0, retries=0, session=session)
+            url = f"http://127.0.0.1:{server.getsockname()[1]}/trickle"
+            started = time.monotonic()
+            try:
+                with pytest.raises(Unavailable):
+                    transport.send(HttpRequest.get(url))
+                elapsed = time.monotonic() - started
+            finally:
+                given_up.set()
+                server_thread.join(10.0)
+        assert not server_thread.is_alive()
+        assert elapsed < 2.0 + 0.25, elapsed
 
 
 class TestRequestGate:
