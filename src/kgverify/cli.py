@@ -115,7 +115,7 @@ class RunConfig:
         values: dict = {}
         if config_file:
             try:  # {**...}: a JSON object, not a list or a number
-                values.update({**json.loads(Path(config_file).read_text(encoding="utf-8"))})
+                values.update({**json.loads(Path(config_file).read_text(encoding="utf-8-sig"))})
             except (OSError, *SHAPE_ERRORS) as exc:
                 raise click.UsageError(f"cannot read config file {config_file}: {exc}")
         for name in kinds:
@@ -140,7 +140,10 @@ class RunConfig:
                 elif kind in (bool, str) and not isinstance(value, kind):
                     # a JSON value of another type
                     raise TypeError("not a string" if kind is str else "not a boolean")
-                elif kind in (int, float):
+                elif kind in (int, float):  # a string is parsed; a JSON number must be one
+                    if isinstance(value, bool) or not isinstance(
+                            value, (str, int) if kind is int else (str, int, float)):
+                        raise TypeError("not an integer" if kind is int else "not a number")
                     value = kind(value)
                 elif key == "fixed_clock" and value:
                     _parse_instant(value)  # the runtime parses it again
@@ -165,11 +168,12 @@ class RunConfig:
 class _Runtime:
     """Everything a command needs, built once from the resolved config.
 
-    Its worker pool, ``llm_requests`` threads wide, runs evaluate's instances
-    and the documents and judgments of every verification session, the
-    oldest statement's first; a verify run's next statement starts only when
-    a worker would idle. A command closes the runtime once its remote work
-    is done (``with closing(_Runtime(config)) as runtime:`` does so).
+    Its worker pool, ``llm_requests`` threads started with the runtime, runs
+    evaluate's instances and the documents and judgments of every
+    verification session, the oldest statement's first; a verify run's next
+    statement starts only when a worker would idle. Every command builds it
+    in ``with closing(_Runtime(config)) as runtime:``, so its workers stop
+    also when the command fails; ``close`` may be called again before that.
     """
 
     def __init__(self, config: RunConfig):
@@ -409,6 +413,8 @@ _OPTIONS = {
                                    "in the layout --replay --fixtures reads."),
     "endpoint": click.option("--endpoint", "sparql_endpoint", default=None,
                              help="SPARQL endpoint URL."),
+    "max-statements": click.option("--max-statements", "max_statements", type=int, default=None,
+                                   help="Verify at most this many selected statements."),
     "decision-mode": click.option("--decision-mode", "decision_mode",
                                   type=click.Choice(list(_DECISION_MODES)), default=None,
                                   help="How the middle option counts in binary decisions."),
@@ -443,69 +449,67 @@ def main() -> None:
 
 @main.command("verify-wikidata")
 @click.argument("entity")
-@config_options(*_REMOTE, "endpoint")
-@click.option("--max-statements", type=int, default=None,
-              help="Verify at most this many selected statements.")
+@config_options(*_REMOTE, "endpoint", "max-statements")
 @click.option("--hit-limit", type=int, default=None, help="Web-search hits per statement.")
 @guarded
 def cmd_verify_wikidata(entity: str, **kwargs) -> None:
     """Select a subject's unsourced statements and verify them via web search."""
     config = RunConfig.resolve(kwargs)
     entity_id = _parse_entity(entity)
-    runtime = _Runtime(config)
-    started = runtime.clock()
+    with closing(_Runtime(config)) as runtime:
+        started = runtime.clock()
 
-    unsourced = runtime.wikidata.fetch_unsourced_statements(entity_id)
-    click.echo(f"{entity_id}: {len(unsourced)} unsourced statements", err=True)
-    selected = runtime.wikidata.filter_mandatory_reference(unsourced)
-    click.echo(f"{entity_id}: {len(selected)} with a mandatory-reference predicate", err=True)
-    selected = selected[: config.max_statements]  # a None limit keeps them all
+        unsourced = runtime.wikidata.fetch_unsourced_statements(entity_id)
+        click.echo(f"{entity_id}: {len(unsourced)} unsourced statements", err=True)
+        selected = runtime.wikidata.filter_mandatory_reference(unsourced)
+        click.echo(f"{entity_id}: {len(selected)} with a mandatory-reference predicate",
+                   err=True)
+        selected = selected[: config.max_statements]  # a None limit keeps them all
 
-    verifier = runtime.verifier(need_search=True)
-    _verify_run(
-        runtime, "verify-wikidata", entity_id, started, selected,
-        lambda statement: verifier.verify_via_web_search(statement, config.hit_limit),
-        summary_extra=lambda info: {},
-        manifest_extra={"statements_selected": len(selected)},
-    )
+        verifier = runtime.verifier(need_search=True)
+        _verify_run(
+            runtime, "verify-wikidata", entity_id, started, selected,
+            lambda statement: verifier.verify_via_web_search(statement, config.hit_limit),
+            summary_extra=lambda info: {},
+            manifest_extra={"statements_selected": len(selected)},
+        )
 
 
 @main.command("verify-wikipedia")
 @click.argument("entity")
 @click.option("--statements", "statements_file", type=click.Path(), required=True,
               help="Tab-separated statements file (subject, predicate, object, optional ids).")
-@config_options(*_REMOTE, "endpoint")
-@click.option("--max-statements", type=int, default=None)
+@config_options(*_REMOTE, "endpoint", "max-statements")
 @guarded
 def cmd_verify_wikipedia(entity: str, statements_file: str, **kwargs) -> None:
     """Verify designated statements through the subject's Wikipedia article."""
     config = RunConfig.resolve(kwargs)
     entity_id = _parse_entity(entity)
     try:
-        text = Path(statements_file).read_text(encoding="utf-8")
+        text = Path(statements_file).read_text(encoding="utf-8-sig")  # a BOM is no label
     except (OSError, UnicodeError) as exc:
         raise MalformedInput(f"cannot read statements file: {exc}") from exc
     statements = statements_from_text(text)
     statements = statements[: config.max_statements]  # a None limit keeps them all
     if not statements:
         raise MalformedInput(f"{statements_file}: no statements to verify")
-    runtime = _Runtime(config)
+    with closing(_Runtime(config)) as runtime:
 
-    def article_fields(info: EntityInfo) -> dict:
-        permalink = None
-        if info.wikipedia_title:
-            revision = runtime.wikidata.wikipedia_revision(info.wikipedia_title)
-            permalink = wikipedia_permalink(info.wikipedia_title, revision)
-        return {"wikipedia_url": info.wikipedia_url, "wikipedia_permalink": permalink}
+        def article_fields(info: EntityInfo) -> dict:
+            permalink = None
+            if info.wikipedia_title:
+                revision = runtime.wikidata.wikipedia_revision(info.wikipedia_title)
+                permalink = wikipedia_permalink(info.wikipedia_title, revision)
+            return {"wikipedia_url": info.wikipedia_url, "wikipedia_permalink": permalink}
 
-    started = runtime.clock()
-    verifier = runtime.verifier()
-    _verify_run(
-        runtime, "verify-wikipedia", entity_id, started, statements,
-        lambda statement: verifier.verify_via_wikipedia(statement, entity=entity_id),
-        summary_extra=article_fields,
-        manifest_extra={"statements": len(statements)},
-    )
+        started = runtime.clock()
+        verifier = runtime.verifier()
+        _verify_run(
+            runtime, "verify-wikipedia", entity_id, started, statements,
+            lambda statement: verifier.verify_via_wikipedia(statement, entity=entity_id),
+            summary_extra=article_fields,
+            manifest_extra={"statements": len(statements)},
+        )
 
 
 @main.command("build-dataset")

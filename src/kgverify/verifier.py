@@ -74,11 +74,11 @@ _Result = TypeVar("_Result")
 
 
 class WorkerPool:
-    """A run's worker threads: up to ``width``, each started when an item is
-    queued and none idles. A free worker takes the ready item with the lowest
-    (rank, key): the rank of the statement that queued it (``run_statements``;
-    0 outside one), then its key in its fan-out. At width 0 the caller of
-    ``_Tasks.join`` runs the items itself."""
+    """A run's ``width`` worker threads, started with the pool. A free worker
+    takes the ready item with the lowest (rank, key): the rank of the
+    statement that queued it (``run_statements``; 0 outside one), then its
+    key in its fan-out. At width 0 the caller of ``_Tasks.join`` runs the
+    items itself."""
 
     def __init__(self, width: int):
         self.width = width
@@ -86,12 +86,14 @@ class WorkerPool:
         self._queued = threading.Condition(self._lock)  # idle workers wait here
         self._changed = threading.Condition(self._lock)  # run_statements waits here
         self._ready: list = []  # heap of (rank, group, key, tasks, fn, arg)
-        self._threads: list[threading.Thread] = []
-        self._workers = self._idle = 0  # started or starting; waiting and not yet woken
         self._closed = False
         self._groups = itertools.count()  # orders the fan-outs of one rank
         self._local = threading.local()  # .rank: the statement its thread runs
         self._statements: dict[int, bool] = {}  # running, by rank: queued items yet?
+        self._threads = [threading.Thread(target=self._work, name="kgverify", daemon=True)
+                         for _ in range(width)]
+        for thread in self._threads:
+            thread.start()
 
     def _work(self) -> None:
         """Run ready items, lowest first; a worker then waits for more until
@@ -102,7 +104,6 @@ class WorkerPool:
                 if item is not None:
                     item[3].end(item[2], failure)
                 while self.width and not (self._ready or self._closed):
-                    self._idle += 1
                     self._queued.wait()
                 if self._closed or not self._ready:
                     return
@@ -122,8 +123,9 @@ class WorkerPool:
         of its own, in rank order: the next when none runs, or when a worker
         would idle (no ready item is left), every running statement has queued
         items and fewer than ``max(1, width - 1)`` run. Each statement is one
-        item of a ``_Tasks``."""
+        item of a ``_Tasks``, queued until its thread takes it."""
         statements, running = _Tasks(self), self._statements
+        statements.queued = count
 
         def admits() -> bool:
             return statements.stopped or not running or (
@@ -156,7 +158,6 @@ class WorkerPool:
                     if statements.stopped:
                         return
                     running[rank] = False
-                    statements.queued += 1  # until its thread takes it
                 threading.Thread(target=run, args=(rank,), name="kgverify-statement",
                                  daemon=True).start()
 
@@ -187,37 +188,26 @@ class _Tasks:
         self.group = next(self._pool._groups)
         self.queued = self.in_flight = 0  # items not taken yet; taken and not ended
         self.stopped = False  # an item failed, or the caller was interrupted
-        self._adding_first = True  # the caller has not added its first items yet
         self._ended = False  # no item runs or can start
         self._done = threading.Condition(self._pool._lock)  # its caller waits here
         self._failures: dict = {}
 
     def add(self, fn: Callable, items: Iterable[tuple]) -> None:
-        """Queue ``fn(arg)`` for each ``(key, arg)`` of ``items``, for an idle
-        worker, or for one started while fewer than ``width`` are."""
-        pool, start = self._pool, 0
+        """Queue ``fn(arg)`` for each ``(key, arg)`` of ``items``, and wake an
+        idle worker for each."""
+        pool = self._pool
         with pool._lock:
             for key, arg in () if self.stopped else items:
                 heapq.heappush(pool._ready, (self.rank, self.group, key, self, fn, arg))
                 self.queued += 1
-                if pool._idle:
-                    pool._idle -= 1
-                    pool._queued.notify()
-                elif pool._workers < pool.width:
-                    pool._workers += 1
-                    start += 1
+                pool._queued.notify()
             if pool._statements.get(self.rank) is False:  # its statement's first items
                 pool._statements[self.rank] = True
                 pool._changed.notify_all()
-        for _ in range(start):  # outside the lock, which a new worker takes at once
-            thread = threading.Thread(target=pool._work, name="kgverify", daemon=True)
-            thread.start()
-            pool._threads.append(thread)
 
     def _settle(self) -> None:
         """Mark the fan-out ended if no item runs or can start; call under the lock."""
-        idle = self.stopped or not (self.queued or self._adding_first)
-        if idle and not self.in_flight and not self._ended:
+        if (self.stopped or not self.queued) and not self.in_flight and not self._ended:
             self._ended = True
             self._done.notify_all()
 
@@ -240,17 +230,17 @@ class _Tasks:
         self._settle()
 
     def join(self, add_first: Callable[[], object]) -> None:
-        """Call ``add_first``, then wait until no item is left and raise the
-        failure with the lowest key."""
+        """Call ``add_first``, which queues the first items in one ``add`` (an
+        item may end before a second one), then wait until no item is left and
+        raise the failure with the lowest key."""
         pool, interrupt = self._pool, None
         try:
             add_first()
             with pool._lock:
-                self._adding_first = False
-                self._settle()
+                self._settle()  # add_first may have queued nothing
             if not pool.width:
                 pool._work()
-        except BaseException as exc:  # a Ctrl-C, or a thread that did not start
+        except BaseException as exc:  # a Ctrl-C, or a statement thread that did not start
             interrupt = exc
             self.stop()
         while not self._ended:

@@ -320,6 +320,23 @@ class TestVerifyWikipedia:
         assert len(session.find("traces")) == 0
         assert (tmp_path / f"{UC2[1]}.html").exists()
 
+    def test_a_byte_order_mark_is_not_content(self, runner, tmp_path):
+        """A statements file and a config file saved with a UTF-8 BOM are read
+        as without it: the first subject carries no BOM, so the replay finds
+        its fixtures and writes the same report."""
+        statements, config = tmp_path / "bom.tsv", tmp_path / "bom.json"
+        line = (FIXTURES / "biolum_statements.tsv").read_text(encoding="utf-8")
+        statements.write_text("\ufeff" + line, encoding="utf-8")
+        config.write_text('\ufeff{"llm_requests": 1}', encoding="utf-8")
+        result = runner.invoke(main, [*UC2[0][:2], "--statements", str(statements),
+                                      *UC2[0][4:], "--config", str(config),
+                                      *replay_args(tmp_path / "bom")])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, [*UC2[0], *replay_args(tmp_path / "plain")])
+        assert result.exit_code == 0, result.output
+        assert ((tmp_path / "bom" / f"{UC2[1]}.xml").read_bytes()
+                == (tmp_path / "plain" / f"{UC2[1]}.xml").read_bytes())
+
     def test_malformed_statements_file(self, runner, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("only-one-column\n", encoding="utf-8")
@@ -349,6 +366,50 @@ class TestVerifyWikipedia:
         ])
         assert result.exit_code == 3, result.output
         assert "cannot read statements file" in result.output
+
+
+class TestTraceAudit:
+    """A reader can re-check every evidence trace of a replayed report from the
+    report and the recorded fixtures alone."""
+
+    @pytest.mark.parametrize("command,run_id,traces", [(*UC1, 2), (*UC2, 1)],
+                             ids=["uc1", "uc2"])
+    def test_each_trace_rests_on_its_completion_and_its_page(self, runner, tmp_path,
+                                                             command, run_id, traces):
+        from kgverify.html_text import extract_paragraphs, strip_archive_chrome
+        from kgverify.llm import (LlmParams, completion_fingerprint, extract_justification,
+                                  parse_option)
+        from kgverify.model import Statement, VerdictKind
+        from kgverify.net import HttpRequest
+        from kgverify.store import FixtureStore
+
+        result = runner.invoke(main, [*command, *replay_args(tmp_path)])
+        assert result.exit_code == 0, result.output
+        root = ET.fromstring((tmp_path / f"{run_id}.xml").read_bytes())
+        records = [json.loads(line) for line in
+                   (REPLAY_DIR / "llm" / "responses.jsonl").read_bytes().splitlines()]
+        completions = {record["fingerprint"]: record["raw_text"] for record in records}
+        pages = FixtureStore(REPLAY_DIR)
+        audited = 0
+        for session in root.findall("session"):
+            statement = Statement(*(session.findtext(f"statement/{part}")
+                                    for part in ("subject", "predicate", "object")))
+            for trace in session.findall("traces/trace"):
+                paragraph, url = trace.findtext("paragraph"), trace.findtext("document-url")
+                prompt = render_rdf_prompt(RdfPrompt(statement, paragraph))
+                raw = completions[completion_fingerprint(
+                    LlmParams(model=trace.findtext("llm-model")), prompt)]
+                assert trace.findtext("verdict") == "direct-proof"
+                assert parse_option(raw).kind is VerdictKind.DIRECT_PROOF
+                assert extract_justification(raw) == trace.findtext("justification")
+                html = pages.send(HttpRequest.get(url)).text
+                if trace.findtext("retrieval-source") == "web-archive":
+                    html = strip_archive_chrome(html)
+                assert paragraph in extract_paragraphs(html)
+                # the article is never an authority, only the sources it cites
+                assert url != root.findtext("summary/wikipedia-url")
+                audited += 1
+        assert audited == traces
 
 
 class TestConfig:
@@ -425,8 +486,10 @@ class TestConfig:
 
     @pytest.mark.parametrize("payload", [
         {"out_dir": 5}, {"out_dir": None}, {"model": ["m"]}, {"fixed_clock": 20240302},
-        {"replay": 1},
-    ], ids=["int", "null", "list", "int-clock", "int-bool"])
+        {"replay": 1}, {"llm_requests": 2.7}, {"max_statements": True}, {"hit_limit": 1.9},
+        {"cache_ttl_seconds": True},
+    ], ids=["int", "null", "list", "int-clock", "int-bool", "float-int", "bool-int",
+            "float-hit-limit", "bool-float"])
     def test_wrong_typed_config_value_is_a_usage_error_before_any_runtime(
             self, runner, tmp_path, monkeypatch, payload):
         from kgverify.verifier import Verifier
@@ -435,9 +498,11 @@ class TestConfig:
         monkeypatch.setattr(Verifier, "verify_via_web_search",
                             lambda self, *args: sessions.append(args))
         monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("KGVERIFY_LLM_REQUESTS", raising=False)  # it would override the file
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"replay": True, **payload}))
-        result = runner.invoke(main, [*UC1[0], "--fixtures", str(REPLAY_DIR),
+        # without UC1's --max-statements flag, which would override the file's
+        result = runner.invoke(main, [*UC1[0][:2], "--fixtures", str(REPLAY_DIR),
                                       "--config", str(config)])
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)  # no traceback
@@ -755,6 +820,21 @@ class TestPoolWidth:
             assert manifest["config"]["llm_requests"] == int(width or 4)
             outputs.append([(out / f"{run_id}.{ext}").read_bytes() for ext in ("xml", "html")])
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", [UC1[0], UC2[0]], ids=["verify-wikidata",
+                                                               "verify-wikipedia"])
+    def test_a_run_that_fails_early_stops_its_workers(self, runner, tmp_path, command):
+        """A replay over no fixtures fails on its first request (exit 5):
+        verify-wikidata's before its first statement, verify-wikipedia's in
+        it. Either way no worker of the run is left alive."""
+        before = set(threading.enumerate())
+        result = runner.invoke(main, [*command, *replay_args(tmp_path / "out",
+                                                             fixtures=tmp_path)])
+        assert result.exit_code == 5, result.output
+        assert "error: no recorded fixture" in result.output
+        leaked = [thread for thread in threading.enumerate()
+                  if thread.name == "kgverify" and thread not in before]
+        assert leaked == []
 
     def test_request_knobs_must_be_positive(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("KGVERIFY_LLM_REQUESTS", "0")

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gzip
 import http.client
@@ -825,43 +826,133 @@ class TestRequestTemplates:
         assert len({body for *_, body in adapter.wire}) == len(posts)
 
 
-class TestOnTheWire:
-    """The live transport against a stdlib server on the loopback interface."""
+class WireServer:
+    """A loopback HTTP/1.1 server for the live transport. Each request, on
+    whichever connection, gets the next of ``responses``: bytes to send, or a
+    function that writes to the connection itself. ``connections`` counts the
+    connections it accepted."""
 
-    def test_a_trickle_then_a_stall_ends_at_the_attempt_deadline(self, monkeypatch):
-        """Headers at once, one body byte at 1.9 s, then nothing: the attempt
-        ends at its 2 s deadline, not a read timeout after that byte."""
-        monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-        given_up = threading.Event()
+    def __init__(self):
+        self.responses: list = []
+        self.connections = 0
+        self._listener = socket.create_server(("127.0.0.1", 0))
+        self._listener.settimeout(0.05)  # the accept loop looks for close() this often
+        self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}"
+        self._closed = threading.Event()
+        self._accepted: list[socket.socket] = []
+        self._threads: list[threading.Thread] = []
+        self._acceptor = threading.Thread(target=self._accept)
+        self._acceptor.start()
 
-        def serve(server):
-            conn, _ = server.accept()
-            with conn:
-                conn.recv(65536)  # the request
+    def _accept(self) -> None:
+        while not self._closed.is_set():
+            try:
+                conn, _ = self._listener.accept()
+            except TimeoutError:
+                continue
+            conn.settimeout(None)
+            self.connections += 1
+            self._accepted.append(conn)
+            thread = threading.Thread(target=self._serve, args=(conn,))
+            thread.start()
+            self._threads.append(thread)
+
+    def _serve(self, conn: socket.socket) -> None:
+        with conn:
+            pending = b""
+            while True:
                 try:
-                    conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
-                                 b"Content-Length: 10\r\n\r\n")
-                    if not given_up.wait(1.9):
-                        conn.sendall(b"<")
+                    while b"\r\n\r\n" not in pending:  # a GET has no body
+                        data = conn.recv(65536)
+                        if not data:  # the client closed the connection
+                            return
+                        pending += data
+                    pending = pending.split(b"\r\n\r\n", 1)[1]
+                    response = self.responses.pop(0)
+                    if callable(response):
+                        response(conn)
+                    else:
+                        conn.sendall(response)
                 except OSError:  # the client has gone
                     return
-                given_up.wait(10.0)  # stall until the client gives up
 
-        with socket.create_server(("127.0.0.1", 0)) as server, requests.Session() as session:
-            server_thread = threading.Thread(target=serve, args=(server,))
-            server_thread.start()
+    def close(self) -> None:
+        self._closed.set()
+        self._acceptor.join(10.0)
+        for conn in self._accepted:  # ends a wait for a request that will not come
+            with contextlib.suppress(OSError):
+                conn.shutdown(socket.SHUT_RDWR)
+        for thread in self._threads:
+            thread.join(10.0)
+        self._listener.close()
+        assert not any(t.is_alive() for t in [self._acceptor, *self._threads])
+
+
+def html_response(body: bytes) -> bytes:
+    return (b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
+            b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+
+
+@pytest.fixture
+def wire_server(monkeypatch):
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    server = WireServer()
+    try:
+        yield server
+    finally:
+        server.close()
+
+
+class TestOnTheWire:
+    """The live transport against a server on the loopback interface."""
+
+    def test_a_trickle_then_a_stall_ends_at_the_attempt_deadline(self, wire_server):
+        """Headers at once, one body byte at 1.9 s, then nothing: the attempt
+        ends at its 2 s deadline, not a read timeout after that byte."""
+        given_up = threading.Event()
+
+        def trickle(conn):
+            conn.sendall(b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
+                         b"Content-Length: 10\r\n\r\n")
+            if not given_up.wait(1.9):
+                conn.sendall(b"<")
+            given_up.wait(10.0)  # stall until the client gives up
+
+        wire_server.responses = [trickle]
+        with requests.Session() as session:
             transport = LiveTransport(total_timeout=2.0, retries=0, session=session)
-            url = f"http://127.0.0.1:{server.getsockname()[1]}/trickle"
             started = time.monotonic()
             try:
                 with pytest.raises(Unavailable):
-                    transport.send(HttpRequest.get(url))
+                    transport.send(HttpRequest.get(f"{wire_server.url}/trickle"))
                 elapsed = time.monotonic() - started
             finally:
                 given_up.set()
-                server_thread.join(10.0)
-        assert not server_thread.is_alive()
         assert elapsed < 2.0 + 0.25, elapsed
+
+    def test_sequential_gets_share_one_connection(self, wire_server):
+        bodies = [b"<p>%d</p>" % n for n in range(3)]
+        wire_server.responses = [html_response(body) for body in bodies]
+        with requests.Session() as session:
+            transport = LiveTransport(retries=0, session=session)
+            got = [transport.send(HttpRequest.get(f"{wire_server.url}/{n}")).body
+                   for n in range(3)]
+        assert got == bodies
+        assert wire_server.connections == 1
+
+    def test_a_body_left_unread_is_not_read_by_the_next_request(self, wire_server,
+                                                                 monkeypatch):
+        """A body over the cap is left mostly unread, so its connection is
+        closed: the next GET opens another and gets its own body."""
+        monkeypatch.setattr(net, "MAX_BODY_BYTES", 1000)
+        wire_server.responses = [html_response(b"x" * 300_000), html_response(b"<p>next</p>")]
+        with requests.Session() as session:
+            transport = LiveTransport(retries=0, session=session)
+            with pytest.raises(Unavailable, match="body over 1000 bytes"):
+                transport.send(HttpRequest.get(f"{wire_server.url}/large"))
+            assert transport.send(HttpRequest.get(f"{wire_server.url}/next")).body == (
+                b"<p>next</p>")
+        assert wire_server.connections == 2
 
 
 class TestRequestGate:
