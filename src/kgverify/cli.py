@@ -170,8 +170,9 @@ class _Runtime:
 
     Its worker pool, ``llm_requests`` threads started with the runtime, runs
     evaluate's instances and the documents and judgments of every
-    verification session, the oldest statement's first; a verify run's next
-    statement starts only when a worker would idle. Every command builds it
+    verification session, the oldest statement's first; a verify run's
+    statements run on ``max(1, llm_requests - 1)`` workers of their own, the
+    next only once a worker of this pool would idle. Every command builds it
     in ``with closing(_Runtime(config)) as runtime:``, so its workers stop
     also when the command fails; ``close`` may be called again before that.
     """
@@ -281,6 +282,7 @@ def _write_outputs(config: RunConfig, command: str, files: dict[str, str | bytes
     out_dir = Path(config.out_dir)
     paths = [out_dir / name for name in files]
     if manifest_extra is not None:
+        fixtures = config.fixtures_dir if config.replay else None  # a live run reads none
         manifest = {
             "command": command,
             "package_version": __version__,
@@ -290,8 +292,8 @@ def _write_outputs(config: RunConfig, command: str, files: dict[str, str | bytes
             "seeds": {"corruption": config.corruption_seed, "sample": config.sample_seed,
                       "examples": config.example_seed},
             "replay": config.replay,
-            "fixtures_dir": config.fixtures_dir,
-            "fixtures_sha256": _fixtures_digest(config.fixtures_dir),
+            "fixtures_dir": fixtures,
+            "fixtures_sha256": _fixtures_digest(fixtures),
             **manifest_extra,
         }
         files = {**files, "manifest.json": json.dumps(manifest, indent=2, sort_keys=True) + "\n"}

@@ -10,7 +10,8 @@ budget) is recorded too.
 Within a session, independent documents (search hits, cited sources) and
 independent judgments (article chunks, drill-down paragraphs) can run
 concurrently on an optional worker pool that a run's statements share, the
-older statement's work first. A Wikipedia session streams: a chunk that
+older statement's work first; the statements themselves are the items of a
+smaller pool of their own. A Wikipedia session streams: a chunk that
 comes back positive adds its paragraphs' judgments, and a paragraph that
 finds a direct proof adds its cited sources, as soon as that verdict
 arrives. Each task builds its own result and never touches the session; the
@@ -27,6 +28,7 @@ import itertools
 import logging
 import re
 import threading
+from contextlib import closing
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
@@ -74,11 +76,12 @@ _Result = TypeVar("_Result")
 
 
 class WorkerPool:
-    """A run's ``width`` worker threads, started with the pool. A free worker
-    takes the ready item with the lowest (rank, key): the rank of the
-    statement that queued it (``run_statements``; 0 outside one), then its
+    """``width`` worker threads named ``kgverify``, started with the pool. A
+    free worker takes the ready item with the lowest (rank, key): the rank of
+    the statement that queued it (``run_statements``; 0 outside one), then its
     key in its fan-out. At width 0 the caller of ``_Tasks.join`` runs the
-    items itself."""
+    items itself. ``run_statements`` runs a verify run's statements on a pool
+    of their own."""
 
     def __init__(self, width: int):
         self.width = width
@@ -92,8 +95,12 @@ class WorkerPool:
         self._statements: dict[int, bool] = {}  # running, by rank: queued items yet?
         self._threads = [threading.Thread(target=self._work, name="kgverify", daemon=True)
                          for _ in range(width)]
-        for thread in self._threads:
-            thread.start()
+        try:
+            for thread in self._threads:
+                thread.start()
+        except BaseException:  # a Ctrl-C inside a start: stop the workers that started
+            self.close()
+            raise
 
     def _work(self) -> None:
         """Run ready items, lowest first; a worker then waits for more until
@@ -119,56 +126,44 @@ class WorkerPool:
                 failure = exc
 
     def run_statements(self, fn: Callable[[int], object], count: int) -> None:
-        """Call ``fn(rank)`` for each rank of ``range(count)``, each on a thread
-        of its own, in rank order: the next when none runs, or when a worker
-        would idle (no ready item is left), every running statement has queued
-        items and fewer than ``max(1, width - 1)`` run. Each statement is one
-        item of a ``_Tasks``, queued until its thread takes it."""
-        statements, running = _Tasks(self), self._statements
-        statements.queued = count
+        """Call ``fn(rank)`` for each rank of ``range(count)``: the items of one
+        ``_Tasks`` on ``max(1, width - 1)`` workers of their own, which start
+        here and stop on return. Statements start in rank order: the next when
+        none runs, or when a worker of this pool would idle (no ready item is
+        left) and every running statement has queued items."""
+        running, next_rank = self._statements, 0
 
-        def admits() -> bool:
-            return statements.stopped or not running or (
-                len(running) < max(1, self.width - 1) and all(running.values())
-                and not self._ready)
-
-        def run(rank: int) -> None:
+        def run_when_admitted(rank: int) -> None:
+            nonlocal next_rank
             with self._lock:
-                if statements.stopped:  # stopped while this thread started
-                    del running[rank]
+                while not (statements.stopped or rank == next_rank and (
+                        not running or all(running.values()) and not self._ready)):
+                    self._changed.wait(0.1)  # in slices: a stop is not notified here
+                if statements.stopped:
                     return
-                statements.queued -= 1
-                statements.in_flight += 1
+                running[rank], next_rank = False, rank + 1
             self._local.rank = rank
-            failure = None
             try:
                 fn(rank)
-            except BaseException as exc:
-                failure = exc
-            with self._lock:
-                del running[rank]
-                self._changed.notify_all()  # the next statement may start
-                statements.end(rank, failure)
-
-        def start_in_order() -> None:
-            for rank in range(count):
+            except BaseException:
+                statements.stop()  # before the next statement can see this one end
+                raise
+            finally:
                 with self._lock:
-                    while not self._changed.wait_for(admits, 0.1):  # in slices, for a Ctrl-C
-                        pass
-                    if statements.stopped:
-                        return
-                    running[rank] = False
-                threading.Thread(target=run, args=(rank,), name="kgverify-statement",
-                                 daemon=True).start()
+                    del running[rank]
+                    self._changed.notify_all()  # the next statement may start
 
-        statements.join(start_in_order)
+        with closing(WorkerPool(max(1, self.width - 1))) as pool:
+            statements = _Tasks(pool)
+            statements.join(lambda: statements.add(
+                run_when_admitted, ((rank, rank) for rank in range(count))))
 
     def close(self) -> None:
         """Start no further item, and wait for the items in flight to end."""
         with self._lock:
             self._closed = True
             self._queued.notify_all()
-        for thread in self._threads:
+        for thread in filter(threading.Thread.is_alive, self._threads):  # started ones
             thread.join()
 
 
@@ -240,7 +235,7 @@ class _Tasks:
                 self._settle()  # add_first may have queued nothing
             if not pool.width:
                 pool._work()
-        except BaseException as exc:  # a Ctrl-C, or a statement thread that did not start
+        except BaseException as exc:  # a Ctrl-C
             interrupt = exc
             self.stop()
         while not self._ended:

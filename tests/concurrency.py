@@ -52,12 +52,10 @@ class InFlight:
         return False
 
 
-def interrupt_thread_start(monkeypatch, name: str, nth: int, began: threading.Event,
-                           start: bool) -> None:
+def interrupt_thread_start(monkeypatch, name: str, nth: int, start: bool) -> None:
     """Make ``threading.Thread.start`` raise KeyboardInterrupt at the ``nth``
-    thread named ``name``, once ``began`` is set, as a Ctrl-C
-    that lands inside that call does. With ``start`` the thread has started
-    by then; without it, it never starts."""
+    thread named ``name``, as a Ctrl-C that lands inside that call does. With
+    ``start`` the thread has started by then; without it, it never starts."""
     original = threading.Thread.start
     calls = itertools.count(1)
 
@@ -66,27 +64,29 @@ def interrupt_thread_start(monkeypatch, name: str, nth: int, began: threading.Ev
             return original(thread)
         if start:
             original(thread)
-        assert began.wait(10.0), "the work never began"
         raise KeyboardInterrupt
 
     monkeypatch.setattr(threading.Thread, "start", start_thread)
 
 
-def await_main_thread_blocked_in(function_name: str, timeout_s: float = 5.0,
-                                 via: str | None = None) -> None:
-    """Return once the main thread waits in a ``threading`` call (on a lock or
-    a condition), directly or through a ``Future``, that ``function_name``
-    made itself, not one made deeper down; with ``via``, only a call of the
-    library function of that name counts (``wait_for``, not ``Thread.start``).
-    Fail if it does not within ``timeout_s``."""
+def await_thread_blocked_in(function_name: str, timeout_s: float = 5.0,
+                            any_thread: bool = False) -> None:
+    """Return once the main thread (with ``any_thread``, any thread) waits in
+    a ``threading`` call (on a lock or a condition), directly or through a
+    ``Future``, that ``function_name`` made itself, not one made deeper down.
+    Fail if none does within ``timeout_s``."""
     library = {threading.__file__, concurrent.futures._base.__file__}
+    main = threading.main_thread().ident
     deadline = time.monotonic() + timeout_s
     while True:
-        innermost = frame = called = sys._current_frames().get(threading.main_thread().ident)
-        while frame is not None and frame.f_code.co_filename in library:
-            called, frame = frame, frame.f_back
-        if (frame is not innermost and frame is not None and frame.f_code.co_name == function_name
-                and via in (None, called.f_code.co_name)):
-            return
-        assert time.monotonic() < deadline, f"the main thread never waited in {function_name}"
+        for ident, innermost in sys._current_frames().items():
+            if not any_thread and ident != main:
+                continue
+            frame = innermost
+            while frame is not None and frame.f_code.co_filename in library:
+                frame = frame.f_back
+            if (frame is not innermost and frame is not None
+                    and frame.f_code.co_name == function_name):
+                return
+        assert time.monotonic() < deadline, f"no thread ever waited in {function_name}"
         time.sleep(0.001)

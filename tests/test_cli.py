@@ -19,7 +19,7 @@ from kgverify.errors import ContextOverflow, ProviderUnavailable
 from kgverify.llm import LlmGateway
 from kgverify.prompting import RdfPrompt, render_rdf_prompt
 
-from concurrency import await_main_thread_blocked_in
+from concurrency import await_thread_blocked_in
 from conftest import FIXTURES, REPLAY_DIR
 
 
@@ -602,6 +602,25 @@ class TestEvaluate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["example_pair_ids"]) == 3
 
+    @pytest.mark.parametrize("sample,code", [(3, 0), (99, 3)])
+    def test_nli_sample(self, runner, tmp_path, sample, code):
+        """--sample N judges N records drawn by the sample seed (the paper's
+        sampled SNLI protocol); more than the split holds exits 3."""
+        out = tmp_path / "nli"
+        result = runner.invoke(main, [
+            "evaluate", "--dataset", str(FIXTURES / "snli" / "test_mini.jsonl"),
+            "--task", "nli", "--snli-train", str(FIXTURES / "snli" / "train_mini.jsonl"),
+            "--sample", str(sample), "--replay", "--fixtures", str(FIXTURES / "eval_replay"),
+            "--out", str(out),
+        ])
+        assert result.exit_code == code, result.output
+        if code:
+            assert "error: requested 99 records but the split holds only 12" in result.output
+            assert not out.exists()
+            return
+        assert json.loads((out / "results.json").read_text())["total"] == 3
+        assert json.loads((out / "manifest.json").read_text())["records"] == 3
+
     def evaluate_args(self, runner, tmp_path, task: str) -> list[str]:
         if task == "triples":
             inputs = ["--dataset", str(self.build_dataset(runner, tmp_path))]
@@ -1090,7 +1109,7 @@ class TestInterrupt:
             raise KeyboardInterrupt
 
         def interrupt_once_waited_for(self, statement, **kwargs):
-            await_main_thread_blocked_in("join")
+            await_thread_blocked_in("join")
             sent = time.monotonic()
             signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
             handled.wait(5.0)  # the statement stays in flight until then
@@ -1271,6 +1290,73 @@ class TestLiveWithCache:
         (once_sent, once_logged), (twice_sent, twice_logged) = counts
         assert twice_sent == once_sent
         assert twice_logged == 2 * once_logged
+
+
+    def test_a_live_manifest_names_no_fixtures(self, runner, tmp_path, live_remote):
+        """A live run reads no fixtures, so its manifest names none, even with
+        --fixtures set; its config snapshot keeps the setting as given. A
+        replay's manifest names its fixtures and their digest."""
+        manifests = {}
+        for mode in ("--live", "--replay"):
+            out = tmp_path / mode.strip("-")
+            result = runner.invoke(main, [*UC1[0], mode, "--fixtures", str(REPLAY_DIR),
+                                          "--out", str(out)])
+            assert result.exit_code == 0, result.output
+            manifests[mode] = json.loads((out / "manifest.json").read_text())
+        live, replay = manifests["--live"], manifests["--replay"]
+        assert (live["fixtures_dir"], live["fixtures_sha256"]) == (None, None)
+        assert live["config"]["fixtures_dir"] == str(REPLAY_DIR)
+        assert replay["fixtures_dir"] == str(REPLAY_DIR)
+        assert re.fullmatch(r"[0-9a-f]{64}", replay["fixtures_sha256"])
+
+
+class TestRemoteFailures:
+    """A live remote that cannot give a run what it needs, after the
+    transport's retries, exits 4 with an ``error:`` line naming the failure."""
+
+    @staticmethod
+    def answer(monkeypatch, prefix: str, status: int, content_type: str, body: bytes) -> None:
+        """Answer each live request for a URL starting with ``prefix`` so."""
+        from kgverify.net import HttpResponse, LiveTransport
+
+        remote = LiveTransport.send
+
+        def send(self, req):
+            if req.url.startswith(prefix):
+                return HttpResponse(status, {"content-type": content_type}, body, req.url)
+            return remote(self, req)
+
+        monkeypatch.setattr(LiveTransport, "send", send)
+
+    @pytest.mark.parametrize("status,content_type,body,named", [
+        (404, "text/html", b"gone", "returned HTTP 404"),
+        (200, "application/pdf", b"%PDF-1.4", "unsupported media type application/pdf"),
+    ], ids=["404", "pdf"])
+    def test_an_article_that_cannot_be_fetched(self, runner, tmp_path, live_remote,
+                                               monkeypatch, status, content_type, body, named):
+        article = "https://en.wikipedia.org/wiki/Bioluminescence"
+        self.answer(monkeypatch, article, status, content_type, body)
+        result = runner.invoke(main, [*UC2[0], "--live", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert f"error: cannot fetch article {article}" in result.output
+        assert named in result.output
+        assert not (tmp_path / "out" / f"{UC2[1]}.xml").exists()
+
+    @pytest.mark.parametrize("status,named", [
+        (429, "search quota exhausted"),
+        (503, "search provider returned HTTP 503"),
+        (403, "search request failed with HTTP 403"),
+    ])
+    def test_a_search_that_fails(self, runner, tmp_path, live_remote, monkeypatch,
+                                 status, named):
+        from kgverify.retrieval import GoogleSearchProvider
+
+        self.answer(monkeypatch, GoogleSearchProvider.API_URL, status, "application/json",
+                    b'{"error": {}}')
+        result = runner.invoke(main, [*UC1[0], "--live", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert f"error: {named}" in result.output
+        assert not (tmp_path / "out" / f"{UC1[1]}.xml").exists()
 
 
 class TestMalformedInput:

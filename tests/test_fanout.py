@@ -42,7 +42,7 @@ from kgverify.verifier import (
 )
 from kgverify.wikidata import WIKIDATA_API, WikidataClient
 
-from concurrency import InFlight, Rendezvous, await_main_thread_blocked_in, interrupt_thread_start
+from concurrency import InFlight, Rendezvous, await_thread_blocked_in, interrupt_thread_start
 from conftest import DictTransport
 
 STATEMENT = Statement("Subject", "related to", "Thing", subject_id="Q1")
@@ -558,7 +558,7 @@ class TestFailurePropagation:
         def interrupt(*_):
             if not first.acquire(blocking=False):
                 return
-            await_main_thread_blocked_in("join")
+            await_thread_blocked_in("join")
             sent = time.monotonic()
             signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
             handled.wait(5.0)
@@ -656,7 +656,7 @@ class TestRunWideScheduler:
                 return
             four_in_flight.meet()  # every worker is busy, and item 4 waits
             if index == 0:
-                await_main_thread_blocked_in("start_in_order", via="wait_for")
+                await_thread_blocked_in("run_when_admitted", any_thread=True)
                 worker_freed.set()
             else:
                 assert release.wait(5.0), "the second statement never started"
@@ -666,8 +666,8 @@ class TestRunWideScheduler:
                 seen.update(queued=queued.is_set(), worker_freed=worker_freed.is_set())
                 release.set()
                 return
-            # nothing is queued yet
-            await_main_thread_blocked_in("start_in_order", via="wait_for")
+            # nothing is queued yet: statement 1 waits to be admitted
+            await_thread_blocked_in("run_when_admitted", any_thread=True)
             queued.set()
             map_in_order(pool, held, range(5))
 
@@ -694,27 +694,40 @@ class TestRunWideScheduler:
         assert running.peak == cap
         assert started == list(range(8))
 
-    @pytest.mark.parametrize("start", [False, True], ids=["before-start", "after-start"])
-    def test_an_interrupt_while_a_statement_starts(self, monkeypatch, start):
-        """A Ctrl-C inside the second statement's ``Thread.start``: a statement
-        that runs ends before the interrupt propagates, and no further one starts."""
-        ran, ended = [], []
-        first_done = threading.Event()
+    def test_a_failing_statement_stops_the_one_waiting_to_start(self):
+        """Statement 1 waits to start, as statement 0 has a ready item left;
+        statement 0 then fails, and statement 1 never runs."""
+        ran, release = [], threading.Event()
 
         def statement(rank):
             ran.append(rank)
-            map_in_order(pool, lambda item: item, [rank])
-            first_done.set()
-            ended.append(rank)
+            tasks = _Tasks(pool)  # three items hold every worker, the fourth waits
+            tasks.add(lambda _: release.wait(5.0), [(index, None) for index in range(4)])
+            await_thread_blocked_in("run_when_admitted", any_thread=True)
+            raise ValueError("statement 0")
 
+        with worker_pool(3) as pool:
+            try:
+                with pytest.raises(ValueError, match="statement 0"):
+                    pool.run_statements(statement, 2)
+            finally:
+                release.set()
+        assert ran == [0]
+
+    @pytest.mark.parametrize("start", [False, True], ids=["before-start", "after-start"])
+    def test_an_interrupt_while_the_statement_pool_starts(self, monkeypatch, start):
+        """A Ctrl-C inside the ``Thread.start`` of the statements' second
+        worker: no statement runs, and the workers already started stop."""
+        ran = []
         with worker_pool(4) as pool:
-            interrupt_thread_start(monkeypatch, "kgverify-statement", 2, began=first_done,
-                                   start=start)
+            before = set(threading.enumerate())
+            interrupt_thread_start(monkeypatch, "kgverify", 2, start=start)
             with pytest.raises(KeyboardInterrupt):
-                pool.run_statements(statement, 4)
-            assert sorted(ended) == sorted(ran) and ran[0] == 0 and 2 not in ran
-            if not start:
-                assert ran == [0]
+                pool.run_statements(ran.append, 4)
+            monkeypatch.undo()
+            assert ran == []
+            assert [thread for thread in threading.enumerate()
+                    if thread.name == "kgverify" and thread not in before] == []
 
 
 def test_stress_statements_say_verifying_in_order(capsys):

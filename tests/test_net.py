@@ -830,11 +830,12 @@ class WireServer:
     """A loopback HTTP/1.1 server for the live transport. Each request, on
     whichever connection, gets the next of ``responses``: bytes to send, or a
     function that writes to the connection itself. ``connections`` counts the
-    connections it accepted."""
+    connections it accepted, and ``requests`` holds each request's head."""
 
     def __init__(self):
         self.responses: list = []
         self.connections = 0
+        self.requests: list[bytes] = []
         self._listener = socket.create_server(("127.0.0.1", 0))
         self._listener.settimeout(0.05)  # the accept loop looks for close() this often
         self.url = f"http://127.0.0.1:{self._listener.getsockname()[1]}"
@@ -867,7 +868,8 @@ class WireServer:
                         if not data:  # the client closed the connection
                             return
                         pending += data
-                    pending = pending.split(b"\r\n\r\n", 1)[1]
+                    head, pending = pending.split(b"\r\n\r\n", 1)
+                    self.requests.append(head)
                     response = self.responses.pop(0)
                     if callable(response):
                         response(conn)
@@ -888,9 +890,15 @@ class WireServer:
         assert not any(t.is_alive() for t in [self._acceptor, *self._threads])
 
 
-def html_response(body: bytes) -> bytes:
-    return (b"HTTP/1.1 200 OK\r\nContent-Type: text/html\r\n"
-            b"Content-Length: %d\r\n\r\n%s" % (len(body), body))
+def html_response(body: bytes, status: bytes = b"200 OK", **headers: str) -> bytes:
+    lines = b"".join(b"%s: %s\r\n" % (name.replace("_", "-").encode(), value.encode())
+                     for name, value in headers.items())
+    return (b"HTTP/1.1 %s\r\nContent-Type: text/html\r\n%sContent-Length: %d\r\n\r\n%s"
+            % (status, lines, len(body), body))
+
+
+def redirect(location: str, **headers: str) -> bytes:
+    return html_response(b"", b"302 Found", Location=location, **headers)
 
 
 @pytest.fixture
@@ -953,6 +961,62 @@ class TestOnTheWire:
             assert transport.send(HttpRequest.get(f"{wire_server.url}/next")).body == (
                 b"<p>next</p>")
         assert wire_server.connections == 2
+
+    def test_a_gzip_body_is_decoded(self, wire_server):
+        page = b"<p>" + b"bioluminescence " * 5000 + b"</p>"
+        wire_server.responses = [html_response(gzip.compress(page), Content_Encoding="gzip")]
+        with requests.Session() as session:
+            transport = LiveTransport(retries=0, session=session)
+            resp = transport.send(HttpRequest.get(f"{wire_server.url}/zipped"))
+        assert (resp.status, resp.body) == (200, page)
+        assert b"accept-encoding: gzip" in wire_server.requests[0].lower()
+
+    def test_the_redirect_cap_and_a_cookie_on_one_chain_only(self, wire_server):
+        """The first chain sets a cookie on its first hop and ends after 30
+        redirects, at the cap; the second, one hop longer, is unavailable and
+        never sends the first chain's cookie."""
+        hops = [f"/hop/{n}" for n in range(32)]
+        wire_server.responses = [
+            redirect(hops[1], Set_Cookie="chain=first; Path=/"),
+            *(redirect(hop) for hop in hops[2:31]), html_response(b"<p>arrived</p>"),
+            *(redirect(hop) for hop in hops[1:32]),
+        ]
+        with requests.Session() as session:
+            transport = LiveTransport(retries=0, session=session)
+            resp = transport.send(HttpRequest.get(wire_server.url + hops[0]))
+            assert (resp.status, resp.body, resp.url) == (
+                200, b"<p>arrived</p>", wire_server.url + hops[30])
+            with pytest.raises(Unavailable, match="more than 30 redirects"):
+                transport.send(HttpRequest.get(wire_server.url + hops[0]))
+        assert len(wire_server.requests) == 31 + 31
+        paths = [head.split(b" ")[1].decode() for head in wire_server.requests]
+        assert paths == hops[:31] * 2
+        cookies = [b"cookie: chain=first" in head.lower() for head in wire_server.requests]
+        assert cookies == [False] + [True] * 30 + [False] * 31
+
+    def test_a_429_waits_its_retry_after(self, wire_server):
+        wire_server.responses = [html_response(b"slow down", b"429 Too Many Requests",
+                                               Retry_After="3"),
+                                 html_response(b"<p>served</p>")]
+        sleeps = []
+        with requests.Session() as session:
+            transport = LiveTransport(retries=1, session=session, sleeper=sleeps.append)
+            resp = transport.send(HttpRequest.get(f"{wire_server.url}/busy"))
+        assert (resp.status, resp.body) == (200, b"<p>served</p>")
+        assert sleeps == [3.0] and len(wire_server.requests) == 2
+
+    def test_a_refused_connection_is_retried_then_unavailable(self, wire_server):
+        """A port on which nothing listens refuses each attempt: two retries
+        after backing off 1 and 2 s, then ``Unavailable``."""
+        sleeps = []
+        with socket.socket() as closed, requests.Session() as session:
+            closed.bind(("127.0.0.1", 0))  # held, so that no other socket takes the port
+            url = "http://127.0.0.1:%d/refused" % closed.getsockname()[1]
+            transport = LiveTransport(retries=2, session=session, sleeper=sleeps.append)
+            with pytest.raises(Unavailable, match=f"GET {url}: .*[Rr]efused"):
+                transport.send(HttpRequest.get(url))
+        assert sleeps == [1.0, 2.0]
+        assert wire_server.connections == 0
 
 
 class TestRequestGate:

@@ -3,10 +3,10 @@ from __future__ import annotations
 import pytest
 
 from kgverify import html_text
-from kgverify.errors import NoDocumentsRetrievable, NoSitelink
+from kgverify.errors import NoDocumentsRetrievable, NoSitelink, Unavailable
 from kgverify.llm import LlmGateway, ScriptedProvider
 from kgverify.model import RetrievalSource, Statement, VerdictKind
-from kgverify.net import HttpRequest
+from kgverify.net import HttpRequest, HttpResponse, request_fingerprint
 from kgverify.prompting import OPTION_TEXTS, SYSTEM_PROMPT, RdfPrompt, render_rdf_prompt
 from kgverify.retrieval import (
     ARCHIVE_AVAILABILITY_API,
@@ -164,6 +164,36 @@ class TestWebSearchFlow:
         with pytest.raises(NoDocumentsRetrievable):
             verifier.verify_via_web_search(STATEMENT)
 
+    @pytest.mark.parametrize("url,body,sniffed", [
+        ("https://x.example/Paper.PDF?download=1", b"<html><body></body></html>",
+         "application/pdf"),
+        ("https://x.example/paper", b"%PDF-1.7 ...", "application/pdf"),
+        ("https://x.example/page", b"\n <!DOCTYPE html><html><body>" + PAGE_B.encode(), None),
+        ("https://x.example/page", b"<HTML><body>" + PAGE_B.encode(), None),
+        ("https://x.example/data", b"col1,col2\n1,2\n", "unknown"),
+    ], ids=["pdf-url", "pdf-body", "doctype", "html-tag", "other"])
+    def test_a_page_without_a_content_type_is_sniffed(self, dict_transport, url, body, sniffed):
+        """With no Content-Type, a PDF (by its URL or its body) and anything
+        that is not HTML are unsupported-media skips; an HTML body is parsed."""
+        plain = "https://plain.example/page"
+        dict_transport.responses[request_fingerprint(HttpRequest.get(url))] = HttpResponse(
+            200, {}, body, url)
+        dict_transport.add(HttpRequest.get(plain), body="<p>too short to query</p>")
+        verifier, provider = make_verifier(
+            [ANSWER["a"]], fetcher=DocumentFetcher(dict_transport),
+            search_provider=StubSearch([url, plain]),
+        )
+        session = verifier.verify_via_web_search(STATEMENT)
+        record = session.documents[0]
+        if sniffed is None:
+            assert record.skip is None
+            assert [(t.document_url, t.paragraph_text) for t in session.traces] == [
+                (url, "c" * 150)]
+        else:
+            assert (record.skip.kind, record.skip.target) == ("unsupported-media", url)
+            assert record.skip.detail == f"{url}: unsupported media type {sniffed}"
+            assert provider.calls == 0 and session.traces == []
+
 
 class TestReferenceNumbers:
     def test_sup_markers(self):
@@ -284,6 +314,44 @@ class TestWikipediaFlow:
         assert all(
             "wikipedia.org" not in t.document_url for t in session.traces
         )
+
+    @pytest.mark.parametrize("lookup", ["unavailable", 503, 404])
+    def test_a_dead_citation_whose_archive_lookup_fails_is_a_skip(self, dict_transport,
+                                                                   lookup):
+        """An archive lookup that raises ``Unavailable`` or answers other than
+        200 means no snapshot: the dead cited link is an ``unavailable`` skip,
+        and the session goes on to its live source."""
+        dead = "https://dead.example/mirror"
+        dict_transport.add(HttpRequest.get("https://en.wikipedia.org/wiki/Subject"),
+                           body=WIKI_HTML)
+        dict_transport.add(HttpRequest.get("https://primary.example/article"),
+                           body=PRIMARY_HTML)
+        dict_transport.add(HttpRequest.get(dead), status=404, body="gone")
+        lookup_req = HttpRequest.get(ARCHIVE_AVAILABILITY_API, params={"url": dead})
+        if lookup == "unavailable":
+            answer = dict_transport.send
+
+            def send(req):
+                if req == lookup_req:
+                    raise Unavailable("archive.org: connection refused")
+                return answer(req)
+
+            dict_transport.send = send
+        else:  # a failed lookup's body is not read, even one that names a snapshot
+            snapshot = {"available": True, "url": "https://web.archive.org/web/2020/" + dead}
+            dict_transport.add_json(lookup_req, {"archived_snapshots": {"closest": snapshot}},
+                                    status=lookup)
+        verifier, _ = make_verifier(
+            [ANSWER["b"], ANSWER["c"], ANSWER["a"], ANSWER["a"]],
+            fetcher=DocumentFetcher(dict_transport),
+            wikidata=FakeWikidata(),
+        )
+        session = verifier.verify_via_wikipedia(
+            Statement("Subject", "related to", "Thing", subject_id="Q1"))
+        (skipped,) = [d for d in session.documents if d.skip is not None]
+        assert (skipped.url, skipped.skip.kind) == (dead, "unavailable")
+        assert "no live copy and no archived snapshot" in skipped.skip.detail
+        assert [t.document_url for t in session.traces] == ["https://primary.example/article"]
 
     def test_chunk_over_the_context_budget_is_a_skip(self, dict_transport):
         """A chunk whose prompt exceeds the context budget becomes a skip and is
