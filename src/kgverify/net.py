@@ -9,6 +9,7 @@ network access" a structural property rather than a convention.
 from __future__ import annotations
 
 import base64
+import email.utils
 import functools
 import hashlib
 import json
@@ -18,6 +19,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
+from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Generic, Hashable, Protocol, TypeVar
 from urllib.parse import urlencode, urljoin, urlsplit
@@ -204,18 +206,33 @@ class RequestMemo:
 _TRANSIENT = (requests.RequestException, urllib3.exceptions.HTTPError)
 
 
+def _retry_delay(retry_after: str, attempt: int) -> float:
+    """Seconds to wait for a ``Retry-After`` value (delay-seconds or an
+    HTTP-date; a date in the past is 0), or ``2**attempt`` without a valid one."""
+    if retry_after.isdecimal():
+        return float(retry_after)
+    try:
+        when = email.utils.parsedate_to_datetime(retry_after)
+    except (TypeError, ValueError):
+        return 2.0**attempt
+    if when.tzinfo is None:  # the asctime form names no zone: an HTTP-date is in UTC
+        when = when.replace(tzinfo=timezone.utc)
+    return max(0.0, (when - datetime.now(timezone.utc)).total_seconds())
+
+
 class LiveTransport:
     """Sends requests through a ``requests`` session's mounted adapters, with
     bounded concurrency: the one retry policy.
 
     A connection error, a read timeout, an HTTP 429 or an HTTP 5xx is
     retried, ``retries`` times at most, after ``min(2**attempt, 8)`` seconds or
-    an integer ``Retry-After`` (also capped at 8 s); the sleep holds no gate
-    slot. After the last attempt a failing status is returned for the caller to
-    map, and a connection error or timeout raises ``Unavailable``. A body over
-    ``MAX_BODY_BYTES``, or a GET redirected more than the session's
-    ``max_redirects`` times, raises ``Unavailable`` at once: asking again would
-    get the same answer.
+    after the response's ``Retry-After`` (RFC 9110 §10.2.3): a number of
+    seconds, or an HTTP-date less now and at least 0, also capped at 8 s. The
+    sleep holds no gate slot. After the last attempt a failing status is
+    returned for the caller to map, and a connection error or timeout raises
+    ``Unavailable``. A body over ``MAX_BODY_BYTES``, or a GET redirected more
+    than the session's ``max_redirects`` times, raises ``Unavailable`` at
+    once: asking again would get the same answer.
 
     Each request is prepared here and handed to the adapter the session has
     mounted for its URL, so none of the session's per-request machinery runs:
@@ -263,8 +280,7 @@ class LiveTransport:
                 if resp.status != 429 and resp.status < 500:
                     return resp
                 retry_after = resp.headers.get("retry-after", "").strip()
-            delay = int(retry_after) if retry_after.isdecimal() else 2.0**attempt
-            self._sleep(min(float(delay), MAX_BACKOFF_SECONDS))
+            self._sleep(min(_retry_delay(retry_after, attempt), MAX_BACKOFF_SECONDS))
         try:
             return self._attempt(req)
         except _TRANSIENT as exc:

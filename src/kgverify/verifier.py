@@ -9,16 +9,20 @@ budget) is recorded too.
 
 Within a session, independent documents (search hits, cited sources) and
 independent judgments (article chunks, drill-down paragraphs) can run
-concurrently on an optional worker pool that a run's statements share, the
-older statement's work first; the statements themselves are the items of a
-smaller pool of their own. A Wikipedia session streams: a chunk that
-comes back positive adds its paragraphs' judgments, and a paragraph that
-finds a direct proof adds its cited sources, as soon as that verdict
-arrives. Each task builds its own result and never touches the session; the
-calling thread waits once for all of them and assembles the results in rank
-or article order, so a session is the same whatever the pool's width.
-Paragraphs of one document are still judged one after another, stopping at
-the first proof.
+concurrently on an optional worker pool that a run's statements share; the
+statements themselves are the items of a smaller pool of their own. A
+Wikipedia session streams: a chunk that comes back positive adds its
+paragraphs' judgments, and a paragraph that finds a direct proof adds its
+cited sources, as soon as that verdict arrives. A free worker takes the
+oldest statement's deepest ready stage first (cited sources, then
+paragraphs, then chunks), so the calls, and the lines of a live run's
+``responses.jsonl``, follow that order, not the article's, even at width 1.
+Failures still rank by key (stage, then place in the article). Each task
+builds its own result and never touches the session; the calling thread
+waits once for all of them and assembles the results in rank or article
+order, so a session is the same whatever the pool's width. Paragraphs of
+one document are still judged one after another, stopping at the first
+proof.
 """
 
 from __future__ import annotations
@@ -77,18 +81,21 @@ _Result = TypeVar("_Result")
 
 class WorkerPool:
     """``width`` worker threads named ``kgverify``, started with the pool. A
-    free worker takes the ready item with the lowest (rank, key): the rank of
-    the statement that queued it (``run_statements``; 0 outside one), then its
-    key in its fan-out. At width 0 the caller of ``_Tasks.join`` runs the
-    items itself. ``run_statements`` runs a verify run's statements on a pool
-    of their own."""
+    free worker takes the ready item of the oldest statement first (the rank
+    of the statement that queued it, ``run_statements``; 0 outside one), and
+    of that statement's oldest fan-out, its deepest stage (``_Tasks.add``'s
+    ``depth``) in key order. Failures still rank by key alone, but the order
+    of the calls, and so of a live run's ``responses.jsonl`` lines, follows
+    the stages, even at width 1. At width 0 the caller of ``_Tasks.join``
+    runs the items itself. ``run_statements`` runs a verify run's statements
+    on a pool of their own."""
 
     def __init__(self, width: int):
         self.width = width
         self._lock = threading.RLock()  # guards the pool and every _Tasks on it
         self._queued = threading.Condition(self._lock)  # idle workers wait here
         self._changed = threading.Condition(self._lock)  # run_statements waits here
-        self._ready: list = []  # heap of (rank, group, key, tasks, fn, arg)
+        self._ready: list = []  # heap of (rank, group, -depth, key, tasks, fn, arg)
         self._closed = False
         self._groups = itertools.count()  # orders the fan-outs of one rank
         self._local = threading.local()  # .rank: the statement its thread runs
@@ -105,23 +112,23 @@ class WorkerPool:
     def _work(self) -> None:
         """Run ready items, lowest first; a worker then waits for more until
         the pool closes, an inline caller returns."""
-        item = failure = None
+        tasks = key = failure = None
         while True:
             with self._lock:
-                if item is not None:
-                    item[3].end(item[2], failure)
+                if tasks is not None:
+                    tasks.end(key, failure)
                 while self.width and not (self._ready or self._closed):
                     self._queued.wait()
                 if self._closed or not self._ready:
                     return
-                item = heapq.heappop(self._ready)
+                *_, key, tasks, fn, arg = heapq.heappop(self._ready)
                 if not self._ready:
                     self._changed.notify_all()  # the next free worker would idle
-                item[3].queued -= 1
-                item[3].in_flight += 1
+                tasks.queued -= 1
+                tasks.in_flight += 1
             failure = None
             try:
-                item[4](item[5])
+                fn(arg)
             except BaseException as exc:
                 failure = exc
 
@@ -168,13 +175,17 @@ class WorkerPool:
 
 
 class _Tasks:
-    """The items of one fan-out, each with an order key, on a worker pool or
-    run by the caller (``pool`` None), lowest key first.
+    """The items of one fan-out, each with a key, on a worker pool or run by
+    the caller (``pool`` None). After the items of older statements, a free
+    worker takes the deepest stage first, each stage lowest key first; so at
+    width 1 too the calls, and a live run's ``responses.jsonl`` lines, come
+    in that order, not in key order.
 
     An item may add follow-up items, but never waits on one, so the pool
     cannot deadlock. Once an item fails no further item starts, and the
-    failure with the lowest key propagates once every item in flight has
-    ended. An interrupt of the caller, while it adds or waits, does the same.
+    failure with the lowest key, whatever its stage, propagates once every
+    item in flight has ended. An interrupt of the caller, while it adds or
+    waits, does the same.
     """
 
     def __init__(self, pool: WorkerPool | None):
@@ -187,13 +198,14 @@ class _Tasks:
         self._done = threading.Condition(self._pool._lock)  # its caller waits here
         self._failures: dict = {}
 
-    def add(self, fn: Callable, items: Iterable[tuple]) -> None:
-        """Queue ``fn(arg)`` for each ``(key, arg)`` of ``items``, and wake an
-        idle worker for each."""
+    def add(self, fn: Callable, items: Iterable[tuple], depth: int = 0) -> None:
+        """Queue ``fn(arg)`` for each ``(key, arg)`` of ``items`` at stage
+        ``depth``, which a free worker takes before the shallower stages of
+        this fan-out, and wake an idle worker for each."""
         pool = self._pool
         with pool._lock:
             for key, arg in () if self.stopped else items:
-                heapq.heappush(pool._ready, (self.rank, self.group, key, self, fn, arg))
+                heapq.heappush(pool._ready, (self.rank, self.group, -depth, key, self, fn, arg))
                 self.queued += 1
                 pool._queued.notify()
             if pool._statements.get(self.rank) is False:  # its statement's first items
@@ -211,7 +223,7 @@ class _Tasks:
         pool = self._pool
         with pool._lock:
             if self.queued and not self.stopped:
-                pool._ready = [entry for entry in pool._ready if entry[3] is not self]
+                pool._ready = [entry for entry in pool._ready if entry[4] is not self]
                 heapq.heapify(pool._ready)
             self.stopped, self.queued = True, 0
             self._settle()
@@ -560,7 +572,9 @@ class Verifier:
 
         # Each judgment starts as soon as the verdict it depends on arrives:
         # a positive chunk adds its paragraphs, a proved paragraph its cited
-        # sources. Failures rank by stage, then by place in the article.
+        # sources. A free worker takes the deepest stage first, as the longest
+        # chain left is a source's fetch and scan. Failures rank by stage,
+        # then by place in the article.
         tasks = _Tasks(self.pool)
         texts = [p.text for p in article.paragraphs]
         chunks = chunk_fill_limit(texts, max_chars=self.chunk_chars)
@@ -580,7 +594,7 @@ class Verifier:
                 members = range(firsts[index], firsts[index + 1])
                 tasks.add(judge_paragraph, (
                     ((1, position), position) for position in members
-                    if is_valid_paragraph(article.paragraphs[position].text)))
+                    if is_valid_paragraph(article.paragraphs[position].text)), depth=1)
 
         def judge_paragraph(position: int) -> None:
             paragraph = article.paragraphs[position]
@@ -597,7 +611,7 @@ class Verifier:
                     if url not in started_urls:
                         started_urls.add(url)
                         sources.append(((2, position, len(sources)), url))
-            tasks.add(examine, sources)
+            tasks.add(examine, sources, depth=2)
 
         def examine(url: str) -> None:
             scans[url] = self._examine(statement, url, fetch)

@@ -1125,6 +1125,50 @@ class TestInterrupt:
         assert result.exit_code == 130, result.output
         assert len(delays) == 1 and delays[0] < 1.0, delays
 
+    def test_a_second_sigint_still_lets_the_statement_in_flight_finish(self, runner, tmp_path,
+                                                                        monkeypatch):
+        """Two Ctrl-Cs while the main thread waits for the statements: the
+        second ends that wait, but closing the statements' pool still waits
+        for the statement in flight, and the report holds its session."""
+        import signal
+
+        from kgverify.reporting import validate_report
+        from kgverify.verifier import Verifier
+
+        verify = Verifier.verify_via_wikipedia
+        handled, finished = [], []
+
+        def on_sigint(signum, frame):
+            handled.append(signum)
+            raise KeyboardInterrupt
+
+        def interrupt_twice(self, statement, **kwargs):
+            for count in (1, 2):
+                await_thread_blocked_in("join")
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                deadline = time.monotonic() + 5.0
+                while len(handled) < count:
+                    assert time.monotonic() < deadline, f"Ctrl-C {count} was never handled"
+                    time.sleep(0.001)
+            session = verify(self, statement, **kwargs)
+            finished.append(statement)
+            return session
+
+        monkeypatch.setattr(Verifier, "verify_via_wikipedia", interrupt_twice)
+        out = tmp_path / "out"
+        previous = signal.signal(signal.SIGINT, on_sigint)
+        try:
+            result = runner.invoke(main, [*UC2[0], *replay_args(out)])
+        finally:
+            signal.signal(signal.SIGINT, previous)
+        assert result.exit_code == 130, result.output
+        assert len(handled) == 2 and len(finished) == 1
+        root = ET.fromstring((out / f"{UC2[1]}.xml").read_bytes())
+        validate_report(root)
+        assert len(root.findall("session")) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["interrupted"] is True and manifest["sessions"] == 1
+
 
 class TestLiveWithCache:
     def test_completions_stay_out_of_the_page_cache(self, runner, tmp_path, live_remote):
@@ -1462,9 +1506,11 @@ class TestOutputs:
         assert list(tmp_path.iterdir()) == [taken]  # nothing created
 
     @staticmethod
-    def replace_recorder(monkeypatch, fail_at: int | None = None) -> list[str]:
+    def replace_recorder(monkeypatch, fail_at: int | None = None,
+                         failure: BaseException | None = None) -> list[str]:
         """Records the name each ``os.replace`` gives a file; the call numbered
-        ``fail_at`` (from 1) fails as a full disk does instead."""
+        ``fail_at`` (from 1) raises ``failure`` instead, by default as a full
+        disk does."""
         import errno
         import os
 
@@ -1474,7 +1520,7 @@ class TestOutputs:
         def recording(src, dst, **kwargs):
             names.append(Path(dst).name)
             if len(names) == fail_at:
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                raise failure or OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
             return replace(src, dst, **kwargs)
 
         monkeypatch.setattr(os, "replace", recording)
@@ -1515,6 +1561,20 @@ class TestOutputs:
         assert "Traceback" not in result.output
         assert f"error: cannot write {tmp_path / 'out' / second}: No space left" in result.output
         # no file under its final name, no manifest, no .<name>.* temporary file
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["uc1", "build-dataset", "evaluate-nli"])
+    def test_an_interrupted_write_leaves_no_output_and_exits_130(self, runner, tmp_path,
+                                                                 monkeypatch, name):
+        """A Ctrl-C inside the second file's write is not a write error: the
+        file written before it is removed, and the interrupt exits 130."""
+        args = self.run_args(runner, tmp_path, name)
+        names = self.replace_recorder(monkeypatch, fail_at=2, failure=KeyboardInterrupt())
+        result = runner.invoke(main, args)
+        assert result.exit_code == 130, result.output
+        assert "Traceback" not in result.output and "cannot write" not in result.output
+        assert "error: interrupted" in result.output
+        assert len(names) == 2
         assert list((tmp_path / "out").iterdir()) == []
 
     def test_a_rerun_removes_the_earlier_manifest_before_it_writes(self, runner, tmp_path,

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import itertools
 import json
 import random
 import signal
@@ -455,16 +456,22 @@ class TestStreamedWikipediaSession:
 
     @pytest.mark.parametrize("width", [1, 4])
     def test_a_failing_chunk_stops_the_session(self, width):
-        chunks, _ = article_chunks()
+        chunks, members = article_chunks()
         failing = 2
+        events = []  # prompts asked and cited sources fetched, in order
 
         def on_call(prompt):
+            events.append(prompt)
             if asks(prompt, chunks[failing]):
                 raise MalformedResponse("chunk 3")
 
+        def on_send(req):
+            if req.url in REFERENCES:
+                events.append(req.url)
+
         with worker_pool(width) as pool:
             verifier, provider, transport = wiki_verifier(pool)
-            provider.on_call = on_call
+            provider.on_call, transport.on_send = on_call, on_send
             with pytest.raises(MalformedResponse, match="chunk 3"):
                 verifier.verify_via_wikipedia(STATEMENT)
             assert provider.in_flight.now == transport.in_flight.now == 0
@@ -472,9 +479,75 @@ class TestStreamedWikipediaSession:
         # leaving the pool ran every worker it had queued: no call began after the error
         assert provider.prompts == asked and len(transport.requests) == sent
         if width == 1:
-            # the drill-down of the first chunk was queued behind the chunks, and never began
-            assert [next(i for i, c in enumerate(chunks) if asks(p, c)) for p in asked] == [
-                0, 1, 2]
+            def stage(event: str) -> str:
+                if event in REFERENCES:
+                    return f"source {REFERENCES.index(event) + 1}"
+                for index in range(failing + 1):  # these chunks' texts are their own
+                    if asks(event, chunks[index]):
+                        return f"chunk {index}"
+                for index in range(failing + 1):  # a filler paragraph: its first chunk
+                    if any(asks(event, text) for text in members[index]):
+                        return f"paragraph of chunk {index}"
+                return "paragraph of a source"
+
+            # each chunk's drill-down, and a proved paragraph's cited sources
+            # (citations 1 and 2), ran before the next chunk; the failing
+            # chunk's drill-down never began
+            assert [stage(event) for event in events] == [
+                "chunk 0", "paragraph of chunk 0", "paragraph of chunk 0",
+                "source 1", "paragraph of a source", "source 2",
+                "chunk 1", "paragraph of chunk 1",
+                "chunk 2"]
+
+    def test_a_proved_paragraphs_source_is_fetched_before_the_next_chunk(self):
+        """At width 1, the sources that the first chunk's proved paragraph
+        cites are fetched after that paragraph's judgment, and before the
+        next chunk, queued since the session began, is asked."""
+        chunks, members = article_chunks()
+        proved = next(text for text in members[0] if PROOF in text)
+        events = []
+        with worker_pool(1) as pool:
+            verifier, provider, transport = wiki_verifier(pool)
+            provider.on_call = events.append
+            transport.on_send = lambda req: events.append(req.url)
+            session = verifier.verify_via_wikipedia(STATEMENT)
+        judged = next(i for i, event in enumerate(events) if asks(event, proved))
+        next_chunk = next(i for i, event in enumerate(events) if asks(event, chunks[1]))
+        assert judged < events.index(REFERENCES[0]) < events.index(REFERENCES[1]) < next_chunk
+        expected, _, _ = wiki_verifier(None)
+        assert normalised(session) == normalised(expected.verify_via_wikipedia(STATEMENT))
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_the_lowest_key_among_the_failures_that_ran_is_raised(self, width):
+        """The second chunk and the first cited source both fail. At width 1
+        the source, the deeper stage, runs first, and its failure stops the
+        session before the second chunk is asked. At width 2 both run, the
+        chunk held until the source's fetch begins: the chunk's failure has
+        the lower key, so it is raised, though the source began first."""
+        chunks, _ = article_chunks()
+        fetching, chunk_failed = threading.Event(), threading.Event()
+
+        def on_call(prompt):
+            if asks(prompt, chunks[1]):
+                assert fetching.wait(5.0), "the cited source was never fetched"
+                chunk_failed.set()
+                raise MalformedResponse("chunk 2")
+
+        def on_send(req):
+            if req.url == REFERENCES[0]:
+                fetching.set()
+                if width > 1:
+                    assert chunk_failed.wait(5.0), "the second chunk never failed"
+
+        with worker_pool(width) as pool:
+            verifier, provider, transport = wiki_verifier(pool)
+            provider.on_call, transport.on_send = on_call, on_send
+            transport.fail(REFERENCES[0], FixtureMissing("source 1"))
+            raised = MalformedResponse if width > 1 else FixtureMissing
+            with pytest.raises(raised):
+                verifier.verify_via_wikipedia(STATEMENT)
+        assert chunk_failed.is_set() == (width > 1)
+        assert not any(asks(prompt, chunks[2]) for prompt in provider.prompts)
 
     @pytest.mark.parametrize("width", [1, 4])
     def test_a_failing_cited_source_stops_the_session(self, width):
@@ -576,6 +649,62 @@ class TestFailurePropagation:
         finally:
             signal.signal(signal.SIGINT, previous)
         assert len(delays) == 1 and delays[0] < 1.0, delays
+
+    def test_an_interrupt_inside_add_first_waits_for_the_items_in_flight(self):
+        """A Ctrl-C raised while ``add_first`` runs, once its first item has
+        started: the queued item never runs, and ``join`` raises the interrupt
+        only after the started item has ended."""
+        started, ended = threading.Event(), []
+
+        def item(index):
+            started.set()
+            await_thread_blocked_in("join")  # the caller waits for this item
+            ended.append(index)
+
+        def add_first():
+            tasks.add(item, [(0, 0), (1, 1)])
+            assert started.wait(5.0), "the first item never started"
+            raise KeyboardInterrupt
+
+        with worker_pool(1) as pool:
+            tasks = _Tasks(pool)
+            with pytest.raises(KeyboardInterrupt):
+                tasks.join(add_first)
+            assert ended == [0]
+
+    def test_a_second_interrupt_ends_the_wait_for_the_items_in_flight(self):
+        """A first Ctrl-C while ``join`` waits stops the fan-out and waits on;
+        a second one ends the wait at once, with the started item still in
+        flight, and the queued item never runs."""
+        started, release, ran = threading.Event(), threading.Event(), []
+
+        def item(index):
+            ran.append(index)
+            started.set()
+            assert release.wait(5.0), "the item was never released"
+
+        with worker_pool(1) as pool:
+            tasks = _Tasks(pool)
+            wait_for, waits = tasks._done.wait_for, itertools.count(1)
+
+            def interrupted(predicate, timeout):
+                wait = next(waits)
+                if wait <= 2:  # a Ctrl-C lands in each of the first two waits
+                    raise KeyboardInterrupt(wait)
+                return wait_for(predicate, timeout)
+
+            def add_first():
+                tasks.add(item, [(0, 0), (1, 1)])
+                assert started.wait(5.0), "the first item never started"
+                tasks._done.wait_for = interrupted
+
+            try:
+                with pytest.raises(KeyboardInterrupt) as raised:
+                    tasks.join(add_first)
+                assert raised.value.args == (2,) and tasks.in_flight == 1
+            finally:
+                release.set()
+        assert ran == [0]
 
     def test_inline_mapping_stops_at_the_failure(self):
         started = []

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import email.utils
 import gzip
 import http.client
 import io
@@ -10,6 +11,7 @@ import socket
 import sys
 import threading
 import time
+from datetime import datetime, timedelta, timezone
 
 import pytest
 import requests
@@ -1004,6 +1006,24 @@ class TestOnTheWire:
             resp = transport.send(HttpRequest.get(f"{wire_server.url}/busy"))
         assert (resp.status, resp.body) == (200, b"<p>served</p>")
         assert sleeps == [3.0] and len(wire_server.requests) == 2
+
+    @pytest.mark.parametrize("offset_s, slept", [(3600, 8.0), (-3600, 0.0)],
+                             ids=["future", "past"])
+    @pytest.mark.parametrize("form", ["imf-fixdate", "asctime"])
+    def test_a_503_waits_its_retry_after_date(self, wire_server, offset_s, slept, form):
+        """An HTTP-date ``Retry-After`` waits until that date, capped at 8 s;
+        a date in the past waits 0 s. Each of the two retries waits so."""
+        when = datetime.now(timezone.utc) + timedelta(seconds=offset_s)
+        date = (email.utils.format_datetime(when, usegmt=True) if form == "imf-fixdate"
+                else time.asctime(when.utctimetuple()))
+        busy = html_response(b"busy", b"503 Service Unavailable", Retry_After=date)
+        wire_server.responses = [busy, busy, html_response(b"<p>served</p>")]
+        sleeps = []
+        with requests.Session() as session:
+            transport = LiveTransport(retries=2, session=session, sleeper=sleeps.append)
+            resp = transport.send(HttpRequest.get(f"{wire_server.url}/busy"))
+        assert (resp.status, resp.body) == (200, b"<p>served</p>")
+        assert sleeps == [slept, slept] and len(wire_server.requests) == 3
 
     def test_a_refused_connection_is_retried_then_unavailable(self, wire_server):
         """A port on which nothing listens refuses each attempt: two retries
