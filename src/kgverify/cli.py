@@ -152,9 +152,9 @@ class RunConfig:
             raise click.UsageError("replay mode requires a fixtures directory")
         if config.decision_mode not in _DECISION_MODES:
             raise click.UsageError(f"unknown decision mode {config.decision_mode!r}")
-        for name in ("llm_requests", "max_statements", "hit_limit"):
+        for name in ("llm_requests", "max_statements", "hit_limit", "llm_context_tokens"):
             value = getattr(config, name)
-            if value is not None and value < 1:  # a None max_statements is no limit
+            if value is not None and value < 1:  # None: no statement limit, no budget
                 raise click.UsageError(f"{name} must be at least 1")
         # checked before any input is read: a run must not end where it cannot write
         out_dir = Path(config.out_dir)
@@ -459,6 +459,7 @@ def cmd_verify_wikidata(entity: str, **kwargs) -> None:
     config = RunConfig.resolve(kwargs)
     entity_id = _parse_entity(entity)
     with closing(_Runtime(config)) as runtime:
+        verifier = runtime.verifier(need_search=True)  # no credentials: before any request
         started = runtime.clock()
 
         unsourced = runtime.wikidata.fetch_unsourced_statements(entity_id)
@@ -468,7 +469,6 @@ def cmd_verify_wikidata(entity: str, **kwargs) -> None:
                    err=True)
         selected = selected[: config.max_statements]  # a None limit keeps them all
 
-        verifier = runtime.verifier(need_search=True)
         _verify_run(
             runtime, "verify-wikidata", entity_id, started, selected,
             lambda statement: verifier.verify_via_web_search(statement, config.hit_limit),

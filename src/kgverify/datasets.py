@@ -450,12 +450,10 @@ def dataset_manifest(
         pos = [p for p in positives if p.relation_type == relation_type]
         neg = [n for n in negatives if n.relation_type == relation_type]
         pairs: dict[str, dict[str, int]] = {}
-        for instance in pos:
-            key = "/".join(instance.concept_pair)
-            pairs.setdefault(key, {"positives": 0, "negatives": 0})["positives"] += 1
-        for instance in neg:
-            key = "/".join(instance.concept_pair)
-            pairs.setdefault(key, {"positives": 0, "negatives": 0})["negatives"] += 1
+        for kind, instances in (("positives", pos), ("negatives", neg)):
+            for instance in instances:
+                key = "/".join(instance.concept_pair)
+                pairs.setdefault(key, {"positives": 0, "negatives": 0})[kind] += 1
         by_relation[relation_type] = {
             "positives": len(pos),
             "negatives": len(neg),

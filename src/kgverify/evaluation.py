@@ -8,7 +8,7 @@ merge associatively, which is what micro-averaging sums.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Sequence
 
@@ -62,21 +62,20 @@ def micro_average(rows: Iterable[ConfusionCounts]) -> ConfusionCounts:
     return out
 
 
+def _quantized(value: float, decimals: int) -> Decimal:
+    """``value`` as a percentage at ``decimals`` places, rounding half-up."""
+    # str() keeps the shortest decimal form so half-up ties behave as written
+    return Decimal(str(value * 100)).quantize(Decimal(1).scaleb(-decimals), ROUND_HALF_UP)
+
+
 def percent(value: float | None, decimals: int = 2) -> str:
     """Render a fraction as a percentage, rounding half-up; undefined prints NaN."""
-    if value is None:
-        return "NaN"
-    quantum = Decimal(1).scaleb(-decimals)
-    # str() keeps the shortest decimal form so half-up ties behave as written
-    return f"{Decimal(str(value * 100)).quantize(quantum, rounding=ROUND_HALF_UP)} %"
+    return "NaN" if value is None else f"{_quantized(value, decimals)} %"
 
 
 def rounded_percent(value: float | None, decimals: int = 2) -> float | None:
     """The numeric percentage at fixed precision, for exact comparisons."""
-    if value is None:
-        return None
-    quantum = Decimal(1).scaleb(-decimals)
-    return float(Decimal(str(value * 100)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return None if value is None else float(_quantized(value, decimals))
 
 
 def binary_confusion(
@@ -170,40 +169,30 @@ def tally_nli(records: Iterable[tuple[NliLabel, NliLabel]]) -> NliConfusion:
 # -- table rendering -----------------------------------------------------------
 
 
+def _binary_rows(
+    groups: Sequence[tuple[tuple[str, str], ConfusionCounts]],
+) -> list[tuple[str, str, ConfusionCounts, Metrics]]:
+    """Concept 1, concept 2, counts and metrics of each group, then of the micro average."""
+    labelled = [(left, right, counts) for (left, right), counts in groups]
+    labelled.append(("Average (micro)", "", micro_average(counts for _, counts in groups)))
+    return [(left, right, counts, compute_metrics(counts)) for left, right, counts in labelled]
+
+
+def _aligned(header: list[str], body: list[list[str]]) -> list[str]:
+    """The header and body rows, each cell padded to its column's width."""
+    widths = [max(map(len, column)) for column in zip(header, *body)]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)) for row in [header, *body]]
+
+
 def binary_table_rows(
     groups: Sequence[tuple[tuple[str, str], ConfusionCounts]],
 ) -> list[dict]:
     """Per-group rows plus a micro-average row, as plain dicts for JSON output."""
-    rows = []
-    for (left, right), counts in groups:
-        m = compute_metrics(counts)
-        rows.append(
-            {
-                "concept_1": left,
-                "concept_2": right,
-                "tp": counts.tp,
-                "tn": counts.tn,
-                "fp": counts.fp,
-                "fn": counts.fn,
-                "precision": rounded_percent(m.precision),
-                "recall": rounded_percent(m.recall),
-            }
-        )
-    overall = micro_average(counts for _, counts in groups)
-    m = compute_metrics(overall)
-    rows.append(
-        {
-            "concept_1": "Average (micro)",
-            "concept_2": "",
-            "tp": overall.tp,
-            "tn": overall.tn,
-            "fp": overall.fp,
-            "fn": overall.fn,
-            "precision": rounded_percent(m.precision),
-            "recall": rounded_percent(m.recall),
-        }
-    )
-    return rows
+    return [
+        {"concept_1": left, "concept_2": right, **asdict(counts),
+         "precision": rounded_percent(m.precision), "recall": rounded_percent(m.recall)}
+        for left, right, counts, m in _binary_rows(groups)
+    ]
 
 
 def format_binary_table(
@@ -211,28 +200,9 @@ def format_binary_table(
 ) -> str:
     """Aligned text table mirroring the per-concept-pair evaluation layout."""
     header = ["Concept 1", "Concept 2", "TP", "TN", "FP", "FN", "Precision", "Recall"]
-    body = []
-    for row in binary_table_rows(groups):
-        body.append(
-            [
-                row["concept_1"],
-                row["concept_2"],
-                str(row["tp"]),
-                str(row["tn"]),
-                str(row["fp"]),
-                str(row["fn"]),
-                percent(row["precision"] / 100 if row["precision"] is not None else None),
-                percent(row["recall"] / 100 if row["recall"] is not None else None),
-            ]
-        )
-    widths = [max(len(r[i]) for r in [header] + body) for i in range(len(header))]
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for row in body:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
+    body = [[left, right, *map(str, astuple(counts)), percent(m.precision), percent(m.recall)]
+            for left, right, counts, m in _binary_rows(groups)]
+    return "\n".join(([title] if title else []) + _aligned(header, body))
 
 
 def format_nli_table(confusion: NliConfusion, model_name: str) -> str:
@@ -247,10 +217,6 @@ def format_nli_table(confusion: NliConfusion, model_name: str) -> str:
             share = percent(n / total if total else None, decimals=1)
             cells.append(f"{share} ({n})")
         body.append(cells)
-    widths = [max(len(r[i]) for r in [header] + body) for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in body:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
     acc = confusion.accuracy()
-    lines.append(f"accuracy: {percent(acc, decimals=1)}  (unparsed: {confusion.unparsed})")
-    return "\n".join(lines)
+    return "\n".join([*_aligned(header, body),
+                      f"accuracy: {percent(acc, decimals=1)}  (unparsed: {confusion.unparsed})"])

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from html import escape
 from html.parser import HTMLParser
 
+from .model import normalize_label
+
 # Elements that never have a closing tag.
 _VOID_TAGS = {
     "area", "base", "br", "col", "embed", "hr", "img", "input",
@@ -21,12 +23,6 @@ _VOID_TAGS = {
 _SKIP_CONTENT = {"script", "style", "noscript"}
 # Elements that cannot nest: a new start tag implicitly closes the open one.
 _AUTO_CLOSE = {"p", "li"}
-
-_WS_RUN = re.compile(r"\s+")
-
-
-def collapse_ws(text: str) -> str:
-    return _WS_RUN.sub(" ", text).strip()
 
 
 @dataclass(frozen=True)
@@ -101,7 +97,7 @@ class _ElementCapture(HTMLParser):
     def _finalize(self) -> None:
         self.captured.append(
             CapturedElement(
-                text=collapse_ws("".join(self._text)),
+                text=normalize_label("".join(self._text)),
                 html="".join(self._markup),
             )
         )

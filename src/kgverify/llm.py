@@ -23,8 +23,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Protocol, TextIO
 
-from .errors import (ContextOverflow, FixtureMissing, MalformedResponse, ProviderUnavailable,
-                     malformed)
+from .errors import ContextOverflow, MalformedResponse, ProviderUnavailable, malformed
 from .model import DIRECT_PROOF, INDICATION, NO_SUPPORT, NliLabel, Verdict
 from .net import HttpRequest, SingleFlight, Transport, atomic_write, canonical_json
 from .prompting import OPTION_TEXTS, SYSTEM_PROMPT
@@ -74,25 +73,6 @@ def completion_fingerprint(params: LlmParams, prompt: str) -> str:
 
 class LlmProvider(Protocol):
     def complete(self, params: LlmParams, prompt: str) -> str: ...
-
-
-class ScriptedProvider:
-    """Mock provider returning canned responses in script order.
-
-    Useful for orchestration tests where the n-th verification call must see
-    the n-th response. Raises when the script runs dry.
-    """
-
-    def __init__(self, responses: list[str]):
-        self._responses = list(responses)
-        self.calls = 0
-
-    def complete(self, params: LlmParams, prompt: str) -> str:
-        if self.calls >= len(self._responses):
-            raise FixtureMissing(f"scripted provider exhausted after {self.calls} responses")
-        text = self._responses[self.calls]
-        self.calls += 1
-        return text
 
 
 class ReplicateHttpProvider:

@@ -51,23 +51,18 @@ class ReportSummary:
 
 
 @lru_cache(maxsize=None)
-def _schema_text(name: str = SCHEMA_ASSET) -> str:
-    return resources.files("kgverify.schema").joinpath(name).read_text(encoding="utf-8")
-
-
-@lru_cache(maxsize=None)
-def _stylesheet_text(name: str = STYLESHEET_ASSET) -> str:
+def _asset_text(name: str) -> str:
     return resources.files("kgverify.schema").joinpath(name).read_text(encoding="utf-8")
 
 
 @lru_cache(maxsize=None)
 def _validator() -> XsdValidator:
-    return XsdValidator(_schema_text())
+    return XsdValidator(_asset_text(SCHEMA_ASSET))
 
 
 @lru_cache(maxsize=None)
 def _renderer() -> XsltRenderer:
-    return XsltRenderer(_stylesheet_text())
+    return XsltRenderer(_asset_text(STYLESHEET_ASSET))
 
 
 def _child(parent: ET.Element, tag: str, text: str = "", **attrs: str) -> ET.Element:
@@ -195,4 +190,4 @@ def render_html(xml: ET.ElementTree | ET.Element | bytes | str) -> str:
 
 
 def schema_digest() -> str:
-    return hashlib.sha256(_schema_text().encode("utf-8")).hexdigest()
+    return hashlib.sha256(_asset_text(SCHEMA_ASSET).encode("utf-8")).hexdigest()

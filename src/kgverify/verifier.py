@@ -271,13 +271,11 @@ def map_in_order(
 ) -> list[_Result]:
     """Apply ``fn`` to every item and return the results in item order.
 
-    Without a pool the items are mapped inline, one after another. With one
-    they queue on its workers, keyed by index, and the caller only waits.
-    Failures and interrupts follow ``_Tasks``: the first failure in item
-    order propagates once every started item has ended.
+    The items queue keyed by index, on the pool's workers, or without a pool
+    for the caller to run one after another. Failures and interrupts follow
+    ``_Tasks``: the first failure in item order propagates once every started
+    item has ended.
     """
-    if pool is None:
-        return [fn(item) for item in items]
     results: list = [None] * len(items)
     tasks = _Tasks(pool)
 
@@ -552,8 +550,8 @@ class Verifier:
         proof contributes its citations, and only the cited primary sources
         can produce evidence traces; the article itself is never treated as
         an authority, so its confirming paragraphs are recorded only as
-        intermediate anchors. A chunk or paragraph whose prompt exceeds the
-        context budget becomes a ``context-overflow`` skip and is not queried.
+        intermediate anchors. A chunk whose prompt exceeds the context budget
+        becomes a ``context-overflow`` skip and is not queried.
         """
         if self.wikidata is None:
             raise ValueError("no Wikidata client configured")
@@ -580,7 +578,7 @@ class Verifier:
         chunks = chunk_fill_limit(texts, max_chars=self.chunk_chars)
         firsts = list(itertools.accumulate((len(c.paragraphs) for c in chunks), initial=0))
         chunk_verdicts: list = [None] * len(chunks)
-        paragraph_verdicts: dict[int, object] = {}  # by position in the article
+        drilled: list[int] = []  # the positions of the paragraphs judged
         citations: dict[int, tuple[list[int], list[tuple[str, ...]], list[int]]] = {}
         scans: dict[str, _DocumentScan] = {}
         started_urls: set[str] = set()
@@ -598,9 +596,10 @@ class Verifier:
 
         def judge_paragraph(position: int) -> None:
             paragraph = article.paragraphs[position]
-            judged = self._judge(statement, paragraph.text, article_url)
-            paragraph_verdicts[position] = judged
-            if isinstance(judged, SkipRecord) or judged[0].kind is not VerdictKind.DIRECT_PROOF:
+            # never a skip: a paragraph's prompt is no longer than its chunk's, which fit
+            verdict, _ = self._judge(statement, paragraph.text, article_url)
+            drilled.append(position)
+            if verdict.kind is not VerdictKind.DIRECT_PROOF:
                 return
             numbers = extract_reference_numbers(paragraph.html)
             cited, dangling = resolve_citations(numbers, article.references)
@@ -618,21 +617,14 @@ class Verifier:
 
         tasks.join(lambda: tasks.add(judge_chunk, (((0, i), i) for i in range(len(chunks)))))
 
-        # Assemble in article order: chunk skips, then per drill-down paragraph
-        # its skip or its anchor, dangling references and cited sources, each
-        # source at its first citation.
+        # Assemble in article order: chunk skips, then per proved paragraph its
+        # anchor, dangling references and cited sources, each source at its
+        # first citation.
         session.skips.extend(j for j in chunk_verdicts if isinstance(j, SkipRecord))
-        session.paragraphs_queried += sum(
-            not isinstance(judged, SkipRecord)
-            for judged in chunk_verdicts + list(paragraph_verdicts.values()))
+        session.paragraphs_queried += len(drilled) + sum(
+            not isinstance(judged, SkipRecord) for judged in chunk_verdicts)
         added: set[str] = set()
-        for position in sorted(paragraph_verdicts):
-            judged = paragraph_verdicts[position]
-            if isinstance(judged, SkipRecord):
-                session.skips.append(judged)
-                continue
-            if position not in citations:
-                continue
+        for position in sorted(citations):
             numbers, cited, dangling = citations[position]
             session.wikipedia_anchors.append(WikipediaAnchor(
                 paragraph_text=article.paragraphs[position].text, ref_numbers=tuple(numbers)))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from datetime import date, datetime, time
+from html import escape
 from xml.etree import ElementTree as ET
 
 from .errors import SchemaViolation, TransformFailure
@@ -99,12 +100,7 @@ def _parse_element_decl(node: ET.Element) -> ElementDecl:
         if extension is None:
             raise SchemaViolation(f"{name}: simpleContent without extension")
         decl.simple_type = extension.get("base", "xs:string")
-        for attr in extension.findall(f"{XSD_NS}attribute"):
-            decl.attributes[attr.get("name", "")] = AttrDecl(
-                name=attr.get("name", ""),
-                type_name=attr.get("type", "xs:string"),
-                required=attr.get("use") == "required",
-            )
+        _parse_attribute_decls(extension, decl)
         return decl
     sequence = complex_type.find(f"{XSD_NS}sequence")
     if sequence is not None:
@@ -114,13 +110,18 @@ def _parse_element_decl(node: ET.Element) -> ElementDecl:
                 ChildSlot(decl=_parse_element_decl(child), min_occurs=min_occurs,
                           max_occurs=max_occurs)
             )
-    for attr in complex_type.findall(f"{XSD_NS}attribute"):
+    _parse_attribute_decls(complex_type, decl)
+    return decl
+
+
+def _parse_attribute_decls(node: ET.Element, decl: ElementDecl) -> None:
+    """Add the attributes that ``node`` declares to ``decl``."""
+    for attr in node.findall(f"{XSD_NS}attribute"):
         decl.attributes[attr.get("name", "")] = AttrDecl(
             name=attr.get("name", ""),
             type_name=attr.get("type", "xs:string"),
             required=attr.get("use") == "required",
         )
-    return decl
 
 
 class XsdValidator:
@@ -200,12 +201,8 @@ _VOID_HTML = {"br", "hr", "img", "meta", "link", "input", "col", "area", "base"}
 _AVT = re.compile(r"\{([^{}]+)\}")
 
 
-def _escape_text(value: str) -> str:
-    return value.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-
-
 def _escape_attr(value: str) -> str:
-    return _escape_text(value).replace('"', "&quot;")
+    return escape(value, quote=False).replace('"', "&quot;")
 
 
 class _OutNode:
@@ -224,7 +221,7 @@ class _OutNode:
         out.append(f"<{self.tag}{attrs}>")
         for child in self.children:
             if isinstance(child, str):
-                out.append(_escape_text(child))
+                out.append(escape(child, quote=False))
             else:
                 child.serialize(out)
         out.append(f"</{self.tag}>")
@@ -293,7 +290,7 @@ class XsltRenderer:
         pieces: list[str] = []
         for child in out.children:
             if isinstance(child, str):
-                pieces.append(_escape_text(child))
+                pieces.append(escape(child, quote=False))
             else:
                 child.serialize(pieces)
         return "<!DOCTYPE html>\n" + "".join(pieces) + "\n"

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from kgverify.errors import FixtureMissing
+from kgverify.llm import LlmParams
 from kgverify.net import HttpRequest, HttpResponse, request_fingerprint
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -51,3 +53,22 @@ class DictTransport:
 @pytest.fixture
 def dict_transport() -> DictTransport:
     return DictTransport()
+
+
+class ScriptedProvider:
+    """LLM provider returning canned responses in script order.
+
+    For orchestration tests where the n-th verification call must see the
+    n-th response. Raises when the script runs dry.
+    """
+
+    def __init__(self, responses: list[str]):
+        self._responses = list(responses)
+        self.calls = 0
+
+    def complete(self, params: LlmParams, prompt: str) -> str:
+        if self.calls >= len(self._responses):
+            raise FixtureMissing(f"scripted provider exhausted after {self.calls} responses")
+        text = self._responses[self.calls]
+        self.calls += 1
+        return text

@@ -440,6 +440,8 @@ class TestConfig:
         ({"hit_limit": 0}, "hit_limit must be at least 1"),
         ({"chunk_chars": 10000}, "unknown configuration keys: chunk_chars"),
         ([1, 2], "cannot read config file"),
+        ({"llm_context_tokens": 0}, "llm_context_tokens must be at least 1"),
+        ({"llm_context_tokens": -5}, "llm_context_tokens must be at least 1"),
     ])
     def test_bad_config_file_is_a_usage_error(self, runner, tmp_path, payload, message):
         config = tmp_path / "config.json"
@@ -1401,6 +1403,34 @@ class TestRemoteFailures:
         assert result.exit_code == 4, result.output
         assert f"error: {named}" in result.output
         assert not (tmp_path / "out" / f"{UC1[1]}.xml").exists()
+
+
+class TestMissingCredentials:
+    """A live run without the credentials of a remote it needs exits 4 before
+    it asks any remote, and writes nothing."""
+
+    def test_verify_wikidata_without_search_credentials(self, runner, tmp_path, live_remote,
+                                                        monkeypatch):
+        monkeypatch.delenv("KGVERIFY_SEARCH_KEY")
+        monkeypatch.delenv("KGVERIFY_SEARCH_CX")
+        result = runner.invoke(main, [*UC1[0], "--live", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert "error: search credentials are not configured" in result.output
+        assert "Traceback" not in result.output
+        assert live_remote == []
+        assert not (tmp_path / "out").exists()
+
+    def test_evaluate_without_an_llm_token(self, runner, tmp_path, live_remote, monkeypatch):
+        monkeypatch.delenv("KGVERIFY_LLM_TOKEN")
+        result = runner.invoke(main, [
+            "evaluate", "--dataset", str(FIXTURES / "snli" / "test_mini.jsonl"), "--task", "nli",
+            "--snli-train", str(FIXTURES / "snli" / "train_mini.jsonl"),
+            "--live", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert "error: LLM API token is not configured" in result.output
+        assert "Traceback" not in result.output
+        assert live_remote == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestMalformedInput:

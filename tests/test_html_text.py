@@ -2,7 +2,6 @@ from __future__ import annotations
 
 from kgverify.html_text import (
     capture_elements,
-    collapse_ws,
     extract_links,
     extract_paragraph_elements,
     extract_paragraphs,
@@ -101,5 +100,5 @@ class TestArchiveChrome:
         assert strip_archive_chrome(html) == html
 
 
-def test_collapse_ws():
-    assert collapse_ws("  a\n\tb  c ") == "a b c"
+def test_paragraph_whitespace_collapses():
+    assert extract_paragraphs("<p>  a\n\tb  <b> c </b>\u00a0</p>") == ["a b c"]

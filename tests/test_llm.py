@@ -20,7 +20,6 @@ from kgverify.llm import (
     LlmGateway,
     LlmParams,
     ReplicateHttpProvider,
-    ScriptedProvider,
     ResponseLog,
     completion_fingerprint,
     extract_justification,
@@ -32,6 +31,8 @@ from kgverify.model import NliLabel, Statement, VerdictKind
 from kgverify.net import HttpResponse
 from kgverify.prompting import OPTION_TEXTS, RdfPrompt, render_rdf_prompt
 from kgverify.store import FixtureStore
+
+from conftest import ScriptedProvider
 
 CORPUS = Path(__file__).parent / "fixtures" / "parser_corpus.jsonl"
 EVAL_REPLAY = Path(__file__).parent / "fixtures" / "eval_replay"

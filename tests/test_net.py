@@ -19,7 +19,7 @@ import urllib3
 
 from kgverify import net
 from kgverify.errors import FixtureMissing, MalformedInput, ProviderUnavailable, Unavailable
-from kgverify.llm import LlmGateway, ReplicateHttpProvider, ScriptedProvider
+from kgverify.llm import LlmGateway, ReplicateHttpProvider
 from kgverify.model import Statement
 from kgverify.retrieval import DocumentFetcher, GoogleSearchProvider
 from kgverify.store import FixtureStore
@@ -37,6 +37,8 @@ from kgverify.net import (
     response_to_record,
     write_fixture,
 )
+
+from conftest import ScriptedProvider
 
 
 class CountingTransport:

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
+import string
+from collections import Counter
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgverify import html_text
 from kgverify.errors import NoDocumentsRetrievable, NoSitelink, Unavailable
-from kgverify.llm import LlmGateway, ScriptedProvider
+from kgverify.llm import LlmGateway
 from kgverify.model import RetrievalSource, Statement, VerdictKind
 from kgverify.net import HttpRequest, HttpResponse, request_fingerprint
 from kgverify.prompting import OPTION_TEXTS, SYSTEM_PROMPT, RdfPrompt, render_rdf_prompt
@@ -12,6 +17,8 @@ from kgverify.retrieval import (
     ARCHIVE_AVAILABILITY_API,
     DocumentFetcher,
     GroundingDocument,
+    chunk_fill_limit,
+    is_valid_paragraph,
 )
 from kgverify.verifier import (
     VerificationMode,
@@ -20,6 +27,8 @@ from kgverify.verifier import (
     parse_wikipedia_article,
     resolve_citations,
 )
+
+from conftest import DictTransport, ScriptedProvider
 
 STATEMENT = Statement("Václav Havel", "award received", "Gottlieb Duttweiler Prize")
 
@@ -435,6 +444,61 @@ class TestWikipediaFlow:
         primary_records = [d for d in session.documents
                            if d.url == "https://primary.example/article"]
         assert len(primary_records) == 1
+
+
+class RecordingGateway(LlmGateway):
+    """A gateway that keeps every prompt it is asked, also one over its budget."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.prompts: list[str] = []
+
+    def complete(self, prompt):
+        self.prompts.append(prompt)
+        return super().complete(prompt)
+
+
+class AlwaysIndication:
+    def complete(self, params, prompt):
+        return ANSWER["b"]
+
+
+@settings(deadline=None)
+@given(lengths=st.lists(st.integers(1, 400), min_size=1, max_size=8),
+       chunk_chars=st.integers(50, 1500), slack=st.integers(0, 1600))
+def test_only_chunks_overflow_the_context_budget(lengths, chunk_chars, slack):
+    """With every chunk answered "indication", the ``context-overflow`` skips
+    are exactly the chunks over the budget, and every drill-down prompt fits:
+    a paragraph is one of its chunk's paragraphs."""
+    statement = Statement("Subject", "related to", "Thing", subject_id="Q1")
+    texts = [letter * n for letter, n in zip(string.ascii_letters, lengths)]
+    transport = DictTransport()
+    transport.add(HttpRequest.get("https://en.wikipedia.org/wiki/Subject"),
+                  body="<html><body>" + "".join(f"<p>{t}</p>" for t in texts) + "</body></html>")
+
+    def prompt(snippet):
+        return render_rdf_prompt(RdfPrompt(statement, snippet))
+
+    tokens = (len(prompt("x")) - 1 + len(SYSTEM_PROMPT) + slack) // 4
+    budget = tokens * 4
+    gateway = RecordingGateway(AlwaysIndication(), context_tokens=tokens)
+    verifier = Verifier(gateway=gateway, fetcher=DocumentFetcher(transport),
+                        wikidata=FakeWikidata(), chunk_chars=chunk_chars)
+    session = verifier.verify_via_wikipedia(statement)
+
+    def used(snippet):
+        return len(prompt(snippet)) + len(SYSTEM_PROMPT)
+
+    chunks = chunk_fill_limit(texts, max_chars=chunk_chars)
+    fitting = [chunk for chunk in chunks if used(chunk.text) <= budget]
+    assert [(skip.kind, skip.detail) for skip in session.skips] == [
+        ("context-overflow", f"prompt of {used(chunk.text)} chars exceeds budget of {budget} chars")
+        for chunk in chunks if used(chunk.text) > budget]
+    drilled = [p for chunk in fitting for p in chunk.paragraphs if is_valid_paragraph(p)]
+    assert all(used(paragraph) <= budget for paragraph in drilled)
+    assert Counter(gateway.prompts) == Counter(
+        [prompt(chunk.text) for chunk in chunks] + [prompt(p) for p in drilled])
+    assert session.paragraphs_queried == len(fitting) + len(drilled)
 
 
 def test_parse_wikipedia_article_structure():
