@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import click
 
 from . import __version__, datasets, evaluation, reporting
-from .errors import SHAPE_ERRORS, KgVerifyError, MalformedInput, malformed
+from .errors import SHAPE_ERRORS, KgVerifyError, MalformedInput, malformed, read_input
 from .llm import (
     LlmGateway,
     LlmParams,
@@ -34,26 +34,18 @@ from .llm import (
     parse_nli_label,
     parse_option,
 )
-from .model import (
-    BinaryDecision,
-    DecisionMode,
-    NliLabel,
-    Statement,
-    statements_from_text,
-    verdict_to_binary,
-)
+from .model import DecisionMode, Statement, statements_from_text, verdict_to_binary
 from .net import (DEFAULT_REQUESTS_IN_FLIGHT, LiveTransport, RequestGate, RequestMemo,
                   atomic_write)
 from .prompting import (
     NLI_TEMPLATE,
     RDF_TEMPLATE,
     NliExample,
-    RdfPrompt,
     render_nli_prompt,
     render_rdf_prompt,
     template_digest,
 )
-from .retrieval import DEFAULT_HIT_LIMIT, DocumentFetcher, GoogleSearchProvider
+from .retrieval import DEFAULT_HIT_LIMIT, MAX_HIT_LIMIT, DocumentFetcher, GoogleSearchProvider
 from .store import FixtureStore
 from .verifier import VerificationSession, Verifier, WorkerPool, map_in_order
 from .wikidata import (
@@ -156,6 +148,8 @@ class RunConfig:
             value = getattr(config, name)
             if value is not None and value < 1:  # None: no statement limit, no budget
                 raise click.UsageError(f"{name} must be at least 1")
+        if config.hit_limit > MAX_HIT_LIMIT:  # the most hits one search API request returns
+            raise click.UsageError(f"hit_limit must be at most {MAX_HIT_LIMIT}")
         # checked before any input is read: a run must not end where it cannot write
         out_dir = Path(config.out_dir)
         taken = next(path for path in (out_dir, *out_dir.parents)
@@ -174,7 +168,7 @@ class _Runtime:
     statements run on ``max(1, llm_requests - 1)`` workers of their own, the
     next only once a worker of this pool would idle. Every command builds it
     in ``with closing(_Runtime(config)) as runtime:``, so its workers stop
-    also when the command fails; ``close`` may be called again before that.
+    also when the command fails.
     """
 
     def __init__(self, config: RunConfig):
@@ -265,7 +259,7 @@ def _fixtures_digest(fixtures_dir: str | None) -> str | None:
     digest = hashlib.sha256()
     for path in sorted(p for p in root.rglob("*") if p.is_file()):
         digest.update(str(path.relative_to(root)).encode("utf-8"))
-        digest.update(hashlib.sha256(path.read_bytes()).digest())
+        digest.update(hashlib.sha256(read_input(path, "fixture")).digest())
     return digest.hexdigest()
 
 
@@ -316,7 +310,7 @@ def _write_outputs(config: RunConfig, command: str, files: dict[str, str | bytes
 
 
 def _verify_statements(
-    runtime: _Runtime,
+    pool: WorkerPool,
     statements: Sequence[Statement],
     verify: Callable[[Statement], VerificationSession],
 ) -> tuple[list[VerificationSession], bool]:
@@ -326,7 +320,7 @@ def _verify_statements(
     interrupted. Ctrl-C starts no further statement and waits for those in
     flight; the sessions are then the longest prefix of statements that
     finished. Otherwise the first failure in statement order propagates, once
-    every started statement has ended. The runtime is closed on return.
+    every started statement has ended.
     """
     sessions: list[VerificationSession | None] = [None] * len(statements)
 
@@ -337,11 +331,9 @@ def _verify_statements(
 
     interrupted = False
     try:
-        runtime.pool.run_statements(run, len(statements))
+        pool.run_statements(run, len(statements))
     except KeyboardInterrupt:
         interrupted = True
-    finally:
-        runtime.close()
     done = list(itertools.takewhile(lambda session: session is not None, sessions))
     return done, interrupted
 
@@ -363,7 +355,7 @@ def _verify_run(
     writing them. Any other error propagates and writes nothing.
     """
     config = runtime.config
-    sessions, interrupted = _verify_statements(runtime, statements, verify)
+    sessions, interrupted = _verify_statements(runtime.pool, statements, verify)
 
     info = runtime.wikidata.entity_info(entity_id)
     extra_fields = summary_extra(info)  # may ask a remote: inside the run's duration
@@ -487,10 +479,9 @@ def cmd_verify_wikipedia(entity: str, statements_file: str, **kwargs) -> None:
     """Verify designated statements through the subject's Wikipedia article."""
     config = RunConfig.resolve(kwargs)
     entity_id = _parse_entity(entity)
-    try:
-        text = Path(statements_file).read_text(encoding="utf-8-sig")  # a BOM is no label
-    except (OSError, UnicodeError) as exc:
-        raise MalformedInput(f"cannot read statements file: {exc}") from exc
+    data = read_input(statements_file, "statements file")
+    with malformed(MalformedInput, f"cannot read statements file {statements_file}", data):
+        text = data.decode("utf-8-sig")  # a BOM is no label
     statements = statements_from_text(text)
     statements = statements[: config.max_statements]  # a None limit keeps them all
     if not statements:
@@ -567,30 +558,17 @@ def cmd_evaluate(dataset_path: str, task: str, sample: int | None, snli_train: s
     click.echo(text)
 
 
-def _judge_triples(pool: WorkerPool | None, gateway: LlmGateway,
-                   instances: Sequence[datasets.LabeledInstance],
-                   mode: DecisionMode) -> list[BinaryDecision]:
-    """The model's binary decision on each instance, in instance order.
+def _judge(runtime: _Runtime, items: Sequence, prompt: Callable[..., str],
+           parse: Callable[[str], object]) -> list:
+    """The model's answer to each item's ``prompt``, ``parse``d, in item order.
 
-    One task per instance on ``pool``; each renders its own prompt, so only
+    One task per item on the run's pool; each renders its own prompt, so only
     the prompts in flight are alive at once.
     """
-    def judge(instance: datasets.LabeledInstance) -> BinaryDecision:
-        prompt = render_rdf_prompt(RdfPrompt(instance.statement, instance.grounding_text))
-        return verdict_to_binary(parse_option(gateway.complete(prompt).raw_text), mode)
+    def judge(item):
+        return parse(runtime.gateway.complete(prompt(item)).raw_text)
 
-    return map_in_order(pool, judge, instances)
-
-
-def _judge_nli(pool: WorkerPool | None, gateway: LlmGateway,
-               records: Sequence[datasets.SnliRecord],
-               examples: list[NliExample]) -> list[NliLabel]:
-    """The model's label for each record, in record order."""
-    def judge(record: datasets.SnliRecord) -> NliLabel:
-        prompt = render_nli_prompt(record.premise, record.hypothesis, examples)
-        return parse_nli_label(gateway.complete(prompt).raw_text)
-
-    return map_in_order(pool, judge, records)
+    return map_in_order(runtime.pool, judge, items)
 
 
 def _evaluate_triples(config: RunConfig, dataset_path: str) -> tuple[dict, str, dict]:
@@ -599,8 +577,10 @@ def _evaluate_triples(config: RunConfig, dataset_path: str) -> tuple[dict, str, 
     if not instances:
         raise MalformedInput(f"{dataset_path}: empty dataset")
     with closing(_Runtime(config)) as runtime:  # built once the inputs are known to be good
-        predictions = _judge_triples(runtime.pool, runtime.gateway, instances,
-                                     _DECISION_MODES[config.decision_mode])
+        mode = _DECISION_MODES[config.decision_mode]
+        predictions = _judge(runtime, instances,
+                             lambda i: render_rdf_prompt(i.statement, i.grounding_text),
+                             lambda text: verdict_to_binary(parse_option(text), mode))
     grouped: dict[tuple[str, tuple[str, str]], list] = {}
     for instance, predicted in zip(instances, predictions):
         key = (instance.relation_type, instance.concept_pair)
@@ -649,7 +629,9 @@ def _evaluate_nli(config: RunConfig, dataset_path: str, snli_train: str | None,
     examples = [NliExample(premise=r.premise, hypothesis=r.hypothesis, label=r.gold)
                 for r in example_records]
     with closing(_Runtime(config)) as runtime:  # built once the inputs are known to be good
-        labels = _judge_nli(runtime.pool, runtime.gateway, records, examples)
+        labels = _judge(runtime, records,
+                        lambda r: render_nli_prompt(r.premise, r.hypothesis, examples),
+                        parse_nli_label)
     confusion = evaluation.tally_nli([(r.gold, label) for r, label in zip(records, labels)])
     tables = {
         "matrix": [list(row) for row in confusion.matrix],
@@ -668,10 +650,7 @@ def _evaluate_nli(config: RunConfig, dataset_path: str, snli_train: str | None,
 def cmd_report(xml_file: str, **kwargs) -> None:
     """Re-render the HTML report from an existing XML process trace."""
     config = RunConfig.resolve(kwargs)
-    try:
-        xml_bytes = Path(xml_file).read_bytes()
-    except OSError as exc:
-        raise MalformedInput(f"cannot read report {xml_file}: {exc.strerror or exc}") from exc
+    xml_bytes = read_input(xml_file, "report")
     [out_path] = _write_outputs(config, "report", {
         Path(xml_file).stem + ".html": reporting.render_html(xml_bytes),
     }, None)

@@ -14,9 +14,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import InsufficientRecords, MalformedInput, malformed
+from .errors import InsufficientRecords, MalformedInput, json_lines, malformed, read_input
 from .model import (
     NLI_CLASSES,
     BinaryDecision,
@@ -196,10 +196,7 @@ def load_biored(path: Path | str) -> list[BioRedDocument]:
     documents: list[BioRedDocument] = []
     seen: set[str] = set()
     for file in files:
-        try:
-            data = file.read_bytes()
-        except OSError as exc:
-            raise MalformedInput(f"cannot read BioC file {file}: {exc}") from exc
+        data = read_input(file, "BioC file")
         with malformed(MalformedInput, str(file), data):
             raws = list(json.loads(data).get("documents", []))  # iterated in the guard
         for raw in raws:
@@ -420,23 +417,10 @@ def instances_to_jsonl(instances: Iterable[LabeledInstance]) -> str:
 
 def read_instances(path: Path | str) -> list[LabeledInstance]:
     out = []
-    for lineno, line in _json_lines(path, "dataset"):
+    for lineno, line in json_lines(path, "dataset"):
         with malformed(MalformedInput, f"{path}:{lineno}", line):
             out.append(instance_from_json(json.loads(line)))
     return out
-
-
-def _json_lines(path: Path | str, what: str) -> Iterator[tuple[int, bytes]]:
-    """The numbered non-blank lines of a JSON-lines file.
-
-    Lines end at a line feed or carriage return only: a JSON string may hold
-    a line separator that ``str.splitlines`` would split at.
-    """
-    try:
-        lines = Path(path).read_bytes().splitlines()
-    except OSError as exc:
-        raise MalformedInput(f"cannot read {what} {path}: {exc}") from exc
-    return ((lineno, line) for lineno, line in enumerate(lines, 1) if line.strip())
 
 
 def dataset_manifest(
@@ -475,7 +459,7 @@ def load_snli(path: Path | str) -> list[SnliRecord]:
     (gold label "-") are excluded, and so are records with an empty premise or
     hypothesis, which leave the model nothing to judge."""
     records: list[SnliRecord] = []
-    for lineno, line in _json_lines(path, "SNLI split"):
+    for lineno, line in json_lines(path, "SNLI split"):
         with malformed(MalformedInput, f"{path}:{lineno}", line):
             obj = json.loads(line)
             gold = obj.get("gold_label", "-")

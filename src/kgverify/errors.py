@@ -11,10 +11,14 @@ stands for any other pipeline error.
 
 ``malformed`` is the one rule for input of the wrong shape: an answer from a
 remote becomes ``MalformedResponse``, a file or recorded fixture
-``MalformedInput``, each quoting the input.
+``MalformedInput``, each quoting the input. ``read_input`` and ``json_lines``
+read the input files, and one that cannot be read is ``MalformedInput`` too.
 """
 
 from __future__ import annotations
+
+from pathlib import Path
+from typing import Iterator
 
 # What reading a value of the wrong shape raises: unparseable JSON or number, a
 # missing key or index, a value of another type, an empty iterator.
@@ -157,3 +161,22 @@ class malformed:
             excerpt = quoted[:200] if isinstance(quoted, (str, bytes)) else quoted
             reason = str(exc) or type(exc).__name__
             raise self._error(f"{self._what}: {excerpt!r:.300} ({reason})") from exc
+
+
+def read_input(path: Path | str, what: str) -> bytes:
+    """The bytes of the input file ``path``; one that cannot be read (missing,
+    a directory) raises ``MalformedInput``, naming it as ``what``."""
+    try:
+        return Path(path).read_bytes()
+    except OSError as exc:
+        raise MalformedInput(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+
+
+def json_lines(path: Path | str, what: str) -> Iterator[tuple[int, bytes]]:
+    """The numbered non-blank lines of a JSON-lines input file.
+
+    Lines end at a line feed or carriage return only: a JSON string may hold
+    a line separator that ``str.splitlines`` would split at.
+    """
+    lines = read_input(path, what).splitlines()
+    return ((lineno, line) for lineno, line in enumerate(lines, 1) if line.strip())

@@ -42,16 +42,6 @@ def template_digest(name: str) -> str:
 
 
 @dataclass(frozen=True)
-class RdfPrompt:
-    statement: Statement
-    snippet: str
-
-    def __post_init__(self) -> None:
-        if not self.snippet:
-            raise ValueError("snippet must be non-empty")
-
-
-@dataclass(frozen=True)
 class NliExample:
     premise: str
     hypothesis: str
@@ -64,13 +54,15 @@ class NliExample:
             raise ValueError("example label must be a concrete class")
 
 
-def render_rdf_prompt(p: RdfPrompt) -> str:
+def render_rdf_prompt(statement: Statement, snippet: str) -> str:
     """Render the three-option snippet-vs-statement verification prompt."""
+    if not snippet:
+        raise ValueError("snippet must be non-empty")
     return template_text(RDF_TEMPLATE).format(
-        subject=p.statement.subject_label,
-        predicate=p.statement.predicate_label,
-        object=p.statement.object_label,
-        snippet=p.snippet,
+        subject=statement.subject_label,
+        predicate=statement.predicate_label,
+        object=statement.object_label,
+        snippet=snippet,
     )
 
 

@@ -29,6 +29,7 @@ from .net import HttpRequest, HttpResponse, Transport
 MIN_PARAGRAPH_CHARS = 100
 DEFAULT_CHUNK_CHARS = 10_000
 DEFAULT_HIT_LIMIT = 5
+MAX_HIT_LIMIT = 10  # the Custom Search JSON API's largest num
 ARCHIVE_AVAILABILITY_API = "https://archive.org/wayback/available"
 
 _HTML_TYPES = {"text/html", "application/xhtml+xml"}

@@ -14,7 +14,7 @@ import json
 import time
 from pathlib import Path
 
-from .errors import FixtureMissing, MalformedInput, malformed
+from .errors import FixtureMissing, MalformedInput, json_lines, malformed, read_input
 from .llm import LlmParams, completion_fingerprint
 from .net import (
     HttpRequest,
@@ -53,7 +53,7 @@ class FixtureStore:
         fingerprint = request_fingerprint(req)
         path = self.directory / "http" / f"{fingerprint}.json"
         if path.exists() and (self._ttl is None or time.time() - path.stat().st_mtime <= self._ttl):
-            data = path.read_bytes()
+            data = read_input(path, "fixture")
             with malformed(MalformedInput, str(path), data):
                 recorded = response_from_record(json.loads(data))
                 if self._live is None or recorded.status < 400:
@@ -74,12 +74,10 @@ class FixtureStore:
         if not path.exists():
             return {}
         completions = {}
-        # a JSON string may hold a line separator that str.splitlines would split at
-        for lineno, line in enumerate(path.read_bytes().splitlines(), 1):
-            if line.strip():
-                with malformed(MalformedInput, f"{path}:{lineno}", line):
-                    record = json.loads(line)
-                    completions[record["fingerprint"]] = (record["raw_text"], record["latency_ms"])
+        for lineno, line in json_lines(path, "response log"):
+            with malformed(MalformedInput, f"{path}:{lineno}", line):
+                record = json.loads(line)
+                completions[record["fingerprint"]] = (record["raw_text"], record["latency_ms"])
         return completions
 
     def complete(self, params: LlmParams, prompt: str) -> str:

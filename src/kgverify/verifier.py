@@ -41,6 +41,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 from . import html_text
 from .errors import (
     ContextOverflow,
+    KgVerifyError,
     NoDocumentsRetrievable,
     NoSitelink,
     Unavailable,
@@ -55,7 +56,7 @@ from .model import (
     statement_to_search_query,
 )
 from .net import SingleFlight
-from .prompting import RdfPrompt, render_rdf_prompt
+from .prompting import render_rdf_prompt
 from .retrieval import (
     DEFAULT_CHUNK_CHARS,
     DEFAULT_HIT_LIMIT,
@@ -105,8 +106,10 @@ class WorkerPool:
         try:
             for thread in self._threads:
                 thread.start()
-        except BaseException:  # a Ctrl-C inside a start: stop the workers that started
-            self.close()
+        except BaseException as exc:  # a Ctrl-C inside a start, or no thread left
+            self.close()  # stop the workers that started
+            if isinstance(exc, RuntimeError):  # a thread or process limit
+                raise KgVerifyError(f"cannot start a worker thread: {exc}") from exc
             raise
 
     def _work(self) -> None:
@@ -455,7 +458,7 @@ class Verifier:
         """The verdict on a snippet of ``source`` and its response, or the
         ``context-overflow`` skip of a prompt over the context budget."""
         try:
-            response = self.gateway.complete(render_rdf_prompt(RdfPrompt(statement, snippet)))
+            response = self.gateway.complete(render_rdf_prompt(statement, snippet))
         except ContextOverflow as exc:
             logger.warning("skipping a snippet of %s: %s", source, exc)
             return SkipRecord(kind="context-overflow", target=source, detail=str(exc))

@@ -52,10 +52,12 @@ class InFlight:
         return False
 
 
-def interrupt_thread_start(monkeypatch, name: str, nth: int, start: bool) -> None:
+def interrupt_thread_start(monkeypatch, name: str, nth: int, start: bool,
+                           error: BaseException | None = None) -> None:
     """Make ``threading.Thread.start`` raise KeyboardInterrupt at the ``nth``
-    thread named ``name``, as a Ctrl-C that lands inside that call does. With
-    ``start`` the thread has started by then; without it, it never starts."""
+    thread named ``name``, as a Ctrl-C that lands inside that call does, or
+    ``error`` if given. With ``start`` the thread has started by then; without
+    it, it never starts."""
     original = threading.Thread.start
     calls = itertools.count(1)
 
@@ -64,7 +66,7 @@ def interrupt_thread_start(monkeypatch, name: str, nth: int, start: bool) -> Non
             return original(thread)
         if start:
             original(thread)
-        raise KeyboardInterrupt
+        raise error or KeyboardInterrupt
 
     monkeypatch.setattr(threading.Thread, "start", start_thread)
 

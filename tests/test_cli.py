@@ -17,9 +17,9 @@ from kgverify.cli import RunConfig, main
 from kgverify.datasets import read_instances
 from kgverify.errors import ContextOverflow, ProviderUnavailable
 from kgverify.llm import LlmGateway
-from kgverify.prompting import RdfPrompt, render_rdf_prompt
+from kgverify.prompting import render_rdf_prompt
 
-from concurrency import await_thread_blocked_in
+from concurrency import await_thread_blocked_in, interrupt_thread_start
 from conftest import FIXTURES, REPLAY_DIR
 
 
@@ -396,7 +396,7 @@ class TestTraceAudit:
                                     for part in ("subject", "predicate", "object")))
             for trace in session.findall("traces/trace"):
                 paragraph, url = trace.findtext("paragraph"), trace.findtext("document-url")
-                prompt = render_rdf_prompt(RdfPrompt(statement, paragraph))
+                prompt = render_rdf_prompt(statement, paragraph)
                 raw = completions[completion_fingerprint(
                     LlmParams(model=trace.findtext("llm-model")), prompt)]
                 assert trace.findtext("verdict") == "direct-proof"
@@ -442,6 +442,7 @@ class TestConfig:
         ([1, 2], "cannot read config file"),
         ({"llm_context_tokens": 0}, "llm_context_tokens must be at least 1"),
         ({"llm_context_tokens": -5}, "llm_context_tokens must be at least 1"),
+        ({"hit_limit": 11}, "hit_limit must be at most 10"),
     ])
     def test_bad_config_file_is_a_usage_error(self, runner, tmp_path, payload, message):
         config = tmp_path / "config.json"
@@ -452,6 +453,17 @@ class TestConfig:
         assert result.exit_code == 2
         assert message in result.output
         assert not (tmp_path / "manifest.json").exists()
+
+    def test_a_hit_limit_above_the_search_api_maximum_asks_nothing(self, runner, tmp_path,
+                                                                   live_remote):
+        """The search API returns at most 10 hits a request: a live run asked
+        for 11 is a usage error (exit 2) before its SPARQL queries."""
+        result = runner.invoke(main, [*UC1[0], "--hit-limit", "11", "--live",
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "hit_limit must be at most 10" in result.output
+        assert live_remote == []
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("text,value", [
         ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
@@ -716,7 +728,7 @@ class TestEvaluate:
 
     def test_first_failure_in_instance_order_wins(self, runner, tmp_path, monkeypatch):
         args = self.evaluate_args(runner, tmp_path, "triples")
-        prompts = [render_rdf_prompt(RdfPrompt(i.statement, i.grounding_text))
+        prompts = [render_rdf_prompt(i.statement, i.grounding_text)
                    for i in read_instances(args[args.index("--dataset") + 1])]
 
         def fail(number, prompt):
@@ -856,6 +868,33 @@ class TestPoolWidth:
         leaked = [thread for thread in threading.enumerate()
                   if thread.name == "kgverify" and thread not in before]
         assert leaked == []
+
+    @pytest.mark.parametrize("command,width,nth", [
+        (["evaluate", "--dataset", str(FIXTURES / "snli" / "test_mini.jsonl"), "--task", "nli",
+          "--snli-train", str(FIXTURES / "snli" / "train_mini.jsonl"),
+          "--replay", "--fixtures", str(FIXTURES / "eval_replay")], 2, 2),
+        ([*UC1[0], "--replay", "--fixtures", str(REPLAY_DIR)], 3, 5),
+    ], ids=["run-pool", "statement-pool"])
+    def test_a_worker_that_cannot_start_exits_1(self, runner, tmp_path, monkeypatch,
+                                                command, width, nth):
+        """A thread or process limit makes a ``Thread.start`` raise
+        RuntimeError: at the run pool's second worker (evaluate), or at the
+        statements' second (a verify run, whose run pool has 3). The command
+        exits 1 with an ``error:`` line and writes nothing; no statement
+        runs, and the workers that started stop."""
+        monkeypatch.setenv("KGVERIFY_LLM_REQUESTS", str(width))
+        before = set(threading.enumerate())
+        interrupt_thread_start(monkeypatch, "kgverify", nth, start=False,
+                               error=RuntimeError("can't start new thread"))
+        result = runner.invoke(main, [*command, "--out", str(tmp_path / "out")])
+        monkeypatch.undo()
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "error: cannot start a worker thread: can't start new thread" in result.output
+        assert "verifying:" not in result.output
+        assert not (tmp_path / "out").exists()
+        assert [thread for thread in threading.enumerate()
+                if thread.name == "kgverify" and thread not in before] == []
 
     def test_request_knobs_must_be_positive(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("KGVERIFY_LLM_REQUESTS", "0")
@@ -1454,6 +1493,8 @@ class TestMalformedInput:
         ("response-log-torn", 3, "responses.jsonl:"),
         ("record-without-response", 3, "http"),
         ("statements-not-utf-8", 3, "cannot read statements file"),
+        ("record-is-a-directory", 3, "cannot read fixture"),
+        ("response-log-is-a-directory", 3, "cannot read response log"),
         ("sparql-bindings-null", 4, "unexpected SPARQL payload"),
     ])
     def test_exits_with_its_code(self, runner, tmp_path, fault, code, named):
@@ -1479,6 +1520,12 @@ class TestMalformedInput:
         elif fault == "response-log-torn":
             with (fixtures / "llm" / "responses.jsonl").open("a", encoding="utf-8") as log:
                 log.write('{"fingerprint": "abc", "raw_te')
+        elif fault.endswith("-is-a-directory"):
+            path = (self.unsourced_record(fixtures) if fault.startswith("record")
+                    else fixtures / "llm" / "responses.jsonl")
+            path.unlink()
+            path.mkdir()
+            named += f" {path}"  # the message names the path
         elif fault == "statements-not-utf-8":
             bad.write_bytes(b"\xffnot\tutf\t8\n")
             args = ["verify-wikipedia", "Q179924", "--statements", str(bad),

@@ -20,17 +20,17 @@ from typing import Callable
 
 import pytest
 
-from kgverify.cli import _judge_nli, _judge_triples, _verify_statements
+from kgverify.cli import _judge, _verify_statements
 from kgverify.datasets import LabeledInstance, Origin, SnliRecord
 from kgverify.errors import FixtureMissing, MalformedResponse
-from kgverify.llm import LlmGateway, ResponseLog
-from kgverify.model import BinaryDecision, DecisionMode, NliLabel, Statement
+from kgverify.llm import LlmGateway, ResponseLog, parse_nli_label, parse_option
+from kgverify.model import BinaryDecision, DecisionMode, NliLabel, Statement, verdict_to_binary
 from kgverify.net import HttpRequest, RequestMemo
 from kgverify.prompting import (
     OPTION_TEXTS,
     SYSTEM_PROMPT,
     NliExample,
-    RdfPrompt,
+    render_nli_prompt,
     render_rdf_prompt,
 )
 from kgverify.retrieval import ARCHIVE_AVAILABILITY_API, DocumentFetcher, chunk_fill_limit
@@ -140,7 +140,7 @@ class StubSearch:
 
 def gateway(provider: ContentProvider, response_log=None) -> LlmGateway:
     # room for article chunks and ordinary paragraphs; 3000 characters overflow
-    fits = len(render_rdf_prompt(RdfPrompt(STATEMENT, "x" * 1200))) + len(SYSTEM_PROMPT)
+    fits = len(render_rdf_prompt(STATEMENT, "x" * 1200)) + len(SYSTEM_PROMPT)
     return LlmGateway(provider, context_tokens=fits // 4, response_log=response_log)
 
 
@@ -873,8 +873,7 @@ def test_stress_statements_say_verifying_in_order(capsys):
                 label = statement.object_label
                 return label, map_in_order(pool, lambda i: jitter(i, label) or i, range(5))
 
-            runtime = types.SimpleNamespace(pool=pool, close=pool.close)
-            sessions, interrupted = _verify_statements(runtime, statements, verify)
+            sessions, interrupted = _verify_statements(pool, statements, verify)
         assert time.monotonic() - started < 30
     finally:
         sys.setswitchinterval(interval)
@@ -900,7 +899,10 @@ def judge_triples(pool, provider, texts):
         )
         for i, text in enumerate(texts)
     ]
-    predictions = _judge_triples(pool, gateway(provider), instances, DecisionMode.FAVOR_PRECISION)
+    runtime = types.SimpleNamespace(pool=pool, gateway=gateway(provider))
+    predictions = _judge(
+        runtime, instances, lambda i: render_rdf_prompt(i.statement, i.grounding_text),
+        lambda text: verdict_to_binary(parse_option(text), DecisionMode.FAVOR_PRECISION))
     expected = [BinaryDecision.SUPPORTED if PROOF in text else BinaryDecision.NOT_SUPPORTED
                 for text in texts]
     return predictions, expected
@@ -911,7 +913,10 @@ def judge_nli(pool, provider, texts):
                for text in texts]
     examples = [NliExample(premise="An example.", hypothesis="A claim.", label=label)
                 for label in (NliLabel.ENTAILMENT, NliLabel.NEUTRAL, NliLabel.CONTRADICTION)]
-    predictions = _judge_nli(pool, gateway(provider), records, examples)
+    runtime = types.SimpleNamespace(pool=pool, gateway=gateway(provider))
+    predictions = _judge(runtime, records,
+                         lambda r: render_nli_prompt(r.premise, r.hypothesis, examples),
+                         parse_nli_label)
     # ContentProvider answers a) for a proof and b) for a hint anywhere in the prompt
     expected = [NliLabel.ENTAILMENT if PROOF in text else
                 NliLabel.NEUTRAL if HINT in text else NliLabel.CONTRADICTION for text in texts]

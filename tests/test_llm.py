@@ -29,7 +29,7 @@ from kgverify.llm import (
 )
 from kgverify.model import NliLabel, Statement, VerdictKind
 from kgverify.net import HttpResponse
-from kgverify.prompting import OPTION_TEXTS, RdfPrompt, render_rdf_prompt
+from kgverify.prompting import OPTION_TEXTS, render_rdf_prompt
 from kgverify.store import FixtureStore
 
 from conftest import ScriptedProvider
@@ -118,7 +118,7 @@ class TestFingerprint:
                      "inflammation markers in the treatment arm; an association with headache "
                      "was also recorded.")
         params = LlmParams()
-        prompt = render_rdf_prompt(RdfPrompt(statement, grounding))
+        prompt = render_rdf_prompt(statement, grounding)
         assert completion_fingerprint(params, prompt) == "14cacf689e69d0f3aee5cf72"
         assert "14cacf689e69d0f3aee5cf72" in FixtureStore(EVAL_REPLAY).completions
         assert params.as_dict is params.as_dict

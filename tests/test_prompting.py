@@ -10,7 +10,6 @@ from kgverify.prompting import (
     RDF_TEMPLATE,
     SYSTEM_PROMPT,
     NliExample,
-    RdfPrompt,
     render_nli_prompt,
     render_rdf_prompt,
     template_digest,
@@ -32,14 +31,14 @@ EXAMPLES = [
 class TestRdfPrompt:
     def test_full_rendering(self):
         snippet = "Awards Received: honorary doctor of the Université libre de Bruxelles"
-        prompt = render_rdf_prompt(RdfPrompt(HAVEL, snippet))
+        prompt = render_rdf_prompt(HAVEL, snippet)
         assert prompt.startswith("Can the given RDF be inferred from the given snippet?")
         assert '["Václav Havel" - "award received" - "Concordia Prize"]' in prompt
         assert f'Snippet to verify from: "{snippet}"' in prompt
         assert "Please, choose the correct option based on your answer!" in prompt
 
     def test_exactly_three_option_lines(self):
-        prompt = render_rdf_prompt(RdfPrompt(HAVEL, "snippet text"))
+        prompt = render_rdf_prompt(HAVEL, "snippet text")
         lines = prompt.splitlines()
         options = [l for l in lines if l[:2] in ("a)", "b)", "c)")]
         assert len(options) == 3
@@ -49,20 +48,20 @@ class TestRdfPrompt:
 
     def test_snippet_with_quotes_survives_verbatim(self):
         snippet = 'He said "the prize" was won in 1990 — twice.'
-        prompt = render_rdf_prompt(RdfPrompt(HAVEL, snippet))
+        prompt = render_rdf_prompt(HAVEL, snippet)
         assert snippet in prompt
 
     def test_labels_recoverable(self):
-        prompt = render_rdf_prompt(RdfPrompt(HAVEL, "s"))
+        prompt = render_rdf_prompt(HAVEL, "s")
         for label in HAVEL.labels():
             assert f'"{label}"' in prompt
 
     def test_empty_snippet_rejected(self):
-        with pytest.raises(ValueError):
-            RdfPrompt(HAVEL, "")
+        with pytest.raises(ValueError, match="snippet"):
+            render_rdf_prompt(HAVEL, "")
 
     def test_never_appeals_to_internal_knowledge(self):
-        prompt = render_rdf_prompt(RdfPrompt(HAVEL, "some snippet")).lower()
+        prompt = render_rdf_prompt(HAVEL, "some snippet").lower()
         assert "your knowledge" not in prompt
         assert "you know" not in prompt
 

@@ -212,7 +212,7 @@ MINI_SCHEMA = """<?xml version="1.0"?>
           <xs:complexType>
             <xs:simpleContent>
               <xs:extension base="xs:string">
-                <xs:attribute name="n" type="xs:integer" use="required"/>
+                <xs:attribute name="n" type="xs:nonNegativeInteger" use="required"/>
               </xs:extension>
             </xs:simpleContent>
           </xs:complexType>
@@ -260,6 +260,15 @@ class TestXsdValidatorSubset:
         with pytest.raises(SchemaViolation, match="mystery"):
             self.check('<root kind="k"><item n="1">x</item><mystery/></root>')
 
+    def test_unsupported_simple_type_fails_loudly(self):
+        """The report schema uses no boolean: a schema that does is not
+        interpreted, whatever the value."""
+        schema = MINI_SCHEMA.replace('name="kind" type="xs:string"',
+                                     'name="kind" type="xs:boolean"')
+        with pytest.raises(SchemaViolation, match="unsupported simple type xs:boolean"):
+            XsdValidator(schema).validate(
+                ET.fromstring('<root kind="true"><item n="1">x</item></root>'))
+
 
 MINI_SHEET = """<?xml version="1.0"?>
 <xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" version="1.0">
@@ -300,6 +309,16 @@ class TestXsltRendererSubset:
         renderer = XsltRenderer(sheet)
         with pytest.raises(TransformFailure, match="copy-of"):
             renderer.render(ET.fromstring('<root kind="k"><item n="1">x</item></root>'))
+
+    def test_attribute_select_fails_loudly(self):
+        """The report stylesheet selects no ``a/@b``: a sheet that does fails
+        rather than rendering an empty value."""
+        sheet = MINI_SHEET.replace('<xsl:value-of select="root/count"/>',
+                                   '<xsl:value-of select="root/item/@n"/>')
+        renderer = XsltRenderer(sheet)
+        with pytest.raises(TransformFailure, match="stylesheet application failed"):
+            renderer.render(ET.fromstring(
+                '<root kind="k"><item n="1">x</item><count>2</count></root>'))
 
     def test_requires_root_template(self):
         with pytest.raises(TransformFailure):

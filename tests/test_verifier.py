@@ -12,7 +12,7 @@ from kgverify.errors import NoDocumentsRetrievable, NoSitelink, Unavailable
 from kgverify.llm import LlmGateway
 from kgverify.model import RetrievalSource, Statement, VerdictKind
 from kgverify.net import HttpRequest, HttpResponse, request_fingerprint
-from kgverify.prompting import OPTION_TEXTS, SYSTEM_PROMPT, RdfPrompt, render_rdf_prompt
+from kgverify.prompting import OPTION_TEXTS, SYSTEM_PROMPT, render_rdf_prompt
 from kgverify.retrieval import (
     ARCHIVE_AVAILABILITY_API,
     DocumentFetcher,
@@ -369,7 +369,7 @@ class TestWikipediaFlow:
         dict_transport.add(HttpRequest.get("https://en.wikipedia.org/wiki/Subject"),
                            body=WIKI_HTML.replace("<body>", "<body>" + oversize))
         statement = Statement("Subject", "related to", "Thing", subject_id="Q1")
-        fits = len(render_rdf_prompt(RdfPrompt(statement, "x" * 1200))) + len(SYSTEM_PROMPT)
+        fits = len(render_rdf_prompt(statement, "x" * 1200)) + len(SYSTEM_PROMPT)
         provider = ScriptedProvider([ANSWER["c"]])
         verifier = Verifier(
             gateway=LlmGateway(provider, context_tokens=fits // 4),
@@ -477,7 +477,7 @@ def test_only_chunks_overflow_the_context_budget(lengths, chunk_chars, slack):
                   body="<html><body>" + "".join(f"<p>{t}</p>" for t in texts) + "</body></html>")
 
     def prompt(snippet):
-        return render_rdf_prompt(RdfPrompt(statement, snippet))
+        return render_rdf_prompt(statement, snippet)
 
     tokens = (len(prompt("x")) - 1 + len(SYSTEM_PROMPT) + slack) // 4
     budget = tokens * 4

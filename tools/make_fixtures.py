@@ -20,7 +20,7 @@ from kgverify.html_text import extract_paragraphs, strip_archive_chrome  # noqa:
 from kgverify.llm import LlmParams, write_response_log  # noqa: E402
 from kgverify.model import Statement, statement_to_search_query  # noqa: E402
 from kgverify.net import HttpRequest, HttpResponse, write_fixture  # noqa: E402
-from kgverify.prompting import RdfPrompt, render_nli_prompt, render_rdf_prompt  # noqa: E402
+from kgverify.prompting import render_nli_prompt, render_rdf_prompt  # noqa: E402
 from kgverify.retrieval import (  # noqa: E402
     ARCHIVE_AVAILABILITY_API,
     DEFAULT_HIT_LIMIT,
@@ -311,7 +311,7 @@ def build_havel() -> list[tuple[LlmParams, str, str]]:
     entries: list[tuple[LlmParams, str, str]] = []
 
     def add(snippet: str, response: str) -> None:
-        prompt = render_rdf_prompt(RdfPrompt(statement, snippet))
+        prompt = render_rdf_prompt(statement, snippet)
         entries.append((LLAMA_PARAMS, prompt, response))
 
     doc1 = extract_paragraphs(DOC1_HTML)
@@ -513,7 +513,7 @@ def build_biolum() -> list[tuple[LlmParams, str, str]]:
     entries: list[tuple[LlmParams, str, str]] = []
 
     def add(snippet: str, response: str) -> None:
-        prompt = render_rdf_prompt(RdfPrompt(BIOLUM_STATEMENT, snippet))
+        prompt = render_rdf_prompt(BIOLUM_STATEMENT, snippet)
         entries.append((GPT4_PARAMS, prompt, response))
 
     article = parse_wikipedia_article(WIKI_ARTICLE_HTML)
@@ -1010,7 +1010,7 @@ def build_eval_replay() -> None:
     entries: list[tuple[LlmParams, str, str]] = []
     flipped_positive = flipped_negative = False
     for instance in instances:
-        prompt = render_rdf_prompt(RdfPrompt(instance.statement, instance.grounding_text))
+        prompt = render_rdf_prompt(instance.statement, instance.grounding_text)
         if instance.gold is BinaryDecision.SUPPORTED:
             if not flipped_positive:
                 flipped_positive = True
