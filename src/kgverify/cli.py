@@ -150,12 +150,17 @@ class RunConfig:
                 raise click.UsageError(f"{name} must be at least 1")
         if config.hit_limit > MAX_HIT_LIMIT:  # the most hits one search API request returns
             raise click.UsageError(f"hit_limit must be at most {MAX_HIT_LIMIT}")
-        # checked before any input is read: a run must not end where it cannot write
-        out_dir = Path(config.out_dir)
-        taken = next(path for path in (out_dir, *out_dir.parents)
-                     if path.exists() or path.is_symlink())
-        if not taken.is_dir():
-            raise click.UsageError(f"output directory {out_dir}: {taken} is not a directory")
+        if not config.cache_ttl_seconds >= 0:  # NaN too; inf never expires
+            raise click.UsageError("cache_ttl_seconds must be a number of at least 0")
+        # checked before any input is read or request asked: a run must not end where
+        # it cannot write (a replay never writes into the cache directory)
+        dirs = {"output": Path(config.out_dir)}
+        if config.cache_dir and not config.replay:
+            dirs["cache"] = Path(config.cache_dir)
+        for kind, path in dirs.items():
+            taken = next(p for p in (path, *path.parents) if p.exists() or p.is_symlink())
+            if not taken.is_dir():
+                raise click.UsageError(f"{kind} directory {path}: {taken} is not a directory")
         return config
 
 
@@ -537,7 +542,7 @@ def cmd_build_dataset(biored_path: str, **kwargs) -> None:
 @click.option("--dataset", "dataset_path", type=click.Path(), required=True,
               help="JSON-lines dataset: verification instances, or an SNLI split for --task nli.")
 @click.option("--task", type=click.Choice(["triples", "nli"]), default="triples")
-@click.option("--sample", type=int, default=None,
+@click.option("--sample", type=click.IntRange(min=1), default=None,
               help="For --task nli: evaluate this many records sampled from the split.")
 @click.option("--snli-train", "snli_train", type=click.Path(), default=None,
               help="For --task nli: training split for the few-shot examples.")

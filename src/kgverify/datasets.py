@@ -122,7 +122,6 @@ def _parse_document(raw: dict) -> BioRedDocument:
     if not doc_id:
         raise MalformedInput("document without id")
     texts: list[str] = []
-    order: list[str] = []
     entities: dict[str, BioRedEntity] = {}
     for passage in raw.get("passages", []):
         text = passage.get("text", "")
@@ -146,7 +145,6 @@ def _parse_document(raw: dict) -> BioRedDocument:
                         concept_type=concept_type,
                         surface_forms=(surface,),
                     )
-                    order.append(single)
                 elif surface not in existing.surface_forms:
                     entities[single] = BioRedEntity(
                         identifier=single,
@@ -173,7 +171,7 @@ def _parse_document(raw: dict) -> BioRedDocument:
     return BioRedDocument(
         doc_id=doc_id,
         text=" ".join(texts),
-        entities=tuple(entities[e] for e in order),
+        entities=tuple(entities.values()),
         relations=tuple(relations),
     )
 

@@ -69,13 +69,7 @@ class UnsupportedMediaType(KgVerifyError):
 
 
 class Unavailable(KgVerifyError):
-    """The resource could not be fetched directly (HTTP error or timeout)."""
-
-    exit_code = 4
-
-
-class UnavailableEverywhere(KgVerifyError):
-    """Neither the live resource nor an archived snapshot exists."""
+    """The resource could not be fetched (HTTP error or timeout), nor its archived snapshot."""
 
     exit_code = 4
 

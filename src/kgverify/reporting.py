@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from datetime import date as date_type
-from datetime import datetime, time as time_type
+from datetime import time as time_type
 from functools import lru_cache
 from importlib import resources
 from typing import Sequence
@@ -90,12 +90,6 @@ def _summary_xml(parent: ET.Element, summary: ReportSummary) -> None:
     _child(block, "endpoint", summary.endpoint)
 
 
-def _format_instant(value: datetime | None) -> str:
-    if value is None:
-        return "1970-01-01T00:00:00+00:00"
-    return value.isoformat()
-
-
 def _session_xml(parent: ET.Element, session: VerificationSession) -> None:
     node = ET.SubElement(parent, "session", {"mode": session.mode.value})
     statement = ET.SubElement(node, "statement")
@@ -103,8 +97,8 @@ def _session_xml(parent: ET.Element, session: VerificationSession) -> None:
     _child(statement, "subject", stmt.subject_label, id=stmt.subject_id)
     _child(statement, "predicate", stmt.predicate_label, id=stmt.predicate_id)
     _child(statement, "object", stmt.object_label, id=stmt.object_id)
-    _child(node, "started-at", _format_instant(session.started_at))
-    _child(node, "ended-at", _format_instant(session.ended_at))
+    _child(node, "started-at", session.started_at.isoformat())
+    _child(node, "ended-at", session.ended_at.isoformat())
     _child(node, "paragraphs-queried", str(session.paragraphs_queried))
     if session.documents:
         docs = ET.SubElement(node, "documents")
@@ -138,7 +132,7 @@ def _session_xml(parent: ET.Element, session: VerificationSession) -> None:
         _child(t, "verdict", trace.verdict.kind.value.replace("_", "-"))
         _child(t, "justification", trace.justification)
         _child(t, "llm-model", trace.llm_model)
-        _child(t, "timestamp", _format_instant(trace.timestamp))
+        _child(t, "timestamp", trace.timestamp.isoformat())
         _child(t, "duration-ms", str(trace.duration_ms))
 
 
@@ -154,16 +148,9 @@ def build_run_xml(
     return ET.ElementTree(root)
 
 
-def validate_report(root: ET.Element | ET.ElementTree) -> None:
+def validate_report(root: ET.Element) -> None:
     """Check a report document against the bundled schema."""
-    if isinstance(root, ET.ElementTree):
-        root = root.getroot()
-    try:
-        _validator().validate(root)
-    except SchemaViolation:
-        raise
-    except Exception as exc:  # pragma: no cover - defensive
-        raise SchemaViolation(str(exc)) from exc
+    _validator().validate(root)
 
 
 def serialize_xml(tree: ET.ElementTree) -> bytes:
@@ -173,19 +160,19 @@ def serialize_xml(tree: ET.ElementTree) -> bytes:
     return ET.tostring(root, encoding="utf-8", xml_declaration=True) + b"\n"
 
 
-def render_html(xml: ET.ElementTree | ET.Element | bytes | str) -> str:
+def render_html(xml: ET.ElementTree | bytes) -> str:
     """Apply the bundled stylesheet to schema-valid report XML.
 
-    Bytes or text are parsed and validated first; a tree or element is taken
-    as valid already (``build_run_xml`` validates what it returns).
+    Bytes are parsed and validated first; a tree is taken as valid already
+    (``build_run_xml`` validates what it returns).
     """
-    if isinstance(xml, (bytes, str)):
-        try:
-            xml = ET.fromstring(xml)
-        except ET.ParseError as exc:
-            raise SchemaViolation(f"not well-formed XML: {exc}") from exc
-        validate_report(xml)
-    root = xml.getroot() if isinstance(xml, ET.ElementTree) else xml
+    if isinstance(xml, ET.ElementTree):
+        return _renderer().render(xml.getroot())
+    try:
+        root = ET.fromstring(xml)
+    except ET.ParseError as exc:
+        raise SchemaViolation(f"not well-formed XML: {exc}") from exc
+    validate_report(root)
     return _renderer().render(root)
 
 

@@ -19,7 +19,6 @@ from .errors import (
     ProviderUnavailable,
     QuotaExceeded,
     Unavailable,
-    UnavailableEverywhere,
     UnsupportedMediaType,
     malformed,
 )
@@ -130,7 +129,7 @@ class DocumentFetcher:
             pass
         snapshot_url = self._nearest_snapshot(url)
         if snapshot_url is None:
-            raise UnavailableEverywhere(f"{url}: no live copy and no archived snapshot")
+            raise Unavailable(f"{url}: no live copy and no archived snapshot")
         html = html_text.strip_archive_chrome(self.fetch_raw(snapshot_url))
         return self._document(snapshot_url, RetrievalSource.WEB_ARCHIVE, html)
 

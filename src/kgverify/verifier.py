@@ -45,7 +45,6 @@ from .errors import (
     NoDocumentsRetrievable,
     NoSitelink,
     Unavailable,
-    UnavailableEverywhere,
     UnsupportedMediaType,
 )
 from .llm import LlmGateway, extract_justification, parse_option
@@ -505,7 +504,7 @@ class Verifier:
         except UnsupportedMediaType as exc:
             record.skip = SkipRecord("unsupported-media", url, str(exc))
             return _DocumentScan(record)
-        except (UnavailableEverywhere, Unavailable) as exc:
+        except Unavailable as exc:
             record.skip = SkipRecord("unavailable", url, str(exc))
             return _DocumentScan(record)
         record.retrieval_source = doc.retrieval_source.value

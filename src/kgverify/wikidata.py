@@ -16,7 +16,7 @@ from urllib.parse import quote
 
 from .errors import EndpointUnavailable, MalformedResponse, NoSitelink, malformed
 from .model import Statement, normalize_label
-from .net import HttpRequest, Transport
+from .net import HttpRequest, HttpResponse, Transport
 
 WIKIDATA_SPARQL_ENDPOINT = "https://query.wikidata.org/sparql"
 WIKIDATA_API = "https://www.wikidata.org/w/api.php"
@@ -116,17 +116,18 @@ class WikidataClient:
         self._api_url = api_url
         self._wikipedia_api = wikipedia_api
 
+    def _get(self, url: str, params: dict, headers: dict | None = None) -> HttpResponse:
+        """The answer to a GET of ``url``; a status other than 200 is unavailable."""
+        resp = self._transport.send(HttpRequest.get(url, params=params, headers=headers))
+        if resp.status != 200:
+            raise EndpointUnavailable(f"{url} returned HTTP {resp.status}")
+        return resp
+
     # -- SPARQL ---------------------------------------------------------------
 
     def _sparql(self, query: str) -> list[dict]:
-        req = HttpRequest.get(
-            self.endpoint,
-            params={"query": query, "format": "json"},
-            headers={"Accept": "application/sparql-results+json"},
-        )
-        resp = self._transport.send(req)
-        if resp.status != 200:
-            raise EndpointUnavailable(f"{self.endpoint} returned HTTP {resp.status}")
+        resp = self._get(self.endpoint, {"query": query, "format": "json"},
+                         headers={"Accept": "application/sparql-results+json"})
         with malformed(MalformedResponse, f"unexpected SPARQL payload from {self.endpoint}",
                        resp.body):
             bindings = resp.json()["results"]["bindings"]
@@ -165,8 +166,6 @@ class WikidataClient:
 
     def filter_mandatory_reference(self, statements: Sequence[Statement]) -> list[Statement]:
         """Keep statements whose predicate declares a citation-needed constraint."""
-        if not statements:
-            return []
         property_ids: list[str] = []
         for statement in statements:
             pid = statement.predicate_id
@@ -186,20 +185,14 @@ class WikidataClient:
     def entity_info(self, entity: EntityId | str | int) -> EntityInfo:
         """Label, latest revision, and English sitelink of an entity."""
         entity = EntityId.parse(entity)
-        req = HttpRequest.get(
-            self._api_url,
-            params={
-                "action": "wbgetentities",
-                "ids": str(entity),
-                "props": "info|labels|sitelinks/urls",
-                "languages": "en",
-                "sitefilter": "enwiki",
-                "format": "json",
-            },
-        )
-        resp = self._transport.send(req)
-        if resp.status != 200:
-            raise EndpointUnavailable(f"{self._api_url} returned HTTP {resp.status}")
+        resp = self._get(self._api_url, {
+            "action": "wbgetentities",
+            "ids": str(entity),
+            "props": "info|labels|sitelinks/urls",
+            "languages": "en",
+            "sitefilter": "enwiki",
+            "format": "json",
+        })
         with malformed(MalformedResponse, "unexpected entity payload", resp.body):
             record = resp.json()["entities"][str(entity)]
             if "missing" in record:
@@ -228,13 +221,8 @@ class WikidataClient:
 
     def wikipedia_revision(self, title: str) -> int:
         """Latest revision id of a Wikipedia article, for permalink pinning."""
-        req = HttpRequest.get(
-            self._wikipedia_api,
-            params={"action": "query", "prop": "info", "titles": title, "format": "json"},
-        )
-        resp = self._transport.send(req)
-        if resp.status != 200:
-            raise EndpointUnavailable(f"{self._wikipedia_api} returned HTTP {resp.status}")
+        resp = self._get(self._wikipedia_api,
+                         {"action": "query", "prop": "info", "titles": title, "format": "json"})
         with malformed(MalformedResponse, "unexpected page-info payload", resp.body):
             pages = resp.json()["query"]["pages"]
             return int(next(iter(pages.values()))["lastrevid"])

@@ -197,51 +197,19 @@ def _escape_attr(value: str) -> str:
     return escape(value, quote=False).replace('"', "&quot;")
 
 
-class _OutNode:
-    __slots__ = ("tag", "attrs", "children")
-
-    def __init__(self, tag: str):
-        self.tag = tag
-        self.attrs: dict[str, str] = {}
-        self.children: list = []  # _OutNode or str
-
-    def serialize(self, out: list[str]) -> None:
-        attrs = "".join(f' {k}="{_escape_attr(v)}"' for k, v in self.attrs.items())
-        if self.tag in _VOID_HTML and not self.children:
-            out.append(f"<{self.tag}{attrs}/>")
-            return
-        out.append(f"<{self.tag}{attrs}>")
-        for child in self.children:
-            if isinstance(child, str):
-                out.append(escape(child, quote=False))
-            else:
-                child.serialize(out)
-        out.append(f"</{self.tag}>")
-
-
-def _text_content(elem: ET.Element) -> str:
-    return "".join(elem.itertext())
-
-
-def _eval_nodes(ctx: ET.Element, path: str) -> list[ET.Element]:
-    return ctx.findall(path.strip())
-
-
 def _eval_string(ctx: ET.Element, path: str) -> str:
     path = path.strip()
-    if path == ".":
-        return _text_content(ctx)
     if path.startswith("@"):
         return ctx.get(path[1:], "")
     nodes = ctx.findall(path)
-    return _text_content(nodes[0]) if nodes else ""
+    return "".join(nodes[0].itertext()) if nodes else ""
 
 
 def _truthy(ctx: ET.Element, expr: str) -> bool:
     expr = expr.strip()
     if expr.startswith("@"):
         return bool(ctx.get(expr[1:], "").strip())
-    return bool(_eval_nodes(ctx, expr)) or bool(_eval_string(ctx, expr).strip())
+    return bool(ctx.findall(expr)) or bool(_eval_string(ctx, expr).strip())
 
 
 class XsltRenderer:
@@ -265,37 +233,32 @@ class XsltRenderer:
     def render(self, root: ET.Element) -> str:
         document = ET.Element("(document)")
         document.append(root)
-        out = _OutNode("(fragment)")
+        out: list[str] = []
         try:
             self._instantiate(self._root_template, document, out)
         except TransformFailure:
             raise
         except Exception as exc:  # a path ElementTree cannot evaluate, such as a/@b
             raise TransformFailure(f"stylesheet application failed: {exc}") from exc
-        pieces: list[str] = []
-        for child in out.children:
-            if isinstance(child, str):
-                pieces.append(escape(child, quote=False))
-            else:
-                child.serialize(pieces)
-        return "<!DOCTYPE html>\n" + "".join(pieces) + "\n"
+        return "<!DOCTYPE html>\n" + "".join(out) + "\n"
 
-    def _instantiate(self, template: ET.Element, ctx: ET.Element, out: _OutNode) -> None:
+    def _instantiate(self, template: ET.Element, ctx: ET.Element, out: list[str]) -> None:
+        """Append the escaped output of ``template``'s content at ``ctx`` to ``out``."""
         if template.text and template.text.strip():
-            out.children.append(template.text.strip())
+            out.append(escape(template.text.strip(), quote=False))
         for node in template:
             self._apply_node(node, ctx, out)
             if node.tail and node.tail.strip():
-                out.children.append(node.tail.strip())
+                out.append(escape(node.tail.strip(), quote=False))
 
-    def _apply_node(self, node: ET.Element, ctx: ET.Element, out: _OutNode) -> None:
+    def _apply_node(self, node: ET.Element, ctx: ET.Element, out: list[str]) -> None:
         tag = node.tag
         if tag == f"{XSL_NS}value-of":
-            out.children.append(_eval_string(ctx, node.get("select", ".")))
+            out.append(escape(_eval_string(ctx, node.get("select", ".")), quote=False))
         elif tag == f"{XSL_NS}text":
-            out.children.append(node.text or "")
+            out.append(escape(node.text or "", quote=False))
         elif tag == f"{XSL_NS}for-each":
-            for item in _eval_nodes(ctx, node.get("select", ".")):
+            for item in ctx.findall(node.get("select", ".").strip()):
                 self._instantiate(node, item, out)
         elif tag == f"{XSL_NS}if":
             if _truthy(ctx, node.get("test", "")):
@@ -303,10 +266,16 @@ class XsltRenderer:
         elif tag.startswith(XSL_NS):
             raise TransformFailure(f"unsupported stylesheet instruction {tag}")
         else:
-            element = _OutNode(tag)
+            attrs = ""
             for name, value in node.attrib.items():
-                element.attrs[name] = _AVT.sub(
-                    lambda match: _eval_string(ctx, match.group(1)), value
-                )
-            out.children.append(element)
-            self._instantiate(node, ctx, element)
+                value = _AVT.sub(lambda match: _eval_string(ctx, match.group(1)), value)
+                attrs += f' {name}="{_escape_attr(value)}"'
+            out.append(f"<{tag}{attrs}>")
+            mark = len(out)
+            self._instantiate(node, ctx, out)
+            # a void element is self-closed only when its content appended nothing,
+            # not even an empty value-of
+            if tag in _VOID_HTML and len(out) == mark:
+                out[-1] = f"<{tag}{attrs}/>"
+            else:
+                out.append(f"</{tag}>")

@@ -312,7 +312,7 @@ def test_criterion_09_end_to_end_replay(tmp_path, no_network):
         ])
         assert result.exit_code == 0, result.output
         uc1 = ET.parse(uc1_out / "verify-wikidata-Q36233.xml")
-        validate_report(uc1)
+        validate_report(uc1.getroot())
         trace_urls = [t.findtext("document-url")
                       for t in uc1.getroot().findall("session/traces/trace")]
         documents = [d.get("url")
@@ -333,7 +333,7 @@ def test_criterion_09_end_to_end_replay(tmp_path, no_network):
         ])
         assert result.exit_code == 0, result.output
         uc2 = ET.parse(uc2_out / "verify-wikipedia-Q179924.xml")
-        validate_report(uc2)
+        validate_report(uc2.getroot())
         root = uc2.getroot()
         assert root.findtext("summary/subject-id") == "179924"
         assert root.findtext("summary/wikipedia-permalink").endswith("oldid=1206514418")

@@ -443,6 +443,8 @@ class TestConfig:
         ({"llm_context_tokens": 0}, "llm_context_tokens must be at least 1"),
         ({"llm_context_tokens": -5}, "llm_context_tokens must be at least 1"),
         ({"hit_limit": 11}, "hit_limit must be at most 10"),
+        ({"cache_ttl_seconds": float("nan")}, "cache_ttl_seconds must be a number of at least 0"),
+        ({"cache_ttl_seconds": -1}, "cache_ttl_seconds must be a number of at least 0"),
     ])
     def test_bad_config_file_is_a_usage_error(self, runner, tmp_path, payload, message):
         config = tmp_path / "config.json"
@@ -464,6 +466,23 @@ class TestConfig:
         assert "hit_limit must be at most 10" in result.output
         assert live_remote == []
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "-1"])
+    def test_bad_cache_ttl_in_the_environment_asks_nothing(self, runner, tmp_path, monkeypatch,
+                                                           live_remote, value):
+        """A TTL that no age is within would silently ask every request again:
+        it is a usage error (exit 2) before any request."""
+        monkeypatch.setenv("KGVERIFY_CACHE_TTL_SECONDS", value)
+        result = runner.invoke(main, [*UC1[0], "--live", "--cache-dir", str(tmp_path / "cache"),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert "cache_ttl_seconds must be a number of at least 0" in result.output
+        assert live_remote == []
+        assert not (tmp_path / "out").exists()
+
+    def test_an_infinite_cache_ttl_never_expires(self, monkeypatch):
+        monkeypatch.setenv("KGVERIFY_CACHE_TTL_SECONDS", "inf")
+        assert RunConfig.resolve({}).cache_ttl_seconds == float("inf")
 
     @pytest.mark.parametrize("text,value", [
         ("1", True), ("TRUE", True), ("Yes", True), ("on", True),
@@ -616,10 +635,11 @@ class TestEvaluate:
         manifest = json.loads((out / "manifest.json").read_text())
         assert len(manifest["example_pair_ids"]) == 3
 
-    @pytest.mark.parametrize("sample,code", [(3, 0), (99, 3)])
+    @pytest.mark.parametrize("sample,code", [(3, 0), (99, 3), (-1, 2), (0, 2)])
     def test_nli_sample(self, runner, tmp_path, sample, code):
         """--sample N judges N records drawn by the sample seed (the paper's
-        sampled SNLI protocol); more than the split holds exits 3."""
+        sampled SNLI protocol); more than the split holds exits 3, fewer than
+        one is a usage error."""
         out = tmp_path / "nli"
         result = runner.invoke(main, [
             "evaluate", "--dataset", str(FIXTURES / "snli" / "test_mini.jsonl"),
@@ -629,7 +649,8 @@ class TestEvaluate:
         ])
         assert result.exit_code == code, result.output
         if code:
-            assert "error: requested 99 records but the split holds only 12" in result.output
+            assert ("error: requested 99 records but the split holds only 12" if code == 3
+                    else f"{sample} is not in the range x>=1") in result.output
             assert not out.exists()
             return
         assert json.loads((out / "results.json").read_text())["total"] == 3
@@ -1212,6 +1233,24 @@ class TestInterrupt:
 
 
 class TestLiveWithCache:
+    @pytest.mark.parametrize("under", [False, True], ids=["file", "under-a-file"])
+    def test_a_cache_dir_that_cannot_be_a_directory_asks_nothing(self, runner, tmp_path,
+                                                                live_remote, under):
+        """A live run whose --cache-dir names a file, or lies under one, is a
+        usage error (exit 2) before any request; a replay never writes there."""
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cache = taken / "cache" if under else taken
+        result = runner.invoke(main, [*UC1[0], "--live", "--cache-dir", str(cache),
+                                      "--out", str(tmp_path / "out")])
+        assert result.exit_code == 2, result.output
+        assert f"cache directory {cache}: {taken} is not a directory" in result.output
+        assert live_remote == []
+        assert not (tmp_path / "out").exists()
+        result = runner.invoke(main, [*UC1[0], *replay_args(tmp_path / "replay"),
+                                      "--cache-dir", str(cache)])
+        assert result.exit_code == 0, result.output
+
     def test_completions_stay_out_of_the_page_cache(self, runner, tmp_path, live_remote):
         """A live run (its remote side served from the replay fixtures) caches
         pages and API answers under http/ and records every completion in

@@ -21,7 +21,6 @@ EXPECTED_EXIT_CODES = {
     "QuotaExceeded": 4,
     "NoDocumentsRetrievable": 4,
     "Unavailable": 4,
-    "UnavailableEverywhere": 4,
     "MalformedResponse": 4,
     "FixtureMissing": 5,
     "NoSitelink": 6,

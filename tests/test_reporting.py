@@ -160,7 +160,7 @@ class TestBuildXml:
         node = tree.getroot().find("session/paragraphs-queried")
         node.text = "minus three"
         with pytest.raises(SchemaViolation, match="paragraphs-queried"):
-            validate_report(tree)
+            validate_report(tree.getroot())
 
 
 class TestRenderHtml:
@@ -200,7 +200,7 @@ class TestRenderHtml:
 
     def test_rejects_invalid_document(self):
         with pytest.raises(SchemaViolation):
-            render_html("<verification-report schema-version='1.0'/>")
+            render_html(b"<verification-report schema-version='1.0'/>")
 
 
 MINI_SCHEMA = """<?xml version="1.0"?>
@@ -319,6 +319,19 @@ class TestXsltRendererSubset:
         with pytest.raises(TransformFailure, match="stylesheet application failed"):
             renderer.render(ET.fromstring(
                 '<root kind="k"><item n="1">x</item><count>2</count></root>'))
+
+    def test_void_elements_and_escaping(self):
+        """A void element self-closes only when its content appended nothing: an
+        empty value-of still opens and closes it. Text and attribute values are
+        escaped, and template text is stripped."""
+        sheet = ('<xsl:stylesheet xmlns:xsl="http://www.w3.org/1999/XSL/Transform" '
+                 'version="1.0"><xsl:template match="/">'
+                 '<p>top &amp; <br/><xsl:for-each select="root"><img src="{@q}"/></xsl:for-each>'
+                 '<br><xsl:value-of select="root/missing"/></br><hr>x</hr></p>tail &lt;'
+                 '</xsl:template></xsl:stylesheet>')
+        html = XsltRenderer(sheet).render(ET.fromstring('<root q=\'a"b&amp;c\'/>'))
+        assert html == ('<!DOCTYPE html>\n<p>top &amp;<br/><img src="a&quot;b&amp;c"/>'
+                        '<br></br><hr>x</hr></p>tail &lt;\n')
 
     def test_requires_root_template(self):
         with pytest.raises(TransformFailure):

@@ -12,7 +12,6 @@ from kgverify.errors import (
     FixtureMissing,
     MalformedResponse,
     Unavailable,
-    UnavailableEverywhere,
     UnsupportedMediaType,
 )
 from kgverify.model import RetrievalSource
@@ -202,7 +201,7 @@ class TestArchiveFallback:
             HttpRequest.get(ARCHIVE_AVAILABILITY_API, params={"url": self.URL}),
             {"archived_snapshots": {}},
         )
-        with pytest.raises(UnavailableEverywhere):
+        with pytest.raises(Unavailable, match="no archived snapshot"):
             DocumentFetcher(dict_transport).fetch_with_archive_fallback(self.URL)
 
     @pytest.mark.parametrize("payload", [
@@ -215,7 +214,7 @@ class TestArchiveFallback:
         dict_transport.add(HttpRequest.get(self.URL), status=404, body="gone")
         dict_transport.add_json(
             HttpRequest.get(ARCHIVE_AVAILABILITY_API, params={"url": self.URL}), payload)
-        with pytest.raises(UnavailableEverywhere):
+        with pytest.raises(Unavailable, match="no archived snapshot"):
             DocumentFetcher(dict_transport).fetch_with_archive_fallback(self.URL)
 
 
