@@ -3,7 +3,8 @@
 Every outbound request is described by a canonical fingerprint so a live
 response can be recorded once and replayed forever (``kgverify.store`` keeps
 the records). Replay mode builds no live transport at all, which makes "no
-network access" a structural property rather than a convention.
+network access" a structural property rather than a convention; nor does it
+import ``requests`` or ``urllib3``, which the first ``LiveTransport`` imports.
 """
 
 from __future__ import annotations
@@ -23,9 +24,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Callable, Generic, Hashable, Protocol, TypeVar
 from urllib.parse import urlencode, urljoin, urlsplit
-
-import requests
-import urllib3
 
 from .errors import Unavailable
 
@@ -201,9 +199,21 @@ class RequestMemo:
         return self._answers.get(request_fingerprint(req), lambda: self._inner.send(req))
 
 
+# Imported by the first LiveTransport (``_import_live``): a replay, ``report`` and
+# ``build-dataset`` never pay for them.
+requests = urllib3 = None
 # What an attempt raises when the remote could not be reached or did not answer
 # in time: requests' errors from the adapter, and urllib3's from reading a body.
-_TRANSIENT = (requests.RequestException, urllib3.exceptions.HTTPError)
+_TRANSIENT: tuple[type[BaseException], ...] = ()
+
+
+def _import_live() -> None:
+    """Import ``requests`` and ``urllib3``, and name their transient errors."""
+    global requests, urllib3, _TRANSIENT
+    import requests
+    import urllib3
+
+    _TRANSIENT = (requests.RequestException, urllib3.exceptions.HTTPError)
 
 
 def _retry_delay(retry_after: str, attempt: int) -> float:
@@ -259,6 +269,7 @@ class LiveTransport:
         session: requests.Session | None = None,
         sleeper=time.sleep,
     ):
+        _import_live()
         self._connect_timeout = connect_timeout
         self._total_timeout = total_timeout
         self._retries = retries

@@ -11,18 +11,21 @@ Within a session, independent documents (search hits, cited sources) and
 independent judgments (article chunks, drill-down paragraphs) can run
 concurrently on an optional worker pool that a run's statements share; the
 statements themselves are the items of a smaller pool of their own. A
+web-search session fetches every hit first; each fetched hit then adds the
+scan of its paragraphs, and a free worker takes the oldest statement's
+longest scan first (the most valid paragraphs, ties in hit order). A
 Wikipedia session streams: a chunk that comes back positive adds its
 paragraphs' judgments, and a paragraph that finds a direct proof adds its
 cited sources, as soon as that verdict arrives. A free worker takes the
 oldest statement's deepest ready stage first (cited sources, then
-paragraphs, then chunks), so the calls, and the lines of a live run's
-``responses.jsonl``, follow that order, not the article's, even at width 1.
-Failures still rank by key (stage, then place in the article). Each task
-builds its own result and never touches the session; the calling thread
-waits once for all of them and assembles the results in rank or article
-order, so a session is the same whatever the pool's width. Paragraphs of
-one document are still judged one after another, stopping at the first
-proof.
+paragraphs, then chunks). So the calls, and the lines of a live run's
+``responses.jsonl``, follow these orders, not the hits' or the article's,
+even at width 1. Failures still rank by key (hit, then fetch before scan;
+stage, then place in the article). Each task builds its own result and
+never touches the session; the calling thread waits once for all of them
+and assembles the results in rank or article order, so a session is the
+same whatever the pool's width. Paragraphs of one document are still judged
+one after another, stopping at the first proof.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import logging
+import math
 import re
 import threading
 from contextlib import closing
@@ -83,10 +87,10 @@ class WorkerPool:
     """``width`` worker threads named ``kgverify``, started with the pool. A
     free worker takes the ready item of the oldest statement first (the rank
     of the statement that queued it, ``run_statements``; 0 outside one), and
-    of that statement's oldest fan-out, its deepest stage (``_Tasks.add``'s
+    of that statement's oldest fan-out, its deepest item (``_Tasks.add``'s
     ``depth``) in key order. Failures still rank by key alone, but the order
     of the calls, and so of a live run's ``responses.jsonl`` lines, follows
-    the stages, even at width 1. At width 0 the caller of ``_Tasks.join``
+    the depths, even at width 1. At width 0 the caller of ``_Tasks.join``
     runs the items itself. ``run_statements`` runs a verify run's statements
     on a pool of their own."""
 
@@ -179,9 +183,9 @@ class WorkerPool:
 class _Tasks:
     """The items of one fan-out, each with a key, on a worker pool or run by
     the caller (``pool`` None). After the items of older statements, a free
-    worker takes the deepest stage first, each stage lowest key first; so at
-    width 1 too the calls, and a live run's ``responses.jsonl`` lines, come
-    in that order, not in key order.
+    worker takes the deepest item first, items of one depth lowest key
+    first; so at width 1 too the calls, and a live run's ``responses.jsonl``
+    lines, come in that order, not in key order.
 
     An item may add follow-up items, but never waits on one, so the pool
     cannot deadlock. Once an item fails no further item starts, and the
@@ -200,10 +204,12 @@ class _Tasks:
         self._done = threading.Condition(self._pool._lock)  # its caller waits here
         self._failures: dict = {}
 
-    def add(self, fn: Callable, items: Iterable[tuple], depth: int = 0) -> None:
-        """Queue ``fn(arg)`` for each ``(key, arg)`` of ``items`` at stage
-        ``depth``, which a free worker takes before the shallower stages of
-        this fan-out, and wake an idle worker for each."""
+    def add(self, fn: Callable, items: Iterable[tuple], depth: float = 0) -> None:
+        """Queue ``fn(arg)`` for each ``(key, arg)`` of ``items`` at ``depth``,
+        and wake an idle worker for each. A free worker takes this fan-out's
+        deepest items first: a later stage (a Wikipedia session's cited
+        sources), or a longer scan (a search hit's count of valid
+        paragraphs), or ``math.inf`` for what must run before any of them."""
         pool = self._pool
         with pool._lock:
             for key, arg in () if self.stopped else items:
@@ -494,28 +500,31 @@ class Verifier:
                 break
         return scan
 
-    def _examine(
-        self, statement: Statement, url: str, fetch: Callable[[str], GroundingDocument]
-    ) -> _DocumentScan:
-        """Fetch one document and scan it: the unit of a session's fan-out."""
+    @staticmethod
+    def _fetch(
+        url: str, fetch: Callable[[str], GroundingDocument]
+    ) -> tuple[DocumentRecord, GroundingDocument | None]:
+        """Fetch one document: its record, and the document to scan, or None
+        for a skip (a PDF or a dead link), which the record carries."""
         record = DocumentRecord(url=url)
         try:
             doc = fetch(url)
         except UnsupportedMediaType as exc:
             record.skip = SkipRecord("unsupported-media", url, str(exc))
-            return _DocumentScan(record)
+            return record, None
         except Unavailable as exc:
             record.skip = SkipRecord("unavailable", url, str(exc))
-            return _DocumentScan(record)
+            return record, None
         record.retrieval_source = doc.retrieval_source.value
-        return self._scan(statement, doc, record)
+        return record, doc
 
     # -- use case: web search ---------------------------------------------------
 
     def verify_via_web_search(
         self, statement: Statement, hit_limit: int = DEFAULT_HIT_LIMIT
     ) -> VerificationSession:
-        """Search the web for the triple and verify against each hit in rank order."""
+        """Search the web for the triple and verify against each hit; the
+        session lists the hits in rank order."""
         if self.search_provider is None:
             raise ValueError("no search provider configured")
         session = VerificationSession(
@@ -524,7 +533,29 @@ class Verifier:
         query = statement_to_search_query(statement)
         urls = web_search(self.search_provider, query, limit=hit_limit)
         fetch = self.fetcher.fetch_document
-        for scan in map_in_order(self.pool, lambda u: self._examine(statement, u, fetch), urls):
+
+        # Every hit's fetch runs first. A fetched hit then queues its scan at
+        # the depth of its valid paragraphs, the most calls the scan can make,
+        # so a free worker starts the longest scan left first. Failures rank
+        # by hit, a fetch before its own scan.
+        tasks = _Tasks(self.pool)
+        scans: list = [None] * len(urls)
+
+        def fetch_hit(index: int) -> None:
+            record, doc = self._fetch(urls[index], fetch)
+            if doc is None:
+                scans[index] = _DocumentScan(record)
+                return
+            tasks.add(scan_hit, [((index, 1), (index, doc, record))],
+                      depth=len(valid_paragraphs(doc.paragraphs)))
+
+        def scan_hit(arg: tuple[int, GroundingDocument, DocumentRecord]) -> None:
+            index, doc, record = arg
+            scans[index] = self._scan(statement, doc, record)
+
+        tasks.join(lambda: tasks.add(
+            fetch_hit, (((index, 0), index) for index in range(len(urls))), depth=math.inf))
+        for scan in scans:
             scan.add_to(session)
         if urls and session.documents_examined == 0:
             raise NoDocumentsRetrievable(
@@ -615,7 +646,8 @@ class Verifier:
             tasks.add(examine, sources, depth=2)
 
         def examine(url: str) -> None:
-            scans[url] = self._examine(statement, url, fetch)
+            record, doc = self._fetch(url, fetch)
+            scans[url] = self._scan(statement, doc, record) if doc else _DocumentScan(record)
 
         tasks.join(lambda: tasks.add(judge_chunk, (((0, i), i) for i in range(len(chunks)))))
 

@@ -9,6 +9,7 @@ import dataclasses
 import itertools
 import json
 import random
+import re
 import signal
 import sys
 import threading
@@ -168,9 +169,9 @@ WEB_PAGES = {
 }
 
 
-def web_verifier(pool, seed=1, urls=None, response_log=None):
+def web_verifier(pool, seed=1, urls=None, response_log=None, pages=WEB_PAGES):
     transport = SlowTransport(seed)
-    for url, page in WEB_PAGES.items():
+    for url, page in pages.items():
         if page is None:
             transport.add(HttpRequest.get(url), body=b"%PDF-1.4", content_type="application/pdf")
         elif page == 404:
@@ -181,7 +182,7 @@ def web_verifier(pool, seed=1, urls=None, response_log=None):
     verifier = Verifier(
         gateway=gateway(provider, response_log),
         fetcher=DocumentFetcher(transport),
-        search_provider=StubSearch(urls or list(WEB_PAGES)),
+        search_provider=StubSearch(urls or list(pages)),
         clock=lambda: NOW,
         pool=pool,
     )
@@ -563,6 +564,78 @@ class TestStreamedWikipediaSession:
             # the first source, of the first proved paragraph: nothing after it began
             assert sent[-1].url == REFERENCES[0]
             assert not any(r.url in REFERENCES[1:] for r in sent)
+
+
+SHORT = "<p>short</p>"  # not a valid paragraph: never judged
+# hits with 1, 3, 0 (a PDF), 3 and 2 valid paragraphs; each paragraph is
+# named by its hit and place, and a scan stops at its first proof
+RANKED_PAGES = {
+    "https://one.example/": SHORT * 3 + para("hit1para1"),
+    "https://two.example/": para("hit2para1") + SHORT + para(PROOF, "hit2para2") + para("hit2para3"),
+    "https://three.example/paper.pdf": None,
+    "https://four.example/": para("hit4para1") + para("hit4para2") + para("hit4para3"),
+    "https://five.example/": para(PROOF, "hit5para1") + SHORT + para("hit5para2"),
+}
+RANKED_URLS = list(RANKED_PAGES)
+
+
+def paragraph_asked(prompt: str) -> str:
+    """The ``hit<n>para<m>`` name of the paragraph that ``prompt`` asks about."""
+    return re.search(r"hit\dpara\d", prompt).group()
+
+
+class TestLongestScanFirst:
+    """A web-search session fetches every hit first, then scans the hit with
+    the most valid paragraphs first, ties in hit order; the session still
+    lists its hits in hit order."""
+
+    @pytest.mark.parametrize("width", [None, 1], ids=["no-pool", "width1"])
+    def test_fetches_in_hit_order_then_the_longest_scan_first(self, width):
+        events = []
+        with contextlib.ExitStack() as stack:
+            pool = None if width is None else stack.enter_context(worker_pool(width))
+            verifier, provider, transport = web_verifier(pool, pages=RANKED_PAGES)
+            transport.on_send = lambda req: events.append(req.url)
+            provider.on_call = lambda prompt: events.append(paragraph_asked(prompt))
+            session = verifier.verify_via_web_search(STATEMENT)
+        assert events == [
+            *RANKED_URLS,
+            "hit2para1", "hit2para2",  # three paragraphs, the first such hit; stops at its proof
+            "hit4para1", "hit4para2", "hit4para3",  # three paragraphs, none proves
+            "hit5para1",  # two paragraphs
+            "hit1para1",  # one paragraph
+        ]
+        assert [d.url for d in session.documents] == RANKED_URLS
+        assert [d.skip and d.skip.kind for d in session.documents] == [
+            None, None, "unsupported-media", None, None]
+        assert session.skips == []
+        assert [(t.document_url, paragraph_asked(t.paragraph_text)) for t in session.traces] == [
+            (RANKED_URLS[1], "hit2para2"), (RANKED_URLS[4], "hit5para1")]
+        assert session.paragraphs_queried == 7
+
+    def test_a_failing_scan_beats_a_later_hits_failing_fetch(self):
+        """At width 2, hit 4's fetch is held until hit 2's scan, the longest
+        one ready, fails on its first paragraph; then the fetch fails too.
+        The scan's failure has the lower key, and no further item starts."""
+        scan_failed = threading.Event()
+
+        def on_call(prompt):
+            scan_failed.set()
+            raise MalformedResponse("hit 2")
+
+        def on_send(req):
+            if req.url == RANKED_URLS[3]:
+                assert scan_failed.wait(5.0), "hit 2 was never scanned"
+
+        with worker_pool(2) as pool:
+            verifier, provider, transport = web_verifier(pool, pages=RANKED_PAGES)
+            provider.on_call, transport.on_send = on_call, on_send
+            transport.fail(RANKED_URLS[3], FixtureMissing("hit 4"))
+            with pytest.raises(MalformedResponse, match="hit 2"):
+                verifier.verify_via_web_search(STATEMENT)
+            assert provider.in_flight.now == transport.in_flight.now == 0
+        assert [paragraph_asked(prompt) for prompt in provider.prompts] == ["hit2para1"]
+        assert sorted(r.url for r in transport.requests) == sorted(RANKED_URLS)
 
 
 class TestFailurePropagation:

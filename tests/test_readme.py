@@ -6,6 +6,8 @@ from __future__ import annotations
 import json
 import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 from click.testing import CliRunner
@@ -33,6 +35,32 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         argv = [str(tmp_path / arg) if arg.startswith("out/") else arg for arg in command[1:]]
         result = runner.invoke(main, argv)
         assert result.exit_code == 0, f"{shlex.join(command)}\n{result.output}"
+
+
+# Runs the CLI, then prints which of the live transport's libraries it loaded.
+LOADED_AT_EXIT = """
+import atexit, sys
+atexit.register(lambda: print("loaded:", *sorted({"requests", "urllib3"} & set(sys.modules))))
+from kgverify.cli import main
+main(prog_name="kgverify")
+"""
+
+
+def test_readme_commands_never_import_the_live_transport(tmp_path):
+    """Replay, ``report`` and ``build-dataset`` build no live transport, so
+    each README command, in a process of its own, exits without having
+    imported ``requests`` or ``urllib3``."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    commands = readme_cli_commands()
+    assert {command[1] for command in commands} == {
+        "verify-wikidata", "verify-wikipedia", "build-dataset", "evaluate", "report"}
+    for command in commands:
+        argv = [str(tmp_path / arg) if arg.startswith("out/") else arg for arg in command[1:]]
+        done = subprocess.run([sys.executable, "-c", LOADED_AT_EXIT, *argv], cwd=ROOT, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, f"{shlex.join(command)}\n{done.stderr}"
+        assert done.stdout.splitlines()[-1] == "loaded:", shlex.join(command)
 
 
 def readme_config_example() -> dict:
