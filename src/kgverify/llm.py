@@ -23,7 +23,13 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Callable, Mapping, Protocol, TextIO
 
-from .errors import ContextOverflow, MalformedResponse, ProviderUnavailable, malformed
+from .errors import (
+    ContextOverflow,
+    KgVerifyError,
+    MalformedResponse,
+    ProviderUnavailable,
+    malformed,
+)
 from .model import DIRECT_PROOF, INDICATION, NO_SUPPORT, NliLabel, Verdict
 from .net import HttpRequest, SingleFlight, Transport, atomic_write, canonical_json
 from .prompting import OPTION_TEXTS, SYSTEM_PROMPT
@@ -55,8 +61,55 @@ class LlmParams:
 
     @functools.cached_property
     def as_dict(self) -> Mapping[str, object]:
-        """The parameters by field name, computed once: every fingerprint reads them."""
+        """The parameters by field name, computed once."""
         return MappingProxyType(dataclasses.asdict(self))
+
+    @functools.cached_property
+    def fingerprint_affixes(self) -> tuple[str, str]:
+        """The canonical JSON of the fingerprint descriptor (the parameters and
+        the prompt) before and after the prompt's encoding."""
+        return _around_prompt({**self.as_dict, "prompt": None})
+
+    @functools.cached_property
+    def request_affixes(self) -> tuple[str, str]:
+        """The canonical JSON of a live prediction request's body before and
+        after the prompt's encoding."""
+        return _around_prompt({"input": {
+            "prompt": None,
+            "system_prompt": self.system_prompt,
+            "seed": self.seed,
+            "top_p": self.top_p,
+            "temperature": self.temperature,
+            "max_new_tokens": self.max_new_tokens,
+            "min_new_tokens": self.min_new_tokens,
+        }})
+
+
+def _around_prompt(descriptor: Mapping[str, object]) -> tuple[str, str]:
+    """``canonical_json(descriptor)`` split at its one ``"prompt"`` value (None):
+    with any prompt's JSON encoding between them, the two halves are the
+    canonical JSON of the descriptor holding that prompt. Another value
+    cannot hold the split's text, as a string's quotes are escaped."""
+    head, _, tail = canonical_json(descriptor).partition('"prompt":null')
+    return head + '"prompt":', tail
+
+
+@dataclass(frozen=True)
+class Prompt:
+    """A prompt with what a run derives from it, each computed once: its JSON
+    string encoding, which the fingerprint and a live request body share,
+    and its completion fingerprint under the gateway's parameters."""
+
+    text: str
+    encoded: str
+    fingerprint: str
+
+    @classmethod
+    def of(cls, params: LlmParams, text: str) -> "Prompt":
+        encoded = json.dumps(text, ensure_ascii=False)
+        head, tail = params.fingerprint_affixes
+        digest = hashlib.sha256(f"{head}{encoded}{tail}".encode("utf-8")).hexdigest()
+        return cls(text, encoded, digest[:24])
 
 
 @dataclass(frozen=True)
@@ -66,13 +119,13 @@ class LlmResponse:
 
 
 def completion_fingerprint(params: LlmParams, prompt: str) -> str:
-    """Deterministic identity of a completion request (params + prompts)."""
-    descriptor = {**params.as_dict, "prompt": prompt}
-    return hashlib.sha256(canonical_json(descriptor).encode("utf-8")).hexdigest()[:24]
+    """Deterministic identity of a completion request: the SHA-256 of the
+    canonical JSON of the params with the prompt, cut to 24 hex digits."""
+    return Prompt.of(params, prompt).fingerprint
 
 
 class LlmProvider(Protocol):
-    def complete(self, params: LlmParams, prompt: str) -> str: ...
+    def complete(self, params: LlmParams, prompt: Prompt) -> str: ...
 
 
 class ReplicateHttpProvider:
@@ -86,20 +139,9 @@ class ReplicateHttpProvider:
         if not self._token:
             raise ProviderUnavailable("LLM API token is not configured")
 
-    def complete(self, params: LlmParams, prompt: str) -> str:
-        body = canonical_json(
-            {
-                "input": {
-                    "prompt": prompt,
-                    "system_prompt": params.system_prompt,
-                    "seed": params.seed,
-                    "top_p": params.top_p,
-                    "temperature": params.temperature,
-                    "max_new_tokens": params.max_new_tokens,
-                    "min_new_tokens": params.min_new_tokens,
-                }
-            }
-        ).encode("utf-8")
+    def complete(self, params: LlmParams, prompt: Prompt) -> str:
+        head, tail = params.request_affixes
+        body = f"{head}{prompt.encoded}{tail}".encode("utf-8")
         req = HttpRequest.post(
             self.API_URL.format(model=params.model),
             body=body,
@@ -132,7 +174,9 @@ class ResponseLog:
     their order does not matter. Timestamps come from ``clock`` (the run's
     clock, which ``--fixed-clock`` pins). Each path is opened at its first
     line, its torn last line cut if a killed run left one, and kept open,
-    every line flushed, until ``close``.
+    every line flushed, until ``close``. A path that cannot be opened or
+    written raises ``KgVerifyError`` (exit code 1) naming it, and closes
+    them all; a later line opens them again.
     """
 
     def __init__(self, *paths: Path | str, clock: Callable[[], datetime] | None = None):
@@ -141,23 +185,34 @@ class ResponseLog:
         self._lock = threading.Lock()
         self._handles: list[TextIO] = []
 
-    def append(self, fingerprint: str, params: LlmParams, prompt: str, raw_text: str,
-               latency_ms: int) -> None:
+    def append(self, prompt: Prompt, params: LlmParams, raw_text: str, latency_ms: int) -> None:
         stamp = self._clock().astimezone(timezone.utc)
-        line = _log_line(fingerprint, params, prompt, raw_text, latency_ms, stamp) + "\n"
+        line = _log_line(prompt, params, raw_text, latency_ms, stamp) + "\n"
         with self._lock:
-            if not self._handles:
-                self._handles = [_open_for_append(path) for path in self.paths]
-            for handle in self._handles:
-                handle.write(line)
-                handle.flush()
+            try:
+                if not self._handles:
+                    for path in self.paths:
+                        self._handles.append(_open_for_append(path))
+                for path, handle in zip(self.paths, self._handles):
+                    handle.write(line)
+                    handle.flush()
+            except OSError as exc:
+                self._close()
+                raise KgVerifyError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
     def close(self) -> None:
         """Close the open paths; a later line opens them again."""
         with self._lock:
-            for handle in self._handles:
+            self._close()
+
+    def _close(self) -> None:
+        """Close every open path, a failed one too; call under the lock."""
+        handles, self._handles = self._handles, []
+        for handle in handles:
+            try:
                 handle.close()
-            self._handles = []
+            except OSError:  # a line it could not write: raised when it was written
+                pass
 
 
 def _open_for_append(path: Path) -> TextIO:
@@ -181,14 +236,14 @@ def _open_for_append(path: Path) -> TextIO:
     return open(path, "a", encoding="utf-8")
 
 
-def _log_line(fingerprint: str, params: LlmParams, prompt: str, raw_text: str,
-              latency_ms: int, stamp: datetime) -> str:
+def _log_line(prompt: Prompt, params: LlmParams, raw_text: str, latency_ms: int,
+              stamp: datetime) -> str:
     """One response-log record; the single definition of the log format."""
     return json.dumps(
         {
-            "fingerprint": fingerprint,
+            "fingerprint": prompt.fingerprint,
             "model": params.model,
-            "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
+            "prompt_sha256": hashlib.sha256(prompt.text.encode("utf-8")).hexdigest(),
             "raw_text": raw_text,
             "latency_ms": latency_ms,
             "timestamp": stamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
@@ -201,7 +256,7 @@ def write_response_log(path: Path | str, entries: list[tuple[LlmParams, str, str
     """Write a replayable response log from (params, prompt, raw_text) triples."""
     epoch = datetime(1970, 1, 1, tzinfo=timezone.utc)
     lines = [
-        _log_line(completion_fingerprint(params, prompt), params, prompt, raw_text, 0, epoch)
+        _log_line(Prompt.of(params, prompt), params, raw_text, 0, epoch)
         for params, prompt, raw_text in entries
     ]
     atomic_write(Path(path), ("\n".join(lines) + "\n").encode("utf-8"))
@@ -210,12 +265,15 @@ def write_response_log(path: Path | str, entries: list[tuple[LlmParams, str, str
 class LlmGateway:
     """Shareable front door to a provider: budget checks, fingerprints, logging.
 
-    Decoding is pinned, so the provider is asked each distinct completion
-    (by fingerprint) once per gateway; a judgment that asks it again, or
-    waits on it in flight, gets the first answer with its latency, and is
-    logged like any other. A raised error is not kept. The gateway does not
-    retry: a live provider's transport (``net.LiveTransport``) holds the one
-    retry policy, so a failure that reaches here is final.
+    Each call JSON-encodes its prompt once (``Prompt``): the fingerprint,
+    the provider's request body or replay lookup, and the log line all read
+    that one value. Decoding is pinned, so the provider is asked each
+    distinct completion (by fingerprint) once per gateway; a judgment that
+    asks it again, or waits on it in flight, gets the first answer with its
+    latency, and is logged like any other. A raised error is not kept. The
+    gateway does not retry: a live provider's transport
+    (``net.LiveTransport``) holds the one retry policy, so a failure that
+    reaches here is final.
     """
 
     def __init__(
@@ -240,19 +298,18 @@ class LlmGateway:
                 raise ContextOverflow(
                     f"prompt of {used} chars exceeds budget of {self._budget_chars} chars"
                 )
-        fingerprint = completion_fingerprint(self.params, prompt)
-        response = self._answers.get(fingerprint, lambda: self._ask(prompt, fingerprint))
+        asked = Prompt.of(self.params, prompt)
+        response = self._answers.get(asked.fingerprint, lambda: self._ask(asked))
         if self._log is not None:
-            self._log.append(fingerprint, self.params, prompt, response.raw_text,
-                             response.latency_ms)
+            self._log.append(asked, self.params, response.raw_text, response.latency_ms)
         return response
 
-    def _ask(self, prompt: str, fingerprint: str) -> LlmResponse:
+    def _ask(self, prompt: Prompt) -> LlmResponse:
         start = time.monotonic()
         raw = self.provider.complete(self.params, prompt)
         latency_ms = int((time.monotonic() - start) * 1000)
         if hasattr(self.provider, "recorded_latency_ms"):  # a replay: not the lookup's
-            latency_ms = self.provider.recorded_latency_ms(fingerprint)
+            latency_ms = self.provider.recorded_latency_ms(prompt.fingerprint)
         return LlmResponse(raw_text=raw, latency_ms=latency_ms)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Iterable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence, TypeVar
 
 from . import html_text
 from .errors import (
@@ -23,7 +23,7 @@ from .errors import (
     malformed,
 )
 from .model import RetrievalSource
-from .net import HttpRequest, HttpResponse, Transport
+from .net import HttpRequest, HttpResponse, SingleFlight, Transport
 
 MIN_PARAGRAPH_CHARS = 100
 DEFAULT_CHUNK_CHARS = 10_000
@@ -32,6 +32,8 @@ MAX_HIT_LIMIT = 10  # the Custom Search JSON API's largest num
 ARCHIVE_AVAILABILITY_API = "https://archive.org/wayback/available"
 
 _HTML_TYPES = {"text/html", "application/xhtml+xml"}
+
+_Parsed = TypeVar("_Parsed")
 
 
 @dataclass(frozen=True)
@@ -103,10 +105,19 @@ def web_search(provider: SearchProvider, query: str, limit: int = DEFAULT_HIT_LI
 
 
 class DocumentFetcher:
-    """Fetches pages and extracts their paragraph text."""
+    """Fetches pages and extracts their paragraph text.
+
+    A fetcher parses each page once: one single-flight memo, keyed by URL
+    and by how the page was parsed (a page's paragraphs, a snapshot's, or
+    the ``parse`` given to ``fetch_parsed``), serves every caller, also
+    callers at once. A raised error is not kept, so the transport
+    (``net.RequestMemo``) decides what is asked again: a page that answered
+    a 5xx is asked again by a later caller.
+    """
 
     def __init__(self, transport: Transport):
         self._transport = transport
+        self._parsed: SingleFlight = SingleFlight()
 
     def fetch_raw(self, url: str) -> str:
         """Fetch a URL and return its HTML text; non-HTML is rejected."""
@@ -118,8 +129,13 @@ class DocumentFetcher:
             raise UnsupportedMediaType(f"{url}: unsupported media type {media_type or 'unknown'}")
         return resp.text
 
+    def fetch_parsed(self, url: str, parse: Callable[[str], _Parsed]) -> _Parsed:
+        """``parse`` of the page at ``url``, fetched and parsed once per fetcher."""
+        return self._parsed.get((url, parse), lambda: parse(self.fetch_raw(url)))
+
     def fetch_document(self, url: str) -> GroundingDocument:
-        return self._document(url, RetrievalSource.DIRECT, self.fetch_raw(url))
+        return GroundingDocument(url, RetrievalSource.DIRECT,
+                                 self.fetch_parsed(url, _page_paragraphs))
 
     def fetch_with_archive_fallback(self, url: str) -> GroundingDocument:
         """Fetch directly; if the resource is gone, use its archived snapshot."""
@@ -130,11 +146,8 @@ class DocumentFetcher:
         snapshot_url = self._nearest_snapshot(url)
         if snapshot_url is None:
             raise Unavailable(f"{url}: no live copy and no archived snapshot")
-        html = html_text.strip_archive_chrome(self.fetch_raw(snapshot_url))
-        return self._document(snapshot_url, RetrievalSource.WEB_ARCHIVE, html)
-
-    def _document(self, url: str, source: RetrievalSource, html: str) -> GroundingDocument:
-        return GroundingDocument(url, source, tuple(html_text.extract_paragraphs(html)))
+        return GroundingDocument(snapshot_url, RetrievalSource.WEB_ARCHIVE,
+                                 self.fetch_parsed(snapshot_url, _snapshot_paragraphs))
 
     def _nearest_snapshot(self, url: str) -> str | None:
         try:
@@ -151,6 +164,14 @@ class DocumentFetcher:
         except SHAPE_ERRORS:  # an answer of another shape: no snapshot
             return None
         return url if isinstance(url, str) and url else None
+
+
+def _page_paragraphs(html: str) -> tuple[str, ...]:
+    return tuple(html_text.extract_paragraphs(html))
+
+
+def _snapshot_paragraphs(html: str) -> tuple[str, ...]:
+    return _page_paragraphs(html_text.strip_archive_chrome(html))
 
 
 def _sniff_media_type(url: str, resp: HttpResponse) -> str:

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .errors import FixtureMissing, MalformedInput, json_lines, malformed, read_input
-from .llm import LlmParams, completion_fingerprint
+from .llm import LlmParams, Prompt
 from .net import (
     HttpRequest,
     HttpResponse,
@@ -80,13 +80,11 @@ class FixtureStore:
                 completions[record["fingerprint"]] = (record["raw_text"], record["latency_ms"])
         return completions
 
-    def complete(self, params: LlmParams, prompt: str) -> str:
-        fingerprint = completion_fingerprint(params, prompt)
-        if fingerprint not in self.completions:
-            raise FixtureMissing(
-                f"no recorded completion for fingerprint {fingerprint} (model {params.model})"
-            )
-        return self.completions[fingerprint][0]
+    def complete(self, params: LlmParams, prompt: Prompt) -> str:
+        if prompt.fingerprint not in self.completions:
+            raise FixtureMissing(f"no recorded completion for fingerprint {prompt.fingerprint}"
+                                 f" (model {params.model})")
+        return self.completions[prompt.fingerprint][0]
 
     def recorded_latency_ms(self, fingerprint: str) -> int:
         return self.completions[fingerprint][1]

@@ -58,7 +58,6 @@ from .model import (
     VerdictKind,
     statement_to_search_query,
 )
-from .net import SingleFlight
 from .prompting import render_rdf_prompt
 from .retrieval import (
     DEFAULT_CHUNK_CHARS,
@@ -412,10 +411,26 @@ def resolve_citations(
     return citations, dangling
 
 
+# A paragraph's citation numbers, the external URLs of each resolvable
+# citation, and its dangling numbers (``resolve_citations``).
+_Citations = tuple[tuple[int, ...], list[tuple[str, ...]], list[int]]
+
+
 @dataclass(frozen=True)
 class _WikipediaArticle:
     paragraphs: tuple[html_text.CapturedElement, ...]
     references: tuple[html_text.CapturedElement, ...]
+    _citations: dict[int, _Citations] = field(default_factory=dict, compare=False, repr=False)
+
+    def citations(self, position: int) -> _Citations:
+        """The citations of the paragraph at ``position``, derived once per
+        article, whichever statement proves the paragraph first."""
+        found = self._citations.get(position)
+        if found is None:
+            numbers = extract_reference_numbers(self.paragraphs[position].html)
+            found = self._citations.setdefault(
+                position, (tuple(numbers), *resolve_citations(numbers, self.references)))
+        return found
 
 
 def parse_wikipedia_article(html: str) -> _WikipediaArticle:
@@ -433,9 +448,12 @@ class Verifier:
     """Drives verification sessions over a gateway, fetcher, and providers.
 
     ``pool`` (optional) runs a session's independent documents and judgments
-    concurrently; sessions come out the same with or without it. A verifier
-    fetches and parses each Wikipedia article once and reuses it for every
-    statement about that subject, also for statements verified at once.
+    concurrently; sessions come out the same with or without it. The
+    fetcher parses each page once (``DocumentFetcher``), so every statement
+    about a subject reuses its Wikipedia article, also statements verified
+    at once, and each search hit or cited source is parsed once however many
+    statements reach it. A proved article paragraph's citations are resolved
+    once per article (``_WikipediaArticle.citations``).
     """
 
     def __init__(
@@ -455,7 +473,6 @@ class Verifier:
         self.chunk_chars = chunk_chars
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self.pool = pool
-        self._articles: SingleFlight[_WikipediaArticle] = SingleFlight()
 
     # -- building blocks --------------------------------------------------------
 
@@ -566,13 +583,6 @@ class Verifier:
 
     # -- use case: Wikipedia ----------------------------------------------------
 
-    def _article(self, url: str) -> _WikipediaArticle:
-        try:
-            html = self.fetcher.fetch_raw(url)
-        except (Unavailable, UnsupportedMediaType) as exc:
-            raise NoDocumentsRetrievable(f"cannot fetch article {url}: {exc}") from exc
-        return parse_wikipedia_article(html)
-
     def verify_via_wikipedia(
         self, statement: Statement, entity: EntityId | str | int | None = None
     ) -> VerificationSession:
@@ -596,7 +606,10 @@ class Verifier:
         session = VerificationSession(
             statement=statement, mode=VerificationMode.WIKIPEDIA, started_at=self._clock()
         )
-        article = self._articles.get(article_url, lambda: self._article(article_url))
+        try:
+            article = self.fetcher.fetch_parsed(article_url, parse_wikipedia_article)
+        except (Unavailable, UnsupportedMediaType) as exc:
+            raise NoDocumentsRetrievable(f"cannot fetch article {article_url}: {exc}") from exc
         session.documents.append(
             DocumentRecord(url=article_url, retrieval_source="direct")
         )
@@ -612,7 +625,7 @@ class Verifier:
         firsts = list(itertools.accumulate((len(c.paragraphs) for c in chunks), initial=0))
         chunk_verdicts: list = [None] * len(chunks)
         drilled: list[int] = []  # the positions of the paragraphs judged
-        citations: dict[int, tuple[list[int], list[tuple[str, ...]], list[int]]] = {}
+        citations: dict[int, _Citations] = {}
         scans: dict[str, _DocumentScan] = {}
         started_urls: set[str] = set()
         started_lock = threading.Lock()
@@ -634,9 +647,8 @@ class Verifier:
             drilled.append(position)
             if verdict.kind is not VerdictKind.DIRECT_PROOF:
                 return
-            numbers = extract_reference_numbers(paragraph.html)
-            cited, dangling = resolve_citations(numbers, article.references)
-            citations[position] = numbers, cited, dangling
+            citations[position] = article.citations(position)
+            _, cited, _ = citations[position]
             sources = []
             with started_lock:  # a URL cited again is examined only once
                 for url in (url for urls in cited for url in urls):
@@ -661,7 +673,7 @@ class Verifier:
         for position in sorted(citations):
             numbers, cited, dangling = citations[position]
             session.wikipedia_anchors.append(WikipediaAnchor(
-                paragraph_text=article.paragraphs[position].text, ref_numbers=tuple(numbers)))
+                paragraph_text=article.paragraphs[position].text, ref_numbers=numbers))
             session.skips.extend(
                 SkipRecord("dangling-reference", str(number), "no entry in references list")
                 for number in dangling

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from kgverify.errors import FixtureMissing
-from kgverify.llm import LlmParams
+from kgverify.llm import LlmParams, Prompt
 from kgverify.net import HttpRequest, HttpResponse, request_fingerprint
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -66,7 +66,7 @@ class ScriptedProvider:
         self._responses = list(responses)
         self.calls = 0
 
-    def complete(self, params: LlmParams, prompt: str) -> str:
+    def complete(self, params: LlmParams, prompt: Prompt) -> str:
         if self.calls >= len(self._responses):
             raise FixtureMissing(f"scripted provider exhausted after {self.calls} responses")
         text = self._responses[self.calls]

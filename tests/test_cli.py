@@ -16,7 +16,7 @@ from click.testing import CliRunner
 from kgverify.cli import RunConfig, main
 from kgverify.datasets import read_instances
 from kgverify.errors import ContextOverflow, ProviderUnavailable
-from kgverify.llm import LlmGateway
+from kgverify.llm import DEFAULT_MODEL, LlmGateway, ReplicateHttpProvider
 from kgverify.prompting import render_rdf_prompt
 
 from concurrency import await_thread_blocked_in, interrupt_thread_start
@@ -56,7 +56,7 @@ CREDENTIALS = {"KGVERIFY_LLM_TOKEN": "test-token-1f3a", "KGVERIFY_SEARCH_KEY": "
 def answer_from_fixtures(req):
     """What the live remote side answers, from the bundled replay fixtures: LLM
     completions, search API results, pages and API responses."""
-    from kgverify.llm import LlmParams
+    from kgverify.llm import LlmParams, Prompt
     from kgverify.net import HttpResponse
     from kgverify.store import FixtureStore
 
@@ -68,8 +68,9 @@ def answer_from_fixtures(req):
 
     if req.method == "POST":
         model = req.url.split("/models/", 1)[1].rsplit("/predictions", 1)[0]
-        prompt = json.loads(req.body)["input"]["prompt"]
-        return answer(201, {"output": recorded.complete(LlmParams(model=model), prompt)})
+        params = LlmParams(model=model)
+        prompt = Prompt.of(params, json.loads(req.body)["input"]["prompt"])
+        return answer(201, {"output": recorded.complete(params, prompt)})
     return recorded.send(req)
 
 
@@ -1432,6 +1433,71 @@ class TestLiveWithCache:
         assert live["config"]["fixtures_dir"] == str(REPLAY_DIR)
         assert replay["fixtures_dir"] == str(REPLAY_DIR)
         assert re.fullmatch(r"[0-9a-f]{64}", replay["fixtures_sha256"])
+
+
+class TestResponseLogFailures:
+    """A live run whose response log cannot be written exits 1 with an
+    ``error: cannot write`` line naming the log, as an output file does, and
+    writes no report."""
+
+    @staticmethod
+    def assert_cannot_write(result, out: Path, path: Path, reason: str) -> None:
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not an uncaught error
+        assert "Traceback" not in result.output
+        assert f"error: cannot write {path}: {reason}" in result.output
+        assert not (out / f"{UC1[1]}.xml").exists()
+
+    def test_a_directory_at_the_out_log(self, runner, tmp_path, live_remote):
+        out = tmp_path / "out"
+        (out / "responses.jsonl").mkdir(parents=True)
+        result = runner.invoke(main, [*UC1[0], "--live", "--out", str(out)])
+        self.assert_cannot_write(result, out, out / "responses.jsonl", "Is a directory")
+        assert ("POST", ReplicateHttpProvider.API_URL.format(model=DEFAULT_MODEL)) in live_remote
+
+    def test_a_directory_at_the_cache_log(self, runner, tmp_path, live_remote):
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        (cache / "llm" / "responses.jsonl").mkdir(parents=True)
+        result = runner.invoke(main, [*UC1[0], "--live", "--cache-dir", str(cache),
+                                      "--out", str(out)])
+        self.assert_cannot_write(result, out, cache / "llm" / "responses.jsonl",
+                                 "Is a directory")
+
+    def test_a_write_that_fails_mid_run(self, runner, tmp_path, live_remote, monkeypatch):
+        """The second line's write raises as a full disk does; the lines
+        written stay whole."""
+        import errno
+        import os
+
+        import kgverify.llm
+
+        open_for_append = kgverify.llm._open_for_append
+        lines = []
+
+        class FullDisk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, line):
+                lines.append(line)
+                if len(lines) == 2:
+                    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+                return self.handle.write(line)
+
+            def flush(self):
+                self.handle.flush()
+
+            def close(self):
+                self.handle.close()
+
+        monkeypatch.setattr(kgverify.llm, "_open_for_append",
+                            lambda path: FullDisk(open_for_append(path)))
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*UC1[0], "--live", "--out", str(out)])
+        self.assert_cannot_write(result, out, out / "responses.jsonl", "No space left")
+        written = (out / "responses.jsonl").read_text(encoding="utf-8")
+        assert written.startswith(lines[0])
+        assert all(json.loads(line) for line in written.splitlines())
 
 
 class TestRemoteFailures:

@@ -24,7 +24,7 @@ import pytest
 from kgverify.cli import _judge, _verify_statements
 from kgverify.datasets import LabeledInstance, Origin, SnliRecord
 from kgverify.errors import FixtureMissing, MalformedResponse
-from kgverify.llm import LlmGateway, ResponseLog, parse_nli_label, parse_option
+from kgverify.llm import LlmGateway, Prompt, ResponseLog, parse_nli_label, parse_option
 from kgverify.model import BinaryDecision, DecisionMode, NliLabel, Statement, verdict_to_binary
 from kgverify.net import HttpRequest, RequestMemo
 from kgverify.prompting import (
@@ -82,7 +82,8 @@ class ContentProvider:
     def peak(self) -> int:
         return self.in_flight.peak
 
-    def complete(self, params, prompt: str) -> str:
+    def complete(self, params, asked: Prompt) -> str:
+        prompt = asked.text
         with self._lock:
             self.calls += 1
             self.prompts.append(prompt)
@@ -174,8 +175,8 @@ def web_verifier(pool, seed=1, urls=None, response_log=None, pages=WEB_PAGES):
     for url, page in pages.items():
         if page is None:
             transport.add(HttpRequest.get(url), body=b"%PDF-1.4", content_type="application/pdf")
-        elif page == 404:
-            transport.add(HttpRequest.get(url), status=404, body="gone")
+        elif isinstance(page, int):
+            transport.add(HttpRequest.get(url), status=page, body="gone")
         else:
             transport.add(HttpRequest.get(url), body=page)
     provider = ContentProvider(seed)
@@ -362,12 +363,13 @@ class TestArticleOncePerRun:
             parsed.append(html)
             return parse(html)
 
-        articles_get = verifier._articles.get
+        fetch_parsed = verifier.fetcher.fetch_parsed
         asked = threading.Semaphore(0)
 
-        def get_article(url, compute):
-            asked.release()
-            return articles_get(url, compute)
+        def get_article(url, how):
+            if url == ARTICLE_URL:
+                asked.release()
+            return fetch_parsed(url, how)
 
         fetch_raw = verifier.fetcher.fetch_raw
 
@@ -377,7 +379,7 @@ class TestArticleOncePerRun:
             return fetch_raw(url)
 
         monkeypatch.setattr(verifier_module, "parse_wikipedia_article", counting_parse)
-        monkeypatch.setattr(verifier._articles, "get", get_article)
+        monkeypatch.setattr(verifier.fetcher, "fetch_parsed", get_article)
         monkeypatch.setattr(verifier.fetcher, "fetch_raw", held_fetch_raw)
         statements = [dataclasses.replace(STATEMENT, object_label=f"Thing {i}")
                       for i in range(2)]
@@ -391,6 +393,65 @@ class TestArticleOncePerRun:
             sessions = list(statements_pool.map(verify, statements))
         assert len(parsed) == 1
         assert [s.documents[0].url for s in sessions] == [ARTICLE_URL] * 2
+
+
+class TestParseOncePerRun:
+    """Statements of one run that reach one page share its parse, and a proved
+    article paragraph's citations; the sessions stay those of statements
+    verified apart, and a failed page is still asked again."""
+
+    STATEMENTS = [dataclasses.replace(STATEMENT, object_label=f"Thing {i}") for i in range(2)]
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name: str) -> list:
+        """The first argument of each call of ``module.name``, from now on."""
+        original, args = getattr(module, name), []
+
+        def counting(first, *rest):
+            args.append(first)
+            return original(first, *rest)
+
+        monkeypatch.setattr(module, name, counting)
+        return args
+
+    def test_statements_sharing_a_hit_parse_it_once(self, pool, monkeypatch):
+        import kgverify.html_text as html_text
+
+        busy = "https://i.example/busy"
+        pages = {**WEB_PAGES, busy: 503}
+        apart = [web_verifier(None, pages=pages)[0].verify_via_web_search(s, hit_limit=9)
+                 for s in self.STATEMENTS]
+        parsed = self.count_calls(monkeypatch, html_text, "extract_paragraphs")
+        verifier, _, transport = web_verifier(pool, pages=pages)
+        verifier.fetcher = DocumentFetcher(RequestMemo(transport))
+        sessions, _ = _verify_statements(
+            pool, self.STATEMENTS, lambda s: verifier.verify_via_web_search(s, hit_limit=9))
+        assert [normalised(s) for s in sessions] == [normalised(s) for s in apart]
+        html_pages = [page for page in pages.values() if isinstance(page, str)]
+        assert sorted(parsed) == sorted(html_pages)  # each distinct page once
+        asked = [r.url for r in transport.requests]
+        assert asked.count(busy) == 2  # a 503 is not kept: the later statement asks again
+        assert all(asked.count(url) == 1 for url in set(asked) - {busy})
+        assert [s.documents[-1].skip.detail for s in sessions] == [
+            f"GET {busy} returned HTTP 503"] * 2
+
+    def test_statements_citing_one_source_parse_it_once(self, pool, monkeypatch):
+        import kgverify.html_text as html_text
+        import kgverify.verifier as verifier_module
+
+        apart = [wiki_verifier(None)[0].verify_via_wikipedia(s) for s in self.STATEMENTS]
+        parsed = self.count_calls(monkeypatch, html_text, "extract_paragraphs")
+        articles = self.count_calls(monkeypatch, verifier_module, "parse_wikipedia_article")
+        resolved = self.count_calls(monkeypatch, verifier_module, "resolve_citations")
+        verifier, _, _ = wiki_verifier(pool)
+        sessions, _ = _verify_statements(pool, self.STATEMENTS, verifier.verify_via_wikipedia)
+        assert [normalised(s) for s in sessions] == [normalised(s) for s in apart]
+        assert len(articles) == 1
+        # every cited page and the dead link's snapshot, each once
+        assert len(parsed) == len(set(parsed)) == len(SOURCES)
+        # once per proved paragraph, not once per statement
+        assert sorted(map(tuple, resolved)) == sorted(
+            anchor.ref_numbers for anchor in sessions[0].wikipedia_anchors)
 
 
 def article_chunks(chunk_chars: int = 700) -> tuple[list[str], list[list[str]]]:

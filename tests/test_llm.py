@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import threading
 import time
@@ -8,6 +9,8 @@ from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kgverify.errors import (
     ContextOverflow,
@@ -19,6 +22,7 @@ from kgverify.errors import (
 from kgverify.llm import (
     LlmGateway,
     LlmParams,
+    Prompt,
     ReplicateHttpProvider,
     ResponseLog,
     completion_fingerprint,
@@ -28,7 +32,7 @@ from kgverify.llm import (
     write_response_log,
 )
 from kgverify.model import NliLabel, Statement, VerdictKind
-from kgverify.net import HttpResponse
+from kgverify.net import HttpResponse, canonical_json
 from kgverify.prompting import OPTION_TEXTS, render_rdf_prompt
 from kgverify.store import FixtureStore
 
@@ -124,18 +128,56 @@ class TestFingerprint:
         assert params.as_dict is params.as_dict
 
 
+# Any text but lone surrogates (which no UTF-8 request can carry), with the
+# characters JSON escapes or that a narrower encoding would mangle made common.
+TEXTS = st.text(st.one_of(
+    st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é中😀'),
+    st.characters(blacklist_categories=("Cs",))))
+PARAMS = st.one_of(st.just(LlmParams()), st.builds(
+    LlmParams, model=TEXTS, seed=st.integers(-2**63, 2**63), top_p=st.floats(0.01, 1.0),
+    temperature=st.floats(0.0, 2.0), max_new_tokens=st.integers(1, 10**6),
+    min_new_tokens=st.integers(-1, 10**6), system_prompt=TEXTS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=PARAMS, prompt=TEXTS.filter(bool))
+def test_fingerprint_and_request_body_are_byte_exact(params, prompt):
+    """The fingerprint and a live request body, both built around the gateway's
+    one encoding of the prompt, are exactly the canonical JSON they stand for."""
+    descriptor = canonical_json({**params.as_dict, "prompt": prompt}).encode("utf-8")
+    assert completion_fingerprint(params, prompt) == hashlib.sha256(descriptor).hexdigest()[:24]
+    sent = []
+
+    class Capture:
+        def send(self, req):
+            sent.append(req)
+            return HttpResponse(201, {"content-type": "application/json"}, b'{"output": "a"}')
+
+    LlmGateway(ReplicateHttpProvider(Capture(), api_token="token"), params=params).complete(prompt)
+    [req] = sent
+    assert req.body == canonical_json({"input": {
+        "prompt": prompt,
+        "system_prompt": params.system_prompt,
+        "seed": params.seed,
+        "top_p": params.top_p,
+        "temperature": params.temperature,
+        "max_new_tokens": params.max_new_tokens,
+        "min_new_tokens": params.min_new_tokens,
+    }}).encode("utf-8")
+
+
 class TestProviders:
     def test_scripted_in_order(self):
         provider = ScriptedProvider(["one", "two"])
         params = LlmParams()
-        assert provider.complete(params, "p1") == "one"
-        assert provider.complete(params, "p2") == "two"
+        assert provider.complete(params, Prompt.of(params, "p1")) == "one"
+        assert provider.complete(params, Prompt.of(params, "p2")) == "two"
         assert provider.calls == 2
 
     def test_scripted_exhaustion(self):
         provider = ScriptedProvider([])
         with pytest.raises(FixtureMissing):
-            provider.complete(LlmParams(), "p")
+            provider.complete(LlmParams(), Prompt.of(LlmParams(), "p"))
 
     def test_replay_round_trip(self, tmp_path):
         params = LlmParams()
@@ -143,7 +185,7 @@ class TestProviders:
         write_response_log(log_path, [(params, "prompt one", "answer one")])
         provider = FixtureStore(tmp_path)
         assert len(provider.completions) == 1
-        assert provider.complete(params, "prompt one") == "answer one"
+        assert provider.complete(params, Prompt.of(params, "prompt one")) == "answer one"
 
     @pytest.mark.parametrize("body", [
         b"<html><body>Bad gateway</body></html>",
@@ -159,7 +201,7 @@ class TestProviders:
 
         provider = ReplicateHttpProvider(Answer(), api_token="token")
         with pytest.raises(MalformedResponse, match="unexpected prediction payload") as caught:
-            provider.complete(LlmParams(), "p")
+            provider.complete(LlmParams(), Prompt.of(LlmParams(), "p"))
         assert repr(body[:10])[2:-1] in str(caught.value)
         assert caught.value.exit_code == 4
 
@@ -176,7 +218,7 @@ class TestProviders:
         with log_path.open("a", encoding="utf-8") as log:
             log.write(last_line)
         with pytest.raises(MalformedInput, match="responses.jsonl:2") as caught:
-            FixtureStore(tmp_path).complete(LlmParams(), "prompt one")
+            FixtureStore(tmp_path).complete(LlmParams(), Prompt.of(LlmParams(), "prompt one"))
         assert caught.value.exit_code == 3
 
     def test_replay_missing_names_fingerprint(self, tmp_path):
@@ -184,9 +226,9 @@ class TestProviders:
         write_response_log(log_path, [])
         provider = FixtureStore(tmp_path)
         params = LlmParams()
-        fingerprint = completion_fingerprint(params, "absent")
-        with pytest.raises(FixtureMissing, match=fingerprint):
-            provider.complete(params, "absent")
+        prompt = Prompt.of(params, "absent")
+        with pytest.raises(FixtureMissing, match=prompt.fingerprint):
+            provider.complete(params, prompt)
 
 
 class TestGateway:
@@ -216,7 +258,7 @@ class TestGateway:
         assert record["raw_text"] == "answer"
         # a log written this way is replayable
         provider = FixtureStore(tmp_path)
-        assert provider.complete(gateway.params, "prompt") == "answer"
+        assert provider.complete(gateway.params, Prompt.of(gateway.params, "prompt")) == "answer"
 
     def test_response_log_writes_every_path(self, tmp_path):
         paths = [tmp_path / "out" / "responses.jsonl", tmp_path / "cache" / "llm" / "log.jsonl"]
@@ -272,9 +314,9 @@ class TestGateway:
         assert [json.loads(line)["raw_text"] for line in path.read_text().splitlines()] == [
             *earlier, "answer"]
         store = FixtureStore(tmp_path)
-        assert store.complete(params, "now") == "answer"
+        assert store.complete(params, Prompt.of(params, "now")) == "answer"
         if earlier:
-            assert store.complete(params, "earlier") == "kept"
+            assert store.complete(params, Prompt.of(params, "earlier")) == "kept"
 
     def test_response_log_stamps_the_run_clock(self, tmp_path):
         instant = datetime(2024, 3, 2, 14, 27, 25, tzinfo=timezone(timedelta(hours=1)))
@@ -295,7 +337,8 @@ class FlakyProvider:
         self.calls = []
         self._lock = threading.Lock()
 
-    def complete(self, params, prompt):
+    def complete(self, params, asked):
+        prompt = asked.text
         with self._lock:
             self.calls.append(prompt)
             number = len(self.calls)
