@@ -167,6 +167,9 @@ class RunConfig:
 class _Runtime:
     """Everything a command needs, built once from the resolved config.
 
+    Its Wikidata client decides what a run verifies: it selects the
+    statements, resolves the subject's article once per run, and fills the
+    report summary. The verifier decides how, and asks nothing of Wikidata.
     Its worker pool, ``llm_requests`` threads started with the runtime, runs
     evaluate's instances and the documents and judgments of every
     verification session, the oldest statement's first; a verify run's
@@ -233,7 +236,6 @@ class _Runtime:
             gateway=self.gateway,
             fetcher=self.fetcher,
             search_provider=search_provider,
-            wikidata=self.wikidata,
             clock=self.clock,
             pool=self.pool,
         )
@@ -501,10 +503,11 @@ def cmd_verify_wikipedia(entity: str, statements_file: str, **kwargs) -> None:
             return {"wikipedia_url": info.wikipedia_url, "wikipedia_permalink": permalink}
 
         started = runtime.clock()
+        article_url = runtime.wikidata.resolve_wikipedia_url(entity_id)  # once per run
         verifier = runtime.verifier()
         _verify_run(
             runtime, "verify-wikipedia", entity_id, started, statements,
-            lambda statement: verifier.verify_via_wikipedia(statement, entity=entity_id),
+            lambda statement: verifier.verify_via_wikipedia(statement, article_url=article_url),
             summary_extra=article_fields,
             manifest_extra={"statements": len(statements)},
         )

@@ -20,7 +20,6 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from types import MappingProxyType
 from typing import Callable, Mapping, Protocol, TextIO
 
 from .errors import (
@@ -60,15 +59,10 @@ class LlmParams:
             raise ValueError("max_new_tokens must be positive")
 
     @functools.cached_property
-    def as_dict(self) -> Mapping[str, object]:
-        """The parameters by field name, computed once."""
-        return MappingProxyType(dataclasses.asdict(self))
-
-    @functools.cached_property
     def fingerprint_affixes(self) -> tuple[str, str]:
         """The canonical JSON of the fingerprint descriptor (the parameters and
         the prompt) before and after the prompt's encoding."""
-        return _around_prompt({**self.as_dict, "prompt": None})
+        return _around_prompt({**dataclasses.asdict(self), "prompt": None})
 
     @functools.cached_property
     def request_affixes(self) -> tuple[str, str]:

@@ -14,7 +14,8 @@ import json
 import time
 from pathlib import Path
 
-from .errors import FixtureMissing, MalformedInput, json_lines, malformed, read_input
+from .errors import (FixtureMissing, KgVerifyError, MalformedInput, json_lines, malformed,
+                     read_input)
 from .llm import LlmParams, Prompt
 from .net import (
     HttpRequest,
@@ -36,7 +37,8 @@ class FixtureStore:
     too, so the run replays, but never answer in place of a live request. A
     record answers exactly the request it recorded, so a search recorded at one
     hit limit does not answer another. Completions are only replayed; a live
-    run records them with a ``ResponseLog`` on ``response_log_path``.
+    run records them with a ``ResponseLog`` on ``response_log_path``. A record
+    that cannot be written raises ``KgVerifyError`` (exit 1).
     """
 
     def __init__(self, directory: Path | str, live: Transport | None = None,
@@ -63,7 +65,10 @@ class FixtureStore:
                 f"no recorded fixture for {req.method} {req.url} (fingerprint {fingerprint})"
             )
         resp = self._live.send(req)
-        write_fixture(path.parent, req, resp)
+        try:
+            write_fixture(path.parent, req, resp)
+        except OSError as exc:  # a full disk, or a file where http/ should be
+            raise KgVerifyError(f"cannot write {path}: {exc.strerror or exc}") from exc
         return resp
 
     @functools.cached_property

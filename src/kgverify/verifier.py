@@ -3,9 +3,10 @@
 Two modes: web search (query built from the triple, each retrieved document
 scanned paragraph by paragraph) and Wikipedia (two-phase drill-down through
 the subject's article, then verification against the primary sources its
-references point to). A confirmation always carries an evidence trace; what
-was skipped (PDFs, dead links, dangling references, prompts over the context
-budget) is recorded too.
+references point to). The caller resolves the article's URL once per run;
+this module asks nothing of Wikidata. A confirmation always carries an
+evidence trace; what was skipped (PDFs, dead links, dangling references,
+prompts over the context budget) is recorded too.
 
 Within a session, independent documents (search hits, cited sources) and
 independent judgments (article chunks, drill-down paragraphs) can run
@@ -47,7 +48,6 @@ from .errors import (
     ContextOverflow,
     KgVerifyError,
     NoDocumentsRetrievable,
-    NoSitelink,
     Unavailable,
     UnsupportedMediaType,
 )
@@ -70,7 +70,6 @@ from .retrieval import (
     valid_paragraphs,
     web_search,
 )
-from .wikidata import EntityId, WikidataClient
 
 logger = logging.getLogger(__name__)
 
@@ -445,7 +444,8 @@ def parse_wikipedia_article(html: str) -> _WikipediaArticle:
 
 
 class Verifier:
-    """Drives verification sessions over a gateway, fetcher, and providers.
+    """Drives verification sessions over a gateway, a fetcher and, for web
+    search, a search provider; a Wikipedia session is handed its article URL.
 
     ``pool`` (optional) runs a session's independent documents and judgments
     concurrently; sessions come out the same with or without it. The
@@ -461,7 +461,6 @@ class Verifier:
         gateway: LlmGateway,
         fetcher: DocumentFetcher,
         search_provider: SearchProvider | None = None,
-        wikidata: WikidataClient | None = None,
         chunk_chars: int = DEFAULT_CHUNK_CHARS,
         clock: Callable[[], datetime] | None = None,
         pool: WorkerPool | None = None,
@@ -469,7 +468,6 @@ class Verifier:
         self.gateway = gateway
         self.fetcher = fetcher
         self.search_provider = search_provider
-        self.wikidata = wikidata
         self.chunk_chars = chunk_chars
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self.pool = pool
@@ -542,8 +540,6 @@ class Verifier:
     ) -> VerificationSession:
         """Search the web for the triple and verify against each hit; the
         session lists the hits in rank order."""
-        if self.search_provider is None:
-            raise ValueError("no search provider configured")
         session = VerificationSession(
             statement=statement, mode=VerificationMode.WEB_SEARCH, started_at=self._clock()
         )
@@ -583,10 +579,9 @@ class Verifier:
 
     # -- use case: Wikipedia ----------------------------------------------------
 
-    def verify_via_wikipedia(
-        self, statement: Statement, entity: EntityId | str | int | None = None
-    ) -> VerificationSession:
-        """Verify through the subject's Wikipedia article and its cited sources.
+    def verify_via_wikipedia(self, statement: Statement, article_url: str) -> VerificationSession:
+        """Verify through the subject's Wikipedia article, at ``article_url``,
+        and its cited sources.
 
         Phase 1 scans size-bounded chunks of the article; positive chunks are
         re-examined paragraph by paragraph. A paragraph confirmed by direct
@@ -594,15 +589,9 @@ class Verifier:
         can produce evidence traces; the article itself is never treated as
         an authority, so its confirming paragraphs are recorded only as
         intermediate anchors. A chunk whose prompt exceeds the context budget
-        becomes a ``context-overflow`` skip and is not queried.
+        becomes a ``context-overflow`` skip and is not queried. The caller
+        resolves ``article_url`` once per run (``WikidataClient.resolve_wikipedia_url``).
         """
-        if self.wikidata is None:
-            raise ValueError("no Wikidata client configured")
-        subject = entity if entity is not None else statement.subject_id
-        if subject is None:
-            raise NoSitelink("statement carries no subject entity id to resolve")
-        article_url = self.wikidata.resolve_wikipedia_url(EntityId.parse(subject))
-
         session = VerificationSession(
             statement=statement, mode=VerificationMode.WIKIPEDIA, started_at=self._clock()
         )

@@ -302,6 +302,56 @@ class TestVerifyWikipedia:
         assert not out.exists()
         assert sorted(started) == ["luminescence", "phosphorescence"]  # the third never starts
 
+    def test_an_entity_without_an_english_article_verifies_nothing(self, runner, tmp_path,
+                                                                   monkeypatch):
+        """The article is resolved once, before the first statement: an entity
+        without an English article exits 6 before any statement starts."""
+        from kgverify.net import HttpRequest, HttpResponse, write_fixture
+        from kgverify.store import FixtureStore
+        from kgverify.wikidata import WIKIDATA_API
+
+        fixtures = tmp_path / "fixtures"
+        entity_req = HttpRequest.get(WIKIDATA_API, params={
+            "action": "wbgetentities", "ids": "Q99", "props": "info|labels|sitelinks/urls",
+            "languages": "en", "sitefilter": "enwiki", "format": "json",
+        })
+        write_fixture(fixtures / "http", entity_req, HttpResponse(
+            status=200, headers={"content-type": "application/json"},
+            body=json.dumps({"entities": {"Q99": {
+                "id": "Q99", "lastrevid": 5, "labels": {"en": {"value": "Nowhere"}},
+                "sitelinks": {}}}}).encode(),
+        ))
+        completions = []
+        monkeypatch.setattr(FixtureStore, "complete",
+                            lambda self, params, prompt: completions.append(prompt))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["verify-wikipedia", "Q99", "--statements",
+                                      str(FIXTURES / "biolum_statements.tsv"),
+                                      *replay_args(out, fixtures=fixtures)])
+        assert result.exit_code == 6, result.output
+        assert "error: entity Q99 has no English Wikipedia article" in result.output
+        assert "verifying:" not in result.output
+        assert completions == []
+        assert not out.exists()
+
+    def test_one_entity_lookup_per_run(self, runner, tmp_path, monkeypatch):
+        """Three statements ask the subject's entity record twice in all: once
+        for the article before the first statement, once for the report."""
+        from kgverify.wikidata import WikidataClient
+
+        entity_info = WikidataClient.entity_info
+        asked = []
+
+        def counted(self, entity):
+            asked.append(str(entity))
+            return entity_info(self, entity)
+
+        monkeypatch.setattr(WikidataClient, "entity_info", counted)
+        result = runner.invoke(main, [*uc2_three_times(tmp_path), *replay_args(tmp_path / "out")])
+        assert result.exit_code == 0, result.output
+        assert result.output.count("verifying:") == 3
+        assert asked == ["Q179924"] * 2
+
     def test_chunk_over_the_context_budget_is_a_skip(self, runner, tmp_path, monkeypatch):
         """An article chunk over the context budget is recorded as a skip in a
         complete report, not a failed run."""
@@ -803,21 +853,21 @@ class TestEvaluate:
 
 
 class TestReport:
-    def test_rerender(self, runner, tmp_path):
+    @pytest.mark.parametrize("command,run_id", [UC1, UC2], ids=["uc1", "uc2"])
+    def test_rerender(self, runner, tmp_path, command, run_id):
+        """``report`` re-renders a run's HTML byte for byte from its XML; uc2's
+        report also holds a Wikipedia anchor."""
         run_out = tmp_path / "run"
-        result = runner.invoke(main, [
-            "verify-wikidata", "Q36233", "--max-statements", "1",
-            *replay_args(run_out),
-        ])
+        result = runner.invoke(main, [*command, *replay_args(run_out)])
         assert result.exit_code == 0
-        xml_path = run_out / "verify-wikidata-Q36233.xml"
+        xml_path = run_out / f"{run_id}.xml"
         rerender_out = tmp_path / "rerender"
         result = runner.invoke(main, [
             "report", str(xml_path), "--out", str(rerender_out),
         ])
         assert result.exit_code == 0, result.output
-        regenerated = (rerender_out / "verify-wikidata-Q36233.html").read_bytes()
-        original = (run_out / "verify-wikidata-Q36233.html").read_bytes()
+        regenerated = (rerender_out / f"{run_id}.html").read_bytes()
+        original = (run_out / f"{run_id}.html").read_bytes()
         assert regenerated == original
 
     def test_invalid_xml_fails_cleanly(self, runner, tmp_path):
@@ -879,9 +929,9 @@ class TestPoolWidth:
     @pytest.mark.parametrize("command", [UC1[0], UC2[0]], ids=["verify-wikidata",
                                                                "verify-wikipedia"])
     def test_a_run_that_fails_early_stops_its_workers(self, runner, tmp_path, command):
-        """A replay over no fixtures fails on its first request (exit 5):
-        verify-wikidata's before its first statement, verify-wikipedia's in
-        it. Either way no worker of the run is left alive."""
+        """A replay over no fixtures fails on its first request (exit 5), the
+        statement selection's or the article lookup's, before the first
+        statement. No worker of the run is left alive."""
         before = set(threading.enumerate())
         result = runner.invoke(main, [*command, *replay_args(tmp_path / "out",
                                                              fixtures=tmp_path)])
@@ -1037,6 +1087,23 @@ def main_thread_waits() -> bool:
 
 class TestInterrupt:
     """Ctrl-C during the sessions still writes a (partial) report, then exits 130."""
+
+    def test_interrupt_while_resolving_the_article_writes_nothing(self, runner, tmp_path,
+                                                                  monkeypatch):
+        """A Ctrl-C before the first statement, here in verify-wikipedia's
+        article lookup, exits 130 and writes nothing."""
+        from kgverify.wikidata import WikidataClient
+
+        def interrupt(self, entity):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(WikidataClient, "resolve_wikipedia_url", interrupt)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*UC2[0], *replay_args(out)])
+        assert result.exit_code == 130, result.output
+        assert "error: interrupted" in result.output
+        assert "verifying:" not in result.output
+        assert not out.exists()
 
     @pytest.mark.parametrize("command,method,run_id", [
         (["verify-wikidata", "Q36233", "--max-statements", "1"],
@@ -1251,6 +1318,22 @@ class TestLiveWithCache:
         result = runner.invoke(main, [*UC1[0], *replay_args(tmp_path / "replay"),
                                       "--cache-dir", str(cache)])
         assert result.exit_code == 0, result.output
+
+    def test_a_cache_that_cannot_take_a_record_exits_1(self, runner, tmp_path, live_remote):
+        """A live run whose cache cannot take a record (here ``http`` is a file)
+        exits 1 with ``error: cannot write`` naming the record, as an output
+        file does, and writes no report."""
+        out, cache = tmp_path / "out", tmp_path / "cache"
+        cache.mkdir()
+        (cache / "http").write_text("")
+        result = runner.invoke(main, [*UC1[0], "--live", "--cache-dir", str(cache),
+                                      "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not an uncaught error
+        assert "Traceback" not in result.output
+        assert re.search(rf"error: cannot write {re.escape(str(cache / 'http'))}/\w+\.json: "
+                         "File exists", result.output), result.output
+        assert not (out / f"{UC1[1]}.xml").exists()
 
     def test_completions_stay_out_of_the_page_cache(self, runner, tmp_path, live_remote):
         """A live run (its remote side served from the replay fixtures) caches

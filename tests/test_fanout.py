@@ -240,16 +240,6 @@ def article_html() -> str:
 def wiki_verifier(pool, seed=1, chunk_chars=700):
     """A verifier over one run's request memo; ``transport`` sees what reaches the remote."""
     transport = SlowTransport(seed)
-    transport.add_json(
-        HttpRequest.get(WIKIDATA_API, params={
-            "action": "wbgetentities", "ids": "Q1", "props": "info|labels|sitelinks/urls",
-            "languages": "en", "sitefilter": "enwiki", "format": "json",
-        }),
-        {"entities": {"Q1": {"id": "Q1", "lastrevid": 7,
-                             "labels": {"en": {"value": "Subject"}},
-                             "sitelinks": {"enwiki": {"title": "Subject",
-                                                      "url": ARTICLE_URL}}}}},
-    )
     transport.add(HttpRequest.get(ARTICLE_URL), body=article_html())
     for url, page in SOURCES.items():
         transport.add(HttpRequest.get(url), body=page)
@@ -265,7 +255,6 @@ def wiki_verifier(pool, seed=1, chunk_chars=700):
     verifier = Verifier(
         gateway=gateway(provider),
         fetcher=DocumentFetcher(remote),
-        wikidata=WikidataClient(remote),
         chunk_chars=chunk_chars,
         clock=lambda: NOW,
         pool=pool,
@@ -309,9 +298,9 @@ class TestDeterminism:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_wikipedia_session_matches_inline(self, pool, seed):
         expected_verifier, expected_provider, _ = wiki_verifier(None, seed)
-        expected = expected_verifier.verify_via_wikipedia(STATEMENT)
+        expected = expected_verifier.verify_via_wikipedia(STATEMENT, ARTICLE_URL)
         verifier, provider, _ = wiki_verifier(pool, seed)
-        session = verifier.verify_via_wikipedia(STATEMENT)
+        session = verifier.verify_via_wikipedia(STATEMENT, ARTICLE_URL)
         assert normalised(session) == normalised(expected)
         # the same prompts either way, each asked once however often it is judged
         assert provider.calls == expected_provider.calls == len(set(provider.prompts))
@@ -339,16 +328,24 @@ class TestDeterminism:
 
 class TestArticleOncePerRun:
     def test_one_article_fetch_and_one_entity_lookup(self, pool):
+        """As in a verify-wikipedia run, the caller resolves the article once
+        and hands its URL to every session; the sessions ask no entity lookup."""
         verifier, _, transport = wiki_verifier(pool)
+        lookup = HttpRequest.get(WIKIDATA_API, params={
+            "action": "wbgetentities", "ids": "Q1", "props": "info|labels|sitelinks/urls",
+            "languages": "en", "sitefilter": "enwiki", "format": "json",
+        })
+        transport.add_json(lookup, {"entities": {"Q1": {
+            "id": "Q1", "lastrevid": 7, "labels": {"en": {"value": "Subject"}},
+            "sitelinks": {"enwiki": {"title": "Subject", "url": ARTICLE_URL}}}}})
+        article_url = WikidataClient(transport).resolve_wikipedia_url("Q1")
         statements = [dataclasses.replace(STATEMENT, object_label=f"Thing {i}")
                       for i in range(3)]
-        sessions = [verifier.verify_via_wikipedia(s) for s in statements]
-        verifier.wikidata.entity_info("Q1")  # as the report summary asks once more
+        sessions = [verifier.verify_via_wikipedia(s, article_url) for s in statements]
         assert [s.documents[0].url for s in sessions] == [ARTICLE_URL] * 3
         urls = [r.url for r in transport.requests]
         assert urls.count(ARTICLE_URL) == 1
-        assert sum(1 for r in transport.requests
-                   if dict(r.params).get("action") == "wbgetentities") == 1
+        assert transport.requests.count(lookup) == 1 == urls.count(WIKIDATA_API)  # the caller's
 
     def test_overlapping_statements_parse_the_article_once(self, pool, monkeypatch):
         """Two statements about one subject, verified at once, fetch and parse
@@ -387,7 +384,7 @@ class TestArticleOncePerRun:
 
         def verify(statement):
             together.wait(timeout=5.0)
-            return verifier.verify_via_wikipedia(statement)
+            return verifier.verify_via_wikipedia(statement, ARTICLE_URL)
 
         with ThreadPoolExecutor(max_workers=2) as statements_pool:
             sessions = list(statements_pool.map(verify, statements))
@@ -439,12 +436,14 @@ class TestParseOncePerRun:
         import kgverify.html_text as html_text
         import kgverify.verifier as verifier_module
 
-        apart = [wiki_verifier(None)[0].verify_via_wikipedia(s) for s in self.STATEMENTS]
+        apart = [wiki_verifier(None)[0].verify_via_wikipedia(s, ARTICLE_URL)
+                 for s in self.STATEMENTS]
         parsed = self.count_calls(monkeypatch, html_text, "extract_paragraphs")
         articles = self.count_calls(monkeypatch, verifier_module, "parse_wikipedia_article")
         resolved = self.count_calls(monkeypatch, verifier_module, "resolve_citations")
         verifier, _, _ = wiki_verifier(pool)
-        sessions, _ = _verify_statements(pool, self.STATEMENTS, verifier.verify_via_wikipedia)
+        sessions, _ = _verify_statements(
+            pool, self.STATEMENTS, lambda s: verifier.verify_via_wikipedia(s, ARTICLE_URL))
         assert [normalised(s) for s in sessions] == [normalised(s) for s in apart]
         assert len(articles) == 1
         # every cited page and the dead link's snapshot, each once
@@ -488,10 +487,11 @@ class TestStreamedWikipediaSession:
         with worker_pool(4) as pool:
             verifier, provider, _ = wiki_verifier(pool, chunk_chars=self.CHUNK_CHARS)
             provider.on_call = on_call
-            session = verifier.verify_via_wikipedia(STATEMENT)
+            session = verifier.verify_via_wikipedia(STATEMENT, ARTICLE_URL)
         assert drilled.is_set()
         expected, _, _ = wiki_verifier(None, chunk_chars=self.CHUNK_CHARS)
-        assert normalised(session) == normalised(expected.verify_via_wikipedia(STATEMENT))
+        assert normalised(session) == normalised(
+            expected.verify_via_wikipedia(STATEMENT, ARTICLE_URL))
 
     def test_cited_source_starts_while_a_sibling_paragraph_is_held(self):
         _, members = article_chunks(self.CHUNK_CHARS)
@@ -510,11 +510,12 @@ class TestStreamedWikipediaSession:
         with worker_pool(4) as pool:
             verifier, provider, transport = wiki_verifier(pool, chunk_chars=self.CHUNK_CHARS)
             provider.on_call, transport.on_send = on_call, on_send
-            session = verifier.verify_via_wikipedia(STATEMENT)
+            session = verifier.verify_via_wikipedia(STATEMENT, ARTICLE_URL)
         assert fetched.is_set()
         assert proved in [a.paragraph_text for a in session.wikipedia_anchors]
         expected, _, _ = wiki_verifier(None, chunk_chars=self.CHUNK_CHARS)
-        assert normalised(session) == normalised(expected.verify_via_wikipedia(STATEMENT))
+        assert normalised(session) == normalised(
+            expected.verify_via_wikipedia(STATEMENT, ARTICLE_URL))
 
     @pytest.mark.parametrize("width", [1, 4])
     def test_a_failing_chunk_stops_the_session(self, width):
@@ -535,7 +536,7 @@ class TestStreamedWikipediaSession:
             verifier, provider, transport = wiki_verifier(pool)
             provider.on_call, transport.on_send = on_call, on_send
             with pytest.raises(MalformedResponse, match="chunk 3"):
-                verifier.verify_via_wikipedia(STATEMENT)
+                verifier.verify_via_wikipedia(STATEMENT, ARTICLE_URL)
             assert provider.in_flight.now == transport.in_flight.now == 0
             asked, sent = list(provider.prompts), len(transport.requests)
         # leaving the pool ran every worker it had queued: no call began after the error
@@ -572,12 +573,13 @@ class TestStreamedWikipediaSession:
             verifier, provider, transport = wiki_verifier(pool)
             provider.on_call = events.append
             transport.on_send = lambda req: events.append(req.url)
-            session = verifier.verify_via_wikipedia(STATEMENT)
+            session = verifier.verify_via_wikipedia(STATEMENT, ARTICLE_URL)
         judged = next(i for i, event in enumerate(events) if asks(event, proved))
         next_chunk = next(i for i, event in enumerate(events) if asks(event, chunks[1]))
         assert judged < events.index(REFERENCES[0]) < events.index(REFERENCES[1]) < next_chunk
         expected, _, _ = wiki_verifier(None)
-        assert normalised(session) == normalised(expected.verify_via_wikipedia(STATEMENT))
+        assert normalised(session) == normalised(
+            expected.verify_via_wikipedia(STATEMENT, ARTICLE_URL))
 
     @pytest.mark.parametrize("width", [1, 2])
     def test_the_lowest_key_among_the_failures_that_ran_is_raised(self, width):
@@ -607,7 +609,7 @@ class TestStreamedWikipediaSession:
             transport.fail(REFERENCES[0], FixtureMissing("source 1"))
             raised = MalformedResponse if width > 1 else FixtureMissing
             with pytest.raises(raised):
-                verifier.verify_via_wikipedia(STATEMENT)
+                verifier.verify_via_wikipedia(STATEMENT, ARTICLE_URL)
         assert chunk_failed.is_set() == (width > 1)
         assert not any(asks(prompt, chunks[2]) for prompt in provider.prompts)
 
@@ -617,7 +619,7 @@ class TestStreamedWikipediaSession:
             verifier, provider, transport = wiki_verifier(pool)
             transport.fail(REFERENCES[0], FixtureMissing("source 1"))
             with pytest.raises(FixtureMissing, match="source 1"):
-                verifier.verify_via_wikipedia(STATEMENT)
+                verifier.verify_via_wikipedia(STATEMENT, ARTICLE_URL)
             assert provider.in_flight.now == transport.in_flight.now == 0
             asked, sent = list(provider.prompts), list(transport.requests)
         assert provider.prompts == asked and transport.requests == sent
@@ -779,7 +781,7 @@ class TestFailurePropagation:
                 else:
                     verifier, provider, _ = wiki_verifier(pool)
                     provider.on_call = interrupt
-                    verifier.verify_via_wikipedia(STATEMENT)
+                    verifier.verify_via_wikipedia(STATEMENT, ARTICLE_URL)
         finally:
             signal.signal(signal.SIGINT, previous)
         assert len(delays) == 1 and delays[0] < 1.0, delays

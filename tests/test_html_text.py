@@ -74,6 +74,18 @@ class TestCaptureElements:
         assert captured[0].text == "line oneline two"
         assert "<br/>" in captured[0].html
 
+    def test_self_closing_elements_keep_their_place(self):
+        html = '<p>before<br/>after <img src="x.png"/> end</p>'
+        [captured] = extract_paragraph_elements(html)
+        assert captured.html == 'before<br/>after <img src="x.png"/> end'
+
+    def test_noscript_content_is_not_captured(self):
+        html = ("<noscript><p>fallback paragraph</p></noscript>"
+                '<p>keep <noscript>no <b>js</b><img src="t.gif"/></noscript>this</p>')
+        [captured] = extract_paragraph_elements(html)
+        assert captured.text == "keep this"
+        assert captured.html == "keep this"
+
 
 class TestExtractLinks:
     def test_collects_hrefs_in_order(self):

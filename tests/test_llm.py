@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import threading
@@ -116,7 +117,7 @@ class TestFingerprint:
 
     def test_pinned_to_a_bundled_completion(self):
         """The bytes hashed stay exact: a prompt of the bundled evaluate replay
-        still has its recorded fingerprint, and the params are read once."""
+        still has its recorded fingerprint, and the affixes are built once."""
         statement = Statement("Ibuprofen", "Positive_Correlation", "inflammation")
         grounding = ("Ibuprofen and markers of inflammation. Ibuprofen intake correlated with "
                      "inflammation markers in the treatment arm; an association with headache "
@@ -125,7 +126,7 @@ class TestFingerprint:
         prompt = render_rdf_prompt(statement, grounding)
         assert completion_fingerprint(params, prompt) == "14cacf689e69d0f3aee5cf72"
         assert "14cacf689e69d0f3aee5cf72" in FixtureStore(EVAL_REPLAY).completions
-        assert params.as_dict is params.as_dict
+        assert params.fingerprint_affixes is params.fingerprint_affixes
 
 
 # Any text but lone surrogates (which no UTF-8 request can carry), with the
@@ -144,7 +145,7 @@ PARAMS = st.one_of(st.just(LlmParams()), st.builds(
 def test_fingerprint_and_request_body_are_byte_exact(params, prompt):
     """The fingerprint and a live request body, both built around the gateway's
     one encoding of the prompt, are exactly the canonical JSON they stand for."""
-    descriptor = canonical_json({**params.as_dict, "prompt": prompt}).encode("utf-8")
+    descriptor = canonical_json({**dataclasses.asdict(params), "prompt": prompt}).encode("utf-8")
     assert completion_fingerprint(params, prompt) == hashlib.sha256(descriptor).hexdigest()[:24]
     sent = []
 

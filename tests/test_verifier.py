@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgverify import html_text
-from kgverify.errors import NoDocumentsRetrievable, NoSitelink, Unavailable
+from kgverify.errors import NoDocumentsRetrievable, Unavailable
 from kgverify.llm import LlmGateway
 from kgverify.model import RetrievalSource, Statement, VerdictKind
 from kgverify.net import HttpRequest, HttpResponse, request_fingerprint
@@ -276,9 +276,7 @@ WIKI_HTML = (
 PRIMARY_HTML = "<p>" + "primary source paragraph content " * 6 + "</p>"
 
 
-class FakeWikidata:
-    def resolve_wikipedia_url(self, entity):
-        return "https://en.wikipedia.org/wiki/Subject"
+ARTICLE = "https://en.wikipedia.org/wiki/Subject"
 
 
 class TestWikipediaFlow:
@@ -304,10 +302,9 @@ class TestWikipediaFlow:
         verifier, provider = make_verifier(
             responses,
             fetcher=DocumentFetcher(dict_transport),
-            wikidata=FakeWikidata(),
         )
         statement = Statement("Subject", "related to", "Thing", subject_id="Q1")
-        session = verifier.verify_via_wikipedia(statement)
+        session = verifier.verify_via_wikipedia(statement, ARTICLE)
         assert session.mode is VerificationMode.WIKIPEDIA
         assert provider.calls == 4
         assert len(session.wikipedia_anchors) == 1
@@ -353,10 +350,9 @@ class TestWikipediaFlow:
         verifier, _ = make_verifier(
             [ANSWER["b"], ANSWER["c"], ANSWER["a"], ANSWER["a"]],
             fetcher=DocumentFetcher(dict_transport),
-            wikidata=FakeWikidata(),
         )
         session = verifier.verify_via_wikipedia(
-            Statement("Subject", "related to", "Thing", subject_id="Q1"))
+            Statement("Subject", "related to", "Thing", subject_id="Q1"), ARTICLE)
         (skipped,) = [d for d in session.documents if d.skip is not None]
         assert (skipped.url, skipped.skip.kind) == (dead, "unavailable")
         assert "no live copy and no archived snapshot" in skipped.skip.detail
@@ -374,10 +370,9 @@ class TestWikipediaFlow:
         verifier = Verifier(
             gateway=LlmGateway(provider, context_tokens=fits // 4),
             fetcher=DocumentFetcher(dict_transport),
-            wikidata=FakeWikidata(),
             chunk_chars=1000,  # the oversize paragraph is a chunk of its own
         )
-        session = verifier.verify_via_wikipedia(statement)
+        session = verifier.verify_via_wikipedia(statement, ARTICLE)
         assert provider.calls == 1
         assert session.paragraphs_queried == 1
         assert [(skip.kind, skip.target) for skip in session.skips] == [
@@ -391,20 +386,12 @@ class TestWikipediaFlow:
         verifier, provider = make_verifier(
             [ANSWER["c"]],
             fetcher=DocumentFetcher(dict_transport),
-            wikidata=FakeWikidata(),
         )
         statement = Statement("Subject", "related to", "Thing", subject_id="Q1")
-        session = verifier.verify_via_wikipedia(statement)
+        session = verifier.verify_via_wikipedia(statement, ARTICLE)
         assert provider.calls == 1
         assert session.traces == []
         assert session.wikipedia_anchors == []
-
-    def test_statement_without_entity(self, dict_transport):
-        verifier, _ = make_verifier(
-            [], fetcher=DocumentFetcher(dict_transport), wikidata=FakeWikidata()
-        )
-        with pytest.raises(NoSitelink):
-            verifier.verify_via_wikipedia(Statement("s", "p", "o"))
 
     def test_shared_citation_verified_once(self, dict_transport):
         # two confirming paragraphs cite the same source: verify it only once
@@ -433,10 +420,9 @@ class TestWikipediaFlow:
         verifier, provider = make_verifier(
             responses,
             fetcher=DocumentFetcher(dict_transport),
-            wikidata=FakeWikidata(),
         )
         session = verifier.verify_via_wikipedia(
-            Statement("Subject", "related to", "Thing", subject_id="Q1")
+            Statement("Subject", "related to", "Thing", subject_id="Q1"), ARTICLE
         )
         assert provider.calls == 4
         assert len(session.traces) == 1
@@ -483,8 +469,8 @@ def test_only_chunks_overflow_the_context_budget(lengths, chunk_chars, slack):
     budget = tokens * 4
     gateway = RecordingGateway(AlwaysIndication(), context_tokens=tokens)
     verifier = Verifier(gateway=gateway, fetcher=DocumentFetcher(transport),
-                        wikidata=FakeWikidata(), chunk_chars=chunk_chars)
-    session = verifier.verify_via_wikipedia(statement)
+                        chunk_chars=chunk_chars)
+    session = verifier.verify_via_wikipedia(statement, ARTICLE)
 
     def used(snippet):
         return len(prompt(snippet)) + len(SYSTEM_PROMPT)
