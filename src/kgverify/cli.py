@@ -25,7 +25,8 @@ from typing import Callable, Sequence
 import click
 
 from . import __version__, datasets, evaluation, reporting
-from .errors import SHAPE_ERRORS, KgVerifyError, MalformedInput, malformed, read_input
+from .errors import (SHAPE_ERRORS, KgVerifyError, MalformedInput, NoSitelink, malformed,
+                     read_input)
 from .llm import (
     LlmGateway,
     LlmParams,
@@ -167,9 +168,10 @@ class RunConfig:
 class _Runtime:
     """Everything a command needs, built once from the resolved config.
 
-    Its Wikidata client decides what a run verifies: it selects the
-    statements, resolves the subject's article once per run, and fills the
-    report summary. The verifier decides how, and asks nothing of Wikidata.
+    Its Wikidata client decides what a run verifies, and a verify run asks
+    it everything before the first statement: the subject's record, the
+    statements, and for ``verify-wikipedia`` the article's revision. The
+    verifier decides how, and asks nothing of Wikidata.
     Its worker pool, ``llm_requests`` threads started with the runtime, runs
     evaluate's instances and the documents and judgments of every
     verification session, the oldest statement's first; a verify run's
@@ -348,24 +350,24 @@ def _verify_statements(
 def _verify_run(
     runtime: _Runtime,
     command: str,
-    entity_id: EntityId,
+    info: EntityInfo,
     started: datetime,
     statements: Sequence[Statement],
     verify: Callable[[Statement], VerificationSession],
-    summary_extra: Callable[[EntityInfo], dict],
+    summary_extra: dict,
     manifest_extra: dict,
 ) -> None:
     """The run lifecycle both verify commands share.
 
-    Verifies the statements (``_verify_statements``), then writes the report
-    and manifest for the sessions done; an interrupted run exits 130 after
-    writing them. Any other error propagates and writes nothing.
+    The caller asks Wikidata for everything the report needs (``info`` and
+    ``summary_extra``) before the first statement; this asks no remote of
+    its own. Verifies the statements (``_verify_statements``), then writes
+    the report and manifest for the sessions done; an interrupted run exits
+    130 after writing them. Any other error propagates and writes nothing.
     """
     config = runtime.config
     sessions, interrupted = _verify_statements(runtime.pool, statements, verify)
 
-    info = runtime.wikidata.entity_info(entity_id)
-    extra_fields = summary_extra(info)  # may ask a remote: inside the run's duration
     elapsed = max(0, int((runtime.clock() - started).total_seconds()))
     summary = reporting.ReportSummary(
         llm_model=config.model,
@@ -378,15 +380,15 @@ def _verify_run(
         subject_url=info.entity_url,
         subject_permalink=info.permalink,
         endpoint=config.sparql_endpoint,
-        **extra_fields,
+        **summary_extra,
     )
     tree = reporting.build_run_xml(sessions, summary)  # validated once, here
     xml_bytes = reporting.serialize_xml(tree)  # indents the tree the HTML renders
     xml_path, html_path = _write_outputs(config, command, {
-        f"{command}-{entity_id}.xml": xml_bytes,
-        f"{command}-{entity_id}.html": reporting.render_html(tree),
+        f"{command}-{info.entity_id}.xml": xml_bytes,
+        f"{command}-{info.entity_id}.html": reporting.render_html(tree),
     }, {
-        "entity": str(entity_id),
+        "entity": str(info.entity_id),
         "sessions": len(sessions),
         "traces": sum(len(s.traces) for s in sessions),
         "interrupted": interrupted,
@@ -460,6 +462,7 @@ def cmd_verify_wikidata(entity: str, **kwargs) -> None:
     with closing(_Runtime(config)) as runtime:
         verifier = runtime.verifier(need_search=True)  # no credentials: before any request
         started = runtime.clock()
+        info = runtime.wikidata.entity_info(entity_id)
 
         unsourced = runtime.wikidata.fetch_unsourced_statements(entity_id)
         click.echo(f"{entity_id}: {len(unsourced)} unsourced statements", err=True)
@@ -469,9 +472,9 @@ def cmd_verify_wikidata(entity: str, **kwargs) -> None:
         selected = selected[: config.max_statements]  # a None limit keeps them all
 
         _verify_run(
-            runtime, "verify-wikidata", entity_id, started, selected,
+            runtime, "verify-wikidata", info, started, selected,
             lambda statement: verifier.verify_via_web_search(statement, config.hit_limit),
-            summary_extra=lambda info: {},
+            summary_extra={},
             manifest_extra={"statements_selected": len(selected)},
         )
 
@@ -494,21 +497,20 @@ def cmd_verify_wikipedia(entity: str, statements_file: str, **kwargs) -> None:
     if not statements:
         raise MalformedInput(f"{statements_file}: no statements to verify")
     with closing(_Runtime(config)) as runtime:
-
-        def article_fields(info: EntityInfo) -> dict:
-            permalink = None
-            if info.wikipedia_title:
-                revision = runtime.wikidata.wikipedia_revision(info.wikipedia_title)
-                permalink = wikipedia_permalink(info.wikipedia_title, revision)
-            return {"wikipedia_url": info.wikipedia_url, "wikipedia_permalink": permalink}
-
         started = runtime.clock()
-        article_url = runtime.wikidata.resolve_wikipedia_url(entity_id)  # once per run
+        info = runtime.wikidata.entity_info(entity_id)
+        if not info.wikipedia_url:
+            raise NoSitelink(f"entity {entity_id} has no English Wikipedia article")
+        permalink = None
+        if info.wikipedia_title:
+            revision = runtime.wikidata.wikipedia_revision(info.wikipedia_title)
+            permalink = wikipedia_permalink(info.wikipedia_title, revision)
         verifier = runtime.verifier()
         _verify_run(
-            runtime, "verify-wikipedia", entity_id, started, statements,
-            lambda statement: verifier.verify_via_wikipedia(statement, article_url=article_url),
-            summary_extra=article_fields,
+            runtime, "verify-wikipedia", info, started, statements,
+            lambda statement: verifier.verify_via_wikipedia(
+                statement, article_url=info.wikipedia_url),
+            summary_extra={"wikipedia_url": info.wikipedia_url, "wikipedia_permalink": permalink},
             manifest_extra={"statements": len(statements)},
         )
 

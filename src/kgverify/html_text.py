@@ -82,7 +82,7 @@ class _ElementCapture(HTMLParser):
             if tag not in _VOID_TAGS:
                 self._markup.append(_render_start_tag(tag, attrs))
             else:
-                self._markup.append(_render_start_tag(tag, attrs)[:-1] + "/>")
+                self.handle_startendtag(tag, attrs)
             return
         if self._matches(tag, attrs):
             self._depth = 1
@@ -93,6 +93,8 @@ class _ElementCapture(HTMLParser):
         if self._skip_depth or self._depth == 0:
             return
         self._markup.append(_render_start_tag(tag, attrs)[:-1] + "/>")
+        if tag == "br":  # a line break separates the words on either side
+            self._text.append(" ")
 
     def _finalize(self) -> None:
         self.captured.append(

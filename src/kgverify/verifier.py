@@ -590,7 +590,7 @@ class Verifier:
         an authority, so its confirming paragraphs are recorded only as
         intermediate anchors. A chunk whose prompt exceeds the context budget
         becomes a ``context-overflow`` skip and is not queried. The caller
-        resolves ``article_url`` once per run (``WikidataClient.resolve_wikipedia_url``).
+        resolves ``article_url`` once per run (``EntityInfo.wikipedia_url``).
         """
         session = VerificationSession(
             statement=statement, mode=VerificationMode.WIKIPEDIA, started_at=self._clock()

@@ -212,13 +212,6 @@ class WikidataClient:
             wikipedia_url=url,
         )
 
-    def resolve_wikipedia_url(self, entity: EntityId | str | int) -> str:
-        """URL of the English Wikipedia article linked from the entity."""
-        info = self.entity_info(entity)
-        if not info.wikipedia_url:
-            raise NoSitelink(f"entity {info.entity_id} has no English Wikipedia article")
-        return info.wikipedia_url
-
     def wikipedia_revision(self, title: str) -> int:
         """Latest revision id of a Wikipedia article, for permalink pinning."""
         resp = self._get(self._wikipedia_api,

@@ -149,47 +149,37 @@ class TestVerifyWikidata:
         assert result.exit_code == 5
         assert "fingerprint" in result.output
 
-    def test_unknown_entity_named_in_error(self, runner, tmp_path):
-        # an entity with no statements and no entity record: recorded as an
-        # empty SPARQL result plus a "missing" entity payload
+    def test_unknown_entity_named_in_error(self, runner, tmp_path, monkeypatch):
+        """The subject's entity record is asked first: an entity that does not
+        exist exits 6, naming it, and asks no SPARQL; only its record (a
+        "missing" payload) is recorded."""
         from kgverify.net import HttpRequest, HttpResponse, write_fixture
-        from kgverify.wikidata import (
-            WIKIDATA_API,
-            WIKIDATA_SPARQL_ENDPOINT,
-            EntityId,
-            unsourced_statements_query,
-        )
+        from kgverify.wikidata import WIKIDATA_API, WikidataClient
 
         fixtures = tmp_path / "fixtures"
-        (fixtures / "llm").mkdir(parents=True)
-        (fixtures / "llm" / "responses.jsonl").write_text("", encoding="utf-8")
-        sparql_req = HttpRequest.get(
-            WIKIDATA_SPARQL_ENDPOINT,
-            params={"query": unsourced_statements_query(EntityId(99)), "format": "json"},
-            headers={"Accept": "application/sparql-results+json"},
-        )
-        write_fixture(fixtures / "http", sparql_req, HttpResponse(
-            status=200, headers={"content-type": "application/sparql-results+json"},
-            body=json.dumps({"head": {"vars": []},
-                             "results": {"bindings": []}}).encode(),
-        ))
-        entity_req = HttpRequest.get(
-            WIKIDATA_API,
-            params={
-                "action": "wbgetentities", "ids": "Q99",
-                "props": "info|labels|sitelinks/urls", "languages": "en",
-                "sitefilter": "enwiki", "format": "json",
-            },
-        )
+        entity_req = HttpRequest.get(WIKIDATA_API, params={
+            "action": "wbgetentities", "ids": "Q99", "props": "info|labels|sitelinks/urls",
+            "languages": "en", "sitefilter": "enwiki", "format": "json",
+        })
         write_fixture(fixtures / "http", entity_req, HttpResponse(
             status=200, headers={"content-type": "application/json"},
             body=json.dumps({"entities": {"Q99": {"id": "Q99", "missing": ""}}}).encode(),
         ))
-        result = runner.invoke(main, [
-            "verify-wikidata", "Q99", *replay_args(tmp_path / "out", fixtures=fixtures),
-        ])
-        assert result.exit_code == 6
-        assert "Q99" in result.output
+        queries = []
+        sparql = WikidataClient._sparql
+
+        def counted(self, query):
+            queries.append(query)
+            return sparql(self, query)
+
+        monkeypatch.setattr(WikidataClient, "_sparql", counted)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["verify-wikidata", "Q99",
+                                      *replay_args(out, fixtures=fixtures)])
+        assert result.exit_code == 6, result.output
+        assert "error: entity Q99 does not exist" in result.output
+        assert queries == []
+        assert not out.exists()
 
     def test_invalid_entity_usage_error(self, runner, tmp_path):
         result = runner.invoke(main, ["verify-wikidata", "not-an-id",
@@ -334,9 +324,36 @@ class TestVerifyWikipedia:
         assert completions == []
         assert not out.exists()
 
+    def test_a_missing_revision_record_ends_the_run_before_its_first_statement(
+            self, runner, tmp_path, monkeypatch):
+        """The article's revision is asked before the first statement: a replay
+        that lacks its record exits 5 having asked no completion, and writes nothing."""
+        from kgverify.store import FixtureStore
+
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(REPLAY_DIR, fixtures)
+        (revision,) = [path for path in (fixtures / "http").iterdir()
+                       if '"titles"' in path.read_text(encoding="utf-8")]
+        revision.unlink()
+        completions = []
+        complete = FixtureStore.complete
+
+        def counted(self, params, prompt):
+            completions.append(prompt)
+            return complete(self, params, prompt)
+
+        monkeypatch.setattr(FixtureStore, "complete", counted)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*UC2[0], *replay_args(out, fixtures=fixtures)])
+        assert result.exit_code == 5, result.output
+        assert "error: no recorded fixture" in result.output
+        assert "verifying:" not in result.output
+        assert completions == []
+        assert not out.exists()
+
     def test_one_entity_lookup_per_run(self, runner, tmp_path, monkeypatch):
-        """Three statements ask the subject's entity record twice in all: once
-        for the article before the first statement, once for the report."""
+        """Three statements ask the subject's entity record once in all, before
+        the first statement: it gives both the article and the report summary."""
         from kgverify.wikidata import WikidataClient
 
         entity_info = WikidataClient.entity_info
@@ -350,7 +367,7 @@ class TestVerifyWikipedia:
         result = runner.invoke(main, [*uc2_three_times(tmp_path), *replay_args(tmp_path / "out")])
         assert result.exit_code == 0, result.output
         assert result.output.count("verifying:") == 3
-        assert asked == ["Q179924"] * 2
+        assert asked == ["Q179924"]
 
     def test_chunk_over_the_context_budget_is_a_skip(self, runner, tmp_path, monkeypatch):
         """An article chunk over the context budget is recorded as a skip in a
@@ -643,6 +660,21 @@ class TestBuildDataset:
         ])
         assert result.exit_code == 3
 
+    def test_a_positive_without_a_replacement_is_skipped(self, runner, tmp_path):
+        """A one-document corpus has a single disease, so its gene-disease
+        positive has no replacement: the run still writes the dataset and
+        names the skip."""
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        shutil.copy(FIXTURES / "biored_mini" / "Test_mini.BioC.JSON", corpus)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["build-dataset", "--biored", str(corpus), "--seed", "42",
+                                      "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert "Negative_Correlation: 1 positives, 0 negatives" in result.output
+        assert "skipped 1 positives with no usable replacement" in result.output
+        assert len(read_instances(out / "biored_verify.jsonl")) == 3
+
 
 class TestEvaluate:
     def build_dataset(self, runner, tmp_path) -> Path:
@@ -882,6 +914,11 @@ class TestReport:
         ("missing", 3, "cannot read report"),
         ("not-well-formed", 7, "not well-formed XML"),
         ("wrong-root", 7, "unexpected root element"),
+        ("child-in-a-value", 7,
+         "verification-report/summary[1]/llm-model[1]: element must not have children"),
+        ("stray-text", 7, "verification-report/summary[1]: unexpected text content"),
+        ("text-after-a-child", 7,
+         "verification-report/summary[1]: unexpected text after <llm-model>"),
     ])
     def test_a_failed_report_exits_with_its_code_and_creates_no_output(self, runner, tmp_path,
                                                                        fault, code, named):
@@ -892,6 +929,14 @@ class TestReport:
             xml_file.write_text("<verification-report <<<", encoding="utf-8")
         elif fault == "wrong-root":
             xml_file.write_text("<html/>", encoding="utf-8")
+        elif fault != "missing":  # uc1's report, tampered with
+            assert runner.invoke(main, [*UC1[0], *replay_args(tmp_path / "run")]).exit_code == 0
+            text = (tmp_path / "run" / f"{UC1[1]}.xml").read_text(encoding="utf-8")
+            old, new = {"child-in-a-value": ("</llm-model>", "<b/></llm-model>"),
+                        "stray-text": ("<summary>", "<summary>stray"),
+                        "text-after-a-child": ("</llm-model>", "</llm-model>tail")}[fault]
+            assert old in text
+            xml_file.write_text(text.replace(old, new, 1), encoding="utf-8")
         out = tmp_path / "out"
         result = runner.invoke(main, ["report", str(xml_file), "--out", str(out)])
         assert result.exit_code == code, result.output
@@ -930,8 +975,8 @@ class TestPoolWidth:
                                                                "verify-wikipedia"])
     def test_a_run_that_fails_early_stops_its_workers(self, runner, tmp_path, command):
         """A replay over no fixtures fails on its first request (exit 5), the
-        statement selection's or the article lookup's, before the first
-        statement. No worker of the run is left alive."""
+        subject's entity lookup, before the first statement. No worker of the
+        run is left alive."""
         before = set(threading.enumerate())
         result = runner.invoke(main, [*command, *replay_args(tmp_path / "out",
                                                              fixtures=tmp_path)])
@@ -1097,7 +1142,7 @@ class TestInterrupt:
         def interrupt(self, entity):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(WikidataClient, "resolve_wikipedia_url", interrupt)
+        monkeypatch.setattr(WikidataClient, "entity_info", interrupt)
         out = tmp_path / "out"
         result = runner.invoke(main, [*UC2[0], *replay_args(out)])
         assert result.exit_code == 130, result.output
@@ -1135,6 +1180,29 @@ class TestInterrupt:
         assert manifest["sessions"] == 0
         assert manifest["traces"] == 0
 
+
+    def test_a_live_interrupted_run_asks_nothing_after_the_interrupt(self, runner, tmp_path,
+                                                                    live_remote, monkeypatch):
+        """The report's Wikidata fields were asked before the first statement:
+        a live run interrupted in its first session writes its partial report
+        with no further request."""
+        from kgverify.reporting import validate_report
+        from kgverify.verifier import Verifier
+
+        asked_before = []
+
+        def interrupt(self, *args, **kwargs):
+            asked_before.append(len(live_remote))
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(Verifier, "verify_via_web_search", interrupt)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [*UC1[0], "--live", "--out", str(out),
+                                      "--fixed-clock", "2024-03-02T13:27:25Z"])
+        assert result.exit_code == 130, result.output
+        assert asked_before == [len(live_remote)]
+        validate_report(ET.fromstring((out / f"{UC1[1]}.xml").read_bytes()))
+        assert json.loads((out / "manifest.json").read_text())["interrupted"] is True
 
     def test_second_statement_interrupted_writes_the_first_session(self, runner, tmp_path,
                                                                     monkeypatch):

@@ -83,22 +83,55 @@ class TestLoadBiored:
         with pytest.raises(MalformedInput, match="GHOST"):
             load_biored(tmp_path)
 
-    @pytest.mark.parametrize("fault", ["top-level-list", "infons-number", "no-text"])
+    @pytest.mark.parametrize("fault", ["top-level-list", "infons-number", "no-text", "no-id",
+                                       "relation-incomplete", "no-documents"])
     def test_malformed_bioc_names_the_file(self, request, tmp_path, fault):
         source = request.path.parent / "fixtures" / "biored_mini"
         collection = json.loads(sorted(source.iterdir())[0].read_text(encoding="utf-8"))
         document = collection["documents"][0]
+        reason = {"no-id": "document without id", "relation-incomplete": "R0 is incomplete",
+                  "no-documents": "no documents found"}.get(fault, "")
         if fault == "top-level-list":
             collection = [collection]
         elif fault == "infons-number":
             document["passages"][0]["annotations"][0]["infons"] = 7
-        else:
+        elif fault == "no-text":
             for passage in document["passages"]:
                 passage["text"] = ""
+        elif fault == "no-id":
+            del document["id"]
+        elif fault == "relation-incomplete":
+            del document["relations"][0]["infons"]["type"]
+        else:
+            collection["documents"] = []
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(collection), encoding="utf-8")
-        with pytest.raises(MalformedInput, match="bad.json"):
+        with pytest.raises(MalformedInput, match="bad.json") as caught:
             load_biored(path)
+        assert reason in str(caught.value)
+
+    def test_a_document_in_two_splits_is_loaded_once(self, request, tmp_path):
+        """A document id seen in an earlier split (in file-name order) is skipped."""
+        source = request.path.parent / "fixtures" / "biored_mini"
+        text = (source / "Test_mini.BioC.JSON").read_text(encoding="utf-8")
+        (tmp_path / "a.json").write_text(text, encoding="utf-8")
+        (tmp_path / "b.json").write_text(text, encoding="utf-8")
+        assert [d.doc_id for d in load_biored(tmp_path)] == ["1004"]
+
+    def test_annotations_without_a_usable_identifier_add_no_entity(self, tmp_path):
+        """An identifier ``-`` names no entity, and nor does an empty part of
+        a comma-separated one."""
+        annotations = [
+            {"infons": {"identifier": "-", "type": "ChemicalEntity"}, "text": "x"},
+            {"infons": {"identifier": "E1,,E2", "type": "ChemicalEntity"}, "text": "y"},
+        ]
+        payload = {"documents": [{"id": "9", "passages": [
+            {"text": "x and y", "annotations": annotations}]}]}
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        [doc] = load_biored(path)
+        assert [(e.identifier, e.surface_forms) for e in doc.entities] == [
+            ("E1", ("y",)), ("E2", ("y",))]
 
 
 class TestNormalizePair:

@@ -338,7 +338,7 @@ class TestArticleOncePerRun:
         transport.add_json(lookup, {"entities": {"Q1": {
             "id": "Q1", "lastrevid": 7, "labels": {"en": {"value": "Subject"}},
             "sitelinks": {"enwiki": {"title": "Subject", "url": ARTICLE_URL}}}}})
-        article_url = WikidataClient(transport).resolve_wikipedia_url("Q1")
+        article_url = WikidataClient(transport).entity_info("Q1").wikipedia_url
         statements = [dataclasses.replace(STATEMENT, object_label=f"Thing {i}")
                       for i in range(3)]
         sessions = [verifier.verify_via_wikipedia(s, article_url) for s in statements]

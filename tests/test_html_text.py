@@ -71,13 +71,14 @@ class TestCaptureElements:
     def test_void_elements(self):
         html = "<p>line one<br>line two<img src='x.png'></p>"
         captured = extract_paragraph_elements(html)
-        assert captured[0].text == "line oneline two"
+        assert captured[0].text == "line one line two"
         assert "<br/>" in captured[0].html
 
     def test_self_closing_elements_keep_their_place(self):
         html = '<p>before<br/>after <img src="x.png"/> end</p>'
         [captured] = extract_paragraph_elements(html)
         assert captured.html == 'before<br/>after <img src="x.png"/> end'
+        assert captured.text == "before after end"
 
     def test_noscript_content_is_not_captured(self):
         html = ("<noscript><p>fallback paragraph</p></noscript>"

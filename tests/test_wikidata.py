@@ -218,11 +218,8 @@ class TestEntityInfo:
                            title="Bioluminescence",
                            url="https://en.wikipedia.org/wiki/Bioluminescence"),
         )
-        client = WikidataClient(dict_transport)
-        assert client.resolve_wikipedia_url("Q179924") == (
-            "https://en.wikipedia.org/wiki/Bioluminescence"
-        )
-        info = client.entity_info("Q179924")
+        info = WikidataClient(dict_transport).entity_info("Q179924")
+        assert info.wikipedia_url == "https://en.wikipedia.org/wiki/Bioluminescence"
         assert info.permalink == (
             "https://wikidata.org/w/index.php?title=Q179924&oldid=2073869683"
         )
@@ -233,8 +230,8 @@ class TestEntityInfo:
             entity_request("Q999999"),
             entity_payload("Q999999", "obscure thing", 5),
         )
-        with pytest.raises(NoSitelink, match="Q999999"):
-            WikidataClient(dict_transport).resolve_wikipedia_url("Q999999")
+        info = WikidataClient(dict_transport).entity_info("Q999999")
+        assert info.wikipedia_title is None and info.wikipedia_url is None
 
     def test_unknown_entity(self, dict_transport):
         dict_transport.add_json(

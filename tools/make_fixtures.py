@@ -331,7 +331,6 @@ def build_havel() -> list[tuple[LlmParams, str, str]]:
 # use case 2: Bioluminescence via Wikipedia references
 # ---------------------------------------------------------------------------
 
-BIOLUM = EntityId.parse("Q179924")
 GPT4_PARAMS = LlmParams(model="gpt-4-1106-preview")
 
 WIKI_URL = "https://en.wikipedia.org/wiki/Bioluminescence"
