@@ -36,8 +36,7 @@ from .llm import (
     parse_option,
 )
 from .model import DecisionMode, Statement, statements_from_text, verdict_to_binary
-from .net import (DEFAULT_REQUESTS_IN_FLIGHT, LiveTransport, RequestGate, RequestMemo,
-                  atomic_write)
+from .net import DEFAULT_REQUESTS_IN_FLIGHT, LiveTransport, RequestGate, atomic_write
 from .prompting import (
     NLI_TEMPLATE,
     RDF_TEMPLATE,
@@ -198,9 +197,9 @@ class _Runtime:
         root = config.fixtures_dir if config.replay else config.cache_dir
         ttl = None if config.replay else config.cache_ttl_seconds
         self.store = FixtureStore(root, live, ttl) if root else None
-        # In every mode each distinct request is asked once per run (the gateway
-        # does the same for completions).
-        self.transport = RequestMemo(self.store or live)
+        # Each client keeps what a run asks once: the fetcher pages, the verifier
+        # searches, the gateway completions; Wikidata is asked once by construction.
+        self.transport = self.store or live
         # a store records completions but only replay serves them
         logs = [] if config.replay else [Path(config.out_dir) / "responses.jsonl"]
         if logs and self.store is not None:

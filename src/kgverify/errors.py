@@ -74,6 +74,10 @@ class Unavailable(KgVerifyError):
     exit_code = 4
 
 
+class PermanentlyUnavailable(Unavailable):
+    """The resource answered an HTTP 4xx other than 429: asking again gets the same answer."""
+
+
 class NoDocumentsRetrievable(KgVerifyError):
     """Every candidate grounding document failed to fetch."""
 

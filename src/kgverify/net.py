@@ -44,6 +44,7 @@ _TEMPLATES = 64
 USER_AGENT = "kgverify/0.1 (statement verification pipeline)"
 
 _Value = TypeVar("_Value")
+_ABSENT = object()  # a SingleFlight key with no value yet
 
 
 def canonical_json(obj) -> str:
@@ -147,25 +148,22 @@ class SingleFlight(Generic[_Value]):
     """Computes each key's value once: a single-flight memo.
 
     A caller that asks for a key already in flight waits for that value,
-    holding nothing else. A value is kept for the memo's life if ``keep``
-    accepts it; otherwise it, or a raised error, reaches the callers already
-    waiting and is then dropped, so a later caller computes it again.
+    holding nothing else. A value, None too, is kept for the memo's life; a
+    raised error reaches the callers already waiting and is then dropped, so
+    a later caller computes it again.
     """
 
-    def __init__(self, keep: Callable[[_Value], bool] = lambda value: True):
-        self._keep = keep
+    def __init__(self):
         self._values: dict[Hashable, _Value | Future] = {}
         self._lock = threading.Lock()
 
     def get(self, key: Hashable, compute: Callable[[], _Value]) -> _Value:
         with self._lock:
-            value = self._values.get(key)
-            if value is None:
+            value = self._values.get(key, _ABSENT)
+            if value is _ABSENT:
                 pending = self._values[key] = Future()
-        if isinstance(value, Future):
-            return value.result()  # in flight: wait for the caller that computes it
-        if value is not None:
-            return value
+        if value is not _ABSENT:  # kept, or in flight: wait for the caller computing it
+            return value.result() if isinstance(value, Future) else value
         try:
             value = compute()
         except BaseException as exc:
@@ -174,29 +172,9 @@ class SingleFlight(Generic[_Value]):
             pending.set_exception(exc)
             raise
         with self._lock:
-            if self._keep(value):
-                self._values[key] = value  # the plain value: a Future costs memory
-            else:
-                del self._values[key]
+            self._values[key] = value  # the plain value: a Future costs memory
         pending.set_result(value)
         return value
-
-
-class RequestMemo:
-    """Sends each distinct request (by ``request_fingerprint``) once per run.
-
-    Every answer is kept, a 404 too, except a 429 or a 5xx, which reaches the
-    callers already waiting and is then asked again by a later caller, as is
-    a raised error. A caller of a request in flight holds no gate slot.
-    """
-
-    def __init__(self, inner: Transport):
-        self._inner = inner
-        self._answers: SingleFlight[HttpResponse] = SingleFlight(
-            keep=lambda resp: resp.status != 429 and resp.status < 500)
-
-    def send(self, req: HttpRequest) -> HttpResponse:
-        return self._answers.get(request_fingerprint(req), lambda: self._inner.send(req))
 
 
 # Imported by the first LiveTransport (``_import_live``): a replay, ``report`` and

@@ -16,6 +16,7 @@ from . import html_text
 from .errors import (
     SHAPE_ERRORS,
     MalformedResponse,
+    PermanentlyUnavailable,
     ProviderUnavailable,
     QuotaExceeded,
     Unavailable,
@@ -105,25 +106,28 @@ def web_search(provider: SearchProvider, query: str, limit: int = DEFAULT_HIT_LI
 
 
 class DocumentFetcher:
-    """Fetches pages and extracts their paragraph text.
+    """Fetches pages and extracts their paragraph text: a run's one memo of pages.
 
-    A fetcher parses each page once: one single-flight memo, keyed by URL
-    and by how the page was parsed (a page's paragraphs, a snapshot's, or
-    the ``parse`` given to ``fetch_parsed``), serves every caller, also
-    callers at once. A raised error is not kept, so the transport
-    (``net.RequestMemo``) decides what is asked again: a page that answered
-    a 5xx is asked again by a later caller.
+    A single-flight memo keyed by URL and parse (a page's paragraphs, a
+    snapshot's, or ``fetch_parsed``'s ``parse``) serves all callers, also at
+    once. It keeps each page's outcome, not its body: the parsed value, or
+    its ``PermanentlyUnavailable`` or ``UnsupportedMediaType``, raised anew
+    for each caller; a 429, a 5xx or a transport error is asked again. A dead
+    link's archive lookup is kept alike. A URL reached under two parses (a
+    cited page that is also a dead link's snapshot) is asked once per parse.
     """
 
     def __init__(self, transport: Transport):
         self._transport = transport
-        self._parsed: SingleFlight = SingleFlight()
+        self._outcomes: SingleFlight = SingleFlight()
 
     def fetch_raw(self, url: str) -> str:
         """Fetch a URL and return its HTML text; non-HTML is rejected."""
         resp = self._transport.send(HttpRequest.get(url))
         if resp.status >= 400:
-            raise Unavailable(f"GET {url} returned HTTP {resp.status}")
+            permanent = resp.status != 429 and resp.status < 500
+            error = PermanentlyUnavailable if permanent else Unavailable
+            raise error(f"GET {url} returned HTTP {resp.status}")
         media_type = resp.content_type or _sniff_media_type(url, resp)
         if media_type not in _HTML_TYPES:
             raise UnsupportedMediaType(f"{url}: unsupported media type {media_type or 'unknown'}")
@@ -131,7 +135,16 @@ class DocumentFetcher:
 
     def fetch_parsed(self, url: str, parse: Callable[[str], _Parsed]) -> _Parsed:
         """``parse`` of the page at ``url``, fetched and parsed once per fetcher."""
-        return self._parsed.get((url, parse), lambda: parse(self.fetch_raw(url)))
+        outcome = self._outcomes.get((url, parse), lambda: self._parse_outcome(url, parse))
+        if isinstance(outcome, Exception):  # one instance raised again grows its traceback
+            raise type(outcome)(*outcome.args)
+        return outcome
+
+    def _parse_outcome(self, url: str, parse: Callable[[str], _Parsed]) -> _Parsed | Exception:
+        try:
+            return parse(self.fetch_raw(url))
+        except (PermanentlyUnavailable, UnsupportedMediaType) as exc:  # the page's answer
+            return exc.with_traceback(None)  # kept with no frame, so with no body
 
     def fetch_document(self, url: str) -> GroundingDocument:
         return GroundingDocument(url, RetrievalSource.DIRECT,
@@ -143,19 +156,21 @@ class DocumentFetcher:
             return self.fetch_document(url)
         except Unavailable:
             pass
-        snapshot_url = self._nearest_snapshot(url)
+        try:
+            snapshot_url = self._outcomes.get((url, ARCHIVE_AVAILABILITY_API),
+                                              lambda: self._nearest_snapshot(url))
+        except Unavailable:
+            snapshot_url = None
         if snapshot_url is None:
             raise Unavailable(f"{url}: no live copy and no archived snapshot")
         return GroundingDocument(snapshot_url, RetrievalSource.WEB_ARCHIVE,
                                  self.fetch_parsed(snapshot_url, _snapshot_paragraphs))
 
     def _nearest_snapshot(self, url: str) -> str | None:
-        try:
-            resp = self._transport.send(
-                HttpRequest.get(ARCHIVE_AVAILABILITY_API, params={"url": url})
-            )
-        except Unavailable:
-            return None
+        """The archive's closest snapshot of ``url``, or None; a 429 or a 5xx raises."""
+        resp = self._transport.send(HttpRequest.get(ARCHIVE_AVAILABILITY_API, params={"url": url}))
+        if resp.status == 429 or resp.status >= 500:
+            raise Unavailable(f"archive lookup of {url} returned HTTP {resp.status}")
         if resp.status != 200:
             return None
         try:

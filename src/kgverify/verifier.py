@@ -58,6 +58,7 @@ from .model import (
     VerdictKind,
     statement_to_search_query,
 )
+from .net import SingleFlight
 from .prompting import render_rdf_prompt
 from .retrieval import (
     DEFAULT_CHUNK_CHARS,
@@ -448,12 +449,12 @@ class Verifier:
     search, a search provider; a Wikipedia session is handed its article URL.
 
     ``pool`` (optional) runs a session's independent documents and judgments
-    concurrently; sessions come out the same with or without it. The
-    fetcher parses each page once (``DocumentFetcher``), so every statement
-    about a subject reuses its Wikipedia article, also statements verified
-    at once, and each search hit or cited source is parsed once however many
-    statements reach it. A proved article paragraph's citations are resolved
-    once per article (``_WikipediaArticle.citations``).
+    concurrently; sessions come out the same with or without it. Every
+    statement about a subject reuses its Wikipedia article, also statements
+    verified at once; each search hit or cited source is fetched and parsed
+    once (``DocumentFetcher``), each proved article paragraph's citations are
+    resolved once (``_WikipediaArticle.citations``), and each search query's
+    hits are asked once, as a subject may hold one value twice under a property.
     """
 
     def __init__(
@@ -471,6 +472,7 @@ class Verifier:
         self.chunk_chars = chunk_chars
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self.pool = pool
+        self._hits: SingleFlight[list[str]] = SingleFlight()
 
     # -- building blocks --------------------------------------------------------
 
@@ -544,7 +546,8 @@ class Verifier:
             statement=statement, mode=VerificationMode.WEB_SEARCH, started_at=self._clock()
         )
         query = statement_to_search_query(statement)
-        urls = web_search(self.search_provider, query, limit=hit_limit)
+        urls = self._hits.get((query, hit_limit),
+                              lambda: web_search(self.search_provider, query, limit=hit_limit))
         fetch = self.fetcher.fetch_document
 
         # Every hit's fetch runs first. A fetched hit then queues its scan at

@@ -72,15 +72,16 @@ def interrupt_thread_start(monkeypatch, name: str, nth: int, start: bool,
 
 
 def await_thread_blocked_in(function_name: str, timeout_s: float = 5.0,
-                            any_thread: bool = False) -> None:
-    """Return once the main thread (with ``any_thread``, any thread) waits in
-    a ``threading`` call (on a lock or a condition), directly or through a
-    ``Future``, that ``function_name`` made itself, not one made deeper down.
-    Fail if none does within ``timeout_s``."""
+                            any_thread: bool = False, threads: int = 1) -> None:
+    """Return once the main thread (with ``any_thread``, any ``threads``
+    threads) waits in a ``threading`` call (on a lock or a condition), directly
+    or through a ``Future``, that ``function_name`` made itself, not one made
+    deeper down. Fail if fewer do within ``timeout_s``."""
     library = {threading.__file__, concurrent.futures._base.__file__}
     main = threading.main_thread().ident
     deadline = time.monotonic() + timeout_s
     while True:
+        waiting = 0
         for ident, innermost in sys._current_frames().items():
             if not any_thread and ident != main:
                 continue
@@ -89,6 +90,52 @@ def await_thread_blocked_in(function_name: str, timeout_s: float = 5.0,
                 frame = frame.f_back
             if (frame is not innermost and frame is not None
                     and frame.f_code.co_name == function_name):
-                return
-        assert time.monotonic() < deadline, f"no thread ever waited in {function_name}"
+                waiting += 1
+        if waiting >= threads:
+            return
+        assert time.monotonic() < deadline, (
+            f"only {waiting} of {threads} threads waited in {function_name}")
         time.sleep(0.001)
+
+
+class GatedTransport:
+    """Answers from a script, each answer once ``release`` is set; counts calls."""
+
+    def __init__(self, *answers):
+        self.answers = list(answers)
+        self.calls = 0
+        self.release = threading.Event()
+        self._lock = threading.Lock()
+
+    def send(self, req):
+        with self._lock:
+            self.calls += 1
+            answer = self.answers.pop(0)
+        assert self.release.wait(5.0)
+        if isinstance(answer, BaseException):
+            raise answer
+        return answer
+
+
+def ask_in_flight(ask, gated: GatedTransport, callers: int = 8) -> list:
+    """What each of ``callers`` threads gets from ``ask()`` (a value, or the
+    error it raised), where ``ask`` goes through a ``SingleFlight``: ``gated``
+    answers the first caller once every other one waits in ``SingleFlight.get``
+    for that answer."""
+    results = [None] * callers
+
+    def call(i):
+        try:
+            results[i] = ask()
+        except Exception as exc:
+            results[i] = exc
+
+    threads = [threading.Thread(target=call, args=(i,)) for i in range(callers)]
+    for thread in threads:
+        thread.start()
+    await_thread_blocked_in("get", any_thread=True, threads=callers - 1)
+    gated.release.set()
+    for thread in threads:
+        thread.join(timeout=10.0)
+        assert not thread.is_alive()
+    return results

@@ -7,6 +7,7 @@ import shutil
 import sys
 import threading
 import time
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -1584,6 +1585,53 @@ class TestLiveWithCache:
         assert live["config"]["fixtures_dir"] == str(REPLAY_DIR)
         assert replay["fixtures_dir"] == str(REPLAY_DIR)
         assert re.fullmatch(r"[0-9a-f]{64}", replay["fixtures_sha256"])
+
+
+class TestPageMemory:
+    def test_a_run_keeps_the_parsed_text_of_its_pages_not_their_bodies(self, tmp_path,
+                                                                     monkeypatch):
+        """Distinct pages fetched through the runtime's fetcher leave allocated
+        their parsed text and a small constant; their bodies are dropped, also
+        those of the PDFs and 404 pages whose failures are kept."""
+        from contextlib import closing
+
+        from kgverify.cli import _Runtime
+        from kgverify.errors import Unavailable, UnsupportedMediaType
+        from kgverify.net import HttpResponse, LiveTransport
+
+        pages, page_bytes = 40, 64 * 1024
+        script = "<script>" + "var state = 0;\n" * (page_bytes // 15) + "</script>"
+        paragraph = "words of the page " * 100
+
+        def send(self, req):
+            if req.url.endswith(".pdf"):
+                return HttpResponse(200, {"content-type": "application/pdf"},
+                                    b"%PDF-1.4" + bytes(page_bytes), req.url)
+            body = f"<html><head>{script}</head><body><p>{req.url} {paragraph}</p></body></html>"
+            status = 404 if req.url.endswith("/gone") else 200
+            return HttpResponse(status, {"content-type": "text/html"}, body.encode(), req.url)
+
+        monkeypatch.setattr(LiveTransport, "send", send)
+        for name, value in CREDENTIALS.items():
+            monkeypatch.setenv(name, value)
+        with closing(_Runtime(RunConfig(out_dir=str(tmp_path)))) as runtime:
+            fetch = runtime.fetcher.fetch_document
+            fetch("https://warm-up.example/")  # what the first parse imports and caches
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                text = 0
+                for i in range(pages):
+                    text += sum(len(p) for p in fetch(f"https://site.example/{i}").paragraphs)
+                    for failing in (f"https://site.example/{i}.pdf",
+                                    f"https://site.example/{i}/gone"):
+                        with pytest.raises((Unavailable, UnsupportedMediaType)):
+                            fetch(failing)
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert text > pages * len(paragraph)
+        assert kept < text + 256 * 1024, f"{kept} bytes kept for {text} characters of text"
 
 
 class TestResponseLogFailures:

@@ -21,6 +21,7 @@ EXPECTED_EXIT_CODES = {
     "QuotaExceeded": 4,
     "NoDocumentsRetrievable": 4,
     "Unavailable": 4,
+    "PermanentlyUnavailable": 4,
     "MalformedResponse": 4,
     "FixtureMissing": 5,
     "NoSitelink": 6,

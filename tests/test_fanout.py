@@ -26,7 +26,7 @@ from kgverify.datasets import LabeledInstance, Origin, SnliRecord
 from kgverify.errors import FixtureMissing, MalformedResponse
 from kgverify.llm import LlmGateway, Prompt, ResponseLog, parse_nli_label, parse_option
 from kgverify.model import BinaryDecision, DecisionMode, NliLabel, Statement, verdict_to_binary
-from kgverify.net import HttpRequest, RequestMemo
+from kgverify.net import HttpRequest
 from kgverify.prompting import (
     OPTION_TEXTS,
     SYSTEM_PROMPT,
@@ -135,8 +135,10 @@ def para(*words: str, n: int = 3) -> str:
 class StubSearch:
     def __init__(self, urls):
         self.urls = urls
+        self.queries: list[str] = []
 
     def search(self, query, limit):
+        self.queries.append(query)
         return self.urls[:limit]
 
 
@@ -238,7 +240,8 @@ def article_html() -> str:
 
 
 def wiki_verifier(pool, seed=1, chunk_chars=700):
-    """A verifier over one run's request memo; ``transport`` sees what reaches the remote."""
+    """A verifier over one fetcher, a run's memo of pages; ``transport`` sees what
+    reaches the remote."""
     transport = SlowTransport(seed)
     transport.add(HttpRequest.get(ARTICLE_URL), body=article_html())
     for url, page in SOURCES.items():
@@ -251,10 +254,9 @@ def wiki_verifier(pool, seed=1, chunk_chars=700):
         transport.add_json(HttpRequest.get(ARCHIVE_AVAILABILITY_API, params={"url": url}),
                            {"archived_snapshots": closest})
     provider = ContentProvider(seed)
-    remote = RequestMemo(transport)
     verifier = Verifier(
         gateway=gateway(provider),
-        fetcher=DocumentFetcher(remote),
+        fetcher=DocumentFetcher(transport),
         chunk_chars=chunk_chars,
         clock=lambda: NOW,
         pool=pool,
@@ -420,7 +422,6 @@ class TestParseOncePerRun:
                  for s in self.STATEMENTS]
         parsed = self.count_calls(monkeypatch, html_text, "extract_paragraphs")
         verifier, _, transport = web_verifier(pool, pages=pages)
-        verifier.fetcher = DocumentFetcher(RequestMemo(transport))
         sessions, _ = _verify_statements(
             pool, self.STATEMENTS, lambda s: verifier.verify_via_web_search(s, hit_limit=9))
         assert [normalised(s) for s in sessions] == [normalised(s) for s in apart]
@@ -431,6 +432,16 @@ class TestParseOncePerRun:
         assert all(asked.count(url) == 1 for url in set(asked) - {busy})
         assert [s.documents[-1].skip.detail for s in sessions] == [
             f"GET {busy} returned HTTP 503"] * 2
+
+    def test_statements_rendering_one_query_search_once(self, pool):
+        """A subject may hold one value twice under one property, so two
+        selected statements can render one search query: it is asked once."""
+        apart = web_verifier(None)[0].verify_via_web_search(STATEMENT, hit_limit=9)
+        verifier, _, _ = web_verifier(pool)
+        sessions, _ = _verify_statements(
+            pool, [STATEMENT] * 2, lambda s: verifier.verify_via_web_search(s, hit_limit=9))
+        assert [normalised(s) for s in sessions] == [normalised(apart)] * 2
+        assert len(verifier.search_provider.queries) == 1
 
     def test_statements_citing_one_source_parse_it_once(self, pool, monkeypatch):
         import kgverify.html_text as html_text

@@ -30,7 +30,7 @@ from kgverify.net import (
     HttpResponse,
     LiveTransport,
     RequestGate,
-    RequestMemo,
+    SingleFlight,
     USER_AGENT,
     request_fingerprint,
     response_from_record,
@@ -38,6 +38,7 @@ from kgverify.net import (
     write_fixture,
 )
 
+from concurrency import GatedTransport, ask_in_flight
 from conftest import ScriptedProvider
 
 
@@ -82,6 +83,9 @@ class TestFingerprint:
         )
         assert request_fingerprint(base) != request_fingerprint(
             HttpRequest.post("https://x.example", body=b"data")
+        )
+        assert request_fingerprint(base) != request_fingerprint(
+            HttpRequest.post("https://x.example", body=b"")
         )
 
 
@@ -1097,95 +1101,34 @@ class TestRequestGate:
         assert [gate._slots.acquire(blocking=False) for _ in range(4)] == [True] * 3 + [False]
 
 
-class GatedTransport:
-    """Answers from a script, each answer once ``release`` is set; counts calls."""
-
-    def __init__(self, *answers):
-        self.answers = list(answers)
-        self.calls = 0
-        self.release = threading.Event()
-        self._lock = threading.Lock()
-
-    def send(self, req):
-        with self._lock:
-            self.calls += 1
-            answer = self.answers.pop(0)
-        assert self.release.wait(5.0)
-        if isinstance(answer, BaseException):
-            raise answer
-        return answer
-
-
-def ask_in_flight(memo, req, inner, callers=8):
-    """What each of ``callers`` threads gets from ``memo`` for ``req`` while the
-    first one is in flight; ``inner`` answers once every caller has asked."""
-    results = [None] * callers
-    ready = threading.Barrier(callers + 1)
-
-    def ask(i):
-        ready.wait()
-        try:
-            results[i] = memo.send(req)
-        except Exception as exc:
-            results[i] = exc
-
-    threads = [threading.Thread(target=ask, args=(i,)) for i in range(callers)]
-    for thread in threads:
-        thread.start()
-    ready.wait()
-    time.sleep(0.2)  # every caller is now waiting on the one request in flight
-    inner.release.set()
-    for thread in threads:
-        thread.join()
-    return results
-
-
 def answer(status, body=b"ok"):
     return HttpResponse(status=status, headers={"content-type": "text/plain"}, body=body)
 
 
-class TestRequestMemo:
-    def test_concurrent_identical_requests_are_asked_once(self):
+class TestSingleFlight:
+    def test_concurrent_callers_compute_once(self):
         inner = GatedTransport(answer(200, b"shared"))
-        results = ask_in_flight(RequestMemo(inner), HttpRequest.get("https://x.example"), inner)
+        memo = SingleFlight()
+        req = HttpRequest.get("https://x.example")
+        results = ask_in_flight(lambda: memo.get("key", lambda: inner.send(req)), inner)
         assert inner.calls == 1
         assert results == [answer(200, b"shared")] * 8
 
-    def test_a_404_is_kept(self):
-        inner = CountingTransport(status=404)
-        memo = RequestMemo(inner)
-        req = HttpRequest.get("https://dead.example/page")
-        assert [memo.send(req).status for _ in range(3)] == [404, 404, 404]
-        assert inner.calls == 1
-
-    @pytest.mark.parametrize("failure", [answer(429), answer(500), Unavailable("reset")],
-                             ids=["429", "500", "raised"])
-    def test_a_failure_reaches_callers_in_flight_and_is_asked_again(self, failure):
+    def test_an_error_reaches_every_waiting_caller_and_a_later_caller_computes_again(self):
+        failure = Unavailable("reset")
         inner = GatedTransport(failure, answer(200, b"later"))
-        memo = RequestMemo(inner)
+        memo = SingleFlight()
         req = HttpRequest.get("https://flaky.example")
-        results = ask_in_flight(memo, req, inner)
+        results = ask_in_flight(lambda: memo.get("key", lambda: inner.send(req)), inner)
         assert inner.calls == 1
         assert all(result is failure for result in results)
-        assert memo.send(req) == answer(200, b"later")
-        assert memo.send(req) == answer(200, b"later")
+        assert memo.get("key", lambda: inner.send(req)) == answer(200, b"later")
+        assert memo.get("key", lambda: inner.send(req)) == answer(200, b"later")
         assert inner.calls == 2
 
-    def test_requests_differing_only_in_body_are_distinct(self):
-        inner = CountingTransport()
-        memo = RequestMemo(inner)
-        first = HttpRequest.post("https://llm.example/predictions", body=b'{"prompt": "a"}')
-        second = HttpRequest.post("https://llm.example/predictions", body=b'{"prompt": "b"}')
-        for req in (first, second, first, second):
-            memo.send(req)
-        assert inner.calls == 2
-
-    def test_requests_differing_in_params_or_method_are_distinct(self):
-        inner = CountingTransport()
-        memo = RequestMemo(inner)
-        for req in (HttpRequest.get("https://x.example", params={"q": "1"}),
-                    HttpRequest.get("https://x.example", params={"q": "2"}),
-                    HttpRequest.post("https://x.example", body=b""),
-                    HttpRequest.get("https://x.example", params={"q": "1"})):
-            memo.send(req)
-        assert inner.calls == 3
+    def test_a_none_value_is_computed_once(self):
+        memo = SingleFlight()
+        calls = []
+        for _ in range(3):
+            assert memo.get("key", lambda: calls.append("computed")) is None
+        assert calls == ["computed"]

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from kgverify.errors import (
     FixtureMissing,
     MalformedResponse,
+    PermanentlyUnavailable,
     Unavailable,
     UnsupportedMediaType,
 )
@@ -26,6 +27,8 @@ from kgverify.retrieval import (
     web_search,
 )
 from kgverify.store import FixtureStore
+
+from concurrency import GatedTransport, ask_in_flight
 
 
 class SearchApi:
@@ -216,6 +219,162 @@ class TestArchiveFallback:
             HttpRequest.get(ARCHIVE_AVAILABILITY_API, params={"url": self.URL}), payload)
         with pytest.raises(Unavailable, match="no archived snapshot"):
             DocumentFetcher(dict_transport).fetch_with_archive_fallback(self.URL)
+
+
+def page(status: int = 200, body: str | bytes = HTML_PAGE,
+         content_type: str = "text/html") -> HttpResponse:
+    if isinstance(body, str):
+        body = body.encode("utf-8")
+    return HttpResponse(status, {"content-type": content_type}, body)
+
+
+class ScriptedTransport:
+    """Answers each URL with its scripted answers in turn, the last one from
+    then on; an answer may be an error to raise. Keeps the URLs asked."""
+
+    def __init__(self, script: dict):
+        self.script = {url: list(answers) for url, answers in script.items()}
+        self.asked: list[str] = []
+
+    def send(self, req):
+        self.asked.append(req.url)
+        answers = self.script[req.url]
+        answer = answers.pop(0) if len(answers) > 1 else answers[0]
+        if isinstance(answer, BaseException):
+            raise answer
+        return answer
+
+
+class TestPageMemo:
+    """A fetcher keeps each page's outcome: its parse, or the failure that is
+    the page's answer for the run. A failure that may pass is asked again."""
+
+    URL = "https://site.example/page"
+    PARAGRAPHS = ("one paragraph", "two paragraph", "three")
+
+    def test_a_404_page_is_asked_once_and_each_ask_raises_its_own_error(self):
+        transport = ScriptedTransport({self.URL: [page(404, "gone")]})
+        fetcher = DocumentFetcher(transport)
+        raised = []
+        for _ in range(3):
+            with pytest.raises(Unavailable) as caught:
+                fetcher.fetch_document(self.URL)
+            raised.append(caught.value)
+        assert transport.asked == [self.URL]
+        assert [str(exc) for exc in raised] == [f"GET {self.URL} returned HTTP 404"] * 3
+        assert len(set(map(id, raised))) == 3
+
+    def test_a_pdf_is_asked_once(self):
+        url = "https://site.example/report.pdf"
+        transport = ScriptedTransport({url: [page(body=b"%PDF-1.4",
+                                                  content_type="application/pdf")]})
+        fetcher = DocumentFetcher(transport)
+        for _ in range(3):
+            with pytest.raises(UnsupportedMediaType, match="application/pdf"):
+                fetcher.fetch_document(url)
+        assert transport.asked == [url]
+
+    @pytest.mark.parametrize("failure", [page(429, "slow down"), page(503, "busy"),
+                                         Unavailable("connection reset")],
+                             ids=["429", "503", "raised"])
+    def test_a_failure_that_may_pass_is_asked_again(self, failure):
+        transport = ScriptedTransport({self.URL: [failure, page()]})
+        fetcher = DocumentFetcher(transport)
+        with pytest.raises(Unavailable):
+            fetcher.fetch_document(self.URL)
+        for _ in range(2):
+            assert fetcher.fetch_document(self.URL).paragraphs == self.PARAGRAPHS
+        assert transport.asked == [self.URL] * 2
+
+    DEAD, SNAPSHOT = TestArchiveFallback.URL, TestArchiveFallback.SNAPSHOT
+
+    def dead_link(self, *lookups: HttpResponse) -> ScriptedTransport:
+        """A dead link whose archive lookups answer ``lookups`` in turn, and its snapshot."""
+        return ScriptedTransport({self.DEAD: [page(404, "gone")],
+                                  ARCHIVE_AVAILABILITY_API: list(lookups),
+                                  self.SNAPSHOT: [page(body="<p>archived body text</p>")]})
+
+    @staticmethod
+    def lookup(snapshot: str | None) -> HttpResponse:
+        closest = {"closest": {"available": True, "url": snapshot}} if snapshot else {}
+        return page(body=json.dumps({"archived_snapshots": closest}),
+                    content_type="application/json")
+
+    @pytest.mark.parametrize("snapshot", [SNAPSHOT, None], ids=["snapshot", "none"])
+    def test_a_dead_links_archive_lookup_is_asked_once(self, snapshot):
+        transport = self.dead_link(self.lookup(snapshot))
+        fetcher = DocumentFetcher(transport)
+        for _ in range(3):
+            if snapshot:
+                assert fetcher.fetch_with_archive_fallback(self.DEAD).url == snapshot
+            else:
+                with pytest.raises(Unavailable, match="no archived snapshot"):
+                    fetcher.fetch_with_archive_fallback(self.DEAD)
+        asked = [self.DEAD, ARCHIVE_AVAILABILITY_API] + ([snapshot] if snapshot else [])
+        assert transport.asked == asked
+
+    def test_a_failed_archive_lookup_is_asked_again(self):
+        transport = self.dead_link(page(503, "busy"), self.lookup(self.SNAPSHOT))
+        fetcher = DocumentFetcher(transport)
+        with pytest.raises(Unavailable, match="no archived snapshot"):
+            fetcher.fetch_with_archive_fallback(self.DEAD)
+        for _ in range(2):
+            assert fetcher.fetch_with_archive_fallback(self.DEAD).url == self.SNAPSHOT
+        assert transport.asked == [self.DEAD, ARCHIVE_AVAILABILITY_API,
+                                   ARCHIVE_AVAILABILITY_API, self.SNAPSHOT]
+
+    def test_a_page_that_is_also_a_snapshot_is_asked_once_per_parse(self):
+        """The memo keys by URL and parse: a cited page that is also a dead
+        link's snapshot is asked as a page and again as a snapshot."""
+        transport = self.dead_link(self.lookup(self.SNAPSHOT))
+        fetcher = DocumentFetcher(transport)
+        for _ in range(2):
+            assert fetcher.fetch_document(self.SNAPSHOT).paragraphs == ("archived body text",)
+            assert fetcher.fetch_with_archive_fallback(self.DEAD).url == self.SNAPSHOT
+        assert transport.asked == [self.SNAPSHOT, self.DEAD, ARCHIVE_AVAILABILITY_API,
+                                   self.SNAPSHOT]
+
+
+class TestPageMemoInFlight:
+    """Callers that ask for a page while it is in flight wait for its outcome."""
+
+    URL = TestPageMemo.URL
+
+    def test_concurrent_callers_fetch_and_parse_a_page_once(self, monkeypatch):
+        import kgverify.html_text as html_text
+
+        parsed = []
+        extract = html_text.extract_paragraphs
+        monkeypatch.setattr(html_text, "extract_paragraphs",
+                            lambda html: parsed.append(html) or extract(html))
+        gated = GatedTransport(page())
+        fetcher = DocumentFetcher(gated)
+        results = ask_in_flight(lambda: fetcher.fetch_document(self.URL).paragraphs, gated)
+        assert gated.calls == 1
+        assert len(parsed) == 1
+        assert results == [TestPageMemo.PARAGRAPHS] * 8
+
+    def test_concurrent_callers_of_a_404_each_raise_its_own_error(self):
+        gated = GatedTransport(page(404, "gone"))
+        fetcher = DocumentFetcher(gated)
+        results = ask_in_flight(lambda: fetcher.fetch_document(self.URL), gated)
+        with pytest.raises(Unavailable) as caught:
+            fetcher.fetch_document(self.URL)
+        assert gated.calls == 1
+        results.append(caught.value)
+        assert all(type(exc) is PermanentlyUnavailable for exc in results)
+        assert {str(exc) for exc in results} == {f"GET {self.URL} returned HTTP 404"}
+        assert len(set(map(id, results))) == 9
+
+    def test_a_503_reaches_the_callers_in_flight_and_is_asked_again(self):
+        gated = GatedTransport(page(503, "busy"), page())
+        fetcher = DocumentFetcher(gated)
+        results = ask_in_flight(lambda: fetcher.fetch_document(self.URL), gated)
+        assert gated.calls == 1
+        assert [str(exc) for exc in results] == [f"GET {self.URL} returned HTTP 503"] * 8
+        assert fetcher.fetch_document(self.URL).paragraphs == TestPageMemo.PARAGRAPHS
+        assert fetcher.fetch_document(self.URL).paragraphs == TestPageMemo.PARAGRAPHS
+        assert gated.calls == 2
 
 
 def make_doc(paragraphs) -> GroundingDocument:
