@@ -1132,3 +1132,28 @@ class TestSingleFlight:
         for _ in range(3):
             assert memo.get("key", lambda: calls.append("computed")) is None
         assert calls == ["computed"]
+
+
+class TestRequestMemo:
+    """The ``--cache-dir`` store as a run's per-request memo: it keys each
+    response by ``request_fingerprint``, so a repeated request is answered from
+    disk and a request that differs in any part the fingerprint covers is asked."""
+
+    def test_requests_differing_only_in_body_are_distinct(self, tmp_path):
+        inner = CountingTransport()
+        memo = FixtureStore(tmp_path, inner)
+        first = HttpRequest.post("https://llm.example/predictions", body=b'{"prompt": "a"}')
+        second = HttpRequest.post("https://llm.example/predictions", body=b'{"prompt": "b"}')
+        for req in (first, second, first, second):
+            memo.send(req)
+        assert inner.calls == 2
+
+    def test_requests_differing_in_params_or_method_are_distinct(self, tmp_path):
+        inner = CountingTransport()
+        memo = FixtureStore(tmp_path, inner)
+        for req in (HttpRequest.get("https://x.example", params={"q": "1"}),
+                    HttpRequest.get("https://x.example", params={"q": "2"}),
+                    HttpRequest.post("https://x.example", body=b""),
+                    HttpRequest.get("https://x.example", params={"q": "1"})):
+            memo.send(req)
+        assert inner.calls == 3
