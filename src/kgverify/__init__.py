@@ -15,7 +15,6 @@ from .model import (  # noqa: F401
     NliLabel,
     RetrievalSource,
     Statement,
-    Verdict,
     VerdictKind,
     statement_to_search_query,
     verdict_to_binary,

@@ -555,6 +555,8 @@ def cmd_build_dataset(biored_path: str, **kwargs) -> None:
 def cmd_evaluate(dataset_path: str, task: str, sample: int | None, snli_train: str | None,
                  **kwargs) -> None:
     """Run the benchmark protocol over a dataset and emit metric tables."""
+    if task == "triples" and (sample is not None or snli_train is not None):
+        raise click.UsageError("--sample and --snli-train apply only to --task nli")
     config = RunConfig.resolve(kwargs)
     if task == "triples":
         tables, text, manifest_extra = _evaluate_triples(config, dataset_path)

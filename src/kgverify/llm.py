@@ -29,7 +29,7 @@ from .errors import (
     ProviderUnavailable,
     malformed,
 )
-from .model import DIRECT_PROOF, INDICATION, NO_SUPPORT, NliLabel, Verdict
+from .model import NliLabel, VerdictKind
 from .net import HttpRequest, SingleFlight, Transport, atomic_write, canonical_json
 from .prompting import OPTION_TEXTS, SYSTEM_PROMPT
 
@@ -329,17 +329,21 @@ def _declared_letters(raw: str) -> list[str]:
     return letters
 
 
-def parse_option(raw: str) -> Verdict:
+_LETTER_VERDICT = {"a": VerdictKind.DIRECT_PROOF, "b": VerdictKind.INDICATION,
+                   "c": VerdictKind.NO_SUPPORT}
+
+
+def parse_option(raw: str) -> VerdictKind:
     """Extract the chosen option (a/b/c) from a raw completion.
 
     The letter must appear in an answer-declaration context; incidental
-    letters elsewhere never count. Zero or conflicting declarations yield an
-    unparseable verdict carrying the raw text.
+    letters elsewhere never count. Zero or conflicting declarations are
+    unparseable.
     """
     letters = _declared_letters(raw)
     if len(letters) != 1:
-        return Verdict.unparseable(raw)
-    return {"a": DIRECT_PROOF, "b": INDICATION, "c": NO_SUPPORT}[letters[0]]
+        return VerdictKind.UNPARSEABLE
+    return _LETTER_VERDICT[letters[0]]
 
 
 _LETTER_NLI = {"a": NliLabel.ENTAILMENT, "b": NliLabel.NEUTRAL, "c": NliLabel.CONTRADICTION}

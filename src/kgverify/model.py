@@ -1,4 +1,4 @@
-"""Core domain types: statements, verdicts, decisions, and evidence traces.
+"""Core domain types: statements, verdict kinds, decisions, and evidence traces.
 
 Everything here is an immutable value object, safe to share between workers.
 """
@@ -50,23 +50,6 @@ class VerdictKind(enum.Enum):
     UNPARSEABLE = "unparseable"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """A parsed model judgment; unparseable verdicts keep the raw text for audit."""
-
-    kind: VerdictKind
-    raw_response: str = ""
-
-    @classmethod
-    def unparseable(cls, raw: str) -> "Verdict":
-        return cls(VerdictKind.UNPARSEABLE, raw)
-
-
-DIRECT_PROOF = Verdict(VerdictKind.DIRECT_PROOF)
-INDICATION = Verdict(VerdictKind.INDICATION)
-NO_SUPPORT = Verdict(VerdictKind.NO_SUPPORT)
-
-
 class BinaryDecision(enum.Enum):
     SUPPORTED = "supported"
     NOT_SUPPORTED = "not_supported"
@@ -102,23 +85,22 @@ class RetrievalSource(enum.Enum):
 class EvidenceTrace:
     """The record that makes a confirmation traceable.
 
-    Links a statement to the exact document paragraph that confirmed it and
-    the model's stated justification. Only direct-proof verdicts may be
-    emitted as confirmations.
+    Names the exact document paragraph that confirmed a statement and the
+    model's stated justification; the statement is its session's. Only
+    direct-proof verdicts may be emitted as confirmations.
     """
 
-    statement: Statement
     document_url: str
     retrieval_source: RetrievalSource
     paragraph_text: str
-    verdict: Verdict
+    verdict: VerdictKind
     justification: str
     llm_model: str
     timestamp: datetime
     duration_ms: int
 
     def __post_init__(self) -> None:
-        if self.verdict.kind is not VerdictKind.DIRECT_PROOF:
+        if self.verdict is not VerdictKind.DIRECT_PROOF:
             raise ValueError("evidence traces may only carry direct-proof verdicts")
         if self.duration_ms < 0:
             raise ValueError("duration_ms must be non-negative")
@@ -135,12 +117,12 @@ def statement_to_search_query(statement: Statement) -> str:
     return " ".join(parts) + " -wikipedia"
 
 
-def verdict_to_binary(verdict: Verdict, mode: DecisionMode) -> BinaryDecision:
+def verdict_to_binary(verdict: VerdictKind, mode: DecisionMode) -> BinaryDecision:
     """Fold a three-option verdict into a binary supported/not-supported call."""
     positive = {VerdictKind.DIRECT_PROOF}
     if mode is DecisionMode.FAVOR_RECALL:
         positive.add(VerdictKind.INDICATION)
-    if verdict.kind in positive:
+    if verdict in positive:
         return BinaryDecision.SUPPORTED
     return BinaryDecision.NOT_SUPPORTED
 

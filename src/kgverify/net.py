@@ -10,7 +10,6 @@ import ``requests`` or ``urllib3``, which the first ``LiveTransport`` imports.
 from __future__ import annotations
 
 import base64
-import email.utils
 import functools
 import hashlib
 import json
@@ -199,6 +198,8 @@ def _retry_delay(retry_after: str, attempt: int) -> float:
     HTTP-date; a date in the past is 0), or ``2**attempt`` without a valid one."""
     if retry_after.isdecimal():
         return float(retry_after)
+    import email.utils  # only an HTTP-date needs it: kept off the start-up path
+
     try:
         when = email.utils.parsedate_to_datetime(retry_after)
     except (TypeError, ValueError):

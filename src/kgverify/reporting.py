@@ -129,7 +129,7 @@ def _session_xml(parent: ET.Element, session: VerificationSession) -> None:
         _child(t, "document-url", trace.document_url)
         _child(t, "retrieval-source", trace.retrieval_source.value)
         _child(t, "paragraph", trace.paragraph_text)
-        _child(t, "verdict", trace.verdict.kind.value.replace("_", "-"))
+        _child(t, "verdict", trace.verdict.value.replace("_", "-"))
         _child(t, "justification", trace.justification)
         _child(t, "llm-model", trace.llm_model)
         _child(t, "timestamp", trace.timestamp.isoformat())

@@ -44,18 +44,6 @@ class GroundingDocument:
     paragraphs: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Chunk:
-    """A group of consecutive paragraphs whose joined length fits a budget."""
-
-    paragraphs: tuple[str, ...]
-    char_length: int
-
-    @property
-    def text(self) -> str:
-        return "\n".join(self.paragraphs)
-
-
 class SearchProvider(Protocol):
     def search(self, query: str, limit: int) -> list[str]:
         """The URLs of at most ``limit`` hits, best rank first."""
@@ -96,13 +84,6 @@ class GoogleSearchProvider:
             if not all(isinstance(url, str) for url in urls):
                 raise TypeError("a hit's link is not a string")
         return urls
-
-
-def web_search(provider: SearchProvider, query: str, limit: int = DEFAULT_HIT_LIMIT) -> list[str]:
-    """The URLs of the top hits for a query in rank order, each URL once."""
-    if not query.strip():
-        raise ValueError("query must be non-empty")
-    return list(dict.fromkeys(provider.search(query, limit)[:limit]))
 
 
 class DocumentFetcher:
@@ -211,35 +192,26 @@ def valid_paragraphs(paragraphs: Iterable[str]) -> list[str]:
 
 def chunk_fill_limit(
     paragraphs: Sequence[str], max_chars: int = DEFAULT_CHUNK_CHARS
-) -> list[Chunk]:
+) -> list[range]:
     """Greedily pack consecutive paragraphs into chunks of at most ``max_chars``.
 
-    Joins use one newline per boundary. A single paragraph longer than the
-    budget becomes its own oversize chunk; paragraphs are never split, so
-    concatenating all chunks reproduces the input sequence exactly.
+    Each chunk is the range of its paragraphs' positions; its text is their
+    join with one newline per boundary. A single paragraph longer than the
+    budget becomes its own oversize chunk; paragraphs are never split, so the
+    chunks cover every position once, in order.
     """
     if max_chars <= 0:
         raise ValueError("max_chars must be positive")
-    chunks: list[Chunk] = []
-    current: list[str] = []
-    current_len = 0
-
-    def flush() -> None:
-        nonlocal current, current_len
-        if current:
-            chunks.append(Chunk(paragraphs=tuple(current), char_length=current_len))
-            current = []
-            current_len = 0
-
-    for paragraph in paragraphs:
-        candidate = current_len + len(paragraph) + (1 if current else 0)
-        if current and candidate > max_chars:
-            flush()
-            candidate = len(paragraph)
-        current.append(paragraph)
-        current_len = candidate
-        if current_len > max_chars:
-            # single oversize paragraph kept atomic
-            flush()
-    flush()
+    chunks: list[range] = []
+    start = length = 0
+    for end, paragraph in enumerate(paragraphs):
+        if end > start and length + 1 + len(paragraph) > max_chars:
+            chunks.append(range(start, end))
+            start, length = end, 0
+        length += len(paragraph) + (end > start)
+        if length > max_chars:  # a single oversize paragraph, kept whole
+            chunks.append(range(start, end + 1))
+            start, length = end + 1, 0
+    if start < len(paragraphs):
+        chunks.append(range(start, len(paragraphs)))
     return chunks

@@ -69,7 +69,6 @@ from .retrieval import (
     chunk_fill_limit,
     is_valid_paragraph,
     valid_paragraphs,
-    web_search,
 )
 
 logger = logging.getLogger(__name__)
@@ -359,34 +358,25 @@ _NOTE_HREF = re.compile(r"#cite_note[^\"']*?-(\d+)\s*$")
 
 
 def extract_reference_numbers(paragraph_html: str) -> list[int]:
-    """Distinct citation indices referenced by a paragraph, in appearance order.
-
-    Reads the superscript reference markers of wiki markup when present and
-    falls back to plain bracketed numbers for pre-rendered text.
-    """
+    """Distinct citation indices of a paragraph's reference markers
+    (``<sup class="reference">``), in appearance order. A bracketed number
+    outside a marker is not a citation."""
     numbers: list[int] = []
 
     def add(value: int) -> None:
         if value > 0 and value not in numbers:
             numbers.append(value)
 
-    sups = html_text.capture_elements(paragraph_html, "sup", class_filter="reference")
-    if sups:
-        for sup in sups:
-            match = _BRACKET_MARKER.search(sup.text)
-            if match:
-                add(int(match.group(1)))
-                continue
-            for href in html_text.extract_links(sup.html):
-                note = _NOTE_HREF.search(href)
-                if note:
-                    add(int(note.group(1)))
-                    break
-        return numbers
-    text = html_text.capture_elements(f"<p>{paragraph_html}</p>", "p")
-    flattened = text[0].text if text else paragraph_html
-    for match in _BRACKET_MARKER.finditer(flattened):
-        add(int(match.group(1)))
+    for sup in html_text.capture_elements(paragraph_html, "sup", class_filter="reference"):
+        match = _BRACKET_MARKER.search(sup.text)
+        if match:
+            add(int(match.group(1)))
+            continue
+        for href in html_text.extract_links(sup.html):
+            note = _NOTE_HREF.search(href)
+            if note:
+                add(int(note.group(1)))
+                break
     return numbers
 
 
@@ -502,9 +492,8 @@ class Verifier:
                 continue
             verdict, response = judged
             scan.paragraphs_queried += 1
-            if verdict.kind is VerdictKind.DIRECT_PROOF:
+            if verdict is VerdictKind.DIRECT_PROOF:
                 scan.trace = EvidenceTrace(
-                    statement=statement,
                     document_url=doc.url,
                     retrieval_source=doc.retrieval_source,
                     paragraph_text=paragraph,
@@ -546,8 +535,9 @@ class Verifier:
             statement=statement, mode=VerificationMode.WEB_SEARCH, started_at=self._clock()
         )
         query = statement_to_search_query(statement)
-        urls = self._hits.get((query, hit_limit),
-                              lambda: web_search(self.search_provider, query, limit=hit_limit))
+        search = self.search_provider.search
+        urls = self._hits.get(  # each URL once, at its best rank
+            (query, hit_limit), lambda: list(dict.fromkeys(search(query, hit_limit))))
         fetch = self.fetcher.fetch_document
 
         # Every hit's fetch runs first. A fetched hit then queues its scan at
@@ -614,7 +604,6 @@ class Verifier:
         tasks = _Tasks(self.pool)
         texts = [p.text for p in article.paragraphs]
         chunks = chunk_fill_limit(texts, max_chars=self.chunk_chars)
-        firsts = list(itertools.accumulate((len(c.paragraphs) for c in chunks), initial=0))
         chunk_verdicts: list = [None] * len(chunks)
         drilled: list[int] = []  # the positions of the paragraphs judged
         citations: dict[int, _Citations] = {}
@@ -624,20 +613,20 @@ class Verifier:
         fetch = self.fetcher.fetch_with_archive_fallback
 
         def judge_chunk(index: int) -> None:
-            judged = self._judge(statement, chunks[index].text, article_url)
+            text = "\n".join(texts[position] for position in chunks[index])
+            judged = self._judge(statement, text, article_url)
             chunk_verdicts[index] = judged
-            if not isinstance(judged, SkipRecord) and judged[0].kind in DRILLDOWN_POSITIVE:
-                members = range(firsts[index], firsts[index + 1])
+            if not isinstance(judged, SkipRecord) and judged[0] in DRILLDOWN_POSITIVE:
                 tasks.add(judge_paragraph, (
-                    ((1, position), position) for position in members
-                    if is_valid_paragraph(article.paragraphs[position].text)), depth=1)
+                    ((1, position), position) for position in chunks[index]
+                    if is_valid_paragraph(texts[position])), depth=1)
 
         def judge_paragraph(position: int) -> None:
             paragraph = article.paragraphs[position]
             # never a skip: a paragraph's prompt is no longer than its chunk's, which fit
             verdict, _ = self._judge(statement, paragraph.text, article_url)
             drilled.append(position)
-            if verdict.kind is not VerdictKind.DIRECT_PROOF:
+            if verdict is not VerdictKind.DIRECT_PROOF:
                 return
             citations[position] = article.citations(position)
             _, cited, _ = citations[position]

@@ -183,7 +183,8 @@ class WikidataClient:
     # -- wiki APIs --------------------------------------------------------------
 
     def entity_info(self, entity: EntityId | str | int) -> EntityInfo:
-        """Label, latest revision, and English sitelink of an entity."""
+        """Label, latest revision, and English sitelink of an entity. A record
+        without its latest revision is malformed: no permalink could pin it."""
         entity = EntityId.parse(entity)
         resp = self._get(self._api_url, {
             "action": "wbgetentities",
@@ -203,7 +204,7 @@ class WikidataClient:
             if title and not url:
                 url = "https://en.wikipedia.org/wiki/" + quote(title.replace(" ", "_"))
             label = record.get("labels", {}).get("en", {}).get("value", str(entity))
-            revision_id = int(record.get("lastrevid", 0))
+            revision_id = int(record["lastrevid"])
         return EntityInfo(
             entity_id=entity,
             label=label,

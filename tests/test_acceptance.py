@@ -32,7 +32,6 @@ from kgverify.model import (
     BinaryDecision,
     DecisionMode,
     NliLabel,
-    Verdict,
     VerdictKind,
     verdict_to_binary,
 )
@@ -204,7 +203,7 @@ def test_criterion_04_parser_fixture_suite():
         correct = 0
         for case in cases:
             if case["kind"] == "option":
-                correct += parse_option(case["text"]).kind is option_map[case["expected"]]
+                correct += parse_option(case["text"]) is option_map[case["expected"]]
             else:
                 correct += parse_nli_label(case["text"]) is NliLabel(case["expected"])
         accuracy = correct / len(cases)
@@ -212,8 +211,8 @@ def test_criterion_04_parser_fixture_suite():
 
         from test_llm import FIG2, FIG4, FIG7, FIG8, FIG9
 
-        assert parse_option(FIG2).kind is VerdictKind.DIRECT_PROOF
-        assert parse_option(FIG4).kind is VerdictKind.DIRECT_PROOF
+        assert parse_option(FIG2) is VerdictKind.DIRECT_PROOF
+        assert parse_option(FIG4) is VerdictKind.DIRECT_PROOF
         assert parse_nli_label(FIG7) is NliLabel.CONTRADICTION
         assert parse_nli_label(FIG8) is NliLabel.CONTRADICTION
         assert parse_nli_label(FIG9) is NliLabel.CONTRADICTION
@@ -242,20 +241,18 @@ def test_criterion_06_chunker_properties():
         for _ in range(1000):
             paragraphs = ["p" * rng.randrange(0, 400) for _ in range(rng.randrange(0, 14))]
             max_chars = rng.randrange(1, 600)
-            chunks = chunk_fill_limit(paragraphs, max_chars=max_chars)
-            assert [list(c.paragraphs) for c in chunks] == oracle_greedy(
-                paragraphs, max_chars
-            )
-            assert [p for c in chunks for p in c.paragraphs] == paragraphs
+            chunks = [[paragraphs[i] for i in positions]
+                      for positions in chunk_fill_limit(paragraphs, max_chars=max_chars)]
+            assert chunks == oracle_greedy(paragraphs, max_chars)
+            assert [p for c in chunks for p in c] == paragraphs
             for i, chunk in enumerate(chunks):
-                oversize = (
-                    len(chunk.paragraphs) == 1 and len(chunk.paragraphs[0]) > max_chars
-                )
+                length = len("\n".join(chunk))
+                oversize = len(chunk) == 1 and len(chunk[0]) > max_chars
                 if not oversize:
-                    assert chunk.char_length <= max_chars
+                    assert length <= max_chars
                 if i + 1 < len(chunks) and not oversize:
-                    nxt = chunks[i + 1].paragraphs[0]
-                    assert chunk.char_length + 1 + len(nxt) > max_chars
+                    nxt = chunks[i + 1][0]
+                    assert length + 1 + len(nxt) > max_chars
     report(6, "1000 random lists match the brute-force packer; bounds and round trips hold")
 
 
@@ -348,12 +345,7 @@ def test_criterion_09_end_to_end_replay(tmp_path, no_network):
 
 def test_criterion_10_decision_mode_monotonicity():
     with Budget(1.0):
-        verdict_pool = [
-            Verdict(VerdictKind.DIRECT_PROOF),
-            Verdict(VerdictKind.INDICATION),
-            Verdict(VerdictKind.NO_SUPPORT),
-            Verdict.unparseable("noise"),
-        ]
+        verdict_pool = list(VerdictKind)
         rng = random.Random(99)
         for _ in range(2000):
             verdicts = [rng.choice(verdict_pool) for _ in range(rng.randrange(0, 40))]

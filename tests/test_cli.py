@@ -469,7 +469,7 @@ class TestTraceAudit:
                 raw = completions[completion_fingerprint(
                     LlmParams(model=trace.findtext("llm-model")), prompt)]
                 assert trace.findtext("verdict") == "direct-proof"
-                assert parse_option(raw).kind is VerdictKind.DIRECT_PROOF
+                assert parse_option(raw) is VerdictKind.DIRECT_PROOF
                 assert extract_justification(raw) == trace.findtext("justification")
                 html = pages.send(HttpRequest.get(url)).text
                 if trace.findtext("retrieval-source") == "web-archive":
@@ -739,6 +739,23 @@ class TestEvaluate:
             return
         assert json.loads((out / "results.json").read_text())["total"] == 3
         assert json.loads((out / "manifest.json").read_text())["records"] == 3
+
+    @pytest.mark.parametrize("flags", [
+        ["--sample", "3"],
+        ["--snli-train", "/nonexistent/train.jsonl"],
+        ["--sample", "3", "--snli-train", "/nonexistent/train.jsonl"],
+    ], ids=["sample", "snli-train", "both"])
+    def test_nli_flags_with_the_triples_task_are_a_usage_error(self, runner, tmp_path, flags):
+        """--task triples reads neither flag: naming one exits 2 before any
+        input is read (the dataset here does not exist, which would exit 3)."""
+        out = tmp_path / "eval"
+        result = runner.invoke(main, [
+            "evaluate", "--dataset", str(tmp_path / "nonexistent.jsonl"), "--task", "triples",
+            *flags, "--replay", "--fixtures", str(FIXTURES / "eval_replay"), "--out", str(out),
+        ])
+        assert result.exit_code == 2, result.output
+        assert "--sample and --snli-train apply only to --task nli" in result.output
+        assert not out.exists()
 
     def evaluate_args(self, runner, tmp_path, task: str) -> list[str]:
         if task == "triples":

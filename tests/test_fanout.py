@@ -466,9 +466,10 @@ class TestParseOncePerRun:
 
 def article_chunks(chunk_chars: int = 700) -> tuple[list[str], list[list[str]]]:
     """The texts of the test article's chunks, and of each chunk's paragraphs."""
-    article = parse_wikipedia_article(article_html())
-    chunks = chunk_fill_limit([p.text for p in article.paragraphs], max_chars=chunk_chars)
-    return [c.text for c in chunks], [list(c.paragraphs) for c in chunks]
+    texts = [p.text for p in parse_wikipedia_article(article_html()).paragraphs]
+    members = [[texts[i] for i in positions]
+               for positions in chunk_fill_limit(texts, max_chars=chunk_chars)]
+    return ["\n".join(chunk) for chunk in members], members
 
 
 def asks(prompt: str, snippet: str) -> bool:

@@ -385,22 +385,18 @@ class TestGatewayMemo:
 
 class TestParseOption:
     def test_figure_texts(self):
-        assert parse_option(FIG2).kind is VerdictKind.DIRECT_PROOF
-        assert parse_option(FIG4).kind is VerdictKind.DIRECT_PROOF
+        assert parse_option(FIG2) is VerdictKind.DIRECT_PROOF
+        assert parse_option(FIG4) is VerdictKind.DIRECT_PROOF
 
     def test_colon_without_space(self):
-        assert parse_option("The correct answer is:b) partial hints.").kind is (
-            VerdictKind.INDICATION
-        )
+        assert parse_option("The correct answer is:b) partial hints.") is VerdictKind.INDICATION
 
     def test_no_option_token(self):
-        verdict = parse_option("I cannot determine anything.")
-        assert verdict.kind is VerdictKind.UNPARSEABLE
-        assert verdict.raw_response == "I cannot determine anything."
+        assert parse_option("I cannot determine anything.") is VerdictKind.UNPARSEABLE
 
     def test_conflicting_declarations_are_unparseable(self):
         text = "a) seems right, but the correct answer is c) after all."
-        assert parse_option(text).kind is VerdictKind.UNPARSEABLE
+        assert parse_option(text) is VerdictKind.UNPARSEABLE
 
     @pytest.mark.parametrize(
         "text",
@@ -413,7 +409,7 @@ class TestParseOption:
     )
     def test_incidental_letters_never_confirm(self, text):
         # guards the no-false-confirmation rule for direct proof
-        assert parse_option(text).kind is not VerdictKind.DIRECT_PROOF
+        assert parse_option(text) is not VerdictKind.DIRECT_PROOF
 
 
 class TestParseNli:
@@ -483,7 +479,7 @@ class TestParserCorpus:
         correct = 0
         for case in cases:
             if case["kind"] == "option":
-                got = parse_option(case["text"]).kind is option_map[case["expected"]]
+                got = parse_option(case["text"]) is option_map[case["expected"]]
             else:
                 got = parse_nli_label(case["text"]) is NliLabel(case["expected"])
             correct += got

@@ -6,13 +6,9 @@ from hypothesis import strategies as st
 
 from kgverify.errors import MalformedInput
 from kgverify.model import (
-    DIRECT_PROOF,
-    INDICATION,
-    NO_SUPPORT,
     BinaryDecision,
     DecisionMode,
     Statement,
-    Verdict,
     VerdictKind,
     statement_from_line,
     statement_from_json,
@@ -22,7 +18,7 @@ from kgverify.model import (
     verdict_to_binary,
 )
 
-ALL_VERDICTS = [DIRECT_PROOF, INDICATION, NO_SUPPORT, Verdict.unparseable("raw")]
+ALL_VERDICTS = list(VerdictKind)
 
 
 def make_statement(subject="Václav Havel", predicate="award received",
@@ -79,18 +75,20 @@ class TestSearchQuery:
             position = found + len(part)
 
 
+VERDICT_MAPPING = [
+    (VerdictKind.DIRECT_PROOF, DecisionMode.FAVOR_PRECISION, BinaryDecision.SUPPORTED),
+    (VerdictKind.INDICATION, DecisionMode.FAVOR_PRECISION, BinaryDecision.NOT_SUPPORTED),
+    (VerdictKind.INDICATION, DecisionMode.FAVOR_RECALL, BinaryDecision.SUPPORTED),
+    (VerdictKind.UNPARSEABLE, DecisionMode.FAVOR_RECALL, BinaryDecision.NOT_SUPPORTED),
+    (VerdictKind.NO_SUPPORT, DecisionMode.FAVOR_PRECISION, BinaryDecision.NOT_SUPPORTED),
+    (VerdictKind.NO_SUPPORT, DecisionMode.FAVOR_RECALL, BinaryDecision.NOT_SUPPORTED),
+]
+
+
 class TestVerdictToBinary:
-    @pytest.mark.parametrize(
-        "verdict,mode,expected",
-        [
-            (DIRECT_PROOF, DecisionMode.FAVOR_PRECISION, BinaryDecision.SUPPORTED),
-            (INDICATION, DecisionMode.FAVOR_PRECISION, BinaryDecision.NOT_SUPPORTED),
-            (INDICATION, DecisionMode.FAVOR_RECALL, BinaryDecision.SUPPORTED),
-            (Verdict.unparseable("?"), DecisionMode.FAVOR_RECALL, BinaryDecision.NOT_SUPPORTED),
-            (NO_SUPPORT, DecisionMode.FAVOR_PRECISION, BinaryDecision.NOT_SUPPORTED),
-            (NO_SUPPORT, DecisionMode.FAVOR_RECALL, BinaryDecision.NOT_SUPPORTED),
-        ],
-    )
+    # positional ids: a case's name does not depend on how its verdict is spelled
+    @pytest.mark.parametrize("verdict,mode,expected", VERDICT_MAPPING, ids=[
+        f"verdict{i}-{mode}-{expected}" for i, (_, mode, expected) in enumerate(VERDICT_MAPPING)])
     def test_mapping(self, verdict, mode, expected):
         assert verdict_to_binary(verdict, mode) == expected
 
@@ -111,13 +109,6 @@ class TestVerdictToBinary:
             )
 
         assert count(DecisionMode.FAVOR_RECALL) >= count(DecisionMode.FAVOR_PRECISION)
-
-
-class TestVerdict:
-    def test_unparseable_keeps_raw(self):
-        verdict = Verdict.unparseable("garbled output")
-        assert verdict.kind is VerdictKind.UNPARSEABLE
-        assert verdict.raw_response == "garbled output"
 
 
 class TestSerialization:

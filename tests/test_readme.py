@@ -37,10 +37,12 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch):
         assert result.exit_code == 0, f"{shlex.join(command)}\n{result.output}"
 
 
-# Runs the CLI, then prints which of the live transport's libraries it loaded.
+# Runs the CLI, then prints which of the live transport's libraries it loaded,
+# and ``email``, which only an HTTP-date ``Retry-After`` needs.
 LOADED_AT_EXIT = """
 import atexit, sys
-atexit.register(lambda: print("loaded:", *sorted({"requests", "urllib3"} & set(sys.modules))))
+atexit.register(lambda: print("loaded:",
+                              *sorted({"requests", "urllib3", "email"} & set(sys.modules))))
 from kgverify.cli import main
 main(prog_name="kgverify")
 """
@@ -49,7 +51,8 @@ main(prog_name="kgverify")
 def test_readme_commands_never_import_the_live_transport(tmp_path):
     """Replay, ``report`` and ``build-dataset`` build no live transport, so
     each README command, in a process of its own, exits without having
-    imported ``requests`` or ``urllib3``."""
+    imported ``requests`` or ``urllib3``; nor ``email``, so neither does
+    ``import kgverify.cli``."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
     commands = readme_cli_commands()

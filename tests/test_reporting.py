@@ -6,7 +6,7 @@ from xml.etree import ElementTree as ET
 import pytest
 
 from kgverify.errors import SchemaViolation, TransformFailure
-from kgverify.model import DIRECT_PROOF, EvidenceTrace, RetrievalSource, Statement
+from kgverify.model import EvidenceTrace, RetrievalSource, Statement, VerdictKind
 from kgverify.reporting import (
     ReportSummary,
     build_run_xml,
@@ -70,12 +70,11 @@ def make_session(with_trace=True) -> VerificationSession:
     if with_trace:
         session.traces.append(
             EvidenceTrace(
-                statement=STATEMENT,
                 document_url="https://web.archive.org/web/2019/https://bay.example/article",
                 retrieval_source=RetrievalSource.WEB_ARCHIVE,
                 paragraph_text="Phosphorus was thought to be the source of light <in> "
                                "living & creatures.",
-                verdict=DIRECT_PROOF,
+                verdict=VerdictKind.DIRECT_PROOF,
                 justification='It explains the mechanism "directly" & fully.',
                 llm_model="gpt-4-1106-preview",
                 timestamp=NOW,

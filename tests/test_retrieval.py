@@ -24,7 +24,6 @@ from kgverify.retrieval import (
     GroundingDocument,
     chunk_fill_limit,
     valid_paragraphs,
-    web_search,
 )
 from kgverify.store import FixtureStore
 
@@ -32,15 +31,18 @@ from concurrency import GatedTransport, ask_in_flight
 
 
 class SearchApi:
-    """A transport answering the search API's GET with the first ``num`` URLs."""
+    """A transport answering the search API's GET with the first ``num`` URLs,
+    or with every URL when ``honour_num`` is false."""
 
-    def __init__(self, urls):
+    def __init__(self, urls, honour_num=True):
         self.urls = urls
+        self.honour_num = honour_num
         self.calls = 0
 
     def send(self, req):
         self.calls += 1
-        items = [{"link": url} for url in self.urls[: int(dict(req.params)["num"])]]
+        num = int(dict(req.params)["num"]) if self.honour_num else None
+        items = [{"link": url} for url in self.urls[:num]]
         return HttpResponse(200, {"content-type": "application/json"},
                             json.dumps({"items": items}).encode("utf-8"))
 
@@ -49,32 +51,14 @@ def search_through(store: FixtureStore) -> GoogleSearchProvider:
     return GoogleSearchProvider(store, api_key="key", cx="cx")
 
 
-class StubProvider:
-    def __init__(self, urls):
-        self.urls = urls
-        self.calls = 0
-
-    def search(self, query, limit):
-        self.calls += 1
-        return self.urls[:limit]
-
-
 class TestWebSearch:
-    def test_caps_at_limit(self):
+    def test_an_api_answering_more_items_than_num_is_cut_to_the_limit(self):
         urls = [f"https://x.example/{i}" for i in range(10)]
-        assert web_search(StubProvider(urls), "anything", limit=5) == urls[:5]
+        assert search_through(SearchApi(urls, honour_num=False)).search("q", limit=5) == urls[:5]
 
     def test_fewer_than_limit(self):
-        provider = StubProvider(["https://a.example", "https://b.example"])
-        assert len(web_search(provider, "q", limit=5)) == 2
-
-    def test_duplicates_removed_keeping_best_rank(self):
-        provider = StubProvider(["https://a.example", "https://a.example", "https://b.example"])
-        assert web_search(provider, "q", limit=5) == ["https://a.example", "https://b.example"]
-
-    def test_empty_query_rejected(self):
-        with pytest.raises(ValueError):
-            web_search(StubProvider([]), "   ")
+        api = SearchApi(["https://a.example", "https://b.example"])
+        assert len(search_through(api).search("q", limit=5)) == 2
 
     def test_fixture_provider_round_trip(self, tmp_path):
         """A search cached in http/ replays with no credentials of its own."""
@@ -426,20 +410,24 @@ def oracle_greedy(paragraphs, max_chars):
     return out
 
 
+def packed(paragraphs, max_chars):
+    """``chunk_fill_limit``'s chunks, each as the list of its paragraphs."""
+    return [[paragraphs[i] for i in positions]
+            for positions in chunk_fill_limit(paragraphs, max_chars=max_chars)]
+
+
 class TestChunker:
     def test_three_fours_split(self):
-        chunks = chunk_fill_limit(["a" * 4000, "b" * 4000, "c" * 4000], max_chars=10_000)
-        assert [len(c.paragraphs) for c in chunks] == [2, 1]
-        assert chunks[0].char_length == 8001
+        paragraphs = ["a" * 4000, "b" * 4000, "c" * 4000]
+        assert chunk_fill_limit(paragraphs, max_chars=10_000) == [range(0, 2), range(2, 3)]
+        assert len("\n".join(packed(paragraphs, 10_000)[0])) == 8001
 
     def test_single_oversize_paragraph(self):
-        chunks = chunk_fill_limit(["x" * 12_000], max_chars=10_000)
-        assert len(chunks) == 1
-        assert chunks[0].char_length == 12_000
+        assert chunk_fill_limit(["x" * 12_000], max_chars=10_000) == [range(0, 1)]
 
     def test_oversize_between_normals(self):
         chunks = chunk_fill_limit(["a" * 10, "b" * 20_000, "c" * 10], max_chars=10_000)
-        assert [list(map(len, c.paragraphs)) for c in chunks] == [[10], [20_000], [10]]
+        assert chunks == [range(0, 1), range(1, 2), range(2, 3)]
 
     def test_empty_input(self):
         assert chunk_fill_limit([]) == []
@@ -449,9 +437,10 @@ class TestChunker:
             chunk_fill_limit(["x"], max_chars=0)
 
     def test_char_length_matches_joined_text(self):
-        chunks = chunk_fill_limit(["ab", "cd", "ef"], max_chars=5)
-        for chunk in chunks:
-            assert chunk.char_length == len(chunk.text)
+        """One character per boundary: "ab" and "cd" fill a budget of 5 exactly."""
+        chunks = packed(["ab", "cd", "ef"], 5)
+        assert chunks == [["ab", "cd"], ["ef"]]
+        assert [len("\n".join(chunk)) for chunk in chunks] == [5, 2]
 
     @given(
         st.lists(st.text(alphabet="ab \n", max_size=40), max_size=30),
@@ -459,18 +448,18 @@ class TestChunker:
     )
     @settings(max_examples=300)
     def test_matches_oracle_and_round_trips(self, paragraphs, max_chars):
-        chunks = chunk_fill_limit(paragraphs, max_chars=max_chars)
-        assert [list(c.paragraphs) for c in chunks] == oracle_greedy(paragraphs, max_chars)
-        flattened = [p for c in chunks for p in c.paragraphs]
+        chunks = packed(paragraphs, max_chars)
+        assert chunks == oracle_greedy(paragraphs, max_chars)
+        flattened = [p for c in chunks for p in c]
         assert flattened == list(paragraphs)
         for i, chunk in enumerate(chunks):
-            oversize = len(chunk.paragraphs) == 1 and len(chunk.paragraphs[0]) > max_chars
+            length = len("\n".join(chunk))
+            oversize = len(chunk) == 1 and len(chunk[0]) > max_chars
             if not oversize:
-                assert chunk.char_length <= max_chars
+                assert length <= max_chars
             if i + 1 < len(chunks):
                 # greedy maximality: the next paragraph would not have fit
-                next_paragraph = chunks[i + 1].paragraphs[0]
-                would_be = chunk.char_length + 1 + len(next_paragraph)
+                would_be = length + 1 + len(chunks[i + 1][0])
                 assert oversize or would_be > max_chars
 
     def test_thousand_random_lists_match_oracle(self):
@@ -480,8 +469,6 @@ class TestChunker:
                 "p" * rng.randrange(0, 300) for _ in range(rng.randrange(0, 12))
             ]
             max_chars = rng.randrange(1, 500)
-            chunks = chunk_fill_limit(paragraphs, max_chars=max_chars)
-            assert [list(c.paragraphs) for c in chunks] == oracle_greedy(
-                paragraphs, max_chars
-            )
-            assert [p for c in chunks for p in c.paragraphs] == paragraphs
+            chunks = packed(paragraphs, max_chars)
+            assert chunks == oracle_greedy(paragraphs, max_chars)
+            assert [p for c in chunks for p in c] == paragraphs

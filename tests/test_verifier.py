@@ -86,7 +86,7 @@ class TestEarlyExit:
         assert provider.calls == position
         assert trace is not None
         assert trace.paragraph_text == paragraphs[position - 1]
-        assert trace.verdict.kind is VerdictKind.DIRECT_PROOF
+        assert trace.verdict is VerdictKind.DIRECT_PROOF
 
     def test_no_proof_processes_all(self):
         paragraphs = [f"paragraph number {i} " + "p" * 150 for i in range(10)]
@@ -154,6 +154,20 @@ class TestWebSearchFlow:
         assert skipped[0].skip.kind == "unsupported-media"
         assert session.ended_at >= session.started_at
 
+    def test_a_url_listed_twice_is_one_document_at_its_first_rank(self, dict_transport):
+        urls = ["https://one.example/page", "https://two.example/page", "https://one.example/page"]
+        dict_transport.add(HttpRequest.get(urls[0]), body=PAGE_B)
+        dict_transport.add(HttpRequest.get(urls[1]), body="<p>" + "d" * 150 + "</p>")
+        verifier, provider = make_verifier(
+            [ANSWER["a"], ANSWER["c"]],
+            fetcher=DocumentFetcher(dict_transport),
+            search_provider=StubSearch(urls),
+        )
+        session = verifier.verify_via_web_search(STATEMENT)
+        assert [d.url for d in session.documents] == urls[:2]
+        assert [t.document_url for t in session.traces] == [urls[0]]
+        assert provider.calls == 2 and session.paragraphs_queried == 2
+
     def test_zero_hits_is_empty_session(self, dict_transport):
         verifier, _ = make_verifier(
             [], fetcher=DocumentFetcher(dict_transport), search_provider=StubSearch([])
@@ -218,8 +232,11 @@ class TestReferenceNumbers:
     def test_plain_text_without_markers(self):
         assert extract_reference_numbers("no citations in this text") == []
 
-    def test_plain_bracket_fallback(self):
-        assert extract_reference_numbers("claim[3] and another[5]") == [3, 5]
+    def test_bracketed_numbers_outside_a_marker_are_not_citations(self):
+        assert extract_reference_numbers("the closed interval [3] holds, as in [12]") == []
+        html = ('the interval [3] holds<sup class="reference">'
+                '<a href="#cite_note-x-5">[5]</a></sup>')
+        assert extract_reference_numbers(html) == [5]
 
     def test_href_fallback_when_sup_text_empty(self):
         html = '<sup class="reference"><a href="#cite_note-source-9"></a></sup>'
@@ -475,15 +492,16 @@ def test_only_chunks_overflow_the_context_budget(lengths, chunk_chars, slack):
     def used(snippet):
         return len(prompt(snippet)) + len(SYSTEM_PROMPT)
 
-    chunks = chunk_fill_limit(texts, max_chars=chunk_chars)
-    fitting = [chunk for chunk in chunks if used(chunk.text) <= budget]
+    chunks = [[texts[i] for i in positions]
+              for positions in chunk_fill_limit(texts, max_chars=chunk_chars)]
+    fitting = [chunk for chunk in chunks if used("\n".join(chunk)) <= budget]
     assert [(skip.kind, skip.detail) for skip in session.skips] == [
-        ("context-overflow", f"prompt of {used(chunk.text)} chars exceeds budget of {budget} chars")
-        for chunk in chunks if used(chunk.text) > budget]
-    drilled = [p for chunk in fitting for p in chunk.paragraphs if is_valid_paragraph(p)]
+        ("context-overflow", f"prompt of {used(text)} chars exceeds budget of {budget} chars")
+        for text in map("\n".join, chunks) if used(text) > budget]
+    drilled = [p for chunk in fitting for p in chunk if is_valid_paragraph(p)]
     assert all(used(paragraph) <= budget for paragraph in drilled)
     assert Counter(gateway.prompts) == Counter(
-        [prompt(chunk.text) for chunk in chunks] + [prompt(p) for p in drilled])
+        [prompt("\n".join(chunk)) for chunk in chunks] + [prompt(p) for p in drilled])
     assert session.paragraphs_queried == len(fitting) + len(drilled)
 
 

@@ -247,7 +247,10 @@ class TestEntityInfo:
         {"id": "Q5", "labels": {"en": "Subject"}},
         {"id": "Q5", "lastrevid": "latest"},
         {"id": "Q5", "sitelinks": {"enwiki": {"title": 5}}},
-    ], ids=["list", "sitelinks-list", "label-string", "revision-word", "title-number"])
+        # no latest revision: the report would pin the subject to oldid=0
+        {"id": "Q5", "labels": {"en": {"language": "en", "value": "Subject"}}, "sitelinks": {}},
+    ], ids=["list", "sitelinks-list", "label-string", "revision-word", "title-number",
+            "no-revision"])
     def test_malformed_record_is_malformed_response(self, dict_transport, record):
         dict_transport.add_json(entity_request("Q5"), {"entities": {"Q5": record}})
         with pytest.raises(MalformedResponse, match="unexpected entity payload"):

@@ -517,9 +517,8 @@ def build_biolum() -> list[tuple[LlmParams, str, str]]:
 
     article = parse_wikipedia_article(WIKI_ARTICLE_HTML)
     texts = [p.text for p in article.paragraphs]
-    chunks = chunk_fill_limit(texts)
-    assert len(chunks) == 1, "fixture article must fit a single chunk"
-    add(chunks[0].text, RESPONSE_BIOLUM_CHUNK)
+    assert chunk_fill_limit(texts) == [range(len(texts))], "fixture article must fit a single chunk"
+    add("\n".join(texts), RESPONSE_BIOLUM_CHUNK)
     add(texts[0], RESPONSE_BIOLUM_NO)
     add(texts[1], RESPONSE_BIOLUM_PARA)
     add(texts[2], RESPONSE_BIOLUM_NO)
