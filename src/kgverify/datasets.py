@@ -16,7 +16,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import InsufficientRecords, MalformedInput, json_lines, malformed, read_input
+from .errors import (InsufficientRecords, MalformedInput, json_lines, malformed, read_input,
+                     utf8_only)
 from .model import (
     NLI_CLASSES,
     BinaryDecision,
@@ -417,7 +418,9 @@ def read_instances(path: Path | str) -> list[LabeledInstance]:
     out = []
     for lineno, line in json_lines(path, "dataset"):
         with malformed(MalformedInput, f"{path}:{lineno}", line):
-            out.append(instance_from_json(json.loads(line)))
+            record = json.loads(line)
+            utf8_only(line, record)
+            out.append(instance_from_json(record))
     return out
 
 
@@ -460,6 +463,7 @@ def load_snli(path: Path | str) -> list[SnliRecord]:
     for lineno, line in json_lines(path, "SNLI split"):
         with malformed(MalformedInput, f"{path}:{lineno}", line):
             obj = json.loads(line)
+            utf8_only(line, obj)
             gold = obj.get("gold_label", "-")
             premise, hypothesis = obj.get("sentence1", ""), obj.get("sentence2", "")
             if gold in ("entailment", "neutral", "contradiction") and premise and hypothesis:

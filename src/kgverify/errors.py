@@ -12,11 +12,13 @@ stands for any other pipeline error.
 ``malformed`` is the one rule for input of the wrong shape: an answer from a
 remote becomes ``MalformedResponse``, a file or recorded fixture
 ``MalformedInput``, each quoting the input. ``read_input`` and ``json_lines``
-read the input files, and one that cannot be read is ``MalformedInput`` too.
+read the input files, and one that cannot be read is ``MalformedInput`` too;
+``utf8_only`` rejects a JSON line holding a lone surrogate.
 """
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 from typing import Iterator
 
@@ -168,6 +170,15 @@ def read_input(path: Path | str, what: str) -> bytes:
         return Path(path).read_bytes()
     except OSError as exc:
         raise MalformedInput(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
+
+
+def utf8_only(line: bytes, record: object) -> None:
+    """Raise ``UnicodeEncodeError``, a ``ValueError``, if ``record``, the JSON
+    ``line`` decoded, holds a lone surrogate, which no prompt, request or
+    output file can carry. Only a ``\\u`` escape (``"\\ud800"``) decodes to
+    one, so a line without one is not searched."""
+    if b"\\u" in line:
+        json.dumps(record, ensure_ascii=False).encode("utf-8")
 
 
 def json_lines(path: Path | str, what: str) -> Iterator[tuple[int, bytes]]:

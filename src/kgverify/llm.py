@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import os
 import re
@@ -20,7 +21,7 @@ import time
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, TextIO
+from typing import Callable, Mapping, Protocol
 
 from .errors import (
     ContextOverflow,
@@ -38,6 +39,10 @@ DEFAULT_MODEL = "meta/meta-llama-3-70b-instruct"
 # Characters per token when a provider reports token limits; word/token ratios
 # put a token near 4 characters, and character budgeting is deterministic.
 CHARS_PER_TOKEN = 4
+
+# A string's JSON encoding: the C escaper ``json.dumps(text, ensure_ascii=False)``
+# calls, without the encoder object that call builds each time.
+_encode = json.encoder.encode_basestring
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,7 @@ class Prompt:
 
     @classmethod
     def of(cls, params: LlmParams, text: str) -> "Prompt":
-        encoded = json.dumps(text, ensure_ascii=False)
+        encoded = _encode(text)
         head, tail = params.fingerprint_affixes
         digest = hashlib.sha256(f"{head}{encoded}{tail}".encode("utf-8")).hexdigest()
         return cls(text, encoded, digest[:24])
@@ -129,22 +134,21 @@ class ReplicateHttpProvider:
 
     def __init__(self, transport: Transport, api_token: str | None = None):
         self._transport = transport
-        self._token = api_token or os.environ.get("KGVERIFY_LLM_TOKEN", "")
-        if not self._token:
+        token = api_token or os.environ.get("KGVERIFY_LLM_TOKEN", "")
+        if not token:
             raise ProviderUnavailable("LLM API token is not configured")
+        # as HttpRequest.post sorts them
+        self._headers = tuple(sorted({
+            "Authorization": f"Bearer {token}",
+            "Content-Type": "application/json",
+            "Prefer": "wait",
+        }.items()))
 
     def complete(self, params: LlmParams, prompt: Prompt) -> str:
         head, tail = params.request_affixes
         body = f"{head}{prompt.encoded}{tail}".encode("utf-8")
-        req = HttpRequest.post(
-            self.API_URL.format(model=params.model),
-            body=body,
-            headers={
-                "Authorization": f"Bearer {self._token}",
-                "Content-Type": "application/json",
-                "Prefer": "wait",
-            },
-        )
+        req = HttpRequest("POST", self.API_URL.format(model=params.model),
+                          headers=self._headers, body=body)
         resp = self._transport.send(req)
         if resp.status not in (200, 201):
             raise ProviderUnavailable(f"LLM API request failed with HTTP {resp.status}")
@@ -152,44 +156,45 @@ class ReplicateHttpProvider:
             payload = resp.json()
             output = payload.get("output")
             status = payload.get("status", "succeeded")
-        if status != "succeeded" or output is None:  # `Prefer: wait` gave up, or it failed
-            raise ProviderUnavailable(f"LLM prediction has no output (status {status})")
-        if isinstance(output, list):
-            return "".join(str(part) for part in output)
-        return str(output)
+            if status != "succeeded" or output is None:  # `Prefer: wait` gave up, or it failed
+                raise ProviderUnavailable(f"LLM prediction has no output (status {status})")
+            text = "".join(map(str, output)) if isinstance(output, list) else str(output)
+            # a JSON "\ud800" escape decodes to a lone surrogate, which no log line can hold
+            text.encode("utf-8")
+        return text
 
 
 class ResponseLog:
     """Append-only JSON-lines log of completions, keyed by fingerprint.
 
     Safe to share between workers. Each completion is appended, to each of
-    ``paths``, when it arrives, so under a concurrent session lines are in
+    ``paths``, when it arrives, in one unbuffered write of its line's bytes
+    (looping on a short write), so under a concurrent session lines are in
     completion order, not call order; replay keys lines by fingerprint, so
     their order does not matter. Timestamps come from ``clock`` (the run's
     clock, which ``--fixed-clock`` pins). Each path is opened at its first
-    line, its torn last line cut if a killed run left one, and kept open,
-    every line flushed, until ``close``. A path that cannot be opened or
-    written raises ``KgVerifyError`` (exit code 1) naming it, and closes
-    them all; a later line opens them again.
+    line, its torn last line cut if a killed run left one, and kept open
+    until ``close``. A path that cannot be opened or written raises
+    ``KgVerifyError`` (exit code 1) naming it, cuts what it wrote of the
+    line, and closes them all; a later line opens them again.
     """
 
     def __init__(self, *paths: Path | str, clock: Callable[[], datetime] | None = None):
         self.paths = [Path(path) for path in paths]
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self._lock = threading.Lock()
-        self._handles: list[TextIO] = []
+        self._handles: list[io.FileIO] = []
 
     def append(self, prompt: Prompt, params: LlmParams, raw_text: str, latency_ms: int) -> None:
         stamp = self._clock().astimezone(timezone.utc)
-        line = _log_line(prompt, params, raw_text, latency_ms, stamp) + "\n"
+        line = (_log_line(prompt, params, raw_text, latency_ms, stamp) + "\n").encode("utf-8")
         with self._lock:
             try:
                 if not self._handles:
                     for path in self.paths:
                         self._handles.append(_open_for_append(path))
                 for path, handle in zip(self.paths, self._handles):
-                    handle.write(line)
-                    handle.flush()
+                    _write_line(handle, line)
             except OSError as exc:
                 self._close()
                 raise KgVerifyError(f"cannot write {path}: {exc.strerror or exc}") from exc
@@ -205,12 +210,12 @@ class ResponseLog:
         for handle in handles:
             try:
                 handle.close()
-            except OSError:  # a line it could not write: raised when it was written
+            except OSError:  # each line was written, or raised, when it was appended
                 pass
 
 
-def _open_for_append(path: Path) -> TextIO:
-    """Opens ``path`` for appending lines, first cutting a torn last line.
+def _open_for_append(path: Path) -> io.FileIO:
+    """Opens ``path`` for appending lines, unbuffered, first cutting a torn last line.
 
     A run killed while writing a line leaves it unterminated: it is not a
     readable record, and the next line would be glued onto it and lost.
@@ -227,23 +232,35 @@ def _open_for_append(path: Path) -> TextIO:
             line_end = start
         if line_end < end:
             handle.truncate(line_end)
-    return open(path, "a", encoding="utf-8")
+    return open(path, "ab", buffering=0)
+
+
+def _write_line(handle: io.FileIO, line: bytes) -> None:
+    """Append ``line`` to ``handle``, looping on a short write. A write that
+    fails cuts what was written of the line, so the file ends at a whole line."""
+    written = 0
+    try:
+        while written < len(line):
+            written += handle.write(memoryview(line)[written:] if written else line)
+    except OSError:
+        if written:
+            try:  # the handle appends: the line ends where it stands now
+                handle.truncate(handle.tell() - written)
+            except OSError:  # left torn: the next open cuts it
+                pass
+        raise
 
 
 def _log_line(prompt: Prompt, params: LlmParams, raw_text: str, latency_ms: int,
               stamp: datetime) -> str:
-    """One response-log record; the single definition of the log format."""
-    return json.dumps(
-        {
-            "fingerprint": prompt.fingerprint,
-            "model": params.model,
-            "prompt_sha256": hashlib.sha256(prompt.text.encode("utf-8")).hexdigest(),
-            "raw_text": raw_text,
-            "latency_ms": latency_ms,
-            "timestamp": stamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
-        },
-        ensure_ascii=False,
-    )
+    """One response-log record; the single definition of the log format: the
+    bytes ``json.dumps(record, ensure_ascii=False)`` gives, its keys in this
+    order. The fingerprint, the digest and the timestamp need no escaping."""
+    digest = hashlib.sha256(prompt.text.encode("utf-8")).hexdigest()
+    timestamp = stamp.strftime("%Y-%m-%dT%H:%M:%SZ")
+    return (f'{{"fingerprint": "{prompt.fingerprint}", "model": {_encode(params.model)}, '
+            f'"prompt_sha256": "{digest}", "raw_text": {_encode(raw_text)}, '
+            f'"latency_ms": {latency_ms}, "timestamp": "{timestamp}"}}')
 
 
 def write_response_log(path: Path | str, entries: list[tuple[LlmParams, str, str]]) -> None:
@@ -282,6 +299,8 @@ class LlmGateway:
         self._budget_chars = context_tokens * CHARS_PER_TOKEN if context_tokens else None
         self._log = response_log
         self._answers: SingleFlight[LlmResponse] = SingleFlight()
+        # a replay's lookup takes no time: it reports the recorded latency
+        self._recorded_latency_ms = getattr(provider, "recorded_latency_ms", None)
 
     def complete(self, prompt: str) -> LlmResponse:
         if not prompt:
@@ -302,8 +321,8 @@ class LlmGateway:
         start = time.monotonic()
         raw = self.provider.complete(self.params, prompt)
         latency_ms = int((time.monotonic() - start) * 1000)
-        if hasattr(self.provider, "recorded_latency_ms"):  # a replay: not the lookup's
-            latency_ms = self.provider.recorded_latency_ms(prompt.fingerprint)
+        if self._recorded_latency_ms is not None:
+            latency_ms = self._recorded_latency_ms(prompt.fingerprint)
         return LlmResponse(raw_text=raw, latency_ms=latency_ms)
 
 

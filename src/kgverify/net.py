@@ -14,6 +14,7 @@ import functools
 import hashlib
 import json
 import os
+import queue
 import secrets
 import threading
 import time
@@ -129,18 +130,29 @@ class Transport(Protocol):
 
 
 class RequestGate:
-    """Bounds the number of in-flight requests sharing this gate."""
+    """Bounds the number of in-flight requests sharing this gate.
+
+    Its free slots are items of a C ``queue.SimpleQueue``: taking and giving
+    one back runs no Python code, where a semaphore runs a ``Condition``."""
 
     def __init__(self, max_in_flight: int):
-        self._slots = threading.BoundedSemaphore(max_in_flight)
+        self._slots: queue.SimpleQueue[None] = queue.SimpleQueue()
+        for _ in range(max_in_flight):
+            self._slots.put(None)
 
     def __enter__(self):
-        self._slots.acquire()
+        self._slots.get()
         return self
 
     def __exit__(self, *exc):
-        self._slots.release()
+        self._slots.put(None)
         return False
+
+
+class _InFlight:
+    """A SingleFlight key's value while it is computed."""
+
+    waiters: Future | None = None  # made by the first caller that waits
 
 
 class SingleFlight(Generic[_Value]):
@@ -153,26 +165,32 @@ class SingleFlight(Generic[_Value]):
     """
 
     def __init__(self):
-        self._values: dict[Hashable, _Value | Future] = {}
+        self._values: dict[Hashable, _Value | _InFlight] = {}
         self._lock = threading.Lock()
 
     def get(self, key: Hashable, compute: Callable[[], _Value]) -> _Value:
         with self._lock:
             value = self._values.get(key, _ABSENT)
             if value is _ABSENT:
-                pending = self._values[key] = Future()
+                flight = self._values[key] = _InFlight()
+            elif type(value) is _InFlight:
+                if value.waiters is None:
+                    value.waiters = Future()
+                value = value.waiters
         if value is not _ABSENT:  # kept, or in flight: wait for the caller computing it
-            return value.result() if isinstance(value, Future) else value
+            return value.result() if type(value) is Future else value
         try:
             value = compute()
         except BaseException as exc:
             with self._lock:
                 del self._values[key]
-            pending.set_exception(exc)
+            if flight.waiters is not None:
+                flight.waiters.set_exception(exc)
             raise
         with self._lock:
-            self._values[key] = value  # the plain value: a Future costs memory
-        pending.set_result(value)
+            self._values[key] = value
+        if flight.waiters is not None:
+            flight.waiters.set_result(value)
         return value
 
 
@@ -229,8 +247,9 @@ class LiveTransport:
     apply. An attempt, its redirects included, has a total deadline of
     ``total_timeout``. A request's method, URL and headers are prepared once
     per shape (method, URL, params and headers) and kept for the
-    ``_TEMPLATES`` shapes sent last; each attempt prepares its body on a copy,
-    so the session's headers are those it had when the shape was first sent.
+    ``_TEMPLATES`` shapes sent last, so the session's headers are those it
+    had when the shape was first sent. A GET without a body sends its
+    template as it is; any other request sends a copy that carries its body.
 
     The environment is read once, not on every request as a ``requests``
     session trusting it would: proxies (``HTTPS_PROXY``, ``NO_PROXY``, ...)
@@ -306,8 +325,10 @@ class LiveTransport:
         it, and then forgotten.
         """
         template, proxies = self._template(req.method, req.url, req.params, req.headers)
-        prepared = template.copy()  # a redirect's URL and cookies change the copy alone
-        prepared.prepare_body(req.body, None)
+        if req.body is None and req.method == "GET":
+            prepared = template  # the adapter only reads it, and a redirect changes a copy
+        else:
+            prepared = _with_body(template, req.body)
         redirects = self._session.max_redirects
         jar = None
         with self._gate:
@@ -325,7 +346,7 @@ class LiveTransport:
                 if location is None:
                     return HttpResponse(
                         status=resp.status_code,
-                        headers={k.lower(): v for k, v in resp.headers.items()},
+                        headers=dict(resp.headers.lower_items()),
                         body=body,
                         url=str(resp.url),
                     )
@@ -337,6 +358,21 @@ class LiveTransport:
                 prepared.headers.pop("Cookie", None)
                 prepared.prepare_cookies(jar)
         raise Unavailable(f"{req.method} {req.url}: more than {redirects} redirects")
+
+
+def _with_body(template: requests.PreparedRequest, body: bytes | None,
+               ) -> requests.PreparedRequest:
+    """``template`` with ``body``: what ``template.copy()`` then
+    ``prepare_body(body, None)`` gives, for bytes, without their other work."""
+    prepared = requests.PreparedRequest()
+    prepared.method, prepared.url = template.method, template.url
+    prepared.headers = template.headers.copy()
+    if body:
+        prepared.body = body
+        prepared.headers["Content-Length"] = str(len(body))
+    else:
+        prepared.prepare_content_length(None)
+    return prepared
 
 
 def _overdue() -> requests.ReadTimeout:

@@ -15,7 +15,7 @@ import time
 from pathlib import Path
 
 from .errors import (FixtureMissing, KgVerifyError, MalformedInput, json_lines, malformed,
-                     read_input)
+                     read_input, utf8_only)
 from .llm import LlmParams, Prompt
 from .net import (
     HttpRequest,
@@ -82,6 +82,7 @@ class FixtureStore:
         for lineno, line in json_lines(path, "response log"):
             with malformed(MalformedInput, f"{path}:{lineno}", line):
                 record = json.loads(line)
+                utf8_only(line, record)
                 completions[record["fingerprint"]] = (record["raw_text"], record["latency_ms"])
         return completions
 

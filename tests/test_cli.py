@@ -1695,13 +1695,10 @@ class TestResponseLogFailures:
                 self.handle = handle
 
             def write(self, line):
-                lines.append(line)
+                lines.append(bytes(line))
                 if len(lines) == 2:
                     raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
                 return self.handle.write(line)
-
-            def flush(self):
-                self.handle.flush()
 
             def close(self):
                 self.handle.close()
@@ -1711,7 +1708,7 @@ class TestResponseLogFailures:
         out = tmp_path / "out"
         result = runner.invoke(main, [*UC1[0], "--live", "--out", str(out)])
         self.assert_cannot_write(result, out, out / "responses.jsonl", "No space left")
-        written = (out / "responses.jsonl").read_text(encoding="utf-8")
+        written = (out / "responses.jsonl").read_bytes()
         assert written.startswith(lines[0])
         assert all(json.loads(line) for line in written.splitlines())
 
@@ -1765,6 +1762,20 @@ class TestRemoteFailures:
         assert not (tmp_path / "out" / f"{UC1[1]}.xml").exists()
 
 
+    def test_a_completion_holding_a_lone_surrogate(self, runner, tmp_path, live_remote,
+                                                   monkeypatch):
+        """A JSON "\\ud800" escape in a prediction decodes to a lone surrogate,
+        which the response log cannot hold: a malformed answer, not a traceback."""
+        self.answer(monkeypatch, "https://api.replicate.com/", 201, "application/json",
+                    b'{"output": "a) \\ud800"}')
+        result = runner.invoke(main, [*UC1[0], "--live", "--out", str(tmp_path / "out")])
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)  # not an uncaught error
+        assert "error: unexpected prediction payload" in result.output
+        assert "surrogates not allowed" in result.output
+        assert not (tmp_path / "out" / f"{UC1[1]}.xml").exists()
+
+
 class TestMissingCredentials:
     """A live run without the credentials of a remote it needs exits 4 before
     it asks any remote, and writes nothing."""
@@ -1810,7 +1821,10 @@ class TestMalformedInput:
 
     @pytest.mark.parametrize("fault,code,named", [
         ("grounding-text-empty", 3, "bad.jsonl:1"),
+        ("grounding-text-lone-surrogate", 3, "bad.jsonl:1"),
         ("snli-sentences-empty", 3, "empty dataset"),
+        ("snli-premise-lone-surrogate", 3, "bad.jsonl:1"),
+        ("response-log-lone-surrogate", 3, "responses.jsonl:"),
         ("response-log-torn", 3, "responses.jsonl:"),
         ("record-without-response", 3, "http"),
         ("statements-not-utf-8", 3, "cannot read statements file"),
@@ -1820,7 +1834,9 @@ class TestMalformedInput:
     ])
     def test_exits_with_its_code(self, runner, tmp_path, fault, code, named):
         bad = tmp_path / "bad.jsonl"
-        if fault in ("grounding-text-empty", "snli-sentences-empty", "response-log-torn"):
+        if fault in ("grounding-text-empty", "grounding-text-lone-surrogate",
+                     "snli-sentences-empty", "snli-premise-lone-surrogate",
+                     "response-log-lone-surrogate", "response-log-torn"):
             fixtures = tmp_path / "eval_replay"
             shutil.copytree(FIXTURES / "eval_replay", fixtures)
             dataset = TestEvaluate().build_dataset(runner, tmp_path)
@@ -1829,15 +1845,23 @@ class TestMalformedInput:
             fixtures = tmp_path / "replay"
             shutil.copytree(REPLAY_DIR, fixtures)
             args = [*UC1[0], *replay_args(tmp_path / "out", fixtures)]
-        if fault == "grounding-text-empty":
+        # json.dumps writes a lone surrogate as its escape, "\ud800"
+        if fault.startswith("grounding-text"):
             line = json.loads(dataset.read_text(encoding="utf-8").splitlines()[0])
-            bad.write_text(json.dumps({**line, "grounding_text": ""}) + "\n", encoding="utf-8")
+            text = "" if fault.endswith("empty") else "\ud800" + line["grounding_text"]
+            bad.write_text(json.dumps({**line, "grounding_text": text}) + "\n", encoding="utf-8")
             args[2] = str(bad)
-        elif fault == "snli-sentences-empty":
-            bad.write_text(json.dumps({"gold_label": "neutral", "sentence1": "",
+        elif fault.startswith("snli"):
+            premise = "" if fault.endswith("empty") else "A premise\udfff."
+            bad.write_text(json.dumps({"gold_label": "neutral", "sentence1": premise,
                                        "sentence2": "A hypothesis."}) + "\n", encoding="utf-8")
             args[2] = str(bad)
             args += ["--task", "nli", "--snli-train", str(FIXTURES / "snli" / "train_mini.jsonl")]
+        elif fault == "response-log-lone-surrogate":
+            log_path = fixtures / "llm" / "responses.jsonl"
+            records = [json.loads(line) for line in log_path.read_text("utf-8").splitlines()]
+            records[-1]["raw_text"] += "\ud800"
+            log_path.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
         elif fault == "response-log-torn":
             with (fixtures / "llm" / "responses.jsonl").open("a", encoding="utf-8") as log:
                 log.write('{"fingerprint": "abc", "raw_te')

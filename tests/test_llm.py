@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from kgverify.errors import (
     ContextOverflow,
     FixtureMissing,
+    KgVerifyError,
     MalformedInput,
     MalformedResponse,
     ProviderUnavailable,
@@ -26,6 +27,7 @@ from kgverify.llm import (
     Prompt,
     ReplicateHttpProvider,
     ResponseLog,
+    _log_line,
     completion_fingerprint,
     extract_justification,
     parse_nli_label,
@@ -167,6 +169,28 @@ def test_fingerprint_and_request_body_are_byte_exact(params, prompt):
     }}).encode("utf-8")
 
 
+@settings(max_examples=300, deadline=None)
+@given(params=PARAMS, prompt=TEXTS.filter(bool), raw_text=TEXTS,
+       latency_ms=st.integers(0, 10**9),
+       stamp=st.datetimes(timezones=st.just(timezone.utc)))
+def test_log_line_and_prompt_encoding_are_json_dumps(params, prompt, raw_text, latency_ms,
+                                                      stamp):
+    """A response-log line and a prompt's encoding, each built without a JSON
+    encoder, are the bytes ``json.dumps(..., ensure_ascii=False)`` gives."""
+    asked = Prompt.of(params, prompt)
+    assert asked.encoded == json.dumps(prompt, ensure_ascii=False)
+    record = {
+        "fingerprint": asked.fingerprint,
+        "model": params.model,
+        "prompt_sha256": hashlib.sha256(prompt.encode("utf-8")).hexdigest(),
+        "raw_text": raw_text,
+        "latency_ms": latency_ms,
+        "timestamp": stamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
+    }
+    line = _log_line(asked, params, raw_text, latency_ms, stamp)
+    assert line.encode("utf-8") == json.dumps(record, ensure_ascii=False).encode("utf-8")
+
+
 class TestProviders:
     def test_scripted_in_order(self):
         provider = ScriptedProvider(["one", "two"])
@@ -204,6 +228,22 @@ class TestProviders:
         with pytest.raises(MalformedResponse, match="unexpected prediction payload") as caught:
             provider.complete(LlmParams(), Prompt.of(LlmParams(), "p"))
         assert repr(body[:10])[2:-1] in str(caught.value)
+        assert caught.value.exit_code == 4
+
+    @pytest.mark.parametrize("output", ['"\\ud800"', '["a", "\\udfff"]'],
+                             ids=["text", "list"])
+    def test_a_lone_surrogate_in_a_completion_is_a_malformed_response(self, output):
+        """A JSON ``\\ud800`` escape decodes to a lone surrogate, which no log
+        line or report can hold: the answer is malformed (exit code 4)."""
+        body = b'{"output": ' + output.encode("ascii") + b"}"
+
+        class Answer:
+            def send(self, req):
+                return HttpResponse(201, {"content-type": "application/json"}, body)
+
+        provider = ReplicateHttpProvider(Answer(), api_token="token")
+        with pytest.raises(MalformedResponse, match="surrogates not allowed") as caught:
+            provider.complete(LlmParams(), Prompt.of(LlmParams(), "p"))
         assert caught.value.exit_code == 4
 
     @pytest.mark.parametrize("last_line", [
@@ -318,6 +358,70 @@ class TestGateway:
         assert store.complete(params, Prompt.of(params, "now")) == "answer"
         if earlier:
             assert store.complete(params, Prompt.of(params, "earlier")) == "kept"
+
+    @staticmethod
+    def log_with_writes(monkeypatch, write):
+        """A response log whose files take each write through ``write(handle, data)``."""
+        import kgverify.llm
+
+        open_for_append = kgverify.llm._open_for_append
+
+        class Writes:
+            def __init__(self, path):
+                self.handle = open_for_append(path)
+
+            def write(self, data):
+                return write(self.handle, bytes(data))
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+        monkeypatch.setattr(kgverify.llm, "_open_for_append", Writes)
+
+    def test_a_short_write_is_continued(self, tmp_path, monkeypatch):
+        """A write that takes fewer bytes than asked (as a signal, or a disk
+        that fills, can make it) is continued until the line is whole."""
+        calls = []
+
+        def short(handle, data):
+            calls.append(len(data))
+            return handle.write(data[:7])
+
+        self.log_with_writes(monkeypatch, short)
+        path = tmp_path / "responses.jsonl"
+        log = ResponseLog(path)
+        gateway = LlmGateway(ScriptedProvider(["one", "two"]), response_log=log)
+        gateway.complete("first")
+        gateway.complete("second")
+        log.close()
+        assert [json.loads(line)["raw_text"] for line in path.read_text().splitlines()] == [
+            "one", "two"]
+        assert len(calls) > 2 and all(size > 0 for size in calls)
+
+    def test_a_write_that_fails_after_a_short_one_leaves_no_torn_line(self, tmp_path,
+                                                                       monkeypatch):
+        import errno
+
+        writes = []
+
+        def fails_midway(handle, data):
+            writes.append(data)
+            if len(writes) == 1:  # the first line, whole
+                return handle.write(data)
+            if len(writes) == 2:  # the start of the second
+                return handle.write(data[:20])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        self.log_with_writes(monkeypatch, fails_midway)
+        path = tmp_path / "responses.jsonl"
+        log = ResponseLog(path)
+        gateway = LlmGateway(ScriptedProvider(["one", "two"]), response_log=log)
+        gateway.complete("first")
+        with pytest.raises(KgVerifyError, match=f"cannot write {path}: No space left"):
+            gateway.complete("second")
+        assert [json.loads(line)["raw_text"] for line in path.read_text().splitlines()] == [
+            "one"]
+        assert path.read_bytes().endswith(b"\n")
 
     def test_response_log_stamps_the_run_clock(self, tmp_path):
         instant = datetime(2024, 3, 2, 14, 27, 25, tzinfo=timezone(timedelta(hours=1)))

@@ -7,6 +7,7 @@ import gzip
 import http.client
 import io
 import json
+import queue
 import socket
 import sys
 import threading
@@ -38,7 +39,7 @@ from kgverify.net import (
     write_fixture,
 )
 
-from concurrency import GatedTransport, ask_in_flight
+from concurrency import GatedTransport, ask_in_flight, await_thread_blocked_in
 from conftest import ScriptedProvider
 
 
@@ -1097,8 +1098,16 @@ class TestRequestGate:
         finally:
             sys.setswitchinterval(interval)
         assert seen["peak"] <= 3
+
+        def take_slot() -> bool:
+            try:
+                gate._slots.get(block=False)
+            except queue.Empty:
+                return False
+            return True
+
         # every slot was given back: all three can be taken without blocking, a fourth not
-        assert [gate._slots.acquire(blocking=False) for _ in range(4)] == [True] * 3 + [False]
+        assert [take_slot() for _ in range(4)] == [True] * 3 + [False]
 
 
 def answer(status, body=b"ok"):
@@ -1125,6 +1134,59 @@ class TestSingleFlight:
         assert memo.get("key", lambda: inner.send(req)) == answer(200, b"later")
         assert memo.get("key", lambda: inner.send(req)) == answer(200, b"later")
         assert inner.calls == 2
+
+    def test_a_waiter_that_arrives_as_the_owner_stores_its_value_gets_it(self):
+        """The owner has computed its value and is about to store it when a
+        second caller asks: that caller waits, and gets the stored value."""
+        memo = SingleFlight()
+        lock, owner, entered, got = memo._lock, threading.current_thread(), [], []
+        waiter = threading.Thread(target=lambda: got.append(memo.get("key", lambda: "again")),
+                                  daemon=True)
+
+        class StoreHook:
+            """The memo's lock; a waiter comes as the owner takes it to store."""
+
+            def __enter__(self):
+                if threading.current_thread() is owner:
+                    entered.append(None)
+                    if len(entered) == 2:  # the owner's store, after its lookup
+                        waiter.start()
+                        await_thread_blocked_in("get", any_thread=True)
+                return lock.__enter__()
+
+            def __exit__(self, *exc):
+                return lock.__exit__(*exc)
+
+        memo._lock = StoreHook()
+        assert memo.get("key", lambda: "value") == "value"
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert got == ["value"]
+
+    def test_an_owner_that_fails_after_a_waiter_arrived_fails_the_waiter_too(self):
+        memo = SingleFlight()
+        failure = Unavailable("reset")
+        waited = []
+
+        def wait():
+            try:
+                memo.get("key", lambda: "computed by the waiter")
+            except Unavailable as exc:
+                waited.append(exc)
+
+        waiter = threading.Thread(target=wait)
+
+        def fail_once_waited_on():
+            waiter.start()
+            await_thread_blocked_in("get", any_thread=True)
+            raise failure
+
+        with pytest.raises(Unavailable) as caught:
+            memo.get("key", fail_once_waited_on)
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive()
+        assert caught.value is failure and waited == [failure]
+        assert memo.get("key", lambda: "again") == "again"
 
     def test_a_none_value_is_computed_once(self):
         memo = SingleFlight()
