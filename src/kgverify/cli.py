@@ -25,8 +25,8 @@ from typing import Callable, Sequence
 import click
 
 from . import __version__, datasets, evaluation, reporting
-from .errors import (SHAPE_ERRORS, KgVerifyError, MalformedInput, NoSitelink, malformed,
-                     read_input)
+from .errors import (SHAPE_ERRORS, KgVerifyError, MalformedInput, NoSitelink, json_value,
+                     malformed, read_input)
 from .llm import (
     LlmGateway,
     LlmParams,
@@ -65,6 +65,8 @@ _DECISION_MODES = {
 }
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
+# Fields naming a file system path, which may be any name the system accepts
+_PATH_FIELDS = frozenset({"out_dir", "fixtures_dir", "cache_dir"})
 
 
 def _parse_instant(text: str) -> datetime:
@@ -107,7 +109,7 @@ class RunConfig:
         values: dict = {}
         if config_file:
             try:  # {**...}: a JSON object, not a list or a number
-                values.update({**json.loads(Path(config_file).read_text(encoding="utf-8-sig"))})
+                values.update({**json_value(Path(config_file).read_text(encoding="utf-8-sig"))})
             except (OSError, *SHAPE_ERRORS) as exc:
                 raise click.UsageError(f"cannot read config file {config_file}: {exc}")
         for name in kinds:
@@ -139,6 +141,10 @@ class RunConfig:
                     value = kind(value)
                 elif key == "fixed_clock" and value:
                     _parse_instant(value)  # the runtime parses it again
+                if isinstance(value, str) and key not in _PATH_FIELDS:
+                    # argv and the environment hold undecodable bytes as lone surrogates,
+                    # which no request, prompt or output file can carry
+                    value.encode("utf-8")
             setattr(config, key, value)
         if config.replay and not config.fixtures_dir:
             raise click.UsageError("replay mode requires a fixtures directory")

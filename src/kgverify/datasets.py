@@ -16,8 +16,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import (InsufficientRecords, MalformedInput, json_lines, malformed, read_input,
-                     utf8_only)
+from .errors import (InsufficientRecords, MalformedInput, json_records, json_value, malformed,
+                     read_input)
 from .model import (
     NLI_CLASSES,
     BinaryDecision,
@@ -70,14 +70,8 @@ class BioRedRelation:
 class BioRedDocument:
     doc_id: str
     text: str
-    entities: tuple[BioRedEntity, ...]
+    entities: Mapping[str, BioRedEntity]  # by identifier, in annotation order
     relations: tuple[BioRedRelation, ...]
-
-    def entity(self, identifier: str) -> BioRedEntity | None:
-        for entity in self.entities:
-            if entity.identifier == identifier:
-                return entity
-        return None
 
 
 @dataclass(frozen=True)
@@ -172,7 +166,7 @@ def _parse_document(raw: dict) -> BioRedDocument:
     return BioRedDocument(
         doc_id=doc_id,
         text=" ".join(texts),
-        entities=tuple(entities.values()),
+        entities=entities,
         relations=tuple(relations),
     )
 
@@ -197,7 +191,7 @@ def load_biored(path: Path | str) -> list[BioRedDocument]:
     for file in files:
         data = read_input(file, "BioC file")
         with malformed(MalformedInput, str(file), data):
-            raws = list(json.loads(data).get("documents", []))  # iterated in the guard
+            raws = list(json_value(data).get("documents", []))  # iterated in the guard
         for raw in raws:
             with malformed(MalformedInput, str(file), raw):
                 doc = _parse_document(raw)
@@ -238,10 +232,8 @@ def extract_positives(docs: Sequence[BioRedDocument]) -> list[LabeledInstance]:
         for relation in doc.relations:
             if relation.relation_type not in RELATION_TYPES:
                 continue
-            head = doc.entity(relation.head_id)
-            tail = doc.entity(relation.tail_id)
-            if head is None or tail is None:
-                continue
+            head = doc.entities[relation.head_id]
+            tail = doc.entities[relation.tail_id]
             if {head.concept_type, tail.concept_type} == EXCLUDED_PAIR:
                 continue
             pair = normalize_pair(head.concept_type, tail.concept_type)
@@ -285,7 +277,7 @@ class GroundTruth:
         surfaces: dict[str, str] = {}
         pool: dict[str, list[str]] = {}
         for doc in sorted(docs, key=lambda d: d.doc_id):
-            for entity in doc.entities:
+            for entity in doc.entities.values():
                 if entity.identifier not in surfaces:
                     surfaces[entity.identifier] = entity.canonical_surface
                     pool.setdefault(entity.concept_type, []).append(entity.identifier)
@@ -415,13 +407,7 @@ def instances_to_jsonl(instances: Iterable[LabeledInstance]) -> str:
 
 
 def read_instances(path: Path | str) -> list[LabeledInstance]:
-    out = []
-    for lineno, line in json_lines(path, "dataset"):
-        with malformed(MalformedInput, f"{path}:{lineno}", line):
-            record = json.loads(line)
-            utf8_only(line, record)
-            out.append(instance_from_json(record))
-    return out
+    return json_records(path, "dataset", instance_from_json)
 
 
 def dataset_manifest(
@@ -459,16 +445,16 @@ def load_snli(path: Path | str) -> list[SnliRecord]:
     """Read an SNLI-format JSON-lines split. Records without a gold consensus
     (gold label "-") are excluded, and so are records with an empty premise or
     hypothesis, which leave the model nothing to judge."""
-    records: list[SnliRecord] = []
-    for lineno, line in json_lines(path, "SNLI split"):
-        with malformed(MalformedInput, f"{path}:{lineno}", line):
-            obj = json.loads(line)
-            utf8_only(line, obj)
-            gold = obj.get("gold_label", "-")
-            premise, hypothesis = obj.get("sentence1", ""), obj.get("sentence2", "")
-            if gold in ("entailment", "neutral", "contradiction") and premise and hypothesis:
-                records.append(SnliRecord(premise, hypothesis, NliLabel(gold), obj.get("pairID")))
-    return records
+    records = json_records(path, "SNLI split", _snli_record)
+    return [record for record in records if record is not None]
+
+
+def _snli_record(obj: dict) -> SnliRecord | None:
+    gold = obj.get("gold_label", "-")
+    premise, hypothesis = obj.get("sentence1", ""), obj.get("sentence2", "")
+    if gold in ("entailment", "neutral", "contradiction") and premise and hypothesis:
+        return SnliRecord(premise, hypothesis, NliLabel(gold), obj.get("pairID"))
+    return None
 
 
 def sample_snli_test(path: Path | str, n: int = 1000, seed: int = 42) -> list[SnliRecord]:

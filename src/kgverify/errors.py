@@ -11,20 +11,23 @@ stands for any other pipeline error.
 
 ``malformed`` is the one rule for input of the wrong shape: an answer from a
 remote becomes ``MalformedResponse``, a file or recorded fixture
-``MalformedInput``, each quoting the input. ``read_input`` and ``json_lines``
-read the input files, and one that cannot be read is ``MalformedInput`` too;
-``utf8_only`` rejects a JSON line holding a lone surrogate.
+``MalformedInput``, each quoting the input. ``read_input`` and ``json_records``
+read the input files, and one that cannot be read is ``MalformedInput`` too.
+``json_value`` is the one JSON decoder, for every file, fixture and remote
+answer: what it rejects is of the wrong shape.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Iterator
+from typing import Callable, TypeVar
 
 # What reading a value of the wrong shape raises: unparseable JSON or number, a
 # missing key or index, a value of another type, an empty iterator.
 SHAPE_ERRORS = (ValueError, LookupError, TypeError, AttributeError, StopIteration)
+
+_Record = TypeVar("_Record")
 
 
 class KgVerifyError(Exception):
@@ -172,20 +175,40 @@ def read_input(path: Path | str, what: str) -> bytes:
         raise MalformedInput(f"cannot read {what} {path}: {exc.strerror or exc}") from exc
 
 
-def utf8_only(line: bytes, record: object) -> None:
-    """Raise ``UnicodeEncodeError``, a ``ValueError``, if ``record``, the JSON
-    ``line`` decoded, holds a lone surrogate, which no prompt, request or
-    output file can carry. Only a ``\\u`` escape (``"\\ud800"``) decodes to
-    one, so a line without one is not searched."""
-    if b"\\u" in line:
-        json.dumps(record, ensure_ascii=False).encode("utf-8")
+def json_value(text: str | bytes):
+    """The JSON value of ``text`` if every prompt, request and output file
+    can carry it; else ``ValueError``. The one JSON decoder of the package.
+
+    A value nested too deeply for the decoder raises ``ValueError``, not
+    ``RecursionError``. A value holding a lone surrogate raises
+    ``UnicodeEncodeError``, a ``ValueError``. Bytes are decoded strictly (the
+    json module would pass an encoded surrogate through), and in text only a
+    ``\\u`` escape (``"\\ud800"``) decodes to one, so a text without one is
+    not searched.
+    """
+    try:
+        if isinstance(text, bytes):
+            text = text.decode(json.detect_encoding(text))
+        value = json.loads(text)
+        if "\\u" in text:
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except RecursionError as exc:
+        raise ValueError("JSON nested too deeply") from exc
+    return value
 
 
-def json_lines(path: Path | str, what: str) -> Iterator[tuple[int, bytes]]:
-    """The numbered non-blank lines of a JSON-lines input file.
+def json_records(path: Path | str, what: str,
+                 convert: Callable[[object], _Record]) -> list[_Record]:
+    """``convert`` of the JSON value of each non-blank line of the JSON-lines
+    input file ``path``, in order; a line of the wrong shape raises
+    ``MalformedInput`` naming ``path:line``.
 
     Lines end at a line feed or carriage return only: a JSON string may hold
     a line separator that ``str.splitlines`` would split at.
     """
-    lines = read_input(path, what).splitlines()
-    return ((lineno, line) for lineno, line in enumerate(lines, 1) if line.strip())
+    records = []
+    for lineno, line in enumerate(read_input(path, what).splitlines(), 1):
+        if line.strip():
+            with malformed(MalformedInput, f"{path}:{lineno}", line):
+                records.append(convert(json_value(line)))
+    return records

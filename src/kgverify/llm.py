@@ -137,7 +137,7 @@ class ReplicateHttpProvider:
         token = api_token or os.environ.get("KGVERIFY_LLM_TOKEN", "")
         if not token:
             raise ProviderUnavailable("LLM API token is not configured")
-        # as HttpRequest.post sorts them
+        # sorted, as HttpRequest.get sorts a request's headers
         self._headers = tuple(sorted({
             "Authorization": f"Bearer {token}",
             "Content-Type": "application/json",
@@ -158,10 +158,7 @@ class ReplicateHttpProvider:
             status = payload.get("status", "succeeded")
             if status != "succeeded" or output is None:  # `Prefer: wait` gave up, or it failed
                 raise ProviderUnavailable(f"LLM prediction has no output (status {status})")
-            text = "".join(map(str, output)) if isinstance(output, list) else str(output)
-            # a JSON "\ud800" escape decodes to a lone surrogate, which no log line can hold
-            text.encode("utf-8")
-        return text
+            return "".join(map(str, output)) if isinstance(output, list) else str(output)
 
 
 class ResponseLog:

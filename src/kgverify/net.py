@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, Generic, Hashable, Protocol, TypeVar
 from urllib.parse import urlencode, urljoin, urlsplit
 
-from .errors import Unavailable
+from .errors import Unavailable, json_value
 
 DEFAULT_CONNECT_TIMEOUT = 15.0
 # One attempt's deadline, from sending the request to the body's last byte, its
@@ -68,15 +68,6 @@ class HttpRequest:
             headers=tuple(sorted((headers or {}).items())),
         )
 
-    @classmethod
-    def post(cls, url: str, body: bytes, headers: dict | None = None) -> "HttpRequest":
-        return cls(
-            method="POST",
-            url=url,
-            headers=tuple(sorted((headers or {}).items())),
-            body=body,
-        )
-
 
 @dataclass(frozen=True)
 class HttpResponse:
@@ -105,7 +96,7 @@ class HttpResponse:
             return self.body.decode("utf-8", errors="replace")
 
     def json(self):
-        return json.loads(self.body.decode("utf-8"))
+        return json_value(self.body.decode("utf-8"))
 
 
 # Query parameters that carry credentials (the search API's key and engine id).

@@ -10,12 +10,11 @@ reads, so every cached live run replays.
 from __future__ import annotations
 
 import functools
-import json
 import time
 from pathlib import Path
 
-from .errors import (FixtureMissing, KgVerifyError, MalformedInput, json_lines, malformed,
-                     read_input, utf8_only)
+from .errors import (FixtureMissing, KgVerifyError, MalformedInput, json_records, json_value,
+                     malformed, read_input)
 from .llm import LlmParams, Prompt
 from .net import (
     HttpRequest,
@@ -57,7 +56,7 @@ class FixtureStore:
         if path.exists() and (self._ttl is None or time.time() - path.stat().st_mtime <= self._ttl):
             data = read_input(path, "fixture")
             with malformed(MalformedInput, str(path), data):
-                recorded = response_from_record(json.loads(data))
+                recorded = response_from_record(json_value(data))
                 if self._live is None or recorded.status < 400:
                     return recorded
         if self._live is None:
@@ -78,13 +77,8 @@ class FixtureStore:
         path = self.response_log_path
         if not path.exists():
             return {}
-        completions = {}
-        for lineno, line in json_lines(path, "response log"):
-            with malformed(MalformedInput, f"{path}:{lineno}", line):
-                record = json.loads(line)
-                utf8_only(line, record)
-                completions[record["fingerprint"]] = (record["raw_text"], record["latency_ms"])
-        return completions
+        return dict(json_records(path, "response log", lambda record: (
+            record["fingerprint"], (record["raw_text"], record["latency_ms"]))))
 
     def complete(self, params: LlmParams, prompt: Prompt) -> str:
         if prompt.fingerprint not in self.completions:

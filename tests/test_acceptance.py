@@ -123,7 +123,7 @@ def _check_corruption(docs, positives, negatives, skips):
     assert len(negatives) == len(positives) - len(skips)
     by_key = {}
     for doc in docs:
-        for entity in doc.entities:
+        for entity in doc.entities.values():
             by_key.setdefault(entity.identifier, set()).add(entity.concept_type)
     skipped_keys = {(s.doc_id, s.subject_id, s.object_id, s.relation_type) for s in skips}
     kept_positives = [

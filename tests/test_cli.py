@@ -586,6 +586,45 @@ class TestConfig:
         assert f"bad value for {key}: {value!r}" in result.output
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    def test_a_value_utf8_cannot_encode_is_a_usage_error(self, runner, tmp_path, monkeypatch,
+                                                         source):
+        """argv and the environment hold a byte that does not decode (``\\xff``)
+        as a lone surrogate (``\\udcff``), which no request or prompt can carry."""
+        monkeypatch.delenv("KGVERIFY_LLM_TOKEN", raising=False)
+        args = [*UC1[0], *replay_args(tmp_path / "out")]
+        if source == "flag":
+            key, value = "model", "\udcff"
+            args += ["--model", value]
+        else:
+            key, value = "sparql_endpoint", "https://query.example/\udcff"
+            monkeypatch.setenv("KGVERIFY_SPARQL_ENDPOINT", value)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert f"bad value for {key}: {value!r}" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_a_path_may_be_any_name_the_system_accepts(self, tmp_path):
+        """A POSIX name need not decode: ``--out`` and the fixture and cache
+        directories are paths, which Python holds with lone surrogates."""
+        names = {key: str(tmp_path / f"{key}\udcff") for key in ("out_dir", "fixtures_dir",
+                                                                 "cache_dir")}
+        config = RunConfig.resolve(dict(names))
+        assert {key: getattr(config, key) for key in names} == names
+
+    @pytest.mark.parametrize("text", ['{"model": "\\ud800"}', "[" * 100_000],
+                             ids=["lone-surrogate", "nested-too-deeply"])
+    def test_a_config_file_no_run_can_carry_is_a_usage_error(self, runner, tmp_path, text):
+        config = tmp_path / "config.json"
+        config.write_text(text, encoding="utf-8")
+        result = runner.invoke(main, [*UC1[0], *replay_args(tmp_path / "out"),
+                                      "--config", str(config)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert f"cannot read config file {config}" in result.output
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("payload", [
         {"out_dir": 5}, {"out_dir": None}, {"model": ["m"]}, {"fixed_clock": 20240302},
         {"replay": 1}, {"llm_requests": 2.7}, {"max_statements": True}, {"hit_limit": 1.9},
@@ -1831,12 +1870,20 @@ class TestMalformedInput:
         ("record-is-a-directory", 3, "cannot read fixture"),
         ("response-log-is-a-directory", 3, "cannot read response log"),
         ("sparql-bindings-null", 4, "unexpected SPARQL payload"),
+        ("sparql-label-lone-surrogate", 4, "unexpected SPARQL payload"),
+        ("sparql-nested-too-deeply", 4, "unexpected SPARQL payload"),
+        ("record-nested-too-deeply", 3, "http"),
+        ("record-header-lone-surrogate", 3, "http"),
+        ("response-log-nested-too-deeply", 3, "responses.jsonl:"),
+        ("dataset-nested-too-deeply", 3, "bad.jsonl:1"),
+        ("bioc-text-lone-surrogate", 3, "Test_mini.BioC.JSON"),
     ])
     def test_exits_with_its_code(self, runner, tmp_path, fault, code, named):
         bad = tmp_path / "bad.jsonl"
         if fault in ("grounding-text-empty", "grounding-text-lone-surrogate",
                      "snli-sentences-empty", "snli-premise-lone-surrogate",
-                     "response-log-lone-surrogate", "response-log-torn"):
+                     "response-log-lone-surrogate", "response-log-torn",
+                     "response-log-nested-too-deeply", "dataset-nested-too-deeply"):
             fixtures = tmp_path / "eval_replay"
             shutil.copytree(FIXTURES / "eval_replay", fixtures)
             dataset = TestEvaluate().build_dataset(runner, tmp_path)
@@ -1865,6 +1912,20 @@ class TestMalformedInput:
         elif fault == "response-log-torn":
             with (fixtures / "llm" / "responses.jsonl").open("a", encoding="utf-8") as log:
                 log.write('{"fingerprint": "abc", "raw_te')
+        elif fault == "response-log-nested-too-deeply":
+            with (fixtures / "llm" / "responses.jsonl").open("a", encoding="utf-8") as log:
+                log.write("[" * 100_000 + "\n")
+        elif fault == "dataset-nested-too-deeply":
+            bad.write_text("[" * 100_000 + "\n", encoding="utf-8")
+            args[2] = str(bad)
+        elif fault == "bioc-text-lone-surrogate":
+            corpus = tmp_path / "biored"
+            shutil.copytree(FIXTURES / "biored_mini", corpus)
+            path = corpus / "Test_mini.BioC.JSON"
+            payload = json.loads(path.read_text(encoding="utf-8"))
+            payload["documents"][0]["passages"][0]["text"] += "\ud800"
+            path.write_text(json.dumps(payload), encoding="utf-8")
+            args = ["build-dataset", "--biored", str(corpus)]
         elif fault.endswith("-is-a-directory"):
             path = (self.unsourced_record(fixtures) if fault.startswith("record")
                     else fixtures / "llm" / "responses.jsonl")
@@ -1875,11 +1936,24 @@ class TestMalformedInput:
             bad.write_bytes(b"\xffnot\tutf\t8\n")
             args = ["verify-wikipedia", "Q179924", "--statements", str(bad),
                     *replay_args(tmp_path / "out", fixtures)]
+        elif fault == "record-nested-too-deeply":
+            self.unsourced_record(fixtures).write_text("[" * 100_000, encoding="utf-8")
         else:
             record_path = self.unsourced_record(fixtures)
             record = json.loads(record_path.read_text(encoding="utf-8"))
             if fault == "record-without-response":
                 del record["response"]
+            elif fault == "record-header-lone-surrogate":
+                record["response"]["headers"]["content-type"] += "\ud800"
+            elif fault == "sparql-label-lone-surrogate":
+                body = json.loads(record["response"]["body_text"])
+                for row in body["results"]["bindings"]:
+                    for name, binding in row.items():
+                        if name.endswith("Label"):
+                            binding["value"] += "\ud800"
+                record["response"]["body_text"] = json.dumps(body)
+            elif fault == "sparql-nested-too-deeply":
+                record["response"]["body_text"] = "[" * 100_000
             else:
                 record["response"]["body_text"] = '{"results": {"bindings": null}}'
             record_path.write_text(json.dumps(record), encoding="utf-8")

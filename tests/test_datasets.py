@@ -46,7 +46,7 @@ class TestLoadBiored:
 
     def test_entities_carry_surface_forms_in_order(self, mini_docs):
         doc = next(d for d in mini_docs if d.doc_id == "1001")
-        aspirin = doc.entity("C-ASP")
+        aspirin = doc.entities["C-ASP"]
         assert aspirin.concept_type == "ChemicalEntity"
         assert aspirin.surface_forms == ("Aspirin", "aspirin")
         assert aspirin.canonical_surface == "Aspirin"
@@ -130,11 +130,15 @@ class TestLoadBiored:
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(payload), encoding="utf-8")
         [doc] = load_biored(path)
-        assert [(e.identifier, e.surface_forms) for e in doc.entities] == [
+        assert [(e.identifier, e.surface_forms) for e in doc.entities.values()] == [
             ("E1", ("y",)), ("E2", ("y",))]
 
 
 class TestNormalizePair:
+    def test_a_type_outside_the_table_order_comes_last_by_name(self):
+        assert normalize_pair("Zebrafish", "CellLine") == ("CellLine", "Zebrafish")
+        assert normalize_pair("Zebrafish", "Anatomy") == ("Anatomy", "Zebrafish")
+
     def test_canonical_order_matches_reported_tables(self):
         assert normalize_pair("DiseaseOrPhenotypicFeature", "ChemicalEntity") == (
             "ChemicalEntity", "DiseaseOrPhenotypicFeature"
@@ -251,7 +255,8 @@ class TestGenerateNegatives:
                 BioRedRelation("H", identifier, "Positive_Correlation")
                 for identifier in pool_ids
             ]
-        doc = BioRedDocument("d1", "text " * 30, tuple(entities), tuple(relations))
+        doc = BioRedDocument("d1", "text " * 30, {e.identifier: e for e in entities},
+                             tuple(relations))
         return [doc]
 
     def test_singleton_pool_forced(self):

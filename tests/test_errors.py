@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from kgverify import errors
@@ -66,3 +68,46 @@ def test_keyboard_interrupt_exits_130(capsys):
         command()
     assert caught.value.code == 130
     assert "interrupted" in capsys.readouterr().err
+
+
+class TestJsonValue:
+    """The one JSON decoder: what it passes, every file and request can carry."""
+
+    @pytest.mark.parametrize("text", [
+        '{"a": ["b", 1.5, null]}', '"\\u00e9\\ud83d\\ude00"', b'{"a": "\xc3\xa9"}',
+        b'\xef\xbb\xbf{"a": 1}', '"\\\\ud800"',
+    ], ids=["str", "escaped-pair", "bytes", "bytes-bom", "escaped-backslash"])
+    def test_a_value_any_file_can_carry_decodes_as_json_does(self, text):
+        assert errors.json_value(text) == json.loads(text)
+
+    @pytest.mark.parametrize("text", [
+        '"\\ud800"', b'{"a": ["\\udfff"]}', b'"\xed\xa0\x80"',
+    ], ids=["escape", "escape-in-bytes", "encoded-in-bytes"])
+    def test_a_lone_surrogate_is_a_value_error(self, text):
+        with pytest.raises(ValueError):
+            errors.json_value(text)
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, b'{"a": ' * 100_000], ids=["str", "bytes"])
+    def test_a_value_nested_too_deeply_is_a_value_error(self, text):
+        with pytest.raises(ValueError, match="nested too deeply"):
+            errors.json_value(text)
+
+
+class TestJsonRecords:
+    def test_each_non_blank_line_is_converted_in_order(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b'{"n": 1}\n\n  \r\n{"n": "two\xe2\x80\xa8lines"}\r{"n": 3}')
+        assert errors.json_records(path, "records", lambda record: record["n"]) == [
+            1, "two lines", 3]
+
+    @pytest.mark.parametrize("line", [b'{"m": 2}', b'{"n": "\\ud800"}', b"[" * 100_000],
+                             ids=["missing-key", "lone-surrogate", "nested-too-deeply"])
+    def test_a_line_of_the_wrong_shape_names_its_line(self, tmp_path, line):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b'{"n": 1}\n' + line + b"\n")
+        with pytest.raises(errors.MalformedInput, match=f"{path}:2: "):
+            errors.json_records(path, "records", lambda record: record["n"])
+
+    def test_a_file_that_cannot_be_read_is_malformed_input(self, tmp_path):
+        with pytest.raises(errors.MalformedInput, match="cannot read records"):
+            errors.json_records(tmp_path, "records", dict)

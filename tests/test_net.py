@@ -12,6 +12,7 @@ import socket
 import sys
 import threading
 import time
+import types
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -83,10 +84,10 @@ class TestFingerprint:
             HttpRequest.get("https://x.example", params={"q": "1"})
         )
         assert request_fingerprint(base) != request_fingerprint(
-            HttpRequest.post("https://x.example", body=b"data")
+            HttpRequest("POST", "https://x.example", body=b"data")
         )
         assert request_fingerprint(base) != request_fingerprint(
-            HttpRequest.post("https://x.example", body=b"")
+            HttpRequest("POST", "https://x.example", body=b"")
         )
 
 
@@ -654,7 +655,7 @@ class TestThinTransport:
     def test_a_post_redirect_is_not_followed(self):
         adapter = RedirectAdapter({"https://llm.example/predictions": "/elsewhere"})
         transport, _ = transport_over(adapter)
-        resp = transport.send(HttpRequest.post("https://llm.example/predictions", b"{}"))
+        resp = transport.send(HttpRequest("POST", "https://llm.example/predictions", body=b"{}"))
         assert (resp.status, resp.headers["location"]) == (307, "/elsewhere")
         assert adapter.requests == [("POST", "https://llm.example/predictions")]
 
@@ -747,6 +748,34 @@ class TestThinTransport:
             assert all(connect == read <= 0.1 for connect, read in timeouts)
             reads = [read for _, read in timeouts]
             assert reads == sorted(reads, reverse=True)
+
+    def test_no_hop_is_sent_once_the_deadline_has_passed(self, monkeypatch):
+        """A hop that arrives at the deadline's instant is read, but the
+        redirect it names is not asked: no time is left for it."""
+        now = [0.0]
+        monkeypatch.setattr(net, "time", types.SimpleNamespace(monotonic=lambda: now[0]))
+
+        class AtTheDeadline(RedirectAdapter):
+            def send(self, request, **kwargs):
+                now[0] = 1.0  # the attempt's deadline, as total_timeout is 1 s
+                return super().send(request, **kwargs)
+
+        adapter = AtTheDeadline({"https://slow.example/0": "https://slow.example/1"})
+        transport, sleeps = transport_over(adapter, total_timeout=1.0, retries=0)
+        with pytest.raises(Unavailable, match="deadline"):
+            transport.send(HttpRequest.get("https://slow.example/0"))
+        assert adapter.requests == [("GET", "https://slow.example/0")] and sleeps == []
+
+    @pytest.mark.parametrize("body", [None, b""], ids=["none", "empty"])
+    def test_a_post_without_a_body_sends_a_zero_length(self, body):
+        """As ``requests`` prepares a POST without a body."""
+        adapter = RecordingAdapter()
+        transport, _ = transport_over(adapter)
+        transport.send(HttpRequest("POST", "https://llm.example/predictions", body=body))
+        [(method, _, headers, sent)] = adapter.wire
+        expected = requests.Request("POST", "https://llm.example/predictions").prepare()
+        assert (method, sent) == ("POST", expected.body)
+        assert headers["Content-Length"] == expected.headers["Content-Length"] == "0"
 
     def test_a_body_cut_short_is_retried(self):
         adapter = StreamingAdapter(lambda: io.BytesIO(b"cut"), **{"Content-Length": "10"})
@@ -1204,8 +1233,8 @@ class TestRequestMemo:
     def test_requests_differing_only_in_body_are_distinct(self, tmp_path):
         inner = CountingTransport()
         memo = FixtureStore(tmp_path, inner)
-        first = HttpRequest.post("https://llm.example/predictions", body=b'{"prompt": "a"}')
-        second = HttpRequest.post("https://llm.example/predictions", body=b'{"prompt": "b"}')
+        first = HttpRequest("POST", "https://llm.example/predictions", body=b'{"prompt": "a"}')
+        second = HttpRequest("POST", "https://llm.example/predictions", body=b'{"prompt": "b"}')
         for req in (first, second, first, second):
             memo.send(req)
         assert inner.calls == 2
@@ -1215,7 +1244,7 @@ class TestRequestMemo:
         memo = FixtureStore(tmp_path, inner)
         for req in (HttpRequest.get("https://x.example", params={"q": "1"}),
                     HttpRequest.get("https://x.example", params={"q": "2"}),
-                    HttpRequest.post("https://x.example", body=b""),
+                    HttpRequest("POST", "https://x.example", body=b""),
                     HttpRequest.get("https://x.example", params={"q": "1"})):
             memo.send(req)
         assert inner.calls == 3

@@ -115,7 +115,10 @@ class TestWebSearch:
         b'[{"link": "https://a.example"}]',
         b'{"items": [{"link": null}]}',
         b'{"items": {"link": "https://a.example"}}',
-    ], ids=["html", "no-link", "json-list", "null-link", "items-object"])
+        b'{"items": [{"link": "https://a.example/\\ud800"}]}',
+        b"[" * 100_000,
+    ], ids=["html", "no-link", "json-list", "null-link", "items-object", "lone-surrogate-link",
+            "nested-too-deeply"])
     def test_malformed_answer_is_a_malformed_response(self, body):
         """A 200 whose body is not the search API's JSON raises the package's
         error (exit code 4), with an excerpt of the body, never a raw one."""
@@ -196,11 +199,16 @@ class TestArchiveFallback:
         {"archived_snapshots": ["closest"]},
         {"archived_snapshots": {"closest": ["x"]}},
         {"archived_snapshots": {"closest": {"available": True, "url": 5}}},
-    ], ids=["list", "snapshots-list", "closest-list", "url-number"])
+        # json.dumps writes a lone surrogate as its escape, "\ud800"
+        {"archived_snapshots": {"closest": {"available": True, "url": SNAPSHOT + "\ud800"}}},
+        "[" * 100_000,
+    ], ids=["list", "snapshots-list", "closest-list", "url-number", "lone-surrogate-url",
+            "nested-too-deeply"])
     def test_malformed_availability_answer_means_no_snapshot(self, dict_transport, payload):
         dict_transport.add(HttpRequest.get(self.URL), status=404, body="gone")
-        dict_transport.add_json(
-            HttpRequest.get(ARCHIVE_AVAILABILITY_API, params={"url": self.URL}), payload)
+        dict_transport.add(HttpRequest.get(ARCHIVE_AVAILABILITY_API, params={"url": self.URL}),
+                           body=payload if isinstance(payload, str) else json.dumps(payload),
+                           content_type="application/json")
         with pytest.raises(Unavailable, match="no archived snapshot"):
             DocumentFetcher(dict_transport).fetch_with_archive_fallback(self.URL)
 
