@@ -1,16 +1,56 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import kgverify
 from kgverify.errors import FixtureMissing
 from kgverify.llm import LlmParams, Prompt
 from kgverify.net import HttpRequest, HttpResponse, request_fingerprint
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPLAY_DIR = FIXTURES / "replay"
+
+# what a live run's environment holds; no recorded file may hold any of it
+CREDENTIALS = {"KGVERIFY_LLM_TOKEN": "test-token-1f3a", "KGVERIFY_SEARCH_KEY": "test-key-7c2e",
+               "KGVERIFY_SEARCH_CX": "test-cx-94b0"}
+
+# Runs the CLI, then prints the file of the package it ran and which of the
+# live transport's libraries it loaded, and ``email``, which only an HTTP-date
+# ``Retry-After`` needs.
+KGVERIFY_PROCESS = """
+import atexit, sys
+import kgverify
+from kgverify.cli import main
+
+
+@atexit.register
+def report():
+    print("package:", kgverify.__file__)
+    print("loaded:", *sorted({"requests", "urllib3", "email"} & set(sys.modules)))
+
+
+main(prog_name="kgverify")
+"""
+
+
+def run_kgverify(argv: list[str], cwd: Path) -> subprocess.CompletedProcess:
+    """``kgverify argv`` as a process of its own, from ``cwd`` and with no
+    credentials. It runs the package this process imported, from the
+    checkout's ``src`` or as installed (asserted), and its stdout ends with
+    the ``loaded:`` line."""
+    env = {name: value for name, value in os.environ.items() if name not in CREDENTIALS}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [
+        str(Path(kgverify.__file__).parents[1]), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", KGVERIFY_PROCESS, *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.stdout.splitlines()[-2:-1] == [f"package: {kgverify.__file__}"], done.stderr
+    return done
 
 
 @pytest.fixture

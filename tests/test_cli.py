@@ -21,7 +21,7 @@ from kgverify.llm import DEFAULT_MODEL, LlmGateway, ReplicateHttpProvider
 from kgverify.prompting import render_rdf_prompt
 
 from concurrency import await_thread_blocked_in, interrupt_thread_start
-from conftest import FIXTURES, REPLAY_DIR
+from conftest import CREDENTIALS, FIXTURES, REPLAY_DIR, run_kgverify
 
 
 @pytest.fixture
@@ -47,11 +47,6 @@ def uc2_three_times(tmp_path, second_object=None) -> list[str]:
     path = tmp_path / "three.tsv"
     path.write_text(line + second + line, encoding="utf-8")
     return [*UC2[0][:2], "--statements", str(path), *UC2[0][4:]]
-
-
-# what a live run's environment holds; no recorded file may hold any of it
-CREDENTIALS = {"KGVERIFY_LLM_TOKEN": "test-token-1f3a", "KGVERIFY_SEARCH_KEY": "test-key-7c2e",
-               "KGVERIFY_SEARCH_CX": "test-cx-94b0"}
 
 
 def answer_from_fixtures(req):
@@ -331,11 +326,6 @@ class TestVerifyWikipedia:
         that lacks its record exits 5 having asked no completion, and writes nothing."""
         from kgverify.store import FixtureStore
 
-        fixtures = tmp_path / "fixtures"
-        shutil.copytree(REPLAY_DIR, fixtures)
-        (revision,) = [path for path in (fixtures / "http").iterdir()
-                       if '"titles"' in path.read_text(encoding="utf-8")]
-        revision.unlink()
         completions = []
         complete = FixtureStore.complete
 
@@ -344,13 +334,12 @@ class TestVerifyWikipedia:
             return complete(self, params, prompt)
 
         monkeypatch.setattr(FixtureStore, "complete", counted)
-        out = tmp_path / "out"
-        result = runner.invoke(main, [*UC2[0], *replay_args(out, fixtures=fixtures)])
+        result = runner.invoke(main, fault_args("revision-record-missing", tmp_path))
         assert result.exit_code == 5, result.output
         assert "error: no recorded fixture" in result.output
         assert "verifying:" not in result.output
         assert completions == []
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
 
     def test_one_entity_lookup_per_run(self, runner, tmp_path, monkeypatch):
         """Three statements ask the subject's entity record once in all, before
@@ -1843,20 +1832,122 @@ class TestMissingCredentials:
         assert not (tmp_path / "out").exists()
 
 
+def unsourced_record(fixtures: Path) -> Path:
+    """The recorded answer to uc1's first SPARQL query."""
+    from kgverify.net import HttpRequest, request_fingerprint
+    from kgverify.wikidata import WIKIDATA_SPARQL_ENDPOINT, EntityId, unsourced_statements_query
+
+    query = unsourced_statements_query(EntityId(36233))
+    req = HttpRequest.get(WIKIDATA_SPARQL_ENDPOINT, params={"query": query, "format": "json"})
+    return fixtures / "http" / f"{request_fingerprint(req)}.json"
+
+
+def made_a_directory(fault: str, fixtures: Path) -> Path:
+    """The file that an ``*-is-a-directory`` fault turns into a directory."""
+    return (unsourced_record(fixtures) if fault.startswith("record")
+            else fixtures / "llm" / "responses.jsonl")
+
+
+def fault_args(fault: str, tmp_path: Path) -> list[str]:
+    """The argv of a command that meets ``fault``: its inputs and fixtures are
+    built under ``tmp_path``, and its output goes to ``tmp_path / "out"``
+    unless the fault is the output directory."""
+    out = ["--out", str(tmp_path / "out")]
+    taken = tmp_path / "taken"
+    bad = tmp_path / "bad.jsonl"
+    if fault == "out-names-a-file":
+        taken.write_text("", encoding="utf-8")
+        return [*TestOutputs.command("report", tmp_path / "missing"), "--out", str(taken)]
+    if fault == "cache-dir-under-a-file":
+        taken.write_text("", encoding="utf-8")
+        return [*UC1[0], "--live", "--cache-dir", str(taken / "cache"), *out]
+    if fault in ("grounding-text-empty", "grounding-text-lone-surrogate",
+                 "snli-sentences-empty", "snli-premise-lone-surrogate",
+                 "response-log-lone-surrogate", "response-log-torn",
+                 "response-log-nested-too-deeply", "dataset-nested-too-deeply"):
+        fixtures = tmp_path / "eval_replay"
+        shutil.copytree(FIXTURES / "eval_replay", fixtures)
+        dataset = TestEvaluate().build_dataset(CliRunner(), tmp_path)
+        args = ["evaluate", "--dataset", str(dataset), "--replay", "--fixtures", str(fixtures)]
+    else:
+        fixtures = tmp_path / "replay"
+        shutil.copytree(REPLAY_DIR, fixtures)
+        args = [*UC1[0], *replay_args(tmp_path / "out", fixtures)]
+    # json.dumps writes a lone surrogate as its escape, "\ud800"
+    if fault.startswith("grounding-text"):
+        line = json.loads(dataset.read_text(encoding="utf-8").splitlines()[0])
+        text = "" if fault.endswith("empty") else "\ud800" + line["grounding_text"]
+        bad.write_text(json.dumps({**line, "grounding_text": text}) + "\n", encoding="utf-8")
+        args[2] = str(bad)
+    elif fault.startswith("snli"):
+        premise = "" if fault.endswith("empty") else "A premise\udfff."
+        bad.write_text(json.dumps({"gold_label": "neutral", "sentence1": premise,
+                                   "sentence2": "A hypothesis."}) + "\n", encoding="utf-8")
+        args[2] = str(bad)
+        args += ["--task", "nli", "--snli-train", str(FIXTURES / "snli" / "train_mini.jsonl")]
+    elif fault == "response-log-lone-surrogate":
+        log_path = fixtures / "llm" / "responses.jsonl"
+        records = [json.loads(line) for line in log_path.read_text("utf-8").splitlines()]
+        records[-1]["raw_text"] += "\ud800"
+        log_path.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
+    elif fault == "response-log-torn":
+        with (fixtures / "llm" / "responses.jsonl").open("a", encoding="utf-8") as log:
+            log.write('{"fingerprint": "abc", "raw_te')
+    elif fault == "response-log-nested-too-deeply":
+        with (fixtures / "llm" / "responses.jsonl").open("a", encoding="utf-8") as log:
+            log.write("[" * 100_000 + "\n")
+    elif fault == "dataset-nested-too-deeply":
+        bad.write_text("[" * 100_000 + "\n", encoding="utf-8")
+        args[2] = str(bad)
+    elif fault == "bioc-text-lone-surrogate":
+        corpus = tmp_path / "biored"
+        shutil.copytree(FIXTURES / "biored_mini", corpus)
+        path = corpus / "Test_mini.BioC.JSON"
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload["documents"][0]["passages"][0]["text"] += "\ud800"
+        path.write_text(json.dumps(payload), encoding="utf-8")
+        args = ["build-dataset", "--biored", str(corpus)]
+    elif fault.endswith("-is-a-directory"):
+        path = made_a_directory(fault, fixtures)
+        path.unlink()
+        path.mkdir()
+    elif fault == "statements-not-utf-8":
+        bad.write_bytes(b"\xffnot\tutf\t8\n")
+        args = ["verify-wikipedia", "Q179924", "--statements", str(bad),
+                *replay_args(tmp_path / "out", fixtures)]
+    elif fault == "revision-record-missing":
+        (revision,) = [path for path in (fixtures / "http").iterdir()
+                       if '"titles"' in path.read_text(encoding="utf-8")]
+        revision.unlink()
+        args = [*UC2[0], *replay_args(tmp_path / "out", fixtures)]
+    elif fault == "record-nested-too-deeply":
+        unsourced_record(fixtures).write_text("[" * 100_000, encoding="utf-8")
+    else:
+        record_path = unsourced_record(fixtures)
+        record = json.loads(record_path.read_text(encoding="utf-8"))
+        if fault == "record-without-response":
+            del record["response"]
+        elif fault == "record-header-lone-surrogate":
+            record["response"]["headers"]["content-type"] += "\ud800"
+        elif fault == "sparql-label-lone-surrogate":
+            body = json.loads(record["response"]["body_text"])
+            for row in body["results"]["bindings"]:
+                for name, binding in row.items():
+                    if name.endswith("Label"):
+                        binding["value"] += "\ud800"
+            record["response"]["body_text"] = json.dumps(body)
+        elif fault == "sparql-nested-too-deeply":
+            record["response"]["body_text"] = "[" * 100_000
+        else:
+            record["response"]["body_text"] = '{"results": {"bindings": null}}'
+        record_path.write_text(json.dumps(record), encoding="utf-8")
+    return [*args, *out]
+
+
 class TestMalformedInput:
     """An input file or recorded fixture of the wrong shape exits 3, and a
     remote answer of the wrong shape 4, each with an ``error:`` line naming
     it, never a traceback."""
-
-    @staticmethod
-    def unsourced_record(fixtures: Path) -> Path:
-        """The recorded answer to uc1's first SPARQL query."""
-        from kgverify.net import HttpRequest, request_fingerprint
-        from kgverify.wikidata import WIKIDATA_SPARQL_ENDPOINT, EntityId, unsourced_statements_query
-
-        query = unsourced_statements_query(EntityId(36233))
-        req = HttpRequest.get(WIKIDATA_SPARQL_ENDPOINT, params={"query": query, "format": "json"})
-        return fixtures / "http" / f"{request_fingerprint(req)}.json"
 
     @pytest.mark.parametrize("fault,code,named", [
         ("grounding-text-empty", 3, "bad.jsonl:1"),
@@ -1879,88 +1970,33 @@ class TestMalformedInput:
         ("bioc-text-lone-surrogate", 3, "Test_mini.BioC.JSON"),
     ])
     def test_exits_with_its_code(self, runner, tmp_path, fault, code, named):
-        bad = tmp_path / "bad.jsonl"
-        if fault in ("grounding-text-empty", "grounding-text-lone-surrogate",
-                     "snli-sentences-empty", "snli-premise-lone-surrogate",
-                     "response-log-lone-surrogate", "response-log-torn",
-                     "response-log-nested-too-deeply", "dataset-nested-too-deeply"):
-            fixtures = tmp_path / "eval_replay"
-            shutil.copytree(FIXTURES / "eval_replay", fixtures)
-            dataset = TestEvaluate().build_dataset(runner, tmp_path)
-            args = ["evaluate", "--dataset", str(dataset), "--replay", "--fixtures", str(fixtures)]
-        else:
-            fixtures = tmp_path / "replay"
-            shutil.copytree(REPLAY_DIR, fixtures)
-            args = [*UC1[0], *replay_args(tmp_path / "out", fixtures)]
-        # json.dumps writes a lone surrogate as its escape, "\ud800"
-        if fault.startswith("grounding-text"):
-            line = json.loads(dataset.read_text(encoding="utf-8").splitlines()[0])
-            text = "" if fault.endswith("empty") else "\ud800" + line["grounding_text"]
-            bad.write_text(json.dumps({**line, "grounding_text": text}) + "\n", encoding="utf-8")
-            args[2] = str(bad)
-        elif fault.startswith("snli"):
-            premise = "" if fault.endswith("empty") else "A premise\udfff."
-            bad.write_text(json.dumps({"gold_label": "neutral", "sentence1": premise,
-                                       "sentence2": "A hypothesis."}) + "\n", encoding="utf-8")
-            args[2] = str(bad)
-            args += ["--task", "nli", "--snli-train", str(FIXTURES / "snli" / "train_mini.jsonl")]
-        elif fault == "response-log-lone-surrogate":
-            log_path = fixtures / "llm" / "responses.jsonl"
-            records = [json.loads(line) for line in log_path.read_text("utf-8").splitlines()]
-            records[-1]["raw_text"] += "\ud800"
-            log_path.write_text("".join(json.dumps(r) + "\n" for r in records), "utf-8")
-        elif fault == "response-log-torn":
-            with (fixtures / "llm" / "responses.jsonl").open("a", encoding="utf-8") as log:
-                log.write('{"fingerprint": "abc", "raw_te')
-        elif fault == "response-log-nested-too-deeply":
-            with (fixtures / "llm" / "responses.jsonl").open("a", encoding="utf-8") as log:
-                log.write("[" * 100_000 + "\n")
-        elif fault == "dataset-nested-too-deeply":
-            bad.write_text("[" * 100_000 + "\n", encoding="utf-8")
-            args[2] = str(bad)
-        elif fault == "bioc-text-lone-surrogate":
-            corpus = tmp_path / "biored"
-            shutil.copytree(FIXTURES / "biored_mini", corpus)
-            path = corpus / "Test_mini.BioC.JSON"
-            payload = json.loads(path.read_text(encoding="utf-8"))
-            payload["documents"][0]["passages"][0]["text"] += "\ud800"
-            path.write_text(json.dumps(payload), encoding="utf-8")
-            args = ["build-dataset", "--biored", str(corpus)]
-        elif fault.endswith("-is-a-directory"):
-            path = (self.unsourced_record(fixtures) if fault.startswith("record")
-                    else fixtures / "llm" / "responses.jsonl")
-            path.unlink()
-            path.mkdir()
-            named += f" {path}"  # the message names the path
-        elif fault == "statements-not-utf-8":
-            bad.write_bytes(b"\xffnot\tutf\t8\n")
-            args = ["verify-wikipedia", "Q179924", "--statements", str(bad),
-                    *replay_args(tmp_path / "out", fixtures)]
-        elif fault == "record-nested-too-deeply":
-            self.unsourced_record(fixtures).write_text("[" * 100_000, encoding="utf-8")
-        else:
-            record_path = self.unsourced_record(fixtures)
-            record = json.loads(record_path.read_text(encoding="utf-8"))
-            if fault == "record-without-response":
-                del record["response"]
-            elif fault == "record-header-lone-surrogate":
-                record["response"]["headers"]["content-type"] += "\ud800"
-            elif fault == "sparql-label-lone-surrogate":
-                body = json.loads(record["response"]["body_text"])
-                for row in body["results"]["bindings"]:
-                    for name, binding in row.items():
-                        if name.endswith("Label"):
-                            binding["value"] += "\ud800"
-                record["response"]["body_text"] = json.dumps(body)
-            elif fault == "sparql-nested-too-deeply":
-                record["response"]["body_text"] = "[" * 100_000
-            else:
-                record["response"]["body_text"] = '{"results": {"bindings": null}}'
-            record_path.write_text(json.dumps(record), encoding="utf-8")
-        result = runner.invoke(main, [*args, "--out", str(tmp_path / "out")])
+        args = fault_args(fault, tmp_path)
+        if fault.endswith("-is-a-directory"):
+            named += f" {made_a_directory(fault, tmp_path / 'replay')}"  # the message names the path
+        result = runner.invoke(main, args)
         assert result.exit_code == code, result.output
         assert isinstance(result.exception, SystemExit)  # no traceback
         assert "error: " in result.output and named in result.output
+
+    @pytest.mark.parametrize("fault,code,named", [
+        ("grounding-text-lone-surrogate", 3, "bad.jsonl:1"),
+        ("sparql-label-lone-surrogate", 4, "unexpected SPARQL payload"),
+        ("bioc-text-lone-surrogate", 3, "Test_mini.BioC.JSON"),
+        ("out-names-a-file", 2, "output directory"),
+        ("cache-dir-under-a-file", 2, "cache directory"),
+        ("revision-record-missing", 5, "no recorded fixture"),
+    ])
+    def test_a_process_exits_with_its_code(self, tmp_path, fault, code, named):
+        """As a process of its own, the exit status is the code, and stderr holds
+        the ``error:`` line and no traceback. Nothing is verified or written."""
+        done = run_kgverify(fault_args(fault, tmp_path), cwd=tmp_path)
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        # a usage error is click's "Error:" line
+        [error] = [line for line in done.stderr.splitlines() if line.lower().startswith("error:")]
+        assert named in error
+        assert "verifying:" not in done.stderr
+        assert not (tmp_path / "out").exists()
 
 
 class TestOutputs:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,8 +10,8 @@ from kgverify import errors
 from kgverify.cli import guarded
 from kgverify.errors import KgVerifyError
 
-# Mirrors the exit-code table in the README; a new error class must be added
-# here, and so given a code, deliberately.
+# The README's exit-code table lists these codes (a test below compares them);
+# a new error class must be added here, and so given a code, deliberately.
 EXPECTED_EXIT_CODES = {
     "KgVerifyError": 1,
     "ContextOverflow": 1,
@@ -68,6 +70,15 @@ def test_keyboard_interrupt_exits_130(capsys):
         command()
     assert caught.value.code == 130
     assert "interrupted" in capsys.readouterr().err
+
+
+def test_readme_exit_code_table_lists_every_code():
+    """The README's table lists the codes of the error classes, usage errors'
+    2 and an interrupt's 130, and no other."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    table = readme.split("\n### Exit codes\n\n", 1)[1].split("\n\n", 1)[0]
+    codes = {int(code) for code in re.findall(r"^\| (\d+) +\|", table, re.MULTILINE)}
+    assert codes == {0, 2, 130} | set(EXPECTED_EXIT_CODES.values())
 
 
 class TestJsonValue:
