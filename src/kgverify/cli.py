@@ -40,7 +40,6 @@ from .net import DEFAULT_REQUESTS_IN_FLIGHT, LiveTransport, RequestGate, atomic_
 from .prompting import (
     NLI_TEMPLATE,
     RDF_TEMPLATE,
-    NliExample,
     render_nli_prompt,
     render_rdf_prompt,
     template_digest,
@@ -59,10 +58,6 @@ from .wikidata import (
 )
 
 
-_DECISION_MODES = {
-    "precision": DecisionMode.FAVOR_PRECISION,
-    "recall": DecisionMode.FAVOR_RECALL,
-}
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 # Fields naming a file system path, which may be any name the system accepts
@@ -148,7 +143,7 @@ class RunConfig:
             setattr(config, key, value)
         if config.replay and not config.fixtures_dir:
             raise click.UsageError("replay mode requires a fixtures directory")
-        if config.decision_mode not in _DECISION_MODES:
+        if config.decision_mode not in {mode.value for mode in DecisionMode}:
             raise click.UsageError(f"unknown decision mode {config.decision_mode!r}")
         for name in ("llm_requests", "max_statements", "hit_limit", "llm_context_tokens"):
             value = getattr(config, name)
@@ -255,7 +250,7 @@ def guarded(fn):
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except KgVerifyError as exc:
+        except (KgVerifyError, click.ClickException) as exc:  # a usage error exits 2
             message, code = str(exc), exc.exit_code
         except KeyboardInterrupt:
             message, code = "interrupted", 130
@@ -424,7 +419,8 @@ _OPTIONS = {
     "max-statements": click.option("--max-statements", "max_statements", type=int, default=None,
                                    help="Verify at most this many selected statements."),
     "decision-mode": click.option("--decision-mode", "decision_mode",
-                                  type=click.Choice(list(_DECISION_MODES)), default=None,
+                                  type=click.Choice([mode.value for mode in DecisionMode]),
+                                  default=None,
                                   help="How the middle option counts in binary decisions."),
 }
 # every command takes _LOCAL; the commands that ask remote services take _REMOTE
@@ -594,7 +590,7 @@ def _evaluate_triples(config: RunConfig, dataset_path: str) -> tuple[dict, str, 
     if not instances:
         raise MalformedInput(f"{dataset_path}: empty dataset")
     with closing(_Runtime(config)) as runtime:  # built once the inputs are known to be good
-        mode = _DECISION_MODES[config.decision_mode]
+        mode = DecisionMode(config.decision_mode)
         predictions = _judge(runtime, instances,
                              lambda i: render_rdf_prompt(i.statement, i.grounding_text),
                              lambda text: verdict_to_binary(parse_option(text), mode))
@@ -642,9 +638,7 @@ def _evaluate_nli(config: RunConfig, dataset_path: str, snli_train: str | None,
         records = datasets.load_snli(dataset_path)
     if not records:
         raise MalformedInput(f"{dataset_path}: empty dataset")
-    example_records = datasets.pick_nli_example_records(snli_train, config.example_seed)
-    examples = [NliExample(premise=r.premise, hypothesis=r.hypothesis, label=r.gold)
-                for r in example_records]
+    examples = datasets.pick_nli_example_records(snli_train, config.example_seed)
     with closing(_Runtime(config)) as runtime:  # built once the inputs are known to be good
         labels = _judge(runtime, records,
                         lambda r: render_nli_prompt(r.premise, r.hypothesis, examples),
@@ -657,7 +651,7 @@ def _evaluate_nli(config: RunConfig, dataset_path: str, snli_train: str | None,
         "total": confusion.total,
     }
     return (tables, evaluation.format_nli_table(confusion, model_name=config.model),
-            {"records": len(records), "example_pair_ids": [r.pair_id for r in example_records]})
+            {"records": len(records), "example_pair_ids": [r.pair_id for r in examples]})
 
 
 @main.command("report")

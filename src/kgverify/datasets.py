@@ -105,6 +105,8 @@ class SnliRecord:
     pair_id: str | None = None
 
     def __post_init__(self) -> None:
+        if not self.premise or not self.hypothesis:
+            raise ValueError("premise and hypothesis must be non-empty")
         if self.gold not in NLI_CLASSES:
             raise ValueError("gold must be a concrete class")
 

@@ -63,12 +63,6 @@ class ProviderUnavailable(KgVerifyError):
     exit_code = 4
 
 
-class QuotaExceeded(KgVerifyError):
-    """The search provider rejected the request for quota reasons; retryable."""
-
-    exit_code = 4
-
-
 class UnsupportedMediaType(KgVerifyError):
     """The fetched resource is not HTML (e.g. a PDF)."""
 

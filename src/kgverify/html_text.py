@@ -15,8 +15,8 @@ from html.parser import HTMLParser
 
 from .model import normalize_label
 
-# Elements that never have a closing tag.
-_VOID_TAGS = {
+# Elements that never have a closing tag (the report stylesheet's output too).
+VOID_TAGS = {
     "area", "base", "br", "col", "embed", "hr", "img", "input",
     "link", "meta", "param", "source", "track", "wbr",
 }
@@ -79,7 +79,7 @@ class _ElementCapture(HTMLParser):
                         self._depth = 1
                     return
                 self._depth += 1
-            if tag not in _VOID_TAGS:
+            if tag not in VOID_TAGS:
                 self._markup.append(_render_start_tag(tag, attrs))
             else:
                 self.handle_startendtag(tag, attrs)
@@ -118,7 +118,7 @@ class _ElementCapture(HTMLParser):
             if self._depth == 0:
                 self._finalize()
                 return
-        if tag not in _VOID_TAGS:
+        if tag not in VOID_TAGS:
             self._markup.append(f"</{tag}>")
 
     def handle_data(self, data):

@@ -62,8 +62,8 @@ class DecisionMode(enum.Enum):
     accepts the indication option, trading precision for recall.
     """
 
-    FAVOR_PRECISION = "favor_precision"
-    FAVOR_RECALL = "favor_recall"
+    FAVOR_PRECISION = "precision"
+    FAVOR_RECALL = "recall"
 
 
 class NliLabel(enum.Enum):

@@ -471,10 +471,3 @@ def atomic_write(path: Path, data: bytes) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
-
-
-def write_fixture(directory: Path, req: HttpRequest, resp: HttpResponse) -> Path:
-    path = Path(directory) / f"{request_fingerprint(req)}.json"
-    record = response_to_record(req, resp)
-    atomic_write(path, (json.dumps(record, indent=2, ensure_ascii=False) + "\n").encode("utf-8"))
-    return path

@@ -9,27 +9,20 @@ only the supplied snippet, never its own knowledge.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from .errors import InvalidExamples
 from .model import NLI_CLASSES, NliLabel, Statement
+
+if TYPE_CHECKING:
+    from .datasets import SnliRecord
 
 SYSTEM_PROMPT = "You are a helpful assistant. Work only with the text given to you."
 
 RDF_TEMPLATE = "rdf_verify_v1.txt"
 NLI_TEMPLATE = "nli_fewshot_v1.txt"
-
-# Canonical option wordings; the response parser uses these to strip echoed
-# option text when isolating the model's justification.
-OPTION_TEXTS = {
-    "a": "The RDF statement can be directly verified from the snippet. "
-    "The snippet contains direct proof.",
-    "b": "The snippet contains some indications of the truthfulness of the RDF.",
-    "c": "The RDF statement definitely cannot be inferred from the snippet.",
-}
-
 
 @lru_cache(maxsize=None)
 def template_text(name: str) -> str:
@@ -41,17 +34,10 @@ def template_digest(name: str) -> str:
     return hashlib.sha256(template_text(name).encode("utf-8")).hexdigest()
 
 
-@dataclass(frozen=True)
-class NliExample:
-    premise: str
-    hypothesis: str
-    label: NliLabel
-
-    def __post_init__(self) -> None:
-        if not self.premise or not self.hypothesis:
-            raise ValueError("example premise and hypothesis must be non-empty")
-        if self.label not in NLI_CLASSES:
-            raise ValueError("example label must be a concrete class")
+# The option wordings, as the verification template's "a) ..." lines state them;
+# the response parser strips an echoed option to isolate the model's justification.
+OPTION_TEXTS = {line[0]: line[3:] for line in template_text(RDF_TEMPLATE).splitlines()
+                if line[1:3] == ") "}
 
 
 def render_rdf_prompt(statement: Statement, snippet: str) -> str:
@@ -66,15 +52,15 @@ def render_rdf_prompt(statement: Statement, snippet: str) -> str:
     )
 
 
-def render_nli_prompt(premise: str, hypothesis: str, examples: list[NliExample]) -> str:
+def render_nli_prompt(premise: str, hypothesis: str, examples: list[SnliRecord]) -> str:
     """Render the few-shot NLI prompt: three worked examples, then the pair to label."""
     if not premise or not hypothesis:
         raise ValueError("premise and hypothesis must be non-empty")
     by_label = {}
     for example in examples:
-        if example.label in by_label:
-            raise InvalidExamples(f"duplicate example for class {example.label.value}")
-        by_label[example.label] = example
+        if example.gold in by_label:
+            raise InvalidExamples(f"duplicate example for class {example.gold.value}")
+        by_label[example.gold] = example
     missing = [label.value for label in NLI_CLASSES if label not in by_label]
     if missing:
         raise InvalidExamples(f"missing example for class(es): {', '.join(missing)}")

@@ -9,21 +9,26 @@ the round trip verbatim.
 from __future__ import annotations
 
 import hashlib
+import re
 from dataclasses import dataclass
 from datetime import date as date_type
 from datetime import time as time_type
 from functools import lru_cache
 from importlib import resources
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 from xml.etree import ElementTree as ET
 
 from .errors import SchemaViolation
-from .verifier import VerificationSession
 from .xmlkit import XsdValidator, XsltRenderer
+
+if TYPE_CHECKING:
+    from .verifier import VerificationSession
 
 SCHEMA_VERSION = "1.0"
 SCHEMA_ASSET = "report_v1.xsd"
 STYLESHEET_ASSET = "report_v1.xsl"
+# Characters XML 1.0 cannot carry: C0 controls but tab, LF and CR, and U+FFFE/U+FFFF
+_NOT_XML = re.compile("[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 
 @dataclass(frozen=True)
@@ -65,10 +70,13 @@ def _renderer() -> XsltRenderer:
     return XsltRenderer(_asset_text(STYLESHEET_ASSET))
 
 
-def _child(parent: ET.Element, tag: str, text: str = "", **attrs: str) -> ET.Element:
-    elem = ET.SubElement(parent, tag, {k: v for k, v in attrs.items() if v is not None})
+def _child(parent: ET.Element, tag: str, text: str = "", **attrs: str | None) -> ET.Element:
+    """A ``tag`` element under ``parent``; each character XML cannot carry, in
+    ``text`` or an attribute, becomes U+FFFD, so the written XML parses."""
+    elem = ET.SubElement(parent, tag, {k: _NOT_XML.sub("\ufffd", v)
+                                       for k, v in attrs.items() if v is not None})
     if text:
-        elem.text = text
+        elem.text = _NOT_XML.sub("\ufffd", text)
     return elem
 
 
@@ -103,13 +111,9 @@ def _session_xml(parent: ET.Element, session: VerificationSession) -> None:
     if session.documents:
         docs = ET.SubElement(node, "documents")
         for record in session.documents:
-            attrs = {"url": record.url}
-            if record.retrieval_source:
-                attrs["source"] = record.retrieval_source
-            if record.skip is not None:
-                attrs["skip-kind"] = record.skip.kind
-                attrs["skip-detail"] = record.skip.detail
-            ET.SubElement(docs, "document", attrs)
+            skip = record.skip
+            _child(docs, "document", url=record.url, source=record.retrieval_source or None,
+                   **{"skip-kind": skip and skip.kind, "skip-detail": skip and skip.detail})
     if session.wikipedia_anchors:
         anchors = ET.SubElement(node, "wikipedia-anchors")
         for anchor in session.wikipedia_anchors:

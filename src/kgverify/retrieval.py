@@ -18,7 +18,6 @@ from .errors import (
     MalformedResponse,
     PermanentlyUnavailable,
     ProviderUnavailable,
-    QuotaExceeded,
     Unavailable,
     UnsupportedMediaType,
     malformed,
@@ -73,7 +72,7 @@ class GoogleSearchProvider:
         )
         resp = self._transport.send(req)
         if resp.status == 429:
-            raise QuotaExceeded("search quota exhausted")
+            raise ProviderUnavailable("search quota exhausted")
         if resp.status >= 500:
             raise ProviderUnavailable(f"search provider returned HTTP {resp.status}")
         if resp.status != 200:

@@ -10,6 +10,7 @@ reads, so every cached live run replays.
 from __future__ import annotations
 
 import functools
+import json
 import time
 from pathlib import Path
 
@@ -20,9 +21,10 @@ from .net import (
     HttpRequest,
     HttpResponse,
     Transport,
+    atomic_write,
     request_fingerprint,
     response_from_record,
-    write_fixture,
+    response_to_record,
 )
 
 
@@ -50,9 +52,11 @@ class FixtureStore:
     def response_log_path(self) -> Path:
         return self.directory / "llm" / "responses.jsonl"
 
+    def _path(self, req: HttpRequest) -> Path:
+        return self.directory / "http" / f"{request_fingerprint(req)}.json"
+
     def send(self, req: HttpRequest) -> HttpResponse:
-        fingerprint = request_fingerprint(req)
-        path = self.directory / "http" / f"{fingerprint}.json"
+        path = self._path(req)
         if path.exists() and (self._ttl is None or time.time() - path.stat().st_mtime <= self._ttl):
             data = read_input(path, "fixture")
             with malformed(MalformedInput, str(path), data):
@@ -61,14 +65,22 @@ class FixtureStore:
                     return recorded
         if self._live is None:
             raise FixtureMissing(
-                f"no recorded fixture for {req.method} {req.url} (fingerprint {fingerprint})"
+                f"no recorded fixture for {req.method} {req.url} (fingerprint {path.stem})"
             )
         resp = self._live.send(req)
+        self.record(req, resp, path)
+        return resp
+
+    def record(self, req: HttpRequest, resp: HttpResponse, path: Path | None = None) -> Path:
+        """Write ``resp`` as the record that answers ``req`` (at ``path``, if the
+        caller has it already) and return its path."""
+        path = path or self._path(req)
+        record = json.dumps(response_to_record(req, resp), indent=2, ensure_ascii=False) + "\n"
         try:
-            write_fixture(path.parent, req, resp)
+            atomic_write(path, record.encode("utf-8"))
         except OSError as exc:  # a full disk, or a file where http/ should be
             raise KgVerifyError(f"cannot write {path}: {exc.strerror or exc}") from exc
-        return resp
+        return path
 
     @functools.cached_property
     def completions(self) -> dict[str, tuple[str, int]]:

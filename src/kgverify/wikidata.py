@@ -42,15 +42,10 @@ class EntityId:
         return f"Q{self.numeric_id}"
 
     @classmethod
-    def parse(cls, value: "EntityId | str | int") -> "EntityId":
-        if isinstance(value, EntityId):
-            return value
-        if isinstance(value, int):
-            return cls(value)
-        text = value.strip().upper()
-        match = re.fullmatch(r"Q?(\d+)", text)
+    def parse(cls, text: str) -> "EntityId":
+        match = re.fullmatch(r"Q?(\d+)", text.strip().upper())
         if not match:
-            raise ValueError(f"not a Wikidata entity id: {value!r}")
+            raise ValueError(f"not a Wikidata entity id: {text!r}")
         return cls(int(match.group(1)))
 
 
@@ -135,9 +130,8 @@ class WikidataClient:
                 raise TypeError("bindings is not a list")
         return bindings
 
-    def fetch_unsourced_statements(self, entity: EntityId | str | int) -> list[Statement]:
+    def fetch_unsourced_statements(self, entity: EntityId) -> list[Statement]:
         """All statements of the subject that carry no reference in the graph."""
-        entity = EntityId.parse(entity)
         rows = self._sparql(unsourced_statements_query(entity))
         out: list[Statement] = []
         for row in rows:
@@ -182,10 +176,9 @@ class WikidataClient:
 
     # -- wiki APIs --------------------------------------------------------------
 
-    def entity_info(self, entity: EntityId | str | int) -> EntityInfo:
+    def entity_info(self, entity: EntityId) -> EntityInfo:
         """Label, latest revision, and English sitelink of an entity. A record
         without its latest revision is malformed: no permalink could pin it."""
-        entity = EntityId.parse(entity)
         resp = self._get(self._api_url, {
             "action": "wbgetentities",
             "ids": str(entity),

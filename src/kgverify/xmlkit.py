@@ -17,6 +17,7 @@ from html import escape
 from xml.etree import ElementTree as ET
 
 from .errors import SchemaViolation, TransformFailure
+from .html_text import VOID_TAGS
 
 XSD_NS = "{http://www.w3.org/2001/XMLSchema}"
 XSL_NS = "{http://www.w3.org/1999/XSL/Transform}"
@@ -189,7 +190,6 @@ class XsdValidator:
 # -- stylesheet ----------------------------------------------------------------
 
 
-_VOID_HTML = {"br", "hr", "img", "meta", "link", "input", "col", "area", "base"}
 _AVT = re.compile(r"\{([^{}]+)\}")
 
 
@@ -275,7 +275,7 @@ class XsltRenderer:
             self._instantiate(node, ctx, out)
             # a void element is self-closed only when its content appended nothing,
             # not even an empty value-of
-            if tag in _VOID_HTML and len(out) == mark:
+            if tag in VOID_TAGS and len(out) == mark:
                 out[-1] = f"<{tag}{attrs}/>"
             else:
                 out.append(f"</{tag}>")

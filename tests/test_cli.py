@@ -145,11 +145,25 @@ class TestVerifyWikidata:
         assert result.exit_code == 5
         assert "fingerprint" in result.output
 
+    def test_replay_without_a_response_log_misses_its_first_completion(self, runner, tmp_path):
+        """Fixtures with no ``llm/responses.jsonl`` answer every request, and the
+        first completion the run asks for exits 5, naming its fingerprint."""
+        fixtures = tmp_path / "fixtures"
+        shutil.copytree(REPLAY_DIR, fixtures)
+        (fixtures / "llm" / "responses.jsonl").unlink()
+        result = runner.invoke(main, [*UC1[0], *replay_args(tmp_path / "out", fixtures)])
+        assert result.exit_code == 5, result.output
+        [error] = [line for line in result.output.splitlines() if line.startswith("error:")]
+        assert "no recorded completion for fingerprint" in error
+        assert result.output.count("verifying:") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_entity_named_in_error(self, runner, tmp_path, monkeypatch):
         """The subject's entity record is asked first: an entity that does not
         exist exits 6, naming it, and asks no SPARQL; only its record (a
         "missing" payload) is recorded."""
-        from kgverify.net import HttpRequest, HttpResponse, write_fixture
+        from kgverify.net import HttpRequest, HttpResponse
+        from kgverify.store import FixtureStore
         from kgverify.wikidata import WIKIDATA_API, WikidataClient
 
         fixtures = tmp_path / "fixtures"
@@ -157,7 +171,7 @@ class TestVerifyWikidata:
             "action": "wbgetentities", "ids": "Q99", "props": "info|labels|sitelinks/urls",
             "languages": "en", "sitefilter": "enwiki", "format": "json",
         })
-        write_fixture(fixtures / "http", entity_req, HttpResponse(
+        FixtureStore(fixtures).record(entity_req, HttpResponse(
             status=200, headers={"content-type": "application/json"},
             body=json.dumps({"entities": {"Q99": {"id": "Q99", "missing": ""}}}).encode(),
         ))
@@ -292,7 +306,7 @@ class TestVerifyWikipedia:
                                                                    monkeypatch):
         """The article is resolved once, before the first statement: an entity
         without an English article exits 6 before any statement starts."""
-        from kgverify.net import HttpRequest, HttpResponse, write_fixture
+        from kgverify.net import HttpRequest, HttpResponse
         from kgverify.store import FixtureStore
         from kgverify.wikidata import WIKIDATA_API
 
@@ -301,7 +315,7 @@ class TestVerifyWikipedia:
             "action": "wbgetentities", "ids": "Q99", "props": "info|labels|sitelinks/urls",
             "languages": "en", "sitefilter": "enwiki", "format": "json",
         })
-        write_fixture(fixtures / "http", entity_req, HttpResponse(
+        FixtureStore(fixtures).record(entity_req, HttpResponse(
             status=200, headers={"content-type": "application/json"},
             body=json.dumps({"entities": {"Q99": {
                 "id": "Q99", "lastrevid": 5, "labels": {"en": {"value": "Nowhere"}},
@@ -1992,9 +2006,10 @@ class TestMalformedInput:
         done = run_kgverify(fault_args(fault, tmp_path), cwd=tmp_path)
         assert done.returncode == code, done.stderr
         assert "Traceback" not in done.stderr
-        # a usage error is click's "Error:" line
-        [error] = [line for line in done.stderr.splitlines() if line.lower().startswith("error:")]
+        # a usage error too is one "error:" line, without click's usage block
+        [error] = [line for line in done.stderr.splitlines() if line.startswith("error:")]
         assert named in error
+        assert "Usage:" not in done.stderr
         assert "verifying:" not in done.stderr
         assert not (tmp_path / "out").exists()
 
@@ -2033,8 +2048,9 @@ class TestOutputs:
         # an input read first would exit 3, and a fixture asked first 5
         assert result.exit_code == 2, result.output
         assert "Traceback" not in result.output
-        [error] = [line for line in result.output.splitlines() if line.lower().startswith("error:")]
+        [error] = [line for line in result.output.splitlines() if line.startswith("error:")]
         assert str(taken) in error and "not a directory" in error
+        assert "Usage:" not in result.output
         assert list(tmp_path.iterdir()) == [taken]  # nothing created
 
     @staticmethod

@@ -335,6 +335,12 @@ def snli_paths(request):
 
 
 class TestSnli:
+    @pytest.mark.parametrize("premise,hypothesis", [("", "h"), ("p", "")],
+                             ids=["premise", "hypothesis"])
+    def test_a_record_needs_both_sentences(self, premise, hypothesis):
+        with pytest.raises(ValueError, match="non-empty"):
+            SnliRecord(premise, hypothesis, NliLabel.NEUTRAL)
+
     def test_records_with_an_empty_sentence_excluded(self, tmp_path):
         path = tmp_path / "split.jsonl"
         records = [{"gold_label": "neutral", "sentence1": premise, "sentence2": hypothesis}

@@ -22,7 +22,6 @@ EXPECTED_EXIT_CODES = {
     "EmptyInput": 3,
     "EndpointUnavailable": 4,
     "ProviderUnavailable": 4,
-    "QuotaExceeded": 4,
     "NoDocumentsRetrievable": 4,
     "Unavailable": 4,
     "PermanentlyUnavailable": 4,

@@ -30,7 +30,6 @@ from kgverify.net import HttpRequest
 from kgverify.prompting import (
     OPTION_TEXTS,
     SYSTEM_PROMPT,
-    NliExample,
     render_nli_prompt,
     render_rdf_prompt,
 )
@@ -42,7 +41,7 @@ from kgverify.verifier import (
     map_in_order,
     parse_wikipedia_article,
 )
-from kgverify.wikidata import WIKIDATA_API, WikidataClient
+from kgverify.wikidata import WIKIDATA_API, EntityId, WikidataClient
 
 from concurrency import InFlight, Rendezvous, await_thread_blocked_in, interrupt_thread_start
 from conftest import DictTransport
@@ -340,7 +339,7 @@ class TestArticleOncePerRun:
         transport.add_json(lookup, {"entities": {"Q1": {
             "id": "Q1", "lastrevid": 7, "labels": {"en": {"value": "Subject"}},
             "sitelinks": {"enwiki": {"title": "Subject", "url": ARTICLE_URL}}}}})
-        article_url = WikidataClient(transport).entity_info("Q1").wikipedia_url
+        article_url = WikidataClient(transport).entity_info(EntityId(1)).wikipedia_url
         statements = [dataclasses.replace(STATEMENT, object_label=f"Thing {i}")
                       for i in range(3)]
         sessions = [verifier.verify_via_wikipedia(s, article_url) for s in statements]
@@ -1059,7 +1058,7 @@ def judge_triples(pool, provider, texts):
 def judge_nli(pool, provider, texts):
     records = [SnliRecord(premise=text, hypothesis="A claim.", gold=NliLabel.NEUTRAL)
                for text in texts]
-    examples = [NliExample(premise="An example.", hypothesis="A claim.", label=label)
+    examples = [SnliRecord(premise="An example.", hypothesis="A claim.", gold=label)
                 for label in (NliLabel.ENTAILMENT, NliLabel.NEUTRAL, NliLabel.CONTRADICTION)]
     runtime = types.SimpleNamespace(pool=pool, gateway=gateway(provider))
     predictions = _judge(runtime, records,

@@ -56,6 +56,11 @@ class TestCaptureElements:
         assert '<sup class="reference">' in captured[0].html
         assert 'href="#cite_note-3"' in captured[0].html
 
+    def test_a_valueless_attribute_is_kept(self):
+        inner = 'fact<sup class="reference" hidden><a href="#cite_note-1">[1]</a></sup>'
+        [captured] = extract_paragraph_elements(f"<p>{inner}</p>")
+        assert captured.html == inner
+
     def test_class_filter(self):
         html = '<ol class="other"><li>x</li></ol><ol class="references"><li>y</li></ol>'
         captured = capture_elements(html, "ol", class_filter="references")

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from datetime import datetime, timezone
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -8,6 +10,8 @@ from kgverify.errors import MalformedInput
 from kgverify.model import (
     BinaryDecision,
     DecisionMode,
+    EvidenceTrace,
+    RetrievalSource,
     Statement,
     VerdictKind,
     statement_from_line,
@@ -138,3 +142,24 @@ class TestSerialization:
     def test_json_missing_field(self):
         with pytest.raises(MalformedInput):
             statement_from_json({"subject": "s", "predicate": "p"})
+
+
+class TestEvidenceTrace:
+    @staticmethod
+    def trace(verdict=VerdictKind.DIRECT_PROOF, duration_ms=0) -> EvidenceTrace:
+        return EvidenceTrace("https://x.example", RetrievalSource.DIRECT, "A paragraph.",
+                             verdict, "Because.", "m", datetime(2024, 1, 1, tzinfo=timezone.utc),
+                             duration_ms)
+
+    def test_a_direct_proof_is_a_trace(self):
+        assert self.trace().verdict is VerdictKind.DIRECT_PROOF
+
+    @pytest.mark.parametrize("verdict", [VerdictKind.INDICATION, VerdictKind.NO_SUPPORT,
+                                         VerdictKind.UNPARSEABLE])
+    def test_only_a_direct_proof_is_a_trace(self, verdict):
+        with pytest.raises(ValueError, match="direct-proof"):
+            self.trace(verdict=verdict)
+
+    def test_a_negative_duration_is_rejected(self):
+        with pytest.raises(ValueError, match="duration_ms"):
+            self.trace(duration_ms=-1)

@@ -26,7 +26,7 @@ from kgverify.model import Statement
 from kgverify.retrieval import DocumentFetcher, GoogleSearchProvider
 from kgverify.store import FixtureStore
 from kgverify.verifier import Verifier
-from kgverify.wikidata import WikidataClient
+from kgverify.wikidata import EntityId, WikidataClient
 from kgverify.net import (
     HttpRequest,
     HttpResponse,
@@ -37,7 +37,6 @@ from kgverify.net import (
     request_fingerprint,
     response_from_record,
     response_to_record,
-    write_fixture,
 )
 
 from concurrency import GatedTransport, ask_in_flight, await_thread_blocked_in
@@ -126,7 +125,7 @@ class TestFixtureTransport:
         req = HttpRequest.get("https://x.example", params={"q": "1"})
         resp = HttpResponse(status=201, headers={"content-type": "application/json"},
                             body=b'{"ok": true}', url=req.url)
-        write_fixture(tmp_path / "http", req, resp)
+        FixtureStore(tmp_path).record(req, resp)
         replayed = FixtureStore(tmp_path).send(req)
         assert replayed == resp
 
@@ -142,7 +141,7 @@ class TestFixtureTransport:
     ], ids=["no-response", "headers-list", "status-word"])
     def test_malformed_record_is_malformed_input(self, tmp_path, change):
         req = HttpRequest.get("https://x.example")
-        path = write_fixture(tmp_path / "http", req, HttpResponse(200, body=b"ok"))
+        path = FixtureStore(tmp_path).record(req, HttpResponse(200, body=b"ok"))
         record = json.loads(path.read_text(encoding="utf-8"))
         change(record)
         path.write_text(json.dumps(record), encoding="utf-8")
@@ -401,7 +400,7 @@ class TestLiveTransportRetry:
                    "subjectLabel": {"value": "Havel"}}
         payload = json.dumps({"results": {"bindings": [binding]}}).encode("utf-8")
         transport, adapter, sleeps = scripted_transport(reply(503), reply(200, payload))
-        rows = WikidataClient(transport).fetch_unsourced_statements("Q36233")
+        rows = WikidataClient(transport).fetch_unsourced_statements(EntityId(36233))
         assert [row.predicate_id for row in rows] == ["P166"]
         assert len(adapter.requests) == 2
         assert sleeps == [1.0]

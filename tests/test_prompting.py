@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from kgverify.datasets import SnliRecord
 from kgverify.errors import InvalidExamples
 from kgverify.model import NliLabel, Statement
 from kgverify.prompting import (
@@ -9,7 +10,6 @@ from kgverify.prompting import (
     OPTION_TEXTS,
     RDF_TEMPLATE,
     SYSTEM_PROMPT,
-    NliExample,
     render_nli_prompt,
     render_rdf_prompt,
     template_digest,
@@ -19,11 +19,11 @@ from kgverify.prompting import (
 HAVEL = Statement("Václav Havel", "award received", "Concordia Prize")
 
 EXAMPLES = [
-    NliExample("A soccer game with multiple males playing.",
+    SnliRecord("A soccer game with multiple males playing.",
                "Some men are playing a sport.", NliLabel.ENTAILMENT),
-    NliExample("A woman reads a book on a park bench.",
+    SnliRecord("A woman reads a book on a park bench.",
                "The woman is waiting for her friend.", NliLabel.NEUTRAL),
-    NliExample("A black dog leaps over a fallen log.",
+    SnliRecord("A black dog leaps over a fallen log.",
                "The dog is resting in its kennel.", NliLabel.CONTRADICTION),
 ]
 
@@ -103,7 +103,7 @@ class TestNliPrompt:
 
     def test_example_label_validation(self):
         with pytest.raises(ValueError):
-            NliExample("p", "h", NliLabel.UNPARSEABLE)
+            SnliRecord("p", "h", NliLabel.UNPARSEABLE)
 
 
 class TestTemplates:
@@ -114,6 +114,13 @@ class TestTemplates:
             assert digest == template_digest(name)
 
     def test_rdf_template_carries_canonical_option_texts(self):
+        """The option texts are read from the template: it holds the paper's wording."""
         text = template_text(RDF_TEMPLATE)
         for letter, option in OPTION_TEXTS.items():
             assert f"{letter}) {option}" in text
+        assert OPTION_TEXTS == {
+            "a": "The RDF statement can be directly verified from the snippet. "
+                 "The snippet contains direct proof.",
+            "b": "The snippet contains some indications of the truthfulness of the RDF.",
+            "c": "The RDF statement definitely cannot be inferred from the snippet.",
+        }

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 from datetime import date, datetime, time, timezone
 from xml.etree import ElementTree as ET
 
@@ -200,6 +201,28 @@ class TestRenderHtml:
     def test_rejects_invalid_document(self):
         with pytest.raises(SchemaViolation):
             render_html(b"<verification-report schema-version='1.0'/>")
+
+    def test_characters_xml_cannot_carry_render_the_same_from_the_written_xml(self):
+        """A C0 control in a label, a paragraph, a justification or a skip detail
+        is written as U+FFFD: the XML parses, and renders the run's own HTML."""
+        session = make_session()
+        session.statement = dataclasses.replace(STATEMENT, object_label="phospho\x01rescence")
+        session.traces[0] = dataclasses.replace(
+            session.traces[0], paragraph_text="Light\x01 <in> living\x1f things.",
+            justification="It says so\x0b.")
+        session.skips[0] = SkipRecord("dangling-reference", "9", "no\x00 entry\ufffe")
+        session.documents[1].skip = SkipRecord("unsupported-media", "https://dead.example/a.pdf",
+                                               "media type\x02 application/pdf")
+        tree = build_run_xml([session], SUMMARY)
+        data = serialize_xml(tree)
+        assert render_html(data) == render_html(tree)
+        node = ET.fromstring(data).find("session")
+        assert node.findtext("statement/object") == "phospho\ufffdrescence"
+        assert node.findtext("traces/trace/paragraph") == "Light\ufffd <in> living\ufffd things."
+        assert node.findtext("traces/trace/justification") == "It says so\ufffd."
+        assert node.findtext("skips/skip") == "no\ufffd entry\ufffd"
+        assert node.findall("documents/document")[1].get("skip-detail") == (
+            "media type\ufffd application/pdf")
 
 
 MINI_SCHEMA = """<?xml version="1.0"?>

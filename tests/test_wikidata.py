@@ -24,7 +24,7 @@ ENTITY_URI = "http://www.wikidata.org/entity/"
 
 class TestEntityId:
     @pytest.mark.parametrize("raw,expected", [("Q36233", 36233), ("q179924", 179924),
-                                              ("42", 42), (7, 7)])
+                                              ("42", 42)])
     def test_parse(self, raw, expected):
         assert EntityId.parse(raw).numeric_id == expected
 
@@ -218,7 +218,7 @@ class TestEntityInfo:
                            title="Bioluminescence",
                            url="https://en.wikipedia.org/wiki/Bioluminescence"),
         )
-        info = WikidataClient(dict_transport).entity_info("Q179924")
+        info = WikidataClient(dict_transport).entity_info(EntityId(179924))
         assert info.wikipedia_url == "https://en.wikipedia.org/wiki/Bioluminescence"
         assert info.permalink == (
             "https://wikidata.org/w/index.php?title=Q179924&oldid=2073869683"
@@ -230,7 +230,7 @@ class TestEntityInfo:
             entity_request("Q999999"),
             entity_payload("Q999999", "obscure thing", 5),
         )
-        info = WikidataClient(dict_transport).entity_info("Q999999")
+        info = WikidataClient(dict_transport).entity_info(EntityId(999999))
         assert info.wikipedia_title is None and info.wikipedia_url is None
 
     def test_unknown_entity(self, dict_transport):
@@ -239,7 +239,7 @@ class TestEntityInfo:
             entity_payload("Q77777777", "", 0, missing=True),
         )
         with pytest.raises(NoSitelink, match="Q77777777"):
-            WikidataClient(dict_transport).entity_info("Q77777777")
+            WikidataClient(dict_transport).entity_info(EntityId(77777777))
 
     @pytest.mark.parametrize("record", [
         ["not", "an", "entity"],
@@ -254,7 +254,7 @@ class TestEntityInfo:
     def test_malformed_record_is_malformed_response(self, dict_transport, record):
         dict_transport.add_json(entity_request("Q5"), {"entities": {"Q5": record}})
         with pytest.raises(MalformedResponse, match="unexpected entity payload"):
-            WikidataClient(dict_transport).entity_info("Q5")
+            WikidataClient(dict_transport).entity_info(EntityId(5))
 
 
 def revision_request(title):
@@ -281,7 +281,7 @@ class TestAgainstBundledFixtures:
 
     def test_havel_counts(self, replay_dir):
         client = WikidataClient(FixtureStore(replay_dir))
-        unsourced = client.fetch_unsourced_statements("Q36233")
+        unsourced = client.fetch_unsourced_statements(EntityId(36233))
         assert len(unsourced) == 53
         labels = {(s.predicate_label, s.object_label) for s in unsourced}
         assert ("award received", "Concordia Prize") in labels

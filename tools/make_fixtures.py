@@ -19,7 +19,7 @@ sys.path.insert(0, str(REPO / "src"))
 from kgverify.html_text import extract_paragraphs, strip_archive_chrome  # noqa: E402
 from kgverify.llm import LlmParams, write_response_log  # noqa: E402
 from kgverify.model import Statement, statement_to_search_query  # noqa: E402
-from kgverify.net import HttpRequest, HttpResponse, write_fixture  # noqa: E402
+from kgverify.net import HttpRequest, HttpResponse  # noqa: E402
 from kgverify.prompting import render_nli_prompt, render_rdf_prompt  # noqa: E402
 from kgverify.retrieval import (  # noqa: E402
     ARCHIVE_AVAILABILITY_API,
@@ -27,6 +27,7 @@ from kgverify.retrieval import (  # noqa: E402
     GoogleSearchProvider,
     chunk_fill_limit,
 )
+from kgverify.store import FixtureStore  # noqa: E402
 from kgverify.verifier import parse_wikipedia_article  # noqa: E402
 from kgverify.wikidata import (  # noqa: E402
     WIKIDATA_API,
@@ -52,8 +53,7 @@ def http_fixture(req: HttpRequest, status: int, body: str | bytes,
                  content_type: str = "application/json") -> None:
     if isinstance(body, str):
         body = body.encode("utf-8")
-    write_fixture(
-        REPLAY / "http",
+    FixtureStore(REPLAY).record(
         req,
         HttpResponse(status=status, headers={"content-type": content_type}, body=body,
                      url=req.url),
@@ -998,7 +998,7 @@ def build_eval_replay() -> None:
         pick_nli_example_records,
     )
     from kgverify.model import BinaryDecision
-    from kgverify.prompting import OPTION_TEXTS, NliExample
+    from kgverify.prompting import OPTION_TEXTS
 
     docs = load_biored(FIXTURES / "biored_mini")
     positives = extract_positives(docs)
@@ -1026,10 +1026,7 @@ def build_eval_replay() -> None:
              f"The correct answer is: {answer}) {OPTION_TEXTS[answer]}")
         )
 
-    examples = [
-        NliExample(premise=r.premise, hypothesis=r.hypothesis, label=r.gold)
-        for r in pick_nli_example_records(FIXTURES / "snli" / "train_mini.jsonl", seed=42)
-    ]
+    examples = pick_nli_example_records(FIXTURES / "snli" / "train_mini.jsonl", seed=42)
     records = load_snli(FIXTURES / "snli" / "test_mini.jsonl")
     word_to_letter = {"entailment": "a", "neutral": "b", "contradiction": "c"}
     for index, record in enumerate(records):
@@ -1045,15 +1042,11 @@ def build_eval_replay() -> None:
                    "The relationship is evident from the wording.")
         entries.append((LLAMA_PARAMS, prompt, raw))
 
-    eval_dir = FIXTURES / "eval_replay" / "llm"
-    eval_dir.mkdir(parents=True, exist_ok=True)
-    write_response_log(eval_dir / "responses.jsonl", entries)
+    write_response_log(FIXTURES / "eval_replay" / "llm" / "responses.jsonl", entries)
     print(f"eval replay log: {len(entries)} completions")
 
 
 def main() -> None:
-    (REPLAY / "http").mkdir(parents=True, exist_ok=True)
-    (REPLAY / "llm").mkdir(parents=True, exist_ok=True)
     entries = build_havel()
     entries += build_biolum()
     write_response_log(REPLAY / "llm" / "responses.jsonl", entries)
